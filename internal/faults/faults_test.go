@@ -264,9 +264,18 @@ func TestLogFaultsCleanAndDirtyAppend(t *testing.T) {
 	if inner.Len() != 1 {
 		t.Fatalf("failed remove must leave the record: Len = %d", inner.Len())
 	}
+	if err := rm.RemoveBatch([]uint64{id}); !errors.Is(err, ErrInjected) {
+		t.Fatalf("batch remove fail: err = %v", err)
+	}
+	if inner.Len() != 1 {
+		t.Fatalf("failed batch remove must leave the record: Len = %d", inner.Len())
+	}
 	rm.SetEnabled(false)
-	if err := rm.Remove(id); err != nil {
-		t.Fatalf("disabled faults: Remove = %v", err)
+	if err := rm.RemoveBatch([]uint64{id}); err != nil || inner.Len() != 0 {
+		t.Fatalf("disabled faults: RemoveBatch = %v, Len = %d", err, inner.Len())
+	}
+	if err := rm.Remove(id); !errors.Is(err, stable.ErrNotFound) {
+		t.Fatalf("disabled faults: Remove of the batch-removed record = %v", err)
 	}
 	st := clean.FaultStats()
 	if st.AppendsFailed != 1 {

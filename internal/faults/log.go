@@ -97,16 +97,32 @@ func (l *Log) Append(rec []byte) (uint64, error) {
 	return l.inner.Append(rec)
 }
 
-// Remove implements stable.Log.
-func (l *Log) Remove(id uint64) error {
+// removeFails rolls RemoveFail and counts the failure it injects.
+func (l *Log) removeFails() bool {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.enabled && l.rng.Float64() < l.rates.RemoveFail {
 		l.stats.RemovesFailed++
-		l.mu.Unlock()
+		return true
+	}
+	return false
+}
+
+// Remove implements stable.Log.
+func (l *Log) Remove(id uint64) error {
+	if l.removeFails() {
 		return fmt.Errorf("%w: remove %d", ErrInjected, id)
 	}
-	l.mu.Unlock()
 	return l.inner.Remove(id)
+}
+
+// RemoveBatch implements stable.Log. RemoveFail is rolled once for the
+// batch: it is one write and one flush underneath, so it fails whole.
+func (l *Log) RemoveBatch(ids []uint64) error {
+	if l.removeFails() {
+		return fmt.Errorf("%w: remove of %d records", ErrInjected, len(ids))
+	}
+	return l.inner.RemoveBatch(ids)
 }
 
 // Replay implements stable.Log.

@@ -369,6 +369,7 @@ func (s *Server) recoverJournal() error {
 				delete(sess.acked, seq)
 			}
 		}
+		sess.foldAcked()
 		sess.replyBytes = 0
 		for _, rep := range sess.replies {
 			sess.replyBytes += replyApproxSize(rep)
@@ -465,10 +466,8 @@ func (s *Server) compactShardAtRecovery(idx int) error {
 	}
 	prev := sh.ids
 	sh.ids = []uint64{sid}
-	for _, old := range prev {
-		if rerr := sh.log.Remove(old); rerr != nil && !errors.Is(rerr, stable.ErrNotFound) {
-			sh.ids = append(sh.ids, old)
-		}
+	if rerr := sh.log.RemoveBatch(prev); rerr != nil {
+		sh.ids = append(sh.ids, prev...)
 	}
 	s.stats.JournalCompactions++
 	return nil
@@ -505,8 +504,11 @@ func applyJournalRecord(sessions map[string]*session, rec []byte) (map[string]*s
 		sess := bucketSession(sessions, clientID)
 		for _, seq := range seqs {
 			delete(sess.replies, seq)
-			sess.acked[seq] = true
+			if seq >= sess.lowSeq {
+				sess.acked[seq] = true
+			}
 		}
+		sess.foldAcked()
 	case jrecPrune:
 		clientID := r.String()
 		lowSeq := r.Uvarint()
@@ -526,6 +528,7 @@ func applyJournalRecord(sessions map[string]*session, rec []byte) (map[string]*s
 					delete(sess.acked, seq)
 				}
 			}
+			sess.foldAcked()
 		}
 	case jrecSnapshot:
 		snap, err := readSessionList(r)
@@ -667,19 +670,17 @@ func (s *Server) compactJournal(idx int) {
 		s.mu.Unlock()
 		return
 	}
-	// Removes run outside the gate: they touch only superseded records. A
-	// failed remove is not fatal — the record replays idempotently underneath
-	// the snapshot — so it is kept for retry at the next compaction instead
-	// of poisoning the journal.
-	kept := prev[:0]
-	for _, old := range prev {
-		if rerr := sh.log.Remove(old); rerr != nil && !errors.Is(rerr, stable.ErrNotFound) {
-			kept = append(kept, old)
-		}
-	}
+	// The removes run outside the gate: they touch only superseded records,
+	// and all of them share one write and one flush. A failed remove is not
+	// fatal — the records replay idempotently underneath the snapshot — so
+	// they are kept for retry at the next compaction instead of poisoning
+	// the journal.
+	rerr := sh.log.RemoveBatch(prev)
 	s.mu.Lock()
 	sh.ids = append(sh.ids, sid)
-	sh.ids = append(sh.ids, kept...)
+	if rerr != nil {
+		sh.ids = append(sh.ids, prev...)
+	}
 	s.stats.JournalCompactions++
 	sh.compacting = false
 	s.mu.Unlock()

@@ -118,59 +118,134 @@ func TestJournalRecoveryExactlyOnce(t *testing.T) {
 }
 
 // TestJournalAckAndPruneRecovery checks that ack and prune records are
-// journaled and replayed: after a restart, an acked request is neither
-// re-executed nor re-answered, and a pruned session's acked map stays
-// pruned.
+// journaled and replayed. It pins behaviour, not how the session stores it:
+// an acked request, redelivered before or after a restart, is neither
+// re-executed nor re-answered; a seq the client has not acked yet still
+// runs exactly once even though higher seqs are acked around it; and a
+// Hello's floor survives a restart.
 func TestJournalAckAndPruneRecovery(t *testing.T) {
 	journal := stable.NewMemLog(stable.Options{})
 	up := true
 	snd := &harnessSender{up: &up}
-	execs := 0
+	execs := map[uint64]int{}
+	handler := func(_ string, req Request) ([]byte, error) { execs[req.Seq]++; return nil, nil }
+	redeliver := func(srv *Server, seq uint64) int {
+		t.Helper()
+		snd.queue = nil
+		srv.OnFrame(snd, requestFrame(seq, "echo", nil), 0)
+		return len(drainReplies(t, snd))
+	}
 
 	srv1 := NewServer(ServerConfig{ServerID: "srv", Journal: journal})
-	srv1.Register("echo", func(string, Request) ([]byte, error) { execs++; return nil, nil })
+	srv1.Register("echo", handler)
 	srv1.OnConnect(snd, 0)
 	srv1.OnFrame(snd, helloFrame("c1", 1), 0)
+	// Seq 2 is still on its way when 1 and 3 complete and are acked.
 	srv1.OnFrame(snd, requestFrame(1, "echo", nil), 0)
+	srv1.OnFrame(snd, requestFrame(3, "echo", nil), 0)
 	srv1.OnFrame(snd, ackFrame(1), 0)
+	srv1.OnFrame(snd, ackFrame(3), 0)
+	for _, seq := range []uint64{1, 3} {
+		if n := redeliver(srv1, seq); n != 0 || execs[seq] != 1 {
+			t.Fatalf("acked seq %d redelivered: %d replies, %d execs", seq, n, execs[seq])
+		}
+	}
 
-	// Restart 1: the ack record must survive — the redelivered request is
-	// dropped (client has the reply), not re-executed, not re-answered.
+	// Restart 1: the ack records must survive — the redelivered requests
+	// are dropped (client has the replies), not re-executed, not re-answered.
 	srv2 := NewServer(ServerConfig{ServerID: "srv", Journal: journal})
-	srv2.Register("echo", func(string, Request) ([]byte, error) { execs++; return nil, nil })
+	srv2.Register("echo", handler)
 	if err := srv2.JournalError(); err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
 	srv2.OnConnect(snd, 0)
 	srv2.OnFrame(snd, helloFrame("c1", 1), 0)
-	snd.queue = nil
-	srv2.OnFrame(snd, requestFrame(1, "echo", nil), 0)
-	if reps := drainReplies(t, snd); len(reps) != 0 {
-		t.Fatalf("acked request re-answered after restart: %d replies", len(reps))
+	for _, seq := range []uint64{1, 3} {
+		if n := redeliver(srv2, seq); n != 0 || execs[seq] != 1 {
+			t.Fatalf("acked seq %d after restart: %d replies, %d execs", seq, n, execs[seq])
+		}
 	}
-	if execs != 1 {
-		t.Fatalf("acked request re-executed: execs = %d", execs)
+	if sess := srv2.Sessions(); len(sess) != 1 || sess[0].CachedReplies != 0 {
+		t.Fatalf("recovered session = %+v, want 0 cached", sess)
 	}
-	sess := srv2.Sessions()
-	if len(sess) != 1 || sess[0].AckedPending != 1 || sess[0].CachedReplies != 0 {
-		t.Fatalf("recovered session = %+v, want 1 acked, 0 cached", sess)
+	// The late seq 2 is new work: acks on both sides of it must not have
+	// closed the gap.
+	if n := redeliver(srv2, 2); n != 1 || execs[2] != 1 {
+		t.Fatalf("unacked seq 2 after restart: %d replies, %d execs, want 1 and 1", n, execs[2])
+	}
+	srv2.OnFrame(snd, ackFrame(2), 0)
+	if sess := srv2.Sessions(); sess[0].AckedPending != 0 || sess[0].LowSeq != 4 {
+		t.Fatalf("seqs 1-3 all acked: %+v, want nothing pending and a floor of 4", sess[0])
 	}
 
-	// A Hello advertising LowSeq=2 prunes the acked map and journals the
-	// prune record.
-	srv2.OnFrame(snd, helloFrame("c1", 2), 0)
-	if sess := srv2.Sessions(); sess[0].AckedPending != 0 || sess[0].LowSeq != 2 {
+	// A Hello advertising LowSeq=6 raises the floor and journals the prune
+	// record.
+	srv2.OnFrame(snd, helloFrame("c1", 6), 0)
+	if sess := srv2.Sessions(); sess[0].LowSeq != 6 {
 		t.Fatalf("prune not applied: %+v", sess[0])
 	}
 
 	// Restart 2: recovery must replay the prune record.
 	srv3 := NewServer(ServerConfig{ServerID: "srv", Journal: journal})
+	srv3.Register("echo", handler)
 	if err := srv3.JournalError(); err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
-	sess = srv3.Sessions()
-	if len(sess) != 1 || sess[0].AckedPending != 0 || sess[0].LowSeq != 2 {
+	sess := srv3.Sessions()
+	if len(sess) != 1 || sess[0].AckedPending != 0 || sess[0].LowSeq != 6 {
 		t.Fatalf("prune record not replayed: %+v", sess)
+	}
+	srv3.OnConnect(snd, 0)
+	srv3.OnFrame(snd, helloFrame("c1", 6), 0)
+	if n := redeliver(srv3, 5); n != 0 || execs[5] != 0 {
+		t.Fatalf("seq below the recovered floor: %d replies, %d execs", n, execs[5])
+	}
+}
+
+// TestAckedStateStaysBoundedOnLongConnection: one connection, 100k
+// requests, every one acked (in pairs, the higher seq first). The acked
+// state — in memory and in every compaction snapshot — must stay the size
+// of the out-of-order window, not of the connection's history, across a
+// restart too.
+func TestAckedStateStaysBoundedOnLongConnection(t *testing.T) {
+	journal := stable.NewMemLog(stable.Options{})
+	up := true
+	snd := &harnessSender{up: &up}
+	srv := NewServer(ServerConfig{ServerID: "srv", Journal: journal, JournalCompactEvery: 64})
+	srv.Register("echo", func(string, Request) ([]byte, error) { return nil, nil })
+	srv.OnConnect(snd, 0)
+	srv.OnFrame(snd, helloFrame("c1", 1), 0)
+	const n = 100_000
+	for seq := uint64(1); seq <= n; seq += 2 {
+		srv.OnFrame(snd, requestFrame(seq, "echo", nil), 0)
+		srv.OnFrame(snd, requestFrame(seq+1, "echo", nil), 0)
+		srv.OnFrame(snd, ackFrame(seq+1), 0)
+		if got := srv.Sessions()[0].AckedPending; got != 1 {
+			t.Fatalf("after out-of-order ack of %d: AckedPending = %d, want 1", seq+1, got)
+		}
+		srv.OnFrame(snd, ackFrame(seq), 0)
+		snd.queue = nil
+	}
+	if sess := srv.Sessions()[0]; sess.AckedPending != 0 || sess.LowSeq != n+1 || sess.CachedReplies != 0 {
+		t.Fatalf("after %d acked requests: %+v", n, sess)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var bytes int
+	if err := journal.Replay(func(_ uint64, rec []byte) error { bytes += len(rec); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if bytes > 4096 {
+		t.Fatalf("compacted journal holds %d bytes after %d acked requests, want a few records' worth", bytes, n)
+	}
+
+	srv2 := NewServer(ServerConfig{ServerID: "srv", Journal: journal})
+	if err := srv2.JournalError(); err != nil {
+		t.Fatalf("recovery failed: %v", err)
+	}
+	if sess := srv2.Sessions()[0]; sess.AckedPending != 0 || sess.LowSeq != n+1 {
+		t.Fatalf("recovered session %+v", sess)
 	}
 }
 

@@ -896,9 +896,11 @@ func TestWelcomeRoundTrip(t *testing.T) {
 }
 
 // TestHelloLowSeqPrunesAckedMap: the client's LowSeq advertisement in Hello
-// is the server's license to forget idempotency state. Acked seqs below the
-// advertised floor must leave session.acked (they can never be redelivered),
-// and the floor must be recorded so late duplicates are still dropped.
+// is the server's license to forget idempotency state. Acked seqs are
+// dropped on redelivery both before the Hello (from the acks) and after it
+// (from the floor), an ack that arrived ahead of a lower seq is not kept
+// once the floor passes it, and the floor is recorded so late duplicates
+// are still dropped.
 func TestHelloLowSeqPrunesAckedMap(t *testing.T) {
 	up := true
 	snd := &harnessSender{up: &up}
@@ -909,9 +911,21 @@ func TestHelloLowSeqPrunesAckedMap(t *testing.T) {
 	for seq := uint64(1); seq <= 3; seq++ {
 		srv.OnFrame(snd, requestFrame(seq, "echo", nil), 0)
 	}
-	srv.OnFrame(snd, ackFrame(1, 2), 0)
+	srv.OnFrame(snd, ackFrame(2), 0) // ahead of seq 1's ack
 	sess := srv.Sessions()
-	if sess[0].AckedPending != 2 || sess[0].CachedReplies != 1 {
+	if sess[0].AckedPending != 1 || sess[0].CachedReplies != 2 {
+		t.Fatalf("after out-of-order ack: %+v", sess[0])
+	}
+	srv.OnFrame(snd, ackFrame(1), 0)
+	snd.queue = nil
+	for seq := uint64(1); seq <= 2; seq++ {
+		srv.OnFrame(snd, requestFrame(seq, "echo", nil), 0)
+	}
+	if len(snd.queue) != 0 || srv.Stats().Executed != 3 {
+		t.Fatalf("acked seqs redelivered: %d frames out, Executed = %d", len(snd.queue), srv.Stats().Executed)
+	}
+	sess = srv.Sessions()
+	if sess[0].CachedReplies != 1 {
 		t.Fatalf("before prune: %+v", sess[0])
 	}
 

@@ -100,20 +100,36 @@ type session struct {
 	clientID  string
 	replies   map[uint64]*Reply // executed but unacknowledged
 	executing map[uint64]bool   // in handler right now
-	// acked records individually acknowledged sequence numbers. A plain
-	// high-watermark is NOT sound here: replies complete out of order
-	// (priorities, retransmission on lossy links), and dropping every
-	// redelivery at or below the highest acked seq would starve
-	// still-pending lower sequence numbers forever. Entries are pruned by
-	// the LowSeq each Hello advertises (everything below it is complete
-	// on the client).
+	// acked records individually acknowledged sequence numbers at or above
+	// lowSeq. A plain high-watermark is NOT sound here: replies complete
+	// out of order (priorities, retransmission on lossy links), and
+	// dropping every redelivery at or below the highest acked seq would
+	// starve still-pending lower sequence numbers forever. What is sound is
+	// folding the *contiguous* acked prefix into lowSeq (foldAcked), which
+	// keeps the map at the size of the out-of-order window; a gap the
+	// client never fills (it does not reuse a seq after a dirty append)
+	// stops the fold until the next Hello's LowSeq steps over it.
 	acked   map[uint64]bool
 	maxExec uint64
-	lowSeq  uint64
-	sender  Sender // most recent transport, for callbacks
+	// lowSeq is the floor below which every request is complete on the
+	// client: the highest LowSeq a Hello advertised, advanced over acked
+	// seqs by foldAcked.
+	lowSeq uint64
+	sender Sender // most recent transport, for callbacks
 	// replyBytes approximates the payload bytes held in replies (see
 	// replyApproxSize); ServerConfig.SessionBudgetBytes bounds it.
 	replyBytes int
+}
+
+// foldAcked moves the contiguous run of acknowledged seqs starting at
+// lowSeq (at 1 for a session no Hello has floored yet) out of the acked map
+// and into lowSeq. A seq is dropped on redelivery whether it is acked or
+// below lowSeq, so the fold changes what is stored, not what is answered.
+func (sess *session) foldAcked() {
+	for next := max(sess.lowSeq, 1); sess.acked[next]; next++ {
+		delete(sess.acked, next)
+		sess.lowSeq = next + 1
+	}
 }
 
 // replyApproxSize is the budget charge for one cached reply: its payload
@@ -355,6 +371,7 @@ func (s *Server) onHello(from Sender, payload []byte, out *[]wire.Frame) {
 				delete(sess.acked, seq)
 			}
 		}
+		sess.foldAcked()
 	}
 	w := &Welcome{ServerID: s.cfg.ServerID, HighSeq: sess.maxExec, Caps: cn.caps}
 	s.mu.Unlock()
@@ -752,9 +769,12 @@ func (s *Server) onAck(from Sender, payload []byte) {
 			delete(sess.replies, seq)
 		}
 		s.replyCache.delete(clientID, seq)
-		sess.acked[seq] = true
+		if seq >= sess.lowSeq {
+			sess.acked[seq] = true
+		}
 		s.stats.AcksReceived++
 	}
+	sess.foldAcked()
 	s.mu.Unlock()
 	// Journal the acknowledgment so recovery drops these reply payloads
 	// too. Apply-then-log, like prune records: losing an ack record means a
@@ -848,9 +868,11 @@ type SessionInfo struct {
 	ClientID      string
 	CachedReplies int
 	MaxExecuted   uint64
-	// AckedPending counts ack records awaiting LowSeq pruning.
+	// AckedPending counts acknowledged seqs at or above LowSeq: acks that
+	// arrived out of order and wait for the seqs below them.
 	AckedPending int
-	// LowSeq is the highest floor a Hello has advertised (or recovery
+	// LowSeq is the session's floor — the highest a Hello has advertised,
+	// advanced over contiguously acknowledged seqs (or what recovery
 	// replayed): all idempotency state below it has been pruned.
 	LowSeq    uint64
 	Connected bool

@@ -229,6 +229,67 @@ func TestRestrictedSandbox(t *testing.T) {
 	}
 }
 
+// TestRestrictedAfterTrustedOverSameCode: environments over one object's
+// code share its parse and nothing else. A Trusted env runs the code
+// first; a Restricted env created afterwards over the same code still
+// has no puts and no info, its runaway method is stopped by ErrBudget
+// after exactly as many iterations as its budget buys, and the Trusted
+// env is none the poorer for it.
+func TestRestrictedAfterTrustedOverSameCode(t *testing.T) {
+	const code = `
+		proc tryputs {} { puts leak }
+		proc tryinfo {} { info commands }
+		proc spin {} { while {1} { state set n [expr {[state get n 0] + 1}] } }
+	`
+	newObj := func() *Object {
+		o := New(urn.MustParse("urn:rover:x/shared"), "t")
+		o.Code = code
+		return o
+	}
+	var out strings.Builder
+	te, err := NewEnv(newObj(), EnvOptions{Sandbox: Trusted, Stdout: &out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := te.Invoke("tryputs"); err != nil || out.String() != "leak\n" {
+		t.Fatalf("trusted puts: wrote %q, err %v", out.String(), err)
+	}
+	if v, err := te.Invoke("tryinfo"); err != nil || !strings.Contains(v, "puts") || !strings.Contains(v, "state") {
+		t.Fatalf("trusted info commands = %q, %v", v, err)
+	}
+
+	ro := newObj()
+	re, err := NewEnv(ro, EnvOptions{Sandbox: Restricted, StepBudget: 1000, Stdout: &out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []string{"tryputs", "tryinfo"} {
+		_, err := re.Invoke(m)
+		want := `invalid command name "` + strings.TrimPrefix(m, "try") + `"`
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("restricted %s: %v, want %s", m, err, want)
+		}
+	}
+	if out.String() != "leak\n" {
+		t.Errorf("restricted env wrote to stdout: %q", out.String())
+	}
+	for round := 0; round < 2; round++ {
+		delete(ro.State, "n")
+		_, err := re.Invoke("spin")
+		if !errors.Is(err, ErrBudget) && (err == nil || !strings.Contains(err.Error(), "step budget exhausted")) {
+			t.Fatalf("round %d: runaway method: %v", round, err)
+		}
+		// 1 step for while, then 3 per iteration (state set, expr, state
+		// get): 333 full iterations.
+		if got := ro.State["n"]; got != "333" {
+			t.Errorf("round %d: budget of 1000 bought %s iterations, want 333", round, got)
+		}
+	}
+	if _, err := te.Invoke("tryputs"); err != nil || out.String() != "leak\nleak\n" {
+		t.Errorf("trusted env after the restricted one: wrote %q, err %v", out.String(), err)
+	}
+}
+
 func TestBudgetEnforced(t *testing.T) {
 	o := New(urn.MustParse("urn:rover:x/y"), "t")
 	o.Code = `proc spin {} { while {1} {set x 1} }`

@@ -5,12 +5,17 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
-// registerBuiltins installs the full standard command set. Hosts building
-// restricted sandboxes call Unregister afterwards (see rdo.Sandbox).
-func registerBuiltins(ip *Interp) {
-	b := map[string]func(*Interp, []string) (string, *flow){
+// builtins is the full standard command set, shared by every interpreter
+// and read-only after init. Hosts building restricted sandboxes Unregister
+// names per interpreter (see rdo.Sandbox). It is filled in init rather than
+// by its declaration because `info commands` reads it.
+var builtins map[string]builtinFunc
+
+func init() {
+	builtins = map[string]builtinFunc{
 		"set":      cmdSet,
 		"unset":    cmdUnset,
 		"incr":     cmdIncr,
@@ -47,9 +52,6 @@ func registerBuiltins(ip *Interp) {
 		"format":   cmdFormat,
 		"puts":     cmdPuts,
 		"info":     cmdInfo,
-	}
-	for name, fn := range b {
-		ip.cmds[name] = command{fn: fn}
 	}
 }
 
@@ -179,7 +181,7 @@ func cmdCatch(ip *Interp, args []string) (string, *flow) {
 		return "", argErr("catch", "script ?resultVarName?")
 	}
 	v, err := func() (string, *flow) {
-		s, perr := ip.parseCached(args[0])
+		s, perr := parseCached(args[0])
 		if perr != nil {
 			return "", errorFlow("%v", perr)
 		}
@@ -255,7 +257,7 @@ func cmdIf(ip *Interp, args []string) (string, *flow) {
 }
 
 func (ip *Interp) evalBody(body string) (string, *flow) {
-	s, err := ip.parseCached(body)
+	s, err := parseCached(body)
 	if err != nil {
 		return "", errorFlow("%v", err)
 	}
@@ -267,6 +269,7 @@ func cmdWhile(ip *Interp, args []string) (string, *flow) {
 		return "", argErr("while", "condition body")
 	}
 	for {
+		since := ip.steps
 		ok, f := ip.truthy(args[0])
 		if f != nil {
 			return "", f
@@ -275,15 +278,14 @@ func cmdWhile(ip *Interp, args []string) (string, *flow) {
 			return "", nil
 		}
 		_, f = ip.evalBody(args[1])
-		if f != nil {
-			switch f.kind {
-			case flowBreak:
+		if f != nil && f.kind != flowContinue {
+			if f.kind == flowBreak {
 				return "", nil
-			case flowContinue:
-				continue
-			default:
-				return "", f
 			}
+			return "", f
+		}
+		if f := ip.stepIfIdle(since); f != nil {
+			return "", f
 		}
 	}
 }
@@ -296,6 +298,7 @@ func cmdFor(ip *Interp, args []string) (string, *flow) {
 		return "", f
 	}
 	for {
+		since := ip.steps
 		ok, f := ip.truthy(args[1])
 		if f != nil {
 			return "", f
@@ -315,6 +318,9 @@ func cmdFor(ip *Interp, args []string) (string, *flow) {
 			}
 		}
 		if _, f := ip.evalBody(args[2]); f != nil {
+			return "", f
+		}
+		if f := ip.stepIfIdle(since); f != nil {
 			return "", f
 		}
 	}
@@ -764,11 +770,15 @@ func cmdSplit(ip *Interp, args []string) (string, *flow) {
 func splitKeepEmpty(s, seps string) []string {
 	var parts []string
 	start := 0
-	for i, r := range s {
+	for i := 0; i < len(s); {
+		// The decoded width, not the rune's encoded length: an invalid
+		// byte decodes to U+FFFD (3 bytes encoded) but is 1 byte wide.
+		r, w := utf8.DecodeRuneInString(s[i:])
 		if strings.ContainsRune(seps, r) {
 			parts = append(parts, s[start:i])
-			start = i + len(string(r))
+			start = i + w
 		}
+		i += w
 	}
 	parts = append(parts, s[start:])
 	return parts

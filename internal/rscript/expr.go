@@ -1,6 +1,7 @@
 package rscript
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -14,10 +15,14 @@ import (
 // numerically when both operands parse as numbers and lexically otherwise;
 // `eq` and `ne` always compare as strings.
 //
-// Substitution is eager (the whole expression is tokenized before
-// evaluation), so `&&`/`||` short-circuit the *evaluation* but not the
-// substitution of their right operands. The step budget still bounds any
-// recursion this permits.
+// The source is scanned once into tokens (compileExpr) and the result is
+// cached by source; $var and [cmd] operands stay symbolic in the tokens
+// and are resolved each time the expression is evaluated.
+//
+// Substitution is eager (every operand is resolved, in source order,
+// before evaluation), so `&&`/`||` short-circuit the *evaluation* but not
+// the substitution of their right operands. The step budget still bounds
+// any recursion this permits.
 
 type valueKind int
 
@@ -102,18 +107,42 @@ const (
 	tokRParen
 	tokComma
 	tokIdent
+	tokVar // $name, read when the expression is evaluated
+	tokCmd // [script], run when the expression is evaluated
 )
 
 type exprTok struct {
-	kind exprTokKind
-	val  value
-	op   string
-	id   string
+	kind   exprTokKind
+	val    value   // tokValue
+	op     string  // tokOp
+	id     string  // tokIdent, tokVar
+	script *Script // tokCmd
+	slot   int     // tokVar, tokCmd: index of the operand's value at evaluation
 }
 
-// tokenizeExpr scans src, resolving $var and [cmd] substitutions.
-func tokenizeExpr(ip *Interp, src string) ([]exprTok, *flow) {
-	var toks []exprTok
+// exprProg is the compiled form of one expr source: its tokens, with $var
+// and [cmd] operands left symbolic. Like a *Script it is read-only once
+// compiled and shared through the cache. A lexical error does not discard
+// the tokens before it: evaluation substitutes those operands first, as a
+// single scan-and-substitute pass would, and then reports lexErr.
+type exprProg struct {
+	toks   []exprTok
+	nsubst int    // number of tokVar/tokCmd tokens
+	lexErr string // message of the error that ended the scan, or ""
+}
+
+// compileExpr scans src into tokens.
+func compileExpr(src string) *exprProg {
+	prog := &exprProg{}
+	fail := func(format string, args ...any) *exprProg {
+		prog.lexErr = fmt.Sprintf(format, args...)
+		return prog
+	}
+	operand := func(t exprTok) {
+		t.slot = prog.nsubst
+		prog.nsubst++
+		prog.toks = append(prog.toks, t)
+	}
 	i := 0
 	n := len(src)
 	for i < n {
@@ -122,15 +151,16 @@ func tokenizeExpr(ip *Interp, src string) ([]exprTok, *flow) {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			i++
 		case c >= '0' && c <= '9' || c == '.' && i+1 < n && src[i+1] >= '0' && src[i+1] <= '9':
+			hex := i+1 < n && src[i] == '0' && (src[i+1] == 'x' || src[i+1] == 'X')
 			j := i
 			isFloat := false
 			for j < n {
 				cj := src[j]
 				if cj >= '0' && cj <= '9' || cj == '.' ||
 					cj == 'x' || cj == 'X' ||
-					(cj >= 'a' && cj <= 'f' || cj >= 'A' && cj <= 'F') && strings.HasPrefix(strings.ToLower(src[i:]), "0x") ||
-					(cj == 'e' || cj == 'E') && !strings.HasPrefix(strings.ToLower(src[i:]), "0x") ||
-					(cj == '+' || cj == '-') && j > i && (src[j-1] == 'e' || src[j-1] == 'E') && !strings.HasPrefix(strings.ToLower(src[i:]), "0x") {
+					(cj >= 'a' && cj <= 'f' || cj >= 'A' && cj <= 'F') && hex ||
+					(cj == 'e' || cj == 'E') && !hex ||
+					(cj == '+' || cj == '-') && j > i && (src[j-1] == 'e' || src[j-1] == 'E') && !hex {
 					if cj == '.' || cj == 'e' || cj == 'E' {
 						isFloat = true
 					}
@@ -140,48 +170,36 @@ func tokenizeExpr(ip *Interp, src string) ([]exprTok, *flow) {
 				break
 			}
 			lit := src[i:j]
-			if isFloat && !strings.HasPrefix(strings.ToLower(lit), "0x") {
+			if isFloat && !hex {
 				f, err := strconv.ParseFloat(lit, 64)
 				if err != nil {
-					return nil, errorFlow("expr: bad number %q", lit)
+					return fail("expr: bad number %q", lit)
 				}
-				toks = append(toks, exprTok{kind: tokValue, val: floatVal(f)})
+				prog.toks = append(prog.toks, exprTok{kind: tokValue, val: floatVal(f)})
 			} else {
 				v, err := strconv.ParseInt(lit, 0, 64)
 				if err != nil {
-					return nil, errorFlow("expr: bad number %q", lit)
+					return fail("expr: bad number %q", lit)
 				}
-				toks = append(toks, exprTok{kind: tokValue, val: intVal(v)})
+				prog.toks = append(prog.toks, exprTok{kind: tokValue, val: intVal(v)})
 			}
 			i = j
 		case c == '$':
 			p := &parser{src: src, pos: i, line: 1}
 			name, ok := p.scanVarName()
 			if !ok {
-				return nil, errorFlow("expr: bad variable reference")
+				return fail("expr: bad variable reference")
 			}
 			i = p.pos
-			v, found := ip.lookupVar(name)
-			if !found {
-				return nil, errorFlow("can't read %q: no such variable", name)
-			}
-			toks = append(toks, exprTok{kind: tokValue, val: classify(v)})
+			operand(exprTok{kind: tokVar, id: name})
 		case c == '[':
 			p := &parser{src: src, pos: i + 1, line: 1}
 			inner, err := p.parseScript(']')
 			if err != nil {
-				return nil, errorFlow("expr: %v", err)
+				return fail("expr: %v", err)
 			}
 			i = p.pos
-			v, f := ip.evalScript(inner)
-			if f != nil {
-				if f.kind == flowReturn {
-					v = f.val
-				} else {
-					return nil, f
-				}
-			}
-			toks = append(toks, exprTok{kind: tokValue, val: classify(v)})
+			operand(exprTok{kind: tokCmd, script: inner})
 		case c == '"':
 			var sb strings.Builder
 			j := i + 1
@@ -196,9 +214,9 @@ func tokenizeExpr(ip *Interp, src string) ([]exprTok, *flow) {
 				j++
 			}
 			if j >= n {
-				return nil, errorFlow("expr: missing close quote")
+				return fail("expr: missing close quote")
 			}
-			toks = append(toks, exprTok{kind: tokValue, val: strVal(sb.String())})
+			prog.toks = append(prog.toks, exprTok{kind: tokValue, val: strVal(sb.String())})
 			i = j + 1
 		case c == '{':
 			depth := 1
@@ -213,39 +231,39 @@ func tokenizeExpr(ip *Interp, src string) ([]exprTok, *flow) {
 				j++
 			}
 			if depth != 0 {
-				return nil, errorFlow("expr: missing close brace")
+				return fail("expr: missing close brace")
 			}
-			toks = append(toks, exprTok{kind: tokValue, val: strVal(src[i+1 : j-1])})
+			prog.toks = append(prog.toks, exprTok{kind: tokValue, val: strVal(src[i+1 : j-1])})
 			i = j
 		case c == '(':
-			toks = append(toks, exprTok{kind: tokLParen})
+			prog.toks = append(prog.toks, exprTok{kind: tokLParen})
 			i++
 		case c == ')':
-			toks = append(toks, exprTok{kind: tokRParen})
+			prog.toks = append(prog.toks, exprTok{kind: tokRParen})
 			i++
 		case c == ',':
-			toks = append(toks, exprTok{kind: tokComma})
+			prog.toks = append(prog.toks, exprTok{kind: tokComma})
 			i++
 		case isAlpha(c):
 			j := i
 			for j < n && (isAlpha(src[j]) || src[j] >= '0' && src[j] <= '9') {
 				j++
 			}
-			toks = append(toks, exprTok{kind: tokIdent, id: src[i:j]})
+			prog.toks = append(prog.toks, exprTok{kind: tokIdent, id: src[i:j]})
 			i = j
 		default:
 			for _, op := range exprOps {
 				if strings.HasPrefix(src[i:], op) {
-					toks = append(toks, exprTok{kind: tokOp, op: op})
+					prog.toks = append(prog.toks, exprTok{kind: tokOp, op: op})
 					i += len(op)
 					goto next
 				}
 			}
-			return nil, errorFlow("expr: unexpected character %q", string(c))
+			return fail("expr: unexpected character %q", string(c))
 		next:
 		}
 	}
-	return toks, nil
+	return prog
 }
 
 func isAlpha(c byte) bool {
@@ -260,17 +278,51 @@ var exprOps = []string{
 
 type exprParser struct {
 	toks []exprTok
+	vals []value // substituted operands, indexed by exprTok.slot
 	pos  int
-	ip   *Interp
+}
+
+// substitute resolves the program's $var and [cmd] operands in source
+// order against the interpreter's current state.
+func (ip *Interp) substitute(prog *exprProg, vals []value) *flow {
+	for i := range prog.toks {
+		t := &prog.toks[i]
+		switch t.kind {
+		case tokVar:
+			v, found := ip.lookupVar(t.id)
+			if !found {
+				return errorFlow("can't read %q: no such variable", t.id)
+			}
+			vals[t.slot] = classify(v)
+		case tokCmd:
+			v, f := ip.evalScript(t.script)
+			if f != nil {
+				if f.kind != flowReturn {
+					return f
+				}
+				v = f.val
+			}
+			vals[t.slot] = classify(v)
+		}
+	}
+	if prog.lexErr != "" {
+		return &flow{kind: flowError, val: prog.lexErr}
+	}
+	return nil
 }
 
 // evalExpr evaluates an expression string with substitution.
 func (ip *Interp) evalExpr(src string) (value, *flow) {
-	toks, f := tokenizeExpr(ip, src)
-	if f != nil {
+	prog := compileExprCached(src)
+	var few [4]value
+	vals := few[:]
+	if prog.nsubst > len(few) {
+		vals = make([]value, prog.nsubst)
+	}
+	if f := ip.substitute(prog, vals); f != nil {
 		return value{}, f
 	}
-	p := &exprParser{toks: toks, ip: ip}
+	p := &exprParser{toks: prog.toks, vals: vals}
 	v, flw := p.parseOr()
 	if flw != nil {
 		return value{}, flw
@@ -640,9 +692,14 @@ func arith(op string, a, b value) (value, *flow) {
 			if b.i < 0 {
 				return floatVal(math.Pow(float64(a.i), float64(b.i))), nil
 			}
-			r := int64(1)
-			for k := int64(0); k < b.i; k++ {
-				r *= a.i
+			// Square-and-multiply: the same wrapped product as b.i
+			// multiplications, without b.i iterations outside the budget.
+			r, base := int64(1), a.i
+			for e := b.i; e > 0; e >>= 1 {
+				if e&1 == 1 {
+					r *= base
+				}
+				base *= base
 			}
 			return intVal(r), nil
 		}
@@ -713,6 +770,9 @@ func (p *exprParser) parsePrimary() (value, *flow) {
 	case tokValue:
 		p.pos++
 		return t.val, nil
+	case tokVar, tokCmd:
+		p.pos++
+		return p.vals[t.slot], nil
 	case tokLParen:
 		p.pos++
 		v, f := p.parseOr()

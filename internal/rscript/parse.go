@@ -16,9 +16,13 @@ import (
 //   - '#' at a command position starts a comment through end of line.
 //
 // Scripts parse to a small AST that the evaluator walks; parsed scripts
-// are cached by source string, since loop bodies re-evaluate constantly.
+// are cached by source string (cache.go), since loop bodies re-evaluate
+// constantly and every environment over one object evaluates the same code.
 
-// Script is a parsed rscript program.
+// Script is a parsed rscript program. A Script, and everything reachable
+// from it, is read-only once Parse returns: cached scripts are walked by
+// many interpreters at once, so neither the evaluator nor a caller may
+// modify one.
 type Script struct {
 	Cmds []*Cmd
 }

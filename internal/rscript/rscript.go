@@ -59,10 +59,8 @@ type Options struct {
 // CmdFunc is a host command callable from scripts.
 type CmdFunc func(ip *Interp, args []string) (string, error)
 
-// internal command entry: control commands need flow access.
-type command struct {
-	fn func(ip *Interp, args []string) (string, *flow)
-}
+// builtinFunc is a builtin command; control commands need flow access.
+type builtinFunc func(ip *Interp, args []string) (string, *flow)
 
 // flow carries non-local control: return, break, continue, error.
 type flowKind int
@@ -89,7 +87,7 @@ type Proc struct {
 	Name   string
 	Params []param
 	Body   string
-	body   *Script // parsed lazily
+	body   *Script // shared parse of Body, looked up on first call
 }
 
 type param struct {
@@ -111,56 +109,67 @@ func newFrame() *frame {
 
 // Interp is an rscript interpreter. An Interp is not safe for concurrent
 // use; RDO execution environments serialize access per object.
+//
+// The builtin command table is one package-level map shared by every
+// interpreter and never written after init. An Interp's own command state
+// is what its host changed: the commands it Registered, which shadow
+// builtins of the same name, and the builtins it Unregistered.
 type Interp struct {
 	opts   Options
 	global *frame
-	stack  []*frame // stack[0] == global
-	cmds   map[string]command
+	stack  []*frame            // stack[0] == global
+	host   map[string]CmdFunc  // Register'ed commands
+	hidden map[string]struct{} // builtins removed by Unregister
 	procs  map[string]*Proc
-	cache  map[string]*Script
 	steps  int64
 	depth  int
 }
 
-const (
-	defaultMaxDepth = 200
-	cacheLimit      = 512
-)
+const defaultMaxDepth = 200
 
 // New returns an interpreter with the full builtin command set.
 func New(opts Options) *Interp {
 	ip := &Interp{
 		opts:   opts,
 		global: newFrame(),
-		cmds:   make(map[string]command),
 		procs:  make(map[string]*Proc),
-		cache:  make(map[string]*Script),
 	}
 	ip.stack = []*frame{ip.global}
-	registerBuiltins(ip)
 	return ip
 }
 
 // Register installs (or replaces) a host command.
 func (ip *Interp) Register(name string, fn CmdFunc) {
-	ip.cmds[name] = command{fn: func(ip *Interp, args []string) (string, *flow) {
-		v, err := fn(ip, args)
-		if err != nil {
-			return "", &flow{kind: flowError, val: err.Error(), err: err}
-		}
-		return v, nil
-	}}
+	if ip.host == nil {
+		ip.host = make(map[string]CmdFunc)
+	}
+	ip.host[name] = fn
 }
 
 // Unregister removes a command from the table. Removing builtins is how
 // hosts build restricted sandboxes.
-func (ip *Interp) Unregister(name string) { delete(ip.cmds, name) }
+func (ip *Interp) Unregister(name string) {
+	delete(ip.host, name)
+	if _, ok := builtins[name]; ok {
+		if ip.hidden == nil {
+			ip.hidden = make(map[string]struct{})
+		}
+		ip.hidden[name] = struct{}{}
+	}
+}
 
 // Commands returns the sorted-later names of all registered commands
 // (including builtins); used by `info commands` and sandbox auditing.
 func (ip *Interp) Commands() []string {
-	names := make([]string, 0, len(ip.cmds)+len(ip.procs))
-	for n := range ip.cmds {
+	names := make([]string, 0, len(builtins)+len(ip.host)+len(ip.procs))
+	for n := range builtins {
+		_, hidden := ip.hidden[n]
+		_, shadowed := ip.host[n]
+		if !hidden && !shadowed {
+			names = append(names, n)
+		}
+	}
+	for n := range ip.host {
 		names = append(names, n)
 	}
 	for n := range ip.procs {
@@ -198,10 +207,10 @@ func (ip *Interp) GlobalVars() map[string]string {
 	return out
 }
 
-// Eval parses (with caching) and evaluates src, returning the value of the
-// last command.
+// Eval parses (through the process-wide cache) and evaluates src,
+// returning the value of the last command.
 func (ip *Interp) Eval(src string) (string, error) {
-	s, err := ip.parseCached(src)
+	s, err := parseCached(src)
 	if err != nil {
 		return "", err
 	}
@@ -252,21 +261,6 @@ func finish(v string, f *flow) (string, error) {
 		return "", &Error{Msg: `invoked "continue" outside of a loop`}
 	}
 	return v, nil
-}
-
-func (ip *Interp) parseCached(src string) (*Script, error) {
-	if s, ok := ip.cache[src]; ok {
-		return s, nil
-	}
-	s, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(ip.cache) >= cacheLimit {
-		ip.cache = make(map[string]*Script) // simple full reset
-	}
-	ip.cache[src] = s
-	return s, nil
 }
 
 // current returns the active frame.
@@ -326,13 +320,33 @@ func (ip *Interp) evalScript(s *Script) (string, *flow) {
 	return val, nil
 }
 
-// evalCommand expands the command's words and dispatches it.
-func (ip *Interp) evalCommand(cmd *Cmd) (string, *flow) {
+// step charges one unit of the step budget.
+func (ip *Interp) step() *flow {
 	if ip.opts.StepBudget > 0 {
 		ip.steps++
 		if ip.steps > ip.opts.StepBudget {
-			return "", &flow{kind: flowError, val: "step budget exhausted", err: ErrBudget}
+			return &flow{kind: flowError, val: "step budget exhausted", err: ErrBudget}
 		}
+	}
+	return nil
+}
+
+// stepIfIdle charges a step for a while/for iteration during which no
+// command ran (since is StepsUsed from before it). Such an iteration
+// changed nothing, so the loop can never end; without the charge
+// `while {1} {}` would spin outside the budget forever. An iteration that
+// ran anything has been charged for it already and pays nothing more.
+func (ip *Interp) stepIfIdle(since int64) *flow {
+	if ip.steps == since {
+		return ip.step()
+	}
+	return nil
+}
+
+// evalCommand expands the command's words and dispatches it.
+func (ip *Interp) evalCommand(cmd *Cmd) (string, *flow) {
+	if f := ip.step(); f != nil {
+		return "", f
 	}
 	words := make([]string, len(cmd.Words))
 	for i, w := range cmd.Words {
@@ -351,8 +365,17 @@ func (ip *Interp) dispatch(words []string, line int) (string, *flow) {
 		return ip.callProc(proc, words[1:])
 	}
 	_ = line // parse errors carry line numbers; runtime errors stay clean
-	if c, ok := ip.cmds[name]; ok {
-		return c.fn(ip, words[1:])
+	if fn, ok := ip.host[name]; ok {
+		v, err := fn(ip, words[1:])
+		if err != nil {
+			return "", &flow{kind: flowError, val: err.Error(), err: err}
+		}
+		return v, nil
+	}
+	if fn, ok := builtins[name]; ok {
+		if _, hidden := ip.hidden[name]; !hidden {
+			return fn(ip, words[1:])
+		}
 	}
 	return "", errorFlow("invalid command name %q", name)
 }
@@ -406,7 +429,7 @@ func (ip *Interp) callProc(proc *Proc, args []string) (string, *flow) {
 		return "", &flow{kind: flowError, val: err.Error()}
 	}
 	if proc.body == nil {
-		s, err := Parse(proc.Body)
+		s, err := parseCached(proc.Body)
 		if err != nil {
 			return "", errorFlow("in proc %q: %v", proc.Name, err)
 		}

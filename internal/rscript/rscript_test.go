@@ -764,6 +764,79 @@ func TestStepsUsed(t *testing.T) {
 	}
 }
 
+// TestLoopStepCounts pins what loops cost. A loop pays for the commands its
+// condition, body and next clause run and nothing for iterating — except
+// an iteration that ran no command at all, which can only be one of an
+// endless loop and is charged a step so the budget still ends it.
+func TestLoopStepCounts(t *testing.T) {
+	for _, c := range []struct {
+		src   string
+		steps int64
+	}{
+		{`set i 0; while {$i < 5} {incr i}`, 7},
+		{`for {set i 0} {$i < 5} {incr i} {}`, 7},
+		{`for {set i 0} {$i < 5} {incr i} {set x $i}`, 12},
+		{`set i 0; while {[incr i] < 5} {}`, 7},
+		{`set i 0; while {$i < 5} {incr i; continue}`, 12},
+		{`foreach x {1 2 3} {}`, 1},
+		{`while {0} {}`, 1},
+	} {
+		ip := New(Options{StepBudget: 1000})
+		mustEval(t, ip, c.src)
+		if got := ip.StepsUsed(); got != c.steps {
+			t.Errorf("%q: StepsUsed = %d, want %d", c.src, got, c.steps)
+		}
+	}
+	for _, src := range []string{
+		`while {1} {}`,
+		`for {} {1} {} {}`,
+		`while {1} {# only a comment
+		}`,
+		`proc spin {} {while {true} {}}; catch {spin}`,
+	} {
+		ip := New(Options{StepBudget: 100})
+		_, err := ip.Eval(src)
+		if err == nil || !errors.Is(errFromScript(err), ErrBudget) {
+			t.Errorf("%q: %v, want the step budget to end it", src, err)
+		}
+	}
+}
+
+// TestIntegerPowerWraps: ** on integers is the wrapped product of b copies
+// of a, whatever b is.
+func TestIntegerPowerWraps(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{`expr {3 ** 0}`, "1"},
+		{`expr {0 ** 0}`, "1"},
+		{`expr {-2 ** 3}`, "-8"},
+		{`expr {(-2) ** 63}`, "-9223372036854775808"},
+		{`expr {2 ** 64}`, "0"},
+		{`expr {3 ** 41}`, "-420491770248316829"},
+		{`expr {7 ** 4000000000000000001}`, "-6024495945620652025"},
+		{`expr {1 ** 9223372036854775807}`, "1"},
+	} {
+		if got := ev(t, c.src); got != c.want {
+			t.Errorf("Eval(%q) = %q, want %q", c.src, got, c.want)
+		}
+	}
+}
+
+// TestSplitInvalidUTF8: bytes that are not UTF-8 pass through split like
+// any other text (found by FuzzEvalCachedVsFresh; it used to panic).
+func TestSplitInvalidUTF8(t *testing.T) {
+	ip := New(Options{})
+	ip.SetVar("s", "a\xbeb,c\xbe")
+	for _, c := range []struct{ src, want string }{
+		{`split $s ,`, FormatList([]string{"a\xbeb", "c\xbe"})},
+		{`split $s \xbe`, FormatList([]string{"a", "b,c", ""})},
+		{`split \xbe 0\xbe`, FormatList([]string{"", ""})},
+	} {
+		if got := mustEval(t, ip, c.src); got != c.want {
+			t.Errorf("Eval(%q) = %q, want %q", c.src, got, c.want)
+		}
+	}
+}
+
 func TestDeepNestingParse(t *testing.T) {
 	// Deeply nested command substitution parses and evaluates.
 	src := "expr {1"
@@ -855,7 +928,7 @@ func TestClassifyEdgeValues(t *testing.T) {
 func TestParseCacheReset(t *testing.T) {
 	ip := New(Options{})
 	// Evaluate more distinct scripts than the cache holds; must not break.
-	for i := 0; i < cacheLimit+50; i++ {
+	for i := 0; i < cacheMaxEntries+50; i++ {
 		src := fmt.Sprintf("set x%d %d", i, i)
 		if _, err := ip.Eval(src); err != nil {
 			t.Fatalf("script %d: %v", i, err)

@@ -51,6 +51,9 @@ type Server struct {
 	store     store.Backend
 	resolvers *resolve.Registry
 	budget    int64
+	// hostCmds is what hostCommands built at New: read-only from then on,
+	// handed to every execution environment the server creates.
+	hostCmds map[string]rscript.CmdFunc
 
 	mu    sync.Mutex
 	subs  map[string][]urn.URN // clientID -> subscribed prefixes
@@ -96,6 +99,7 @@ func New(cfg Config) (*Server, error) {
 	if s.resolvers == nil {
 		s.resolvers = resolve.NewRegistry(nil)
 	}
+	s.hostCmds = s.hostCommands()
 	cfg.Engine.Register(proto.SvcImport, s.handleImport)
 	cfg.Engine.Register(proto.SvcExport, s.handleExport)
 	cfg.Engine.Register(proto.SvcInvoke, s.handleInvoke)
@@ -381,7 +385,7 @@ func (s *Server) replayFunc(obj *rdo.Object, invs []rdo.Invocation) func() error
 			e, err := rdo.NewEnv(obj, rdo.EnvOptions{
 				Sandbox:      rdo.Restricted,
 				StepBudget:   s.budget,
-				HostCommands: s.hostCommands(),
+				HostCommands: s.hostCmds,
 			})
 			if err != nil {
 				return err
@@ -442,7 +446,7 @@ func (s *Server) handleInvoke(clientID string, req qrpc.Request) ([]byte, error)
 		env, err := rdo.NewEnv(obj, rdo.EnvOptions{
 			Sandbox:      rdo.Restricted,
 			StepBudget:   s.budget,
-			HostCommands: s.hostCommands(),
+			HostCommands: s.hostCmds,
 		})
 		if err != nil {
 			return nil, err

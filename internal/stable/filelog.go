@@ -308,10 +308,50 @@ func (l *FileLog) Remove(id uint64) error {
 	return l.maybeCompactLocked()
 }
 
+// RemoveBatch implements Log: one remove record per live id, staged in a
+// single write and made durable by a single group commit.
+func (l *FileLog) RemoveBatch(ids []uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return ErrClosed
+	}
+	b := l.scratch[:0]
+	for _, id := range ids {
+		if _, ok := l.live[id]; ok {
+			b = l.appendRecord(b, kindRemove, id, nil)
+		}
+	}
+	l.scratch = b
+	if len(b) == 0 {
+		return nil
+	}
+	if err := l.writeLocked(b); err != nil {
+		return err
+	}
+	if err := l.commitLocked(l.writeSeq); err != nil {
+		return err
+	}
+	for _, id := range ids {
+		if old, ok := l.live[id]; ok {
+			l.liveBytes -= int64(len(old.payload))
+			delete(l.live, id)
+			l.stats.Removes++
+		}
+	}
+	return l.maybeCompactLocked()
+}
+
 // writeRecord encodes and appends one record, advancing the write sequence.
 // It does NOT wait for durability — callers commit (or stage) explicitly.
 func (l *FileLog) writeRecord(kind byte, id uint64, payload []byte) error {
-	b := l.scratch[:0]
+	l.scratch = l.appendRecord(l.scratch[:0], kind, id, payload)
+	return l.writeLocked(l.scratch)
+}
+
+// appendRecord encodes one record onto b.
+func (l *FileLog) appendRecord(b []byte, kind byte, id uint64, payload []byte) []byte {
+	start := len(b)
 	b = append(b, kind)
 	b = binary.AppendUvarint(b, id)
 	if kind == kindAppend {
@@ -327,9 +367,13 @@ func (l *FileLog) writeRecord(kind byte, id uint64, payload []byte) error {
 		b = binary.AppendUvarint(b, uint64(len(stored)))
 		b = append(b, stored...)
 	}
-	crc := crc32.Checksum(b, crcTable)
-	b = binary.LittleEndian.AppendUint32(b, crc)
-	l.scratch = b
+	crc := crc32.Checksum(b[start:], crcTable)
+	return binary.LittleEndian.AppendUint32(b, crc)
+}
+
+// writeLocked appends encoded records to the file as one write, advancing
+// the write sequence.
+func (l *FileLog) writeLocked(b []byte) error {
 	if _, err := l.f.Write(b); err != nil {
 		return fmt.Errorf("stable: write: %w", err)
 	}

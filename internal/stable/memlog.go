@@ -117,6 +117,22 @@ func (l *MemLog) Remove(id uint64) error {
 	return nil
 }
 
+// RemoveBatch implements Log.
+func (l *MemLog) RemoveBatch(ids []uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return ErrClosed
+	}
+	for _, id := range ids {
+		if _, ok := l.recs[id]; ok {
+			delete(l.recs, id)
+			l.stats.Removes++
+		}
+	}
+	return nil
+}
+
 // Replay implements Log.
 func (l *MemLog) Replay(fn func(id uint64, rec []byte) error) error {
 	l.mu.Lock()

@@ -97,6 +97,13 @@ type Log interface {
 	// Remove marks the record as no longer needed. Removing an unknown id
 	// returns ErrNotFound.
 	Remove(id uint64) error
+	// RemoveBatch removes every listed record that is still live and pays
+	// one durability wait for the lot; ids that are not live are skipped.
+	// It is for records something durable already supersedes (a compaction
+	// snapshot), where losing some of the removes in a crash is harmless.
+	// On error the caller should treat every id as still live and may pass
+	// the same ids again.
+	RemoveBatch(ids []uint64) error
 	// Replay calls fn for every live (appended, not removed) record in
 	// append order. Replay during active use sees a consistent snapshot.
 	Replay(fn func(id uint64, rec []byte) error) error

@@ -82,6 +82,87 @@ func TestAppendReplayRemove(t *testing.T) {
 	}
 }
 
+// TestRemoveBatch: a batch removes exactly the listed live records, skips
+// ids that are not live (unknown, already removed, listed twice), and on a
+// FileLog costs one flush however many records it names — and the removes
+// are what a reopen sees.
+func TestRemoveBatch(t *testing.T) {
+	for _, f := range factories() {
+		t.Run(f.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var l Log
+			if f.name == "FileLog" {
+				fl, err := OpenFileLog(filepath.Join(dir, "wal"), Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				l = fl
+			} else {
+				l = f.make(t, Options{})
+			}
+			var ids []uint64
+			for i := 0; i < 100; i++ {
+				id, err := l.Append([]byte(fmt.Sprintf("rec-%d", i)))
+				if err != nil {
+					t.Fatalf("Append: %v", err)
+				}
+				ids = append(ids, id)
+			}
+			if err := l.Remove(ids[3]); err != nil {
+				t.Fatal(err)
+			}
+			before := l.Stats()
+			batch := append([]uint64{9999, ids[3], ids[10]}, ids[:90]...)
+			if err := l.RemoveBatch(batch); err != nil {
+				t.Fatalf("RemoveBatch: %v", err)
+			}
+			after := l.Stats()
+			if got := after.Removes - before.Removes; got != 89 {
+				t.Errorf("Removes moved by %d, want 89", got)
+			}
+			if f.name == "FileLog" {
+				if got := after.Syncs - before.Syncs; got != 1 {
+					t.Errorf("Syncs moved by %d, want 1 for the whole batch", got)
+				}
+			}
+			if err := l.RemoveBatch(nil); err != nil {
+				t.Errorf("empty batch: %v", err)
+			}
+			if err := l.RemoveBatch([]uint64{ids[0]}); err != nil {
+				t.Errorf("batch of ids no longer live: %v", err)
+			}
+			if got := l.Stats().Syncs; got != after.Syncs {
+				t.Errorf("a batch with nothing live cost %d flushes", got-after.Syncs)
+			}
+			check := func(l Log) {
+				t.Helper()
+				var got []uint64
+				if err := l.Replay(func(id uint64, _ []byte) error { got = append(got, id); return nil }); err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != 10 || got[0] != ids[90] || got[9] != ids[99] {
+					t.Fatalf("live after batch = %v, want ids %d..%d", got, ids[90], ids[99])
+				}
+			}
+			check(l)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.RemoveBatch(ids[90:]); !errors.Is(err, ErrClosed) {
+				t.Errorf("RemoveBatch after Close = %v", err)
+			}
+			if f.name == "FileLog" {
+				l2, err := OpenFileLog(filepath.Join(dir, "wal"), Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer l2.Close()
+				check(l2)
+			}
+		})
+	}
+}
+
 func TestRemoveUnknown(t *testing.T) {
 	for _, f := range factories() {
 		t.Run(f.name, func(t *testing.T) {
