@@ -27,7 +27,7 @@ func TestGrowJournalShardsOnlineExactlyOnce(t *testing.T) {
 		return fl
 	}
 
-	var mu chanMutex
+	var mu sync.Mutex
 	execs := map[string]map[uint64]int{}
 	handler := func(clientID string, req Request) ([]byte, error) {
 		mu.Lock()
@@ -159,7 +159,7 @@ func TestGrowJournalShardsRejectsMisuse(t *testing.T) {
 func TestGrowJournalShardsUnderConcurrentTraffic(t *testing.T) {
 	srv := NewServer(ServerConfig{ServerID: "srv", Journals: newShardLogs(1)})
 	defer srv.Close()
-	var mu chanMutex
+	var mu sync.Mutex
 	execs := map[string]int{}
 	srv.Register("echo", func(clientID string, req Request) ([]byte, error) {
 		mu.Lock()

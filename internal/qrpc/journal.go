@@ -16,7 +16,7 @@ import (
 // stable operation log until its reply is consumed. The server side's
 // exactly-once machinery — the per-session reply cache and acked table —
 // was historically in-memory only: kill the server and every redelivered
-// request re-executed. ServerConfig.Journal closes that hole with a
+// request re-executed. ServerConfig.Journals closes that hole with a
 // write-ahead journal of session state:
 //
 //   - exec records ('E') persist an executed request's reply BEFORE the
@@ -40,11 +40,11 @@ import (
 // ServerConfig.Journals); a session's records always go to the shard its
 // clientID hashes to (FNV-1a mod N), so the per-session replay order the
 // recovery invariants depend on is preserved within one log. What sharding
-// buys is parallel group commit: each shard's stable.FileLog elects its own
-// fsync leader, so with N shards up to N fsyncs overlap instead of every
-// worker in the server convoying behind a single leader — the dominant cost
-// at high session counts (see BENCH_pr7). N=1 (or the legacy singular
-// ServerConfig.Journal) degenerates to exactly the old behavior.
+// buys is parallel group commit: each shard's log (a stable.FileLog, over
+// its own stable.SegmentFile) elects its own fsync leader, so with N shards
+// up to N fsyncs overlap instead of every worker in the server convoying
+// behind a single leader — the dominant cost at high session counts (see
+// BENCH_pr7). N=1 is one journal with one leader.
 //
 // Replay applies each shard's records in append order into a per-shard
 // bucket; a snapshot record resets that bucket to its contents and later
@@ -73,10 +73,10 @@ import (
 // the rover facade refuses a configuration whose on-disk shard files exceed
 // the configured count.
 //
-// Journal appends ride the stable log's group commit (stable.FileLog's
-// leader-fsync waiter protocol), so within a shard N concurrent executes
-// share ~one fsync instead of paying N — the durability write is amortized
-// per shard and parallel across shards.
+// Journal appends ride the stable log's group commit (the leader-fsync
+// waiter protocol in stable.SegmentFile), so within a shard N concurrent
+// executes share ~one fsync instead of paying N — the durability write is
+// amortized per shard and parallel across shards.
 
 // journalShard is one bucket of the sharded session journal.
 type journalShard struct {
@@ -601,7 +601,7 @@ func (s *Server) poisonJournalLocked(err error) {
 // JournalError reports why the server's session journal is out of service:
 // a recovery failure at construction, or the first append failure on any
 // shard (for stable.FileLog, typically a *stable.PoisonedError after a
-// failed fsync). While non-nil, the server answers redelivered requests
+// failed write or fsync). While non-nil, the server answers redelivered requests
 // from the recovered reply cache but refuses to execute new work
 // (ServerStats.JournalRefused counts the refusals). Nil when healthy or
 // when no journal is configured.

@@ -71,7 +71,7 @@ func TestJournalRecoveryExactlyOnce(t *testing.T) {
 		return append([]byte("r:"), req.Args...), nil
 	}
 
-	srv1 := NewServer(ServerConfig{ServerID: "srv", Journal: journal})
+	srv1 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{journal}})
 	srv1.Register("echo", handler)
 	srv1.OnConnect(snd, 0)
 	srv1.OnFrame(snd, helloFrame("c1", 1), 0)
@@ -85,7 +85,7 @@ func TestJournalRecoveryExactlyOnce(t *testing.T) {
 	}
 
 	// Crash: srv1 is abandoned. The journal is all that survives.
-	srv2 := NewServer(ServerConfig{ServerID: "srv", Journal: journal})
+	srv2 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{journal}})
 	srv2.Register("echo", handler)
 	if err := srv2.JournalError(); err != nil {
 		t.Fatalf("recovery failed: %v", err)
@@ -136,7 +136,7 @@ func TestJournalAckAndPruneRecovery(t *testing.T) {
 		return len(drainReplies(t, snd))
 	}
 
-	srv1 := NewServer(ServerConfig{ServerID: "srv", Journal: journal})
+	srv1 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{journal}})
 	srv1.Register("echo", handler)
 	srv1.OnConnect(snd, 0)
 	srv1.OnFrame(snd, helloFrame("c1", 1), 0)
@@ -153,7 +153,7 @@ func TestJournalAckAndPruneRecovery(t *testing.T) {
 
 	// Restart 1: the ack records must survive — the redelivered requests
 	// are dropped (client has the replies), not re-executed, not re-answered.
-	srv2 := NewServer(ServerConfig{ServerID: "srv", Journal: journal})
+	srv2 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{journal}})
 	srv2.Register("echo", handler)
 	if err := srv2.JournalError(); err != nil {
 		t.Fatalf("recovery failed: %v", err)
@@ -186,7 +186,7 @@ func TestJournalAckAndPruneRecovery(t *testing.T) {
 	}
 
 	// Restart 2: recovery must replay the prune record.
-	srv3 := NewServer(ServerConfig{ServerID: "srv", Journal: journal})
+	srv3 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{journal}})
 	srv3.Register("echo", handler)
 	if err := srv3.JournalError(); err != nil {
 		t.Fatalf("recovery failed: %v", err)
@@ -211,7 +211,7 @@ func TestAckedStateStaysBoundedOnLongConnection(t *testing.T) {
 	journal := stable.NewMemLog(stable.Options{})
 	up := true
 	snd := &harnessSender{up: &up}
-	srv := NewServer(ServerConfig{ServerID: "srv", Journal: journal, JournalCompactEvery: 64})
+	srv := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{journal}, JournalCompactEvery: 64})
 	srv.Register("echo", func(string, Request) ([]byte, error) { return nil, nil })
 	srv.OnConnect(snd, 0)
 	srv.OnFrame(snd, helloFrame("c1", 1), 0)
@@ -240,7 +240,7 @@ func TestAckedStateStaysBoundedOnLongConnection(t *testing.T) {
 		t.Fatalf("compacted journal holds %d bytes after %d acked requests, want a few records' worth", bytes, n)
 	}
 
-	srv2 := NewServer(ServerConfig{ServerID: "srv", Journal: journal})
+	srv2 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{journal}})
 	if err := srv2.JournalError(); err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
@@ -259,7 +259,7 @@ func TestJournalCompactionBoundsLog(t *testing.T) {
 	snd := &harnessSender{up: &up}
 	const threshold = 8
 
-	srv := NewServer(ServerConfig{ServerID: "srv", Journal: journal, JournalCompactEvery: threshold})
+	srv := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{journal}, JournalCompactEvery: threshold})
 	srv.Register("echo", func(_ string, req Request) ([]byte, error) { return req.Args, nil })
 	srv.OnConnect(snd, 0)
 	srv.OnFrame(snd, helloFrame("c1", 1), 0)
@@ -283,7 +283,7 @@ func TestJournalCompactionBoundsLog(t *testing.T) {
 		t.Fatalf("journal holds %d live records after compaction, want ≤ %d", journal.Len(), 2*threshold+1)
 	}
 
-	srv2 := NewServer(ServerConfig{ServerID: "srv", Journal: journal})
+	srv2 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{journal}})
 	if err := srv2.JournalError(); err != nil {
 		t.Fatalf("recovery from compacted journal: %v", err)
 	}
@@ -328,7 +328,7 @@ func TestJournaledServerRefusesWhenPoisoned(t *testing.T) {
 	snd := &harnessSender{up: &up}
 	execs := 0
 
-	srv := NewServer(ServerConfig{ServerID: "srv", Journal: jl})
+	srv := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}})
 	srv.Register("echo", func(string, Request) ([]byte, error) { execs++; return []byte("ok"), nil })
 	srv.OnConnect(snd, 0)
 	srv.OnFrame(snd, helloFrame("c1", 1), 0)
@@ -377,7 +377,7 @@ func TestJournalRecoveryFailureRefusesExecutes(t *testing.T) {
 	up := true
 	snd := &harnessSender{up: &up}
 	execs := 0
-	srv := NewServer(ServerConfig{ServerID: "srv", Journal: jl})
+	srv := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}})
 	srv.Register("echo", func(string, Request) ([]byte, error) { execs++; return nil, nil })
 	if err := srv.JournalError(); !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("JournalError = %v, want injected replay failure", err)
@@ -398,7 +398,7 @@ func TestJournalRecoveryFailureRefusesExecutes(t *testing.T) {
 // journal, and a rebuild recovers every released reply. Run with -race.
 func TestJournalWithWorkerPool(t *testing.T) {
 	journal := stable.NewMemLog(stable.Options{})
-	srv := NewServer(ServerConfig{ServerID: "srv", Journal: journal, Workers: 4, JournalCompactEvery: 16})
+	srv := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{journal}, Workers: 4, JournalCompactEvery: 16})
 	var mu sync.Mutex
 	execs := map[string]int{}
 	srv.Register("echo", func(clientID string, req Request) ([]byte, error) {
@@ -445,7 +445,7 @@ func TestJournalWithWorkerPool(t *testing.T) {
 	}
 	mu.Unlock()
 
-	srv2 := NewServer(ServerConfig{ServerID: "srv", Journal: journal})
+	srv2 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{journal}})
 	if err := srv2.JournalError(); err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -469,7 +469,7 @@ func TestJournalDirtyAppendRecovers(t *testing.T) {
 	execs := 0
 	handler := func(string, Request) ([]byte, error) { execs++; return []byte("v"), nil }
 
-	srv1 := NewServer(ServerConfig{ServerID: "srv", Journal: jl})
+	srv1 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}})
 	srv1.Register("echo", handler)
 	srv1.OnConnect(snd, 0)
 	// LowSeq 0 keeps the Hello from journaling a prune record, so the first
@@ -488,7 +488,7 @@ func TestJournalDirtyAppendRecovers(t *testing.T) {
 
 	// Next incarnation: the record was durable, so recovery serves it.
 	jl.SetEnabled(false)
-	srv2 := NewServer(ServerConfig{ServerID: "srv", Journal: jl})
+	srv2 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}})
 	srv2.Register("echo", handler)
 	if err := srv2.JournalError(); err != nil {
 		t.Fatalf("recovery: %v", err)

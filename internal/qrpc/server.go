@@ -37,8 +37,8 @@ type ServerConfig struct {
 	// for dispatched requests to finish (connectionless transports use it
 	// before harvesting replies).
 	Workers int
-	// Journal, when non-nil, is the server's durable session journal: each
-	// executed request's reply is write-ahead-logged here before it is
+	// Journals, when non-empty, is the server's durable session journal:
+	// each executed request's reply is write-ahead-logged here before it is
 	// released, and NewServer replays the journal so exactly-once execution
 	// survives server crashes and restarts — a redelivered request after a
 	// restart is answered from the recovered reply cache instead of
@@ -46,12 +46,9 @@ type ServerConfig struct {
 	// commit, so concurrent workers amortize the durability fsync. If the
 	// journal fails (stable.ErrPoisoned) or cannot be replayed, the server
 	// refuses further executes rather than continue without durability; see
-	// JournalError. The caller owns the log and closes it after Close.
+	// JournalError.
 	//
-	// Journal is the single-shard convenience form; it is ignored when
-	// Journals is set.
-	Journal stable.Log
-	// Journals shards the session journal across N independent stable logs
+	// The journal is sharded across the N independent stable logs given,
 	// keyed by session hash, so each shard elects its own group-commit
 	// fsync leader and up to N fsyncs proceed in parallel instead of every
 	// worker convoying behind one (see the package comment in journal.go).
@@ -182,11 +179,11 @@ type Server struct {
 	compactWG  sync.WaitGroup
 }
 
-// NewServer builds a server engine. When cfg.Journals (or the singular
-// cfg.Journal) is set, every journal shard is replayed and merged to
-// rebuild per-session exactly-once state; if replay fails, the server still
-// constructs but refuses to execute requests (JournalError reports why) — a
-// half-recovered reply cache must never execute.
+// NewServer builds a server engine. When cfg.Journals is set, every journal
+// shard is replayed and merged to rebuild per-session exactly-once state; if
+// replay fails, the server still constructs but refuses to execute requests
+// (JournalError reports why) — a half-recovered reply cache must never
+// execute.
 func NewServer(cfg ServerConfig) *Server {
 	s := &Server{
 		cfg:      cfg,
@@ -198,11 +195,7 @@ func NewServer(cfg ServerConfig) *Server {
 	if cfg.Workers > 0 {
 		s.pool = newWorkerPool(s, cfg.Workers)
 	}
-	journals := cfg.Journals
-	if len(journals) == 0 && cfg.Journal != nil {
-		journals = []stable.Log{cfg.Journal}
-	}
-	for i, log := range journals {
+	for i, log := range cfg.Journals {
 		bl, _ := log.(stable.BatchLog)
 		s.shards = append(s.shards, &journalShard{idx: i, log: log, batch: bl})
 	}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"rover/internal/stable"
@@ -52,7 +53,7 @@ func TestShardedJournalRecoveryExactlyOnce(t *testing.T) {
 	logs := newShardLogs(4)
 	up := true
 
-	var mu chanMutex
+	var mu sync.Mutex
 	execs := map[string]map[uint64]int{}
 	handler := func(clientID string, req Request) ([]byte, error) {
 		mu.Lock()
@@ -114,18 +115,6 @@ func TestShardedJournalRecoveryExactlyOnce(t *testing.T) {
 	}
 	srv2.Close()
 }
-
-// chanMutex is a tiny mutex built on a channel so this file does not need
-// to import sync just for the handler's exec counters.
-type chanMutex struct{ ch chan struct{} }
-
-func (m *chanMutex) Lock() {
-	if m.ch == nil {
-		m.ch = make(chan struct{}, 1)
-	}
-	m.ch <- struct{}{}
-}
-func (m *chanMutex) Unlock() { <-m.ch }
 
 // TestShardedJournalTornTailIsolation tears the trailing record of ONE
 // journal bucket and verifies the damage is confined: sessions homed in

@@ -16,7 +16,6 @@ type MemLog struct {
 	mu     sync.Mutex
 	next   uint64
 	recs   map[uint64][]byte
-	order  []uint64
 	opts   Options
 	stats  Stats
 	closed bool
@@ -62,7 +61,6 @@ func (l *MemLog) Append(rec []byte) (uint64, error) {
 	cp := make([]byte, len(rec))
 	copy(cp, rec)
 	l.recs[id] = cp
-	l.order = append(l.order, id)
 	l.stats.Appends++
 	l.stats.BytesLogical += int64(len(rec))
 	l.stats.BytesWritten += int64(len(rec))
@@ -141,10 +139,8 @@ func (l *MemLog) Replay(fn func(id uint64, rec []byte) error) error {
 		rec []byte
 	}
 	live := make([]pair, 0, len(l.recs))
-	for _, id := range l.order {
-		if rec, ok := l.recs[id]; ok {
-			live = append(live, pair{id, rec})
-		}
+	for id, rec := range l.recs {
+		live = append(live, pair{id, rec})
 	}
 	l.mu.Unlock()
 	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })

@@ -13,29 +13,33 @@ import (
 	"rover/internal/compress"
 )
 
-// SegmentFile is a crash-safe append-only record file addressed by byte
-// offset — the persistence primitive behind the disk-backed object store.
+// SegmentFile is the stable log engine: a crash-safe append-only record file
+// with group commit, and the only code in this package that touches an
+// *os.File. FileLog is an id → payload view over one; the disk-backed object
+// store addresses one by byte offset.
 //
-// It shares FileLog's record framing (kind 'A', uvarint id, flags, payload,
-// Castagnoli CRC) and its pipelined group-commit protocol, but differs in
-// two ways that matter at millions of records:
+// Record format (all integers are minimal uvarints unless noted):
 //
-//   - Records are addressed by the byte offset AppendNoSync returns, and
-//     read back individually with ReadAt (a pread) — nothing is kept
-//     resident. FileLog, by contrast, holds every live payload in memory,
-//     which is exactly the ceiling the disk store exists to remove.
-//   - The open-time scan streams through the file in bounded chunks instead
-//     of reading it whole, so recovering a multi-gigabyte segment does not
-//     spike RSS.
+//	kind[1] id [flags[1] storedLen data[storedLen]] crc32[4]
 //
-// Torn-tail semantics are identical to FileLog: a partial record at EOF is
-// truncated away and reported via TornTail as a *TornTailError; interior
-// corruption fails the open. A failed group-commit fsync poisons the
-// segment permanently (ErrPoisoned).
+// kind is 'A' (append) or 'R' (remove); only 'A' records carry a payload.
+// The CRC (Castagnoli) covers every byte of the record before it.
+//
+// Records are addressed by the byte offset AppendNoSync returns and read
+// back individually with ReadAtFunc (a pread) — nothing is kept resident —
+// and the open-time scan streams through the file in bounded chunks, so
+// recovering a multi-gigabyte segment does not spike RSS.
+//
+// A torn record at the tail — the signature of a crash mid-append — is
+// truncated away at open (TornTail reports the typed *TornTailError with its
+// offset; every earlier record survives). Corruption anywhere earlier fails
+// the open with ErrCorrupt, since silently skipping interior records would
+// reorder the replayed stream. A failed write or fsync poisons the segment
+// permanently (ErrPoisoned).
 type SegmentFile struct {
 	mu   sync.Mutex
-	path string
-	f    *os.File
+	path string   // fixed once the segment is shared
+	f    *os.File // likewise: a rewrite hands back a new SegmentFile
 	opts Options
 
 	nextID    uint64
@@ -43,17 +47,49 @@ type SegmentFile struct {
 	stats     Stats
 	closed    bool
 	scratch   []byte
-	torn      *TornTailError
+	torn      error // *TornTailError once recovery truncated a torn tail
 
-	// Group-commit state; the protocol is FileLog's (see commitLocked
-	// there): writes are sequenced under mu, the leader fsyncs with mu
-	// released, and a failed fsync is sticky.
-	writeSeq  uint64
-	syncedSeq uint64
-	syncing   bool
-	syncErr   error
-	synced    *sync.Cond
-	syncEWMA  time.Duration
+	// Group-commit state. Writes are sequenced under mu; fsync happens with
+	// mu RELEASED so concurrent appenders can queue more writes behind the
+	// in-flight flush and then ride the next one. See commitLocked.
+	writeSeq  uint64        // writes issued to the file
+	syncedSeq uint64        // writes known durable
+	syncing   bool          // an fsync is in flight (mu released by the leader)
+	syncErr   error         // sticky *PoisonedError: first failed write or fsync
+	synced    *sync.Cond    // broadcast when a sync completes (or fails)
+	syncEWMA  time.Duration // rolling measured fsync latency (see Cost)
+}
+
+const (
+	kindAppend = byte('A')
+	kindRemove = byte('R')
+
+	flagCompressed = byte(1)
+
+	rewriteSuffix = ".compact"
+	scanChunk     = 256 << 10 // recovery reads the file this much at a time
+)
+
+var (
+	crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+	// errTorn is a proper prefix of a well-framed record: more bytes could
+	// complete it. At EOF that is a crash mid-append.
+	errTorn = fmt.Errorf("stable: torn record")
+	// errBadCRC is a structurally complete record whose checksum failed.
+	// recover decides by position whether it is a torn tail (last record:
+	// truncate and continue) or interior corruption (fail the open).
+	errBadCRC = fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+)
+
+func newSegment(path string, opts Options, flag int) (*SegmentFile, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|flag, 0o600)
+	if err != nil {
+		return nil, fmt.Errorf("stable: open: %w", err)
+	}
+	s := &SegmentFile{path: path, f: f, opts: opts, nextID: 1}
+	s.synced = sync.NewCond(&s.mu)
+	return s, nil
 }
 
 // OpenSegmentFile opens (or creates) the segment at path and streams every
@@ -61,7 +97,8 @@ type SegmentFile struct {
 // offset and payload; scan may be nil. The payload slice is only valid for
 // the duration of the scan call — retain a copy, not the slice. A torn
 // trailing record is truncated away (TornTail reports it); interior
-// corruption fails the open.
+// corruption, or a record that is not an append, fails the open. A
+// <path>.compact left by a crash mid-Rewrite is removed.
 func OpenSegmentFile(path string, opts Options, scan func(off int64, rec []byte) error) (*SegmentFile, error) {
 	return OpenSegmentFileAt(path, opts, 0, scan)
 }
@@ -74,112 +111,96 @@ func OpenSegmentFile(path string, opts Options, scan func(off int64, rec []byte)
 // fails the open (the offset belongs to some other incarnation of the
 // file).
 func OpenSegmentFileAt(path string, opts Options, start int64, scan func(off int64, rec []byte) error) (*SegmentFile, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o600)
+	return openSegment(path, opts, start, func(off int64, r record) error {
+		if r.kind != kindAppend {
+			return fmt.Errorf("%w: segment offset %d: unexpected kind %#x", ErrCorrupt, off, r.kind)
+		}
+		if scan == nil {
+			return nil
+		}
+		return scan(off, r.payload)
+	})
+}
+
+// openSegment is the one open path: scan sees records of both kinds.
+func openSegment(path string, opts Options, start int64, scan func(off int64, r record) error) (*SegmentFile, error) {
+	s, err := newSegment(path, opts, 0)
 	if err != nil {
-		return nil, fmt.Errorf("stable: open segment: %w", err)
+		return nil, err
 	}
-	if start > 0 {
-		fi, serr := f.Stat()
-		if serr != nil {
-			f.Close()
-			return nil, fmt.Errorf("stable: open segment: %w", serr)
-		}
-		if start > fi.Size() {
-			f.Close()
-			return nil, fmt.Errorf("%w: segment scan start %d past end %d", ErrCorrupt, start, fi.Size())
-		}
-	}
-	s := &SegmentFile{path: path, f: f, opts: opts, nextID: 1}
-	s.synced = sync.NewCond(&s.mu)
-	if err := s.recover(scan, start); err != nil {
-		f.Close()
+	// The rename is Rewrite's atomic switch; a surviving rewrite file is
+	// garbage from a crash before it.
+	os.Remove(path + rewriteSuffix)
+	if err := s.recover(start, scan); err != nil {
+		s.f.Close()
 		return nil, err
 	}
 	return s, nil
 }
 
 // CreateSegmentFile creates an empty segment at path, truncating any
-// existing file — the compaction path's fresh output segment.
+// existing file.
 func CreateSegmentFile(path string, opts Options) (*SegmentFile, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
-		return nil, fmt.Errorf("stable: create segment: %w", err)
-	}
-	s := &SegmentFile{path: path, f: f, opts: opts, nextID: 1}
-	s.synced = sync.NewCond(&s.mu)
-	return s, nil
+	return newSegment(path, opts, os.O_TRUNC)
 }
 
 // recover streams the file through parseRecord in bounded chunks starting
 // at byte offset start. buf holds the unparsed window; pos is the file
 // offset of buf[0]. Payloads handed to scan alias buf and are only valid
 // during the scan call.
-func (s *SegmentFile) recover(scan func(off int64, rec []byte) error, start int64) error {
-	const chunk = 256 << 10
-	var (
-		buf  []byte
-		pos  = start
-		read = start
-		eof  bool
-	)
-	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
-		return err
+func (s *SegmentFile) recover(start int64, scan func(off int64, r record) error) error {
+	fi, err := s.f.Stat()
+	if err != nil {
+		return fmt.Errorf("stable: open: %w", err)
 	}
-	tmp := make([]byte, chunk)
+	if start > fi.Size() {
+		return fmt.Errorf("%w: segment scan start %d past end %d", ErrCorrupt, start, fi.Size())
+	}
+	var (
+		buf []byte
+		pos = start
+		eof bool
+		// One byte more than is left lets a small file show its EOF on the
+		// first read, without a full-size buffer.
+		chunk = make([]byte, min(scanChunk, fi.Size()-start+1))
+	)
 	for {
-		for len(buf) > 0 {
-			rec, n, err := parseRecordZC(buf)
-			if err == errTorn && !eof {
-				break // need more bytes
+		rec, n, err := parseRecord(buf)
+		incomplete := err == errTorn || (err == errBadCRC && n == len(buf))
+		switch {
+		case incomplete && !eof:
+			// The window ends inside (or exactly with) a record that does
+			// not check out; whether that is a torn tail depends on whether
+			// the file goes on. Read the next chunk behind the remainder.
+			m, rerr := s.f.ReadAt(chunk, pos+int64(len(buf)))
+			buf = append(append(make([]byte, 0, len(buf)+m), buf...), chunk[:m]...)
+			if eof = rerr == io.EOF; rerr != nil && !eof {
+				return fmt.Errorf("stable: read: %w", rerr)
 			}
-			if err == errTorn || (err == errBadCRC && eof && n == len(buf)) {
-				// Partial or checksum-failed record reaching exactly to EOF:
-				// a crash mid-append. Truncate it away and stop.
-				s.torn = &TornTailError{Offset: pos}
-				if terr := s.f.Truncate(pos); terr != nil {
-					return fmt.Errorf("stable: truncate torn segment tail: %w", terr)
-				}
-				buf = nil
-				eof = true
-				break
+			continue
+		case len(buf) == 0:
+			// Clean end of file.
+		case incomplete:
+			// Partial or checksum-failed record reaching exactly to EOF: a
+			// crash mid-append. Truncate it away.
+			s.torn = &TornTailError{Offset: pos}
+			if err := s.f.Truncate(pos); err != nil {
+				return fmt.Errorf("stable: truncate torn tail: %w", err)
 			}
-			if err != nil {
-				return fmt.Errorf("stable: segment offset %d: %w", pos, err)
-			}
-			if rec.kind != kindAppend {
-				return fmt.Errorf("%w: segment offset %d: unexpected kind %#x", ErrCorrupt, pos, rec.kind)
-			}
-			if scan != nil {
-				if serr := scan(pos, rec.payload); serr != nil {
-					return serr
-				}
+		case err != nil:
+			return fmt.Errorf("stable: offset %d: %w", pos, err)
+		default:
+			if err := scan(pos, rec); err != nil {
+				return err
 			}
 			if rec.id >= s.nextID {
 				s.nextID = rec.id + 1
 			}
 			buf = buf[n:]
 			pos += int64(n)
-		}
-		if eof {
-			break
-		}
-		// Refill: compact the unparsed remainder to the front, then read.
-		if len(buf) > 0 {
-			buf = append(buf[:0:0], buf...)
-		}
-		n, err := s.f.ReadAt(tmp, read)
-		read += int64(n)
-		buf = append(buf, tmp[:n]...)
-		if err == io.EOF {
-			eof = true
-			if len(buf) == 0 {
-				break
-			}
 			continue
 		}
-		if err != nil {
-			return fmt.Errorf("stable: segment read: %w", err)
-		}
+		break
 	}
 	if _, err := s.f.Seek(pos, io.SeekStart); err != nil {
 		return err
@@ -188,69 +209,172 @@ func (s *SegmentFile) recover(scan func(off int64, rec []byte) error, start int6
 	return nil
 }
 
+// record is one parsed log record. An uncompressed payload aliases the bytes
+// it was parsed from, so it is only valid while the caller owns those; a
+// compressed one (inflated) is freshly allocated.
+type record struct {
+	kind     byte
+	id       uint64
+	payload  []byte
+	inflated bool
+}
+
+// recHeader is a record's framing up to its stored bytes.
+type recHeader struct {
+	kind, flags byte
+	id          uint64
+	body        int // the stored bytes are p[body : body+stored]
+	stored      int // zero for a remove
+}
+
+// size is the record's full on-disk extent, checksum included.
+func (h recHeader) size() int { return h.body + h.stored + 4 }
+
+// uvarint decodes a uvarint as appendRecord writes one: errTorn if p ends
+// first, ErrCorrupt for an overflow or a padded (non-minimal) encoding.
+func uvarint(p []byte) (uint64, int, error) {
+	v, n := binary.Uvarint(p)
+	if n == 0 && len(p) < binary.MaxVarintLen64 {
+		return 0, 0, errTorn
+	}
+	if n <= 0 || (n > 1 && p[n-1] == 0) {
+		return 0, 0, fmt.Errorf("%w: bad varint", ErrCorrupt)
+	}
+	return v, n, nil
+}
+
+// parseHeader decodes a record header from a prefix of the record; errTorn
+// means the prefix was too short.
+func parseHeader(p []byte) (h recHeader, err error) {
+	if len(p) < 1 {
+		return h, errTorn
+	}
+	h.kind = p[0]
+	if h.kind != kindAppend && h.kind != kindRemove {
+		return h, fmt.Errorf("%w: bad kind %#x", ErrCorrupt, h.kind)
+	}
+	var n int
+	if h.id, n, err = uvarint(p[1:]); err != nil {
+		return h, err
+	}
+	h.body = 1 + n
+	if h.kind == kindRemove {
+		return h, nil
+	}
+	if h.body >= len(p) {
+		return h, errTorn
+	}
+	if h.flags = p[h.body]; h.flags&^flagCompressed != 0 {
+		return h, fmt.Errorf("%w: bad flags %#x", ErrCorrupt, h.flags)
+	}
+	stored, n, err := uvarint(p[h.body+1:])
+	if err != nil {
+		return h, err
+	}
+	if stored > MaxRecord {
+		return h, fmt.Errorf("%w: record of %d bytes", ErrCorrupt, stored)
+	}
+	h.body += 1 + n
+	h.stored = int(stored)
+	return h, nil
+}
+
+// parseRecord parses and checksums the record at the front of p and returns
+// how many bytes it spans. On errBadCRC the span is still reported, so
+// recover can tell a torn write at the tail (record ends exactly at EOF)
+// from interior corruption.
+func parseRecord(p []byte) (record, int, error) {
+	h, err := parseHeader(p)
+	if err != nil {
+		return record{}, 0, err
+	}
+	n := h.size()
+	if n > len(p) {
+		return record{}, 0, errTorn
+	}
+	if crc32.Checksum(p[:n-4], crcTable) != binary.LittleEndian.Uint32(p[n-4:]) {
+		return record{}, n, errBadCRC
+	}
+	r := record{kind: h.kind, id: h.id, payload: p[h.body : h.body+h.stored]}
+	if h.flags&flagCompressed != 0 {
+		dec, err := compress.Inflate(r.payload, MaxRecord)
+		if err != nil {
+			return record{}, 0, fmt.Errorf("%w: inflate: %v", ErrCorrupt, err)
+		}
+		r.payload, r.inflated = dec, true
+	}
+	return r, n, nil
+}
+
+// appendRecord encodes one record onto b, deflating a payload over 64 bytes
+// when deflate is set and it helps.
+func appendRecord(b []byte, kind byte, id uint64, payload []byte, deflate bool) []byte {
+	start := len(b)
+	b = append(b, kind)
+	b = binary.AppendUvarint(b, id)
+	if kind == kindAppend {
+		flags := byte(0)
+		if deflate && len(payload) > 64 {
+			if c, ok := compress.Deflate(payload); ok {
+				payload, flags = c, flagCompressed
+			}
+		}
+		b = append(b, flags)
+		b = binary.AppendUvarint(b, uint64(len(payload)))
+		b = append(b, payload...)
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[start:], crcTable))
+}
+
 // AppendNoSync writes one record and returns its starting byte offset
 // without waiting for durability; the offset must not be published to
 // readers until a Commit covering it returns nil. On a poisoned segment it
 // fails immediately.
 func (s *SegmentFile) AppendNoSync(rec []byte) (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.syncErr != nil {
-		return 0, s.syncErr
-	}
-	off, _, err := s.appendLocked(rec)
+	off, _, err := s.stage(kindAppend, rec, 0)
 	return off, err
 }
 
-// Append writes one record durably and returns its starting byte offset.
-func (s *SegmentFile) Append(rec []byte) (int64, error) {
+// stage encodes one record of kind per id and appends them to the file as a
+// single write, returning its offset and write sequence number; the caller
+// decides whether to wait for durability (commit). id 0 takes the segment's
+// own next id. A failed or short write leaves bytes of unknown extent at the
+// tail, so it poisons the segment exactly as a failed fsync does: nothing may
+// land after them, and the next open truncates them as a torn tail.
+func (s *SegmentFile) stage(kind byte, payload []byte, ids ...uint64) (int64, uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	off, seq, err := s.appendLocked(rec)
-	if err != nil {
-		return 0, err
-	}
-	if err := s.commitLocked(seq); err != nil {
-		return 0, err
-	}
-	return off, nil
-}
-
-func (s *SegmentFile) appendLocked(rec []byte) (int64, uint64, error) {
-	if s.closed {
+	switch {
+	case s.closed:
 		return 0, 0, ErrClosed
-	}
-	if len(rec) > MaxRecord {
+	case s.syncErr != nil:
+		return 0, 0, s.syncErr
+	case len(payload) > MaxRecord:
 		return 0, 0, ErrRecordBig
 	}
-	off := s.fileBytes
-	id := s.nextID
 	b := s.scratch[:0]
-	b = append(b, kindAppend)
-	b = binary.AppendUvarint(b, id)
-	stored := rec
-	flags := byte(0)
-	if s.opts.Compress && len(rec) > 64 {
-		if c, ok := compress.Deflate(rec); ok {
-			stored = c
-			flags = flagCompressed
+	for _, id := range ids {
+		if id == 0 {
+			id = s.nextID
 		}
+		if id >= s.nextID {
+			s.nextID = id + 1
+		}
+		b = appendRecord(b, kind, id, payload, s.opts.Compress)
 	}
-	b = append(b, flags)
-	b = binary.AppendUvarint(b, uint64(len(stored)))
-	b = append(b, stored...)
-	crc := crc32.Checksum(b, crcTable)
-	b = binary.LittleEndian.AppendUint32(b, crc)
 	s.scratch = b
 	if _, err := s.f.Write(b); err != nil {
-		return 0, 0, fmt.Errorf("stable: segment write: %w", err)
+		s.syncErr = &PoisonedError{Cause: fmt.Errorf("write: %w", err)}
+		return 0, 0, s.syncErr
 	}
-	s.nextID++
+	off := s.fileBytes
 	s.fileBytes += int64(len(b))
-	s.writeSeq++
-	s.stats.Appends++
 	s.stats.BytesWritten += int64(len(b))
-	s.stats.BytesLogical += int64(len(rec))
+	s.writeSeq++
+	if kind == kindAppend {
+		s.stats.Appends += int64(len(ids))
+		s.stats.BytesLogical += int64(len(payload) * len(ids))
+	}
 	return off, s.writeSeq, nil
 }
 
@@ -266,10 +390,33 @@ func (s *SegmentFile) Commit() error {
 	return s.commitLocked(s.writeSeq)
 }
 
-// commitLocked is FileLog's group-commit leader protocol: first waiter
-// becomes leader, captures the high-water write mark, fsyncs with s.mu
-// released, and wakes everyone it covered. A failed fsync poisons the
-// segment permanently.
+// commit blocks until write number seq is durable. Unlike Commit it does not
+// refuse a closed segment: a waiter whose write an owner's Commit-then-Close
+// already covered must get that verdict.
+func (s *SegmentFile) commit(seq uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.commitLocked(seq)
+}
+
+// staged returns the write sequence number a Commit issued now would cover.
+func (s *SegmentFile) staged() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.writeSeq
+}
+
+// commitLocked blocks until write number seq is durable, via group commit:
+// the first appender to arrive becomes the leader, captures the current
+// high-water write mark, and fsyncs with s.mu RELEASED — so appenders
+// arriving during the flush write their records behind it and wait. When
+// the leader's fsync returns, every write it covered is durable at once
+// (one fsync amortized over N appends); an uncovered waiter becomes the
+// next leader. Durability is never weakened: no append or remove returns
+// success before its own bytes are flushed. An fsync failure is sticky —
+// after the kernel fails a flush the page-cache state is unknowable, so
+// the segment is poisoned and every waiter and later append gets the same
+// typed *PoisonedError (errors.Is(err, ErrPoisoned); see Poisoned).
 func (s *SegmentFile) commitLocked(seq uint64) error {
 	if s.opts.NoSync {
 		return nil
@@ -282,26 +429,33 @@ func (s *SegmentFile) commitLocked(seq uint64) error {
 			s.synced.Wait()
 			continue
 		}
+		// Leader: flush on behalf of every write issued so far. Yield once
+		// before capturing the target so appenders already racing toward
+		// the log land inside this flush instead of forcing the next one;
+		// writes issued after the capture wait for the next leader, since
+		// an fsync only guarantees data written before it started.
 		s.syncing = true
 		s.mu.Unlock()
 		runtime.Gosched()
 		s.mu.Lock()
 		target := s.writeSeq
-		f := s.f
 		s.mu.Unlock()
 		start := time.Now()
-		err := f.Sync()
+		err := s.f.Sync()
 		d := time.Since(start)
 		s.mu.Lock()
 		s.syncing = false
 		if err != nil {
-			s.syncErr = &PoisonedError{Cause: err}
-		} else {
-			if target > s.syncedSeq {
-				s.syncedSeq = target
+			if s.syncErr == nil {
+				s.syncErr = &PoisonedError{Cause: err}
 			}
+		} else {
+			s.syncedSeq = target
 			s.stats.Syncs++
 			s.stats.SyncNanos += int64(d)
+			// First sample seeds the estimate Cost reports; later samples
+			// blend 1/8 new against 7/8 history so a single slow flush moves
+			// it without whipsawing it.
 			if s.syncEWMA == 0 {
 				s.syncEWMA = d
 			} else {
@@ -313,181 +467,85 @@ func (s *SegmentFile) commitLocked(seq uint64) error {
 	return nil
 }
 
+// Rewrite replaces the segment's file with a fresh one holding whatever fill
+// appends to it: it creates <path>.compact, runs fill, makes the result
+// durable, renames it over <path>, and returns the fresh segment, whose
+// offsets and counters start from the rewrite. s itself is untouched and
+// still open (fill may read from it): the owner, which must keep appends to
+// s out for the duration, swaps its pointer and closes s, so a straggling
+// reader gets ErrClosed rather than old offsets in a new file. On error the
+// temp file is closed and removed and s stays the live segment.
+func (s *SegmentFile) Rewrite(fill func(fresh *SegmentFile) error) (*SegmentFile, error) {
+	tmp := s.path + rewriteSuffix
+	fresh, err := CreateSegmentFile(tmp, s.opts)
+	if err != nil {
+		return nil, err
+	}
+	if err = fill(fresh); err == nil {
+		err = fresh.Commit()
+	}
+	if err == nil {
+		err = os.Rename(tmp, s.path)
+	}
+	if err != nil {
+		fresh.Close()
+		os.Remove(tmp)
+		return nil, err
+	}
+	fresh.path = s.path
+	return fresh, nil
+}
+
 // segReadPool recycles the full-record read buffers of ReadAtFunc — the
 // cold-object fault-in path does one pread per miss and the buffer is dead
 // the moment the payload is decoded, so recycling removes the dominant
 // per-fault allocation.
 var segReadPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// ReadAt reads back the record starting at off — the offset a previous
-// AppendNoSync (or the open-time scan) reported — verifying its checksum,
-// and returns the payload as a fresh slice the caller owns.
-func (s *SegmentFile) ReadAt(off int64) ([]byte, error) {
-	var out []byte
-	err := s.ReadAtFunc(off, func(payload []byte) error {
-		out = append([]byte(nil), payload...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadAtFunc reads the record at off and hands its payload to fn without
-// copying: the payload aliases a pooled read buffer and is only valid for
-// the duration of the call. This is the cold-object fault-in path — a pread
-// plus a CRC check, no locks held across the I/O, and (via the pool) no
-// per-read allocation when the caller decodes in place.
+// ReadAtFunc reads back the append record starting at off — the offset a
+// previous AppendNoSync (or the open-time scan) reported — verifying its
+// checksum, and hands its payload to fn without copying: the payload aliases
+// a pooled read buffer and is only valid for the duration of the call. This
+// is the cold-object fault-in path — a pread plus a CRC check, no locks held
+// across the I/O, and (via the pool) no per-read allocation when the caller
+// decodes in place.
 func (s *SegmentFile) ReadAtFunc(off int64, fn func(payload []byte) error) error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	closed, size := s.closed, s.fileBytes
+	s.mu.Unlock()
+	if closed {
 		return ErrClosed
 	}
-	f, size := s.f, s.fileBytes
-	s.mu.Unlock()
 	if off < 0 || off >= size {
 		return fmt.Errorf("%w: segment read at %d past end %d", ErrCorrupt, off, size)
 	}
 	// Probe enough for the header (kind + two uvarints + flags ≤ 22 bytes),
 	// size the record from it, then read the full extent.
 	var probe [64]byte
-	n, err := f.ReadAt(probe[:], off)
+	n, err := s.f.ReadAt(probe[:], off)
 	if err != nil && err != io.EOF {
 		return fmt.Errorf("stable: segment read: %w", err)
 	}
-	total, err := segRecordSize(probe[:n])
-	if err != nil {
+	h, err := parseHeader(probe[:n])
+	if err != nil || h.kind != kindAppend {
 		return fmt.Errorf("%w: segment record at %d: unparsable header", ErrCorrupt, off)
 	}
 	bp := segReadPool.Get().(*[]byte)
-	full := *bp
-	if cap(full) < total {
-		full = make([]byte, total)
-	} else {
-		full = full[:total]
+	defer segReadPool.Put(bp)
+	if cap(*bp) < h.size() {
+		*bp = make([]byte, h.size())
 	}
-	defer func() {
-		*bp = full
-		segReadPool.Put(bp)
-	}()
-	if total <= n {
-		copy(full, probe[:total])
-	} else {
-		if _, err := io.ReadFull(io.NewSectionReader(f, off, int64(total)), full); err != nil {
+	full := (*bp)[:h.size()]
+	if copy(full, probe[:n]) < len(full) {
+		if _, err := s.f.ReadAt(full, off); err != nil {
 			return fmt.Errorf("%w: segment record at %d: short read", ErrCorrupt, off)
 		}
 	}
-	rec, _, perr := parseRecordZC(full)
+	rec, _, perr := parseRecord(full)
 	if perr != nil {
 		return fmt.Errorf("%w: segment record at %d: %v", ErrCorrupt, off, perr)
 	}
 	return fn(rec.payload)
-}
-
-// parseRecordZC is parseRecord minus the defensive payload copy: an
-// uncompressed payload aliases p, so it is only valid while the caller owns
-// p. The segment's recovery scan and ReadAtFunc use it because their
-// consumers decode (and therefore copy) in place; compressed payloads are
-// freshly inflated either way.
-func parseRecordZC(p []byte) (parsedRecord, int, error) {
-	if len(p) < 1 {
-		return parsedRecord{}, 0, errTorn
-	}
-	if p[0] != kindAppend {
-		// Segments only ever hold appends; delegate oddities (bad kind,
-		// kindRemove framing) to the copying parser for uniform errors.
-		return parseRecord(p)
-	}
-	off := 1
-	id, n := binary.Uvarint(p[off:])
-	if n <= 0 {
-		return parsedRecord{}, 0, errTorn
-	}
-	off += n
-	if off >= len(p) {
-		return parsedRecord{}, 0, errTorn
-	}
-	flags := p[off]
-	off++
-	storedLen, n := binary.Uvarint(p[off:])
-	if n <= 0 {
-		return parsedRecord{}, 0, errTorn
-	}
-	off += n
-	if storedLen > MaxRecord {
-		return parsedRecord{}, 0, fmt.Errorf("%w: record of %d bytes", ErrCorrupt, storedLen)
-	}
-	if off+int(storedLen) > len(p) {
-		return parsedRecord{}, 0, errTorn
-	}
-	stored := p[off : off+int(storedLen)]
-	off += int(storedLen)
-	if off+4 > len(p) {
-		return parsedRecord{}, 0, errTorn
-	}
-	want := binary.LittleEndian.Uint32(p[off:])
-	got := crc32.Checksum(p[:off], crcTable)
-	off += 4
-	if got != want {
-		return parsedRecord{}, off, errBadCRC
-	}
-	payload := stored
-	if flags&flagCompressed != 0 {
-		dec, err := compress.Inflate(stored, MaxRecord)
-		if err != nil {
-			return parsedRecord{}, 0, fmt.Errorf("%w: inflate: %v", ErrCorrupt, err)
-		}
-		payload = dec
-	}
-	return parsedRecord{kind: kindAppend, id: id, payload: payload}, off, nil
-}
-
-// segRecordSize decodes a record header from a prefix and returns the
-// record's total on-disk size; errTorn means the prefix was too short.
-func segRecordSize(p []byte) (int, error) {
-	if len(p) < 1 {
-		return 0, errTorn
-	}
-	if p[0] != kindAppend {
-		return 0, fmt.Errorf("%w: bad kind %#x", ErrCorrupt, p[0])
-	}
-	off := 1
-	_, n := binary.Uvarint(p[off:])
-	if n <= 0 {
-		return 0, errTorn
-	}
-	off += n
-	if off >= len(p) {
-		return 0, errTorn
-	}
-	off++ // flags
-	storedLen, n := binary.Uvarint(p[off:])
-	if n <= 0 {
-		return 0, errTorn
-	}
-	off += n
-	if storedLen > MaxRecord {
-		return 0, fmt.Errorf("%w: record of %d bytes", ErrCorrupt, storedLen)
-	}
-	return off + int(storedLen) + 4, nil
-}
-
-// Rename atomically renames the backing file; the open handle (and every
-// offset handed out so far) stays valid. Compaction writes a fresh segment
-// beside the live one, then renames it over the old path and adopts it.
-func (s *SegmentFile) Rename(path string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if err := os.Rename(s.path, path); err != nil {
-		return fmt.Errorf("stable: segment rename: %w", err)
-	}
-	s.path = path
-	return nil
 }
 
 // Size returns the segment's current length in bytes.
@@ -497,24 +555,22 @@ func (s *SegmentFile) Size() int64 {
 	return s.fileBytes
 }
 
-// TornTail reports the torn trailing record truncated at open, or nil.
-func (s *SegmentFile) TornTail() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.torn == nil {
-		return nil
-	}
-	return s.torn
-}
+// TornTail reports the torn trailing record recovery truncated at open, as
+// a *TornTailError (errors.Is(err, ErrTornTail) is true), or nil if the
+// file ended cleanly.
+func (s *SegmentFile) TornTail() error { return s.torn }
 
-// Poisoned reports the sticky error set by the first failed fsync, or nil.
+// Poisoned reports the sticky *PoisonedError set by the first failed write
+// or fsync, or nil while the segment is healthy. Once non-nil, every append
+// and Commit returns the same error.
 func (s *SegmentFile) Poisoned() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.syncErr
 }
 
-// Cost returns the rolling measured group-commit fsync latency.
+// Cost returns the rolling measured group-commit fsync latency: zero until
+// the first fsync completes (and always zero under NoSync).
 func (s *SegmentFile) Cost() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -528,8 +584,9 @@ func (s *SegmentFile) Stats() Stats {
 	return s.stats
 }
 
-// Close waits out any in-flight fsync, performs a final safety sync over a
-// staged suffix, and closes the file.
+// Close flushes a staged suffix through the group-commit loop (a poisoned
+// segment has nothing more it may flush), waits out an fsync in flight, and
+// closes the file.
 func (s *SegmentFile) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -537,22 +594,15 @@ func (s *SegmentFile) Close() error {
 		return nil
 	}
 	s.closed = true
+	var err error
+	if s.syncErr == nil {
+		err = s.commitLocked(s.writeSeq)
+	}
 	for s.syncing {
+		// Poisoned by a failed write while a leader is mid-flush: the leader
+		// still holds the file.
 		s.synced.Wait()
 	}
-	var err error
-	if s.syncedSeq < s.writeSeq && !s.opts.NoSync && s.syncErr == nil {
-		start := time.Now()
-		err = s.f.Sync()
-		if err == nil {
-			s.syncedSeq = s.writeSeq
-			s.stats.Syncs++
-			s.stats.SyncNanos += int64(time.Since(start))
-		} else {
-			s.syncErr = &PoisonedError{Cause: err}
-		}
-	}
-	s.synced.Broadcast()
 	if cerr := s.f.Close(); err == nil {
 		err = cerr
 	}

@@ -23,6 +23,24 @@ func openSeg(t *testing.T, path string, opts Options) (*SegmentFile, map[int64][
 	return s, got
 }
 
+// appendDurable is AppendNoSync + Commit: one record, durable on return.
+func appendDurable(s *SegmentFile, rec []byte) (int64, error) {
+	off, err := s.AppendNoSync(rec)
+	if err == nil {
+		err = s.Commit()
+	}
+	return off, err
+}
+
+// readAt returns a copy of the payload ReadAtFunc serves at off.
+func readAt(s *SegmentFile, off int64) (out []byte, err error) {
+	err = s.ReadAtFunc(off, func(p []byte) error {
+		out = append([]byte(nil), p...)
+		return nil
+	})
+	return out, err
+}
+
 func TestSegmentAppendReadAt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "seg")
 	s, _ := openSeg(t, path, Options{})
@@ -39,7 +57,7 @@ func TestSegmentAppendReadAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, off := range offs {
-		rec, err := s.ReadAt(off)
+		rec, err := readAt(s, off)
 		if err != nil {
 			t.Fatalf("ReadAt(%d): %v", off, err)
 		}
@@ -47,10 +65,10 @@ func TestSegmentAppendReadAt(t *testing.T) {
 			t.Fatalf("ReadAt(%d) = %q, want %q", off, rec, want)
 		}
 	}
-	if _, err := s.ReadAt(s.Size()); err == nil {
+	if _, err := readAt(s, s.Size()); err == nil {
 		t.Fatal("ReadAt past end succeeded")
 	}
-	if _, err := s.ReadAt(offs[3] + 1); err == nil {
+	if _, err := readAt(s, offs[3]+1); err == nil {
 		t.Fatal("ReadAt at a non-record offset succeeded")
 	}
 }
@@ -66,7 +84,7 @@ func TestSegmentScanAfterReopen(t *testing.T) {
 		if i == 10 {
 			rec = big
 		}
-		off, err := s.Append(rec)
+		off, err := appendDurable(s, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +102,7 @@ func TestSegmentScanAfterReopen(t *testing.T) {
 		if !bytes.Equal(got[off], rec) {
 			t.Fatalf("offset %d: scan %q want %q", off, got[off], rec)
 		}
-		back, err := s2.ReadAt(off)
+		back, err := readAt(s2, off)
 		if err != nil || !bytes.Equal(back, rec) {
 			t.Fatalf("ReadAt(%d) after reopen: %q, %v", off, back, err)
 		}
@@ -94,11 +112,11 @@ func TestSegmentScanAfterReopen(t *testing.T) {
 func TestSegmentTornTailTruncated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "seg")
 	s, _ := openSeg(t, path, Options{})
-	if _, err := s.Append([]byte("intact")); err != nil {
+	if _, err := appendDurable(s, []byte("intact")); err != nil {
 		t.Fatal(err)
 	}
 	goodSize := s.Size()
-	if _, err := s.Append([]byte("will be torn")); err != nil {
+	if _, err := appendDurable(s, []byte("will be torn")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -126,7 +144,7 @@ func TestSegmentTornTailTruncated(t *testing.T) {
 		t.Fatalf("size %d after truncation, want %d", s2.Size(), goodSize)
 	}
 	// The segment stays appendable after truncation.
-	off, err := s2.Append([]byte("after"))
+	off, err := appendDurable(s2, []byte("after"))
 	if err != nil || off != goodSize {
 		t.Fatalf("append after truncation: off=%d err=%v", off, err)
 	}
@@ -136,7 +154,7 @@ func TestSegmentInteriorCorruptionFailsOpen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "seg")
 	s, _ := openSeg(t, path, Options{})
 	for i := 0; i < 3; i++ {
-		if _, err := s.Append([]byte(fmt.Sprintf("rec-%d-padding-padding", i))); err != nil {
+		if _, err := appendDurable(s, []byte(fmt.Sprintf("rec-%d-padding-padding", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,11 +176,11 @@ func TestSegmentCompressedRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "seg")
 	s, _ := openSeg(t, path, Options{Compress: true})
 	payload := bytes.Repeat([]byte("compressible "), 200)
-	off, err := s.Append(payload)
+	off, err := appendDurable(s, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := s.ReadAt(off)
+	back, err := readAt(s, off)
 	if err != nil || !bytes.Equal(back, payload) {
 		t.Fatalf("compressed ReadAt: %v (len %d)", err, len(back))
 	}
@@ -177,35 +195,135 @@ func TestSegmentCompressedRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSegmentRenameKeepsHandle(t *testing.T) {
-	dir := t.TempDir()
-	tmp := filepath.Join(dir, "seg.compact")
-	final := filepath.Join(dir, "seg")
-	s, err := CreateSegmentFile(tmp, Options{})
+// TestSegmentRewrite: the rewrite helper builds <path>.compact, renames it
+// over the live path and hands back a fresh handle; the old handle stays
+// readable until its owner closes it, and then refuses with ErrClosed rather
+// than serving old offsets from the new file.
+func TestSegmentRewrite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "seg")
+	old, _ := openSeg(t, path, Options{})
+	var offs []int64
+	for i := 0; i < 10; i++ {
+		off, err := appendDurable(old, []byte(fmt.Sprintf("rec-%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		offs = append(offs, off)
+	}
+	keep := map[int64]string{}
+	fresh, err := old.Rewrite(func(tmp *SegmentFile) error {
+		if _, err := os.Stat(path + ".compact"); err != nil {
+			t.Errorf("rewrite file not beside the segment: %v", err)
+		}
+		for i := 0; i < 10; i += 3 {
+			rec, err := readAt(old, offs[i]) // fill may read the segment it replaces
+			if err != nil {
+				return err
+			}
+			off, err := tmp.AppendNoSync(rec)
+			if err != nil {
+				return err
+			}
+			keep[off] = string(rec)
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off1, _ := s.Append([]byte("before rename"))
-	if err := s.Rename(final); err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(path + ".compact"); !os.IsNotExist(err) {
+		t.Fatal("rewrite file still exists after the rename")
 	}
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Fatal("old path still exists after rename")
+	if st := fresh.Stats(); st.Appends != int64(len(keep)) || st.Syncs != 1 {
+		t.Errorf("fresh counters %+v, want the rewrite's own %d appends and 1 sync", st, len(keep))
 	}
-	off2, err := s.Append([]byte("after rename"))
+	if _, err := readAt(old, offs[9]); err != nil {
+		t.Fatalf("old handle unreadable before its owner closed it: %v", err)
+	}
+	old.Close()
+	if _, err := readAt(old, offs[9]); !errors.Is(err, ErrClosed) {
+		t.Fatalf("straggling read on the replaced segment = %v, want ErrClosed", err)
+	}
+	off, err := appendDurable(fresh, []byte("after"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, off := range []int64{off1, off2} {
-		if _, err := s.ReadAt(off); err != nil {
-			t.Fatalf("ReadAt(%d) after rename: %v", off, err)
+	keep[off] = "after"
+	fresh.Close()
+	s2, got := openSeg(t, path, Options{})
+	defer s2.Close()
+	if len(got) != len(keep) {
+		t.Fatalf("reopen saw %d records, want %d", len(got), len(keep))
+	}
+	for off, want := range keep {
+		if string(got[off]) != want {
+			t.Errorf("offset %d = %q, want %q", off, got[off], want)
 		}
 	}
-	s.Close()
-	s2, got := openSeg(t, final, Options{})
-	defer s2.Close()
-	if len(got) != 2 {
-		t.Fatalf("reopen after rename saw %d records", len(got))
+}
+
+// TestSegmentRewriteFailureKeepsOld: when fill fails, the temp file is closed
+// and removed and the old segment is still the live one, byte for byte.
+func TestSegmentRewriteFailureKeepsOld(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "seg")
+	s, _ := openSeg(t, path, Options{})
+	defer s.Close()
+	off, err := appendDurable(s, []byte("survivor"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, _ := os.ReadFile(path)
+	boom := errors.New("boom")
+	var tmp *SegmentFile
+	fresh, err := s.Rewrite(func(f *SegmentFile) error {
+		tmp = f
+		f.AppendNoSync([]byte("never lands"))
+		return boom
+	})
+	if fresh != nil || !errors.Is(err, boom) {
+		t.Fatalf("Rewrite = %v, %v", fresh, err)
+	}
+	if _, err := os.Stat(path + ".compact"); !os.IsNotExist(err) {
+		t.Error("failed rewrite left its temp file behind")
+	}
+	if _, err := tmp.AppendNoSync([]byte("x")); !errors.Is(err, ErrClosed) {
+		t.Errorf("temp segment not closed after the failure: %v", err)
+	}
+	after, _ := os.ReadFile(path)
+	if !bytes.Equal(before, after) {
+		t.Error("failed rewrite changed the live file")
+	}
+	if rec, err := readAt(s, off); err != nil || string(rec) != "survivor" {
+		t.Errorf("old segment after failed rewrite: %q, %v", rec, err)
+	}
+	if _, err := appendDurable(s, []byte("still appendable")); err != nil {
+		t.Errorf("append after failed rewrite: %v", err)
+	}
+}
+
+// TestOpenRemovesStaleRewriteFile: a <path>.compact that survived a crash
+// before the rename is garbage; both views' open paths remove it.
+func TestOpenRemovesStaleRewriteFile(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"seg", "wal"} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path+".compact", []byte("half-written rewrite"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		var c interface{ Close() error }
+		var err error
+		if name == "seg" {
+			c, err = OpenSegmentFile(path, Options{}, nil)
+		} else {
+			c, err = OpenFileLog(path, Options{})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		if _, err := os.Stat(path + ".compact"); !os.IsNotExist(err) {
+			t.Errorf("%s: stale rewrite file survived the open", name)
+		}
 	}
 }
 
@@ -231,7 +349,7 @@ func TestSegmentConcurrentAppendGroupCommit(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := s.ReadAt(off); err != nil {
+				if _, err := readAt(s, off); err != nil {
 					errs <- fmt.Errorf("readback: %w", err)
 					return
 				}

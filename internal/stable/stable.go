@@ -12,15 +12,17 @@
 // This package mirrors that prototype as the default — no compression,
 // every append durable before return — and provides the two optimizations
 // the paper cites as future work: flate compression (an option) and group
-// commit, which FileLog now performs unconditionally without weakening
-// durability by coalescing concurrent appenders onto one in-flight fsync.
-// The benchmark harness measures both as ablations (A-COMPRESS, A-GROUP).
+// commit, performed unconditionally and without weakening durability by
+// coalescing concurrent appenders onto one in-flight fsync. The benchmark
+// harness measures both as ablations (A-COMPRESS, A-GROUP).
 //
-// Two implementations share the Log interface: FileLog, a crash-safe
-// append-only file used by real deployments and the crash-recovery tests,
-// and MemLog, an in-memory store with a modeled flush cost used under the
-// discrete-event simulator (where fsync time must be charged to virtual,
-// not wall, time).
+// There is one file engine, SegmentFile: record framing, the open-time
+// recovery scan with torn-tail truncation, the group-commit loop, poison,
+// and rewrite-and-rename. FileLog implements Log as an id → payload view
+// over one (real deployments, the crash-recovery tests); the disk object
+// store uses one directly, addressed by offset. MemLog is an in-memory Log
+// with a modeled flush cost: the simulator's log (fsync time must be charged
+// to virtual, not wall, time) and the tests' reference model.
 package stable
 
 import (
@@ -39,11 +41,12 @@ var (
 	// the signature of a crash mid-append. Recovery truncates the torn
 	// record and continues; FileLog.TornTail reports it afterwards.
 	ErrTornTail = errors.New("stable: torn record at log tail")
-	// ErrPoisoned marks a log whose group-commit fsync failed. After the
-	// kernel fails a flush the page-cache state is unknowable, so the log
-	// refuses all further appends and removes rather than pretend the data
-	// is durable. Match with errors.Is; the concrete *PoisonedError carries
-	// the original fsync failure.
+	// ErrPoisoned marks a log whose write or group-commit fsync failed.
+	// After a failed write the file's tail is of unknown extent, and after
+	// the kernel fails a flush the page-cache state is unknowable, so the
+	// log refuses all further appends and removes rather than pretend the
+	// data is durable. Match with errors.Is; the concrete *PoisonedError
+	// carries the original failure.
 	ErrPoisoned = errors.New("stable: log poisoned by failed sync")
 )
 
@@ -62,15 +65,15 @@ func (e *TornTailError) Error() string {
 // Unwrap makes errors.Is(e, ErrTornTail) true.
 func (e *TornTailError) Unwrap() error { return ErrTornTail }
 
-// PoisonedError is the sticky error a log returns once a group-commit
-// fsync has failed: the first failure is remembered and every subsequent
-// Append/Remove (and any waiter that was riding the failed flush) gets it.
-// Durability-critical callers — the QRPC server's session journal — treat
-// it as fatal and refuse further work instead of continuing without
+// PoisonedError is the sticky error a log returns once a write or a
+// group-commit fsync has failed: the first failure is remembered and every
+// subsequent Append/Remove (and any waiter that was riding the failed flush)
+// gets it. Durability-critical callers — the QRPC server's session journal —
+// treat it as fatal and refuse further work instead of continuing without
 // durability. It matches errors.Is(err, ErrPoisoned) and unwraps to the
-// underlying fsync failure.
+// underlying failure.
 type PoisonedError struct {
-	// Cause is the original fsync error that poisoned the log.
+	// Cause is the original write or fsync error that poisoned the log.
 	Cause error
 }
 
@@ -78,7 +81,7 @@ func (e *PoisonedError) Error() string {
 	return fmt.Sprintf("stable: log poisoned by failed sync: %v", e.Cause)
 }
 
-// Unwrap exposes the original fsync failure.
+// Unwrap exposes the original failure.
 func (e *PoisonedError) Unwrap() error { return e.Cause }
 
 // Is makes errors.Is(e, ErrPoisoned) true without hiding the cause chain.
@@ -158,34 +161,14 @@ type Options struct {
 	// NoSync disables the per-append fsync entirely (unsafe; for measuring
 	// the flush's share of the critical path).
 	NoSync bool
-	// GroupCommit is a compatibility alias. Earlier versions deferred the
-	// fsync until every GroupCommit-th append, trading durability for
-	// throughput; FileLog now always group-commits WITHOUT weakening
-	// durability — concurrent appenders coalesce onto a single in-flight
-	// fsync [Hagmann 87] and each Append returns only once its own record
-	// is on disk — so the count is no longer consulted. The field remains
-	// so existing Options literals and ablation configs keep compiling and
-	// printing; its throughput benefit now comes for free under concurrency
-	// (see FileLog.commitLocked and the A-GROUP ablation).
-	GroupCommit int
 	// Compress flate-compresses record payloads larger than 64 bytes. The
 	// paper's prototype "does not perform any compression on the log".
 	Compress bool
 	// FlushCost is the modeled per-append flush latency for MemLog. It is
 	// ignored by FileLog.
 	FlushCost time.Duration
-	// CompactFactor triggers FileLog compaction when the file holds more
-	// than CompactFactor× the live data (default 4; minimum 2).
-	CompactFactor int
-}
-
-func (o Options) compactFactor() int {
-	if o.CompactFactor < 2 {
-		return 4
-	}
-	return o.CompactFactor
 }
 
 func (o Options) String() string {
-	return fmt.Sprintf("sync=%v group=%d compress=%v", !o.NoSync, o.GroupCommit, o.Compress)
+	return fmt.Sprintf("sync=%v compress=%v", !o.NoSync, o.Compress)
 }

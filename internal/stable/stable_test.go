@@ -314,7 +314,7 @@ func TestFileLogTornTailTruncated(t *testing.T) {
 func TestFileLogCompaction(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal")
-	l, err := OpenFileLog(path, Options{CompactFactor: 2})
+	l, err := OpenFileLog(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,8 @@ func TestFileLogCompaction(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	// Remove all but the last: should trip compaction.
+	// Remove all but the last: the file passes 4x its live bytes on the way,
+	// which trips compaction.
 	for _, id := range ids[:63] {
 		if err := l.Remove(id); err != nil {
 			t.Fatal(err)
@@ -398,13 +399,10 @@ func TestCompressionReducesBytes(t *testing.T) {
 
 // TestGroupCommitSerialSyncsEveryAppend pins the durability contract: with
 // no concurrency there is nothing to coalesce, so every append pays its own
-// fsync — group commit never defers durability the way the old count-based
-// GroupCommit option did.
+// fsync — group commit never defers durability.
 func TestGroupCommitSerialSyncsEveryAppend(t *testing.T) {
 	dir := t.TempDir()
-	// GroupCommit is a compatibility alias now; setting it must not change
-	// the serial behavior.
-	l, err := OpenFileLog(filepath.Join(dir, "wal"), Options{GroupCommit: 10})
+	l, err := OpenFileLog(filepath.Join(dir, "wal"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,15 +526,15 @@ func TestMemLogFailureInjection(t *testing.T) {
 }
 
 func TestOptionsString(t *testing.T) {
-	s := Options{GroupCommit: 5, Compress: true}.String()
-	if s != "sync=true group=5 compress=true" {
+	s := Options{Compress: true}.String()
+	if s != "sync=true compress=true" {
 		t.Errorf("Options.String = %q", s)
 	}
 }
 
-// Property: an arbitrary interleaving of appends and removes replays to
-// exactly the live set in append order, both in memory and across a file
-// reopen.
+// Property: an arbitrary interleaving of appends, removes, batch removes and
+// compactions replays to exactly the live set in append order, both in
+// memory (MemLog is the reference model) and across a file reopen.
 func TestQuickLogEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -551,26 +549,58 @@ func TestQuickLogEquivalence(t *testing.T) {
 		}
 		ml := NewMemLog(Options{})
 		type rec struct {
-			fid, mid uint64
-			body     string
+			id   uint64
+			body string
 		}
 		var liveRecs []rec
-		for op := 0; op < 60; op++ {
-			if r.Intn(3) > 0 || len(liveRecs) == 0 {
+		compactions := int64(0)
+		for op := 0; op < 80; op++ {
+			switch k := r.Intn(10); {
+			case k < 5 || len(liveRecs) == 0:
 				body := fmt.Sprintf("rec-%d-%d", seed, op)
 				fid, err1 := fl.Append([]byte(body))
 				mid, err2 := ml.Append([]byte(body))
-				if err1 != nil || err2 != nil {
+				if err1 != nil || err2 != nil || fid != mid {
 					return false
 				}
-				liveRecs = append(liveRecs, rec{fid, mid, body})
-			} else {
+				liveRecs = append(liveRecs, rec{fid, body})
+			case k < 7:
 				i := r.Intn(len(liveRecs))
-				if fl.Remove(liveRecs[i].fid) != nil || ml.Remove(liveRecs[i].mid) != nil {
+				if fl.Remove(liveRecs[i].id) != nil || ml.Remove(liveRecs[i].id) != nil {
 					return false
 				}
 				liveRecs = append(liveRecs[:i], liveRecs[i+1:]...)
+			case k < 9:
+				// A batch naming a random subset, one id twice and one id that
+				// was never issued.
+				batch := []uint64{1 << 40}
+				kept := liveRecs[:0:0]
+				for _, lr := range liveRecs {
+					if r.Intn(3) == 0 {
+						batch = append(batch, lr.id, lr.id)
+					} else {
+						kept = append(kept, lr)
+					}
+				}
+				if fl.RemoveBatch(batch) != nil || ml.RemoveBatch(batch) != nil {
+					return false
+				}
+				liveRecs = kept
+			default:
+				fl.mu.Lock()
+				err := fl.compactLocked()
+				fl.mu.Unlock()
+				if err != nil {
+					return false
+				}
+				compactions++
 			}
+			if fl.Len() != ml.Len() || fl.Stats().Removes != ml.Stats().Removes {
+				return false
+			}
+		}
+		if fl.Stats().Compactions != compactions || fl.Stats().Appends != ml.Stats().Appends {
+			return false
 		}
 		collect := func(l Log) []string {
 			var out []string

@@ -105,6 +105,28 @@ func TestFileLogTornTailBadCRCOnFinalRecord(t *testing.T) {
 	}
 }
 
+// TestTornTailEndingOnScanChunkBoundary: a checksum-failed final record that
+// ends exactly where a recovery read chunk ends is still a torn tail — the
+// scan has to look past the chunk to learn the file stops there.
+func TestTornTailEndingOnScanChunkBoundary(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "seg")
+	first := appendRecord(nil, kindAppend, 1, make([]byte, 200000), false)
+	last := appendRecord(nil, kindAppend, 2, make([]byte, scanChunk-len(first)-10), false)
+	if len(first)+len(last) != scanChunk {
+		t.Fatalf("fixture is %d bytes, want %d", len(first)+len(last), scanChunk)
+	}
+	last[100] ^= 0x40
+	if err := os.WriteFile(path, append(first, last...), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	s, got := openSeg(t, path, Options{})
+	defer s.Close()
+	var tt *TornTailError
+	if err := s.TornTail(); !errors.As(err, &tt) || tt.Offset != int64(len(first)) || len(got) != 1 {
+		t.Fatalf("TornTail = %v with %d records recovered, want offset %d and 1", err, len(got), len(first))
+	}
+}
+
 func TestFileLogInteriorCorruptionDetected(t *testing.T) {
 	// Corruption before the final record must fail the open with
 	// ErrCorrupt: silently truncating there would discard good later

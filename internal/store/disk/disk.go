@@ -24,7 +24,8 @@ const (
 
 // SegmentName is the segment file inside Options.Dir. Compaction writes
 // SegmentName + ".compact" beside it and renames over it atomically; a
-// surviving .compact file is always a crash leftover and is removed at Open.
+// surviving .compact file is always a crash leftover, and opening the
+// segment removes it.
 const SegmentName = "store.seg"
 
 // ErrClosed is returned by operations on a closed store.
@@ -134,12 +135,6 @@ func Open(opts Options) (*Store, error) {
 	}
 	if err := os.MkdirAll(opts.Dir, 0o700); err != nil {
 		return nil, fmt.Errorf("disk: %w", err)
-	}
-	// The rename is compaction's atomic switch; a surviving .compact file
-	// is garbage from a crash mid-rewrite.
-	leftovers, _ := filepath.Glob(filepath.Join(opts.Dir, "*.compact"))
-	for _, p := range leftovers {
-		os.Remove(p)
 	}
 	s := &Store{
 		path:       filepath.Join(opts.Dir, SegmentName),
@@ -859,47 +854,35 @@ func (s *Store) maybeCompact() {
 	s.cond.Broadcast()
 }
 
-// rewriteLocked builds a fresh segment at path+".compact" via write, makes
-// it durable, renames it over the live path, and swaps index and segment.
-// Called with mu held and the compaction gate up (no committers in
-// flight). On error the old segment stays live and the tmp file is
-// removed.
+// rewriteLocked replaces the segment (stable.SegmentFile.Rewrite: a fresh
+// file beside the live one, made durable, renamed over it) with what write
+// appends plus an index footer, then swaps index and segment. Called with mu
+// held and the compaction gate up (no committers in flight). On error the
+// old segment stays live.
 func (s *Store) rewriteLocked(write func(tmp *stable.SegmentFile, add func(urn.URN, idxEnt)) error) error {
-	tmpPath := s.path + ".compact"
-	tmp, err := stable.CreateSegmentFile(tmpPath, stable.Options{Compress: s.opts.Compress})
-	if err != nil {
-		return err
-	}
 	newIdx := make(map[urn.URN]idxEnt, len(s.idx))
 	var live int64
 	add := func(u urn.URN, ent idxEnt) {
 		newIdx[u] = ent
 		live += ent.rlen
 	}
-	abort := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpPath)
+	var foot footerInfo
+	fresh, err := s.seg.Rewrite(func(tmp *stable.SegmentFile) error {
+		err := write(tmp, add)
+		if err == nil {
+			foot, err = appendFooter(tmp, newIdx)
+		}
+		return err
+	})
+	if err != nil {
 		return err
 	}
-	if err := write(tmp, add); err != nil {
-		return abort(err)
-	}
-	foot, err := appendFooter(tmp, newIdx)
-	if err != nil {
-		return abort(err)
-	}
-	if err := tmp.Commit(); err != nil {
-		return abort(err)
-	}
-	if err := tmp.Rename(s.path); err != nil {
-		return abort(err)
-	}
 	old := s.seg
-	s.seg = tmp
+	s.seg = fresh
 	old.Close()
 	s.idx = newIdx
 	s.liveBytes = live
-	s.segFooterBytes = tmp.Size() - foot.off
+	s.segFooterBytes = fresh.Size() - foot.off
 	s.mutsSinceCompact = 0
 	// Point the sidecar at the fresh footer; a failed write just means the
 	// next Open scans (writeSidecar already removed the stale pointer).
