@@ -226,8 +226,8 @@ func ExpARestart(o Options) (*Table, error) {
 	}
 
 	t := &Table{
-		ID:    "ARESTART",
-		Title: fmt.Sprintf("cold-path engine at %d RDOs: footer recovery, segment catch-up, autotune", population),
+		ID:      "ARESTART",
+		Title:   fmt.Sprintf("cold-path engine at %d RDOs: footer recovery, segment catch-up, autotune", population),
 		Columns: []string{"phase", "n", "secs", "per-sec", "detail"},
 		Rows: [][]string{
 			{"load", fmt.Sprintf("%d", population), fmt.Sprintf("%.1f", loadSecs),

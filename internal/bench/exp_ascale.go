@@ -125,8 +125,8 @@ func ExpAScale(o Options) (*Table, error) {
 	}
 
 	t := &Table{
-		ID:    "ASCALE",
-		Title: fmt.Sprintf("disk store at %d RDOs, %s hot cache", objects, kb(cacheBytes)),
+		ID:      "ASCALE",
+		Title:   fmt.Sprintf("disk store at %d RDOs, %s hot cache", objects, kb(cacheBytes)),
 		Columns: []string{"phase", "objects", "secs", "ops/sec", "fsyncs/op", "heap B/obj", "resident", "seg size", "cold p99"},
 		Rows: [][]string{
 			{

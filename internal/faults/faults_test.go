@@ -264,6 +264,9 @@ func TestLogFaultsCleanAndDirtyAppend(t *testing.T) {
 	if inner.Len() != 1 {
 		t.Fatalf("failed remove must leave the record: Len = %d", inner.Len())
 	}
+	if err := rm.RemoveNoSync(id); !errors.Is(err, ErrInjected) || inner.Len() != 1 {
+		t.Fatalf("staged remove fail: err = %v, Len = %d", err, inner.Len())
+	}
 	if err := rm.RemoveBatch([]uint64{id}); !errors.Is(err, ErrInjected) {
 		t.Fatalf("batch remove fail: err = %v", err)
 	}

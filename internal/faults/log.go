@@ -116,6 +116,14 @@ func (l *Log) Remove(id uint64) error {
 	return l.inner.Remove(id)
 }
 
+// RemoveNoSync implements stable.Log; RemoveFail applies to it as to Remove.
+func (l *Log) RemoveNoSync(id uint64) error {
+	if l.removeFails() {
+		return fmt.Errorf("%w: remove %d", ErrInjected, id)
+	}
+	return l.inner.RemoveNoSync(id)
+}
+
 // RemoveBatch implements stable.Log. RemoveFail is rolled once for the
 // batch: it is one write and one flush underneath, so it fails whole.
 func (l *Log) RemoveBatch(ids []uint64) error {
@@ -142,6 +150,9 @@ func (l *Log) Len() int { return l.inner.Len() }
 
 // Cost implements stable.Log.
 func (l *Log) Cost() time.Duration { return l.inner.Cost() }
+
+// Commit implements stable.Log.
+func (l *Log) Commit() error { return l.inner.Commit() }
 
 // Stats implements stable.Log.
 func (l *Log) Stats() stable.Stats { return l.inner.Stats() }

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"crypto/rand"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -85,7 +86,6 @@ type Client struct {
 	sender    Sender
 	connected bool
 	authBad   bool
-	acks      []uint64
 	stats     ClientStats
 	closed    bool
 	flushCost time.Duration
@@ -93,12 +93,41 @@ type Client struct {
 	// it may have been used by some incarnation of this client.
 	seqFloor  uint64
 	metaLogID uint64
-	// inflight holds sequence numbers whose Enqueue is between seq
-	// assignment and registration in pend (the log append runs outside the
-	// engine lock). Hello's LowSeq must not advance past them: a connect
-	// racing an enqueue would otherwise make the server drop the request as
-	// "below LowSeq" forever.
-	inflight map[uint64]struct{}
+	// held holds sequence numbers that are not in pend but whose log record
+	// is not durably gone either, so Hello's LowSeq must not advance past
+	// them (the server would drop the request as "below LowSeq" forever if
+	// it came back): an Enqueue between seq assignment and registration in
+	// pend (the log append runs outside the engine lock), a Cancel waiting
+	// for its remove to be durable, and a completed request whose remove
+	// failed — that one stays for the life of this incarnation and is never
+	// acknowledged; recovery replays it and tries again.
+	held map[uint64]struct{}
+
+	// Acknowledgments are lazy. A reply only STAGES its log remove
+	// (stable.Log.RemoveNoSync) and completes its promise; the seq waits in
+	// staged until a later durable point covers the remove record — the next
+	// Enqueue's own Append does, for free, else a flush point's Commit (Pump,
+	// OnConnect) — and only then moves to acks, from where it leaves in front
+	// of the next request, in that request's frame, or alone at a flush point.
+	//
+	// The gate: nothing that tells the server a seq is complete — an Ack
+	// frame or a Hello.LowSeq — leaves before that seq's remove record is
+	// durable. A crash would otherwise bring back a request the server drops
+	// without an answer, and its promise would never complete. Completing the
+	// promise first is safe: it is the window that always existed between
+	// receiving a reply and removing its request — recovery replays the
+	// request, the server still holds the un-acked reply, and the handler
+	// does not run again.
+	staged     []uint64 // remove written, not known durable; in staging order
+	stagedBase uint64   // seqs that ever left staged: staged[i] is number stagedBase+i
+	acks       []uint64 // remove durable, ack not yet sent
+	// ackDue is when the oldest seq in staged or acks should be flushed if
+	// no request has carried it by then (NextReadyAt reports it; transports
+	// call Pump there). acksReadyAt only matters under a modeled flush cost:
+	// the virtual time at which the append whose flush covers acks completes
+	// — the readyAt of the request they then ride with.
+	ackDue      vtime.Time
+	acksReadyAt vtime.Time
 	// queuedCount/sentCount track request states incrementally so Status
 	// is O(1); scanning the pending map per enqueue made deep queues
 	// quadratic (caught by BenchmarkEnqueueMemLog).
@@ -132,7 +161,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		cfg:       cfg,
 		nextSeq:   1,
 		pend:      make(map[uint64]*pendingReq),
-		inflight:  make(map[uint64]struct{}),
+		held:      make(map[uint64]struct{}),
 		flushCost: cfg.Log.Cost(),
 	}
 	type recovered struct {
@@ -212,13 +241,19 @@ func (c *Client) Enqueue(service string, args []byte, pri Priority, now vtime.Ti
 			return nil, fmt.Errorf("qrpc: sequence reservation: %w", err)
 		}
 		if c.metaLogID != 0 {
-			_ = c.cfg.Log.Remove(c.metaLogID)
+			// Staged, not waited for: recovery keeps the highest floor it
+			// finds and removes the others, so a stale record coming back
+			// costs nothing.
+			_ = c.cfg.Log.RemoveNoSync(c.metaLogID)
 		}
 		c.metaLogID = metaID
 		c.seqFloor = newFloor
 	}
 	c.nextSeq++
-	c.inflight[seq] = struct{}{}
+	c.held[seq] = struct{}{}
+	// Every remove staged so far was written before the append below is, so
+	// the append's flush makes it durable too.
+	mark := c.stagedBase + uint64(len(c.staged))
 	c.mu.Unlock()
 
 	// The log append happens OUTSIDE the engine lock so that concurrent
@@ -239,7 +274,7 @@ func (c *Client) Enqueue(service string, args []byte, pri Priority, now vtime.Ti
 		// resurrected request after recovery. Sequence gaps are harmless —
 		// the durable chunk reservation above already creates them.
 		c.mu.Lock()
-		delete(c.inflight, seq)
+		delete(c.held, seq)
 		c.mu.Unlock()
 		return nil, fmt.Errorf("qrpc: stable log append: %w", err)
 	}
@@ -252,14 +287,15 @@ func (c *Client) Enqueue(service string, args []byte, pri Priority, now vtime.Ti
 	}
 
 	c.mu.Lock()
-	delete(c.inflight, seq)
+	delete(c.held, seq)
+	c.promoteLocked(mark, pr.readyAt)
 	// A Close that raced the append is harmless: the record is durable and
 	// replays next incarnation; registering it here just keeps Status exact.
 	c.pend[seq] = pr
 	heap.Push(&c.queue, pr)
 	c.queuedCount++
 	c.stats.Enqueued++
-	c.pumpLocked(now)
+	c.pumpLocked(now, false)
 	status := c.statusLocked()
 	c.mu.Unlock()
 	c.notify(status)
@@ -282,16 +318,26 @@ func (c *Client) Cancel(seq uint64) bool {
 	}
 	delete(c.pend, seq)
 	c.queuedCount--
-	_ = c.cfg.Log.Remove(pr.logID)
+	c.held[seq] = struct{}{}
 	c.mu.Unlock()
+	// A cancelled request that came back after a crash would execute, so
+	// this remove is waited for — with the engine lock released.
+	if err := c.cfg.Log.Remove(pr.logID); err == nil {
+		c.mu.Lock()
+		delete(c.held, seq)
+		c.mu.Unlock()
+	}
 	pr.promise.fulfill(nil, ErrCancelled)
 	return true
 }
 
 // OnConnect attaches a transport. All unreplied requests become eligible
-// for (re)transmission; a Hello frame precedes them.
+// for (re)transmission; a Hello frame precedes them. It is a flush point for
+// acknowledgments: staged removes are committed first, so the Hello's LowSeq
+// and the acks behind it cover every reply consumed so far.
 func (c *Client) OnConnect(s Sender, now vtime.Time) {
 	c.mu.Lock()
+	c.commitStagedLocked(now)
 	c.sender = s
 	c.connected = true
 	c.authBad = false
@@ -309,7 +355,7 @@ func (c *Client) OnConnect(s Sender, now vtime.Time) {
 		}
 	}
 	c.sendHelloLocked()
-	c.pumpLocked(now)
+	c.pumpLocked(now, true)
 	status := c.statusLocked()
 	c.mu.Unlock()
 	c.notify(status)
@@ -327,13 +373,89 @@ func (c *Client) OnDisconnect(now vtime.Time) {
 	c.notify(status)
 }
 
-// Pump transmits any ready queued requests and pending acks. Adapters call
-// it when the link drains or when a request's log-flush delay elapses (see
-// NextReadyAt).
+// Pump transmits any ready queued requests and is the flush point for
+// acknowledgments: staged removes are committed (engine lock released for
+// the wait) and every pending ack goes out, with the requests or alone.
+// Adapters call it when the link drains, when the application kicks the
+// transport, and at the time NextReadyAt names.
 func (c *Client) Pump(now vtime.Time) {
 	c.mu.Lock()
-	c.pumpLocked(now)
+	if c.canSendLocked() {
+		c.commitStagedLocked(now)
+	}
+	c.pumpLocked(now, true)
+	if len(c.staged)+len(c.acks) > 0 && c.ackDue <= now {
+		// Still waiting after a flush — the link refused the frame, or a
+		// reply was staged while the commit was in flight: those get a
+		// deadline of their own instead of another pump at once.
+		c.ackDue = now.Add(ackDelay)
+	}
 	c.mu.Unlock()
+}
+
+// ackDelay is how long an acknowledgment waits for a request to carry it
+// before it is flushed on its own (virtual or wall time, whichever the
+// transport runs on). Holding an ack costs the server one cached reply for
+// that long; a closed-loop caller's next request arrives far sooner.
+const ackDelay = time.Millisecond
+
+func (c *Client) canSendLocked() bool {
+	return c.connected && c.sender != nil && !c.authBad
+}
+
+// startAckDeadlineLocked is called before a seq joins staged or acks: the
+// first acknowledgment to wait starts the flush deadline. now must come from
+// the transport's clock (OnFrame's), the one NextReadyAt is asked with.
+func (c *Client) startAckDeadlineLocked(now vtime.Time) {
+	if len(c.staged)+len(c.acks) == 0 {
+		c.ackDue = now.Add(ackDelay)
+	}
+}
+
+// unstageLocked takes the seqs staged before mark (a value of
+// stagedBase+len(staged) read earlier) out of staged, appending them to dst.
+// Some or all may have left already, through an Enqueue's promotion.
+func (c *Client) unstageLocked(mark uint64, dst []uint64) []uint64 {
+	if mark <= c.stagedBase {
+		return dst
+	}
+	n := int(mark - c.stagedBase)
+	dst = append(dst, c.staged[:n]...)
+	c.staged = c.staged[:copy(c.staged, c.staged[n:])]
+	c.stagedBase = mark
+	return dst
+}
+
+// promoteLocked moves the seqs staged before mark — read before the flush
+// that has now completed was issued — to acks: their remove records are
+// durable as of durableAt.
+func (c *Client) promoteLocked(mark uint64, durableAt vtime.Time) {
+	c.acks = c.unstageLocked(mark, c.acks)
+	c.acksReadyAt = max(c.acksReadyAt, durableAt)
+}
+
+// commitStagedLocked makes every staged remove durable and its seq ackable.
+// It RELEASES c.mu for the flush and retakes it. If the flush fails the log
+// is poisoned and whether the removes took is unknown, so those seqs are
+// never acknowledged by this incarnation (see held).
+func (c *Client) commitStagedLocked(now vtime.Time) {
+	if len(c.staged) == 0 {
+		return
+	}
+	mark := c.stagedBase + uint64(len(c.staged))
+	c.mu.Unlock()
+	err := c.cfg.Log.Commit()
+	c.mu.Lock()
+	if err == nil {
+		// Under a modeled flush cost only appends are charged virtual time,
+		// as ever (a MemLog remove is free); a real log's Commit has just
+		// paid in wall time.
+		c.promoteLocked(mark, now)
+		return
+	}
+	for _, seq := range c.unstageLocked(mark, nil) {
+		c.held[seq] = struct{}{}
+	}
 }
 
 // RetryStale requeues requests that were transmitted more than maxAge ago
@@ -358,36 +480,49 @@ func (c *Client) RetryStale(now vtime.Time, maxAge time.Duration) int {
 		}
 	}
 	if n > 0 {
-		c.pumpLocked(now)
+		c.pumpLocked(now, false)
 	}
 	c.mu.Unlock()
 	return n
 }
 
-// NextReadyAt returns the earliest future time at which a queued request
-// becomes transmittable (its modeled log flush completes), or ok=false.
-// The simulation adapter schedules a Pump there.
+// NextReadyAt returns the earliest time at which a Pump has something to do
+// that it does not have now, or ok=false: a queued request becoming
+// transmittable (its modeled log flush completes), or the flush deadline of
+// an acknowledgment no request has carried yet — never earlier than now,
+// and now itself when that deadline has passed. Adapters schedule a Pump
+// there (the simulator an event, the real-time transports a timer).
 func (c *Client) NextReadyAt(now vtime.Time) (vtime.Time, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.flushCost == 0 {
-		return 0, false
-	}
 	var best vtime.Time
 	found := false
-	for _, pr := range c.queue {
-		if pr.readyAt > now && (!found || pr.readyAt < best) {
-			best = pr.readyAt
-			found = true
+	if c.flushCost > 0 {
+		for _, pr := range c.queue {
+			if pr.readyAt > now && (!found || pr.readyAt < best) {
+				best = pr.readyAt
+				found = true
+			}
+		}
+	}
+	// While disconnected acks stay pending: the next Hello's LowSeq (or the
+	// pump behind it) takes care of them.
+	if c.canSendLocked() && len(c.staged)+len(c.acks) > 0 {
+		at := max(c.ackDue, now)
+		if len(c.staged) == 0 && c.flushCost > 0 {
+			at = max(at, c.acksReadyAt)
+		}
+		if !found || at < best {
+			best, found = at, true
 		}
 	}
 	return best, found
 }
 
 // OnFrame processes a frame from the transport. Batch frames are unpacked
-// and their sub-frames processed in order, with the reply-triggered pump
-// deferred to the end of the batch so that one batch of replies produces
-// one piggybacked ack frame instead of N.
+// and their sub-frames processed in order, and the end of the batch is a
+// flush point: one batch of replies costs one log commit and one ack frame.
+// A lone reply flushes nothing — its ack waits for the next request.
 func (c *Client) OnFrame(f wire.Frame, now vtime.Time) {
 	if f.Type == wire.FrameBatchZ {
 		// A corrupt compressed batch is dropped like any damaged frame;
@@ -404,18 +539,18 @@ func (c *Client) OnFrame(f wire.Frame, now vtime.Time) {
 			return
 		}
 		for _, sf := range subs {
-			c.onFrame(sf, now, false)
+			c.onFrame(sf, now)
 		}
 		c.Pump(now)
 		return
 	}
-	c.onFrame(f, now, true)
+	c.onFrame(f, now)
 }
 
-func (c *Client) onFrame(f wire.Frame, now vtime.Time, pump bool) {
+func (c *Client) onFrame(f wire.Frame, now vtime.Time) {
 	switch f.Type {
 	case wire.FrameReply:
-		c.onReply(f.Payload, now, pump)
+		c.onReply(f.Payload, now)
 	case wire.FrameCallback:
 		var cb Callback
 		if err := wire.Unmarshal(f.Payload, &cb); err != nil {
@@ -462,7 +597,7 @@ func (c *Client) onFrame(f wire.Frame, now vtime.Time, pump bool) {
 	}
 }
 
-func (c *Client) onReply(payload []byte, now vtime.Time, pump bool) {
+func (c *Client) onReply(payload []byte, now vtime.Time) {
 	var rep Reply
 	if err := wire.Unmarshal(payload, &rep); err != nil {
 		return
@@ -471,19 +606,27 @@ func (c *Client) onReply(payload []byte, now vtime.Time, pump bool) {
 	pr, ok := c.pend[rep.Seq]
 	if !ok {
 		// Duplicate reply (we already processed and acked, or the ack was
-		// lost). Re-ack so the server can clear its cache.
+		// lost). Re-ack so the server can clear its cache — unless the first
+		// copy's remove is not durable yet, in which case its own ack is
+		// still to come (or, if held, must never be sent).
 		c.stats.Duplicates++
-		c.acks = append(c.acks, rep.Seq)
-		if pump {
-			c.pumpLocked(now)
+		_, gated := c.held[rep.Seq]
+		if !gated && !slices.Contains(c.staged, rep.Seq) {
+			c.startAckDeadlineLocked(now)
+			c.acks = append(c.acks, rep.Seq)
 		}
 		c.mu.Unlock()
 		return
 	}
-	// Remove from the stable log BEFORE acking: if we crash between these
-	// steps the request is redelivered and the server replays the cached
-	// reply — at-most-once execution, at-least-once delivery.
-	_ = c.cfg.Log.Remove(pr.logID)
+	// Stage the remove BEFORE completing the promise, so that whatever the
+	// application appends next is written behind it and its flush covers
+	// both. Only the write happens under the lock, never a flush.
+	if err := c.cfg.Log.RemoveNoSync(pr.logID); err != nil {
+		c.held[rep.Seq] = struct{}{}
+	} else {
+		c.startAckDeadlineLocked(now)
+		c.staged = append(c.staged, rep.Seq)
+	}
 	delete(c.pend, rep.Seq)
 	if pr.state == stateQueued {
 		c.queuedCount--
@@ -494,10 +637,6 @@ func (c *Client) onReply(payload []byte, now vtime.Time, pump bool) {
 		heap.Remove(&c.queue, pr.heapIdx)
 	}
 	c.stats.Replies++
-	c.acks = append(c.acks, rep.Seq)
-	if pump {
-		c.pumpLocked(now)
-	}
 	status := c.statusLocked()
 	c.mu.Unlock()
 
@@ -515,20 +654,24 @@ func (c *Client) onReply(payload []byte, now vtime.Time, pump bool) {
 const maxPumpBatchBytes = 256 << 10
 
 // pumpLocked drains ready requests to the transport in priority order.
-// Everything sendable in one pass — the pending ack list piggybacked in
-// front, then ready requests — is coalesced into a single FrameBatch, so a
-// pump cycle costs the transport one write instead of one per message.
-func (c *Client) pumpLocked(now vtime.Time) {
-	if !c.connected || c.sender == nil || c.authBad {
+// Everything sendable in one pass — the ackable seqs piggybacked in front,
+// then ready requests — is coalesced into a single FrameBatch, so a pump
+// cycle costs the transport one write instead of one per message. Acks never
+// hold a request back; with no request to ride they go out alone only when
+// flush is set (the flush points: Pump, OnConnect).
+func (c *Client) pumpLocked(now vtime.Time, flush bool) {
+	if !c.canSendLocked() {
 		return
 	}
 	for {
 		frames := c.frameScratch[:0]
-		ackCount := len(c.acks)
-		if ackCount > 0 {
+		ackCount := 0
+		if len(c.acks) > 0 && (c.flushCost == 0 || now >= c.acksReadyAt) {
 			// Acks ride in front of the batch; they are tiny and unblock
-			// server reply-cache state before the new requests land.
-			frames = append(frames, wire.Frame{Type: wire.FrameAck, Payload: wire.Marshal(&Ack{Seqs: c.acks})})
+			// server reply-cache state before the new requests land. The
+			// slot is filled in once it is known whether anything rides.
+			ackCount = len(c.acks)
+			frames = append(frames, wire.Frame{})
 		}
 		deferred, batch := c.deferScratch[:0], c.batchScratch[:0]
 		batchBytes := 0
@@ -559,6 +702,13 @@ func (c *Client) pumpLocked(now vtime.Time) {
 		}
 		// Park the scratch capacity for the next pump before any return.
 		c.frameScratch, c.deferScratch, c.batchScratch = frames[:0], deferred[:0], batch[:0]
+		if ackCount > 0 {
+			if len(batch) == 0 && !flush {
+				frames, ackCount = frames[:0], 0
+			} else {
+				frames[0] = wire.Frame{Type: wire.FrameAck, Payload: wire.Marshal(&Ack{Seqs: c.acks})}
+			}
+		}
 		if len(frames) == 0 {
 			return
 		}
@@ -583,7 +733,10 @@ func (c *Client) pumpLocked(now vtime.Time) {
 		}
 		if ackCount > 0 {
 			c.stats.AcksSent += int64(ackCount)
-			c.acks = nil
+			if len(batch) == 0 {
+				c.stats.AckFlushes++
+			}
+			c.acks = c.acks[:0]
 		}
 		for _, pr := range batch {
 			pr.state = stateSent
@@ -603,20 +756,19 @@ func (c *Client) pumpLocked(now vtime.Time) {
 	}
 }
 
-// lowSeqLocked computes the LowSeq a Hello may advertise: nothing at or
-// above it is still outstanding — neither registered in pend nor mid-Enqueue
-// (the unlocked log-append window).
+// lowSeqLocked computes the LowSeq a Hello may advertise: every seq below it
+// is complete AND its log record durably gone — not registered in pend, not
+// held, and not waiting in staged for a flush to cover its remove.
 func (c *Client) lowSeqLocked() uint64 {
 	low := c.nextSeq
 	for seq := range c.pend {
-		if seq < low {
-			low = seq
-		}
+		low = min(low, seq)
 	}
-	for seq := range c.inflight {
-		if seq < low {
-			low = seq
-		}
+	for seq := range c.held {
+		low = min(low, seq)
+	}
+	for _, seq := range c.staged {
+		low = min(low, seq)
 	}
 	return low
 }

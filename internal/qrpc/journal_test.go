@@ -297,8 +297,9 @@ func TestJournalCompactionBoundsLog(t *testing.T) {
 	}
 }
 
-// poisonLog is a stable.Log stub whose appends fail with a typed
-// *stable.PoisonedError after a budget of successes — the signature of a
+// poisonLog is a stable.BatchLog stub whose writes — appends and removes,
+// waited for or staged, one budget for all — fail with a typed
+// *stable.PoisonedError after a budget of successes: the signature of a
 // FileLog whose group-commit fsync failed.
 type poisonLog struct {
 	*stable.MemLog
@@ -306,14 +307,49 @@ type poisonLog struct {
 	budget int
 }
 
-func (p *poisonLog) Append(rec []byte) (uint64, error) {
+func (p *poisonLog) charge() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.budget <= 0 {
-		return 0, &stable.PoisonedError{Cause: errors.New("disk gone")}
+		return &stable.PoisonedError{Cause: errors.New("disk gone")}
 	}
 	p.budget--
+	return nil
+}
+
+func (p *poisonLog) Append(rec []byte) (uint64, error) {
+	if err := p.charge(); err != nil {
+		return 0, err
+	}
 	return p.MemLog.Append(rec)
+}
+
+func (p *poisonLog) AppendNoSync(rec []byte) (uint64, error) {
+	if err := p.charge(); err != nil {
+		return 0, err
+	}
+	return p.MemLog.AppendNoSync(rec)
+}
+
+func (p *poisonLog) Remove(id uint64) error {
+	if err := p.charge(); err != nil {
+		return err
+	}
+	return p.MemLog.Remove(id)
+}
+
+func (p *poisonLog) RemoveNoSync(id uint64) error {
+	if err := p.charge(); err != nil {
+		return err
+	}
+	return p.MemLog.RemoveNoSync(id)
+}
+
+func (p *poisonLog) RemoveBatch(ids []uint64) error {
+	if err := p.charge(); err != nil {
+		return err
+	}
+	return p.MemLog.RemoveBatch(ids)
 }
 
 // TestJournaledServerRefusesWhenPoisoned is the durability contract: once

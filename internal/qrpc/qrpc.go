@@ -92,7 +92,8 @@ type ClientStats struct {
 	Resent       int64 // request frames sent more than once
 	Replies      int64
 	Duplicates   int64 // replies for already-completed requests
-	AcksSent     int64
+	AcksSent     int64 // seqs acknowledged (several may share one ack frame)
+	AckFlushes   int64 // ack frames sent at a flush point with no request aboard
 	BatchesSent  int64 // FrameBatch frames sent (coalesced pump cycles)
 	ZBatchesSent int64 // compressed (FrameBatchZ) frames sent
 	Connects     int64

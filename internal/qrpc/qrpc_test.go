@@ -32,11 +32,15 @@ type harnessSender struct {
 	queue  []wire.Frame
 	sent   int
 	refuse bool
+	tap    func(wire.Frame) // sees every frame accepted onto the wire
 }
 
 func (h *harnessSender) SendFrame(f wire.Frame) bool {
 	if !*h.up || h.refuse {
 		return false
+	}
+	if h.tap != nil {
+		h.tap(f)
 	}
 	h.queue = append(h.queue, f)
 	h.sent++
@@ -96,6 +100,14 @@ func (h *harness) settle() {
 	h.t.Fatal("harness did not settle")
 }
 
+// flush is the ack flush point a transport reaches at the client's
+// NextReadyAt deadline (or on a Kick): staged removes commit, pending acks
+// go out, and the server processes them.
+func (h *harness) flush() {
+	h.client.Pump(h.now)
+	h.settle()
+}
+
 func echoHandler(clientID string, req Request) ([]byte, error) {
 	return append([]byte("echo:"), req.Args...), nil
 }
@@ -119,8 +131,8 @@ func TestRoundTrip(t *testing.T) {
 	if got := h.server.Stats().Executed; got != 1 {
 		t.Errorf("Executed = %d", got)
 	}
-	// Reply acked: server cache empty.
-	h.settle()
+	// Reply acked at the flush point: server cache empty.
+	h.flush()
 	for _, s := range h.server.Sessions() {
 		if s.CachedReplies != 0 {
 			t.Errorf("reply cache not pruned: %+v", s)

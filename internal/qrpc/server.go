@@ -370,10 +370,10 @@ func (s *Server) onHello(from Sender, payload []byte, out *[]wire.Frame) {
 	s.mu.Unlock()
 	if pruned {
 		// Journal the new floor so recovery discards the same dead weight.
-		// Unlike exec records this is apply-then-log: a lost prune record
-		// only means the recovered acked map is larger until the client's
-		// next Hello advertises the floor again.
-		s.journalSessionRecord(h.ClientID, func() []byte { return encodePruneRecord(h.ClientID, h.LowSeq) })
+		// Unlike exec records this is apply-then-log, and only staged: a
+		// lost prune record only means the recovered acked map is larger
+		// until the client's next Hello advertises the floor again.
+		s.journalSessionRecord(h.ClientID, true, func() []byte { return encodePruneRecord(h.ClientID, h.LowSeq) })
 	}
 	*out = append(*out, wire.Frame{Type: wire.FrameWelcome, Payload: wire.Marshal(w)})
 }
@@ -383,8 +383,11 @@ func (s *Server) onHello(from Sender, payload []byte, out *[]wire.Frame) {
 // tracks its id for compaction. It is a no-op when no journal is configured
 // or the journal is poisoned; an append failure poisons the journal. The
 // in-memory state change these records describe proceeds regardless —
-// losing one costs recovered-state memory, never correctness.
-func (s *Server) journalSessionRecord(clientID string, encode func() []byte) {
+// losing one costs recovered-state memory, never correctness — so a lazy
+// record (ack, prune) is only staged when the shard can stage: it becomes
+// durable with the shard's next exec commit, snapshot or Close instead of
+// holding the connection's read loop for a flush of its own.
+func (s *Server) journalSessionRecord(clientID string, lazy bool, encode func() []byte) {
 	if !s.hasJournal() {
 		return
 	}
@@ -396,7 +399,13 @@ func (s *Server) journalSessionRecord(clientID string, encode func() []byte) {
 	if poisoned {
 		return
 	}
-	id, err := sh.log.Append(encode())
+	var id uint64
+	var err error
+	if lazy && sh.batch != nil {
+		id, err = sh.batch.AppendNoSync(encode())
+	} else {
+		id, err = sh.log.Append(encode())
+	}
 	s.mu.Lock()
 	if err != nil {
 		s.poisonJournalLocked(err)
@@ -739,7 +748,7 @@ func (s *Server) InstallReply(clientID string, rep *Reply) bool {
 	s.stats.ReplicatedReplies++
 	s.stats.ReplyCacheEvictions += s.replyCache.put(clientID, rep.Seq, enc)
 	s.mu.Unlock()
-	s.journalSessionRecord(clientID, func() []byte { return encodeExecRecordEnc(clientID, enc) })
+	s.journalSessionRecord(clientID, false, func() []byte { return encodeExecRecordEnc(clientID, enc) })
 	return true
 }
 
@@ -770,10 +779,10 @@ func (s *Server) onAck(from Sender, payload []byte) {
 	sess.foldAcked()
 	s.mu.Unlock()
 	// Journal the acknowledgment so recovery drops these reply payloads
-	// too. Apply-then-log, like prune records: losing an ack record means a
-	// fatter recovered cache, never a correctness violation (the client
-	// already consumed the replies and will not redeliver).
-	s.journalSessionRecord(clientID, func() []byte { return encodeAckRecord(clientID, ack.Seqs) })
+	// too. Apply-then-log and only staged, like prune records: losing an ack
+	// record means a fatter recovered cache, never a correctness violation
+	// (the client already consumed the replies and will not redeliver).
+	s.journalSessionRecord(clientID, true, func() []byte { return encodeAckRecord(clientID, ack.Seqs) })
 }
 
 // SendCallback pushes a notification to a client's current transport. It

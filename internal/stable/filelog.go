@@ -19,6 +19,10 @@ type FileLog struct {
 	liveBytes int64
 	removes   int64
 	closed    bool
+	// sweepDue is set by RemoveNoSync, which never compacts itself (its
+	// caller may hold a lock it must not keep across a flush): the next
+	// Commit or append checks the dead-weight ratio on its behalf.
+	sweepDue bool
 }
 
 const (
@@ -100,6 +104,7 @@ func (l *FileLog) stage(rec []byte) (uint64, *SegmentFile, uint64, error) {
 	if l.closed {
 		return 0, nil, 0, ErrClosed
 	}
+	l.sweepLocked()
 	_, seq, err := l.seg.stage(kindAppend, rec, l.next)
 	if err != nil {
 		return 0, nil, 0, err
@@ -111,8 +116,9 @@ func (l *FileLog) stage(rec []byte) (uint64, *SegmentFile, uint64, error) {
 	return id, l.seg, seq, nil
 }
 
-// Commit implements BatchLog: blocks until every record appended so far —
-// including AppendNoSync staging — is durable, riding the group commit.
+// Commit implements Log: blocks until every record written so far —
+// including AppendNoSync and RemoveNoSync staging — is durable, riding the
+// group commit.
 func (l *FileLog) Commit() error {
 	l.mu.Lock()
 	seg, closed := l.seg, l.closed
@@ -121,11 +127,24 @@ func (l *FileLog) Commit() error {
 	if closed {
 		return ErrClosed
 	}
-	return seg.commit(seq)
+	if err := seg.commit(seq); err != nil {
+		return err
+	}
+	l.mu.Lock()
+	l.sweepLocked()
+	l.mu.Unlock()
+	return nil
 }
 
 // Remove implements Log.
-func (l *FileLog) Remove(id uint64) error {
+func (l *FileLog) Remove(id uint64) error { return l.remove(true, id) }
+
+// RemoveNoSync implements Log: the remove record is written behind whatever
+// the segment already holds; the segment's next flush — any later Commit,
+// Append or durable remove — makes it durable.
+func (l *FileLog) RemoveNoSync(id uint64) error { return l.remove(false, id) }
+
+func (l *FileLog) remove(wait bool, id uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -134,7 +153,7 @@ func (l *FileLog) Remove(id uint64) error {
 	if _, ok := l.live[id]; !ok {
 		return ErrNotFound
 	}
-	return l.removeLocked(id)
+	return l.removeLocked(wait, id)
 }
 
 // RemoveBatch implements Log: one remove record per live id, staged in a
@@ -154,23 +173,20 @@ func (l *FileLog) RemoveBatch(ids []uint64) error {
 	if len(live) == 0 {
 		return nil
 	}
-	return l.removeLocked(live...)
+	return l.removeLocked(true, live...)
 }
 
-// removeLocked writes a remove record per id, waits with l.mu released for
-// them to be durable, and only then drops the ids from the live set. The
-// compaction this may trigger is best effort: the removes are already
-// durable and applied, so a failed rewrite leaves the log as it was and the
-// next remove tries again.
-func (l *FileLog) removeLocked(ids ...uint64) error {
+// removeLocked writes a remove record per id and drops the ids from the live
+// set at once, so a compaction that gets in before the records are durable
+// (it flushes the old file first) already leaves them out of the new one.
+// With wait set it then waits, l.mu released, for the records to be durable
+// — the only error that wait can return is the segment's poison — and
+// compacts if the file is now mostly dead weight; without, the next Commit
+// or append makes that check (sweepDue). Compaction is best effort: a failed rewrite
+// leaves the log as it was and the next remove tries again.
+func (l *FileLog) removeLocked(wait bool, ids ...uint64) error {
 	seg := l.seg
 	_, seq, err := seg.stage(kindRemove, nil, ids...)
-	if err != nil {
-		return err
-	}
-	l.mu.Unlock()
-	err = seg.commit(seq)
-	l.mu.Lock()
 	if err != nil {
 		return err
 	}
@@ -179,10 +195,33 @@ func (l *FileLog) removeLocked(ids ...uint64) error {
 			l.removes++
 		}
 	}
+	if !wait {
+		l.sweepDue = true
+		return nil
+	}
+	l.mu.Unlock()
+	err = seg.commit(seq)
+	l.mu.Lock()
+	if err != nil {
+		return err
+	}
+	l.maybeCompactLocked()
+	return nil
+}
+
+// sweepLocked makes the dead-weight check staged removes have put off.
+func (l *FileLog) sweepLocked() {
+	if l.sweepDue {
+		l.sweepDue = false
+		l.maybeCompactLocked()
+	}
+}
+
+// maybeCompactLocked rewrites the file once it is mostly dead weight.
+func (l *FileLog) maybeCompactLocked() {
 	if size := l.seg.Size(); !l.closed && size >= compactFloor && size >= compactFactor*(l.liveBytes+1) {
 		l.compactLocked()
 	}
-	return nil
 }
 
 // compactLocked rewrites the file down to its live records, in id order.

@@ -22,8 +22,9 @@ type MemLog struct {
 	// failNext, when positive, makes the next Append fail (failure
 	// injection for tests).
 	failNext int
-	// staged is set by AppendNoSync and cleared by Commit, so the modeled
-	// sync counter reflects one flush per staged run, like a real log.
+	// staged is set by AppendNoSync and cleared by the next flush (Commit,
+	// or an Append's own), so the modeled sync counter reflects one flush
+	// per staged run, like a real log.
 	staged bool
 }
 
@@ -66,6 +67,7 @@ func (l *MemLog) Append(rec []byte) (uint64, error) {
 	l.stats.BytesWritten += int64(len(rec))
 	if !l.opts.NoSync {
 		l.stats.Syncs++
+		l.staged = false // this flush covers whatever was staged before it
 	}
 	return id, nil
 }
@@ -86,7 +88,7 @@ func (l *MemLog) AppendNoSync(rec []byte) (uint64, error) {
 	return id, err
 }
 
-// Commit implements BatchLog, charging one modeled flush for a staged run.
+// Commit implements Log, charging one modeled flush for a staged run.
 func (l *MemLog) Commit() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -101,6 +103,9 @@ func (l *MemLog) Commit() error {
 	}
 	return nil
 }
+
+// Remove implements Log. A MemLog remove has never been charged a modeled
+// flush — only appends are — so there is nothing for RemoveNoSync to defer.
 func (l *MemLog) Remove(id uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -114,6 +119,9 @@ func (l *MemLog) Remove(id uint64) error {
 	l.stats.Removes++
 	return nil
 }
+
+// RemoveNoSync implements Log.
+func (l *MemLog) RemoveNoSync(id uint64) error { return l.Remove(id) }
 
 // RemoveBatch implements Log.
 func (l *MemLog) RemoveBatch(ids []uint64) error {

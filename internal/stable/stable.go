@@ -100,12 +100,22 @@ type Log interface {
 	// Remove marks the record as no longer needed. Removing an unknown id
 	// returns ErrNotFound.
 	Remove(id uint64) error
+	// RemoveNoSync is Remove without the durability wait: the remove record
+	// is written and the id leaves the live set at once, but a crash before
+	// the next durable point brings the record back at recovery. The remove
+	// is durable once a Commit, Append, Remove or RemoveBatch that was
+	// called after RemoveNoSync returned has itself returned nil — their
+	// flush covers every earlier write — so a caller about to append anyway
+	// pays nothing for it. Nothing that depends on the record staying gone
+	// may be released before then.
+	RemoveNoSync(id uint64) error
 	// RemoveBatch removes every listed record that is still live and pays
 	// one durability wait for the lot; ids that are not live are skipped.
 	// It is for records something durable already supersedes (a compaction
 	// snapshot), where losing some of the removes in a crash is harmless.
-	// On error the caller should treat every id as still live and may pass
-	// the same ids again.
+	// An error means the flush failed: which of the removes took is decided
+	// at recovery, and the caller should keep treating every id as possibly
+	// live.
 	RemoveBatch(ids []uint64) error
 	// Replay calls fn for every live (appended, not removed) record in
 	// append order. Replay during active use sees a consistent snapshot.
@@ -119,6 +129,10 @@ type Log interface {
 	// freshly opened log still treat the flush as already paid in wall time
 	// inside Append itself.
 	Cost() time.Duration
+	// Commit blocks until every record written so far — appended or removed,
+	// staged or not — is durable, joining the in-flight group commit if one
+	// is running.
+	Commit() error
 	// Stats returns operation counters.
 	Stats() Stats
 	// Close releases resources. Appends after Close fail with ErrClosed.
@@ -128,7 +142,7 @@ type Log interface {
 // BatchLog is implemented by logs that can stage appends and amortize the
 // durability wait across a run of them: AppendNoSync writes and sequences a
 // record exactly like Append but returns without waiting for the flush;
-// Commit blocks until everything appended so far is durable. The contract
+// Log's Commit blocks until everything appended so far is durable. The contract
 // is pipelined group commit [Hagmann 87]: the caller may stage K records
 // back-to-back and pay ONE commit wait for all of them, but must not
 // release any effect that depends on a staged record before Commit returns
@@ -139,9 +153,6 @@ type BatchLog interface {
 	// AppendNoSync stores rec with Append's sequencing but without waiting
 	// for durability. On a poisoned log it fails immediately.
 	AppendNoSync(rec []byte) (uint64, error)
-	// Commit blocks until every record appended so far is durable, joining
-	// the in-flight group commit if one is running.
-	Commit() error
 }
 
 // Stats counts log activity.

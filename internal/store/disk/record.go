@@ -39,9 +39,9 @@ type record struct {
 	prevVer uint64 // recOps: version the ops applied against
 	src     string // recOps: exporting client
 	invs    []rdo.Invocation
-	obj     []byte // encoded object
+	obj     []byte         // encoded object
 	hist    []store.OpsRec // recSnap: retained window, oldest first
-	prevOff int64  // recOps: offset of the object's previous record; -1 unknown
+	prevOff int64          // recOps: offset of the object's previous record; -1 unknown
 }
 
 func encodeState(u urn.URN, ver uint64, obj []byte) []byte {

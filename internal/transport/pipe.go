@@ -17,9 +17,10 @@ import (
 // SetConnected toggles the (virtual) link, letting tests and examples
 // script disconnected operation without a network.
 type Pipe struct {
-	client *qrpc.Client
-	server *qrpc.Server
-	clock  vtime.Clock
+	client   *qrpc.Client
+	server   *qrpc.Server
+	clock    vtime.Clock
+	ackTimer pumpTimer // flushes an ack no request has carried by its deadline
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -79,6 +80,7 @@ func (s *pipeSender) SendFrame(f wire.Frame) bool {
 // clock selects real time.
 func NewPipe(client *qrpc.Client, server *qrpc.Server, clock vtime.Clock) *Pipe {
 	p := &Pipe{client: client, server: server, clock: clockOrDefault(clock)}
+	p.ackTimer.client, p.ackTimer.clock = client, p.clock
 	p.cond = sync.NewCond(&p.mu)
 	p.cs = &pipeSender{p: p, toServer: true}
 	p.sc = &pipeSender{p: p, toServer: false}
@@ -117,6 +119,7 @@ func (p *Pipe) pump(toServer bool) {
 			p.server.OnFrame(p.sc, f, now)
 		} else {
 			p.client.OnFrame(f, now)
+			p.ackTimer.arm()
 		}
 	}
 }
@@ -195,6 +198,7 @@ func (p *Pipe) Close() error {
 	p.closed = true
 	p.cond.Broadcast()
 	p.mu.Unlock()
+	p.ackTimer.stop()
 	p.wg.Wait()
 	return nil
 }

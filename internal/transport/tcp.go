@@ -141,6 +141,7 @@ type TCPClient struct {
 	clock       vtime.Clock
 	policy      faults.RetryPolicy
 	dialTimeout time.Duration
+	ackTimer    pumpTimer // flushes an ack no request has carried by its deadline
 
 	mu        sync.Mutex
 	conn      net.Conn
@@ -201,6 +202,7 @@ func DialTCPMulti(addrs []string, client *qrpc.Client, clock vtime.Clock, opts T
 		dialTimeout: opts.DialTimeout,
 		wake:        make(chan struct{}, 1),
 	}
+	t.ackTimer.client, t.ackTimer.clock = client, t.clock
 	t.wg.Add(1)
 	go t.loop()
 	return t
@@ -257,6 +259,7 @@ func (t *TCPClient) loop() {
 				break
 			}
 			t.client.OnFrame(f, t.clock.Now())
+			t.ackTimer.arm()
 		}
 		t.client.OnDisconnect(t.clock.Now())
 		conn.Close()
@@ -369,7 +372,11 @@ func (t *TCPClient) Close() error {
 	t.closed = true
 	conn := t.conn
 	t.mu.Unlock()
+	t.ackTimer.stop()
 	if conn != nil {
+		// Leaving on purpose: flush the acks still waiting for a request to
+		// ride, or the server keeps their replies until the next Hello.
+		t.client.Pump(t.clock.Now())
 		conn.Close()
 	}
 	select {
