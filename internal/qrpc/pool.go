@@ -13,10 +13,11 @@ import (
 // session coalesces their replies into a single FrameBatch toward the
 // transport, so server-side batching falls out of the same mechanism.
 //
-// The design is a classic per-key serial executor: each session key owns a
-// FIFO task queue; a key with queued work is on the ready list exactly once
-// ("active"), claimed by exactly one worker at a time. Workers claim a
-// bounded chunk per visit so one chatty session cannot starve the rest.
+// The design is a classic per-key serial executor: each session owns a FIFO
+// task queue (session.queue, which lives and dies with the session); a queue
+// with work is on the ready list exactly once ("active"), claimed by exactly
+// one worker at a time. Workers claim a bounded chunk per visit so one chatty
+// session cannot starve the rest.
 
 // maxPoolChunk bounds how many tasks a worker takes from one key per visit
 // (fairness across sessions; also the reply-batch size cap).
@@ -34,8 +35,10 @@ type poolTask struct {
 	req      Request
 }
 
+// keyQueue is one session's FIFO, guarded by the pool's mutex. An emptied
+// queue keeps its array (up to one chunk's worth) for the session's next
+// request, so a closed-loop client costs the pool no allocation per request.
 type keyQueue struct {
-	key    string
 	tasks  []poolTask
 	active bool // on the ready list or claimed by a worker
 }
@@ -45,18 +48,19 @@ type workerPool struct {
 	size int
 
 	mu      sync.Mutex
-	cond    *sync.Cond // workers: ready-list non-empty or closed
-	quiet   *sync.Cond // quiesce: pending == 0
-	queues  map[string]*keyQueue
-	ready   []*keyQueue
-	pending int // submitted tasks not yet finished (executed or discarded)
+	cond    *sync.Cond  // workers: ready-list non-empty or closed
+	quiet   *sync.Cond  // quiesce: pending == 0
+	ready   []*keyQueue // ready[head:] await a worker, oldest first
+	head    int
+	claimed []*keyQueue // by worker: the queue whose chunk it is running
+	pending int         // submitted tasks not yet finished (executed or discarded)
 	started bool
 	closed  bool
 	wg      sync.WaitGroup
 }
 
 func newWorkerPool(s *Server, size int) *workerPool {
-	p := &workerPool{srv: s, size: size, queues: make(map[string]*keyQueue)}
+	p := &workerPool{srv: s, size: size, claimed: make([]*keyQueue, size)}
 	p.cond = sync.NewCond(&p.mu)
 	p.quiet = sync.NewCond(&p.mu)
 	return p
@@ -76,59 +80,75 @@ func (p *workerPool) submit(t poolTask) {
 		p.started = true
 		p.wg.Add(p.size)
 		for i := 0; i < p.size; i++ {
-			go p.worker()
+			go p.worker(i)
 		}
 	}
-	kq := p.queues[t.clientID]
-	if kq == nil {
-		kq = &keyQueue{key: t.clientID}
-		p.queues[t.clientID] = kq
-	}
+	kq := &t.sess.queue
 	kq.tasks = append(kq.tasks, t)
 	p.pending++
 	if !kq.active {
 		kq.active = true
-		p.ready = append(p.ready, kq)
-		p.cond.Signal()
+		p.pushReadyLocked(kq)
 	}
 	p.mu.Unlock()
 }
 
-func (p *workerPool) worker() {
+// pushReadyLocked puts kq at the back of the ready list. The list is
+// consumed by advancing head, so its array is reused once it drains
+// (every time, for closed-loop clients) and compacted when it fills.
+func (p *workerPool) pushReadyLocked(kq *keyQueue) {
+	if p.head > 0 && len(p.ready) == cap(p.ready) {
+		n := copy(p.ready, p.ready[p.head:])
+		clear(p.ready[n:])
+		p.ready, p.head = p.ready[:n], 0
+	}
+	p.ready = append(p.ready, kq)
+	p.cond.Signal()
+}
+
+func (p *workerPool) worker(i int) {
 	defer p.wg.Done()
 	p.mu.Lock()
 	for {
-		for len(p.ready) == 0 && !p.closed {
+		for p.head == len(p.ready) && !p.closed {
 			p.cond.Wait()
 		}
 		if p.closed {
 			p.mu.Unlock()
 			return
 		}
-		kq := p.ready[0]
-		p.ready = p.ready[1:]
-		n := len(kq.tasks)
-		if n > maxPoolChunk {
-			n = maxPoolChunk
+		kq := p.ready[p.head]
+		p.ready[p.head] = nil
+		if p.head++; p.head == len(p.ready) {
+			p.ready, p.head = p.ready[:0], 0
 		}
-		chunk := kq.tasks[:n:n]
+		n := min(len(kq.tasks), maxPoolChunk)
+		chunk := kq.tasks[:n]
 		kq.tasks = kq.tasks[n:]
 		// kq stays active while this worker owns the chunk: concurrent
 		// submits append to kq.tasks but must not put the key back on the
 		// ready list, or a second worker would break per-session ordering.
+		p.claimed[i] = kq
 		p.mu.Unlock()
 
 		p.runChunk(chunk)
 
 		p.mu.Lock()
+		p.claimed[i] = nil
 		p.pending -= n
+		clear(chunk) // the array outlives the requests it carried
 		if len(kq.tasks) > 0 && !p.closed {
-			p.ready = append(p.ready, kq)
-			p.cond.Signal()
+			p.pushReadyLocked(kq)
 		} else {
 			kq.active = false
 			if len(kq.tasks) == 0 {
-				delete(p.queues, kq.key)
+				// Nothing was appended behind the chunk, so its array is the
+				// queue's: keep it for the session's next request, unless a
+				// burst grew it past a chunk.
+				kq.tasks = nil
+				if cap(chunk) <= maxPoolChunk {
+					kq.tasks = chunk[:0]
+				}
 			}
 		}
 		if p.pending <= 0 {
@@ -225,12 +245,17 @@ func (p *workerPool) close() {
 	}
 	p.closed = true
 	var dropped []poolTask
-	for _, kq := range p.queues {
-		dropped = append(dropped, kq.tasks...)
-		p.pending -= len(kq.tasks)
-		kq.tasks = nil
+	for _, queues := range [][]*keyQueue{p.ready[p.head:], p.claimed} {
+		for _, kq := range queues {
+			if kq == nil {
+				continue // an idle worker's slot
+			}
+			dropped = append(dropped, kq.tasks...)
+			p.pending -= len(kq.tasks)
+			kq.tasks = nil
+		}
 	}
-	p.ready = nil
+	p.ready, p.head = nil, 0
 	p.cond.Broadcast()
 	if p.pending <= 0 {
 		p.quiet.Broadcast()

@@ -116,6 +116,9 @@ type session struct {
 	// replyBytes approximates the payload bytes held in replies (see
 	// replyApproxSize); ServerConfig.SessionBudgetBytes bounds it.
 	replyBytes int
+	// queue holds the session's dispatched requests while the worker pool
+	// has them; guarded by the pool's mutex, unused in inline mode.
+	queue keyQueue
 }
 
 // foldAcked moves the contiguous run of acknowledged seqs starting at

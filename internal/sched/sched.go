@@ -29,8 +29,12 @@ import (
 // CompressThreshold is the link quality (bits/s) below which the selector
 // asks the engine for wire compression. The paper's link roster sorts
 // cleanly: CSLIP at 2.4/14.4 Kbit/s and WaveLAN at 2 Mbit/s are starved
-// enough that deflate CPU always pays for itself, while 10 Mbit/s
-// Ethernet is fast enough that compression only adds latency.
+// enough that deflate CPU pays for itself — measured, a 2 KB frame costs
+// ~30 µs to deflate and inflate (compress keeps its contexts between
+// calls; built per frame they cost 0.7 ms and up) against the ~6 ms of
+// WaveLAN or ~0.8 s of CSLIP 14.4 transmit time it saves — while a
+// session on 10 Mbit/s Ethernet is bound by round trips and log flushes,
+// not bytes, so compression there only adds latency.
 const CompressThreshold int64 = 5_000_000
 
 // CompressFor reports whether the link policy wants wire compression for

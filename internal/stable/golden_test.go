@@ -2,7 +2,10 @@ package stable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -44,6 +47,27 @@ func TestGoldenRecordBytes(t *testing.T) {
 		if err != nil || n != len(want) || rec.kind != g.kind || rec.id != g.id || !bytes.Equal(rec.payload, g.payload) {
 			t.Errorf("parse(%x) = %+v, %d, %v", want, rec, n, err)
 		}
+	}
+}
+
+// A compressed record whose stored bytes run on past the end of the deflate
+// stream is corrupt even though the checksum holds and the stream inflates:
+// nothing this package writes ends that way.
+func TestCompressedRecordTrailingBytes(t *testing.T) {
+	whole := appendRecord(nil, kindAppend, 2, long, true)
+	h, err := parseHeader(whole)
+	if err != nil || h.flags&flagCompressed == 0 {
+		t.Fatalf("setup: header %+v, %v", h, err)
+	}
+	stream := whole[h.body : h.body+h.stored]
+	bad := append([]byte{kindAppend, 2, flagCompressed, byte(len(stream) + 8)}, stream...)
+	bad = append(bad, "JUNKJUNK"...)
+	bad = binary.LittleEndian.AppendUint32(bad, crc32.Checksum(bad, crcTable))
+	if _, _, err := parseRecord(bad); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("parseRecord(stream + junk) = %v, want ErrCorrupt", err)
+	}
+	if rec, n, err := parseRecord(whole); err != nil || n != len(whole) || !bytes.Equal(rec.payload, long) {
+		t.Fatalf("parseRecord(stream) = %d, %v", n, err)
 	}
 }
 

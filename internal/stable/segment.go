@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -313,15 +314,22 @@ func appendRecord(b []byte, kind byte, id uint64, payload []byte, deflate bool) 
 	b = append(b, kind)
 	b = binary.AppendUvarint(b, id)
 	if kind == kindAppend {
-		flags := byte(0)
+		body, deflated := len(b), false
 		if deflate && len(payload) > 64 {
-			if c, ok := compress.Deflate(payload); ok {
-				payload, flags = c, flagCompressed
-			}
+			b, deflated = compress.AppendDeflate(b, payload)
 		}
-		b = append(b, flags)
-		b = binary.AppendUvarint(b, uint64(len(payload)))
-		b = append(b, payload...)
+		if deflated {
+			// The stored length precedes the deflated bytes but is known
+			// only once they are in place.
+			var hdr [1 + binary.MaxVarintLen64]byte
+			hdr[0] = flagCompressed
+			n := 1 + binary.PutUvarint(hdr[1:], uint64(len(b)-body))
+			b = slices.Insert(b, body, hdr[:n]...)
+		} else {
+			b = append(b, 0)
+			b = binary.AppendUvarint(b, uint64(len(payload)))
+			b = append(b, payload...)
+		}
 	}
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[start:], crcTable))
 }

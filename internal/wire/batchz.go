@@ -47,23 +47,19 @@ func CoalesceFrames(frames []Frame, compressOK bool) Frame {
 		}
 		return BatchFrames(frames)
 	}
-	size := 1
-	for _, f := range frames {
-		size += 6 + len(f.Payload)
-	}
-	raw := AppendBatchPayload(make([]byte, 0, size), frames)
+	raw := BatchFrames(frames).Payload
 	plainWire := EncodedFrameSize(len(raw))
 	if len(frames) == 1 {
 		plainWire = EncodedFrameSize(len(frames[0].Payload))
 	}
-	if def, ok := compress.Deflate(raw); ok {
-		var b Buffer
-		b.PutUvarint(uint64(len(frames)))
-		b.PutUvarint(uint64(len(raw)))
-		b.PutRaw(def)
-		if EncodedFrameSize(b.Len()) < plainWire {
-			return Frame{Type: FrameBatchZ, Payload: b.Bytes()}
-		}
+	// The deflated bytes are appended straight behind the header, so a Z
+	// payload is allocated once, at about its own size, and only when
+	// deflate shrinks the batch.
+	var z Buffer
+	z.PutUvarint(uint64(len(frames)))
+	z.PutUvarint(uint64(len(raw)))
+	if p, ok := compress.AppendDeflate(z.b, raw); ok && EncodedFrameSize(len(p)) < plainWire {
+		return Frame{Type: FrameBatchZ, Payload: p}
 	}
 	if len(frames) == 1 {
 		return frames[0]

@@ -3,7 +3,9 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -121,6 +123,12 @@ func TestInflateBatchFrameRejectsCorruption(t *testing.T) {
 	if _, err := InflateBatchFrame(bad); err == nil {
 		t.Fatal("corrupt deflate stream inflated without error")
 	}
+	// Bytes after the final deflate block: rawLen and the count still match,
+	// so only the decoder noticing its input was not consumed catches it.
+	junk := Frame{Type: FrameBatchZ, Payload: append(append([]byte(nil), f.Payload...), "JUNKJUNK"...)}
+	if _, err := InflateBatchFrame(junk); !errors.Is(err, ErrBatchCompressed) {
+		t.Fatalf("Z batch with a trailing tail: err=%v, want ErrBatchCompressed", err)
+	}
 	// Oversized rawLen claim must be rejected before inflating.
 	var b Buffer
 	b.PutUvarint(1)
@@ -210,5 +218,66 @@ func TestLogicalFramesCountsZBatch(t *testing.T) {
 	}
 	if n := LogicalFrames(zf); n != 5 {
 		t.Fatalf("LogicalFrames = %d, want 5 without inflating", n)
+	}
+}
+
+// FuzzInflateBatchFrame: whatever arrives in a FrameBatchZ, the receive path
+// never panics, never yields more than the header promised, never sizes an
+// allocation from the header alone, and agrees with the count observers read
+// without inflating.
+func FuzzInflateBatchFrame(f *testing.F) {
+	for _, n := range []int{1, 2, 5, 40} {
+		z := CoalesceFrames(compressibleFrames(n), true).Payload
+		f.Add(z)
+		f.Add(z[:len(z)/2])
+		f.Add(append(append([]byte(nil), z...), "JUNKJUNK"...))
+		flipped := append([]byte(nil), z...)
+		for i := len(flipped) - 8; i < len(flipped); i++ {
+			flipped[i] ^= 0xA5
+		}
+		f.Add(flipped)
+	}
+	var huge Buffer // 20 bytes claiming the 32 MiB maximum
+	huge.PutUvarint(1)
+	huge.PutUvarint(MaxFramePayload)
+	huge.PutRaw(make([]byte, 14))
+	f.Add(huge.Bytes())
+
+	f.Fuzz(func(t *testing.T, p []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := InflateBatchFrame(Frame{Type: FrameBatchZ, Payload: p})
+		runtime.ReadMemStats(&after)
+		// A rebuilt inflate context is ~45 KB; the result may be a small
+		// multiple of the compressed bytes, doubled while it grows.
+		if spent := after.TotalAlloc - before.TotalAlloc; spent > 1<<20+64*uint64(len(p)) {
+			t.Fatalf("%d-byte Z payload made InflateBatchFrame allocate %d bytes", len(p), spent)
+		}
+		if err != nil {
+			return
+		}
+		count, rawLen, _, herr := zBatchHeader(p)
+		if herr != nil || uint64(len(got.Payload)) != rawLen {
+			t.Fatalf("accepted: header err=%v, %d bytes inflated, %d promised", herr, len(got.Payload), rawLen)
+		}
+		n, cerr := ZBatchCount(p)
+		if inner, err := BatchCount(got.Payload); got.Type != FrameBatch || cerr != nil || err != nil || n != inner || uint64(n) != count {
+			t.Fatalf("accepted: type %v, ZBatchCount %d (%v), inflated batch counts %d (%v)", got.Type, n, cerr, inner, err)
+		}
+		// The sub-frames themselves may still be malformed; a batch that does
+		// decode holds exactly the advertised number.
+		if subs, err := UnbatchFrames(got.Payload); err == nil && len(subs) != n {
+			t.Fatalf("accepted: %d sub-frames, header says %d", len(subs), n)
+		}
+	})
+}
+
+func BenchmarkCoalesceZ(b *testing.B) {
+	frames := compressibleFrames(4)
+	b.ReportAllocs()
+	for b.Loop() {
+		if f := CoalesceFrames(frames, true); f.Type != FrameBatchZ {
+			b.Fatal("not compressed")
+		}
 	}
 }
