@@ -162,15 +162,16 @@ func main() {
 // activity (including journal health and replicated replies), admission and
 // budget refusals, reply-cache traffic, journal fsync economics (fsyncs per
 // executed op and the measured fsync latency), per-shard journal depths,
-// delta-import service counters, and — when replication is on — the live
-// replication lag plus the stream/anti-entropy counters.
+// delta-import and lean-export-reply service counters, and — when
+// replication is on — the live replication lag plus the stream/anti-entropy
+// counters.
 func logStats(srv *rover.Server) {
 	es := srv.Engine().Stats()
 	ss := srv.ServerStats()
 	line := fmt.Sprintf(
-		"stats: sessions=%d reqs=%d exec=%d replays=%d journalRefused=%d replicatedReplies=%d deltasServed=%d deltaFallbacks=%d dupExports=%d",
+		"stats: sessions=%d reqs=%d exec=%d replays=%d journalRefused=%d replicatedReplies=%d deltasServed=%d deltaFallbacks=%d leanReplies=%d dupExports=%d",
 		srv.Engine().SessionCount(), es.Requests, es.Executed, es.ReplaysServed, es.JournalRefused, es.ReplicatedReplies,
-		ss.DeltasServed, ss.DeltaFallbacks, ss.DuplicateExports)
+		ss.DeltasServed, ss.DeltaFallbacks, ss.LeanReplies, ss.DuplicateExports)
 	line += fmt.Sprintf(" | admission: refused=%d budgetRefused=%d | replyCache: hits=%d misses=%d evictions=%d",
 		es.SessionsRefused, es.BudgetRefused, es.ReplyCacheHits, es.ReplyCacheMisses, es.ReplyCacheEvictions)
 	if js := srv.JournalStats(); len(js) > 0 {

@@ -90,10 +90,17 @@ type Stats struct {
 	LocalInvokes   int64
 	RemoteInvokes  int64
 	ExportsSent    int64
-	Conflicts      int64
-	Prefetches     int64
-	Invalidations  int64
-	Shed           int64 // QRPCs refused by pending-queue backpressure
+	// LeanExports counts export replies that carried no object because the
+	// server's committed state matched the checksum sent with the export;
+	// ExportRefetches counts export replies the cache could not use (object
+	// undecodable, or an empty reply that no longer matches the entry) and
+	// answered with a revalidating import.
+	LeanExports     int64
+	ExportRefetches int64
+	Conflicts       int64
+	Prefetches      int64
+	Invalidations   int64
+	Shed            int64 // QRPCs refused by pending-queue backpressure
 }
 
 // Config configures an access manager.
@@ -141,7 +148,6 @@ type AccessManager struct {
 	cfg   Config
 	cache *cache.Cache
 	sess  *session.Session
-	envs  map[urn.URN]*rdo.Env
 	stats Stats
 }
 
@@ -157,7 +163,6 @@ func New(cfg Config) (*AccessManager, error) {
 		cfg:   cfg,
 		cache: cache.New(cfg.CacheBytes),
 		sess:  session.New(cfg.Guarantees),
-		envs:  make(map[urn.URN]*rdo.Env),
 	}, nil
 }
 
@@ -296,12 +301,10 @@ func (am *AccessManager) importRemote(u urn.URN, haveVersion uint64, p qrpc.Prio
 }
 
 // applyDelta advances the cached committed copy of u by replaying a delta
-// reply's invocations, verifying the result against the server's checksum
-// before adopting it. ok=false means the caller must fall back to a full
-// import: the cache entry is gone or at a different committed version
-// than the delta's base, the replay erred (e.g. the method needs a
-// server-only host command), or the replayed state does not match the
-// server's byte-for-byte.
+// reply's invocations (see advanceCommittedLocked). ok=false means the
+// caller must fall back to a full import: the cache entry is gone or at a
+// different committed version than the delta's base, or the replay could
+// not be verified.
 func (am *AccessManager) applyDelta(u urn.URN, rep *proto.ImportReply) (*rdo.Object, bool) {
 	am.mu.Lock()
 	defer am.mu.Unlock()
@@ -309,6 +312,23 @@ func (am *AccessManager) applyDelta(u urn.URN, rep *proto.ImportReply) (*rdo.Obj
 	if !ok || e.CommittedVersion != rep.FromVersion || rep.NewVersion <= rep.FromVersion {
 		return nil, false
 	}
+	if !am.advanceCommittedLocked(e, rep.Ops, rep.NewVersion, rep.Check) {
+		return nil, false
+	}
+	am.stats.DeltaImports++
+	am.sess.RecordRead(u, rep.NewVersion)
+	e2, _ := am.cache.Get(u)
+	return e2.Obj.Clone(), true
+}
+
+// advanceCommittedLocked moves e's committed copy to newVer by replaying
+// ops — the server's, for a delta import; the client's own just-committed
+// ones, for an export reply that carried no object — and adopts the result
+// only if its encoding hashes to check, the checksum of the server's
+// object at newVer. false leaves the entry untouched: the replay erred
+// (e.g. the method needs a server-only host command) or the replayed
+// state does not match the server's byte for byte.
+func (am *AccessManager) advanceCommittedLocked(e *cache.Entry, ops []rdo.Invocation, newVer uint64, check uint32) bool {
 	// Replay against the PRISTINE committed copy — the working copy may
 	// carry tentative operations, which adoptCommittedLocked rebases on
 	// top of the new committed state afterwards, same as a full import.
@@ -316,26 +336,22 @@ func (am *AccessManager) applyDelta(u urn.URN, rep *proto.ImportReply) (*rdo.Obj
 	if e.Committed != nil {
 		pristine = e.Committed
 	}
-	base := pristine.Clone()
-	env, err := am.newEnvLocked(base)
+	next := pristine.Clone()
+	env, err := am.newEnvLocked(next)
 	if err != nil {
-		return nil, false
+		return false
 	}
-	for _, op := range rep.Ops {
+	for _, op := range ops {
 		if _, err := env.Invoke(op.Method, op.Args...); err != nil {
-			return nil, false
+			return false
 		}
 	}
-	env.TakeOps() // replayed committed ops are not tentative
-	base.Version = rep.NewVersion
-	if proto.ObjectCheck(base.Encode()) != rep.Check {
-		return nil, false
+	next.Version = newVer
+	if proto.ObjectCheck(next.Encode()) != check {
+		return false
 	}
-	am.stats.DeltaImports++
-	am.adoptCommittedLocked(base)
-	am.sess.RecordRead(u, base.Version)
-	e2, _ := am.cache.Get(u)
-	return e2.Obj.Clone(), true
+	am.adoptCommittedLocked(next)
+	return true
 }
 
 // adoptCommittedLocked installs a fresh committed copy, replaying any
@@ -349,37 +365,27 @@ func (am *AccessManager) adoptCommittedLocked(committed *rdo.Object) {
 		entry.Committed = nil // Obj itself is the clean committed copy
 		entry.Tentative = false
 		entry.PendingOps = nil
-		delete(am.envs, u)
 		return
 	}
 	// Rebase tentative ops onto the new committed state.
-	pending := e.PendingOps
 	base := committed.Clone()
 	env, err := am.newEnvLocked(base)
 	var kept []rdo.Invocation
 	if err != nil {
 		am.conflictLocked(u, fmt.Sprintf("loading new committed code: %v", err))
+		e.InFlightCount = 0
 	} else {
-		for _, op := range pending {
-			if _, err := env.Invoke(op.Method, op.Args...); err != nil {
-				am.conflictLocked(u, fmt.Sprintf("tentative %s dropped on rebase: %v", op.Method, err))
-				continue
-			}
-			kept = append(kept, op)
-		}
-		env.TakeOps()
+		kept = am.replayPendingLocked(e, env, "rebase")
 	}
 	entry := am.cache.Put(committed, am.now())
 	entry.Obj = base
 	entry.Committed = committed
 	entry.PendingOps = kept
 	entry.Tentative = len(kept) > 0
-	am.cache.Touch(u)
 	if err == nil {
-		am.envs[u] = env
-	} else {
-		delete(am.envs, u)
+		entry.Env = env
 	}
+	am.cache.Touch(u)
 }
 
 // rebuildWorkingLocked reconstructs the entry's working copy from its
@@ -395,36 +401,53 @@ func (am *AccessManager) rebuildWorkingLocked(e *cache.Entry) {
 		am.conflictLocked(u, fmt.Sprintf("rebuild failed: %v", err))
 		return
 	}
+	kept := am.replayPendingLocked(e, env, "rebuild")
+	e.Obj = base
+	e.PendingOps = kept
+	e.Tentative = len(kept) > 0
+	e.Env = env
+	am.cache.Touch(u)
+}
+
+// replayPendingLocked replays e's pending operations in env and returns
+// the ones that still apply; the rest are dropped with a conflict
+// notification. Dropping an operation that rides an in-flight export keeps
+// InFlightCount pointing at the same operations and voids what the export
+// predicted: the working copy no longer matches it.
+func (am *AccessManager) replayPendingLocked(e *cache.Entry, env *rdo.Env, when string) []rdo.Invocation {
 	var kept []rdo.Invocation
-	for _, op := range e.PendingOps {
+	inFlight := e.InFlightCount
+	for i, op := range e.PendingOps {
 		if _, err := env.Invoke(op.Method, op.Args...); err != nil {
-			am.conflictLocked(u, fmt.Sprintf("tentative %s dropped on rebuild: %v", op.Method, err))
+			am.conflictLocked(op.Object, fmt.Sprintf("tentative %s dropped on %s: %v", op.Method, when, err))
+			if i < inFlight {
+				e.InFlightCount--
+				e.ExportBase = 0
+			}
 			continue
 		}
 		kept = append(kept, op)
 	}
 	env.TakeOps()
-	e.Obj = base
-	e.PendingOps = kept
-	e.Tentative = len(kept) > 0
-	am.envs[u] = env
-	am.cache.Touch(u)
+	return kept
 }
 
 func (am *AccessManager) newEnvLocked(obj *rdo.Object) (*rdo.Env, error) {
 	return rdo.NewEnv(obj, rdo.EnvOptions{Sandbox: rdo.Trusted, Stdout: am.cfg.Stdout})
 }
 
+// envForLocked returns the entry's execution environment, building it on
+// first use. The environment is kept on the entry, so it lives exactly as
+// long as the cached object it is bound to.
 func (am *AccessManager) envForLocked(e *cache.Entry) (*rdo.Env, error) {
-	if env, ok := am.envs[e.Obj.URN]; ok && env.Object() == e.Obj {
-		return env, nil
+	if e.Env == nil || e.Env.Object() != e.Obj {
+		env, err := am.newEnvLocked(e.Obj)
+		if err != nil {
+			return nil, err
+		}
+		e.Env = env
 	}
-	env, err := am.newEnvLocked(e.Obj)
-	if err != nil {
-		return nil, err
-	}
-	am.envs[e.Obj.URN] = env
-	return env, nil
+	return e.Env, nil
 }
 
 func (am *AccessManager) conflictLocked(u urn.URN, msg string) {
@@ -517,7 +540,6 @@ func (am *AccessManager) InvokeRemote(u urn.URN, method string, args []string, p
 			// the next import refetches.
 			if e, ok := am.cache.Peek(u); ok && !e.Tentative && !e.ExportInFlight {
 				am.cache.Remove(u)
-				delete(am.envs, u)
 			}
 			am.mu.Unlock()
 		}
@@ -573,16 +595,7 @@ func (am *AccessManager) Export(u urn.URN, p qrpc.Priority) (*Future[ExportResul
 		am.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrExportInFlight, u)
 	}
-	e.ExportInFlight = true
-	e.InFlightCount = len(e.PendingOps)
-	invs := make([]rdo.Invocation, e.InFlightCount)
-	copy(invs, e.PendingOps)
-	args := &proto.ExportArgs{
-		URN:     u,
-		BaseVer: e.CommittedVersion,
-		Invs:    invs,
-		ReadDep: am.sess.ReadDependency(u),
-	}
+	args := am.beginExportLocked(u, e)
 	am.stats.ExportsSent++
 	am.mu.Unlock()
 
@@ -592,16 +605,44 @@ func (am *AccessManager) Export(u urn.URN, p qrpc.Priority) (*Future[ExportResul
 		am.mu.Lock()
 		e.ExportInFlight = false
 		e.InFlightCount = 0
+		e.ExportBase = 0
 		am.mu.Unlock()
 		f.resolve(ExportResult{}, err)
 		return f, nil
 	}
-	prom.OnComplete(func(pr *qrpc.Promise) { am.onExportReply(u, f, pr) })
+	prom.OnComplete(func(pr *qrpc.Promise) {
+		res, perr, _ := pr.Result()
+		am.onExportReply(u, f, res, perr)
+	})
 	return f, nil
 }
 
-func (am *AccessManager) onExportReply(u urn.URN, f *Future[ExportResult], pr *qrpc.Promise) {
-	res, perr, _ := pr.Result()
+// beginExportLocked marks every pending operation of e in flight and builds
+// the request that ships them. Because it ships them all, the working copy
+// stamped BaseVer+1 IS the object a clean replay at the server must
+// produce: its checksum rides along as ExportArgs.Expect and the entry
+// remembers it, so a server that commits exactly that state can answer
+// without the object and onExportReply promotes the copy it already holds.
+func (am *AccessManager) beginExportLocked(u urn.URN, e *cache.Entry) *proto.ExportArgs {
+	e.ExportInFlight = true
+	e.InFlightCount = len(e.PendingOps)
+	e.ExportBase = e.CommittedVersion
+	e.Obj.Version = e.ExportBase + 1
+	e.ExportCheck = proto.ObjectCheck(e.Obj.Encode())
+	e.Obj.Version = e.ExportBase
+	return &proto.ExportArgs{
+		URN:       u,
+		BaseVer:   e.ExportBase,
+		Invs:      append([]rdo.Invocation(nil), e.PendingOps...),
+		ReadDep:   am.sess.ReadDependency(u),
+		HasExpect: true,
+		Expect:    e.ExportCheck,
+	}
+}
+
+// onExportReply settles an export: res is the encoded proto.ExportReply,
+// perr the server's application error.
+func (am *AccessManager) onExportReply(u urn.URN, f *Future[ExportResult], res []byte, perr error) {
 	am.mu.Lock()
 	e, ok := am.cache.Peek(u)
 	if !ok {
@@ -610,8 +651,10 @@ func (am *AccessManager) onExportReply(u urn.URN, f *Future[ExportResult], pr *q
 		return
 	}
 	inFlight := e.InFlightCount
+	base, check := e.ExportBase, e.ExportCheck
 	e.ExportInFlight = false
 	e.InFlightCount = 0
+	e.ExportBase = 0
 
 	if perr != nil {
 		if strings.Contains(perr.Error(), "checked out") {
@@ -640,9 +683,10 @@ func (am *AccessManager) onExportReply(u urn.URN, f *Future[ExportResult], pr *q
 		f.resolve(ExportResult{}, err)
 		return
 	}
-	// Every outcome returns the server's current object; the exported ops
-	// leave the pending queue (committed, merged, or parked in the repair
-	// queue), and the remainder rebases onto the fresh state.
+	// The exported ops leave the pending queue (committed, merged, or
+	// parked in the repair queue); whatever was invoked behind them stays
+	// and rebases onto the new committed state.
+	sent := e.PendingOps[:inFlight]
 	e.PendingOps = append([]rdo.Invocation(nil), e.PendingOps[inFlight:]...)
 	switch rep.Outcome {
 	case proto.OutcomeCommitted, proto.OutcomeResolved:
@@ -650,15 +694,61 @@ func (am *AccessManager) onExportReply(u urn.URN, f *Future[ExportResult], pr *q
 	case proto.OutcomeConflict:
 		am.conflictLocked(u, rep.Message)
 	}
-	if committed, err := rdo.Decode(rep.Object); err == nil {
-		am.adoptCommittedLocked(committed)
+	// The server sends its object unless it committed exactly the state
+	// this export predicted. Anything the cache cannot use — an object
+	// that does not decode, an empty reply that no longer matches the
+	// entry (a new committed copy was adopted mid-flight) or whose replay
+	// disagrees — is counted and refetched, never left stale.
+	usable := false
+	switch {
+	case len(rep.Object) > 0:
+		if committed, err := rdo.Decode(rep.Object); err == nil {
+			am.adoptCommittedLocked(committed)
+			usable = true
+		}
+	case rep.Outcome != proto.OutcomeCommitted || base == 0 || rep.NewVersion != base+1:
+		// An empty reply this entry has no matching expectation for.
+	case len(e.PendingOps) == 0:
+		// Nothing was invoked since Export: the working copy is the
+		// committed object but for its version. Promote it in place; its
+		// Env stays bound to it.
+		e.Obj.Version = rep.NewVersion
+		e.CommittedVersion = rep.NewVersion
+		e.Committed = nil
+		e.Tentative = false
+		e.ImportedAt = am.now()
+		am.cache.Touch(u)
+		usable = true
+	default:
+		// Operations queued behind the export: rebuild the committed copy
+		// from the pristine one and the operations that were in flight,
+		// then rebase the rest on top.
+		usable = am.advanceCommittedLocked(e, sent, rep.NewVersion, check)
 	}
-	more := false
-	if e2, ok := am.cache.Peek(u); ok && len(e2.PendingOps) > 0 {
-		more = true
+	switch {
+	case !usable:
+		am.stats.ExportRefetches++
+		if e.Committed != nil {
+			// Until the refetch lands, show the committed copy this entry
+			// does hold plus what is still pending — not the exported
+			// operations' effects on a base that may have moved.
+			am.rebuildWorkingLocked(e)
+		}
+	case len(rep.Object) == 0:
+		am.stats.LeanExports++
 	}
+	more := len(e.PendingOps) > 0 && am.cfg.AutoExport
 	am.mu.Unlock()
-	if more && am.cfg.AutoExport {
+	switch {
+	case !usable:
+		// Export the remainder only once the committed copy is current
+		// again, so it is based on the version the server holds.
+		am.Import(u, ImportOptions{Revalidate: true}).OnReady(func(*rdo.Object, error) {
+			if more {
+				am.Export(u, qrpc.PriorityNormal)
+			}
+		})
+	case more:
 		am.Export(u, qrpc.PriorityNormal)
 	}
 	f.resolve(ExportResult{Outcome: rep.Outcome, NewVersion: rep.NewVersion, Message: rep.Message}, nil)
@@ -872,7 +962,6 @@ func (am *AccessManager) HandleCallback(topic string, payload []byte) {
 	if e, ok := am.cache.Peek(ev.URN); ok && !e.Tentative && !e.ExportInFlight &&
 		ev.NewVersion > e.CommittedVersion {
 		am.cache.Remove(ev.URN)
-		delete(am.envs, ev.URN)
 	}
 	cb := am.cfg.OnInvalidate
 	am.mu.Unlock()
@@ -894,7 +983,6 @@ func (am *AccessManager) Uncache(u urn.URN) error {
 		return fmt.Errorf("%w: %s", ErrTentativePinned, u)
 	}
 	am.cache.Remove(u)
-	delete(am.envs, u)
 	return nil
 }
 

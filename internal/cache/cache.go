@@ -26,6 +26,11 @@ import (
 type Entry struct {
 	// Obj is the local working copy, including tentative mutations.
 	Obj *rdo.Object
+	// Env is the execution environment bound to Obj, built by the access
+	// manager on the first local invocation (nil until then). It lives on
+	// the entry so that it dies with it: eviction or Remove drops the only
+	// reference, and Put clears it together with the Obj it was bound to.
+	Env *rdo.Env
 	// Committed is the pristine committed copy, materialized lazily the
 	// first time a local invocation is about to mutate Obj (copy-on-first-
 	// write). nil means Obj itself is clean. The access manager rebuilds
@@ -43,6 +48,14 @@ type Entry struct {
 	ExportInFlight bool
 	// InFlightCount is how many of PendingOps are in the in-flight export.
 	InFlightCount int
+	// ExportBase and ExportCheck are what the in-flight export told the
+	// server to expect: the committed version it was based on and the
+	// checksum of the working copy encoded at ExportBase+1. A reply that
+	// confirms them carries no object. ExportBase 0 (no object has version
+	// 0) means there is nothing to confirm — no export in flight, or a new
+	// committed copy was adopted underneath it.
+	ExportBase  uint64
+	ExportCheck uint32
 	// ImportedAt is when the committed copy was fetched.
 	ImportedAt vtime.Time
 
@@ -104,12 +117,16 @@ func (c *Cache) Peek(u urn.URN) (*Entry, bool) {
 }
 
 // Put inserts or replaces the committed copy for u and returns its entry.
+// Replacing drops what was tied to the old copy: its Env, and what an
+// in-flight export expected the server to produce from it.
 func (c *Cache) Put(obj *rdo.Object, now vtime.Time) *Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old, ok := c.entries[obj.URN]; ok {
 		c.curBytes -= old.bytes
 		old.Obj = obj
+		old.Env = nil
+		old.ExportBase = 0
 		old.CommittedVersion = obj.Version
 		old.ImportedAt = now
 		old.bytes = obj.SizeEstimate()

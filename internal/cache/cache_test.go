@@ -2,8 +2,11 @@ package cache
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rover/internal/rdo"
 	"rover/internal/urn"
@@ -171,5 +174,47 @@ func TestUnboundedNeverEvicts(t *testing.T) {
 	}
 	if c.Len() != 100 || c.Stats().Evictions != 0 {
 		t.Errorf("Len=%d evictions=%d", c.Len(), c.Stats().Evictions)
+	}
+}
+
+// TestEnvEvictedWithEntry: what the access manager ties to an entry goes
+// where the entry goes. Eviction leaves the cache holding no path to the
+// object or its environment, and replacing the committed copy drops the
+// environment and the export expectation bound to the old one.
+func TestEnvEvictedWithEntry(t *testing.T) {
+	c := New(3000)
+	var freed atomic.Int64
+	for i := 0; i < 10; i++ {
+		e := c.Put(obj(fmt.Sprintf("o%d", i), 1000), 0)
+		env, err := rdo.NewEnv(e.Obj, rdo.EnvOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Env = env
+		runtime.SetFinalizer(e.Obj, func(*rdo.Object) { freed.Add(1) })
+	}
+	evicted := c.Stats().Evictions
+	if evicted < 7 {
+		t.Fatalf("%d evictions from a cache with room for two", evicted)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for freed.Load() < evicted && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := freed.Load(); got < evicted {
+		t.Fatalf("%d entries evicted, %d objects collected", evicted, got)
+	}
+
+	survivor := urn.MustParse("urn:rover:h/o9")
+	e, ok := c.Peek(survivor)
+	if !ok || e.Env == nil {
+		t.Fatalf("most recent entry: %+v, %v", e, ok)
+	}
+	e.ExportBase, e.ExportCheck = 1, 0xABCD
+	next := obj("o9", 1000)
+	next.Version = 2
+	if e2 := c.Put(next, 0); e2 != e || e.Env != nil || e.ExportBase != 0 || e.Obj != next {
+		t.Fatalf("replace kept state of the old copy: %+v", e)
 	}
 }

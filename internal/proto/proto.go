@@ -17,8 +17,8 @@ import (
 // every other checksum in the toolkit).
 var objectCheckTable = crc32.MakeTable(crc32.Castagnoli)
 
-// ObjectCheck computes the delta-import integrity checksum over an
-// object's wire encoding (rdo.Object.Encode is deterministic — state
+// ObjectCheck computes the delta-import and lean-export integrity checksum
+// over an object's wire encoding (rdo.Object.Encode is deterministic — state
 // pairs are sorted — so server and client agree byte-for-byte whenever
 // their replays agree).
 func ObjectCheck(encoded []byte) uint32 {
@@ -146,18 +146,18 @@ func (m *ImportReply) UnmarshalWire(r *wire.Reader) error {
 	m.Delta = r.Bool()
 	m.FromVersion = r.Uvarint()
 	m.NewVersion = r.Uvarint()
-	n := r.Len()
-	m.Ops = make([]rdo.Invocation, n)
-	for i := 0; i < n; i++ {
-		if err := m.Ops[i].UnmarshalWire(r); err != nil {
-			return err
-		}
+	var err error
+	if m.Ops, err = readInvocations(r); err != nil {
+		return err
 	}
 	m.Check = r.Uint32()
 	return r.Err()
 }
 
-// ExportArgs ships a batch of tentative operations on one object.
+// ExportArgs ships a batch of tentative operations on one object. The
+// Expect field trails the original encoding and is omitted entirely when
+// HasExpect is false (the ImportReply delta-trailer convention), so a
+// trailer-less client's bytes are what they always were.
 type ExportArgs struct {
 	URN     urn.URN
 	BaseVer uint64
@@ -165,6 +165,12 @@ type ExportArgs struct {
 	// ReadDeps carries writes-follow-reads dependencies: object versions
 	// this batch's session had read when the operations were performed.
 	ReadDep uint64
+
+	// Expect is ObjectCheck of the state the client predicts a clean commit
+	// produces: its working copy encoded at version BaseVer+1. A server
+	// whose committed object hashes to it leaves ExportReply.Object empty.
+	HasExpect bool
+	Expect    uint32
 }
 
 // MarshalWire implements wire.Marshaler.
@@ -176,6 +182,9 @@ func (m *ExportArgs) MarshalWire(b *wire.Buffer) {
 	for i := range m.Invs {
 		m.Invs[i].MarshalWire(b)
 	}
+	if m.HasExpect {
+		b.PutUint32(m.Expect)
+	}
 }
 
 // UnmarshalWire implements wire.Unmarshaler.
@@ -183,12 +192,13 @@ func (m *ExportArgs) UnmarshalWire(r *wire.Reader) error {
 	us := r.String()
 	m.BaseVer = r.Uvarint()
 	m.ReadDep = r.Uvarint()
-	n := r.Len()
-	m.Invs = make([]rdo.Invocation, n)
-	for i := 0; i < n; i++ {
-		if err := m.Invs[i].UnmarshalWire(r); err != nil {
-			return err
-		}
+	var err error
+	if m.Invs, err = readInvocations(r); err != nil {
+		return err
+	}
+	m.HasExpect, m.Expect = false, 0
+	if r.Remaining() > 0 {
+		m.HasExpect, m.Expect = true, r.Uint32()
 	}
 	if err := r.Err(); err != nil {
 		return err
@@ -198,7 +208,8 @@ func (m *ExportArgs) UnmarshalWire(r *wire.Reader) error {
 
 // ExportReply reports the commit/resolve/conflict outcome. Object carries
 // the server's post-export state so the client cache converges without a
-// second round trip.
+// second round trip; it is empty only for a Committed outcome whose state
+// hashed to ExportArgs.Expect — the client already holds those bytes.
 type ExportReply struct {
 	Outcome    Outcome
 	NewVersion uint64
@@ -555,6 +566,22 @@ func (m *ConflictsReply) UnmarshalWire(r *wire.Reader) error {
 		m.Conflicts = append(m.Conflicts, c)
 	}
 	return r.Err()
+}
+
+// readInvocations reads a count-prefixed invocation list. The count is a
+// peer's claim, so storage is sized by the bytes actually present (an
+// invocation encodes to at least four).
+func readInvocations(r *wire.Reader) ([]rdo.Invocation, error) {
+	n := r.Len()
+	invs := make([]rdo.Invocation, 0, min(n, r.Remaining()/4))
+	for i := 0; i < n; i++ {
+		var inv rdo.Invocation
+		if err := inv.UnmarshalWire(r); err != nil {
+			return nil, err
+		}
+		invs = append(invs, inv)
+	}
+	return invs, r.Err()
 }
 
 func parseURN(s string, dst *urn.URN) error {

@@ -477,3 +477,76 @@ func pairClient(t *testing.T, p *pair, i int) (*rover.Client, *transport.Sim) {
 	}
 	return cli, sim
 }
+
+// TestLeanExportSurvivesFailover: the primary commits an export, streams
+// it to the peer and dies with the reply still in the pipe. The client
+// fails over and redelivers; whichever way the survivor answers (the
+// replicated reply, or recognizing the operations as already committed),
+// the answer is the lean one and the client promotes the copy it holds.
+func TestLeanExportSurvivesFailover(t *testing.T) {
+	p := newPair(t)
+	u := rover.MustParseURN("urn:rover:pair/counter")
+	if err := p.srvs[0].Seed(counterObject(u)); err != nil {
+		t.Fatal(err)
+	}
+	p.drain(t)
+	p.requireConverged(t)
+	cli, sim := pairClient(t, p, 0)
+
+	if _, err := cli.Invoke(u, "bump", "k0"); err != nil {
+		t.Fatal(err)
+	}
+	p.drain(t)
+	if st := cli.Access().Stats(); st.LeanExports != 1 || cli.Tentative(u) {
+		t.Fatalf("plain export: %+v tentative=%v", st, cli.Tentative(u))
+	}
+
+	if _, err := cli.Invoke(u, "bump", "k1"); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if v, _ := p.srvs[0].Store().Version(u); v == 3 {
+			break
+		}
+		if !p.sched.Step() {
+			t.Fatal("export never reached the primary")
+		}
+	}
+	sim.Duplex().SetUp(false) // the reply dies in the pipe
+	p.drain(t)                // ...while the commit reaches the peer
+	if !cli.Tentative(u) {
+		t.Fatal("client saw a reply that should have been lost")
+	}
+	if v, _ := p.srvs[1].Store().Version(u); v != 3 {
+		t.Fatalf("peer at version %d before the crash, want 3", v)
+	}
+	p.links[0].Duplex().SetUp(false)
+	p.links[1].Duplex().SetUp(false)
+	p.srvs[0].Close()
+	p.srvs[0] = nil
+
+	p.simSeed++
+	cli.AttachTransport(transport.NewSim(p.sched, netsim.WaveLAN2, p.simSeed, cli.Engine(), p.srvs[1].Engine()))
+	p.drain(t)
+	if cli.Tentative(u) {
+		t.Fatal("redelivered export never settled at the survivor")
+	}
+	st := cli.Access().Stats()
+	if st.LeanExports != 2 || st.ExportRefetches != 0 || st.Conflicts != 0 {
+		t.Fatalf("client stats after failover: %+v", st)
+	}
+	cached, err, _ := cli.Import(u, rover.ImportOptions{}).Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, _ := p.srvs[1].Store().Get(u)
+	if !bytes.Equal(cached.Encode(), stored.Encode()) || stored.Version != 3 {
+		t.Fatalf("cache v%d %v\nstore v%d %v", cached.Version, cached.State, stored.Version, stored.State)
+	}
+	// Answered from the replicated reply cache or by WasCommitted — never
+	// by executing the operations a second time.
+	survivor := p.srvs[1]
+	if survivor.Engine().Stats().ReplaysServed+survivor.ServerStats().DuplicateExports == 0 {
+		t.Error("survivor re-executed the export instead of recognizing it")
+	}
+}

@@ -71,6 +71,9 @@ type Stats struct {
 	// DuplicateExports counts redelivered exports recognized as already
 	// committed (store.WasCommitted) and answered without re-applying.
 	DuplicateExports int64
+	// LeanReplies counts export replies sent without the object: the
+	// committed state hashed to the checksum the client predicted.
+	LeanReplies int64
 }
 
 // Stats returns a snapshot of the service counters.
@@ -289,26 +292,45 @@ func (s *Server) handleExport(clientID string, req qrpc.Request) ([]byte, error)
 			if err != nil {
 				continue // lost a race; re-resolve on fresh state
 			}
-			rep.NewVersion = newVer
-			committed, _ := s.store.Get(args.URN)
-			rep.Object = committed.Encode()
+			// The working copy is what was just committed: stamped with
+			// its new version it is the stored object, whatever another
+			// export has done to the store since.
+			obj.Version = newVer
 			s.notifyInvalidate(clientID, args.URN, newVer)
-			return wire.Marshal(rep), nil
+			return s.exportReply(rep, obj, &args), nil
 		}
-		// Conflict (rejected): reply with the server's pristine state. The
-		// working copy `obj` must NOT be used here — a rejecting resolver
-		// may have partially replayed the operations into it before the
+		// Not committed here (rejected, or a redelivery of an export that
+		// committed earlier): reply with the server's pristine state. The
+		// working copy `obj` must NOT be used — a rejecting resolver may
+		// have partially replayed the operations into it before the
 		// failing one, and shipping that taint would make clients adopt
 		// updates that were never committed.
 		pristine, err := s.store.Get(args.URN)
 		if err != nil {
 			return nil, err
 		}
-		rep.NewVersion = pristine.Version
-		rep.Object = pristine.Encode()
-		return wire.Marshal(rep), nil
+		return s.exportReply(rep, pristine, &args), nil
 	}
 	return nil, fmt.Errorf("server: export of %s starved by concurrent commits", args.URN)
+}
+
+// exportReply completes rep with the server's state after the export and
+// encodes it. The object rides along unless the client can be told it
+// already holds it: the outcome is Committed and the encoding hashes to
+// the checksum the client computed over its own working copy. Resolved and
+// Conflict outcomes, a replay that diverged from the client's, and a
+// redelivered export whose object has moved on since all fail that test
+// and carry the object, so the client never needs a second round trip.
+func (s *Server) exportReply(rep *proto.ExportReply, obj *rdo.Object, args *proto.ExportArgs) []byte {
+	rep.NewVersion = obj.Version
+	rep.Object = obj.Encode()
+	if rep.Outcome == proto.OutcomeCommitted && args.HasExpect && proto.ObjectCheck(rep.Object) == args.Expect {
+		rep.Object = nil
+		s.mu.Lock()
+		s.stats.LeanReplies++
+		s.mu.Unlock()
+	}
+	return wire.Marshal(rep)
 }
 
 // applyExport runs the operations (directly or through the resolver)

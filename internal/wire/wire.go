@@ -350,11 +350,15 @@ type Unmarshaler interface {
 	UnmarshalWire(r *Reader) error
 }
 
-// Marshal encodes m into a fresh byte slice.
+// Marshal encodes m into a fresh byte slice. The message is built in pooled
+// scratch and copied out once at its final size, so a call costs one
+// allocation however many fields m appends.
 func Marshal(m Marshaler) []byte {
-	var b Buffer
-	m.MarshalWire(&b)
-	return b.Bytes()
+	b := GetBuffer()
+	m.MarshalWire(b)
+	out := append([]byte(nil), b.b...)
+	PutBuffer(b)
+	return out
 }
 
 // Unmarshal decodes p into m, requiring that the whole input is consumed.
