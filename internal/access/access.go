@@ -291,10 +291,8 @@ func (am *AccessManager) importRemote(u urn.URN, haveVersion uint64, p qrpc.Prio
 			return
 		}
 		am.mu.Lock()
-		am.adoptCommittedLocked(obj)
+		out := am.adoptCommittedLocked(obj).Obj.Clone()
 		am.sess.RecordRead(u, obj.Version)
-		e, _ := am.cache.Get(u)
-		out := e.Obj.Clone()
 		am.mu.Unlock()
 		f.resolve(out, nil)
 	})
@@ -317,8 +315,9 @@ func (am *AccessManager) applyDelta(u urn.URN, rep *proto.ImportReply) (*rdo.Obj
 	}
 	am.stats.DeltaImports++
 	am.sess.RecordRead(u, rep.NewVersion)
-	e2, _ := am.cache.Get(u)
-	return e2.Obj.Clone(), true
+	// The cache updates an existing entry in place, so e holds the advanced
+	// object — also when it outgrew the budget and was evicted on the way.
+	return e.Obj.Clone(), true
 }
 
 // advanceCommittedLocked moves e's committed copy to newVer by replaying
@@ -347,7 +346,7 @@ func (am *AccessManager) advanceCommittedLocked(e *cache.Entry, ops []rdo.Invoca
 		}
 	}
 	next.Version = newVer
-	if proto.ObjectCheck(next.Encode()) != check {
+	if proto.CheckOf(next) != check {
 		return false
 	}
 	am.adoptCommittedLocked(next)
@@ -357,7 +356,12 @@ func (am *AccessManager) advanceCommittedLocked(e *cache.Entry, ops []rdo.Invoca
 // adoptCommittedLocked installs a fresh committed copy, replaying any
 // local tentative operations on top of it (the client-side analog of
 // Bayou's reapplication of tentative writes over new committed state).
-func (am *AccessManager) adoptCommittedLocked(committed *rdo.Object) {
+//
+// It returns the entry it filled, which callers answer from instead of
+// looking the URN up again: an object bigger than the whole cache budget is
+// evicted by its own insertion (the budget is the user's bound and is not
+// stretched for it), so the lookup would find nothing.
+func (am *AccessManager) adoptCommittedLocked(committed *rdo.Object) *cache.Entry {
 	u := committed.URN
 	e, ok := am.cache.Peek(u)
 	if !ok || len(e.PendingOps) == 0 {
@@ -365,7 +369,7 @@ func (am *AccessManager) adoptCommittedLocked(committed *rdo.Object) {
 		entry.Committed = nil // Obj itself is the clean committed copy
 		entry.Tentative = false
 		entry.PendingOps = nil
-		return
+		return entry
 	}
 	// Rebase tentative ops onto the new committed state.
 	base := committed.Clone()
@@ -386,6 +390,7 @@ func (am *AccessManager) adoptCommittedLocked(committed *rdo.Object) {
 		entry.Env = env
 	}
 	am.cache.Touch(u)
+	return entry
 }
 
 // rebuildWorkingLocked reconstructs the entry's working copy from its
@@ -628,7 +633,7 @@ func (am *AccessManager) beginExportLocked(u urn.URN, e *cache.Entry) *proto.Exp
 	e.InFlightCount = len(e.PendingOps)
 	e.ExportBase = e.CommittedVersion
 	e.Obj.Version = e.ExportBase + 1
-	e.ExportCheck = proto.ObjectCheck(e.Obj.Encode())
+	e.ExportCheck = proto.CheckOf(e.Obj)
 	e.Obj.Version = e.ExportBase
 	return &proto.ExportArgs{
 		URN:       u,

@@ -658,6 +658,72 @@ func TestCacheEvictionUnderPressure(t *testing.T) {
 	}
 }
 
+// TestImportLargerThanCache: an object bigger than the whole cache budget
+// is evicted by its own insertion. The import still resolves with the
+// object (the completion callback used to dereference the missing entry),
+// a delta import that grows an object past the budget does too, and the
+// cache accounts for exactly what it holds.
+func TestImportLargerThanCache(t *testing.T) {
+	engine, srv := newServerRig(t)
+	big := counterObj("big")
+	big.Set("fill", strings.Repeat("x", 4096))
+	srv.Store().Create(big)
+	small := rdo.New(urn.MustParse("urn:rover:home/small"), "note")
+	small.Code = `proc put {v} { state set v $v }`
+	srv.Store().Create(small)
+	r := newRig(t, "cli-1", engine, srv, func(c *Config) {
+		c.CacheBytes = 1024
+		c.AutoExport = false
+	})
+	u := urn.MustParse("urn:rover:home/big")
+	for round := 1; round <= 2; round++ {
+		obj := wait(t, r.am.Import(u, ImportOptions{}))
+		if v, _ := obj.Get("fill"); len(v) != 4096 {
+			t.Fatalf("round %d: imported fill of %d bytes", round, len(v))
+		}
+		if r.am.Cached(u) {
+			t.Fatalf("round %d: a 4 KiB object sits in a 1 KiB cache", round)
+		}
+		if _, err := r.am.Invoke(u, "add", "1"); !errors.Is(err, ErrNotCached) {
+			t.Fatalf("round %d: Invoke on the evicted object: %v", round, err)
+		}
+		cs, st := r.am.CacheStats(), r.am.Stats()
+		if n := int64(round); cs.Inserts != n || cs.Evictions != n || st.ImportsSent != n || st.CacheServes != 0 {
+			t.Fatalf("round %d: cache stats %+v, stats %+v", round, cs, st)
+		}
+		if n, b := r.am.cache.Len(), r.am.cache.Bytes(); n != 0 || b != 0 {
+			t.Fatalf("round %d: cache holds %d entries, %d bytes", round, n, b)
+		}
+	}
+
+	// A delta that grows a cached object past the budget.
+	us := urn.MustParse("urn:rover:home/small")
+	wait(t, r.am.Import(us, ImportOptions{}))
+	if !r.am.Cached(us) {
+		t.Fatal("small object not cached")
+	}
+	other := newRig(t, "cli-2", engine, srv, func(c *Config) { c.AutoExport = false })
+	wait(t, other.am.Import(us, ImportOptions{}))
+	if _, err := other.am.Invoke(us, "put", strings.Repeat("y", 2048)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := other.am.Export(us, qrpc.PriorityNormal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait(t, f)
+	obj := wait(t, r.am.Import(us, ImportOptions{Revalidate: true}))
+	if v, _ := obj.Get("v"); len(v) != 2048 || obj.Version != 2 {
+		t.Fatalf("after delta: version %d, v of %d bytes", obj.Version, len(v))
+	}
+	if st := r.am.Stats(); st.DeltaImports != 1 {
+		t.Errorf("delta imports %d, want 1 (stats %+v)", st.DeltaImports, st)
+	}
+	if r.am.Cached(us) || r.am.cache.Bytes() != 0 {
+		t.Errorf("grown object still cached: %d bytes held", r.am.cache.Bytes())
+	}
+}
+
 func TestSessionGuaranteeForcesRevalidation(t *testing.T) {
 	// After a remote invoke bumps the version, read-your-writes must not
 	// serve the stale cached copy.

@@ -25,6 +25,16 @@ func ObjectCheck(encoded []byte) uint32 {
 	return crc32.Checksum(encoded, objectCheckTable)
 }
 
+// CheckOf is ObjectCheck(obj.Encode()) without allocating the encoding: the
+// object is encoded into pooled scratch, hashed, and the scratch released.
+func CheckOf(obj *rdo.Object) uint32 {
+	b := wire.GetBuffer()
+	obj.MarshalWire(b)
+	check := ObjectCheck(b.Bytes())
+	wire.PutBuffer(b)
+	return check
+}
+
 // Service names. These are the "well-defined interface" through which all
 // client/server interaction flows.
 const (

@@ -69,8 +69,11 @@ type StateOp struct {
 }
 
 // NewEnv creates an execution environment for obj. The object's Code is
-// evaluated immediately (defining its method procs); an error there is an
-// error loading the RDO.
+// loaded immediately (defining its method procs); an error there is an
+// error loading the RDO. Code that only defines procs — what applications
+// ship — is not run again for every environment: the interpreter binds the
+// proc table computed when the process first met that code (rscript's
+// class), which every environment over the same code shares read-only.
 func NewEnv(obj *Object, opts EnvOptions) (*Env, error) {
 	budget := opts.StepBudget
 	if budget == 0 {

@@ -8,14 +8,21 @@ import (
 	"unicode/utf8"
 )
 
+// builtin is one standard command and its bit in Interp.hidden.
+type builtin struct {
+	fn  builtinFunc
+	bit uint64
+}
+
 // builtins is the full standard command set, shared by every interpreter
 // and read-only after init. Hosts building restricted sandboxes Unregister
-// names per interpreter (see rdo.Sandbox). It is filled in init rather than
-// by its declaration because `info commands` reads it.
-var builtins map[string]builtinFunc
+// names per interpreter (see rdo.Sandbox), which sets the command's bit in
+// that interpreter's hidden mask. It is filled in init rather than by its
+// declaration because `info commands` reads it.
+var builtins map[string]builtin
 
 func init() {
-	builtins = map[string]builtinFunc{
+	fns := map[string]builtinFunc{
 		"set":      cmdSet,
 		"unset":    cmdUnset,
 		"incr":     cmdIncr,
@@ -52,6 +59,13 @@ func init() {
 		"format":   cmdFormat,
 		"puts":     cmdPuts,
 		"info":     cmdInfo,
+	}
+	if len(fns) > 64 {
+		panic("rscript: more builtins than bits in Interp.hidden")
+	}
+	builtins = make(map[string]builtin, len(fns))
+	for name, fn := range fns {
+		builtins[name] = builtin{fn: fn, bit: 1 << len(builtins)}
 	}
 }
 
@@ -126,15 +140,30 @@ func cmdProc(ip *Interp, args []string) (string, *flow) {
 	if len(args) != 3 {
 		return "", argErr("proc", "name params body")
 	}
-	paramList, err := ParseList(args[1])
-	if err != nil {
-		return "", errorFlow("proc %q: bad parameter list: %v", args[0], err)
+	proc, f := newProc(args[0], args[1], args[2])
+	if f != nil {
+		return "", f
 	}
-	proc := &Proc{Name: args[0], Body: args[2]}
+	if ip.own == nil {
+		ip.own = make(map[string]*Proc)
+	}
+	ip.own[proc.Name] = proc
+	return "", nil
+}
+
+// newProc builds the procedure that `proc name params body` defines. A body
+// that does not parse is not an error of the definition: calling the
+// procedure reports it.
+func newProc(name, params, body string) (*Proc, *flow) {
+	paramList, err := ParseList(params)
+	if err != nil {
+		return nil, errorFlow("proc %q: bad parameter list: %v", name, err)
+	}
+	proc := &Proc{Name: name}
 	for i, ps := range paramList {
 		spec, err := ParseList(ps)
 		if err != nil || len(spec) == 0 || len(spec) > 2 {
-			return "", errorFlow("proc %q: bad parameter %q", args[0], ps)
+			return nil, errorFlow("proc %q: bad parameter %q", name, ps)
 		}
 		p := param{name: spec[0]}
 		if len(spec) == 2 {
@@ -146,8 +175,8 @@ func cmdProc(ip *Interp, args []string) (string, *flow) {
 		}
 		proc.Params = append(proc.Params, p)
 	}
-	ip.procs[args[0]] = proc
-	return "", nil
+	proc.body, proc.bodyErr = parseCached(body)
+	return proc, nil
 }
 
 func cmdReturn(ip *Interp, args []string) (string, *flow) {
@@ -445,14 +474,14 @@ func cmdGlobal(ip *Interp, args []string) (string, *flow) {
 		return "", argErr("global", "varName ?varName ...?")
 	}
 	fr := ip.current()
-	if fr == ip.global {
+	if fr == &ip.global {
 		return "", nil // no-op at global level
 	}
 	if fr.links == nil {
 		fr.links = make(map[string]*frame)
 	}
 	for _, name := range args {
-		fr.links[name] = ip.global
+		fr.links[name] = &ip.global
 	}
 	return "", nil
 }
@@ -475,7 +504,7 @@ func cmdUpvar(ip *Interp, args []string) (string, *flow) {
 		}
 		target = ip.stack[len(ip.stack)-2]
 	case "#0":
-		target = ip.global
+		target = &ip.global
 	default:
 		return "", errorFlow("upvar: unsupported level %q", level)
 	}

@@ -151,6 +151,31 @@ func fuzzState(store map[string]string) CmdFunc {
 	}
 }
 
+// classSeeds load, or just fail to load, through the class path: code that
+// only defines procs, and the shapes next to it that must be evaluated.
+var classSeeds = []string{
+	``,
+	"# nothing but a comment\n",
+	`proc proc {} {}`,
+	`proc a {} {return 1}; proc proc {args} {return mine}; proc b {} {return 2}`,
+	`proc a {} {return first}; proc a {x} {return second}`,
+	`proc f {{a b c}} {}`,
+	`proc ok {} {return 1}; proc f {a {b} {}} {}; proc g "\{" {}; proc later {} {}`,
+	`proc broken {} {set a "}; proc fine {} {return ok}`,
+	`proc broken {} {set a [}; proc notbroken {x} {set a \{}`,
+	`proc broken {x} {if {1} {set a "}}`,
+	`proc one {} {return 1}; proc two {} {return 2}; set x 1`,
+	`set x 1; proc one {} {return $x}`,
+	`proc one {} {return 1}; proc $seed {} {return 2}`,
+	`proc one {} {return 1}; proc two {} [list return 2]`,
+	`proc one {} {return 1}; proc two {}`,
+	`proc a {} {}; proc b {} {}; proc c {} {}; proc d {} {}; proc e {} {}`,
+	`proc set {name args} {return shadowed}; proc uses {} {set x 1}`,
+	`proc v {args} {llength $args}; proc d {a {b 2}} {list $a $b}`,
+	`proc outer {} {proc inner {} {return made}; inner}; proc redo {} {proc outer {} {return replaced}}`,
+	`proc up {} {upvar n n; incr n}; proc g {} {global n; incr n; up}`,
+}
+
 // evalOutcome is everything an evaluation can be observed to have done.
 type evalOutcome struct {
 	value, err string
@@ -159,53 +184,92 @@ type evalOutcome struct {
 	procs      string
 	state      string
 	stdout     string
+	calls      string
 }
 
-func observeEval(src string) evalOutcome {
+// observeEval loads src into a fresh interpreter with the given step
+// budget — through Eval, or when walk is set by walking a parse of its own
+// with evalScript, which never binds a class — and then calls every proc
+// the interpreter ended up with, with no, one and two arguments.
+func observeEval(src string, budget int64, walk bool) evalOutcome {
 	var out strings.Builder
 	store := map[string]string{}
-	ip := New(Options{StepBudget: 400, MaxDepth: 12, Stdout: &out})
+	ip := New(Options{StepBudget: budget, MaxDepth: 12, Stdout: &out})
 	ip.Register("state", fuzzState(store))
 	ip.SetVar("seed", "3")
 	ip.SetVar("n", "0")
-	v, err := ip.Eval(src)
-	o := evalOutcome{value: v, steps: ip.StepsUsed(), stdout: out.String()}
+	var v string
+	var err error
+	if walk {
+		var s *Script
+		if s, err = Parse(src); err == nil {
+			v, err = finish(ip.evalScript(s))
+		}
+	} else {
+		v, err = ip.Eval(src)
+	}
+	o := evalOutcome{value: v, steps: ip.StepsUsed()}
 	if err != nil {
 		o.err = err.Error()
 	}
-	o.vars = fmt.Sprint(ip.GlobalVars()) // fmt prints maps in key order
 	procs := ip.Procs()
 	sort.Strings(procs)
 	o.procs = strings.Join(procs, " ")
+	var calls strings.Builder
+	for _, name := range procs {
+		for _, args := range [][]string{nil, {"1"}, {"1", "b c"}} {
+			ip.ResetBudget()
+			v, err := ip.Call(name, args...)
+			fmt.Fprintf(&calls, "%s%q = %q, %v, %d steps\n", name, args, v, err, ip.StepsUsed())
+		}
+	}
+	o.calls = calls.String()
+	o.vars = fmt.Sprint(ip.GlobalVars()) // fmt prints maps in key order
 	o.state = fmt.Sprint(store)
+	o.stdout = out.String()
 	return o
 }
 
 // FuzzEvalCachedVsFresh: evaluating a source whose every script, body and
 // expression is compiled afresh, and evaluating it again with all of them
 // served from the process-wide caches, must be indistinguishable — value,
-// error text, step count, variables, procs, host state and output. A
-// compiled form that evaluation modified, or one that captured anything of
-// the interpreter that first compiled it, shows up as a difference.
+// error text, step count, variables, procs, host state and output, and then
+// the result, error and step count of calling each proc. A compiled form
+// that evaluation modified, or one that captured anything of the
+// interpreter that first compiled it, shows up as a difference.
+//
+// The same holds between loading through Eval, which binds a class where
+// the code has one, and walking the script command by command: a class is
+// that walk's result, so every source must come out the same both ways,
+// under a budget that covers the load and under one that may not.
 func FuzzEvalCachedVsFresh(f *testing.F) {
-	for _, s := range rdoSeeds {
-		f.Add(s)
+	for _, seeds := range [][]string{rdoSeeds, evalSeeds, classSeeds} {
+		for _, s := range seeds {
+			f.Add(s)
+		}
 	}
-	for _, s := range evalSeeds {
-		f.Add(s)
+	// The shipped suites without the invocations behind them: what NewEnv loads.
+	for _, s := range rdoSeeds {
+		f.Add(s[:strings.LastIndex(s, "}\n")+2])
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		resetCaches()
-		fresh := observeEval(src)
-		cached := observeEval(src)
+		fresh := observeEval(src, 400, false)
+		cached := observeEval(src, 400, false)
 		if fresh != cached {
 			t.Fatalf("source %q\n fresh: %+v\ncached: %+v", src, fresh, cached)
 		}
 		// Once more with the top-level script evicted but its bodies and
 		// expressions still cached: a fresh Parse over cached parts.
 		scripts.evict(src)
-		if mixed := observeEval(src); mixed != fresh {
+		if mixed := observeEval(src, 400, false); mixed != fresh {
 			t.Fatalf("source %q\n fresh: %+v\n mixed: %+v", src, fresh, mixed)
+		}
+		if walked := observeEval(src, 400, true); walked != fresh {
+			t.Fatalf("source %q\n loaded: %+v\n walked: %+v", src, fresh, walked)
+		}
+		if loaded, walked := observeEval(src, 3, false), observeEval(src, 3, true); loaded != walked {
+			t.Fatalf("source %q, budget 3\n loaded: %+v\n walked: %+v", src, loaded, walked)
 		}
 	})
 }

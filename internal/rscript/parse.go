@@ -20,11 +20,12 @@ import (
 // constantly and every environment over one object evaluates the same code.
 
 // Script is a parsed rscript program. A Script, and everything reachable
-// from it, is read-only once Parse returns: cached scripts are walked by
-// many interpreters at once, so neither the evaluator nor a caller may
-// modify one.
+// from it, is read-only once Parse returns (parseCached, once it has set
+// class): cached scripts are walked by many interpreters at once, so
+// neither the evaluator nor a caller may modify one.
 type Script struct {
-	Cmds []*Cmd
+	Cmds  []*Cmd
+	class *class // set for a cached script that only defines procs
 }
 
 // Cmd is one command: a sequence of words, the first naming the command.
@@ -36,6 +37,16 @@ type Cmd struct {
 // Word is a sequence of parts concatenated after substitution.
 type Word struct {
 	Parts []Part
+}
+
+// literal returns the word's value if no substitution contributes to it.
+func (w *Word) literal() (string, bool) {
+	if len(w.Parts) == 1 {
+		if lit, ok := w.Parts[0].(LitPart); ok {
+			return string(lit), true
+		}
+	}
+	return "", false
 }
 
 // Part is a component of a word.

@@ -31,10 +31,15 @@ import (
 
 // Error is an rscript runtime error.
 type Error struct {
-	Msg string
+	Msg   string
+	cause error // ErrBudget, ErrDepth, or what a host command returned
 }
 
 func (e *Error) Error() string { return "rscript: " + e.Msg }
+
+// Unwrap returns the error the script failed with, if it was not the
+// script's own.
+func (e *Error) Unwrap() error { return e.cause }
 
 // ErrBudget is returned (wrapped in *Error) when a script exhausts its
 // step budget. Hosts detect runaway RDOs by errors.Is against this.
@@ -82,12 +87,13 @@ func errorFlow(format string, args ...any) *flow {
 	return &flow{kind: flowError, val: fmt.Sprintf(format, args...)}
 }
 
-// Proc is a script-defined procedure.
+// Proc is a script-defined procedure. A Proc is immutable once defined:
+// the procs of a class are called by every interpreter bound to it at once.
 type Proc struct {
-	Name   string
-	Params []param
-	Body   string
-	body   *Script // shared parse of Body, looked up on first call
+	Name    string
+	Params  []param
+	body    *Script // shared parse of the body
+	bodyErr error   // why the body does not parse; reported by every call
 }
 
 type param struct {
@@ -99,13 +105,34 @@ type param struct {
 
 // frame is one level of local variables.
 type frame struct {
-	vars  map[string]string
+	vars  map[string]string // made by the first set
 	links map[string]*frame // variables linked to another frame (global/upvar)
+	big   bool              // held more than frameReuseVars variables at some point
 }
 
-func newFrame() *frame {
-	return &frame{vars: make(map[string]string)}
+// set writes a variable of this frame, not following links.
+func (fr *frame) set(name, value string) {
+	if fr.vars == nil {
+		fr.vars = make(map[string]string)
+	}
+	fr.vars[name] = value
+	if len(fr.vars) > frameReuseVars {
+		fr.big = true
+	}
 }
+
+const (
+	// inlineDepth is how deep calls nest before the frame stack leaves the
+	// array inside Interp for the heap.
+	inlineDepth = 8
+	// maxFreeFrames bounds the frames an interpreter keeps for its next calls.
+	maxFreeFrames = 8
+	// frameReuseVars is the most variables a frame may ever have held and
+	// still be reused: clearing a map costs its capacity, not its length, so
+	// a reused frame that once grew huge would tax every later call with
+	// work the step budget does not see.
+	frameReuseVars = 32
+)
 
 // Interp is an rscript interpreter. An Interp is not safe for concurrent
 // use; RDO execution environments serialize access per object.
@@ -114,13 +141,22 @@ func newFrame() *frame {
 // interpreter and never written after init. An Interp's own command state
 // is what its host changed: the commands it Registered, which shadow
 // builtins of the same name, and the builtins it Unregistered.
+//
+// Procs are looked up in own, then in class. class is the shared, immutable
+// table of the code the interpreter loaded (see class); own holds what a
+// `proc` command defined at run time, so a redefinition shadows the class's
+// proc in this interpreter and is invisible to every other one.
 type Interp struct {
 	opts   Options
-	global *frame
-	stack  []*frame            // stack[0] == global
-	host   map[string]CmdFunc  // Register'ed commands
-	hidden map[string]struct{} // builtins removed by Unregister
-	procs  map[string]*Proc
+	global frame
+	stack  []*frame              // stack[0] == &global
+	stack0 [inlineDepth]*frame   // what stack is a slice of until calls nest deeper
+	free   [maxFreeFrames]*frame // free[:nfree]: emptied frames of returned calls
+	nfree  int
+	host   map[string]CmdFunc // Register'ed commands
+	hidden uint64             // builtin.bit of every builtin removed by Unregister
+	class  *class             // procs of the loaded code, shared
+	own    map[string]*Proc   // procs a `proc` command defined here; made by the first
 	steps  int64
 	depth  int
 }
@@ -129,12 +165,9 @@ const defaultMaxDepth = 200
 
 // New returns an interpreter with the full builtin command set.
 func New(opts Options) *Interp {
-	ip := &Interp{
-		opts:   opts,
-		global: newFrame(),
-		procs:  make(map[string]*Proc),
-	}
-	ip.stack = []*frame{ip.global}
+	ip := &Interp{opts: opts}
+	ip.stack0[0] = &ip.global
+	ip.stack = ip.stack0[:1]
 	return ip
 }
 
@@ -150,32 +183,23 @@ func (ip *Interp) Register(name string, fn CmdFunc) {
 // hosts build restricted sandboxes.
 func (ip *Interp) Unregister(name string) {
 	delete(ip.host, name)
-	if _, ok := builtins[name]; ok {
-		if ip.hidden == nil {
-			ip.hidden = make(map[string]struct{})
-		}
-		ip.hidden[name] = struct{}{}
-	}
+	ip.hidden |= builtins[name].bit
 }
 
 // Commands returns the sorted-later names of all registered commands
 // (including builtins); used by `info commands` and sandbox auditing.
 func (ip *Interp) Commands() []string {
-	names := make([]string, 0, len(builtins)+len(ip.host)+len(ip.procs))
-	for n := range builtins {
-		_, hidden := ip.hidden[n]
+	names := make([]string, 0, len(builtins)+len(ip.host)+ip.numProcs())
+	for n, b := range builtins {
 		_, shadowed := ip.host[n]
-		if !hidden && !shadowed {
+		if ip.hidden&b.bit == 0 && !shadowed {
 			names = append(names, n)
 		}
 	}
 	for n := range ip.host {
 		names = append(names, n)
 	}
-	for n := range ip.procs {
-		names = append(names, n)
-	}
-	return names
+	return ip.appendProcs(names)
 }
 
 // StepsUsed reports how many commands have executed.
@@ -186,7 +210,7 @@ func (ip *Interp) StepsUsed() int64 { return ip.steps }
 func (ip *Interp) ResetBudget() { ip.steps = 0 }
 
 // SetVar sets a global variable.
-func (ip *Interp) SetVar(name, value string) { ip.global.vars[name] = value }
+func (ip *Interp) SetVar(name, value string) { ip.global.set(name, value) }
 
 // GetVar reads a global variable.
 func (ip *Interp) GetVar(name string) (string, bool) {
@@ -208,11 +232,15 @@ func (ip *Interp) GlobalVars() map[string]string {
 }
 
 // Eval parses (through the process-wide cache) and evaluates src,
-// returning the value of the last command.
+// returning the value of the last command. Code that only defines procs is
+// not run when its class can be bound instead (see bindClass).
 func (ip *Interp) Eval(src string) (string, error) {
 	s, err := parseCached(src)
 	if err != nil {
 		return "", err
+	}
+	if ip.bindClass(s.class) {
+		return "", nil
 	}
 	v, f := ip.evalScript(s)
 	return finish(v, f)
@@ -220,7 +248,7 @@ func (ip *Interp) Eval(src string) (string, error) {
 
 // Call invokes a script-defined procedure by name.
 func (ip *Interp) Call(name string, args ...string) (string, error) {
-	proc, ok := ip.procs[name]
+	proc, ok := ip.lookupProc(name)
 	if !ok {
 		return "", &Error{Msg: fmt.Sprintf("invalid command name %q", name)}
 	}
@@ -230,17 +258,50 @@ func (ip *Interp) Call(name string, args ...string) (string, error) {
 
 // HasProc reports whether a procedure is defined.
 func (ip *Interp) HasProc(name string) bool {
-	_, ok := ip.procs[name]
+	_, ok := ip.lookupProc(name)
 	return ok
 }
 
 // Procs returns the names of all defined procedures.
 func (ip *Interp) Procs() []string {
-	out := make([]string, 0, len(ip.procs))
-	for n := range ip.procs {
-		out = append(out, n)
+	return ip.appendProcs(make([]string, 0, ip.numProcs()))
+}
+
+// lookupProc resolves a procedure: this interpreter's own definitions
+// shadow its class's.
+func (ip *Interp) lookupProc(name string) (*Proc, bool) {
+	if proc, ok := ip.own[name]; ok {
+		return proc, true
 	}
-	return out
+	if ip.class == nil {
+		return nil, false
+	}
+	proc, ok := ip.class.procs[name]
+	return proc, ok
+}
+
+// numProcs is an upper bound on the number of defined procedures.
+func (ip *Interp) numProcs() int {
+	n := len(ip.own)
+	if ip.class != nil {
+		n += len(ip.class.procs)
+	}
+	return n
+}
+
+// appendProcs appends the name of every defined procedure, each once.
+func (ip *Interp) appendProcs(names []string) []string {
+	for n := range ip.own {
+		names = append(names, n)
+	}
+	if ip.class != nil {
+		for n := range ip.class.procs {
+			if _, shadowed := ip.own[n]; !shadowed {
+				names = append(names, n)
+			}
+		}
+	}
+	return names
 }
 
 func finish(v string, f *flow) (string, error) {
@@ -252,7 +313,7 @@ func finish(v string, f *flow) (string, error) {
 		return f.val, nil
 	case flowError:
 		if f.err != nil {
-			return "", &Error{Msg: f.val + ": " + f.err.Error()}
+			return "", &Error{Msg: f.val + ": " + f.err.Error(), cause: f.err}
 		}
 		return "", &Error{Msg: f.val}
 	case flowBreak:
@@ -284,11 +345,11 @@ func (ip *Interp) setVarLocal(name, value string) {
 	fr := ip.current()
 	if fr.links != nil {
 		if target, ok := fr.links[name]; ok {
-			target.vars[name] = value
+			target.set(name, value)
 			return
 		}
 	}
-	fr.vars[name] = value
+	fr.set(name, value)
 }
 
 // unsetVarLocal removes a variable, following links. Reports whether it
@@ -361,7 +422,7 @@ func (ip *Interp) evalCommand(cmd *Cmd) (string, *flow) {
 
 func (ip *Interp) dispatch(words []string, line int) (string, *flow) {
 	name := words[0]
-	if proc, ok := ip.procs[name]; ok {
+	if proc, ok := ip.lookupProc(name); ok {
 		return ip.callProc(proc, words[1:])
 	}
 	_ = line // parse errors carry line numbers; runtime errors stay clean
@@ -372,20 +433,16 @@ func (ip *Interp) dispatch(words []string, line int) (string, *flow) {
 		}
 		return v, nil
 	}
-	if fn, ok := builtins[name]; ok {
-		if _, hidden := ip.hidden[name]; !hidden {
-			return fn(ip, words[1:])
-		}
+	if b, ok := builtins[name]; ok && ip.hidden&b.bit == 0 {
+		return b.fn(ip, words[1:])
 	}
 	return "", errorFlow("invalid command name %q", name)
 }
 
 // expandWord concatenates a word's parts after substitution.
 func (ip *Interp) expandWord(w *Word) (string, *flow) {
-	if len(w.Parts) == 1 {
-		if lit, ok := w.Parts[0].(LitPart); ok {
-			return string(lit), nil
-		}
+	if lit, ok := w.literal(); ok {
+		return lit, nil
 	}
 	var sb strings.Builder
 	for _, part := range w.Parts {
@@ -424,22 +481,22 @@ func (ip *Interp) callProc(proc *Proc, args []string) (string, *flow) {
 	if ip.depth >= maxDepth {
 		return "", &flow{kind: flowError, val: "recursion depth exceeded", err: ErrDepth}
 	}
-	fr := newFrame()
+	fr := ip.newFrame()
 	if err := bindParams(fr, proc, args); err != nil {
+		ip.freeFrame(fr)
 		return "", &flow{kind: flowError, val: err.Error()}
 	}
-	if proc.body == nil {
-		s, err := parseCached(proc.Body)
-		if err != nil {
-			return "", errorFlow("in proc %q: %v", proc.Name, err)
-		}
-		proc.body = s
+	if proc.bodyErr != nil {
+		ip.freeFrame(fr)
+		return "", errorFlow("in proc %q: %v", proc.Name, proc.bodyErr)
 	}
 	ip.stack = append(ip.stack, fr)
 	ip.depth++
 	v, f := ip.evalScript(proc.body)
 	ip.depth--
+	ip.stack[len(ip.stack)-1] = nil
 	ip.stack = ip.stack[:len(ip.stack)-1]
+	ip.freeFrame(fr)
 	if f != nil {
 		switch f.kind {
 		case flowReturn:
@@ -455,21 +512,47 @@ func (ip *Interp) callProc(proc *Proc, args []string) (string, *flow) {
 	return v, nil
 }
 
+// newFrame returns an empty frame for a call, a kept one if there is one.
+func (ip *Interp) newFrame() *frame {
+	if ip.nfree == 0 {
+		return &frame{}
+	}
+	ip.nfree--
+	fr := ip.free[ip.nfree]
+	ip.free[ip.nfree] = nil
+	return fr
+}
+
+// freeFrame empties the frame of a call that has returned and keeps it for
+// a later call. Nothing can still refer to it: a frame is only ever pointed
+// at by the stack, which has popped it, and by the global/upvar links of
+// frames above it, which returned before it did — links point down the
+// stack, never up.
+func (ip *Interp) freeFrame(fr *frame) {
+	if fr.big || ip.nfree == len(ip.free) {
+		return
+	}
+	clear(fr.vars)
+	fr.links = nil
+	ip.free[ip.nfree] = fr
+	ip.nfree++
+}
+
 func bindParams(fr *frame, proc *Proc, args []string) error {
 	i := 0
 	for pi, p := range proc.Params {
 		if p.variadic {
-			fr.vars[p.name] = FormatList(args[i:])
+			fr.set(p.name, FormatList(args[i:]))
 			i = len(args)
 			// variadic must be last by construction
 			_ = pi
 			break
 		}
 		if i < len(args) {
-			fr.vars[p.name] = args[i]
+			fr.set(p.name, args[i])
 			i++
 		} else if p.hasDef {
-			fr.vars[p.name] = p.def
+			fr.set(p.name, p.def)
 		} else {
 			return fmt.Errorf("wrong # args: should be %q", procUsage(proc))
 		}

@@ -323,12 +323,12 @@ func (s *Server) handleExport(clientID string, req qrpc.Request) ([]byte, error)
 // and carry the object, so the client never needs a second round trip.
 func (s *Server) exportReply(rep *proto.ExportReply, obj *rdo.Object, args *proto.ExportArgs) []byte {
 	rep.NewVersion = obj.Version
-	rep.Object = obj.Encode()
-	if rep.Outcome == proto.OutcomeCommitted && args.HasExpect && proto.ObjectCheck(rep.Object) == args.Expect {
-		rep.Object = nil
+	if rep.Outcome == proto.OutcomeCommitted && args.HasExpect && proto.CheckOf(obj) == args.Expect {
 		s.mu.Lock()
 		s.stats.LeanReplies++
 		s.mu.Unlock()
+	} else {
+		rep.Object = obj.Encode()
 	}
 	return wire.Marshal(rep)
 }

@@ -45,12 +45,12 @@ type record struct {
 }
 
 func encodeState(u urn.URN, ver uint64, obj []byte) []byte {
-	var b wire.Buffer
+	b := wire.GetBuffer()
 	b.PutByte(recState)
 	b.PutString(u.String())
 	b.PutUvarint(ver)
 	b.PutBytes(obj)
-	return b.Bytes()
+	return wire.Detach(b)
 }
 
 // encodeOps frames an ops commit. prevOff is the byte offset of the
@@ -60,7 +60,7 @@ func encodeState(u urn.URN, ver uint64, obj []byte) []byte {
 // letting recovery and catch-up walk an object's record chain backwards
 // without scanning.
 func encodeOps(u urn.URN, prevVer, ver uint64, src string, invs []rdo.Invocation, obj []byte, prevOff int64) []byte {
-	var b wire.Buffer
+	b := wire.GetBuffer()
 	b.PutByte(recOps)
 	b.PutString(u.String())
 	b.PutUvarint(prevVer)
@@ -68,7 +68,7 @@ func encodeOps(u urn.URN, prevVer, ver uint64, src string, invs []rdo.Invocation
 	b.PutString(src)
 	b.PutUvarint(uint64(len(invs)))
 	for i := range invs {
-		invs[i].MarshalWire(&b)
+		invs[i].MarshalWire(b)
 	}
 	b.PutBytes(obj)
 	if prevOff < 0 {
@@ -76,18 +76,18 @@ func encodeOps(u urn.URN, prevVer, ver uint64, src string, invs []rdo.Invocation
 	} else {
 		b.PutUvarint(uint64(prevOff) + 1)
 	}
-	return b.Bytes()
+	return wire.Detach(b)
 }
 
 func encodeDelete(u urn.URN) []byte {
-	var b wire.Buffer
+	b := wire.GetBuffer()
 	b.PutByte(recDelete)
 	b.PutString(u.String())
-	return b.Bytes()
+	return wire.Detach(b)
 }
 
 func encodeSnap(u urn.URN, ver uint64, obj []byte, hist []store.OpsRec) []byte {
-	var b wire.Buffer
+	b := wire.GetBuffer()
 	b.PutByte(recSnap)
 	b.PutString(u.String())
 	b.PutUvarint(ver)
@@ -98,10 +98,10 @@ func encodeSnap(u urn.URN, ver uint64, obj []byte, hist []store.OpsRec) []byte {
 		b.PutString(h.Src)
 		b.PutUvarint(uint64(len(h.Invs)))
 		for i := range h.Invs {
-			h.Invs[i].MarshalWire(&b)
+			h.Invs[i].MarshalWire(b)
 		}
 	}
-	return b.Bytes()
+	return wire.Detach(b)
 }
 
 func decodeRecord(p []byte) (record, error) {

@@ -143,3 +143,12 @@ func PutBuffer(b *Buffer) {
 	}
 	bufferPool.Put(b)
 }
+
+// Detach returns b's contents copied out at their exact size and puts b
+// back in the pool: encoding into GetBuffer scratch and detaching costs one
+// allocation however many fields were appended.
+func Detach(b *Buffer) []byte {
+	out := append([]byte(nil), b.b...)
+	PutBuffer(b)
+	return out
+}

@@ -356,9 +356,7 @@ type Unmarshaler interface {
 func Marshal(m Marshaler) []byte {
 	b := GetBuffer()
 	m.MarshalWire(b)
-	out := append([]byte(nil), b.b...)
-	PutBuffer(b)
-	return out
+	return Detach(b)
 }
 
 // Unmarshal decodes p into m, requiring that the whole input is consumed.
