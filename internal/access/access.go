@@ -310,24 +310,24 @@ func (am *AccessManager) applyDelta(u urn.URN, rep *proto.ImportReply) (*rdo.Obj
 	if !ok || e.CommittedVersion != rep.FromVersion || rep.NewVersion <= rep.FromVersion {
 		return nil, false
 	}
-	if !am.advanceCommittedLocked(e, rep.Ops, rep.NewVersion, rep.Check) {
+	adopted := am.advanceCommittedLocked(e, rep.Ops, rep.NewVersion, rep.Check)
+	if adopted == nil {
 		return nil, false
 	}
 	am.stats.DeltaImports++
 	am.sess.RecordRead(u, rep.NewVersion)
-	// The cache updates an existing entry in place, so e holds the advanced
-	// object — also when it outgrew the budget and was evicted on the way.
-	return e.Obj.Clone(), true
+	return adopted.Obj.Clone(), true
 }
 
 // advanceCommittedLocked moves e's committed copy to newVer by replaying
 // ops — the server's, for a delta import; the client's own just-committed
 // ones, for an export reply that carried no object — and adopts the result
 // only if its encoding hashes to check, the checksum of the server's
-// object at newVer. false leaves the entry untouched: the replay erred
-// (e.g. the method needs a server-only host command) or the replayed
-// state does not match the server's byte for byte.
-func (am *AccessManager) advanceCommittedLocked(e *cache.Entry, ops []rdo.Invocation, newVer uint64, check uint32) bool {
+// object at newVer. It returns the entry that holds the result (see
+// adoptCommittedLocked), or nil with e untouched: the replay erred (e.g.
+// the method needs a server-only host command) or the replayed state does
+// not match the server's byte for byte.
+func (am *AccessManager) advanceCommittedLocked(e *cache.Entry, ops []rdo.Invocation, newVer uint64, check uint32) *cache.Entry {
 	// Replay against the PRISTINE committed copy — the working copy may
 	// carry tentative operations, which adoptCommittedLocked rebases on
 	// top of the new committed state afterwards, same as a full import.
@@ -338,19 +338,18 @@ func (am *AccessManager) advanceCommittedLocked(e *cache.Entry, ops []rdo.Invoca
 	next := pristine.Clone()
 	env, err := am.newEnvLocked(next)
 	if err != nil {
-		return false
+		return nil
 	}
 	for _, op := range ops {
 		if _, err := env.Invoke(op.Method, op.Args...); err != nil {
-			return false
+			return nil
 		}
 	}
 	next.Version = newVer
 	if proto.CheckOf(next) != check {
-		return false
+		return nil
 	}
-	am.adoptCommittedLocked(next)
-	return true
+	return am.adoptCommittedLocked(next)
 }
 
 // adoptCommittedLocked installs a fresh committed copy, replaying any
@@ -728,7 +727,7 @@ func (am *AccessManager) onExportReply(u urn.URN, f *Future[ExportResult], res [
 		// Operations queued behind the export: rebuild the committed copy
 		// from the pristine one and the operations that were in flight,
 		// then rebase the rest on top.
-		usable = am.advanceCommittedLocked(e, sent, rep.NewVersion, check)
+		usable = am.advanceCommittedLocked(e, sent, rep.NewVersion, check) != nil
 	}
 	switch {
 	case !usable:

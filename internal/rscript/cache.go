@@ -8,12 +8,12 @@ import (
 // Compiled forms are cached once per process, keyed by source text, so an
 // object's code and every loop body, proc body and expr condition in it are
 // parsed the first time any interpreter meets them and never again. Only
-// the compiled form is shared — with, for a script that does nothing but
-// define procs, the procs it defines (its class, class.go): it is read-only
-// once cached (the evaluator never writes to a *Script, a *Proc or an
-// *exprProg), so any number of interpreters in any sandbox may walk one
-// concurrently. Variables, step counters, command tables and the procs
-// defined at run time stay per-Interp.
+// the compiled form is shared — with, for a script handed to Eval that does
+// nothing but define procs, the procs it defines (its class, class.go): it
+// is read-only once cached (the evaluator never writes to a *Script, a
+// *Proc or an *exprProg), so any number of interpreters in any sandbox may
+// walk one concurrently. Variables, step counters, command tables and the
+// procs defined at run time stay per-Interp.
 //
 // The bounds are constants, not options: no caller at the parent commit
 // needed a different value. A source longer than cacheMaxSource is compiled
@@ -83,7 +83,6 @@ func parseCached(src string) (*Script, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.class = newClass(s)
 	return scripts.put(src, s), nil
 }
 

@@ -3,9 +3,10 @@ package rscript
 // class is what evaluating a script leaves behind when every top-level
 // command of it is a literal `proc name params body`: the procs, and the
 // number of steps defining them costs. It is computed once per cached
-// *Script (parseCached), hangs off it, and so lives and dies by the program
-// cache's bounds. It is immutable, and any number of interpreters bind the
-// same one: loading such code is setting a pointer, not running the code.
+// *Script, the first time Eval loads it, hangs off it, and so lives and dies
+// by the program cache's bounds. It is immutable, and any number of
+// interpreters bind the same one: loading such code is setting a pointer,
+// not running the code.
 //
 // A class is the evaluator's result precomputed, not a second evaluator:
 // every script it cannot describe exactly — a substituted word, a command
@@ -16,7 +17,15 @@ type class struct {
 	defs  int64            // proc commands in the script, one step each
 }
 
-// newClass returns the class of s, nil if s is not definitions only.
+// loadClass returns the class of s, nil if s is not definitions only. Only
+// Eval asks: a proc, loop or catch body is walked, never loaded, so
+// resolving one (newProc) is a flat parse however deep definitions nest in
+// it, and the nested ones cost their steps and depth when they run.
+func (s *Script) loadClass() *class {
+	s.classOnce.Do(func() { s.class = newClass(s) })
+	return s.class
+}
+
 func newClass(s *Script) *class {
 	var c *class // made by the first definition: most scripts fail at their first command
 	for _, cmd := range s.Cmds {

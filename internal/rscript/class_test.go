@@ -170,6 +170,36 @@ func TestClassBodyParseError(t *testing.T) {
 	}
 }
 
+// TestClassNestedDefinitionsLoadFlat: a proc whose body defines a proc whose
+// body defines a proc, thousands deep, loads as one definition. Only the
+// source handed to Eval gets a class; its body is parsed, not loaded, so
+// the levels below are met one call at a time, each charged its step —
+// exactly as when the script is walked.
+func TestClassNestedDefinitionsLoadFlat(t *testing.T) {
+	const depth = 3000
+	src := nestedProcs(depth)
+	resetCaches()
+	ip := New(Options{StepBudget: 10})
+	if _, err := ip.Eval(src); err != nil || ip.class == nil || ip.StepsUsed() != 1 {
+		t.Fatalf("load: %v, class %p, %d steps", err, ip.class, ip.StepsUsed())
+	}
+	if n, _ := scripts.size(); n != 2 {
+		t.Errorf("loading cached %d scripts, want 2: the source and the outermost body", n)
+	}
+	for i := 1; i <= 3; i++ {
+		if v, err := ip.Call("a"); err != nil || v != "" {
+			t.Fatalf("call %d: %q, %v", i, v, err)
+		}
+		if n, _ := scripts.size(); n != 2+i {
+			t.Errorf("after %d calls %d scripts cached, want %d", i, n, 2+i)
+		}
+	}
+	resetCaches()
+	if loaded, walked := observeEval(src, 400, false), observeEval(src, 400, true); loaded != walked {
+		t.Errorf("loaded: %+v\nwalked: %+v", loaded, walked)
+	}
+}
+
 // TestClassSurvivesCacheDrop: the class hangs off the cached script, so
 // dropping the cache drops it — for interpreters yet to come. One already
 // bound keeps working, and the next load builds the class again.

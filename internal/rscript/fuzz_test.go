@@ -174,6 +174,13 @@ var classSeeds = []string{
 	`proc v {args} {llength $args}; proc d {a {b 2}} {list $a $b}`,
 	`proc outer {} {proc inner {} {return made}; inner}; proc redo {} {proc outer {} {return replaced}}`,
 	`proc up {} {upvar n n; incr n}; proc g {} {global n; incr n; up}`,
+	nestedProcs(40),
+}
+
+// nestedProcs is `proc a {} {proc a {} {... return bottom ...}}`, depth
+// definitions deep: each call of a defines the next level.
+func nestedProcs(depth int) string {
+	return strings.Repeat("proc a {} {", depth) + "return bottom" + strings.Repeat("}", depth)
 }
 
 // evalOutcome is everything an evaluation can be observed to have done.

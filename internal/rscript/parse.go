@@ -3,6 +3,7 @@ package rscript
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // The rscript grammar is a faithful subset of Tcl's dodekalogue:
@@ -20,12 +21,14 @@ import (
 // constantly and every environment over one object evaluates the same code.
 
 // Script is a parsed rscript program. A Script, and everything reachable
-// from it, is read-only once Parse returns (parseCached, once it has set
-// class): cached scripts are walked by many interpreters at once, so
-// neither the evaluator nor a caller may modify one.
+// from it, is read-only once Parse returns: cached scripts are walked by
+// many interpreters at once, so neither the evaluator nor a caller may
+// modify one. The one exception is class, which loadClass sets once.
 type Script struct {
-	Cmds  []*Cmd
-	class *class // set for a cached script that only defines procs
+	Cmds []*Cmd
+
+	classOnce sync.Once
+	class     *class // see loadClass
 }
 
 // Cmd is one command: a sequence of words, the first naming the command.

@@ -32,13 +32,14 @@ import (
 // Error is an rscript runtime error.
 type Error struct {
 	Msg   string
-	cause error // ErrBudget, ErrDepth, or what a host command returned
+	cause error // ErrBudget or ErrDepth
 }
 
 func (e *Error) Error() string { return "rscript: " + e.Msg }
 
-// Unwrap returns the error the script failed with, if it was not the
-// script's own.
+// Unwrap returns ErrBudget or ErrDepth when the interpreter stopped the
+// script for that reason, nil otherwise: what a host command returned is
+// reported in Msg only.
 func (e *Error) Unwrap() error { return e.cause }
 
 // ErrBudget is returned (wrapped in *Error) when a script exhausts its
@@ -239,7 +240,7 @@ func (ip *Interp) Eval(src string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if ip.bindClass(s.class) {
+	if ip.bindClass(s.loadClass()) {
 		return "", nil
 	}
 	v, f := ip.evalScript(s)
@@ -312,8 +313,11 @@ func finish(v string, f *flow) (string, error) {
 	case flowReturn:
 		return f.val, nil
 	case flowError:
-		if f.err != nil {
+		if f.err == ErrBudget || f.err == ErrDepth {
 			return "", &Error{Msg: f.val + ": " + f.err.Error(), cause: f.err}
+		}
+		if f.err != nil {
+			return "", &Error{Msg: f.val + ": " + f.err.Error()}
 		}
 		return "", &Error{Msg: f.val}
 	case flowBreak:

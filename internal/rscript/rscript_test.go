@@ -538,6 +538,27 @@ func TestRecursionLimit(t *testing.T) {
 	}
 }
 
+// TestErrorUnwrap: errors.Is sees through an *Error to the interpreter's own
+// two sentinels and to nothing else — what a host command returned is in
+// the message, not in the chain.
+func TestErrorUnwrap(t *testing.T) {
+	_, err := New(Options{StepBudget: 10}).Eval(`while {1} {}`)
+	if !errors.Is(err, ErrBudget) || errors.Is(err, ErrDepth) {
+		t.Errorf("runaway loop: %v", err)
+	}
+	_, err = New(Options{MaxDepth: 5}).Eval(`proc f {} {f}; f`)
+	if !errors.Is(err, ErrDepth) || errors.Is(err, ErrBudget) {
+		t.Errorf("runaway recursion: %v", err)
+	}
+	errHost := errors.New("disk full")
+	ip := New(Options{})
+	ip.Register("save", func(*Interp, []string) (string, error) { return "", errHost })
+	_, err = ip.Eval(`save`)
+	if err == nil || errors.Is(err, errHost) || errors.Unwrap(err) != nil || !strings.Contains(err.Error(), "disk full") {
+		t.Errorf("host error: %v (unwraps to %v)", err, errors.Unwrap(err))
+	}
+}
+
 func TestResetBudget(t *testing.T) {
 	ip := New(Options{StepBudget: 10})
 	for i := 0; i < 5; i++ {
