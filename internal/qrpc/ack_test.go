@@ -99,6 +99,42 @@ func TestAckFlushedAloneAtDeadline(t *testing.T) {
 	}
 }
 
+// TestLoneAckKeepsItsBytes: a piggy-backed ack is encoded in scratch the
+// batch copies, but an ack frame sent alone may sit in its Sender's queue —
+// the next ack's encoding must not reach it there.
+func TestLoneAckKeepsItsBytes(t *testing.T) {
+	h := newHarness(t, ClientConfig{}, ServerConfig{ServerID: "srv"})
+	h.server.Register("echo", echoHandler)
+	h.connect()
+	var held []wire.Frame
+	var seqs []uint64
+	for range 2 {
+		p, err := h.client.Enqueue("echo", nil, PriorityNormal, h.now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.settle()
+		at, ok := h.client.NextReadyAt(h.now)
+		if !ok {
+			t.Fatal("no ack waiting")
+		}
+		h.now = at
+		h.client.Pump(h.now) // the ack leaves alone; keep it from the server
+		held = append(held, h.cs.queue...)
+		h.cs.queue = nil
+		seqs = append(seqs, p.Seq())
+	}
+	if len(held) != 2 {
+		t.Fatalf("%d lone frames, want two acks", len(held))
+	}
+	for i, f := range held {
+		var ack Ack
+		if err := wire.Unmarshal(f.Payload, &ack); f.Type != wire.FrameAck || err != nil || len(ack.Seqs) != 1 || ack.Seqs[0] != seqs[i] {
+			t.Fatalf("queued ack %d: type %v, seqs %v (%v), want [%d]", i, f.Type, ack.Seqs, err, seqs[i])
+		}
+	}
+}
+
 // TestAckFlushRetriesAfterRefusal: a flush the link refuses leaves the ack
 // pending with a new deadline in the future — a transport that pumps
 // whenever NextReadyAt says "now" must not spin.

@@ -67,7 +67,7 @@ type pendingReq struct {
 	req     Request
 	enc     []byte // cached wire encoding of req; resends must not re-marshal
 	logID   uint64
-	promise *Promise
+	promise Promise // handed out by address; lives as long as its holder does
 	state   reqState
 	readyAt vtime.Time // queue entry usable once the log flush is charged
 	sentAt  vtime.Time // last transmission time (RetryStale)
@@ -139,6 +139,7 @@ type Client struct {
 	frameScratch []wire.Frame
 	batchScratch []*pendingReq
 	deferScratch []*pendingReq
+	ackScratch   wire.Buffer // a piggy-backed ack, until the batch copies it
 
 	// Wire-compression negotiation state. compressWanted is the link
 	// policy's wish (sched.Selector sets it per interface); peerCaps is
@@ -187,19 +188,15 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 			}
 			return nil
 		}
-		pr := &pendingReq{
-			req:     *req,
-			logID:   id,
-			promise: newPromise(req.Seq),
-			heapIdx: -1,
-		}
+		pr := &pendingReq{req: *req, logID: id, heapIdx: -1}
+		pr.promise.init(req.Seq)
 		c.pend[req.Seq] = pr
 		heap.Push(&c.queue, pr)
 		c.queuedCount++
 		if req.Seq >= c.nextSeq {
 			c.nextSeq = req.Seq + 1
 		}
-		recs = append(recs, recovered{*req, pr.promise})
+		recs = append(recs, recovered{*req, &pr.promise})
 		return nil
 	})
 	if err != nil {
@@ -278,13 +275,8 @@ func (c *Client) Enqueue(service string, args []byte, pri Priority, now vtime.Ti
 		c.mu.Unlock()
 		return nil, fmt.Errorf("qrpc: stable log append: %w", err)
 	}
-	pr := &pendingReq{
-		req:     req,
-		logID:   logID,
-		promise: newPromise(seq),
-		readyAt: now.Add(c.flushCost),
-		heapIdx: -1,
-	}
+	pr := &pendingReq{req: req, logID: logID, readyAt: now.Add(c.flushCost), heapIdx: -1}
+	pr.promise.init(seq)
 
 	c.mu.Lock()
 	delete(c.held, seq)
@@ -299,7 +291,7 @@ func (c *Client) Enqueue(service string, args []byte, pri Priority, now vtime.Ti
 	status := c.statusLocked()
 	c.mu.Unlock()
 	c.notify(status)
-	return pr.promise, nil
+	return &pr.promise, nil
 }
 
 // Cancel withdraws a request that has not yet been transmitted. It reports
@@ -534,7 +526,8 @@ func (c *Client) OnFrame(f wire.Frame, now vtime.Time) {
 		f = zf
 	}
 	if f.Type == wire.FrameBatch {
-		subs, err := wire.UnbatchFrames(f.Payload)
+		var room [16]wire.Frame // a batch of replies decodes on the stack
+		subs, err := wire.AppendUnbatched(room[:0], f.Payload)
 		if err != nil {
 			return
 		}
@@ -597,9 +590,13 @@ func (c *Client) onFrame(f wire.Frame, now vtime.Time) {
 	}
 }
 
+// onReply takes in one reply. The payload is the receiver's (wire.ReadFrame),
+// so it is decoded on the stack and the Result the promise completes with
+// aliases it.
 func (c *Client) onReply(payload []byte, now vtime.Time) {
 	var rep Reply
-	if err := wire.Unmarshal(payload, &rep); err != nil {
+	r := wire.OwnedReader(payload)
+	if err := rep.UnmarshalWire(&r); err != nil || r.Finish() != nil {
 		return
 	}
 	c.mu.Lock()
@@ -706,7 +703,17 @@ func (c *Client) pumpLocked(now vtime.Time, flush bool) {
 			if len(batch) == 0 && !flush {
 				frames, ackCount = frames[:0], 0
 			} else {
-				frames[0] = wire.Frame{Type: wire.FrameAck, Payload: wire.Marshal(&Ack{Seqs: c.acks})}
+				// Coalesced, the ack is copied into the batch, so it is encoded
+				// in scratch; a lone frame may be kept by its Sender and gets
+				// bytes of its own.
+				ack := Ack{Seqs: c.acks}
+				c.ackScratch.Reset()
+				ack.MarshalWire(&c.ackScratch)
+				payload := c.ackScratch.Bytes()
+				if len(frames) == 1 {
+					payload = slices.Clone(payload)
+				}
+				frames[0] = wire.Frame{Type: wire.FrameAck, Payload: payload}
 			}
 		}
 		if len(frames) == 0 {

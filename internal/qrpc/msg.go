@@ -117,11 +117,20 @@ func (m *Request) MarshalWire(b *wire.Buffer) {
 
 // UnmarshalWire implements wire.Unmarshaler.
 func (m *Request) UnmarshalWire(r *wire.Reader) error {
+	m.Service = string(m.unmarshalNamed(r))
+	return r.Err()
+}
+
+// unmarshalNamed decodes every field but Service and returns the service
+// name as Bytes reads it. From an owned reader that is a view of the frame,
+// which the server resolves against its handler table without building a
+// string.
+func (m *Request) unmarshalNamed(r *wire.Reader) []byte {
 	m.Seq = r.Uvarint()
 	m.Priority = Priority(r.Byte())
-	m.Service = r.String()
+	service := r.Bytes()
 	m.Args = r.Bytes()
-	return r.Err()
+	return service
 }
 
 // Reply answers one Request.

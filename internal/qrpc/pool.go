@@ -108,6 +108,7 @@ func (p *workerPool) pushReadyLocked(kq *keyQueue) {
 
 func (p *workerPool) worker(i int) {
 	defer p.wg.Done()
+	var out []wire.Frame // this worker's reply frames, reused chunk after chunk
 	p.mu.Lock()
 	for {
 		for p.head == len(p.ready) && !p.closed {
@@ -131,7 +132,7 @@ func (p *workerPool) worker(i int) {
 		p.claimed[i] = kq
 		p.mu.Unlock()
 
-		p.runChunk(chunk)
+		out = p.runChunk(chunk, out)
 
 		p.mu.Lock()
 		p.claimed[i] = nil
@@ -161,15 +162,17 @@ func (p *workerPool) worker(i int) {
 // replies toward the same transport into one batch frame. When the
 // session's journal shard supports staged appends, the whole run commits
 // with one fsync (pipelined group commit) before any reply is released;
-// otherwise each task pays its own group-commit join.
-func (p *workerPool) runChunk(tasks []poolTask) {
-	var out []wire.Frame
+// otherwise each task pays its own group-commit join. out is the worker's
+// reply-frame scratch, returned emptied for its next chunk: a Sender keeps
+// frames by value and a batch copies its sub-frames, so nothing holds it.
+func (p *workerPool) runChunk(tasks []poolTask, out []wire.Frame) []wire.Frame {
 	var to Sender
 	flush := func() {
 		if to != nil {
 			p.srv.sendCoalesced(to, out)
 		}
-		out = nil
+		clear(out)
+		out = out[:0]
 	}
 	if !p.isClosed() {
 		if staged, ok := p.srv.executeChunkBatched(tasks); ok {
@@ -184,7 +187,7 @@ func (p *workerPool) runChunk(tasks []poolTask) {
 				out = append(out, wire.Frame{Type: wire.FrameReply, Payload: st.enc})
 			}
 			flush()
-			return
+			return out
 		}
 	}
 	for i := range tasks {
@@ -197,7 +200,7 @@ func (p *workerPool) runChunk(tasks []poolTask) {
 			for _, rest := range tasks[i:] {
 				p.discard(rest)
 			}
-			return
+			return out
 		}
 		if t.from != to {
 			flush()
@@ -211,6 +214,7 @@ func (p *workerPool) runChunk(tasks []poolTask) {
 		out = append(out, wire.Frame{Type: wire.FrameReply, Payload: enc})
 	}
 	flush()
+	return out
 }
 
 // discard un-dispatches a task that will never execute.

@@ -24,8 +24,10 @@ type Promise struct {
 	onDone   []func(*Promise)
 }
 
-func newPromise(seq uint64) *Promise {
-	return &Promise{seq: seq, done: make(chan struct{})}
+// init readies a promise in place: the client's Promise lives inside the
+// pending request it stands for, one allocation for both.
+func (p *Promise) init(seq uint64) {
+	p.seq, p.done = seq, make(chan struct{})
 }
 
 // Seq returns the request's sequence number (useful in logs and tests).

@@ -1,7 +1,5 @@
 package qrpc
 
-import "container/list"
-
 // replyCache is a server-global, byte-bounded LRU of *encoded* replies.
 //
 // The at-most-once machinery keeps decoded Replies in each session until
@@ -20,8 +18,11 @@ import "container/list"
 type replyCache struct {
 	max int // byte budget across all entries
 	cur int
-	ll  *list.List // front = most recently used; values are *replyCacheEntry
-	m   map[replyCacheKey]*list.Element
+	// lru is the sentinel of an intrusive ring: lru.next is the most
+	// recently used entry, lru.prev the least. An entry is its own list
+	// node, so caching a reply costs one allocation.
+	lru replyCacheEntry
+	m   map[replyCacheKey]*replyCacheEntry
 }
 
 type replyCacheKey struct {
@@ -30,8 +31,9 @@ type replyCacheKey struct {
 }
 
 type replyCacheEntry struct {
-	key replyCacheKey
-	enc []byte
+	key        replyCacheKey
+	enc        []byte
+	prev, next *replyCacheEntry
 }
 
 // defaultReplyCacheBytes is the budget when ServerConfig.ReplyCacheBytes
@@ -47,23 +49,33 @@ func newReplyCache(budget int) *replyCache {
 	if budget == 0 {
 		budget = defaultReplyCacheBytes
 	}
-	return &replyCache{
-		max: budget,
-		ll:  list.New(),
-		m:   make(map[replyCacheKey]*list.Element),
-	}
+	c := &replyCache{max: budget, m: make(map[replyCacheKey]*replyCacheEntry)}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
+}
+
+// unlink takes e out of the ring.
+func (e *replyCacheEntry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+// pushFront links e in as the most recently used entry.
+func (c *replyCache) pushFront(e *replyCacheEntry) {
+	e.prev, e.next = &c.lru, c.lru.next
+	e.prev.next, e.next.prev = e, e
 }
 
 func (c *replyCache) get(clientID string, seq uint64) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
-	el, ok := c.m[replyCacheKey{clientID: clientID, seq: seq}]
+	e, ok := c.m[replyCacheKey{clientID: clientID, seq: seq}]
 	if !ok {
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*replyCacheEntry).enc, true
+	e.unlink()
+	c.pushFront(e)
+	return e.enc, true
 }
 
 // put inserts (or refreshes) an encoding and returns how many older entries
@@ -74,25 +86,23 @@ func (c *replyCache) put(clientID string, seq uint64, enc []byte) int64 {
 		return 0
 	}
 	key := replyCacheKey{clientID: clientID, seq: seq}
-	if el, ok := c.m[key]; ok {
-		ent := el.Value.(*replyCacheEntry)
-		c.cur += len(enc) - len(ent.enc)
-		ent.enc = enc
-		c.ll.MoveToFront(el)
+	if e, ok := c.m[key]; ok {
+		c.cur += len(enc) - len(e.enc)
+		e.enc = enc
+		e.unlink()
+		c.pushFront(e)
 	} else {
-		c.m[key] = c.ll.PushFront(&replyCacheEntry{key: key, enc: enc})
+		e := &replyCacheEntry{key: key, enc: enc}
+		c.m[key] = e
+		c.pushFront(e)
 		c.cur += len(enc)
 	}
 	var evicted int64
-	for c.cur > c.max {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		ent := back.Value.(*replyCacheEntry)
-		c.ll.Remove(back)
-		delete(c.m, ent.key)
-		c.cur -= len(ent.enc)
+	for c.cur > c.max && c.lru.prev != &c.lru {
+		e := c.lru.prev
+		e.unlink()
+		delete(c.m, e.key)
+		c.cur -= len(e.enc)
 		evicted++
 	}
 	return evicted
@@ -103,9 +113,9 @@ func (c *replyCache) delete(clientID string, seq uint64) {
 		return
 	}
 	key := replyCacheKey{clientID: clientID, seq: seq}
-	if el, ok := c.m[key]; ok {
-		c.cur -= len(el.Value.(*replyCacheEntry).enc)
-		c.ll.Remove(el)
+	if e, ok := c.m[key]; ok {
+		c.cur -= len(e.enc)
+		e.unlink()
 		delete(c.m, key)
 	}
 }

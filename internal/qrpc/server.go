@@ -153,7 +153,7 @@ type conn struct {
 type Server struct {
 	mu       sync.Mutex
 	cfg      ServerConfig
-	handlers map[string]Handler
+	handlers map[string]service
 	sessions map[string]*session
 	conns    map[Sender]*conn
 	stats    ServerStats
@@ -190,7 +190,7 @@ type Server struct {
 func NewServer(cfg ServerConfig) *Server {
 	s := &Server{
 		cfg:      cfg,
-		handlers: make(map[string]Handler),
+		handlers: make(map[string]service),
 		sessions: make(map[string]*session),
 		conns:    make(map[Sender]*conn),
 	}
@@ -211,11 +211,19 @@ func NewServer(cfg ServerConfig) *Server {
 	return s
 }
 
+// service is one registered handler. The name is kept beside it so a
+// request's Service can be the table's own string rather than one built from
+// every frame that names it.
+type service struct {
+	name string
+	h    Handler
+}
+
 // Register installs a service handler.
-func (s *Server) Register(service string, h Handler) {
+func (s *Server) Register(name string, h Handler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.handlers[service] = h
+	s.handlers[name] = service{name: name, h: h}
 }
 
 // OnConnect registers a transport. Nothing is sent until its Hello.
@@ -254,7 +262,8 @@ func (s *Server) OnFrame(from Sender, f wire.Frame, now vtime.Time) {
 		f = zf
 	}
 	if f.Type == wire.FrameBatch {
-		subs, err := wire.UnbatchFrames(f.Payload)
+		var room [16]wire.Frame // a pump cycle's batch decodes on the stack
+		subs, err := wire.AppendUnbatched(room[:0], f.Payload)
 		if err != nil {
 			return
 		}
@@ -438,9 +447,14 @@ func (s *Server) sessionLocked(clientID string) *session {
 	return sess
 }
 
+// onRequest takes in one request. The payload is the receiver's
+// (wire.ReadFrame), so it is decoded on the stack, Args aliases it, and the
+// service name is looked up in place.
 func (s *Server) onRequest(from Sender, payload []byte, now vtime.Time, out *[]wire.Frame) {
 	var req Request
-	if err := wire.Unmarshal(payload, &req); err != nil {
+	r := wire.OwnedReader(payload)
+	name := req.unmarshalNamed(&r)
+	if r.Finish() != nil {
 		return
 	}
 	s.mu.Lock()
@@ -498,7 +512,12 @@ func (s *Server) onRequest(from Sender, payload []byte, now vtime.Time, out *[]w
 		s.mu.Unlock()
 		return
 	}
-	handler := s.handlers[req.Service]
+	svc, ok := s.handlers[string(name)]
+	req.Service = svc.name
+	if !ok {
+		req.Service = string(name)
+	}
+	handler := svc.h
 	// Marking the request executing at DISPATCH time — before the handler
 	// runs, whether inline or queued to the pool — is what keeps redelivered
 	// duplicates from executing twice while the first copy is in flight.
@@ -756,8 +775,12 @@ func (s *Server) InstallReply(clientID string, rep *Reply) bool {
 }
 
 func (s *Server) onAck(from Sender, payload []byte) {
-	var ack Ack
-	if err := wire.Unmarshal(payload, &ack); err != nil {
+	// An Ack is its seqs, and it names one or two: they are read into a
+	// stack array, not a slice of their own.
+	var room [16]uint64
+	r := wire.OwnedReader(payload)
+	ack := Ack{Seqs: r.AppendUvarintSlice(room[:0])}
+	if r.Finish() != nil {
 		return
 	}
 	s.mu.Lock()

@@ -105,14 +105,16 @@ func (p *Pipe) pump(toServer bool) {
 			p.mu.Unlock()
 			return
 		}
-		var f wire.Frame
+		q := &p.toClient
 		if toServer {
-			f = p.toServer[0]
-			p.toServer = p.toServer[1:]
-		} else {
-			f = p.toClient[0]
-			p.toClient = p.toClient[1:]
+			q = &p.toServer
 		}
+		// Shift rather than reslice: the queue keeps its array, so a frame
+		// in flight costs no allocation.
+		f := (*q)[0]
+		n := copy(*q, (*q)[1:])
+		(*q)[n] = wire.Frame{}
+		*q = (*q)[:n]
 		p.mu.Unlock()
 		now := p.clock.Now()
 		if toServer {

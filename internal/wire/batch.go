@@ -2,6 +2,7 @@ package wire
 
 import (
 	"errors"
+	"slices"
 	"sync"
 )
 
@@ -55,10 +56,15 @@ func BatchFrames(frames []Frame) Frame {
 	return Frame{Type: FrameBatch, Payload: AppendBatchPayload(make([]byte, 0, size), frames)}
 }
 
-// UnbatchFrames decodes a batch payload into its sub-frames. Sub-frame
-// payloads are copied (they do not alias p). Nested batches are rejected.
-func UnbatchFrames(p []byte) ([]Frame, error) {
-	r := NewReader(p)
+// UnbatchFrames decodes a batch payload into its sub-frames. The payload is
+// the receiver's (see ReadFrame), so sub-frame payloads alias it, each capped
+// at its own length. Nested batches are rejected.
+func UnbatchFrames(p []byte) ([]Frame, error) { return AppendUnbatched(nil, p) }
+
+// AppendUnbatched is UnbatchFrames appending the sub-frames to dst, so a
+// receiver decodes into a stack array instead of a fresh slice per batch.
+func AppendUnbatched(dst []Frame, p []byte) ([]Frame, error) {
+	r := OwnedReader(p)
 	n := r.Uvarint()
 	if err := r.Err(); err != nil {
 		return nil, err
@@ -66,8 +72,8 @@ func UnbatchFrames(p []byte) ([]Frame, error) {
 	if n > MaxBatchFrames {
 		return nil, ErrTooLarge
 	}
-	frames := make([]Frame, 0, min(n, 256))
-	for i := uint64(0); i < n; i++ {
+	dst = slices.Grow(dst, int(min(n, 256)))
+	for range n {
 		typ := r.Byte()
 		payload := r.Bytes()
 		if err := r.Err(); err != nil {
@@ -76,12 +82,12 @@ func UnbatchFrames(p []byte) ([]Frame, error) {
 		if typ == FrameBatch {
 			return nil, ErrBatchNested
 		}
-		frames = append(frames, Frame{Type: typ, Payload: payload})
+		dst = append(dst, Frame{Type: typ, Payload: payload})
 	}
 	if !r.Done() {
 		return nil, ErrBatchTruncated
 	}
-	return frames, nil
+	return dst, nil
 }
 
 // BatchCount returns the number of sub-frames in a batch payload without

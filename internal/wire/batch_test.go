@@ -35,12 +35,31 @@ func TestBatchRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d mismatch: got %v want %v", i, out[i], in[i])
 		}
 	}
-	// Sub-frame payloads must not alias the batch payload.
-	if len(out[0].Payload) > 0 {
-		out[0].Payload[0] ^= 0xFF
-		if again, err := UnbatchFrames(bf.Payload); err != nil || !bytes.Equal(again[0].Payload, in[0].Payload) {
-			t.Fatal("unbatched payload aliases batch storage")
+	// Sub-frame payloads alias the batch payload the receiver owns, each
+	// capped at its own length: appending to one cannot reach the next.
+	for i, f := range out {
+		if cap(f.Payload) != len(f.Payload) {
+			t.Fatalf("sub-frame %d: cap %d != len %d", i, cap(f.Payload), len(f.Payload))
 		}
+	}
+	if &out[0].Payload[0] != &bf.Payload[3] { // count, type, length, then payload
+		t.Fatal("sub-frame 0 was copied out of the batch")
+	}
+	_ = append(out[0].Payload, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE)
+	if !bytes.Equal(out[1].Payload, in[1].Payload) {
+		t.Fatalf("appending to sub-frame 0 changed sub-frame 1: %q", out[1].Payload)
+	}
+}
+
+func TestAppendUnbatchedAllocs(t *testing.T) {
+	bf := BatchFrames([]Frame{{Type: FrameAck, Payload: []byte{1, 7}}, {Type: FrameRequest, Payload: []byte("r")}})
+	var arr [4]Frame
+	out, err := AppendUnbatched(arr[:0], bf.Payload)
+	if err != nil || len(out) != 2 || &out[0] != &arr[0] {
+		t.Fatalf("AppendUnbatched into a 4-frame array: %d frames, err %v, reused %v", len(out), err, len(out) > 0 && &out[0] == &arr[0])
+	}
+	if allocs := testing.AllocsPerRun(100, func() { out, _ = AppendUnbatched(arr[:0], bf.Payload) }); allocs != 0 {
+		t.Fatalf("AppendUnbatched into room allocated %.0f times per batch", allocs)
 	}
 }
 

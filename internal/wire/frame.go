@@ -67,10 +67,21 @@ func AppendFrame(dst []byte, f Frame) []byte {
 	dst = append(dst, frameMagic0, frameMagic1, frameVersion, f.Type)
 	dst = binary.AppendUvarint(dst, uint64(len(f.Payload)))
 	dst = append(dst, f.Payload...)
-	crc := crc32.Update(0, crcTable, []byte{f.Type})
-	crc = crc32.Update(crc, crcTable, f.Payload)
-	dst = binary.LittleEndian.AppendUint32(dst, crc)
-	return dst
+	return binary.LittleEndian.AppendUint32(dst, frameCRC(f.Type, f.Payload))
+}
+
+// typeCRC[t] is the CRC of the one-byte type tag t, where every frame's
+// checksum starts: looked up, so no frame builds a slice to checksum its tag.
+var typeCRC = func() (t [256]uint32) {
+	for i := range t {
+		t[i] = crc32.Update(0, crcTable, []byte{byte(i)})
+	}
+	return t
+}()
+
+// frameCRC is the checksum a frame carries: over its type, then its payload.
+func frameCRC(typ byte, payload []byte) uint32 {
+	return crc32.Update(typeCRC[typ], crcTable, payload)
 }
 
 // EncodeFrame returns the encoded form of f.
@@ -86,19 +97,29 @@ func EncodedFrameSize(n int) int {
 	return 4 + binary.PutUvarint(lenBuf[:], uint64(n)) + n + 4
 }
 
+// frameReadChunk bounds ReadFrame's first allocation, unless more than that
+// is already buffered. A frame's length field is only a claim: the buffer
+// grows as the bytes arrive, so a header alone cannot make the reader
+// allocate MaxFramePayload.
+const frameReadChunk = 64 << 10
+
 // ReadFrame reads one frame from r, blocking as needed. It returns io.EOF
 // cleanly at end of stream and io.ErrUnexpectedEOF for a torn frame.
+//
+// The payload is the receiver's: it is never written again, so decoders may
+// alias it (see OwnedReader). It shares one allocation with the CRC behind
+// it — a frame of up to frameReadChunk bytes costs exactly one — and is
+// capped at its own length.
 func ReadFrame(r *bufio.Reader) (Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		return Frame{}, err // io.EOF between frames is clean shutdown
-	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	p, err := r.Peek(4) // not io.ReadFull: a header array it read into would escape
+	if err != nil {
+		if len(p) == 0 {
+			return Frame{}, err // io.EOF between frames is clean shutdown
 		}
-		return Frame{}, err
+		return Frame{}, unexpectedEOF(err)
 	}
+	hdr := [4]byte(p)
+	r.Discard(4) // cannot fail: Peek buffered them
 	if hdr[0] != frameMagic0 || hdr[1] != frameMagic1 {
 		return Frame{}, ErrBadMagic
 	}
@@ -107,39 +128,40 @@ func ReadFrame(r *bufio.Reader) (Frame, error) {
 	}
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return Frame{}, err
+		return Frame{}, unexpectedEOF(err)
 	}
 	if n > MaxFramePayload {
 		return Frame{}, ErrFrameSize
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	total := int(n) + 4
+	buf := make([]byte, min(total, max(frameReadChunk, r.Buffered())))
+	for got := 0; ; {
+		if _, err := io.ReadFull(r, buf[got:]); err != nil {
+			return Frame{}, unexpectedEOF(err)
 		}
-		return Frame{}, err
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+		if got = len(buf); got == total {
+			break
 		}
-		return Frame{}, err
+		buf = append(buf, make([]byte, min(total-got, got))...) // doubles
 	}
-	want := binary.LittleEndian.Uint32(crcBuf[:])
-	got := crc32.Update(0, crcTable, []byte{hdr[3]})
-	got = crc32.Update(got, crcTable, payload)
-	if got != want {
+	if frameCRC(hdr[3], buf[:n]) != binary.LittleEndian.Uint32(buf[n:]) {
 		return Frame{}, ErrBadChecksum
 	}
-	return Frame{Type: hdr[3], Payload: payload}, nil
+	return Frame{Type: hdr[3], Payload: buf[:n:n]}, nil
+}
+
+// unexpectedEOF maps the end of the stream inside a frame to
+// io.ErrUnexpectedEOF.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // DecodeFrame decodes a single frame from p, returning the frame and the
-// number of bytes consumed.
+// number of bytes consumed. The payload is copied out of p and, like
+// ReadFrame's, belongs to the receiver.
 func DecodeFrame(p []byte) (Frame, int, error) {
 	if len(p) < 4 {
 		return Frame{}, 0, io.ErrUnexpectedEOF
@@ -167,9 +189,7 @@ func DecodeFrame(p []byte) (Frame, int, error) {
 	off += int(n)
 	want := binary.LittleEndian.Uint32(p[off:])
 	off += 4
-	got := crc32.Update(0, crcTable, []byte{typ})
-	got = crc32.Update(got, crcTable, payload)
-	if got != want {
+	if frameCRC(typ, payload) != want {
 		return Frame{}, 0, ErrBadChecksum
 	}
 	return Frame{Type: typ, Payload: payload}, off, nil

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -97,6 +98,72 @@ func TestFrameTornStream(t *testing.T) {
 		if err == io.EOF {
 			t.Errorf("torn frame at %d returned clean EOF", cut)
 		}
+	}
+}
+
+// TestReadFrameHeaderAlone: a length field is a claim, not a size to
+// allocate. Eight bytes claiming the 32 MiB maximum cost one 64 KiB read
+// buffer before the stream runs out, not 32 MiB.
+func TestReadFrameHeaderAlone(t *testing.T) {
+	var hdr Buffer
+	hdr.PutRaw([]byte{frameMagic0, frameMagic1, frameVersion, FrameReply})
+	hdr.PutUvarint(MaxFramePayload)
+	input := hdr.Bytes()
+	r := bufio.NewReader(bytes.NewReader(input))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(r)
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("header alone: got %v, want io.ErrUnexpectedEOF", err)
+	}
+	if spent := after.TotalAlloc - before.TotalAlloc; spent > frameReadChunk+uint64(len(input)) {
+		t.Fatalf("%d-byte header claiming %d bytes made ReadFrame allocate %d bytes", len(input), MaxFramePayload, spent)
+	}
+}
+
+// TestReadFrameGrows reads payloads on both sides of the first read
+// allocation: whatever it took to get there, the payload is whole, checked,
+// and capped at its length.
+func TestReadFrameGrows(t *testing.T) {
+	for _, n := range []int{0, 1, frameReadChunk - 5, frameReadChunk - 4, frameReadChunk - 3, 3*frameReadChunk + 7, 1 << 20} {
+		payload := bytes.Repeat([]byte{byte(n), 0x5A, 0xC3}, n/3+1)[:n]
+		enc := EncodeFrame(Frame{Type: FrameReply, Payload: payload})
+		got, err := ReadFrame(bufio.NewReader(bytes.NewReader(enc)))
+		if err != nil || !bytes.Equal(got.Payload, payload) || cap(got.Payload) != n {
+			t.Fatalf("%d-byte payload: err %v, equal %v, cap %d", n, err, bytes.Equal(got.Payload, payload), cap(got.Payload))
+		}
+		if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(enc[:len(enc)-1]))); err != io.ErrUnexpectedEOF {
+			t.Fatalf("%d-byte payload, last byte missing: got %v", n, err)
+		}
+	}
+}
+
+// TestReadFrameAllocs: a small frame's payload and CRC share one
+// allocation, and nothing else on the read path allocates.
+func TestReadFrameAllocs(t *testing.T) {
+	enc := EncodeFrame(Frame{Type: FrameRequest, Payload: bytes.Repeat([]byte{7}, 80)})
+	src := bytes.NewReader(enc)
+	r := bufio.NewReader(src)
+	allocs := testing.AllocsPerRun(100, func() {
+		src.Reset(enc)
+		r.Reset(src)
+		if _, err := ReadFrame(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("ReadFrame of an 80-byte frame: %.1f allocations, want 1", allocs)
+	}
+}
+
+// TestAppendFrameAllocs: encoding into a buffer with room allocates nothing
+// (the type byte's CRC comes from a table).
+func TestAppendFrameAllocs(t *testing.T) {
+	f := Frame{Type: FrameReply, Payload: bytes.Repeat([]byte{9}, 80)}
+	dst := make([]byte, 0, 128)
+	if allocs := testing.AllocsPerRun(100, func() { dst = AppendFrame(dst[:0], f) }); allocs != 0 {
+		t.Fatalf("AppendFrame into room: %.1f allocations, want 0", allocs)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Encoding limits. These bound untrusted input: a malicious or corrupt
@@ -130,13 +131,24 @@ func (b *Buffer) PutRaw(p []byte) { b.b = append(b.b, p...) }
 // first failure all subsequent reads return zero values, and Err reports
 // the original error.
 type Reader struct {
-	b   []byte
-	off int
-	err error
+	b     []byte
+	off   int
+	err   error
+	owned bool // Bytes aliases b instead of copying (OwnedReader)
 }
 
-// NewReader returns a Reader over p. The Reader does not copy p.
+// NewReader returns a Reader over p. The Reader does not copy p, but
+// everything it returns is a copy: p may be a pooled, log or segment buffer
+// that is written again once decoding is done.
 func NewReader(p []byte) *Reader { return &Reader{b: p} }
+
+// OwnedReader returns a Reader, by value, over bytes the caller owns and
+// that nobody writes again: a frame payload that reached its receiver (see
+// ReadFrame). Its Bytes results alias p, each capped at its own length so an
+// append to one cannot write into the bytes behind it. Decoding through
+// it and a concrete UnmarshalWire keeps both the reader and the message on
+// the caller's stack.
+func OwnedReader(p []byte) Reader { return Reader{b: p, owned: true} }
 
 // Err returns the first decoding error encountered, or nil.
 func (r *Reader) Err() error { return r.err }
@@ -146,6 +158,18 @@ func (r *Reader) Remaining() int { return len(r.b) - r.off }
 
 // Done reports whether the reader consumed its whole input without error.
 func (r *Reader) Done() bool { return r.err == nil && r.off == len(r.b) }
+
+// Finish returns the first decoding error, or an error if input remains: the
+// end-of-message check Unmarshal makes.
+func (r *Reader) Finish() error {
+	if r.err != nil {
+		return r.err
+	}
+	if r.Remaining() != 0 {
+		return fmt.Errorf("wire: %d trailing bytes after message", r.Remaining())
+	}
+	return nil
+}
 
 func (r *Reader) fail(err error) {
 	if r.err == nil {
@@ -237,58 +261,48 @@ func (r *Reader) Uint64() uint64 {
 // Float64 reads an IEEE-754 double.
 func (r *Reader) Float64() float64 { return math.Float64frombits(r.Uint64()) }
 
-// String reads a length-prefixed string.
-func (r *Reader) String() string {
+// field reads a length prefix and returns that many bytes of the input in
+// place, capped at their own length; nil after an error.
+func (r *Reader) field() []byte {
 	n := r.Uvarint()
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n > MaxStringLen {
 		r.fail(ErrTooLarge)
-		return ""
+		return nil
 	}
-	if r.off+int(n) > len(r.b) {
+	if uint64(len(r.b)-r.off) < n {
 		r.fail(ErrTruncated)
-		return ""
+		return nil
 	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
+	end := r.off + int(n)
+	p := r.b[r.off:end:end]
+	r.off = end
+	return p
 }
 
-// Bytes reads a length-prefixed byte slice. The result is a copy and does
-// not alias the reader's input.
+// String reads a length-prefixed string.
+func (r *Reader) String() string { return string(r.field()) }
+
+// Bytes reads a length-prefixed byte slice. From an OwnedReader the result
+// aliases the input with cap == len; otherwise it is a copy.
 func (r *Reader) Bytes() []byte {
-	n := r.Uvarint()
-	if r.err != nil {
-		return nil
+	p := r.field()
+	if r.owned || p == nil {
+		return p
 	}
-	if n > MaxStringLen {
-		r.fail(ErrTooLarge)
-		return nil
-	}
-	if r.off+int(n) > len(r.b) {
-		r.fail(ErrTruncated)
-		return nil
-	}
-	p := make([]byte, n)
-	copy(p, r.b[r.off:])
-	r.off += int(n)
-	return p
+	return append(make([]byte, 0, len(p)), p...)
 }
 
 // StringSlice reads a count-prefixed slice of strings.
 func (r *Reader) StringSlice() []string {
-	n := r.Uvarint()
+	n := r.Len()
 	if r.err != nil {
 		return nil
 	}
-	if n > MaxSliceLen {
-		r.fail(ErrTooLarge)
-		return nil
-	}
 	ss := make([]string, 0, min(n, 1024))
-	for i := uint64(0); i < n; i++ {
+	for range n {
 		ss = append(ss, r.String())
 		if r.err != nil {
 			return nil
@@ -298,23 +312,24 @@ func (r *Reader) StringSlice() []string {
 }
 
 // UvarintSlice reads a count-prefixed slice of uvarints.
-func (r *Reader) UvarintSlice() []uint64 {
-	n := r.Uvarint()
+func (r *Reader) UvarintSlice() []uint64 { return r.AppendUvarintSlice(nil) }
+
+// AppendUvarintSlice reads a count-prefixed slice of uvarints, appending them
+// to dst; nil after an error. With room in dst (a stack array, say) a short
+// one is read without allocating.
+func (r *Reader) AppendUvarintSlice(dst []uint64) []uint64 {
+	n := r.Len()
 	if r.err != nil {
 		return nil
 	}
-	if n > MaxSliceLen {
-		r.fail(ErrTooLarge)
-		return nil
-	}
-	xs := make([]uint64, 0, min(n, 1024))
-	for i := uint64(0); i < n; i++ {
-		xs = append(xs, r.Uvarint())
+	dst = slices.Grow(dst, min(n, 1024))
+	for range n {
+		dst = append(dst, r.Uvarint())
 		if r.err != nil {
 			return nil
 		}
 	}
-	return xs
+	return dst
 }
 
 // Len reads a count-prefixed length for a repeated field, validating it
@@ -329,13 +344,6 @@ func (r *Reader) Len() int {
 		return 0
 	}
 	return int(n)
-}
-
-func min(a uint64, b int) int {
-	if a < uint64(b) {
-		return int(a)
-	}
-	return b
 }
 
 // Marshaler is implemented by message types that encode themselves into a
@@ -365,11 +373,5 @@ func Unmarshal(p []byte, m Unmarshaler) error {
 	if err := m.UnmarshalWire(r); err != nil {
 		return err
 	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if r.Remaining() != 0 {
-		return fmt.Errorf("wire: %d trailing bytes after message", r.Remaining())
-	}
-	return nil
+	return r.Finish()
 }

@@ -133,6 +133,35 @@ func TestBytesDoesNotAliasInput(t *testing.T) {
 	}
 }
 
+// TestOwnedReaderAliases: over bytes the receiver owns, Bytes returns views
+// capped at their own length, Strings are still copies, and the end checks
+// are the ones Unmarshal makes.
+func TestOwnedReaderAliases(t *testing.T) {
+	var b Buffer
+	b.PutBytes([]byte{1, 2, 3})
+	b.PutString("svc")
+	b.PutBytes([]byte{4, 5})
+	input := b.Bytes()
+	r := OwnedReader(input)
+	first, s, second := r.Bytes(), r.String(), r.Bytes()
+	if err := r.Finish(); err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	if &first[0] != &input[1] || &second[0] != &input[len(input)-2] || cap(first) != 3 || cap(second) != 2 {
+		t.Fatalf("Bytes from an owned reader: not capped views of the input (cap %d, %d)", cap(first), cap(second))
+	}
+	_ = append(first, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE)
+	input[5] = 'X' // under the decoded string
+	if s != "svc" || !bytes.Equal(second, []byte{4, 5}) {
+		t.Fatalf("after writes near the views: string %q, second %v", s, second)
+	}
+	r = OwnedReader(append(input, 0))
+	r.Bytes()
+	if r.Finish() == nil {
+		t.Fatal("Finish accepted a trailing byte")
+	}
+}
+
 func TestReaderEmptyInput(t *testing.T) {
 	r := NewReader(nil)
 	if !r.Done() {
