@@ -431,13 +431,13 @@ func BenchmarkServerJournal(b *testing.B) {
 	})
 }
 
-// BenchmarkServerJournalSharded measures the C100K tentpole (PR 7): the
-// session journal split into independent group-commit buckets. With one
-// shard every session's append contends on a single fsync leader; with N
-// shards, sessions hash across N leaders that fsync in parallel, so the
-// same offered load completes with the same durability in a fraction of
-// the wall-clock. 16 concurrent sessions stress the leader bottleneck the
-// way the 4-session BenchmarkServerJournal cannot.
+// BenchmarkServerJournalSharded measures the session journal split into
+// independent group-commit buckets. With one shard every session's append
+// contends on a single fsync leader; with N shards, sessions hash across N
+// leaders that fsync in parallel, so the same offered load completes with
+// the same durability in a fraction of the wall-clock. 16 concurrent
+// sessions stress the leader bottleneck the way the 4-session
+// BenchmarkServerJournal cannot.
 func BenchmarkServerJournalSharded(b *testing.B) {
 	run := func(b *testing.B, nshards int) {
 		logs := make([]stable.Log, nshards)

@@ -68,7 +68,6 @@ var (
 	useStoreDir  = flag.Bool("store-dir", false, "crash-server: run the disk-backed object store variant (booking workload; segment torn tails, compaction, recovery)")
 	storeCache   = flag.Int64("store-cache", 0, "crash-server -store-dir: hot-object cache bytes per incarnation (0 = 4 KiB, deliberately tiny so reads fault from the segment)")
 	storeCompact = flag.Int("store-compact-every", 0, "crash-server -store-dir: mutations between store compaction checks (0 = 8)")
-	useAutotune  = flag.Bool("autotune", false, "crash-server -store-dir: enable the adaptive cache/shard controller in every incarnation (fast interval; shard growth survives crashes via adopt-mode reopen)")
 )
 
 // flagScenarios maps each scenario-specific flag to the scenarios that
@@ -80,7 +79,6 @@ var flagScenarios = map[string][]string{
 	"store-dir":           {"crash-server"},
 	"store-cache":         {"crash-server"},
 	"store-compact-every": {"crash-server"},
-	"autotune":            {"crash-server"},
 }
 
 // Temp-dir registry: every scenario allocates its scratch space through
@@ -187,9 +185,6 @@ func main() {
 				}
 				if *storeCompact > 0 {
 					extra += fmt.Sprintf(" -store-compact-every=%d", *storeCompact)
-				}
-				if *useAutotune {
-					extra += " -autotune"
 				}
 				fmt.Fprintf(os.Stderr, "VIOLATION scenario=%s seed=%d: %v\n", r.name, s, err)
 				fmt.Fprintf(os.Stderr, "reproduce: go run ./cmd/rover-chaos -schedules=1 -seed=%d -scenario=%s%s -v\n", s, r.name, extra)
@@ -1007,12 +1002,6 @@ func runCrashServerStore(seed int64, verbose bool) error {
 			StoreCompactEvery: compactEvery,
 			JournalPath:       jpath,
 			JournalShards:     shards,
-			Autotune:          *useAutotune,
-			// Fast controller period and a zero fsync threshold so a short
-			// chaos schedule actually exercises online shard growth; the
-			// next incarnation must adopt the grown shard files.
-			AutotuneInterval:  5 * time.Millisecond,
-			AutotuneFsyncCost: time.Nanosecond,
 		})
 		if err != nil {
 			return fmt.Errorf("incarnation %d boot: %w", incarnations, err)

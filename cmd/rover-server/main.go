@@ -4,13 +4,14 @@
 //
 // Usage:
 //
-//	rover-server -listen :7070 -snapshot objects.snap -journal sessions.wal -seed demo
+//	rover-server -listen :7070 -store-dir objects -journal sessions.wal -seed mail
 //
-// With -snapshot, the object store is loaded at startup (if the file
-// exists) and saved on SIGINT/SIGTERM and every -save-interval. With
-// -journal, QRPC session state is write-ahead-logged so exactly-once
-// execution survives server crashes: a restarted server answers
-// redelivered requests from the recovered reply cache.
+// With -store-dir, the object store lives on disk: every commit is durable
+// in an append-only segment and the population is recovered at startup.
+// Without it the store is in memory and is lost on exit. With -journal,
+// QRPC session state is write-ahead-logged so exactly-once execution
+// survives server crashes: a restarted server answers redelivered requests
+// from the recovered reply cache.
 package main
 
 import (
@@ -35,7 +36,6 @@ func main() {
 		listen       = flag.String("listen", "127.0.0.1:7070", "TCP listen address")
 		httpAddr     = flag.String("http", "", "also serve a read-only HTTP gateway (e.g. 127.0.0.1:8080)")
 		serverID     = flag.String("id", "rover-server", "server identity")
-		snapshot     = flag.String("snapshot", "", "object store snapshot path (load at start, save on exit); exclusive with -store-dir")
 		storeDir     = flag.String("store-dir", "", "disk-backed object store directory (segment log + LRU; durable per commit, recovers at start)")
 		storeCache   = flag.Int64("store-cache", 0, "disk store hot-object cache bytes (0 = default 64 MiB)")
 		storeCompact = flag.Int("store-compact-every", 0, "disk store mutations between compaction checks (0 = default)")
@@ -44,12 +44,6 @@ func main() {
 		maxSessions  = flag.Int("max-sessions", 0, "admission high-water mark: refuse NEW sessions past this many (0 = unlimited)")
 		sessBudget   = flag.Int("session-budget", 0, "per-session unacked-reply byte budget; at the budget new requests are dropped until acks free it (0 = unlimited)")
 		replyCache   = flag.Int("reply-cache", 0, "encoded-reply cache bytes (0 = default 8 MiB, negative disables)")
-		autotune     = flag.Bool("autotune", false, "adaptive cold-path controller: grow the store cache and journal shard count under load (grow-only, capped)")
-		tuneEvery    = flag.Duration("autotune-interval", 0, "autotune controller period (0 = default 2s)")
-		cacheMax     = flag.Int64("store-cache-max", 0, "autotune cache growth cap in bytes (0 = 8x the starting budget)")
-		shardsMax    = flag.Int("journal-shards-max", 0, "autotune shard growth cap (0 = max(8, -journal-shards))")
-		tuneFsync    = flag.Duration("autotune-fsync-cost", 0, "measured fsync latency that triggers shard growth (0 = default 2ms)")
-		saveInterval = flag.Duration("save-interval", time.Minute, "periodic snapshot interval (0 disables)")
 		seed         = flag.String("seed", "", "seed demo content: mail, calendar, web, or all")
 		peer         = flag.String("peer", "", "replica peer QRPC address; enables home-pair replication")
 		peerHTTP     = flag.String("peer-http", "", "replica peer gateway URL for /replica redirects (e.g. http://host:8081)")
@@ -61,7 +55,6 @@ func main() {
 
 	srv, err := rover.NewServer(rover.ServerOptions{
 		ServerID:           *serverID,
-		SnapshotPath:       *snapshot,
 		StoreDir:           *storeDir,
 		StoreCacheBytes:    *storeCache,
 		StoreCompactEvery:  *storeCompact,
@@ -70,11 +63,6 @@ func main() {
 		MaxSessions:        *maxSessions,
 		SessionBudgetBytes: *sessBudget,
 		ReplyCacheBytes:    *replyCache,
-		Autotune:           *autotune,
-		AutotuneInterval:   *tuneEvery,
-		StoreCacheMaxBytes: *cacheMax,
-		JournalShardsMax:   *shardsMax,
-		AutotuneFsyncCost:  *tuneFsync,
 	})
 	if err != nil {
 		log.Fatalf("rover-server: %v", err)
@@ -85,9 +73,9 @@ func main() {
 		log.Printf("rover-server: session journal %s ×%d shards (%d sessions, %d replies recovered, %d resharded)",
 			*journal, max(*journShards, 1), st.RecoveredSessions, st.RecoveredReplies, st.JournalReshards)
 	}
-	// A store recovered from -store-dir or -snapshot already holds its
-	// objects (including any prior seed); re-seeding would either collide
-	// or clobber real state, so the recovered population wins.
+	// A store recovered from -store-dir already holds its objects (including
+	// any prior seed); re-seeding would either collide or clobber real
+	// state, so the recovered population wins.
 	if n := srv.Store().Len(); n > 0 && *seed != "" {
 		log.Printf("rover-server: store recovered %d objects; skipping -seed %s", n, *seed)
 	} else if err := seedDemo(srv, *seed); err != nil {
@@ -122,13 +110,6 @@ func main() {
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
-	var ticker *time.Ticker
-	var tick <-chan time.Time
-	if *snapshot != "" && *saveInterval > 0 {
-		ticker = time.NewTicker(*saveInterval)
-		tick = ticker.C
-		defer ticker.Stop()
-	}
 	var statsTick <-chan time.Time
 	if *statsEvery > 0 {
 		st := time.NewTicker(*statsEvery)
@@ -137,22 +118,11 @@ func main() {
 	}
 	for {
 		select {
-		case <-tick:
-			if err := srv.SaveSnapshot(); err != nil {
-				log.Printf("rover-server: snapshot: %v", err)
-			}
 		case <-statsTick:
 			logStats(srv)
 		case sig := <-stop:
 			log.Printf("rover-server: %v; shutting down", sig)
 			ln.Close()
-			if *snapshot != "" {
-				if err := srv.SaveSnapshot(); err != nil {
-					log.Printf("rover-server: final snapshot: %v", err)
-				} else {
-					log.Printf("rover-server: saved %d objects to %s", srv.Store().Len(), *snapshot)
-				}
-			}
 			return
 		}
 	}
@@ -190,11 +160,6 @@ func logStats(srv *rover.Server) {
 	line += fmt.Sprintf(" | store: objects=%d resident=%d/%s hits=%d coldFaults=%d compactions=%d segBytes=%d",
 		occ.Objects, occ.ResidentObjects, humanBytes(occ.ResidentBytes),
 		occ.CacheHits, occ.ColdFaults, occ.Compactions, occ.SegmentBytes)
-	if ar := srv.AutotuneReport(); ar.Enabled {
-		line += fmt.Sprintf(" | autotune: cache=%s/%s cacheGrowths=%d shards=%d/%d shardGrowths=%d",
-			humanBytes(ar.CacheBytes), humanBytes(ar.CacheMax), ar.CacheGrowths,
-			ar.ShardCount, ar.ShardMax, ar.ShardGrowths)
-	}
 	if rep := srv.Replicator(); rep != nil {
 		rs := rep.Stats()
 		line += fmt.Sprintf(

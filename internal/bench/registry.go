@@ -39,9 +39,6 @@ func init() {
 	register(17, "FIFACE", "extension: roaming across interfaces", ExpFIface)
 	register(18, "FMOSAIC", "extension: browsing over queued e-mail", ExpFMosaic)
 	register(19, "ABWIRE", "bandwidth layer: compression + delta re-import", ExpABWire)
-	register(20, "C100K", "connection-scale soak: sharded journal group commit", ExpC100K)
-	register(21, "ASCALE", "disk store at 1M RDOs: bounded RSS + cold-get latency", ExpAScale)
-	register(22, "ARESTART", "cold path: footer recovery, segment catch-up, autotune", ExpARestart)
 }
 
 // Lookup returns an experiment by ID.

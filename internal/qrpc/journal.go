@@ -1,7 +1,6 @@
 package qrpc
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -43,8 +42,8 @@ import (
 // buys is parallel group commit: each shard's log (a stable.FileLog, over
 // its own stable.SegmentFile) elects its own fsync leader, so with N shards
 // up to N fsyncs overlap instead of every worker in the server convoying
-// behind a single leader — the dominant cost at high session counts (see
-// BENCH_pr7). N=1 is one journal with one leader.
+// behind a single leader. N=1 is one journal with one leader. N is fixed for
+// the life of a Server; it may change only between incarnations.
 //
 // Replay applies each shard's records in append order into a per-shard
 // bucket; a snapshot record resets that bucket to its contents and later
@@ -89,9 +88,7 @@ type journalShard struct {
 	// bookkeeping that tracks the new record's id, so the write side
 	// observes "every live record's effect is in sessions and its id is in
 	// ids" — the invariant compaction relies on. Lock order: gate before
-	// Server.mu; gates of different shards are never held together, with
-	// one exception: GrowJournalShards holds every existing gate's write
-	// side (acquired in shard-index order) while it re-homes sessions.
+	// Server.mu; gates of different shards are never held together.
 	gate       sync.RWMutex
 	ids        []uint64 // under Server.mu: live record ids compaction may remove
 	compacting bool     // under Server.mu: one compaction per shard at a time
@@ -111,10 +108,10 @@ const (
 // ServerConfig.JournalCompactEvery is 0.
 const defaultJournalCompactEvery = 1024
 
-// hasJournal reports whether the server journals session state. journaled
-// is set once at construction (growth adds shards but can never take a
-// journal-less server to a journaled one), so this needs no lock.
-func (s *Server) hasJournal() bool { return s.journaled }
+// hasJournal reports whether the server journals session state. The shard
+// slice is fixed once NewServer returns, so this and every shard lookup
+// below need no lock.
+func (s *Server) hasJournal() bool { return len(s.shards) > 0 }
 
 // journalShardIndex maps a clientID to its home shard under an n-shard
 // journal (FNV-1a mod n). Every record for a session is appended to its
@@ -135,35 +132,16 @@ func journalShardIndex(clientID string, n int) int {
 	return int(h % uint32(n))
 }
 
-// shardIndexFor is journalShardIndex under the current shard count. It
-// takes s.mu (the shard slice may be swapped by online growth); callers
-// already holding mu use journalShardIndex(id, len(s.shards)) directly.
+// shardIndexFor is journalShardIndex under the server's shard count.
 func (s *Server) shardIndexFor(clientID string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return journalShardIndex(clientID, len(s.shards))
 }
 
-func (s *Server) shardFor(clientID string) *journalShard {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.shards[journalShardIndex(clientID, len(s.shards))]
-}
-
-// lockShardFor resolves clientID's home shard and returns it with its gate
-// read-held, revalidating after acquisition: an online growth may re-home
-// the session between resolution and lock, and an append through the stale
-// gate would land in a shard whose growth-triggered compaction has already
-// captured (and will remove) the session's records there.
+// lockShardFor returns clientID's home shard with its gate read-held.
 func (s *Server) lockShardFor(clientID string) *journalShard {
-	for {
-		sh := s.shardFor(clientID)
-		sh.gate.RLock()
-		if s.shardFor(clientID) == sh {
-			return sh
-		}
-		sh.gate.RUnlock()
-	}
+	sh := s.shards[s.shardIndexFor(clientID)]
+	sh.gate.RLock()
+	return sh
 }
 
 // ownedSessionsLocked returns the sessions whose home is shard idx — the
@@ -408,7 +386,7 @@ func mergeSessionState(dst, src *session) {
 }
 
 // reshardJournal rewrites sessions recovered outside their home shard so
-// every session's durable state lives where shardFor sends its future
+// every session's durable state lives where lockShardFor sends its future
 // records. Phase 1 appends a migrate record with each misplaced session's
 // merged state to its home shard; only once those are durable does phase 2
 // compact the shards holding stale copies (owned-only snapshot, then remove
@@ -645,9 +623,7 @@ func (s *Server) shouldCompactLocked(sh *journalShard) bool {
 // are not captured or removed here.
 func (s *Server) compactJournal(idx int) {
 	defer s.compactWG.Done()
-	s.mu.Lock()
 	sh := s.shards[idx]
-	s.mu.Unlock()
 	sh.gate.Lock()
 	s.mu.Lock()
 	if s.journalErr != nil {
@@ -684,145 +660,6 @@ func (s *Server) compactJournal(idx int) {
 	s.stats.JournalCompactions++
 	sh.compacting = false
 	s.mu.Unlock()
-}
-
-// JournalShardCount reports the current number of journal shards (0 when
-// the server has no journal).
-func (s *Server) JournalShardCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.shards)
-}
-
-// GrowJournalShards extends the session journal to len(newLogs) additional
-// shards while the server keeps executing — the online form of the recovery
-// reshard, with the same crash-safety order. With every existing gate held
-// write-side (quiescing appends), each session whose home moves under the
-// new count is captured in a migrate record durably appended to its new
-// home shard; only then is the grown shard set installed and each shard
-// left holding moved-away records compacted in the background. A crash
-// between the migrate appends and those compactions merely leaves duplicate
-// copies, which the next recovery merges and re-reshards. Shrinking is not
-// supported (see the package comment); a failed append to a NEW log aborts
-// cleanly with the old configuration intact, while a failed append to an
-// existing shard poisons the journal like any other append failure.
-func (s *Server) GrowJournalShards(newLogs []stable.Log) error {
-	if len(newLogs) == 0 {
-		return nil
-	}
-	if !s.hasJournal() {
-		return errors.New("qrpc: grow: no journal configured")
-	}
-	s.mu.Lock()
-	if err := s.journalErr; err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	if s.growing {
-		s.mu.Unlock()
-		return errors.New("qrpc: grow: growth already in progress")
-	}
-	s.growing = true
-	old := s.shards
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.growing = false
-		s.mu.Unlock()
-	}()
-
-	// Quiesce appends: every existing gate's write side, in shard-index
-	// order (the one sanctioned multi-gate hold — see journalShard.gate).
-	// In-flight compactions finish first; new appenders wait in
-	// lockShardFor and re-resolve their home once the gates drop.
-	for _, sh := range old {
-		sh.gate.Lock()
-	}
-	release := func() {
-		for i := len(old) - 1; i >= 0; i-- {
-			old[i].gate.Unlock()
-		}
-	}
-
-	newCount := len(old) + len(newLogs)
-	grown := make([]*journalShard, 0, newCount)
-	grown = append(grown, old...)
-	for i, log := range newLogs {
-		bl, _ := log.(stable.BatchLog)
-		grown = append(grown, &journalShard{idx: len(old) + i, log: log, batch: bl})
-	}
-
-	// Find every session whose home moves under the new count; encode one
-	// migrate record per destination shard.
-	s.mu.Lock()
-	if err := s.journalErr; err != nil {
-		s.mu.Unlock()
-		release()
-		return err
-	}
-	byNewHome := make(map[int]map[string]*session)
-	staleOld := make(map[int]bool)
-	for id, sess := range s.sessions {
-		oldHome := journalShardIndex(id, len(old))
-		newHome := journalShardIndex(id, newCount)
-		if newHome == oldHome {
-			continue
-		}
-		if byNewHome[newHome] == nil {
-			byNewHome[newHome] = make(map[string]*session)
-		}
-		byNewHome[newHome][id] = sess
-		staleOld[oldHome] = true
-	}
-	migrates := make(map[int][]byte, len(byNewHome))
-	for home, group := range byNewHome {
-		migrates[home] = encodeMigrateRecord(group)
-	}
-	s.mu.Unlock()
-
-	// Durable migrate appends. A destination may be an existing shard (the
-	// modulus does not partition conservatively); its gate is held
-	// exclusively here, so the direct append cannot race a compaction.
-	appended := make(map[int]uint64, len(migrates))
-	for home, rec := range migrates {
-		id, err := grown[home].log.Append(rec)
-		if err != nil {
-			if home < len(old) {
-				s.mu.Lock()
-				s.poisonJournalLocked(err)
-				s.mu.Unlock()
-			}
-			// Migrate records that did land are harmless upserts; recovery
-			// re-merges and re-reshards them under whatever count comes next.
-			release()
-			return fmt.Errorf("qrpc: grow: migrate append: %w", err)
-		}
-		appended[home] = id
-	}
-
-	// Install the grown shard set and claim a compaction of every shard
-	// left holding records for sessions that moved away.
-	s.mu.Lock()
-	for home, id := range appended {
-		grown[home].ids = append(grown[home].ids, id)
-		s.stats.JournalRecords++
-	}
-	s.shards = grown
-	s.stats.JournalShardGrowths++
-	var toCompact []int
-	for idx := range staleOld {
-		if sh := grown[idx]; !sh.compacting {
-			sh.compacting = true
-			s.compactWG.Add(1)
-			toCompact = append(toCompact, idx)
-		}
-	}
-	s.mu.Unlock()
-	release()
-	for _, idx := range toCompact {
-		go s.compactJournal(idx)
-	}
-	return nil
 }
 
 // JournalShardDepths reports the live-record count of each journal shard

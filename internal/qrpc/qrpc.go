@@ -123,13 +123,12 @@ type ServerStats struct {
 	ReplicatedReplies int64
 
 	// Session-journal counters (zero when the server has no journal).
-	JournalRecords      int64 // exec/ack/prune records appended
-	JournalCompactions  int64 // snapshot+truncate cycles completed
-	JournalRefused      int64 // requests refused because the journal is poisoned
-	RecoveredSessions   int64 // sessions rebuilt from the journal at construction
-	RecoveredReplies    int64 // cached replies rebuilt from the journal at construction
-	JournalReshards     int64 // sessions rewritten into their home shard at recovery
-	JournalShardGrowths int64 // online shard-count increases (GrowJournalShards)
+	JournalRecords     int64 // exec/ack/prune records appended
+	JournalCompactions int64 // snapshot+truncate cycles completed
+	JournalRefused     int64 // requests refused because the journal is poisoned
+	RecoveredSessions  int64 // sessions rebuilt from the journal at construction
+	RecoveredReplies   int64 // cached replies rebuilt from the journal at construction
+	JournalReshards    int64 // sessions rewritten into their home shard at recovery
 
 	// Admission-control and budget counters (see ServerConfig.MaxSessions
 	// and SessionBudgetBytes).

@@ -170,14 +170,11 @@ type Server struct {
 	// when disabled). See replycache.go.
 	replyCache *replyCache
 
-	// Journal state (see journal.go): journaled is set at construction and
-	// never changes; the shards slice is read and replaced under mu —
-	// GrowJournalShards may extend it online (existing *journalShard values
-	// are never replaced, only appended after). Each shard's gate orders its
-	// appends against its compaction. journalErr is sticky and server-wide.
-	journaled  bool
+	// Journal state (see journal.go): the shards slice is set at
+	// construction and never written again, so it is read without a lock.
+	// Each shard's gate orders its appends against its compaction.
+	// journalErr is sticky and server-wide.
 	shards     []*journalShard
-	growing    bool  // under mu: one online shard growth at a time
 	journalErr error // sticky (under mu): recovery or append failure
 	compactWG  sync.WaitGroup
 }
@@ -202,7 +199,6 @@ func NewServer(cfg ServerConfig) *Server {
 		bl, _ := log.(stable.BatchLog)
 		s.shards = append(s.shards, &journalShard{idx: i, log: log, batch: bl})
 	}
-	s.journaled = len(s.shards) > 0
 	if s.hasJournal() {
 		if err := s.recoverJournal(); err != nil {
 			s.journalErr = fmt.Errorf("qrpc: journal recovery: %w", err)

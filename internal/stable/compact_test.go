@@ -190,6 +190,50 @@ func TestCompactionUnderConcurrentAppenders(t *testing.T) {
 	}
 }
 
+// TestCompactionKeepsIDHighWater: a compaction that drops the highest ids
+// (every record above the lowest was removed) must not let a reopen hand
+// them out again — ids strictly increase across recoveries.
+func TestCompactionKeepsIDHighWater(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	l, err := OpenFileLog(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append([]byte("keep")); err != nil {
+		t.Fatal(err)
+	}
+	pad := bytes.Repeat([]byte("x"), 8<<10)
+	var ids []uint64
+	for i := 0; i < 20; i++ {
+		id, err := l.Append(pad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if err := l.RemoveBatch(ids); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.Compactions == 0 {
+		t.Fatalf("removing 160 KiB of 160 KiB did not compact: %+v", st)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := OpenFileLog(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if l2.Len() != 1 {
+		t.Errorf("Len after reopen = %d, want 1", l2.Len())
+	}
+	top := ids[len(ids)-1]
+	if id, err := l2.Append([]byte("next")); err != nil || id <= top {
+		t.Errorf("first id after compaction and reopen = %d, %v; want > %d", id, err, top)
+	}
+}
+
 // TestFailedCompactionDoesNotFailRemove: by the time compaction runs the
 // remove is durable and applied, so a rewrite that cannot happen (here: the
 // rewrite path is occupied by a directory) is not the remove's error. The

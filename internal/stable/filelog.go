@@ -227,7 +227,10 @@ func (l *FileLog) maybeCompactLocked() {
 // compactLocked rewrites the file down to its live records, in id order.
 // The old segment is made durable first, so every appender still parked in
 // its group commit is released by a real flush before the segment is closed
-// behind the swap; the fresh one carries the log's counters on.
+// behind the swap; the fresh one carries the log's counters on. Recovery
+// resumes ids past the highest one in the file, so when the last id handed
+// out is no longer live a remove record for it carries the high-water mark
+// into the fresh file.
 func (l *FileLog) compactLocked() error {
 	old := l.seg
 	if err := old.Commit(); err != nil {
@@ -236,6 +239,12 @@ func (l *FileLog) compactLocked() error {
 	fresh, err := old.Rewrite(func(fresh *SegmentFile) error {
 		for _, id := range l.liveIDsLocked() {
 			if _, _, err := fresh.stage(kindAppend, l.live[id], id); err != nil {
+				return err
+			}
+		}
+		if top := l.next - 1; top > 0 {
+			if _, live := l.live[top]; !live {
+				_, _, err := fresh.stage(kindRemove, nil, top)
 				return err
 			}
 		}

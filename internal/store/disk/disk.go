@@ -609,8 +609,7 @@ func (s *Store) StreamOpsSince(u urn.URN, from uint64, fn func(ver uint64, invs 
 }
 
 // SetCacheBytes implements store.CacheTuner: it retunes the hot-object LRU
-// budget online, evicting immediately on shrink. The facade's autotuner is
-// the intended caller.
+// budget online, evicting immediately on shrink.
 func (s *Store) SetCacheBytes(n int64) { s.lru.setMax(n) }
 
 // CacheBytes implements store.CacheTuner.

@@ -85,10 +85,10 @@ func (c *lruCache) put(obj *rdo.Object) {
 	}
 }
 
-// setMax retunes the byte bound online (the facade's autotuner grows it),
-// evicting from the cold end when the new bound is below current occupancy.
-// A bound <= 0 caches nothing: existing entries are evicted and every later
-// put is refused by the size check.
+// setMax retunes the byte bound online, evicting from the cold end when the
+// new bound is below current occupancy. A bound <= 0 caches nothing:
+// existing entries are evicted and every later put is refused by the size
+// check.
 func (c *lruCache) setMax(n int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -459,10 +459,6 @@ type ServerOptions struct {
 	ServerID string
 	// AuthKeys maps client IDs to hex keys; nil disables authentication.
 	AuthKeys map[string]string
-	// SnapshotPath, when set, is loaded at startup if present; call
-	// SaveSnapshot to persist. Mutually exclusive with StoreDir, whose
-	// segment already makes every commit durable.
-	SnapshotPath string
 	// StoreDir, when set, selects the disk-backed object store: committed
 	// mutations are group-committed to an append-only segment in this
 	// directory, a byte-bounded LRU keeps hot decoded objects resident, and
@@ -530,46 +526,16 @@ type ServerOptions struct {
 	// (zero = default 8 MiB, negative = disabled). See
 	// qrpc.ServerConfig.ReplyCacheBytes.
 	ReplyCacheBytes int
-	// Autotune enables the adaptive cold-path controller: a periodic pass
-	// that grows the disk store's hot-object cache while cold faults
-	// dominate hits with the cache full (up to StoreCacheMaxBytes), and
-	// grows the journal shard count online while the measured fsync latency
-	// stays above AutotuneFsyncCost (up to JournalShardsMax). Both knobs are
-	// grow-only: the controller never shrinks a cache or a shard count, and
-	// every decision is observable via AutotuneReport. With Autotune set the
-	// journal also reopens in adopt mode — shard files a previous
-	// incarnation's growth created beyond JournalShards are adopted instead
-	// of refused.
-	Autotune bool
-	// AutotuneInterval is the controller period (zero = 2s). Ignored
-	// without Autotune.
-	AutotuneInterval time.Duration
-	// StoreCacheMaxBytes caps autotuned cache growth (zero = 8× the
-	// starting budget). Ignored without Autotune.
-	StoreCacheMaxBytes int64
-	// JournalShardsMax caps autotuned shard growth (zero = the larger of 8
-	// and the configured JournalShards). Ignored without Autotune.
-	JournalShardsMax int
-	// AutotuneFsyncCost is the measured per-shard fsync latency above which
-	// the controller doubles the shard count (zero = 2ms). Ignored without
-	// Autotune.
-	AutotuneFsyncCost time.Duration
 }
 
 // Server is a Rover home server: QRPC engine + object store + conflict
 // pipeline.
 type Server struct {
-	engine  *qrpc.Server
-	srv     *server.Server
-	backend store.Backend // closed by Close when StoreDir is set
-	opts    ServerOptions
-
-	// journalMu guards journals: autotuned shard growth appends new logs
-	// while stats readers and Close walk the slice.
-	journalMu sync.Mutex
-	journals  []stable.Log // empty unless JournalPath is set; one per shard
-
-	tuner *autotuner // nil unless Autotune
+	engine   *qrpc.Server
+	srv      *server.Server
+	backend  store.Backend // closed by Close when StoreDir is set
+	opts     ServerOptions
+	journals []stable.Log // empty unless JournalPath is set; one per shard
 
 	replMu  sync.Mutex
 	rep     *repl.Replicator
@@ -579,9 +545,6 @@ type Server struct {
 
 // NewServer builds a server.
 func NewServer(opts ServerOptions) (*Server, error) {
-	if opts.StoreDir != "" && opts.SnapshotPath != "" {
-		return nil, errors.New("rover: StoreDir and SnapshotPath are mutually exclusive: the disk store is already durable")
-	}
 	var reg *auth.Registry
 	if len(opts.AuthKeys) > 0 {
 		reg = auth.NewRegistry()
@@ -605,7 +568,7 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	var journals []stable.Log
 	if opts.JournalPath != "" {
 		var err error
-		journals, err = openJournalShards(opts.JournalPath, opts.JournalShards, opts.Autotune)
+		journals, err = openJournalShards(opts.JournalPath, opts.JournalShards)
 		if err != nil {
 			return nil, err
 		}
@@ -652,40 +615,36 @@ func NewServer(opts ServerOptions) (*Server, error) {
 		closeJournals()
 		return nil, err
 	}
-	s := &Server{engine: engine, srv: srv, backend: backend, journals: journals, opts: opts}
-	if opts.SnapshotPath != "" {
-		if data, err := os.ReadFile(opts.SnapshotPath); err == nil {
-			_ = srv.Store().LoadSnapshot(data) // loaded existing snapshot
-		}
-	}
-	if opts.Autotune {
-		s.tuner = newAutotuner(s)
-		s.tuner.start()
-	}
-	return s, nil
+	return &Server{engine: engine, srv: srv, backend: backend, journals: journals, opts: opts}, nil
 }
 
 // openJournalShards opens the session journal's shard files: path itself is
 // shard 0, "path.s1" … "path.s<n-1>" the rest. It refuses to open fewer
 // shards than exist on disk — a shard-count decrease would leave the
 // higher-index files' records silently unread, losing exactly-once state.
-// With adopt set (Autotune), shard files beyond n are opened instead of
-// refused: online growth creates them without the operator's config knowing.
-func openJournalShards(path string, n int, adopt bool) ([]stable.Log, error) {
+// The directory is listed and matched on a literal prefix, never globbed:
+// a path holding pattern metacharacters must not hide a shard file.
+func openJournalShards(path string, n int) ([]stable.Log, error) {
 	if n <= 0 {
 		n = 1
 	}
-	matches, _ := filepath.Glob(path + ".s*")
-	for _, m := range matches {
-		k, err := strconv.Atoi(strings.TrimPrefix(m, path+".s"))
+	ents, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		return nil, fmt.Errorf("rover: session journal: %w", err)
+	}
+	prefix := filepath.Base(path) + ".s"
+	for _, e := range ents {
+		suffix, ok := strings.CutPrefix(e.Name(), prefix)
+		if !ok {
+			continue
+		}
+		k, err := strconv.Atoi(suffix)
 		if err != nil {
 			continue // not a shard file of ours (e.g. path.s1.compact mid-crash)
 		}
 		if k >= n {
-			if !adopt {
-				return nil, fmt.Errorf("rover: journal shard file %s exists but only %d shard(s) configured; shard counts may grow, never shrink", m, n)
-			}
-			n = k + 1
+			return nil, fmt.Errorf("rover: journal shard file %s exists but only %d shard(s) configured; shard counts may grow, never shrink",
+				journalShardPath(path, k), n)
 		}
 	}
 	logs := make([]stable.Log, 0, n)
@@ -718,8 +677,6 @@ func (s *Server) Engine() *qrpc.Server { return s.engine }
 // (empty when no journal is configured). Stats lines derive fsyncs/op and
 // measured fsync latency from these.
 func (s *Server) JournalStats() []stable.Stats {
-	s.journalMu.Lock()
-	defer s.journalMu.Unlock()
 	out := make([]stable.Stats, len(s.journals))
 	for i, jl := range s.journals {
 		out[i] = jl.Stats()
@@ -730,8 +687,6 @@ func (s *Server) JournalStats() []stable.Stats {
 // JournalCost reports the slowest per-shard measured fsync latency estimate
 // (zero without a journal or before the first sync).
 func (s *Server) JournalCost() time.Duration {
-	s.journalMu.Lock()
-	defer s.journalMu.Unlock()
 	var worst time.Duration
 	for _, jl := range s.journals {
 		if c := jl.Cost(); c > worst {
@@ -767,9 +722,6 @@ func (s *Server) ListenTCP(addr string) (*transport.TCPServer, error) {
 // then closes the session journal if one is configured. Transports attached
 // via ListenTCP are closed separately by their handles.
 func (s *Server) Close() error {
-	if s.tuner != nil {
-		s.tuner.stop()
-	}
 	s.replMu.Lock()
 	rep, replTr, replLog := s.rep, s.replTr, s.replLog
 	s.rep, s.replTr, s.replLog = nil, nil, nil
@@ -784,10 +736,7 @@ func (s *Server) Close() error {
 	if replLog != nil {
 		replLog.Close()
 	}
-	s.journalMu.Lock()
-	journals := s.journals
-	s.journalMu.Unlock()
-	for _, jl := range journals {
+	for _, jl := range s.journals {
 		if jerr := jl.Close(); err == nil {
 			err = jerr
 		}
@@ -798,25 +747,6 @@ func (s *Server) Close() error {
 		}
 	}
 	return err
-}
-
-// SaveSnapshot persists the object store to the configured snapshot path
-// (write to a temp file, then rename, so a crash never leaves a partial
-// snapshot at the configured path).
-func (s *Server) SaveSnapshot() error {
-	if s.opts.SnapshotPath == "" {
-		return errors.New("rover: no SnapshotPath configured")
-	}
-	snap := s.srv.Store().Snapshot()
-	tmp := s.opts.SnapshotPath + ".tmp"
-	if err := os.WriteFile(tmp, snap, 0o600); err != nil {
-		return fmt.Errorf("rover: save snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, s.opts.SnapshotPath); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("rover: save snapshot rename: %w", err)
-	}
-	return nil
 }
 
 // ServerStats returns the application-layer counters (deltas served,

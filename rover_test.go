@@ -163,23 +163,6 @@ func TestFacadeTCPWithAuthAndCrashRecovery(t *testing.T) {
 	}
 }
 
-func TestFacadeSnapshotPersistence(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "objects.snap")
-	srv, _ := NewServer(ServerOptions{ServerID: "home", SnapshotPath: path})
-	srv.Seed(notesObject(t, "persist"))
-	if err := srv.SaveSnapshot(); err != nil {
-		t.Fatal(err)
-	}
-	srv2, _ := NewServer(ServerOptions{ServerID: "home", SnapshotPath: path})
-	if srv2.Store().Len() != 1 {
-		t.Errorf("snapshot not loaded: %d objects", srv2.Store().Len())
-	}
-	srv3, _ := NewServer(ServerOptions{ServerID: "home"})
-	if err := srv3.SaveSnapshot(); err == nil {
-		t.Error("SaveSnapshot without path succeeded")
-	}
-}
-
 func TestFacadeDiskStoreEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := NewServer(ServerOptions{ServerID: "home", StoreDir: dir})
@@ -229,10 +212,6 @@ func TestFacadeDiskStoreEndToEnd(t *testing.T) {
 	}
 	if v, _ := got.Get("n0"); v != "durable note" {
 		t.Errorf("recovered state %q", v)
-	}
-
-	if _, err := NewServer(ServerOptions{StoreDir: dir, SnapshotPath: "x.snap"}); err == nil {
-		t.Error("StoreDir+SnapshotPath accepted")
 	}
 }
 
@@ -300,9 +279,9 @@ func TestFacadeResolverRegistration(t *testing.T) {
 func TestFacadeJournalRecoveryAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "sessions.journal")
-	snap := filepath.Join(dir, "store.snap")
+	sdir := filepath.Join(dir, "store")
 
-	srv, err := NewServer(ServerOptions{ServerID: "home", JournalPath: jpath, SnapshotPath: snap})
+	srv, err := NewServer(ServerOptions{ServerID: "home", JournalPath: jpath, StoreDir: sdir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,9 +313,6 @@ func TestFacadeJournalRecoveryAcrossRestart(t *testing.T) {
 		t.Fatal("journaled server recorded nothing")
 	}
 	link.SetConnected(false)
-	if err := srv.SaveSnapshot(); err != nil {
-		t.Fatal(err)
-	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +320,7 @@ func TestFacadeJournalRecoveryAcrossRestart(t *testing.T) {
 	// Restart: the new incarnation replays the session journal, so the
 	// laptop's session (its executed seqs and cached replies) survives the
 	// server crash and the client can simply reconnect and keep going.
-	srv2, err := NewServer(ServerOptions{ServerID: "home", JournalPath: jpath, SnapshotPath: snap})
+	srv2, err := NewServer(ServerOptions{ServerID: "home", JournalPath: jpath, StoreDir: sdir})
 	if err != nil {
 		t.Fatal(err)
 	}
