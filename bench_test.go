@@ -365,13 +365,12 @@ func BenchmarkFrameEncode(b *testing.B) {
 // without the durable session journal (PR 4). The journaled variant
 // write-ahead-logs every executed reply to a file-backed log before
 // release; appends from concurrent sessions ride the log's group commit,
-// so the per-request fsync cost is amortized across the worker pool.
+// so the per-request fsync cost is amortized across the worker pool. The
+// inline variant runs each request on its caller's goroutine as a run of
+// one, so every request pays its own commit join.
 func BenchmarkServerJournal(b *testing.B) {
-	run := func(b *testing.B, journals ...stable.Log) {
-		workers := runtime.GOMAXPROCS(0)
-		if workers < 2 {
-			workers = 2
-		}
+	pooled := max(runtime.GOMAXPROCS(0), 2)
+	run := func(b *testing.B, workers int, journals ...stable.Log) {
 		srv := qrpc.NewServer(qrpc.ServerConfig{ServerID: "bench", Journals: journals, Workers: workers})
 		defer srv.Close()
 		srv.Register("bench.echo", func(_ string, req qrpc.Request) ([]byte, error) {
@@ -419,16 +418,20 @@ func BenchmarkServerJournal(b *testing.B) {
 			b.Fatalf("executed %d of %d", got, b.N)
 		}
 	}
-	b.Run("inmemory", func(b *testing.B) { run(b) })
-	b.Run("journaled", func(b *testing.B) {
-		fl, err := stable.OpenFileLog(filepath.Join(b.TempDir(), "journal"), stable.Options{})
-		if err != nil {
-			b.Fatal(err)
+	journaled := func(workers int) func(*testing.B) {
+		return func(b *testing.B) {
+			fl, err := stable.OpenFileLog(filepath.Join(b.TempDir(), "journal"), stable.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer fl.Close()
+			run(b, workers, fl)
+			b.ReportMetric(float64(fl.Stats().Syncs)/float64(b.N), "fsyncs/op")
 		}
-		defer fl.Close()
-		run(b, fl)
-		b.ReportMetric(float64(fl.Stats().Syncs)/float64(b.N), "fsyncs/op")
-	})
+	}
+	b.Run("inmemory", func(b *testing.B) { run(b, pooled) })
+	b.Run("journaled", journaled(pooled))
+	b.Run("journaled-inline", journaled(0))
 }
 
 // BenchmarkServerJournalSharded measures the session journal split into

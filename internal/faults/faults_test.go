@@ -286,6 +286,34 @@ func TestLogFaultsCleanAndDirtyAppend(t *testing.T) {
 	}
 }
 
+// A dirty staged append is a dirty append: the error comes back, but only
+// after the record is durable, so recovery finds it.
+func TestLogFaultsDirtyAppendNoSyncIsDurable(t *testing.T) {
+	inner := stable.NewMemLog(stable.Options{})
+	dirty := WrapLog(inner, 1, LogFaultRates{AppendDirty: 1})
+	if _, err := dirty.AppendNoSync([]byte("staged")); !errors.Is(err, ErrInjected) {
+		t.Fatalf("dirty staged append: err = %v, want ErrInjected", err)
+	}
+	if st := inner.Stats(); st.Appends != 1 || st.Syncs != 1 {
+		t.Fatalf("inner log: %d appends, %d syncs, want the record written and flushed", st.Appends, st.Syncs)
+	}
+	var got []string
+	if err := dirty.Replay(func(_ uint64, rec []byte) error { got = append(got, string(rec)); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != "staged" {
+		t.Fatalf("replay = %q, want the dirty record", got)
+	}
+	if st := dirty.FaultStats(); st.AppendsDirty != 1 {
+		t.Errorf("AppendsDirty = %d, want 1", st.AppendsDirty)
+	}
+
+	clean := WrapLog(inner, 1, LogFaultRates{AppendFail: 1})
+	if _, err := clean.AppendNoSync([]byte("lost")); !errors.Is(err, ErrInjected) || inner.Len() != 1 {
+		t.Fatalf("clean staged append fail: err = %v, Len = %d", err, inner.Len())
+	}
+}
+
 func TestCrasherRespectsMaxAndSeed(t *testing.T) {
 	c := NewCrasher(5, 0.5, 3)
 	fires := 0

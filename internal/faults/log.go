@@ -74,7 +74,15 @@ func (l *Log) FaultStats() LogFaultStats {
 }
 
 // Append implements stable.Log.
-func (l *Log) Append(rec []byte) (uint64, error) {
+func (l *Log) Append(rec []byte) (uint64, error) { return l.append(rec, l.inner.Append) }
+
+// AppendNoSync implements stable.Log under Append's fault rolls.
+func (l *Log) AppendNoSync(rec []byte) (uint64, error) { return l.append(rec, l.inner.AppendNoSync) }
+
+// append rolls AppendFail and AppendDirty around one write. A dirty record
+// is committed before the injected error returns — a staged one is not yet
+// durable — so the record the error calls persisted is.
+func (l *Log) append(rec []byte, write func([]byte) (uint64, error)) (uint64, error) {
 	l.mu.Lock()
 	if l.enabled {
 		roll := l.rng.Float64()
@@ -86,7 +94,10 @@ func (l *Log) Append(rec []byte) (uint64, error) {
 		if roll < l.rates.AppendFail+l.rates.AppendDirty {
 			l.stats.AppendsDirty++
 			l.mu.Unlock()
-			id, err := l.inner.Append(rec)
+			id, err := write(rec)
+			if err == nil {
+				err = l.inner.Commit()
+			}
 			if err != nil {
 				return 0, err
 			}
@@ -94,7 +105,7 @@ func (l *Log) Append(rec []byte) (uint64, error) {
 		}
 	}
 	l.mu.Unlock()
-	return l.inner.Append(rec)
+	return write(rec)
 }
 
 // removeFails rolls RemoveFail and counts the failure it injects.

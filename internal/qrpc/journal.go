@@ -79,16 +79,16 @@ import (
 
 // journalShard is one bucket of the sharded session journal.
 type journalShard struct {
-	idx   int
-	log   stable.Log
-	batch stable.BatchLog // non-nil when log supports staged appends (pipelined group commit)
+	idx int
+	log stable.Log
 
 	// gate orders this shard's appends against its compaction snapshots:
 	// appenders hold the read side across their append AND the Server.mu
 	// bookkeeping that tracks the new record's id, so the write side
 	// observes "every live record's effect is in sessions and its id is in
 	// ids" — the invariant compaction relies on. Lock order: gate before
-	// Server.mu; gates of different shards are never held together.
+	// Server.mu. No handler or onExecuted hook runs under a gate, so gates
+	// are never nested: not two of different shards, nor one read twice.
 	gate       sync.RWMutex
 	ids        []uint64 // under Server.mu: live record ids compaction may remove
 	compacting bool     // under Server.mu: one compaction per shard at a time
@@ -169,14 +169,6 @@ func encodeExecRecordEnc(clientID string, encReply []byte) []byte {
 	b.PutByte(jrecExec)
 	b.PutString(clientID)
 	b.PutRaw(encReply)
-	return b.Bytes()
-}
-
-func encodeExecRecord(clientID string, rep *Reply) []byte {
-	var b wire.Buffer
-	b.PutByte(jrecExec)
-	b.PutString(clientID)
-	rep.MarshalWire(&b)
 	return b.Bytes()
 }
 
@@ -564,7 +556,7 @@ func journalRecordDone(r *wire.Reader) error {
 }
 
 // poisonJournalLocked records the first journal failure. Once set, the
-// server refuses to execute further requests (see onRequest/execute):
+// server refuses to execute further requests (see onRequest/executeRun):
 // releasing replies whose durability cannot be guaranteed would silently
 // reintroduce the double-execution window the journal exists to close. The
 // poison is server-wide even though shards fail independently — a server
@@ -622,17 +614,25 @@ func (s *Server) shouldCompactLocked(sh *journalShard) bool {
 // shards keep appending concurrently; their records are in other logs and
 // are not captured or removed here.
 func (s *Server) compactJournal(idx int) {
+	for s.compactShardOnce(s.shards[idx]) {
+	}
+}
+
+// compactShardOnce is one compaction of a claimed shard. Appends that land
+// while it runs may put the shard back over the threshold, and the one that
+// crossed it saw the claim taken, so before letting go it looks again and
+// reports whether it re-claimed the shard for another round.
+func (s *Server) compactShardOnce(sh *journalShard) (again bool) {
 	defer s.compactWG.Done()
-	sh := s.shards[idx]
 	sh.gate.Lock()
 	s.mu.Lock()
 	if s.journalErr != nil {
 		sh.compacting = false
 		s.mu.Unlock()
 		sh.gate.Unlock()
-		return
+		return false
 	}
-	snap := encodeSnapshotRecord(s.ownedSessionsLocked(idx))
+	snap := encodeSnapshotRecord(s.ownedSessionsLocked(sh.idx))
 	prev := sh.ids
 	sh.ids = nil
 	s.mu.Unlock()
@@ -644,7 +644,7 @@ func (s *Server) compactJournal(idx int) {
 		sh.ids = append(sh.ids, prev...)
 		sh.compacting = false
 		s.mu.Unlock()
-		return
+		return false
 	}
 	// The removes run outside the gate: they touch only superseded records,
 	// and all of them share one write and one flush. A failed remove is not
@@ -653,13 +653,18 @@ func (s *Server) compactJournal(idx int) {
 	// the journal.
 	rerr := sh.log.RemoveBatch(prev)
 	s.mu.Lock()
+	// Only records that landed meanwhile earn another round: a failed remove
+	// (or a threshold the snapshot alone meets) would loop here forever.
+	landed := len(sh.ids) > 0
 	sh.ids = append(sh.ids, sid)
 	if rerr != nil {
 		sh.ids = append(sh.ids, prev...)
 	}
 	s.stats.JournalCompactions++
 	sh.compacting = false
+	again = rerr == nil && landed && s.shouldCompactLocked(sh)
 	s.mu.Unlock()
+	return again
 }
 
 // JournalShardDepths reports the live-record count of each journal shard

@@ -297,7 +297,47 @@ func TestJournalCompactionBoundsLog(t *testing.T) {
 	}
 }
 
-// poisonLog is a stable.BatchLog stub whose writes — appends and removes,
+// TestHandlerJournalsWhileCompactionWaits: a handler that journals on its
+// own — as the replicator's apply handler does through InstallReply — must
+// not hold its shard's gate while it does. Each install here crosses the
+// tiny compaction threshold, and the pause after it lets the compaction
+// reach the gate; had the run taken the gate before its handler, the next
+// install's read lock would queue behind that waiting writer, which waits
+// for the run: a deadlock in the default inline mode.
+func TestHandlerJournalsWhileCompactionWaits(t *testing.T) {
+	srv := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{stable.NewMemLog(stable.Options{})}, JournalCompactEvery: 2})
+	const installs = 8
+	srv.Register("apply", func(string, Request) ([]byte, error) {
+		for seq := uint64(1); seq <= installs; seq++ {
+			srv.InstallReply("peer", &Reply{Seq: seq, Status: StatusOK})
+			time.Sleep(2 * time.Millisecond)
+		}
+		return nil, nil
+	})
+	up := true
+	snd := &harnessSender{up: &up}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.OnConnect(snd, 0)
+		srv.OnFrame(snd, helloFrame("c1", 1), 0)
+		srv.OnFrame(snd, requestFrame(1, "apply", nil), 0)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("request whose handler journals never finished: the run holds its shard gate across the handler")
+	}
+	srv.Close() // waits out the compactions
+	if reps := drainReplies(t, snd); len(reps) != 1 || reps[0].Status != StatusOK {
+		t.Fatalf("replies = %+v", reps)
+	}
+	if st := srv.Stats(); st.ReplicatedReplies != installs || st.JournalCompactions == 0 {
+		t.Fatalf("installed %d replies with %d compactions, want %d and at least one", st.ReplicatedReplies, st.JournalCompactions, installs)
+	}
+}
+
+// poisonLog is a stable.Log stub whose writes — appends and removes,
 // waited for or staged, one budget for all — fail with a typed
 // *stable.PoisonedError after a budget of successes: the signature of a
 // FileLog whose group-commit fsync failed.
@@ -355,53 +395,61 @@ func (p *poisonLog) RemoveBatch(ids []uint64) error {
 // TestJournaledServerRefusesWhenPoisoned is the durability contract: once
 // the journal cannot accept records, the server refuses to execute new work
 // (instead of silently continuing without durability), keeps serving cached
-// replays, and surfaces the typed poisoned error.
+// replays, and surfaces the typed poisoned error. Inline and pooled servers
+// execute through the same run, so both must hold it.
 func TestJournaledServerRefusesWhenPoisoned(t *testing.T) {
-	// Budget 2: the Hello (LowSeq 1 > initial 0) journals a prune record,
-	// then seq 1's exec record; seq 2's exec append is the one that fails.
-	jl := &poisonLog{MemLog: stable.NewMemLog(stable.Options{}), budget: 2}
-	up := true
-	snd := &harnessSender{up: &up}
-	execs := 0
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			// Budget 2: the Hello (LowSeq 1 > initial 0) journals a prune
+			// record, then seq 1's exec record; seq 2's exec append is the
+			// one that fails.
+			jl := &poisonLog{MemLog: stable.NewMemLog(stable.Options{}), budget: 2}
+			up := true
+			snd := &harnessSender{up: &up}
+			execs := 0
 
-	srv := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}})
-	srv.Register("echo", func(string, Request) ([]byte, error) { execs++; return []byte("ok"), nil })
-	srv.OnConnect(snd, 0)
-	srv.OnFrame(snd, helloFrame("c1", 1), 0)
-	srv.OnFrame(snd, requestFrame(1, "echo", nil), 0) // journaled fine
-	if reps := drainReplies(t, snd); len(reps) != 1 {
-		t.Fatalf("healthy request got %d replies", len(reps))
-	}
+			srv := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}, Workers: workers})
+			defer srv.Close()
+			srv.Register("echo", func(string, Request) ([]byte, error) { execs++; return []byte("ok"), nil })
+			srv.OnConnect(snd, 0)
+			srv.OnFrame(snd, helloFrame("c1", 1), 0)
+			deliver := func(seq uint64) []*Reply {
+				srv.OnFrame(snd, requestFrame(seq, "echo", nil), 0)
+				srv.Quiesce()
+				return drainReplies(t, snd)
+			}
+			if reps := deliver(1); len(reps) != 1 { // journaled fine
+				t.Fatalf("healthy request got %d replies", len(reps))
+			}
 
-	// Budget exhausted: the exec append fails, the reply must NOT be
-	// released, and the journal is poisoned.
-	srv.OnFrame(snd, requestFrame(2, "echo", nil), 0)
-	if reps := drainReplies(t, snd); len(reps) != 0 {
-		t.Fatalf("reply released without durability")
-	}
-	if execs != 2 {
-		t.Fatalf("execs = %d (handler for seq 2 should have run once before the failed append)", execs)
-	}
-	if err := srv.JournalError(); !errors.Is(err, stable.ErrPoisoned) {
-		t.Fatalf("JournalError = %v, want ErrPoisoned", err)
-	}
+			// Budget exhausted: the exec append fails, the reply must NOT be
+			// released, and the journal is poisoned.
+			if reps := deliver(2); len(reps) != 0 {
+				t.Fatalf("reply released without durability")
+			}
+			if execs != 2 {
+				t.Fatalf("execs = %d (handler for seq 2 should have run once before the failed append)", execs)
+			}
+			if err := srv.JournalError(); !errors.Is(err, stable.ErrPoisoned) {
+				t.Fatalf("JournalError = %v, want ErrPoisoned", err)
+			}
 
-	// Further requests are refused before the handler runs.
-	srv.OnFrame(snd, requestFrame(3, "echo", nil), 0)
-	if execs != 2 {
-		t.Fatalf("poisoned server ran a handler: execs = %d", execs)
-	}
-	if reps := drainReplies(t, snd); len(reps) != 0 {
-		t.Fatal("poisoned server released a reply")
-	}
-	if got := srv.Stats().JournalRefused; got < 2 {
-		t.Errorf("JournalRefused = %d, want ≥ 2", got)
-	}
+			// Further requests are refused before the handler runs.
+			if reps := deliver(3); len(reps) != 0 {
+				t.Fatal("poisoned server released a reply")
+			}
+			if execs != 2 {
+				t.Fatalf("poisoned server ran a handler: execs = %d", execs)
+			}
+			if got := srv.Stats().JournalRefused; got < 2 {
+				t.Errorf("JournalRefused = %d, want ≥ 2", got)
+			}
 
-	// Cached replays still work: seq 1's reply was journaled and cached.
-	srv.OnFrame(snd, requestFrame(1, "echo", nil), 0)
-	if reps := drainReplies(t, snd); len(reps) != 1 || string(reps[0].Result) != "ok" {
-		t.Fatalf("cached replay unavailable while poisoned: %+v", reps)
+			// Cached replays still work: seq 1's reply was journaled and cached.
+			if reps := deliver(1); len(reps) != 1 || string(reps[0].Result) != "ok" {
+				t.Fatalf("cached replay unavailable while poisoned: %+v", reps)
+			}
+		})
 	}
 }
 
@@ -496,48 +544,182 @@ func TestJournalWithWorkerPool(t *testing.T) {
 // exec record reaches the journal durably but the server sees an error. The
 // current incarnation must NOT release the reply (it poisons instead), and
 // the next incarnation recovers the record — the redelivered request is
-// answered from cache with the handler having run exactly once.
+// answered from cache with the handler having run exactly once. The inline
+// run of one and a pool's chunk stage the record the same way, so both meet
+// the dirty append.
 func TestJournalDirtyAppendRecovers(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			mem := stable.NewMemLog(stable.Options{})
+			jl := faults.WrapLog(mem, 42, faults.LogFaultRates{AppendDirty: 1})
+			up := true
+			snd := &harnessSender{up: &up}
+			execs := 0
+			handler := func(string, Request) ([]byte, error) { execs++; return []byte("v"), nil }
+
+			srv1 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}, Workers: workers})
+			defer srv1.Close()
+			srv1.Register("echo", handler)
+			srv1.OnConnect(snd, 0)
+			// LowSeq 0 keeps the Hello from journaling a prune record, so the
+			// first (dirty) append is exactly seq 1's exec record.
+			srv1.OnFrame(snd, helloFrame("c1", 0), 0)
+			srv1.OnFrame(snd, requestFrame(1, "echo", nil), 0)
+			srv1.Quiesce()
+			if reps := drainReplies(t, snd); len(reps) != 0 {
+				t.Fatal("reply released despite journal append error")
+			}
+			if execs != 1 {
+				t.Fatalf("execs = %d", execs)
+			}
+			if srv1.JournalError() == nil {
+				t.Fatal("dirty append did not poison the incarnation that saw the error")
+			}
+
+			// Next incarnation: the record was durable, so recovery serves it.
+			jl.SetEnabled(false)
+			srv2 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}, Workers: workers})
+			defer srv2.Close()
+			srv2.Register("echo", handler)
+			if err := srv2.JournalError(); err != nil {
+				t.Fatalf("recovery: %v", err)
+			}
+			srv2.OnConnect(snd, 0)
+			srv2.OnFrame(snd, helloFrame("c1", 0), 0)
+			snd.queue = nil
+			srv2.OnFrame(snd, requestFrame(1, "echo", nil), 0)
+			srv2.Quiesce()
+			reps := drainReplies(t, snd)
+			if len(reps) != 1 || string(reps[0].Result) != "v" {
+				t.Fatalf("recovered reply = %+v", reps)
+			}
+			if execs != 1 {
+				t.Fatalf("handler re-ran for a durably journaled request: execs = %d", execs)
+			}
+		})
+	}
+}
+
+// TestRunCommitsOnceUnderFaultLog: a fault-injecting journal takes the same
+// path as any other log. While seq 1's handler holds the session's worker,
+// seqs 2-32 queue behind it; they then run as one chunk with one commit, so
+// the whole burst costs the journal a couple of flushes, not one per
+// request.
+func TestRunCommitsOnceUnderFaultLog(t *testing.T) {
 	mem := stable.NewMemLog(stable.Options{})
-	jl := faults.WrapLog(mem, 42, faults.LogFaultRates{AppendDirty: 1})
+	jl := faults.WrapLog(mem, 7, faults.LogFaultRates{})
+	srv := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}, Workers: 2})
+	defer srv.Close()
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv.Register("echo", func(_ string, req Request) ([]byte, error) {
+		if req.Seq == 1 {
+			close(entered)
+			<-release
+		}
+		return req.Args, nil
+	})
 	up := true
 	snd := &harnessSender{up: &up}
-	execs := 0
-	handler := func(string, Request) ([]byte, error) { execs++; return []byte("v"), nil }
+	srv.OnConnect(snd, 0)
+	srv.OnFrame(snd, helloFrame("c1", 1), 0)
+	srv.OnFrame(snd, requestFrame(1, "echo", nil), 0)
+	<-entered
+	const n = 32
+	for seq := uint64(2); seq <= n; seq++ {
+		srv.OnFrame(snd, requestFrame(seq, "echo", nil), 0)
+	}
+	close(release)
+	srv.Quiesce()
+	if reps := drainReplies(t, snd); len(reps) != n {
+		t.Fatalf("got %d replies, want %d", len(reps), n)
+	}
+	if st := srv.Stats(); st.Executed != n || st.JournalRecords != n+1 {
+		t.Fatalf("executed %d, journaled %d records, want %d and %d (the Hello's prune record too)", st.Executed, st.JournalRecords, n, n+1)
+	}
+	if syncs := mem.Stats().Syncs; syncs > 3 {
+		t.Fatalf("%d requests cost the journal %d flushes, want at most 3", n, syncs)
+	}
+}
 
-	srv1 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}})
+// dirtyAtLog fails its nth staged append dirty: the record is written and
+// committed, but the caller sees an error.
+type dirtyAtLog struct {
+	*stable.MemLog
+	appends, nth int
+}
+
+func (d *dirtyAtLog) AppendNoSync(rec []byte) (uint64, error) {
+	id, err := d.MemLog.AppendNoSync(rec)
+	if d.appends++; err == nil && d.appends == d.nth {
+		if err = d.MemLog.Commit(); err == nil {
+			err = errors.New("dirty append")
+		}
+	}
+	return id, err
+}
+
+// TestDirtyStageMidRunJournalsWholeRun: a run's handlers all return before
+// its records are staged, so a dirty failure on one record must not stop the
+// records after it. Seq 1 holds the session's worker while seqs 2-6 queue
+// into one run; seq 3's record fails dirty. Nothing of the run is released,
+// and the next incarnation answers all of it from the journal without
+// running a handler again.
+func TestDirtyStageMidRunJournalsWholeRun(t *testing.T) {
+	// The Hello's LowSeq 0 journals no prune record, so seq n's exec
+	// record is append n.
+	jl := &dirtyAtLog{MemLog: stable.NewMemLog(stable.Options{}), nth: 3}
+	var mu sync.Mutex
+	execs := map[uint64]int{}
+	entered, release := make(chan struct{}), make(chan struct{})
+	handler := func(_ string, req Request) ([]byte, error) {
+		mu.Lock()
+		execs[req.Seq]++
+		mu.Unlock()
+		if req.Seq == 1 {
+			close(entered)
+			<-release
+		}
+		return []byte("v"), nil
+	}
+	up := true
+	snd := &harnessSender{up: &up}
+	srv1 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}, Workers: 2})
 	srv1.Register("echo", handler)
 	srv1.OnConnect(snd, 0)
-	// LowSeq 0 keeps the Hello from journaling a prune record, so the first
-	// (dirty) append is exactly seq 1's exec record.
 	srv1.OnFrame(snd, helloFrame("c1", 0), 0)
 	srv1.OnFrame(snd, requestFrame(1, "echo", nil), 0)
-	if reps := drainReplies(t, snd); len(reps) != 0 {
-		t.Fatal("reply released despite journal append error")
+	<-entered
+	const n = 6
+	for seq := uint64(2); seq <= n; seq++ {
+		srv1.OnFrame(snd, requestFrame(seq, "echo", nil), 0)
 	}
-	if execs != 1 {
-		t.Fatalf("execs = %d", execs)
+	close(release)
+	srv1.Quiesce()
+	srv1.Close()
+	if reps := drainReplies(t, snd); len(reps) != 1 || reps[0].Seq != 1 {
+		t.Fatalf("released %+v, want only seq 1's reply", reps)
 	}
 	if srv1.JournalError() == nil {
-		t.Fatal("dirty append did not poison the incarnation that saw the error")
+		t.Fatal("dirty append did not poison the incarnation that saw it")
 	}
 
-	// Next incarnation: the record was durable, so recovery serves it.
-	jl.SetEnabled(false)
-	srv2 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}})
+	srv2 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl.MemLog}, Workers: 2})
+	defer srv2.Close()
 	srv2.Register("echo", handler)
-	if err := srv2.JournalError(); err != nil {
-		t.Fatalf("recovery: %v", err)
-	}
 	srv2.OnConnect(snd, 0)
 	srv2.OnFrame(snd, helloFrame("c1", 0), 0)
-	snd.queue = nil
-	srv2.OnFrame(snd, requestFrame(1, "echo", nil), 0)
-	reps := drainReplies(t, snd)
-	if len(reps) != 1 || string(reps[0].Result) != "v" {
-		t.Fatalf("recovered reply = %+v", reps)
+	for seq := uint64(1); seq <= n; seq++ {
+		srv2.OnFrame(snd, requestFrame(seq, "echo", nil), 0)
 	}
-	if execs != 1 {
-		t.Fatalf("handler re-ran for a durably journaled request: execs = %d", execs)
+	srv2.Quiesce()
+	if reps := drainReplies(t, snd); len(reps) != n {
+		t.Fatalf("recovered incarnation answered %d of %d requests", len(reps), n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for seq := uint64(1); seq <= n; seq++ {
+		if execs[seq] != 1 {
+			t.Errorf("seq %d ran %d times, want once", seq, execs[seq])
+		}
 	}
 }

@@ -26,13 +26,18 @@ const maxPoolChunk = 64
 // poolTask is one dispatched request. The dup-drop guard (sess.executing)
 // was set under the server lock at dispatch time, so a redelivered copy of
 // the same request cannot be submitted while this task is anywhere in the
-// pool.
+// pool. Server.executeRun fills in the results: the reply, its encoding and
+// the id of its journal record.
 type poolTask struct {
 	from     Sender
 	clientID string
 	sess     *session
 	handler  Handler
 	req      Request
+
+	rep *Reply
+	enc []byte
+	jid uint64
 }
 
 // keyQueue is one session's FIFO, guarded by the pool's mutex. An emptied
@@ -158,14 +163,24 @@ func (p *workerPool) worker(i int) {
 	}
 }
 
-// runChunk executes one session's tasks serially, coalescing consecutive
-// replies toward the same transport into one batch frame. When the
-// session's journal shard supports staged appends, the whole run commits
-// with one fsync (pipelined group commit) before any reply is released;
-// otherwise each task pays its own group-commit join. out is the worker's
-// reply-frame scratch, returned emptied for its next chunk: a Sender keeps
-// frames by value and a batch copies its sub-frames, so nothing holds it.
+// runChunk executes one session's tasks as one Server.executeRun and
+// releases their replies, coalescing consecutive replies toward the same
+// transport into one batch frame. out is the worker's reply-frame scratch,
+// returned emptied for its next chunk: a Sender keeps frames by value and a
+// batch copies its sub-frames, so nothing holds it.
 func (p *workerPool) runChunk(tasks []poolTask, out []wire.Frame) []wire.Frame {
+	if p.isClosed() {
+		// A chunk runs or is discarded whole. Clearing the dispatch marks
+		// keeps a future incarnation sharing this session state from
+		// treating redeliveries as in-flight forever.
+		for _, t := range tasks {
+			p.discard(t)
+		}
+		return out
+	}
+	if !p.srv.executeRun(tasks) {
+		return out // the journal refused the run: nothing to release
+	}
 	var to Sender
 	flush := func() {
 		if to != nil {
@@ -174,44 +189,13 @@ func (p *workerPool) runChunk(tasks []poolTask, out []wire.Frame) []wire.Frame {
 		clear(out)
 		out = out[:0]
 	}
-	if !p.isClosed() {
-		if staged, ok := p.srv.executeChunkBatched(tasks); ok {
-			// Everything in staged is durable and published; release the
-			// replies, grouping consecutive same-transport runs.
-			for i := range staged {
-				st := &staged[i]
-				if st.task.from != to {
-					flush()
-					to = st.task.from
-				}
-				out = append(out, wire.Frame{Type: wire.FrameReply, Payload: st.enc})
-			}
-			flush()
-			return out
-		}
-	}
 	for i := range tasks {
 		t := &tasks[i]
-		if p.isClosed() {
-			// Shutdown mid-chunk: drop the rest, clearing their dispatch
-			// marks so a future server incarnation sharing this session
-			// state would not treat redeliveries as in-flight forever.
-			flush()
-			for _, rest := range tasks[i:] {
-				p.discard(rest)
-			}
-			return out
-		}
 		if t.from != to {
 			flush()
 			to = t.from
 		}
-		rep, enc := p.srv.execute(t.sess, t.clientID, t.handler, t.req)
-		if rep == nil {
-			// Journal refused the execute (poisoned): nothing to release.
-			continue
-		}
-		out = append(out, wire.Frame{Type: wire.FrameReply, Payload: enc})
+		out = append(out, wire.Frame{Type: wire.FrameReply, Payload: t.enc})
 	}
 	flush()
 	return out

@@ -1,6 +1,7 @@
 package qrpc
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 
@@ -196,13 +197,21 @@ func NewServer(cfg ServerConfig) *Server {
 		s.pool = newWorkerPool(s, cfg.Workers)
 	}
 	for i, log := range cfg.Journals {
-		bl, _ := log.(stable.BatchLog)
-		s.shards = append(s.shards, &journalShard{idx: i, log: log, batch: bl})
+		s.shards = append(s.shards, &journalShard{idx: i, log: log})
 	}
 	if s.hasJournal() {
 		if err := s.recoverJournal(); err != nil {
 			s.journalErr = fmt.Errorf("qrpc: journal recovery: %w", err)
 		}
+		// A shard recovered over the compaction threshold is compacted now,
+		// not at its next append, which may never come.
+		s.mu.Lock()
+		for _, sh := range s.shards {
+			if s.shouldCompactLocked(sh) {
+				go s.compactJournal(sh.idx)
+			}
+		}
+		s.mu.Unlock()
 	}
 	return s
 }
@@ -392,9 +401,9 @@ func (s *Server) onHello(from Sender, payload []byte, out *[]wire.Frame) {
 // or the journal is poisoned; an append failure poisons the journal. The
 // in-memory state change these records describe proceeds regardless —
 // losing one costs recovered-state memory, never correctness — so a lazy
-// record (ack, prune) is only staged when the shard can stage: it becomes
-// durable with the shard's next exec commit, snapshot or Close instead of
-// holding the connection's read loop for a flush of its own.
+// record (ack, prune) is only staged: it becomes durable with the shard's
+// next exec commit, snapshot or Close instead of holding the connection's
+// read loop for a flush of its own.
 func (s *Server) journalSessionRecord(clientID string, lazy bool, encode func() []byte) {
 	if !s.hasJournal() {
 		return
@@ -409,8 +418,8 @@ func (s *Server) journalSessionRecord(clientID string, lazy bool, encode func() 
 	}
 	var id uint64
 	var err error
-	if lazy && sh.batch != nil {
-		id, err = sh.batch.AppendNoSync(encode())
+	if lazy {
+		id, err = sh.log.AppendNoSync(encode())
 	} else {
 		id, err = sh.log.Append(encode())
 	}
@@ -522,94 +531,122 @@ func (s *Server) onRequest(from Sender, payload []byte, now vtime.Time, out *[]w
 	pool := s.pool
 	s.mu.Unlock()
 
+	run := [1]poolTask{{from: from, clientID: clientID, sess: sess, handler: handler, req: req}}
 	if pool != nil {
-		pool.submit(poolTask{from: from, clientID: clientID, sess: sess, handler: handler, req: req})
+		pool.submit(run[0])
 		return
 	}
-	// Inline mode: execute here (outside the lock; handlers may be slow and
-	// may re-enter the server, e.g. SendCallback) and coalesce the reply
-	// with the rest of the batch's output. A nil reply means the journal
-	// refused the execute; nothing may be released.
-	if rep, enc := s.execute(sess, clientID, handler, req); rep != nil {
-		*out = append(*out, wire.Frame{Type: wire.FrameReply, Payload: enc})
+	// Inline mode: execute here as a run of one (outside the lock; handlers
+	// may be slow and may re-enter the server, e.g. SendCallback) and
+	// coalesce the reply with the rest of the batch's output.
+	if s.executeRun(run[:]) {
+		*out = append(*out, wire.Frame{Type: wire.FrameReply, Payload: run[0].enc})
 	}
 }
 
-// execute runs a dispatched request's handler outside engine locks, records
-// the reply in the session's at-most-once cache, and returns it together
-// with its wire encoding (marshaled exactly once here; the journal record,
-// the reply frame, the encoded-reply cache, and the onExecuted hook all
-// reuse it). When the server has a journal, the reply is write-ahead-logged
-// to the session's home shard before it is recorded or returned — no
-// transport can observe a reply the journal does not hold. A nil return
-// means the journal refused the execute (poisoned mid-dispatch or the exec
-// append failed): the handler may or may not have run, nothing is released,
-// and the client redelivers to a future, repaired incarnation whose
+// executeRun is the only place a handler runs. It takes a run of one
+// session's dispatched tasks — a pool worker's chunk, or inline mode's run
+// of one — runs the handlers back-to-back outside engine locks, stages each
+// exec record on the session's home journal shard, pays ONE commit for the
+// run (pipelined group commit), and only then publishes every reply in one
+// pass under s.mu. Each reply is marshaled once, into its task's slot, and
+// the journal record, reply frame, reply cache and onExecuted hook share it.
+//
+// Until the commit returns the dispatch marks (sess.executing) stay set, so
+// a concurrent redelivery is dropped rather than answered from a reply the
+// journal does not hold yet. False means the journal refused the run
+// (poisoned before or during it): handlers may or may not have run, nothing
+// is released, and the clients redeliver to a repaired incarnation whose
 // recovery decides from the journal alone.
-func (s *Server) execute(sess *session, clientID string, handler Handler, req Request) (*Reply, []byte) {
+func (s *Server) executeRun(tasks []poolTask) bool {
 	if s.hasJournal() && s.JournalError() != nil {
-		// Poisoned between dispatch and execution (e.g. a queued pool task
-		// behind the append that failed): refuse before running the handler.
-		s.mu.Lock()
-		delete(sess.executing, req.Seq)
-		s.stats.JournalRefused++
-		s.mu.Unlock()
-		return nil, nil
+		// Poisoned since dispatch (e.g. queued behind the append that
+		// failed): refuse before running any handler.
+		s.refuseRun(tasks, nil)
+		return false
 	}
-	rep := runHandler(clientID, handler, req)
-	enc := wire.Marshal(rep)
-
-	journaled := false
-	var jid uint64
+	for i := range tasks {
+		t := &tasks[i]
+		t.rep = runHandler(t.clientID, t.handler, t.req)
+		t.enc = wire.Marshal(t.rep)
+	}
 	var sh *journalShard
 	if s.hasJournal() {
-		// The durability write, to the session's home shard. Concurrent
-		// executes coalesce onto that shard's group-commit fsync — and
-		// different shards' leaders fsync in parallel — so this is
-		// amortized, not one sync per request. The gate's read side is held
-		// across append AND the bookkeeping below — see journalShard.gate.
-		sh = s.lockShardFor(clientID)
-		defer sh.gate.RUnlock()
-		id, err := sh.log.Append(encodeExecRecordEnc(clientID, enc))
-		if err != nil {
-			s.mu.Lock()
-			s.poisonJournalLocked(err)
-			delete(sess.executing, req.Seq)
-			s.stats.JournalRefused++
-			s.mu.Unlock()
-			return nil, nil
+		// The gate is taken after the handlers, which may journal on their
+		// own (see journalShard.gate). Every record is staged, past a failed
+		// stage or a poison since the check above: its handler ran, and a
+		// dirty failure is durable, so stopping would leave the rest of the
+		// run to run again at the next incarnation.
+		sh = s.lockShardFor(tasks[0].clientID)
+		var err error
+		for i := range tasks {
+			var serr error
+			tasks[i].jid, serr = sh.log.AppendNoSync(encodeExecRecordEnc(tasks[i].clientID, tasks[i].enc))
+			err = cmp.Or(err, serr)
 		}
-		jid, journaled = id, true
+		if err = cmp.Or(err, sh.log.Commit()); err != nil {
+			sh.gate.RUnlock()
+			s.refuseRun(tasks, err)
+			return false
+		}
 	}
 
 	s.mu.Lock()
-	delete(sess.executing, req.Seq)
-	sess.replies[req.Seq] = rep
-	sess.replyBytes += replyApproxSize(rep)
-	if req.Seq > sess.maxExec {
-		sess.maxExec = req.Seq
+	for i := range tasks {
+		t := &tasks[i]
+		delete(t.sess.executing, t.req.Seq)
+		s.recordReplyLocked(t.sess, t.rep, t.enc)
+		s.stats.Executed++
+		if sh != nil {
+			sh.ids = append(sh.ids, t.jid)
+			s.stats.JournalRecords++
+		}
 	}
-	s.stats.Executed++
-	s.stats.ReplyCacheEvictions += s.replyCache.put(clientID, req.Seq, enc)
-	var compact bool
-	if journaled {
-		sh.ids = append(sh.ids, jid)
-		s.stats.JournalRecords++
-		compact = s.shouldCompactLocked(sh)
-	}
+	compact := sh != nil && s.shouldCompactLocked(sh)
 	hook := s.onExecuted
 	s.mu.Unlock()
+	if sh != nil {
+		sh.gate.RUnlock()
+	}
 	if compact {
 		go s.compactJournal(sh.idx)
 	}
 	if hook != nil {
-		hook(clientID, req, rep, enc)
+		for i := range tasks {
+			hook(tasks[i].clientID, tasks[i].req, tasks[i].rep, tasks[i].enc)
+		}
 	}
-	return rep, enc
+	return true
+}
+
+// refuseRun un-dispatches a run the journal refused, poisoning the journal
+// with err when the refusal is this run's own failure.
+func (s *Server) refuseRun(tasks []poolTask, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err != nil {
+		s.poisonJournalLocked(err)
+	}
+	for i := range tasks {
+		delete(tasks[i].sess.executing, tasks[i].req.Seq)
+	}
+	s.stats.JournalRefused += int64(len(tasks))
+}
+
+// recordReplyLocked caches rep as the session's answer to its seq: the
+// at-most-once table, the session's reply budget, its high-water mark and
+// the encoded-reply cache. Callers hold s.mu.
+func (s *Server) recordReplyLocked(sess *session, rep *Reply, enc []byte) {
+	sess.replies[rep.Seq] = rep
+	sess.replyBytes += replyApproxSize(rep)
+	if rep.Seq > sess.maxExec {
+		sess.maxExec = rep.Seq
+	}
+	s.stats.ReplyCacheEvictions += s.replyCache.put(sess.clientID, rep.Seq, enc)
 }
 
 // runHandler executes one request's handler and builds its reply. Handler
-// panics are not recovered here, matching execute's historical behavior.
+// panics are not recovered here.
 func runHandler(clientID string, handler Handler, req Request) *Reply {
 	rep := &Reply{Seq: req.Seq}
 	if handler == nil {
@@ -623,108 +660,6 @@ func runHandler(clientID string, handler Handler, req Request) *Reply {
 		rep.Result = result
 	}
 	return rep
-}
-
-// stagedExec is one executed task of a batched chunk: the handler has run
-// and its exec record is written to the home shard, but nothing is durable
-// or published until the chunk's single commit lands.
-type stagedExec struct {
-	task poolTask
-	rep  *Reply
-	enc  []byte
-	jid  uint64
-}
-
-// executeChunkBatched runs one session's task run with pipelined group
-// commit: handlers execute back-to-back in order, each exec record staged
-// on the session's home shard WITHOUT waiting for durability, then one
-// commit covers the whole run before any reply is published. Per-session
-// ordering is untouched — what is amortized is the fsync (a run of K tasks
-// joins one group commit instead of K) and the server lock (one bookkeeping
-// pass for the run). At-most-once holds throughout: until the commit
-// returns, the tasks' dispatch marks (sess.executing) stay set, so a
-// concurrent redelivery is dropped rather than answered from a reply whose
-// journal record is not yet durable — WAL-before-release is never weakened.
-//
-// ok=false means the chunk cannot take this path (no journal, or the
-// shard's log cannot stage appends — e.g. a fault-injection wrapper); the
-// caller falls back to per-task execute(). ok=true with an empty result
-// means the journal refused the run (poisoned before or during it): the
-// handlers may or may not have run, nothing is released, and the clients
-// redeliver to a repaired incarnation.
-func (s *Server) executeChunkBatched(tasks []poolTask) (staged []stagedExec, ok bool) {
-	if len(tasks) == 0 {
-		return nil, true
-	}
-	if !s.hasJournal() {
-		return nil, false
-	}
-	// The gate's read side is held across every staged append AND the
-	// bookkeeping below, exactly like execute's single-append window, so
-	// compaction's write side still observes the full invariant.
-	sh := s.lockShardFor(tasks[0].clientID)
-	defer sh.gate.RUnlock()
-	if sh.batch == nil {
-		return nil, false
-	}
-	refuse := func(err error) {
-		s.mu.Lock()
-		if err != nil {
-			s.poisonJournalLocked(err)
-		}
-		for i := range tasks {
-			delete(tasks[i].sess.executing, tasks[i].req.Seq)
-		}
-		s.stats.JournalRefused += int64(len(tasks))
-		s.mu.Unlock()
-	}
-	if s.JournalError() != nil {
-		refuse(nil)
-		return nil, true
-	}
-	staged = make([]stagedExec, 0, len(tasks))
-	for i := range tasks {
-		t := &tasks[i]
-		rep := runHandler(t.clientID, t.handler, t.req)
-		enc := wire.Marshal(rep)
-		jid, err := sh.batch.AppendNoSync(encodeExecRecordEnc(t.clientID, enc))
-		if err != nil {
-			refuse(err)
-			return nil, true
-		}
-		staged = append(staged, stagedExec{task: *t, rep: rep, enc: enc, jid: jid})
-	}
-	if err := sh.batch.Commit(); err != nil {
-		refuse(err)
-		return nil, true
-	}
-	s.mu.Lock()
-	for i := range staged {
-		st := &staged[i]
-		sess := st.task.sess
-		delete(sess.executing, st.task.req.Seq)
-		sess.replies[st.task.req.Seq] = st.rep
-		sess.replyBytes += replyApproxSize(st.rep)
-		if st.task.req.Seq > sess.maxExec {
-			sess.maxExec = st.task.req.Seq
-		}
-		s.stats.Executed++
-		s.stats.ReplyCacheEvictions += s.replyCache.put(st.task.clientID, st.task.req.Seq, st.enc)
-		sh.ids = append(sh.ids, st.jid)
-		s.stats.JournalRecords++
-	}
-	compact := s.shouldCompactLocked(sh)
-	hook := s.onExecuted
-	s.mu.Unlock()
-	if compact {
-		go s.compactJournal(sh.idx)
-	}
-	if hook != nil {
-		for i := range staged {
-			hook(staged[i].task.clientID, staged[i].task.req, staged[i].rep, staged[i].enc)
-		}
-	}
-	return staged, true
 }
 
 // SetOnExecuted installs the execution observer (see Server.onExecuted).
@@ -758,13 +693,8 @@ func (s *Server) InstallReply(clientID string, rep *Reply) bool {
 	}
 	cp := *rep
 	enc := wire.Marshal(&cp)
-	sess.replies[rep.Seq] = &cp
-	sess.replyBytes += replyApproxSize(&cp)
-	if rep.Seq > sess.maxExec {
-		sess.maxExec = rep.Seq
-	}
+	s.recordReplyLocked(sess, &cp, enc)
 	s.stats.ReplicatedReplies++
-	s.stats.ReplyCacheEvictions += s.replyCache.put(clientID, rep.Seq, enc)
 	s.mu.Unlock()
 	s.journalSessionRecord(clientID, false, func() []byte { return encodeExecRecordEnc(clientID, enc) })
 	return true

@@ -32,7 +32,7 @@ const (
 	compactFloor  = 64 << 10
 )
 
-var _ BatchLog = (*FileLog)(nil)
+var _ Log = (*FileLog)(nil)
 
 // OpenFileLog opens or creates the log at path, replaying its contents. A
 // torn trailing record is truncated away (see TornTail); corruption before
@@ -84,7 +84,7 @@ func (l *FileLog) Append(rec []byte) (uint64, error) {
 	return id, nil
 }
 
-// AppendNoSync implements BatchLog: the record is written and sequenced
+// AppendNoSync implements Log: the record is written and sequenced
 // exactly like Append, but the call returns without waiting for the flush.
 // The staged record becomes durable at the next Commit (or any later
 // durable Append/Remove, whose group-commit leader covers it); until then a

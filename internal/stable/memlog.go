@@ -28,7 +28,7 @@ type MemLog struct {
 	staged bool
 }
 
-var _ BatchLog = (*MemLog)(nil)
+var _ Log = (*MemLog)(nil)
 
 // NewMemLog returns an empty in-memory log.
 func NewMemLog(opts Options) *MemLog {
@@ -72,7 +72,7 @@ func (l *MemLog) Append(rec []byte) (uint64, error) {
 	return id, nil
 }
 
-// AppendNoSync implements BatchLog. MemLog has no real flush to defer, so
+// AppendNoSync implements Log. MemLog has no real flush to defer, so
 // staging only changes the accounting: a run of staged appends is tallied
 // as the single modeled sync its Commit would have cost on a real log.
 func (l *MemLog) AppendNoSync(rec []byte) (uint64, error) {

@@ -387,8 +387,8 @@ func (s *SegmentFile) stage(kind byte, payload []byte, ids ...uint64) (int64, ui
 }
 
 // Commit blocks until every record appended so far is durable, joining the
-// in-flight group commit if one is running — BatchLog's contract, minus the
-// id-based surface.
+// in-flight group commit if one is running — Log's staged-append contract,
+// minus the id-based surface.
 func (s *SegmentFile) Commit() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

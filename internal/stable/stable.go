@@ -97,6 +97,11 @@ type Log interface {
 	// Append stores rec durably and returns its assigned id. Ids are
 	// strictly increasing within and across recoveries.
 	Append(rec []byte) (uint64, error)
+	// AppendNoSync is Append without the durability wait — pipelined group
+	// commit [Hagmann 87]: stage K records, pay ONE Commit for them all, and
+	// release nothing that depends on a staged record before Commit returns
+	// nil. A crash before then may lose the staged suffix as a torn tail.
+	AppendNoSync(rec []byte) (uint64, error)
 	// Remove marks the record as no longer needed. Removing an unknown id
 	// returns ErrNotFound.
 	Remove(id uint64) error
@@ -139,21 +144,9 @@ type Log interface {
 	Close() error
 }
 
-// BatchLog is implemented by logs that can stage appends and amortize the
-// durability wait across a run of them: AppendNoSync writes and sequences a
-// record exactly like Append but returns without waiting for the flush;
-// Log's Commit blocks until everything appended so far is durable. The contract
-// is pipelined group commit [Hagmann 87]: the caller may stage K records
-// back-to-back and pay ONE commit wait for all of them, but must not
-// release any effect that depends on a staged record before Commit returns
-// nil. A crash between AppendNoSync and Commit may lose the staged suffix
-// (it reads as a torn tail); durability is only promised at Commit.
-type BatchLog interface {
-	Log
-	// AppendNoSync stores rec with Append's sequencing but without waiting
-	// for durability. On a poisoned log it fails immediately.
-	AppendNoSync(rec []byte) (uint64, error)
-}
+// BatchLog is the name Log had for logs that could stage appends; every Log
+// can now.
+type BatchLog = Log
 
 // Stats counts log activity.
 type Stats struct {

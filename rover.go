@@ -506,10 +506,6 @@ type ServerOptions struct {
 	// count exist on disk, because their records would be silently unread.
 	// Ignored unless JournalPath is set.
 	JournalShards int
-	// JournalCompactEvery overrides the journal compaction threshold per
-	// shard (records appended since the shard's last snapshot); zero means
-	// the default.
-	JournalCompactEvery int
 	// MaxSessions, when positive, is the admission high-water mark: Hellos
 	// from clients the server has no session for are refused with a busy
 	// frame once this many sessions exist (established sessions always
@@ -597,14 +593,13 @@ func NewServer(opts ServerOptions) (*Server, error) {
 		}
 	}
 	engine := qrpc.NewServer(qrpc.ServerConfig{
-		ServerID:            opts.ServerID,
-		Auth:                reg,
-		Workers:             workers,
-		Journals:            journals,
-		JournalCompactEvery: opts.JournalCompactEvery,
-		MaxSessions:         opts.MaxSessions,
-		SessionBudgetBytes:  opts.SessionBudgetBytes,
-		ReplyCacheBytes:     opts.ReplyCacheBytes,
+		ServerID:           opts.ServerID,
+		Auth:               reg,
+		Workers:            workers,
+		Journals:           journals,
+		MaxSessions:        opts.MaxSessions,
+		SessionBudgetBytes: opts.SessionBudgetBytes,
+		ReplyCacheBytes:    opts.ReplyCacheBytes,
 	})
 	if err := engine.JournalError(); err != nil {
 		closeJournals()
@@ -612,6 +607,7 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	}
 	srv, err := server.New(server.Config{Engine: engine, Store: backend, InvokeBudget: opts.InvokeBudget})
 	if err != nil {
+		engine.Close() // waits out a compaction recovery started
 		closeJournals()
 		return nil, err
 	}
