@@ -76,7 +76,7 @@ func main() {
 	// A store recovered from -store-dir already holds its objects (including
 	// any prior seed); re-seeding would either collide or clobber real
 	// state, so the recovered population wins.
-	if n := srv.Store().Len(); n > 0 && *seed != "" {
+	if n := srv.Store().Occupancy().Objects; n > 0 && *seed != "" {
 		log.Printf("rover-server: store recovered %d objects; skipping -seed %s", n, *seed)
 	} else if err := seedDemo(srv, *seed); err != nil {
 		log.Fatalf("rover-server: seeding: %v", err)
@@ -97,7 +97,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("rover-server: listen: %v", err)
 	}
-	log.Printf("rover-server %q listening on %s (%d objects)", *serverID, ln.Addr(), srv.Store().Len())
+	log.Printf("rover-server %q listening on %s (%d objects)", *serverID, ln.Addr(), srv.Store().Occupancy().Objects)
 	if *httpAddr != "" {
 		gw, err := httpmini.Serve(*httpAddr, gateway.HandlerWithPeer(srv.Store(), "demo",
 			gateway.Peer{URL: *peerHTTP}))

@@ -72,7 +72,7 @@ func main() {
 		fmt.Printf("  %-8s %-10s %s\n", ap.Slot, ap.Owner, ap.Title)
 	}
 	fmt.Println("\nserver repair queue (conflicts needing a human):")
-	for _, c := range srv.Store().Conflicts() {
+	for _, c := range srv.Conflicts() {
 		fmt.Printf("  %s from %s: %s\n", c.URN, c.ClientID, c.Message)
 	}
 }

@@ -279,8 +279,8 @@ func TestConflictResolutionBetweenClients(t *testing.T) {
 	if got.Version != 3 {
 		t.Errorf("version %d, want 3", got.Version)
 	}
-	if len(srv.Store().Conflicts()) != 0 {
-		t.Errorf("repair queue: %+v", srv.Store().Conflicts())
+	if len(srv.Conflicts()) != 0 {
+		t.Errorf("repair queue: %+v", srv.Conflicts())
 	}
 }
 
@@ -329,7 +329,7 @@ func TestUnresolvableConflictGoesToRepairQueue(t *testing.T) {
 	if v, _ := got.Get("mon-9"); v != "standup" {
 		t.Errorf("slot holds %q", v)
 	}
-	cs := srv.Store().Conflicts()
+	cs := srv.Conflicts()
 	if len(cs) != 1 || cs[0].ClientID != "cli-2" {
 		t.Fatalf("repair queue: %+v", cs)
 	}
@@ -423,7 +423,7 @@ func TestCreateStatList(t *testing.T) {
 	if v := wait(t, r.am.Create(o, qrpc.PriorityNormal)); v != 1 {
 		t.Fatalf("Create version %d", v)
 	}
-	if srv.Store().Len() != 1 {
+	if srv.Store().Occupancy().Objects != 1 {
 		t.Fatal("not created at server")
 	}
 	st := wait(t, r.am.Stat(o.URN, qrpc.PriorityNormal))

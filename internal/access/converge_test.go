@@ -108,7 +108,7 @@ func runConvergence(t *testing.T, seed int64) bool {
 	}
 	// Collect repair-queue slots.
 	repairSlots := map[string]bool{}
-	for _, c := range srv.Store().Conflicts() {
+	for _, c := range srv.Conflicts() {
 		for _, inv := range c.Invs {
 			if inv.Method == "book" && len(inv.Args) == 2 {
 				repairSlots[inv.Args[0]] = true

@@ -140,8 +140,8 @@ func TestDisconnectedMergeNonOverlapping(t *testing.T) {
 	if _, ok := got.Get("smon.11"); !ok {
 		t.Error("alice's booking lost")
 	}
-	if len(srv.Store().Conflicts()) != 0 {
-		t.Errorf("repair queue: %+v", srv.Store().Conflicts())
+	if len(srv.Conflicts()) != 0 {
+		t.Errorf("repair queue: %+v", srv.Conflicts())
 	}
 }
 
@@ -164,7 +164,7 @@ func TestDisconnectedCollisionGoesToRepair(t *testing.T) {
 	if v, _ := got.Get("smon.9"); !strings.Contains(v, "alice") {
 		t.Errorf("winner: %q", v)
 	}
-	cs := srv.Store().Conflicts()
+	cs := srv.Conflicts()
 	if len(cs) != 1 || cs[0].ClientID != "bob" {
 		t.Fatalf("repair queue: %+v", cs)
 	}
@@ -210,7 +210,7 @@ func TestManyUsersManyBookings(t *testing.T) {
 	if count != users*5 {
 		t.Errorf("server has %d bookings, want %d", count, users*5)
 	}
-	if len(srv.Store().Conflicts()) != 0 {
-		t.Errorf("unexpected conflicts: %+v", srv.Store().Conflicts())
+	if len(srv.Conflicts()) != 0 {
+		t.Errorf("unexpected conflicts: %+v", srv.Conflicts())
 	}
 }

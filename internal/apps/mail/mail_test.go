@@ -200,7 +200,7 @@ func TestTwoReadersShareFolder(t *testing.T) {
 	if !strings.HasPrefix(v0, "A|") || !strings.HasPrefix(v1, "A|") {
 		t.Errorf("merged flags: %q %q", v0, v1)
 	}
-	if len(srv.Store().Conflicts()) != 0 {
-		t.Errorf("repair queue: %+v", srv.Store().Conflicts())
+	if len(srv.Conflicts()) != 0 {
+		t.Errorf("repair queue: %+v", srv.Conflicts())
 	}
 }

@@ -393,7 +393,7 @@ func runCal(users, perUser, poolFactor int) (res calResult, err error) {
 		})
 	}
 	stack.Run()
-	res.reflected = len(stack.Server.Store().Conflicts())
+	res.reflected = len(stack.Server.Conflicts())
 	for _, cli := range clients {
 		res.reflected += int(cli.Access().Stats().Conflicts)
 	}

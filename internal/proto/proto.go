@@ -157,7 +157,7 @@ func (m *ImportReply) UnmarshalWire(r *wire.Reader) error {
 	m.FromVersion = r.Uvarint()
 	m.NewVersion = r.Uvarint()
 	var err error
-	if m.Ops, err = readInvocations(r); err != nil {
+	if m.Ops, err = rdo.ReadInvocations(r, uint64(r.Len())); err != nil {
 		return err
 	}
 	m.Check = r.Uint32()
@@ -203,7 +203,7 @@ func (m *ExportArgs) UnmarshalWire(r *wire.Reader) error {
 	m.BaseVer = r.Uvarint()
 	m.ReadDep = r.Uvarint()
 	var err error
-	if m.Invs, err = readInvocations(r); err != nil {
+	if m.Invs, err = rdo.ReadInvocations(r, uint64(r.Len())); err != nil {
 		return err
 	}
 	m.HasExpect, m.Expect = false, 0
@@ -530,7 +530,7 @@ func (m *CheckinArgs) UnmarshalWire(r *wire.Reader) error {
 	return parseURN(us, &m.URN)
 }
 
-// ConflictEntry mirrors store.Conflict for the admin service.
+// ConflictEntry mirrors server.Conflict for the admin service.
 type ConflictEntry struct {
 	URN      urn.URN
 	ClientID string
@@ -576,22 +576,6 @@ func (m *ConflictsReply) UnmarshalWire(r *wire.Reader) error {
 		m.Conflicts = append(m.Conflicts, c)
 	}
 	return r.Err()
-}
-
-// readInvocations reads a count-prefixed invocation list. The count is a
-// peer's claim, so storage is sized by the bytes actually present (an
-// invocation encodes to at least four).
-func readInvocations(r *wire.Reader) ([]rdo.Invocation, error) {
-	n := r.Len()
-	invs := make([]rdo.Invocation, 0, min(n, r.Remaining()/4))
-	for i := 0; i < n; i++ {
-		var inv rdo.Invocation
-		if err := inv.UnmarshalWire(r); err != nil {
-			return nil, err
-		}
-		invs = append(invs, inv)
-	}
-	return invs, r.Err()
 }
 
 func parseURN(s string, dst *urn.URN) error {

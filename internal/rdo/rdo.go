@@ -191,3 +191,19 @@ func (inv *Invocation) UnmarshalWire(r *wire.Reader) error {
 	inv.Object = u
 	return nil
 }
+
+// ReadInvocations reads n invocations, n being the count a decoder has just
+// read. The count is the writer's claim, so storage is sized by the bytes
+// actually present (an invocation encodes to at least four): a count the
+// input cannot back fails with the reader's error instead of allocating.
+func ReadInvocations(r *wire.Reader, n uint64) ([]Invocation, error) {
+	invs := make([]Invocation, 0, min(n, uint64(r.Remaining()/4)))
+	for i := uint64(0); i < n; i++ {
+		var inv Invocation
+		if err := inv.UnmarshalWire(r); err != nil {
+			return nil, err
+		}
+		invs = append(invs, inv)
+	}
+	return invs, r.Err()
+}

@@ -12,12 +12,12 @@
 // reply cache absorbs duplicates). The queued backlog during a peer outage
 // IS the replication lag, observable as the repl client's pending count.
 //
-// Three record kinds mirror the store's mutation vocabulary: operation
-// commits (replayed deterministically at the peer, verified by checksum),
-// opaque state transfers (creates, plain commits, and anti-entropy
-// catch-up), and deletes. A fourth kind streams executed-request replies
-// into the peer's session cache, so a client that fails over has its
-// redelivered requests answered from cache there instead of re-executed.
+// Two record kinds mirror the store's mutation vocabulary: operation
+// commits (replayed deterministically at the peer, verified by checksum)
+// and opaque state transfers (creates, plain commits, and anti-entropy
+// catch-up). A third kind streams executed-request replies into the peer's
+// session cache, so a client that fails over has its redelivered requests
+// answered from cache there instead of re-executed.
 //
 // When a record arrives out of step — the peer restarted behind, or its
 // history window was pruned — the receiver answers "behind, I have version
@@ -86,8 +86,6 @@ const (
 	// KindState: Object carries a full wire-encoded rdo.Object to install
 	// as-is (create, opaque commit, or anti-entropy transfer).
 	KindState byte = 'S'
-	// KindDelete: the object was deleted at PrevVersion.
-	KindDelete byte = 'D'
 	// KindExec: ClientID executed a request and Reply holds the
 	// wire-encoded qrpc.Reply to install in the peer's session cache.
 	KindExec byte = 'E'
@@ -96,8 +94,8 @@ const (
 // Record is one replication stream entry.
 type Record struct {
 	Kind        byte
-	URN         urn.URN // Ops, State, Delete
-	PrevVersion uint64  // Ops: base version; Delete: version deleted at
+	URN         urn.URN // Ops, State
+	PrevVersion uint64  // Ops: base version
 	Version     uint64  // Ops: resulting version
 	Invs        []rdo.Invocation
 	Src         string // Ops: exporting client the origin recorded (may be "")
@@ -124,9 +122,6 @@ func (m *Record) MarshalWire(b *wire.Buffer) {
 	case KindState:
 		b.PutString(m.URN.String())
 		b.PutBytes(m.Object)
-	case KindDelete:
-		b.PutString(m.URN.String())
-		b.PutUvarint(m.PrevVersion)
 	case KindExec:
 		b.PutString(m.ClientID)
 		b.PutBytes(m.Reply)
@@ -141,13 +136,11 @@ func (m *Record) UnmarshalWire(r *wire.Reader) error {
 		us := r.String()
 		m.PrevVersion = r.Uvarint()
 		m.Version = r.Uvarint()
-		n := r.Len()
-		m.Invs = make([]rdo.Invocation, n)
-		for i := 0; i < n; i++ {
-			if err := m.Invs[i].UnmarshalWire(r); err != nil {
-				return err
-			}
+		invs, err := rdo.ReadInvocations(r, uint64(r.Len()))
+		if err != nil {
+			return err
 		}
+		m.Invs = invs
 		m.Src = r.String()
 		m.Check = r.Uint32()
 		if err := r.Err(); err != nil {
@@ -157,13 +150,6 @@ func (m *Record) UnmarshalWire(r *wire.Reader) error {
 	case KindState:
 		us := r.String()
 		m.Object = r.Bytes()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		return parseURN(us, &m.URN)
-	case KindDelete:
-		us := r.String()
-		m.PrevVersion = r.Uvarint()
 		if err := r.Err(); err != nil {
 			return err
 		}
@@ -241,17 +227,20 @@ func (m *DigestReply) MarshalWire(b *wire.Buffer) {
 func (m *DigestReply) UnmarshalWire(r *wire.Reader) error {
 	m.ServerID = r.String()
 	n := r.Len()
-	m.Entries = make([]DigestEntry, n)
+	// Sized by the bytes present: an entry encodes to at least six.
+	m.Entries = make([]DigestEntry, 0, min(n, r.Remaining()/6))
 	for i := 0; i < n; i++ {
+		var e DigestEntry
 		us := r.String()
-		m.Entries[i].Version = r.Uvarint()
-		m.Entries[i].Check = r.Uint32()
+		e.Version = r.Uvarint()
+		e.Check = r.Uint32()
 		if err := r.Err(); err != nil {
 			return err
 		}
-		if err := parseURN(us, &m.Entries[i].URN); err != nil {
+		if err := parseURN(us, &e.URN); err != nil {
 			return err
 		}
+		m.Entries = append(m.Entries, e)
 	}
 	return r.Err()
 }

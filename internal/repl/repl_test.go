@@ -6,13 +6,16 @@ package repl_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
 	"rover"
 	"rover/internal/netsim"
+	"rover/internal/qrpc"
 	"rover/internal/rdo"
 	"rover/internal/repl"
+	"rover/internal/store"
 	"rover/internal/transport"
 	"rover/internal/urn"
 	"rover/internal/vtime"
@@ -56,7 +59,6 @@ func TestRecordWireRoundTrip(t *testing.T) {
 			},
 			Src: "mobile-1", Check: 0xdeadbeef},
 		{Kind: repl.KindState, URN: u, Object: []byte("opaque-encoding")},
-		{Kind: repl.KindDelete, URN: u, PrevVersion: 9},
 		{Kind: repl.KindExec, ClientID: "mobile-1", Reply: []byte("wire-reply")},
 	}
 	for i, rec := range records {
@@ -332,7 +334,7 @@ func TestPairRebuiltPeerCatchesUp(t *testing.T) {
 		}
 	}
 	// The empty rebuilt peer must NOT have erased the survivor.
-	if p.srvs[0].Store().Len() == 0 {
+	if p.srvs[0].Store().Occupancy().Objects == 0 {
 		t.Fatal("survivor store was emptied by the rebuilt peer")
 	}
 	if st := p.reps[0].Stats(); st.FullSyncs == 0 && st.CatchUps == 0 {
@@ -548,5 +550,88 @@ func TestLeanExportSurvivesFailover(t *testing.T) {
 	survivor := p.srvs[1]
 	if survivor.Engine().Stats().ReplaysServed+survivor.ServerStats().DuplicateExports == 0 {
 		t.Error("survivor re-executed the export instead of recognizing it")
+	}
+}
+
+// faultyGet is a Backend whose Get fails for one object: a read fault (a
+// failed fault-in, or a closed store) confined to that object.
+type faultyGet struct {
+	store.Backend
+	bad urn.URN
+}
+
+func (f *faultyGet) Get(u urn.URN) (*rdo.Object, error) {
+	if u == f.bad {
+		return nil, errors.New("injected read fault")
+	}
+	return f.Backend.Get(u)
+}
+
+// TestDigestSweepCountsReadFaults: an object the store cannot read is
+// counted in Stats.Errors at each place a sweep reads it, once, and does
+// not keep the other objects from converging.
+func TestDigestSweepCountsReadFaults(t *testing.T) {
+	sched := vtime.NewScheduler()
+	clock := vtime.SchedulerClock{S: sched}
+	bad := urn.MustParse("urn:rover:pair/b")
+	a := store.New()
+	for _, name := range []string{"a", "b", "c"} {
+		if err := a.Create(counterObject(urn.MustParse("urn:rover:pair/" + name))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stores := [2]store.Backend{&faultyGet{Backend: a, bad: bad}, store.New()}
+	var engines [2]*qrpc.Server
+	var reps [2]*repl.Replicator
+	var links [2]*transport.Sim
+	for i := range 2 {
+		engines[i] = qrpc.NewServer(qrpc.ServerConfig{ServerID: fmt.Sprintf("pair-%c", 'a'+i)})
+		rep, err := repl.New(repl.Config{
+			ServerID: fmt.Sprintf("pair-%c", 'a'+i), Engine: engines[i], Store: stores[i], Clock: clock,
+			Kick: func() {
+				if links[i] != nil {
+					links[i].Kick()
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps[i] = rep
+		t.Cleanup(func() { rep.Close(); engines[i].Close() })
+	}
+	connect := func(i int) {
+		links[i] = transport.NewSim(sched, netsim.WaveLAN2, int64(2000+i), reps[i].Client(), engines[1-i])
+		if _, drained := sched.Run(1_000_000); !drained {
+			t.Fatalf("scheduler did not drain (pending=%d)", sched.Pending())
+		}
+	}
+
+	// A's stream alone: one sweep, by A, of an empty peer. Pushing the
+	// unreadable object fails once; the other two arrive intact.
+	connect(0)
+	if st := reps[0].Stats(); st.DigestSweeps != 1 || st.Errors != 1 || st.FullSyncs != 2 {
+		t.Fatalf("A after its sweep: %+v", st)
+	}
+	for _, name := range []string{"a", "c"} {
+		u := urn.MustParse("urn:rover:pair/" + name)
+		want, _ := a.Get(u)
+		got, err := stores[1].Get(u)
+		if err != nil || !bytes.Equal(got.Encode(), want.Encode()) {
+			t.Fatalf("%s did not converge: %v", u, err)
+		}
+	}
+	if _, err := stores[1].Get(bad); err == nil {
+		t.Fatal("the unreadable object reached the peer")
+	}
+
+	// B's stream: B sweeps A, whose digest leaves the unreadable object out
+	// and counts it. B already holds everything else, so nothing moves.
+	connect(1)
+	if st := reps[0].Stats(); st.Errors != 2 {
+		t.Fatalf("A after serving B's digest: %+v", st)
+	}
+	if st := reps[1].Stats(); st.DigestSweeps != 1 || st.Errors != 0 || st.FullSyncs != 0 {
+		t.Fatalf("B after its sweep: %+v", st)
 	}
 }

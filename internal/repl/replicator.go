@@ -58,7 +58,7 @@ type Stats struct {
 	FullSyncBytes   int64 // encoded bytes of whole-object transfers
 	ExecInstalled   int64 // replies installed into the local session cache
 	DigestSweeps    int64 // anti-entropy digest exchanges completed
-	Errors          int64 // sends that failed or answered with an error
+	Errors          int64 // failed sends and replies, and failed local reads of an object to push or digest
 }
 
 // Replicator streams one server's committed mutations (and executions) to
@@ -167,8 +167,6 @@ func (r *Replicator) onStoreApply(ev store.ApplyEvent) {
 	case store.ApplyState:
 		rec.Kind = KindState
 		rec.Object = ev.Object
-	case store.ApplyDelete:
-		rec.Kind = KindDelete
 	default:
 		return
 	}
@@ -220,20 +218,16 @@ func (r *Replicator) send(rec *Record, catchup bool) int {
 		}
 		result, err, _ := p.Result()
 		if err != nil {
-			r.mu.Lock()
-			r.stats.Errors++
-			r.mu.Unlock()
+			r.noteError()
 			return
 		}
 		var ar ApplyReply
 		if werr := wire.Unmarshal(result, &ar); werr != nil {
-			r.mu.Lock()
-			r.stats.Errors++
-			r.mu.Unlock()
+			r.noteError()
 			return
 		}
-		if kind == KindExec || kind == KindDelete {
-			return // nothing to catch up for these
+		if kind == KindExec {
+			return // nothing to catch up for an exec record
 		}
 		switch ar.Status {
 		case ApplyBehind:
@@ -272,9 +266,11 @@ func (r *Replicator) pushCatchUp(u urn.URN, have uint64) {
 
 	obj, err := r.cfg.Store.Get(u)
 	if err != nil {
-		// Deleted locally; the delete record is (or was) in the stream.
+		// No request deletes an object, so this is a read fault (a failed
+		// fault-in, or a closed store). Count it; the next sweep retries.
 		r.mu.Lock()
 		delete(r.inflight, u)
+		r.stats.Errors++
 		r.mu.Unlock()
 		return
 	}
@@ -385,8 +381,10 @@ func (r *Replicator) pushState(u urn.URN) {
 	r.mu.Unlock()
 	obj, err := r.cfg.Store.Get(u)
 	if err != nil {
+		// A read fault, as in pushCatchUp.
 		r.mu.Lock()
 		delete(r.inflight, u)
+		r.stats.Errors++
 		r.mu.Unlock()
 		return
 	}
@@ -399,30 +397,24 @@ func (r *Replicator) pushState(u urn.URN) {
 // SyncNow runs one anti-entropy sweep: fetch the peer's digest and push
 // catch-up for every object the local store is ahead on (or the peer lacks
 // entirely). Divergent same-version replicas are repaired toward the
-// larger ServerID's copy. Deletes are never generated from digest
-// differences — a freshly rebuilt (empty) peer must not erase the
-// survivor's store; deletes propagate only as observed mutations.
+// larger ServerID's copy. A sweep only ever adds or advances objects: an
+// object missing from the peer's digest is pushed, so a freshly rebuilt
+// (empty) peer can never erase the survivor's store.
 func (r *Replicator) SyncNow() {
 	p, err := r.client.Enqueue(SvcDigest, nil, qrpc.PriorityNormal, r.cfg.Clock.Now())
 	if err != nil {
-		r.mu.Lock()
-		r.stats.Errors++
-		r.mu.Unlock()
+		r.noteError()
 		return
 	}
 	p.OnComplete(func(p *qrpc.Promise) {
 		result, err, _ := p.Result()
 		if err != nil {
-			r.mu.Lock()
-			r.stats.Errors++
-			r.mu.Unlock()
+			r.noteError()
 			return
 		}
 		var dig DigestReply
 		if werr := wire.Unmarshal(result, &dig); werr != nil {
-			r.mu.Lock()
-			r.stats.Errors++
-			r.mu.Unlock()
+			r.noteError()
 			return
 		}
 		r.applyDigest(&dig)
@@ -448,6 +440,7 @@ func (r *Replicator) applyDigest(dig *DigestReply) {
 		case pe.Version == e.Version:
 			obj, err := r.cfg.Store.Get(e.URN)
 			if err != nil {
+				r.noteError() // a read fault, as in pushCatchUp
 				continue
 			}
 			if proto.CheckOf(obj) != pe.Check && r.cfg.ServerID > peerID {
@@ -476,8 +469,6 @@ func (r *Replicator) handleApply(clientID string, req qrpc.Request) ([]byte, err
 		return r.applyOps(&rec)
 	case KindState:
 		return r.applyState(clientID, &rec)
-	case KindDelete:
-		return r.applyDelete(&rec)
 	case KindExec:
 		return r.applyExec(&rec)
 	default:
@@ -575,22 +566,6 @@ func (r *Replicator) applyState(clientID string, rec *Record) ([]byte, error) {
 	return applyReply(ApplyOK, obj.Version), nil
 }
 
-func (r *Replicator) applyDelete(rec *Record) ([]byte, error) {
-	cur, err := r.cfg.Store.Version(rec.URN)
-	if err != nil {
-		r.noteDuplicate()
-		return applyReply(ApplyOK, 0), nil
-	}
-	if cur > rec.PrevVersion {
-		// The local copy advanced past what the deleter saw; keep it (its
-		// own stream will tell the peer).
-		return applyReply(ApplyOK, cur), nil
-	}
-	r.cfg.Store.InstallDelete(rec.URN)
-	r.noteApplied()
-	return applyReply(ApplyOK, 0), nil
-}
-
 func (r *Replicator) applyExec(rec *Record) ([]byte, error) {
 	if IsReplClient(rec.ClientID) {
 		return applyReply(ApplyOK, 0), nil
@@ -614,7 +589,11 @@ func (r *Replicator) handleDigest(clientID string, req qrpc.Request) ([]byte, er
 	for _, e := range entries {
 		obj, err := r.cfg.Store.Get(e.URN)
 		if err != nil {
-			continue // deleted between List and Get
+			// A read fault (no request deletes an object): leave the entry
+			// out and count it. The sweeper then pushes its copy, which the
+			// version guard absorbs.
+			r.noteError()
+			continue
 		}
 		dig.Entries = append(dig.Entries, DigestEntry{
 			URN: e.URN, Version: obj.Version, Check: proto.CheckOf(obj),
@@ -632,6 +611,12 @@ func (r *Replicator) noteApplied() {
 func (r *Replicator) noteDuplicate() {
 	r.mu.Lock()
 	r.stats.Duplicates++
+	r.mu.Unlock()
+}
+
+func (r *Replicator) noteError() {
+	r.mu.Lock()
+	r.stats.Errors++
 	r.mu.Unlock()
 }
 

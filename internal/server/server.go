@@ -58,7 +58,21 @@ type Server struct {
 	mu    sync.Mutex
 	subs  map[string][]urn.URN // clientID -> subscribed prefixes
 	locks map[urn.URN]string   // check-out locks: object -> holder clientID
-	stats Stats
+	// repairs is the manual-repair queue: operations no resolver could
+	// merge, "reflected to the user for resolution". Like the locks it is
+	// memory-only operator state, not committed object state.
+	repairs []Conflict
+	stats   Stats
+}
+
+// Conflict is a repair-queue entry: operations that could not be merged.
+type Conflict struct {
+	URN      urn.URN
+	ClientID string
+	BaseVer  uint64
+	AtVer    uint64
+	Invs     []rdo.Invocation
+	Message  string
 }
 
 // Stats counts object-service activity the engine layer cannot see.
@@ -186,6 +200,19 @@ func (s *Server) Locks() map[urn.URN]string {
 		out[u] = h
 	}
 	return out
+}
+
+// Conflicts returns a copy of the manual-repair queue.
+func (s *Server) Conflicts() []Conflict {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]Conflict(nil), s.repairs...)
+}
+
+func (s *Server) queueRepair(c Conflict) {
+	s.mu.Lock()
+	s.repairs = append(s.repairs, c)
+	s.mu.Unlock()
 }
 
 // Store exposes the object store (server administration, tests, seeding).
@@ -375,7 +402,7 @@ func (s *Server) applyExport(clientID string, obj *rdo.Object, cur uint64, args 
 		if res.Applied {
 			return &proto.ExportReply{Outcome: proto.OutcomeResolved, Message: res.Message}, true, nil
 		}
-		s.store.AddConflict(store.Conflict{
+		s.queueRepair(Conflict{
 			URN:      args.URN,
 			ClientID: clientID,
 			BaseVer:  args.BaseVer,
@@ -388,7 +415,7 @@ func (s *Server) applyExport(clientID string, obj *rdo.Object, cur uint64, args 
 		// Client claims a version from the future: the server lost state
 		// (restored from an old snapshot). Reflect as conflict.
 		msg := fmt.Sprintf("client base version %d ahead of server %d", args.BaseVer, cur)
-		s.store.AddConflict(store.Conflict{
+		s.queueRepair(Conflict{
 			URN: args.URN, ClientID: clientID,
 			BaseVer: args.BaseVer, AtVer: cur,
 			Invs: args.Invs, Message: msg,
@@ -567,7 +594,7 @@ func (s *Server) handleSubscribe(clientID string, req qrpc.Request) ([]byte, err
 
 func (s *Server) handleConflicts(clientID string, req qrpc.Request) ([]byte, error) {
 	var rep proto.ConflictsReply
-	for _, c := range s.store.Conflicts() {
+	for _, c := range s.Conflicts() {
 		rep.Conflicts = append(rep.Conflicts, proto.ConflictEntry{
 			URN: c.URN, ClientID: c.ClientID,
 			BaseVer: c.BaseVer, AtVer: c.AtVer, Message: c.Message,

@@ -168,8 +168,8 @@ func TestExportPaths(t *testing.T) {
 	if rep.Outcome != proto.OutcomeConflict || !strings.Contains(rep.Message, "ahead of server") {
 		t.Fatalf("future base: %+v", rep)
 	}
-	if len(r.srv.Store().Conflicts()) != 1 {
-		t.Errorf("repair queue: %+v", r.srv.Store().Conflicts())
+	if len(r.srv.Conflicts()) != 1 {
+		t.Errorf("repair queue: %+v", r.srv.Conflicts())
 	}
 	// Empty exports are rejected.
 	if _, err := r.call(proto.SvcExport, &proto.ExportArgs{URN: u, BaseVer: 3}); err == nil {
@@ -210,13 +210,57 @@ func TestExportConflictRejectedByResolver(t *testing.T) {
 	if rep.Outcome != proto.OutcomeConflict {
 		t.Fatalf("outcome %v", rep.Outcome)
 	}
-	if len(srv.Store().Conflicts()) != 1 {
+	if len(srv.Conflicts()) != 1 {
 		t.Error("conflict not queued")
 	}
 	// The reply carries the server's state so the client converges.
 	got, err := rdo.Decode(rep.Object)
 	if err != nil || got.Version != 2 {
 		t.Errorf("conflict reply object: %+v %v", got, err)
+	}
+}
+
+// TestConflictQueue: both ways an export ends in the repair queue — a
+// resolver's refusal and a base version from the future — queue one entry
+// each, in order. Conflicts hands out a copy, and the conflicts service
+// reads the same queue.
+func TestConflictQueue(t *testing.T) {
+	r := newRig(t)
+	r.srv.Resolvers().Register("counter", resolve.Reject)
+	obj := counter("c")
+	r.srv.Store().Create(obj)
+	u := obj.URN
+	w, _ := r.srv.Store().Get(u)
+	r.srv.Store().Commit(w, 1) // version 2: base 1 is stale
+	for _, base := range []uint64{1, 99} {
+		res, err := r.call(proto.SvcExport, &proto.ExportArgs{URN: u, BaseVer: base,
+			Invs: []rdo.Invocation{{Object: u, Method: "add", Args: []string{"1"}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep proto.ExportReply
+		if err := wire.Unmarshal(res, &rep); err != nil || rep.Outcome != proto.OutcomeConflict {
+			t.Fatalf("base %d: %+v %v", base, rep, err)
+		}
+	}
+	cs := r.srv.Conflicts()
+	if len(cs) != 2 || cs[0].BaseVer != 1 || cs[1].BaseVer != 99 {
+		t.Fatalf("queue %+v", cs)
+	}
+	if c := cs[0]; c.URN != u || c.ClientID != "unit-cli" || c.AtVer != 2 || len(c.Invs) != 1 {
+		t.Fatalf("entry %+v", c)
+	}
+	cs[0].Message = "edited"
+	if r.srv.Conflicts()[0].Message == "edited" {
+		t.Fatal("Conflicts returned the queue itself, not a copy")
+	}
+	res, err := r.call(proto.SvcConflicts, &proto.StatArgs{URN: u})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cr proto.ConflictsReply
+	if err := wire.Unmarshal(res, &cr); err != nil || len(cr.Conflicts) != 2 || cr.Conflicts[1].BaseVer != 99 {
+		t.Fatalf("conflicts service: %+v %v", cr, err)
 	}
 }
 

@@ -11,16 +11,16 @@ import (
 // disk-backed segment store are interchangeable.
 //
 // Semantics every implementation must provide (the conformance suite in
-// backend_conformance_test.go enforces them):
+// conformance_test.go enforces them):
 //
 //   - Returned objects are clones; callers mutate freely.
 //   - Versions start at 1 (Create) and advance by exactly one per commit.
 //   - Commit/CommitOps check the caller's expected version and fail on a
 //     race; InstallState replaces without an expect check but refuses to
 //     regress a version.
-//   - Only ops commits record history; plain Commits, installs, deletes,
-//     re-creates, and snapshot loads clear the object's window, so OpsSince
-//     never serves a delta spanning an opaque jump.
+//   - Only ops commits record history; plain Commits, state installs and
+//     snapshot loads clear the object's window, so OpsSince never serves a
+//     delta spanning an opaque jump.
 //   - The SetOnApply observer sees every locally committed mutation in
 //     per-object version order and none from the Install* family.
 //   - Snapshot is an atomic, canonical (URN-sorted, byte-deterministic)
@@ -31,29 +31,21 @@ type Backend interface {
 	Commit(obj *rdo.Object, expect uint64) (uint64, error)
 	CommitOps(obj *rdo.Object, expect uint64, invs []rdo.Invocation) (uint64, error)
 	CommitOpsBy(obj *rdo.Object, expect uint64, invs []rdo.Invocation, src string) (uint64, error)
-	Delete(u urn.URN) error
 
 	// Replica-peer installs: same state transitions, no observer echo.
 	InstallOps(obj *rdo.Object, expect uint64, invs []rdo.Invocation, src string) (uint64, error)
 	InstallState(obj *rdo.Object) (uint64, error)
-	InstallDelete(u urn.URN)
 
 	// Reads.
 	Get(u urn.URN) (*rdo.Object, error)
 	Version(u urn.URN) (uint64, error)
 	List(prefix urn.URN) []Entry
 	ListAll() []Entry
-	Len() int
 
 	// History: delta imports and redelivery detection.
 	OpsSince(u urn.URN, from uint64) ([]rdo.Invocation, uint64, bool)
 	WasCommitted(u urn.URN, base uint64, invs []rdo.Invocation, src string) bool
 	SetHistoryLimit(n int)
-
-	// Conflict repair queue.
-	AddConflict(c Conflict)
-	Conflicts() []Conflict
-	ClearConflicts() int
 
 	// Whole-store state transfer.
 	Snapshot() []byte

@@ -80,8 +80,6 @@ type idxEnt struct {
 //     window) into a fresh segment, fsyncs, renames over the old path, and
 //     swaps — readers are excluded only during the rewrite itself.
 //
-// The conflict repair queue is memory-only, as on the in-memory backend:
-// conflicts are an operator-facing inbox, not committed object state.
 // A failed segment fsync poisons the segment permanently: every later
 // mutation fails with stable.ErrPoisoned, while reads keep working.
 type Store struct {
@@ -99,7 +97,6 @@ type Store struct {
 	compacting bool
 	closed     bool
 
-	repairs []store.Conflict
 	onApply func(store.ApplyEvent)
 
 	mutsSinceCompact int
@@ -213,12 +210,6 @@ func (s *Store) applyScan(off int64, p []byte) error {
 		if !s.hist.Record(rec.urn, rec.ver, rec.invs, rec.src) {
 			s.hist.Clear(rec.urn)
 		}
-	case recDelete:
-		if old, ok := s.idx[rec.urn]; ok {
-			s.liveBytes -= old.rlen
-			delete(s.idx, rec.urn)
-		}
-		s.hist.Clear(rec.urn)
 	case recSnap:
 		typ, terr := objType(rec.obj)
 		if terr != nil {
@@ -319,7 +310,6 @@ func (s *Store) Create(obj *rdo.Object) error {
 	objBytes := cp.Encode()
 	return s.commitRecord(cp.URN, encodeState(cp.URN, 1, objBytes), func(off, rlen int64) {
 		s.setIdxLocked(cp.URN, idxEnt{ver: 1, off: off, rlen: rlen, typ: cp.Type, kind: recState})
-		s.hist.Clear(cp.URN) // a re-created URN starts with no past
 		s.lru.put(cp)
 		s.notifyLocked(store.ApplyEvent{Kind: store.ApplyState, URN: cp.URN, Version: 1, Object: objBytes})
 	})
@@ -426,27 +416,6 @@ func (s *Store) commitOps(obj *rdo.Object, expect uint64, invs []rdo.Invocation,
 	return cp.Version, nil
 }
 
-// Delete implements store.Backend.
-func (s *Store) Delete(u urn.URN) error {
-	ent, ok, err := s.begin(u)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		s.release(u)
-		return fmt.Errorf("%w: %s", store.ErrNotFound, u)
-	}
-	return s.commitRecord(u, encodeDelete(u), func(off, rlen int64) {
-		if old, ok := s.idx[u]; ok {
-			s.liveBytes -= old.rlen
-			delete(s.idx, u)
-		}
-		s.hist.Clear(u)
-		s.lru.drop(u)
-		s.notifyLocked(store.ApplyEvent{Kind: store.ApplyDelete, URN: u, PrevVersion: ent.ver})
-	})
-}
-
 // InstallState implements store.Backend: whole-object install without an
 // expect check, refusing version regression, observer-silent.
 func (s *Store) InstallState(obj *rdo.Object) (uint64, error) {
@@ -470,28 +439,6 @@ func (s *Store) InstallState(obj *rdo.Object) (uint64, error) {
 		return 0, err
 	}
 	return cp.Version, nil
-}
-
-// InstallDelete implements store.Backend: idempotent, observer-silent. The
-// interface carries no error; a segment failure here surfaces as poisoning
-// on the next mutation.
-func (s *Store) InstallDelete(u urn.URN) {
-	_, ok, err := s.begin(u)
-	if err != nil {
-		return
-	}
-	if !ok {
-		s.release(u)
-		return
-	}
-	s.commitRecord(u, encodeDelete(u), func(off, rlen int64) {
-		if old, ok := s.idx[u]; ok {
-			s.liveBytes -= old.rlen
-			delete(s.idx, u)
-		}
-		s.hist.Clear(u)
-		s.lru.drop(u)
-	})
 }
 
 // Get implements store.Backend: a cache hit clones the resident object; a
@@ -662,39 +609,6 @@ func (s *Store) ListAll() []store.Entry {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].URN.Less(out[j].URN) })
 	return out
-}
-
-// Len implements store.Backend.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.idx)
-}
-
-// AddConflict implements store.Backend (memory-only, like the in-memory
-// backend — the repair queue is an operator inbox, not object state).
-func (s *Store) AddConflict(c store.Conflict) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.repairs = append(s.repairs, c)
-}
-
-// Conflicts implements store.Backend.
-func (s *Store) Conflicts() []store.Conflict {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]store.Conflict, len(s.repairs))
-	copy(out, s.repairs)
-	return out
-}
-
-// ClearConflicts implements store.Backend.
-func (s *Store) ClearConflicts() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.repairs)
-	s.repairs = nil
-	return n
 }
 
 // Snapshot implements store.Backend: the same canonical URN-sorted

@@ -57,8 +57,8 @@ func TestFooterRecoveryFastPath(t *testing.T) {
 	if !s2.RecoveredByFooter() {
 		t.Fatal("clean reopen did not take the footer fast path")
 	}
-	if s2.Len() != 50 {
-		t.Fatalf("footer recovery found %d objects, want 50", s2.Len())
+	if s2.Occupancy().Objects != 50 {
+		t.Fatalf("footer recovery found %d objects, want 50", s2.Occupancy().Objects)
 	}
 	if !bytes.Equal(s2.Snapshot(), want) {
 		t.Fatal("footer-recovered snapshot diverges from pre-close snapshot")
@@ -226,8 +226,8 @@ func TestFooterTailReplay(t *testing.T) {
 	if !s2.RecoveredByFooter() {
 		t.Fatal("crash after compaction did not recover via the footer")
 	}
-	if s2.Len() != 6 {
-		t.Fatalf("recovered %d objects, want 6 (hot + 5 tail creates)", s2.Len())
+	if s2.Occupancy().Objects != 6 {
+		t.Fatalf("recovered %d objects, want 6 (hot + 5 tail creates)", s2.Occupancy().Objects)
 	}
 	if v, _ := s2.Version(o.URN); v != hotVer {
 		t.Fatalf("hot object at v%d, want %d", v, hotVer)

@@ -1,0 +1,110 @@
+package disk
+
+import (
+	"bytes"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"rover/internal/rdo"
+	"rover/internal/store"
+	"rover/internal/urn"
+	"rover/internal/wire"
+)
+
+// countHeader is a record of the given kind cut off right after a count: the
+// fields before it are minimal and valid, and no element follows.
+func countHeader(kind byte, n uint64) []byte {
+	var b wire.Buffer
+	b.PutByte(kind)
+	switch kind {
+	case recOps:
+		b.PutString("urn:rover:h/x")
+		b.PutUvarint(1) // prevVer
+		b.PutUvarint(2) // ver
+		b.PutString("") // src
+	case recSnap:
+		b.PutString("urn:rover:h/x")
+		b.PutUvarint(2) // ver
+		b.PutBytes(nil) // obj
+	case recFooter:
+		b.PutBytes(make([]byte, footerGenLen))
+		b.PutUvarint(0) // part
+	}
+	b.PutUvarint(n)
+	return b.Bytes()
+}
+
+// FuzzDecodeRecord: the recovery scan decodes every record of a segment and
+// footer recovery every index chunk, so both decoders must hold up against
+// bytes they did not write. Neither panics, neither allocates out of
+// proportion to the input whatever a count claims, and whatever they accept
+// re-encodes to bytes that decode to the same record.
+func FuzzDecodeRecord(f *testing.F) {
+	u := urn.MustParse("urn:rover:h/obj")
+	o := rdo.New(u, "t")
+	o.Set("k", "v")
+	o.Version = 3
+	objBytes := o.Encode()
+	invs := []rdo.Invocation{{Object: u, Method: "add", Args: []string{"1", "x"}, BaseVer: 2}}
+	f.Add(encodeState(u, 3, objBytes))
+	f.Add(encodeOps(u, 2, 3, "cli", invs, objBytes, 42))
+	f.Add(encodeOps(u, 2, 3, "", invs, objBytes, -1))
+	f.Add(encodeSnap(u, 3, objBytes, []store.OpsRec{{Ver: 2, Src: "cli", Invs: invs}, {Ver: 3, Invs: invs}}))
+	f.Add(encodeFooterChunk(bytes.Repeat([]byte{7}, footerGenLen), 1,
+		[]footerEnt{{u: u, ent: idxEnt{ver: 3, off: 10, rlen: 40, typ: "t", kind: recOps}}}))
+	// Counts the input cannot back: a 22-byte ops record claiming 2^22
+	// invocations allocated 320 MB before failing, and a count of 2^63 made
+	// the decoders panic in makeslice.
+	f.Add(countHeader(recOps, 1<<22))
+	for _, kind := range []byte{recOps, recSnap, recFooter} {
+		f.Add(countHeader(kind, 1<<63))
+	}
+
+	f.Fuzz(func(t *testing.T, p []byte) {
+		footer := len(p) > 0 && p[0] == recFooter
+		var (
+			rec  record
+			gen  []byte
+			part uint64
+			ents []footerEnt
+			err  error
+		)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if footer {
+			gen, part, ents, err = decodeFooterChunk(p)
+		} else {
+			rec, err = decodeRecord(p)
+		}
+		runtime.ReadMemStats(&after)
+		if spent := after.TotalAlloc - before.TotalAlloc; spent > 1<<20+64*uint64(len(p)) {
+			t.Fatalf("%d input bytes made the decoder allocate %d bytes", len(p), spent)
+		}
+		if err != nil {
+			return
+		}
+		if footer {
+			gen2, part2, ents2, err := decodeFooterChunk(encodeFooterChunk(gen, part, ents))
+			if err != nil || !bytes.Equal(gen2, gen) || part2 != part || !reflect.DeepEqual(ents2, ents) {
+				t.Fatalf("footer chunk did not survive re-encoding: %v", err)
+			}
+			return
+		}
+		var enc []byte
+		switch rec.kind {
+		case recState:
+			enc = encodeState(rec.urn, rec.ver, rec.obj)
+		case recOps:
+			enc = encodeOps(rec.urn, rec.prevVer, rec.ver, rec.src, rec.invs, rec.obj, rec.prevOff)
+		case recSnap:
+			enc = encodeSnap(rec.urn, rec.ver, rec.obj, rec.hist)
+		default:
+			t.Fatalf("accepted record kind %#x", rec.kind)
+		}
+		again, err := decodeRecord(enc)
+		if err != nil || !reflect.DeepEqual(again, rec) {
+			t.Fatalf("record did not survive re-encoding: %v\n got %+v\nwant %+v", err, again, rec)
+		}
+	})
+}

@@ -123,16 +123,6 @@ func (c *lruCache) peek(u urn.URN) *rdo.Object {
 	return nil
 }
 
-func (c *lruCache) drop(u urn.URN) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[u]; ok {
-		c.ll.Remove(el)
-		delete(c.m, u)
-		c.bytes -= el.Value.(*lruEnt).size
-	}
-}
-
 func (c *lruCache) reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

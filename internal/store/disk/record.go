@@ -8,6 +8,7 @@ package disk
 
 import (
 	"fmt"
+	"math"
 
 	"rover/internal/rdo"
 	"rover/internal/store"
@@ -17,25 +18,24 @@ import (
 
 // Segment record kinds. One record is written per committed mutation; the
 // shapes mirror the replication stream's (repl.Record) — ops with source
-// tagging, whole-state installs, deletes — but are encoded locally because
-// repl sits above the store. 'Z' is compaction's output: the object plus
+// tagging and whole-state installs — but are encoded locally because repl
+// sits above the store. 'Z' is compaction's output: the object plus
 // its retained history window, so OpsSince and WasCommitted survive both
 // restart and compaction.
 const (
 	recState  = byte('S') // opaque jump: Create, plain Commit, InstallState
 	recOps    = byte('O') // ops commit: CommitOps/InstallOps with invocations
-	recDelete = byte('D') // Delete/InstallDelete
 	recSnap   = byte('Z') // compaction snapshot: object + history window
 	recFooter = byte('X') // index footer chunk: URN → offset/len/version table
 )
 
-// record is one decoded segment record. Every kind but recDelete carries
-// the full object encoding, so any record a Get faults in is
-// self-contained — the index never needs to chase older records.
+// record is one decoded segment record. Every kind carries the full object
+// encoding, so any record a Get faults in is self-contained — the index
+// never needs to chase older records.
 type record struct {
 	kind    byte
 	urn     urn.URN
-	ver     uint64 // version the record committed (0 for recDelete)
+	ver     uint64 // version the record committed
 	prevVer uint64 // recOps: version the ops applied against
 	src     string // recOps: exporting client
 	invs    []rdo.Invocation
@@ -79,13 +79,6 @@ func encodeOps(u urn.URN, prevVer, ver uint64, src string, invs []rdo.Invocation
 	return wire.Detach(b)
 }
 
-func encodeDelete(u urn.URN) []byte {
-	b := wire.GetBuffer()
-	b.PutByte(recDelete)
-	b.PutString(u.String())
-	return wire.Detach(b)
-}
-
 func encodeSnap(u urn.URN, ver uint64, obj []byte, hist []store.OpsRec) []byte {
 	b := wire.GetBuffer()
 	b.PutByte(recSnap)
@@ -125,43 +118,36 @@ func decodeRecord(p []byte) (record, error) {
 		rec.prevVer = r.Uvarint()
 		rec.ver = r.Uvarint()
 		rec.src = r.String()
-		n := int(r.Uvarint())
-		if r.Err() != nil {
-			return rec, fmt.Errorf("disk: ops record: %w", r.Err())
+		invs, err := rdo.ReadInvocations(r, r.Uvarint())
+		if err != nil {
+			return rec, fmt.Errorf("disk: ops record: %w", err)
 		}
-		rec.invs = make([]rdo.Invocation, n)
-		for i := 0; i < n; i++ {
-			if err := rec.invs[i].UnmarshalWire(r); err != nil {
-				return rec, fmt.Errorf("disk: ops record inv %d: %w", i, err)
-			}
-		}
+		rec.invs = invs
 		rec.obj = r.Bytes()
 		rec.prevOff = -1
 		if !r.Done() {
-			rec.prevOff = int64(r.Uvarint()) - 1
+			link := r.Uvarint()
+			if link > math.MaxInt64 {
+				return rec, fmt.Errorf("disk: ops record chain link %d out of range", link)
+			}
+			rec.prevOff = int64(link) - 1
 		}
-	case recDelete:
 	case recSnap:
 		rec.ver = r.Uvarint()
 		rec.obj = r.Bytes()
-		n := int(r.Uvarint())
-		if r.Err() != nil {
-			return rec, fmt.Errorf("disk: snap record: %w", r.Err())
-		}
-		rec.hist = make([]store.OpsRec, n)
-		for i := 0; i < n; i++ {
-			rec.hist[i].Ver = r.Uvarint()
-			rec.hist[i].Src = r.String()
-			m := int(r.Uvarint())
-			if r.Err() != nil {
-				return rec, fmt.Errorf("disk: snap record window %d: %w", i, r.Err())
+		n := r.Uvarint()
+		// Sized by the bytes present: a window entry encodes to at least three.
+		rec.hist = make([]store.OpsRec, 0, min(n, uint64(r.Remaining()/3)))
+		for i := uint64(0); i < n; i++ {
+			var h store.OpsRec
+			h.Ver = r.Uvarint()
+			h.Src = r.String()
+			invs, err := rdo.ReadInvocations(r, r.Uvarint())
+			if err != nil {
+				return rec, fmt.Errorf("disk: snap record window %d: %w", i, err)
 			}
-			rec.hist[i].Invs = make([]rdo.Invocation, m)
-			for j := 0; j < m; j++ {
-				if err := rec.hist[i].Invs[j].UnmarshalWire(r); err != nil {
-					return rec, fmt.Errorf("disk: snap record inv: %w", err)
-				}
-			}
+			h.Invs = invs
+			rec.hist = append(rec.hist, h)
 		}
 	default:
 		return rec, fmt.Errorf("disk: unknown record kind %#x", rec.kind)
@@ -219,12 +205,13 @@ func decodeFooterChunk(p []byte) (gen []byte, part uint64, ents []footerEnt, err
 	}
 	gen = r.Bytes()
 	part = r.Uvarint()
-	n := int(r.Uvarint())
+	n := r.Uvarint()
 	if err := r.Err(); err != nil || len(gen) != footerGenLen {
 		return nil, 0, nil, fmt.Errorf("disk: footer chunk header: %v", err)
 	}
-	ents = make([]footerEnt, 0, n)
-	for i := 0; i < n; i++ {
+	// Sized by the bytes present: an entry encodes to at least six.
+	ents = make([]footerEnt, 0, min(n, uint64(r.Remaining()/6)))
+	for i := uint64(0); i < n; i++ {
 		us := r.String()
 		ver := r.Uvarint()
 		off := int64(r.Uvarint())

@@ -81,7 +81,7 @@ func (h *History) Record(u urn.URN, ver uint64, invs []rdo.Invocation, src strin
 	return true
 }
 
-// Clear drops one object's window (opaque jump, delete, re-create).
+// Clear drops one object's window (an opaque jump).
 func (h *History) Clear(u urn.URN) { delete(h.m, u) }
 
 // ClearAll drops every window (snapshot load).

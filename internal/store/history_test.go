@@ -114,23 +114,3 @@ func TestHistoryDisabled(t *testing.T) {
 		t.Fatal("disabled history recorded new commits")
 	}
 }
-
-func TestDeleteClearsHistory(t *testing.T) {
-	s := New()
-	o := obj("h")
-	if err := s.Create(o); err != nil {
-		t.Fatal(err)
-	}
-	commitN(t, s, o, 2)
-	if err := s.Delete(o.URN); err != nil {
-		t.Fatal(err)
-	}
-	// Recreate at version 1: old history must not leak into the new life.
-	o2 := obj("h")
-	if err := s.Create(o2); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := s.OpsSince(o2.URN, 1); ok {
-		t.Fatal("history survived delete + recreate")
-	}
-}

@@ -3,16 +3,13 @@
 // Every object has a home server; the store holds the committed copy and
 // its version. Versions advance by one per committed export or server-side
 // invocation; the version a client imported is what conflict detection
-// compares against. The store also keeps the manual-repair queue — the
-// destination of operations no resolver could merge — mirroring the
-// paper's Coda/Ficus discussion of conflicts "reflected to the user for
-// resolution".
+// compares against. The manual-repair queue for operations no resolver
+// could merge is not object state: it lives in the server package.
 package store
 
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 
@@ -38,10 +35,8 @@ const DefaultHistoryLimit = 32
 // resident memory for capacity. All methods are safe for concurrent use;
 // returned objects are clones, so callers can mutate freely.
 type Store struct {
-	mu       sync.RWMutex
-	objs     map[urn.URN]*rdo.Object
-	repairs  []Conflict
-	modCount uint64
+	mu   sync.RWMutex
+	objs map[urn.URN]*rdo.Object
 
 	// hist holds, per object, the invocations that produced recent
 	// versions — the raw material for delta imports (ship the ops since
@@ -68,8 +63,6 @@ const (
 	// ApplyState: an opaque state jump — Create, plain Commit, or any
 	// other whole-object install. Object carries the new encoding.
 	ApplyState
-	// ApplyDelete: the object was removed.
-	ApplyDelete
 )
 
 // ApplyEvent describes one committed mutation. Events are delivered to the
@@ -80,7 +73,7 @@ type ApplyEvent struct {
 	Kind        ApplyKind
 	URN         urn.URN
 	PrevVersion uint64
-	Version     uint64 // 0 for ApplyDelete
+	Version     uint64
 	// Invs holds the replayed invocations for ApplyOps (the slice is the
 	// store's own history copy; observers must not mutate it).
 	Invs []rdo.Invocation
@@ -88,18 +81,8 @@ type ApplyEvent struct {
 	// CommitOpsBy); replication preserves it so the peer can also detect
 	// redelivered exports.
 	Src string
-	// Object is the committed object's wire encoding (nil for ApplyDelete).
+	// Object is the committed object's wire encoding.
 	Object []byte
-}
-
-// Conflict is a repair-queue entry: operations that could not be merged.
-type Conflict struct {
-	URN      urn.URN
-	ClientID string
-	BaseVer  uint64
-	AtVer    uint64
-	Invs     []rdo.Invocation
-	Message  string
 }
 
 // New returns an empty store.
@@ -147,8 +130,6 @@ func (s *Store) Create(obj *rdo.Object) error {
 	cp := obj.Clone()
 	cp.Version = 1
 	s.objs[obj.URN] = cp
-	s.hist.Clear(obj.URN) // a re-created URN starts with no past
-	s.modCount++
 	s.notifyLocked(ApplyEvent{Kind: ApplyState, URN: cp.URN, Version: 1, Object: cp.Encode()})
 	return nil
 }
@@ -198,7 +179,6 @@ func (s *Store) Commit(obj *rdo.Object, expect uint64) (uint64, error) {
 	// jump, and any delta spanning it would silently skip state. Drop the
 	// object's history so OpsSince refuses rather than lies.
 	s.hist.Clear(obj.URN)
-	s.modCount++
 	s.notifyLocked(ApplyEvent{Kind: ApplyState, URN: cp.URN,
 		PrevVersion: expect, Version: cp.Version, Object: cp.Encode()})
 	return cp.Version, nil
@@ -232,7 +212,6 @@ func (s *Store) commitOpsLocked(obj *rdo.Object, expect uint64, invs []rdo.Invoc
 	cp := obj.Clone()
 	cp.Version = cur.Version + 1
 	s.objs[obj.URN] = cp
-	s.modCount++
 	if !s.hist.Record(obj.URN, cp.Version, invs, src) {
 		// History disabled, or a no-op commit (version advanced with no
 		// recorded operations): treat like a plain Commit.
@@ -295,22 +274,6 @@ func (s *Store) OpsSince(u urn.URN, from uint64) ([]rdo.Invocation, uint64, bool
 	return s.hist.OpsSince(u, from, cur.Version)
 }
 
-// Delete removes an object.
-func (s *Store) Delete(u urn.URN) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur, ok := s.objs[u]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, u)
-	}
-	prev := cur.Version
-	delete(s.objs, u)
-	s.hist.Clear(u)
-	s.modCount++
-	s.notifyLocked(ApplyEvent{Kind: ApplyDelete, URN: u, PrevVersion: prev})
-	return nil
-}
-
 // InstallOps is CommitOpsBy for a mutation received from a replica peer:
 // same expect check and history recording (src preserved from the origin),
 // but the commit observer does not fire — a replicated mutation must not
@@ -339,21 +302,7 @@ func (s *Store) InstallState(obj *rdo.Object) (uint64, error) {
 	cp := obj.Clone()
 	s.objs[cp.URN] = cp
 	s.hist.Clear(cp.URN)
-	s.modCount++
 	return cp.Version, nil
-}
-
-// InstallDelete removes an object on behalf of a replica peer: idempotent
-// (deleting an absent object is not an error) and observer-silent.
-func (s *Store) InstallDelete(u urn.URN) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.objs[u]; !ok {
-		return
-	}
-	delete(s.objs, u)
-	s.hist.Clear(u)
-	s.modCount++
 }
 
 // Entry describes one object in a listing.
@@ -391,39 +340,6 @@ func (s *Store) ListAll() []Entry {
 	return out
 }
 
-// Len returns the number of stored objects.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.objs)
-}
-
-// AddConflict appends to the manual-repair queue.
-func (s *Store) AddConflict(c Conflict) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.repairs = append(s.repairs, c)
-}
-
-// Conflicts returns a copy of the repair queue.
-func (s *Store) Conflicts() []Conflict {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]Conflict, len(s.repairs))
-	copy(out, s.repairs)
-	return out
-}
-
-// ClearConflicts empties the repair queue (after manual repair) and
-// returns how many entries were dropped.
-func (s *Store) ClearConflicts() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.repairs)
-	s.repairs = nil
-	return n
-}
-
 // Snapshot format: uvarint count, then each object's wire encoding as a
 // length-prefixed blob.
 
@@ -455,30 +371,6 @@ func (s *Store) Snapshot() []byte {
 	return b.Bytes()
 }
 
-// Save writes a point-in-time snapshot of all objects to path. The write
-// is atomic (temp file + rename).
-func (s *Store) Save(path string) error {
-	snap := s.Snapshot()
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, snap, 0o600); err != nil {
-		return fmt.Errorf("store: save: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: save rename: %w", err)
-	}
-	return nil
-}
-
-// Load replaces the store's contents from a snapshot file.
-func (s *Store) Load(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("store: load: %w", err)
-	}
-	return s.LoadSnapshot(data)
-}
-
 // LoadSnapshot atomically replaces the store's contents with a snapshot
 // previously produced by Snapshot. The snapshot is decoded fully before the
 // swap, so a corrupt snapshot leaves the store untouched, and concurrent
@@ -492,7 +384,6 @@ func (s *Store) LoadSnapshot(data []byte) error {
 	s.objs = objs
 	// Snapshots carry no operation history; loaded versions are opaque.
 	s.hist.ClearAll()
-	s.modCount++
 	s.mu.Unlock()
 	return nil
 }

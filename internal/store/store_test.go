@@ -1,9 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"strconv"
 	"testing"
 
@@ -80,21 +80,6 @@ func TestCommitDetectsRace(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	s := New()
-	o := obj("a")
-	s.Create(o)
-	if err := s.Delete(o.URN); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete(o.URN); !errors.Is(err, ErrNotFound) {
-		t.Errorf("double delete: %v", err)
-	}
-	if s.Len() != 0 {
-		t.Errorf("Len = %d", s.Len())
-	}
-}
-
 func TestListPrefix(t *testing.T) {
 	s := New()
 	for _, p := range []string{"mail/inbox/1", "mail/inbox/2", "mail/sent/1", "cal/day1"} {
@@ -115,22 +100,6 @@ func TestListPrefix(t *testing.T) {
 	}
 }
 
-func TestConflictQueue(t *testing.T) {
-	s := New()
-	s.AddConflict(Conflict{ClientID: "c1", Message: "overlap"})
-	s.AddConflict(Conflict{ClientID: "c2", Message: "other"})
-	cs := s.Conflicts()
-	if len(cs) != 2 || cs[0].ClientID != "c1" {
-		t.Errorf("conflicts: %+v", cs)
-	}
-	if n := s.ClearConflicts(); n != 2 {
-		t.Errorf("cleared %d", n)
-	}
-	if len(s.Conflicts()) != 0 {
-		t.Error("queue not cleared")
-	}
-}
-
 func TestSaveLoadRoundTrip(t *testing.T) {
 	s := New()
 	for i := 0; i < 20; i++ {
@@ -143,16 +112,13 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	w.Set("k", "modified")
 	s.Commit(w, 1)
 
-	path := filepath.Join(t.TempDir(), "snap")
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
+	snap := s.Snapshot()
 	s2 := New()
-	if err := s2.Load(path); err != nil {
+	if err := s2.LoadSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
-	if s2.Len() != 20 {
-		t.Fatalf("loaded %d objects", s2.Len())
+	if n := len(s2.ListAll()); n != 20 {
+		t.Fatalf("loaded %d objects", n)
 	}
 	got, err := s2.Get(urn.MustParse("urn:rover:h/obj/3"))
 	if err != nil {
@@ -164,8 +130,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if v, _ := got.Get("k"); v != "modified" {
 		t.Errorf("state %q", v)
 	}
-	if err := s2.Load(filepath.Join(t.TempDir(), "nope")); err == nil {
-		t.Error("loading missing file succeeded")
+	// A corrupt snapshot is refused whole: the store keeps what it held.
+	if err := s2.LoadSnapshot(snap[:len(snap)-1]); err == nil {
+		t.Fatal("truncated snapshot loaded")
+	}
+	if !bytes.Equal(s2.Snapshot(), snap) {
+		t.Error("a refused snapshot changed the store")
 	}
 }
 

@@ -696,6 +696,9 @@ func (s *Server) JournalCost() time.Duration {
 // when StoreDir is configured).
 func (s *Server) Store() store.Backend { return s.srv.Store() }
 
+// Conflicts returns the server's manual-repair queue.
+func (s *Server) Conflicts() []server.Conflict { return s.srv.Conflicts() }
+
 // StoreStats reports the store's population and cache-residency counters.
 func (s *Server) StoreStats() store.Occupancy { return s.srv.Store().Occupancy() }
 

@@ -110,8 +110,8 @@ func TestTCPSoakWithRestarts(t *testing.T) {
 	if count != clients*perClient {
 		t.Fatalf("server has %d slots, want %d", count, clients*perClient)
 	}
-	if len(srv.Store().Conflicts()) != 0 {
-		t.Errorf("unexpected conflicts: %+v", srv.Store().Conflicts())
+	if len(srv.Conflicts()) != 0 {
+		t.Errorf("unexpected conflicts: %+v", srv.Conflicts())
 	}
 	ln.Close()
 }
