@@ -145,10 +145,11 @@ func CreateSegmentFile(path string, opts Options) (*SegmentFile, error) {
 	return newSegment(path, opts, os.O_TRUNC)
 }
 
-// recover streams the file through parseRecord in bounded chunks starting
-// at byte offset start. buf holds the unparsed window; pos is the file
-// offset of buf[0]. Payloads handed to scan alias buf and are only valid
-// during the scan call.
+// recover streams the file through parseRecord starting at byte offset
+// start, through one window buffer: buf[lo:hi] is the unparsed remainder and
+// pos the file offset of buf[lo]. A refill slides the remainder to the front
+// and reads behind it; the window doubles only when one record fills it.
+// Payloads handed to scan alias buf and are only valid during the scan call.
 func (s *SegmentFile) recover(start int64, scan func(off int64, r record) error) error {
 	fi, err := s.f.Stat()
 	if err != nil {
@@ -158,28 +159,33 @@ func (s *SegmentFile) recover(start int64, scan func(off int64, r record) error)
 		return fmt.Errorf("%w: segment scan start %d past end %d", ErrCorrupt, start, fi.Size())
 	}
 	var (
-		buf []byte
-		pos = start
-		eof bool
 		// One byte more than is left lets a small file show its EOF on the
 		// first read, without a full-size buffer.
-		chunk = make([]byte, min(scanChunk, fi.Size()-start+1))
+		buf    = make([]byte, min(scanChunk, fi.Size()-start+1))
+		lo, hi int
+		pos    = start
+		eof    bool
 	)
 	for {
-		rec, n, err := parseRecord(buf)
-		incomplete := err == errTorn || (err == errBadCRC && n == len(buf))
+		rec, n, err := parseRecord(buf[lo:hi])
+		incomplete := err == errTorn || (err == errBadCRC && n == hi-lo)
 		switch {
 		case incomplete && !eof:
 			// The window ends inside (or exactly with) a record that does
 			// not check out; whether that is a torn tail depends on whether
-			// the file goes on. Read the next chunk behind the remainder.
-			m, rerr := s.f.ReadAt(chunk, pos+int64(len(buf)))
-			buf = append(append(make([]byte, 0, len(buf)+m), buf...), chunk[:m]...)
+			// the file goes on. Read on behind the remainder.
+			hi, lo = copy(buf, buf[lo:hi]), 0
+			if hi == len(buf) {
+				buf = slices.Grow(buf, len(buf))
+				buf = buf[:cap(buf)]
+			}
+			m, rerr := s.f.ReadAt(buf[hi:], pos+int64(hi))
+			hi += m
 			if eof = rerr == io.EOF; rerr != nil && !eof {
 				return fmt.Errorf("stable: read: %w", rerr)
 			}
 			continue
-		case len(buf) == 0:
+		case hi == lo:
 			// Clean end of file.
 		case incomplete:
 			// Partial or checksum-failed record reaching exactly to EOF: a
@@ -197,7 +203,7 @@ func (s *SegmentFile) recover(start int64, scan func(off int64, r record) error)
 			if rec.id >= s.nextID {
 				s.nextID = rec.id + 1
 			}
-			buf = buf[n:]
+			lo += n
 			pos += int64(n)
 			continue
 		}

@@ -148,6 +148,7 @@ func Open(opts Options) (*Store, error) {
 		return s, nil
 	}
 	var scanned int
+	nm := newNames()
 	seg, err := stable.OpenSegmentFile(s.path, stable.Options{Compress: opts.Compress},
 		func(off int64, rec []byte) error {
 			scanned++
@@ -157,12 +158,13 @@ func Open(opts Options) (*Store, error) {
 				s.segFooterBytes += int64(len(rec)) + 16
 				return nil
 			}
-			return s.applyScan(off, rec)
+			return s.applyScan(off, rec, nm)
 		})
 	if err != nil {
 		return nil, err
 	}
 	s.seg = seg
+	s.sumLiveBytes()
 	// Inherit the segment's dead weight as compaction pressure: without
 	// this, a server that crashes and reboots more often than CompactEvery
 	// mutations apart would reset the counter every boot and never compact,
@@ -183,43 +185,47 @@ func (s *Store) RecoveredByFooter() bool {
 }
 
 // applyScan replays one segment record into the index and history during
-// Open — the same transitions the publish paths make, minus the cache.
-func (s *Store) applyScan(off int64, p []byte) error {
+// Open — the same transitions the publish paths make, minus the cache and
+// the live-bytes count, which sumLiveBytes takes once the index is built.
+// The record is decoded in place through n: p need only outlive the call.
+func (s *Store) applyScan(off int64, p []byte, n *names) error {
 	if len(p) > 0 && p[0] == recFooter {
 		return nil // index footer chunk: recovery metadata, not object state
 	}
-	rec, err := decodeRecord(p)
+	rec, err := decodeRecord(p, n)
+	if err != nil {
+		return fmt.Errorf("disk: segment offset %d: %w", off, err)
+	}
+	typ, err := objType(rec.obj, n)
 	if err != nil {
 		return fmt.Errorf("disk: segment offset %d: %w", off, err)
 	}
 	rlen := int64(len(p)) + 16 // approximate framing; exact enough for the 2× heuristic
+	objs := len(s.idx)
+	s.idx[rec.urn] = idxEnt{ver: rec.ver, off: off, rlen: rlen, typ: typ, kind: rec.kind}
+	if len(s.idx) == objs {
+		n.keys[rec.urn] = rec.urn // seen before: the key its later records reuse
+	}
 	switch rec.kind {
 	case recState:
-		typ, terr := objType(rec.obj)
-		if terr != nil {
-			return fmt.Errorf("disk: segment offset %d: %w", off, terr)
-		}
-		s.setIdxLocked(rec.urn, idxEnt{ver: rec.ver, off: off, rlen: rlen, typ: typ, kind: recState})
 		s.hist.Clear(rec.urn)
 	case recOps:
-		typ, terr := objType(rec.obj)
-		if terr != nil {
-			return fmt.Errorf("disk: segment offset %d: %w", off, terr)
-		}
-		s.setIdxLocked(rec.urn, idxEnt{ver: rec.ver, off: off, rlen: rlen, typ: typ, kind: recOps})
 		if !s.hist.Record(rec.urn, rec.ver, rec.invs, rec.src) {
 			s.hist.Clear(rec.urn)
 		}
 	case recSnap:
-		typ, terr := objType(rec.obj)
-		if terr != nil {
-			return fmt.Errorf("disk: segment offset %d: %w", off, terr)
-		}
-		s.setIdxLocked(rec.urn, idxEnt{ver: rec.ver, off: off, rlen: rlen, typ: typ, kind: recSnap})
 		s.hist.Clear(rec.urn)
 		s.hist.Restore(rec.urn, rec.hist)
 	}
 	return nil
+}
+
+// sumLiveBytes sets liveBytes from a freshly rebuilt index.
+func (s *Store) sumLiveBytes() {
+	s.liveBytes = 0
+	for _, ent := range s.idx {
+		s.liveBytes += ent.rlen
+	}
 }
 
 func (s *Store) setIdxLocked(u urn.URN, ent idxEnt) {
@@ -444,7 +450,9 @@ func (s *Store) InstallState(obj *rdo.Object) (uint64, error) {
 // Get implements store.Backend: a cache hit clones the resident object; a
 // miss faults the object in with a pread of its latest segment record,
 // admits it to the LRU, and counts a cold fault. The pread runs under the
-// read lock so compaction cannot swap the segment mid-read.
+// read lock so compaction cannot swap the segment mid-read. The record is
+// decoded in place on the pooled read buffer, its URN resolved to u itself,
+// and only rdo.Decode copies out what the object keeps.
 func (s *Store) Get(u urn.URN) (*rdo.Object, error) {
 	s.mu.RLock()
 	ent, ok := s.idx[u]
@@ -456,12 +464,19 @@ func (s *Store) Get(u urn.URN) (*rdo.Object, error) {
 		s.mu.RUnlock()
 		return obj, nil
 	}
-	rec, err := readRecordAt(s.seg, ent.off)
+	var obj *rdo.Object
+	nm := names{held: u}
+	err := s.seg.ReadAtFunc(ent.off, func(p []byte) error {
+		rec, err := decodeRecord(p, &nm)
+		if err == nil && rec.urn != u {
+			err = fmt.Errorf("disk: record at %d holds %s", ent.off, rec.urn)
+		}
+		if err == nil {
+			obj, err = rdo.Decode(rec.obj)
+		}
+		return err
+	})
 	s.mu.RUnlock()
-	if err != nil {
-		return nil, fmt.Errorf("disk: fault-in %s: %w", u, err)
-	}
-	obj, err := rdo.Decode(rec.obj)
 	if err != nil {
 		return nil, fmt.Errorf("disk: fault-in %s: %w", u, err)
 	}

@@ -132,6 +132,7 @@ func appendFooter(seg *stable.SegmentFile, idx map[urn.URN]idxEnt) (footerInfo, 
 // scannedRec is one raw record captured by the footer-open's tail scan.
 type scannedRec struct {
 	off int64
+	end int // where rec ends in the buffer every captured record shares
 	rec []byte
 }
 
@@ -150,14 +151,28 @@ func (s *Store) openFromFooter() bool {
 	if err != nil {
 		return false
 	}
-	var tail []scannedRec
+	// The scan's payloads are only valid during its callback: copy them back
+	// to back into one buffer, sized for the uncompressed case, and slice it
+	// once the scan is done.
+	var (
+		tail []scannedRec
+		buf  []byte
+	)
+	if fi, err := os.Stat(s.path); err == nil && fi.Size() > f.off {
+		buf = make([]byte, 0, fi.Size()-f.off)
+	}
 	seg, err := stable.OpenSegmentFileAt(s.path, stable.Options{Compress: s.opts.Compress}, f.off,
 		func(off int64, rec []byte) error {
-			tail = append(tail, scannedRec{off: off, rec: append([]byte(nil), rec...)})
+			buf = append(buf, rec...)
+			tail = append(tail, scannedRec{off: off, end: len(buf)})
 			return nil
 		})
 	if err != nil {
 		return false
+	}
+	for i, start := 0, 0; i < len(tail); i++ {
+		tail[i].rec = buf[start:tail[i].end:tail[i].end]
+		start = tail[i].end
 	}
 	if s.buildFromFooter(seg, f, tail) {
 		return true
@@ -198,7 +213,7 @@ func (s *Store) buildFromFooter(seg *stable.SegmentFile, f footerInfo, tail []sc
 		go func(i int, p []byte) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			gen, part, ents, err := decodeFooterChunk(p)
+			gen, part, ents, err := decodeFooterChunk(p, newNames())
 			if err != nil || part != uint64(i) || !bytes.Equal(gen, f.gen) {
 				bad.Store(true)
 				return
@@ -213,13 +228,22 @@ func (s *Store) buildFromFooter(seg *stable.SegmentFile, f footerInfo, tail []sc
 	for i, c := range chunks {
 		s.segFooterBytes += segExtent(chunks, rest, i, c, seg)
 	}
+	total := 0
 	for _, ents := range decoded {
-		for _, e := range ents {
+		total += len(ents)
+	}
+	s.idx = make(map[urn.URN]idxEnt, total)
+	for _, ents := range decoded {
+		for i := range ents {
+			e := &ents[i]
 			if e.ent.off < 0 || e.ent.off >= f.off {
 				return false // live entries always precede their footer
 			}
-			s.setIdxLocked(e.u, e.ent)
+			s.idx[e.u] = e.ent
 		}
+	}
+	if len(s.idx) != total {
+		return false // a URN listed twice: not an index this store wrote
 	}
 	s.seg = seg
 	// Phase 2: history windows. 'Z' entries restore their persisted window,
@@ -259,16 +283,18 @@ func (s *Store) buildFromFooter(seg *stable.SegmentFile, f footerInfo, tail []sc
 	// Phase 3: replay the post-footer tail in order. 'X' records here are a
 	// later footer run whose sidecar write never landed — dead weight.
 	tailMuts := 0
+	nm := newNames()
 	for _, t := range rest {
 		if len(t.rec) > 0 && t.rec[0] == recFooter {
 			s.segFooterBytes += int64(len(t.rec)) + 16
 			continue
 		}
-		if err := s.applyScan(t.off, t.rec); err != nil {
+		if err := s.applyScan(t.off, t.rec, nm); err != nil {
 			return false
 		}
 		tailMuts++
 	}
+	s.sumLiveBytes()
 	s.recoveredByFooter = true
 	s.cleanFooter = len(rest) == 0 && seg.TornTail() == nil
 	s.mutsSinceCompact = tailMuts
@@ -352,7 +378,7 @@ func readRecordAt(seg *stable.SegmentFile, off int64) (record, error) {
 	var rec record
 	err := seg.ReadAtFunc(off, func(p []byte) error {
 		var derr error
-		rec, derr = decodeRecord(p)
+		rec, derr = decodeRecord(p, nil)
 		return derr
 	})
 	return rec, err

@@ -39,7 +39,9 @@ func countHeader(kind byte, n uint64) []byte {
 // footer recovery every index chunk, so both decoders must hold up against
 // bytes they did not write. Neither panics, neither allocates out of
 // proportion to the input whatever a count claims, and whatever they accept
-// re-encodes to bytes that decode to the same record.
+// re-encodes to bytes that decode to the same record. The in-place decode
+// the scan uses must agree with the copying one the read paths use, field
+// for field, including through a key its names already holds.
 func FuzzDecodeRecord(f *testing.F) {
 	u := urn.MustParse("urn:rover:h/obj")
 	o := rdo.New(u, "t")
@@ -64,32 +66,44 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p []byte) {
 		footer := len(p) > 0 && p[0] == recFooter
 		var (
-			rec  record
-			gen  []byte
-			part uint64
-			ents []footerEnt
-			err  error
+			rec, inPlace record
+			gen          []byte
+			part         uint64
+			ents         []footerEnt
+			err, ierr    error
 		)
+		nm := newNames()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if footer {
-			gen, part, ents, err = decodeFooterChunk(p)
+			gen, part, ents, err = decodeFooterChunk(p, nm)
 		} else {
-			rec, err = decodeRecord(p)
+			rec, err = decodeRecord(p, nil)
+			inPlace, ierr = decodeRecord(p, nm)
 		}
 		runtime.ReadMemStats(&after)
 		if spent := after.TotalAlloc - before.TotalAlloc; spent > 1<<20+64*uint64(len(p)) {
 			t.Fatalf("%d input bytes made the decoder allocate %d bytes", len(p), spent)
 		}
+		if !footer && (err == nil) != (ierr == nil) {
+			t.Fatalf("copying decode: %v; in place: %v", err, ierr)
+		}
 		if err != nil {
 			return
 		}
 		if footer {
-			gen2, part2, ents2, err := decodeFooterChunk(encodeFooterChunk(gen, part, ents))
+			gen2, part2, ents2, err := decodeFooterChunk(encodeFooterChunk(gen, part, ents), newNames())
 			if err != nil || !bytes.Equal(gen2, gen) || part2 != part || !reflect.DeepEqual(ents2, ents) {
 				t.Fatalf("footer chunk did not survive re-encoding: %v", err)
 			}
 			return
+		}
+		if !reflect.DeepEqual(inPlace, rec) {
+			t.Fatalf("in-place decode differs:\n got %+v\nwant %+v", inPlace, rec)
+		}
+		nm.keys[inPlace.urn] = inPlace.urn
+		if again, err := decodeRecord(p, nm); err != nil || !reflect.DeepEqual(again, rec) {
+			t.Fatalf("in-place decode through a held key: %v\n got %+v\nwant %+v", err, again, rec)
 		}
 		var enc []byte
 		switch rec.kind {
@@ -102,7 +116,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		default:
 			t.Fatalf("accepted record kind %#x", rec.kind)
 		}
-		again, err := decodeRecord(enc)
+		again, err := decodeRecord(enc, nil)
 		if err != nil || !reflect.DeepEqual(again, rec) {
 			t.Fatalf("record did not survive re-encoding: %v\n got %+v\nwant %+v", err, again, rec)
 		}

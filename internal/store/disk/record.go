@@ -7,8 +7,10 @@
 package disk
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"strings"
 
 	"rover/internal/rdo"
 	"rover/internal/store"
@@ -97,17 +99,96 @@ func encodeSnap(u urn.URN, ver uint64, obj []byte, hist []store.OpsRec) []byte {
 	return wire.Detach(b)
 }
 
-func decodeRecord(p []byte) (record, error) {
-	r := wire.NewReader(p)
+// names holds the strings an open-time decode keeps, so rebuilding an index
+// of N objects does not allocate N of each. URNs are copied into shared
+// append-only blocks (a strings.Builder grown nameBlock at a time) and
+// sliced; types and sources, a handful of distinct values, are interned.
+// keys maps each object the decode met more than once to the key its index
+// entry holds, so a long tail of commits to the same objects copies each
+// URN at most twice. A names is not safe for concurrent use.
+//
+// A names{held: u} is a probe for one record: it resolves u to the caller's
+// own key and interns nothing.
+type names struct {
+	blk    strings.Builder
+	intern map[string]string
+	keys   map[urn.URN]urn.URN
+	held   urn.URN
+}
+
+const nameBlock = 64 << 10
+
+func newNames() *names {
+	return &names{intern: make(map[string]string), keys: make(map[urn.URN]urn.URN)}
+}
+
+// block returns a string holding b, sliced from the current block.
+func (n *names) block(b []byte) string {
+	if n.blk.Cap()-n.blk.Len() < len(b) {
+		n.blk.Reset() // strings already handed out keep the old block
+		n.blk.Grow(max(nameBlock, len(b)))
+	}
+	start := n.blk.Len()
+	n.blk.Write(b)
+	return n.blk.String()[start:]
+}
+
+// str reads a length-prefixed string: a fresh copy without names, else the
+// interned one.
+func (n *names) str(r *wire.Reader) string {
+	if n == nil {
+		return r.String()
+	}
+	b := r.Bytes()
+	if s, ok := n.intern[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if n.intern != nil {
+		n.intern[s] = s
+	}
+	return s
+}
+
+// urn reads and parses a length-prefixed URN: a fresh copy without names,
+// else a key already held for it or one sliced from the current block.
+func (n *names) urn(r *wire.Reader) (urn.URN, error) {
+	if n == nil {
+		return urn.Parse(r.String())
+	}
+	b := r.Bytes()
+	if len(b) > len(urn.Prefix) && string(b[:len(urn.Prefix)]) == urn.Prefix {
+		rest := b[len(urn.Prefix):]
+		if i := bytes.IndexByte(rest, '/'); i >= 0 {
+			// Neither comparison allocates, and a held key is valid.
+			a, p := rest[:i], rest[i+1:]
+			if !n.held.IsZero() && string(a) == n.held.Authority && string(p) == n.held.Path {
+				return n.held, nil
+			}
+			if u, ok := n.keys[urn.URN{Authority: string(a), Path: string(p)}]; ok {
+				return u, nil
+			}
+		}
+	}
+	return urn.Parse(n.block(b))
+}
+
+// decodeRecord decodes one segment record. Without names (nil) everything
+// it returns is a copy, so p may be a pooled read buffer; with names it
+// decodes in place: obj aliases p and the strings come from n.
+func decodeRecord(p []byte, n *names) (record, error) {
+	r := wire.OwnedReader(p)
+	if n == nil {
+		r = *wire.NewReader(p)
+	}
 	var rec record
 	rec.kind = r.Byte()
-	us := r.String()
+	u, uerr := n.urn(&r)
 	if err := r.Err(); err != nil {
 		return rec, fmt.Errorf("disk: record header: %w", err)
 	}
-	u, err := urn.Parse(us)
-	if err != nil {
-		return rec, fmt.Errorf("disk: record urn: %w", err)
+	if uerr != nil {
+		return rec, fmt.Errorf("disk: record urn: %w", uerr)
 	}
 	rec.urn = u
 	switch rec.kind {
@@ -117,8 +198,8 @@ func decodeRecord(p []byte) (record, error) {
 	case recOps:
 		rec.prevVer = r.Uvarint()
 		rec.ver = r.Uvarint()
-		rec.src = r.String()
-		invs, err := rdo.ReadInvocations(r, r.Uvarint())
+		rec.src = n.str(&r)
+		invs, err := rdo.ReadInvocations(&r, r.Uvarint())
 		if err != nil {
 			return rec, fmt.Errorf("disk: ops record: %w", err)
 		}
@@ -135,14 +216,14 @@ func decodeRecord(p []byte) (record, error) {
 	case recSnap:
 		rec.ver = r.Uvarint()
 		rec.obj = r.Bytes()
-		n := r.Uvarint()
+		cnt := r.Uvarint()
 		// Sized by the bytes present: a window entry encodes to at least three.
-		rec.hist = make([]store.OpsRec, 0, min(n, uint64(r.Remaining()/3)))
-		for i := uint64(0); i < n; i++ {
+		rec.hist = make([]store.OpsRec, 0, min(cnt, uint64(r.Remaining()/3)))
+		for i := uint64(0); i < cnt; i++ {
 			var h store.OpsRec
 			h.Ver = r.Uvarint()
-			h.Src = r.String()
-			invs, err := rdo.ReadInvocations(r, r.Uvarint())
+			h.Src = n.str(&r)
+			invs, err := rdo.ReadInvocations(&r, r.Uvarint())
 			if err != nil {
 				return rec, fmt.Errorf("disk: snap record window %d: %w", i, err)
 			}
@@ -198,30 +279,32 @@ func encodeFooterChunk(gen []byte, part uint64, ents []footerEnt) []byte {
 	return b.Bytes()
 }
 
-func decodeFooterChunk(p []byte) (gen []byte, part uint64, ents []footerEnt, err error) {
-	r := wire.NewReader(p)
+// decodeFooterChunk decodes one index footer chunk in place: gen aliases p,
+// and the entries' strings come from n.
+func decodeFooterChunk(p []byte, n *names) (gen []byte, part uint64, ents []footerEnt, err error) {
+	r := wire.OwnedReader(p)
 	if r.Byte() != recFooter {
 		return nil, 0, nil, fmt.Errorf("disk: not a footer record")
 	}
 	gen = r.Bytes()
 	part = r.Uvarint()
-	n := r.Uvarint()
+	cnt := r.Uvarint()
 	if err := r.Err(); err != nil || len(gen) != footerGenLen {
 		return nil, 0, nil, fmt.Errorf("disk: footer chunk header: %v", err)
 	}
 	// Sized by the bytes present: an entry encodes to at least six.
-	ents = make([]footerEnt, 0, min(n, uint64(r.Remaining()/6)))
-	for i := uint64(0); i < n; i++ {
-		us := r.String()
+	ents = make([]footerEnt, 0, min(cnt, uint64(r.Remaining()/6)))
+	for i := uint64(0); i < cnt; i++ {
+		us := r.Bytes()
 		ver := r.Uvarint()
 		off := int64(r.Uvarint())
 		rlen := int64(r.Uvarint())
 		kind := r.Byte()
-		typ := r.String()
+		typ := n.str(&r)
 		if err := r.Err(); err != nil {
 			return nil, 0, nil, fmt.Errorf("disk: footer entry %d: %w", i, err)
 		}
-		u, uerr := urn.Parse(us)
+		u, uerr := urn.Parse(n.block(us))
 		if uerr != nil {
 			return nil, 0, nil, fmt.Errorf("disk: footer entry %d: %w", i, uerr)
 		}
@@ -235,10 +318,10 @@ func decodeFooterChunk(p []byte) (gen []byte, part uint64, ents []footerEnt, err
 
 // objType decodes just the type field from an object encoding (URN string,
 // then type string lead the layout), sparing the recovery scan a full
-// decode of every object's state.
-func objType(obj []byte) (string, error) {
-	r := wire.NewReader(obj)
-	_ = r.String() // urn
-	t := r.String()
+// decode of every object's state. The type comes interned from n.
+func objType(obj []byte, n *names) (string, error) {
+	r := wire.OwnedReader(obj)
+	_ = r.Bytes() // urn
+	t := n.str(&r)
 	return t, r.Err()
 }

@@ -64,20 +64,20 @@ func (h *History) effectiveLimit() int {
 // Disabled reports whether recording is turned off (negative limit).
 func (h *History) Disabled() bool { return h.limit < 0 }
 
-// Record appends the ops that produced version ver. The caller must treat a
-// false return as an opaque jump and is responsible for having cleared the
-// window (Record with disabled history or no invocations records nothing).
+// Record appends the ops that produced version ver, keeping invs itself: the
+// caller hands it over and must not modify it afterwards. A full window
+// slides down one entry in place. The caller must treat a false return as
+// an opaque jump and is responsible for having cleared the window (Record
+// with disabled history or no invocations records nothing).
 func (h *History) Record(u urn.URN, ver uint64, invs []rdo.Invocation, src string) bool {
 	if h.limit < 0 || len(invs) == 0 {
 		return false
 	}
-	cp := make([]rdo.Invocation, len(invs))
-	copy(cp, invs)
-	w := append(h.m[u], OpsRec{Ver: ver, Invs: cp, Src: src})
-	if limit := h.effectiveLimit(); len(w) > limit {
-		w = append([]OpsRec(nil), w[len(w)-limit:]...)
+	w := h.m[u]
+	if limit := h.effectiveLimit(); len(w) >= limit {
+		w = w[:copy(w, w[len(w)-limit+1:])]
 	}
-	h.m[u] = w
+	h.m[u] = append(w, OpsRec{Ver: ver, Invs: invs, Src: src})
 	return true
 }
 

@@ -114,3 +114,34 @@ func TestHistoryDisabled(t *testing.T) {
 		t.Fatal("disabled history recorded new commits")
 	}
 }
+
+// TestHistoryRecordAllocs: a commit to an object whose window is full slides
+// the window down in place — no allocation — and keeps it oldest first.
+func TestHistoryRecordAllocs(t *testing.T) {
+	h := NewHistory()
+	h.SetLimit(4)
+	o := obj("h")
+	invs := []rdo.Invocation{inv(o, 0)}
+	for v := uint64(1); v <= 4; v++ {
+		h.Record(o.URN, v, invs, "c")
+	}
+	ver := uint64(4)
+	if n := testing.AllocsPerRun(100, func() {
+		ver++
+		h.Record(o.URN, ver, invs, "c")
+	}); n != 0 {
+		t.Errorf("Record on a full window: %v allocs, want 0", n)
+	}
+	w := h.Window(o.URN)
+	if len(w) != 4 {
+		t.Fatalf("window holds %d entries, want 4", len(w))
+	}
+	for i, rec := range w {
+		if want := ver - 3 + uint64(i); rec.Ver != want {
+			t.Fatalf("window[%d] = v%d, want v%d (window %v)", i, rec.Ver, want, w)
+		}
+	}
+	if ops, to, ok := h.OpsSince(o.URN, ver-4, ver); !ok || to != ver || len(ops) != 4 {
+		t.Fatalf("OpsSince over the slid window = %d ops to v%d, ok=%v", len(ops), to, ok)
+	}
+}

@@ -10,6 +10,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -212,7 +213,7 @@ func (s *Store) commitOpsLocked(obj *rdo.Object, expect uint64, invs []rdo.Invoc
 	cp := obj.Clone()
 	cp.Version = cur.Version + 1
 	s.objs[obj.URN] = cp
-	if !s.hist.Record(obj.URN, cp.Version, invs, src) {
+	if !s.hist.Record(obj.URN, cp.Version, slices.Clone(invs), src) {
 		// History disabled, or a no-op commit (version advanced with no
 		// recorded operations): treat like a plain Commit.
 		s.hist.Clear(obj.URN)
