@@ -10,8 +10,9 @@
 // in an append-only segment and the population is recovered at startup.
 // Without it the store is in memory and is lost on exit. With -journal,
 // QRPC session state is write-ahead-logged so exactly-once execution
-// survives server crashes: a restarted server answers redelivered requests
-// from the recovered reply cache.
+// survives server crashes: each session holds its unacknowledged replies as
+// the bytes first sent, the journal holds the same bytes, and a restarted
+// server answers redelivered requests with them.
 package main
 
 import (
@@ -43,7 +44,6 @@ func main() {
 		journShards  = flag.Int("journal-shards", 1, "session journal shard count (parallel group-commit fsync; may grow across restarts, never shrink)")
 		maxSessions  = flag.Int("max-sessions", 0, "admission high-water mark: refuse NEW sessions past this many (0 = unlimited)")
 		sessBudget   = flag.Int("session-budget", 0, "per-session unacked-reply byte budget; at the budget new requests are dropped until acks free it (0 = unlimited)")
-		replyCache   = flag.Int("reply-cache", 0, "encoded-reply cache bytes (0 = default 8 MiB, negative disables)")
 		seed         = flag.String("seed", "", "seed demo content: mail, calendar, web, or all")
 		peer         = flag.String("peer", "", "replica peer QRPC address; enables home-pair replication")
 		peerHTTP     = flag.String("peer-http", "", "replica peer gateway URL for /replica redirects (e.g. http://host:8081)")
@@ -62,7 +62,6 @@ func main() {
 		JournalShards:      *journShards,
 		MaxSessions:        *maxSessions,
 		SessionBudgetBytes: *sessBudget,
-		ReplyCacheBytes:    *replyCache,
 	})
 	if err != nil {
 		log.Fatalf("rover-server: %v", err)
@@ -128,9 +127,9 @@ func main() {
 	}
 }
 
-// logStats prints one periodic line of operational counters: engine
-// activity (including journal health and replicated replies), admission and
-// budget refusals, reply-cache traffic, journal fsync economics (fsyncs per
+// logStats prints one -stats-interval line of operational counters: engine
+// activity (including replays, journal health and replicated replies),
+// admission and budget refusals, journal fsync economics (fsyncs per
 // executed op and the measured fsync latency), per-shard journal depths,
 // delta-import and lean-export-reply service counters, and — when
 // replication is on — the live replication lag plus the stream/anti-entropy
@@ -142,8 +141,7 @@ func logStats(srv *rover.Server) {
 		"stats: sessions=%d reqs=%d exec=%d replays=%d journalRefused=%d replicatedReplies=%d deltasServed=%d deltaFallbacks=%d leanReplies=%d dupExports=%d",
 		srv.Engine().SessionCount(), es.Requests, es.Executed, es.ReplaysServed, es.JournalRefused, es.ReplicatedReplies,
 		ss.DeltasServed, ss.DeltaFallbacks, ss.LeanReplies, ss.DuplicateExports)
-	line += fmt.Sprintf(" | admission: refused=%d budgetRefused=%d | replyCache: hits=%d misses=%d evictions=%d",
-		es.SessionsRefused, es.BudgetRefused, es.ReplyCacheHits, es.ReplyCacheMisses, es.ReplyCacheEvictions)
+	line += fmt.Sprintf(" | admission: refused=%d budgetRefused=%d", es.SessionsRefused, es.BudgetRefused)
 	if js := srv.JournalStats(); len(js) > 0 {
 		var syncs int64
 		for _, st := range js {

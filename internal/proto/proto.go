@@ -405,7 +405,7 @@ func (m *ListReply) MarshalWire(b *wire.Buffer) {
 // UnmarshalWire implements wire.Unmarshaler.
 func (m *ListReply) UnmarshalWire(r *wire.Reader) error {
 	n := r.Len()
-	m.Entries = make([]ListEntry, 0, n)
+	m.Entries = make([]ListEntry, 0, min(n, r.Remaining()/3)) // 3 bytes a row at least
 	for i := 0; i < n; i++ {
 		var e ListEntry
 		us := r.String()
@@ -559,7 +559,7 @@ func (m *ConflictsReply) MarshalWire(b *wire.Buffer) {
 // UnmarshalWire implements wire.Unmarshaler.
 func (m *ConflictsReply) UnmarshalWire(r *wire.Reader) error {
 	n := r.Len()
-	m.Conflicts = make([]ConflictEntry, 0, n)
+	m.Conflicts = make([]ConflictEntry, 0, min(n, r.Remaining()/5)) // 5 bytes a row at least
 	for i := 0; i < n; i++ {
 		var c ConflictEntry
 		us := r.String()

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -146,5 +147,25 @@ func TestQuickExportRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestListCountsCannotOutgrowInput: a listing or repair-queue reply whose
+// count claims 2^20 rows, in a few bytes, is refused without sizing a slice
+// for the claim (64 MB and more before the cap).
+func TestListCountsCannotOutgrowInput(t *testing.T) {
+	var b wire.Buffer
+	b.PutUvarint(wire.MaxSliceLen)
+	for _, m := range []wire.Unmarshaler{&ListReply{}, &ConflictsReply{}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := wire.Unmarshal(b.Bytes(), m)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%T: a count with no rows behind it decoded", m)
+		}
+		if spent := after.TotalAlloc - before.TotalAlloc; spent > 1<<20 {
+			t.Errorf("%T: %d input bytes allocated %d bytes", m, b.Len(), spent)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package qrpc
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -160,10 +161,8 @@ func (s *Server) ownedSessionsLocked(idx int) map[string]*session {
 	return owned
 }
 
-// encodeExecRecordEnc builds an exec record from a reply's existing
-// encoding. wire.Marshal(rep) produces exactly the bytes
-// rep.MarshalWire(&b) would append, so splicing the cached encoding in
-// raw keeps the record format identical while skipping the re-marshal.
+// encodeExecRecordEnc builds an exec record around a reply's encoding,
+// spliced in raw: the record holds exactly the bytes of the reply frame.
 func encodeExecRecordEnc(clientID string, encReply []byte) []byte {
 	var b wire.Buffer
 	b.PutByte(jrecExec)
@@ -210,8 +209,8 @@ func encodeMigrateRecord(sessions map[string]*session) []byte {
 }
 
 // putSessionList appends the session-list payload shared by snapshot and
-// migrate records. Iteration is sorted so identical states produce
-// identical bytes.
+// migrate records, splicing in each cached reply's encoding raw. Iteration
+// is sorted so identical states produce identical bytes.
 func putSessionList(b *wire.Buffer, sessions map[string]*session) {
 	ids := make([]string, 0, len(sessions))
 	for id := range sessions {
@@ -231,7 +230,7 @@ func putSessionList(b *wire.Buffer, sessions map[string]*session) {
 		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 		b.PutUvarint(uint64(len(seqs)))
 		for _, seq := range seqs {
-			sess.replies[seq].MarshalWire(b)
+			b.PutRaw(sess.replies[seq])
 		}
 		acked := make([]uint64, 0, len(sess.acked))
 		for seq := range sess.acked {
@@ -242,27 +241,24 @@ func putSessionList(b *wire.Buffer, sessions map[string]*session) {
 	}
 }
 
-// readSessionList decodes a snapshot/migrate payload.
-func readSessionList(r *wire.Reader) (map[string]*session, error) {
+// readSessionList decodes a snapshot/migrate payload from r, a reader over
+// rec. A session takes at least five bytes (an empty clientID, a zero floor
+// and high-water mark, no replies, no acks), so the map is sized by the
+// count only as far as rec could hold that many.
+func readSessionList(rec []byte, r *wire.Reader) (map[string]*session, error) {
 	n := r.Len()
-	sessions := make(map[string]*session, n)
+	sessions := make(map[string]*session, min(n, r.Remaining()/5))
 	for i := 0; i < n; i++ {
-		clientID := r.String()
-		sess := &session{
-			clientID:  clientID,
-			replies:   make(map[uint64]*Reply),
-			executing: make(map[uint64]bool),
-			acked:     make(map[uint64]bool),
-		}
+		sess := newSession(r.String())
 		sess.lowSeq = r.Uvarint()
 		sess.maxExec = r.Uvarint()
 		rn := r.Len()
 		for j := 0; j < rn; j++ {
-			rep := &Reply{}
-			if err := rep.UnmarshalWire(r); err != nil {
+			seq, enc, err := readReply(rec, r)
+			if err != nil {
 				return nil, fmt.Errorf("qrpc: corrupt snapshot reply: %w", err)
 			}
-			sess.replies[rep.Seq] = rep
+			sess.replies[seq] = enc
 		}
 		for _, seq := range r.UvarintSlice() {
 			sess.acked[seq] = true
@@ -270,9 +266,21 @@ func readSessionList(r *wire.Reader) (map[string]*session, error) {
 		if r.Err() != nil {
 			return nil, fmt.Errorf("qrpc: corrupt snapshot record: %w", r.Err())
 		}
-		sessions[clientID] = sess
+		sessions[sess.clientID] = sess
 	}
 	return sessions, nil
+}
+
+// readReply checks that the bytes at r's position in rec decode as one
+// Reply and returns its seq and those bytes, copied once: the form a session
+// keeps a reply in.
+func readReply(rec []byte, r *wire.Reader) (uint64, []byte, error) {
+	start := len(rec) - r.Remaining()
+	var rep Reply
+	if err := rep.UnmarshalWire(r); err != nil {
+		return 0, nil, err
+	}
+	return rep.Seq, bytes.Clone(rec[start : len(rec)-r.Remaining()]), nil
 }
 
 // recoverJournal rebuilds session state from the journal shards at
@@ -341,8 +349,8 @@ func (s *Server) recoverJournal() error {
 		}
 		sess.foldAcked()
 		sess.replyBytes = 0
-		for _, rep := range sess.replies {
-			sess.replyBytes += replyApproxSize(rep)
+		for _, enc := range sess.replies {
+			sess.replyBytes += replyCharge(enc)
 		}
 		recoveredReplies += len(sess.replies)
 	}
@@ -370,9 +378,9 @@ func mergeSessionState(dst, src *session) {
 	for seq := range src.acked {
 		dst.acked[seq] = true
 	}
-	for seq, rep := range src.replies {
+	for seq, enc := range src.replies {
 		if _, ok := dst.replies[seq]; !ok {
-			dst.replies[seq] = rep
+			dst.replies[seq] = enc
 		}
 	}
 }
@@ -444,26 +452,29 @@ func (s *Server) compactShardAtRecovery(idx int) error {
 }
 
 // applyJournalRecord applies one journal record to a recovery bucket,
-// returning the (possibly replaced, for snapshots) bucket map.
+// returning the (possibly replaced, for snapshots) bucket map. The record is
+// read in place (it is only valid during the replay call): what a session
+// keeps of it is copied out.
 func applyJournalRecord(sessions map[string]*session, rec []byte) (map[string]*session, error) {
-	r := wire.NewReader(rec)
+	rd := wire.OwnedReader(rec)
+	r := &rd
 	kind := r.Byte()
 	switch kind {
 	case jrecExec:
 		clientID := r.String()
-		rep := &Reply{}
-		if err := rep.UnmarshalWire(r); err != nil {
+		seq, enc, err := readReply(rec, r)
+		if err != nil {
 			return nil, fmt.Errorf("qrpc: corrupt exec record: %w", err)
 		}
 		if err := journalRecordDone(r); err != nil {
 			return nil, err
 		}
 		sess := bucketSession(sessions, clientID)
-		if rep.Seq >= sess.lowSeq && !sess.acked[rep.Seq] {
-			sess.replies[rep.Seq] = rep
+		if seq >= sess.lowSeq && !sess.acked[seq] {
+			sess.replies[seq] = enc
 		}
-		if rep.Seq > sess.maxExec {
-			sess.maxExec = rep.Seq
+		if seq > sess.maxExec {
+			sess.maxExec = seq
 		}
 	case jrecAck:
 		clientID := r.String()
@@ -501,7 +512,7 @@ func applyJournalRecord(sessions map[string]*session, rec []byte) (map[string]*s
 			sess.foldAcked()
 		}
 	case jrecSnapshot:
-		snap, err := readSessionList(r)
+		snap, err := readSessionList(rec, r)
 		if err != nil {
 			return nil, err
 		}
@@ -512,7 +523,7 @@ func applyJournalRecord(sessions map[string]*session, rec []byte) (map[string]*s
 		// gate, so it supersedes everything applied before it.
 		return snap, nil
 	case jrecMigrate:
-		moved, err := readSessionList(r)
+		moved, err := readSessionList(rec, r)
 		if err != nil {
 			return nil, err
 		}
@@ -534,12 +545,7 @@ func applyJournalRecord(sessions map[string]*session, rec []byte) (map[string]*s
 func bucketSession(sessions map[string]*session, clientID string) *session {
 	sess := sessions[clientID]
 	if sess == nil {
-		sess = &session{
-			clientID:  clientID,
-			replies:   make(map[uint64]*Reply),
-			executing: make(map[uint64]bool),
-			acked:     make(map[uint64]bool),
-		}
+		sess = newSession(clientID)
 		sessions[clientID] = sess
 	}
 	return sess

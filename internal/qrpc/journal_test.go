@@ -309,7 +309,7 @@ func TestHandlerJournalsWhileCompactionWaits(t *testing.T) {
 	const installs = 8
 	srv.Register("apply", func(string, Request) ([]byte, error) {
 		for seq := uint64(1); seq <= installs; seq++ {
-			srv.InstallReply("peer", &Reply{Seq: seq, Status: StatusOK})
+			srv.InstallReply("peer", wire.Marshal(&Reply{Seq: seq, Status: StatusOK}))
 			time.Sleep(2 * time.Millisecond)
 		}
 		return nil, nil

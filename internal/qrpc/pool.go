@@ -26,8 +26,8 @@ const maxPoolChunk = 64
 // poolTask is one dispatched request. The dup-drop guard (sess.executing)
 // was set under the server lock at dispatch time, so a redelivered copy of
 // the same request cannot be submitted while this task is anywhere in the
-// pool. Server.executeRun fills in the results: the reply, its encoding and
-// the id of its journal record.
+// pool. Server.executeRun fills in the results: the reply's encoding and the
+// id of its journal record.
 type poolTask struct {
 	from     Sender
 	clientID string
@@ -35,7 +35,6 @@ type poolTask struct {
 	handler  Handler
 	req      Request
 
-	rep *Reply
 	enc []byte
 	jid uint64
 }

@@ -134,11 +134,4 @@ type ServerStats struct {
 	// and SessionBudgetBytes).
 	SessionsRefused int64 // Hellos from NEW clients refused with FrameBusy
 	BudgetRefused   int64 // new requests dropped: session over its reply budget
-
-	// Encoded-reply cache counters (see ServerConfig.ReplyCacheBytes).
-	// Replays and repl exec-streaming served from the cache skip a
-	// Reply re-marshal.
-	ReplyCacheHits      int64
-	ReplyCacheMisses    int64
-	ReplyCacheEvictions int64
 }

@@ -74,30 +74,29 @@ type ServerConfig struct {
 	// ServerStats.SessionsRefused counts refusals. Zero disables admission
 	// control.
 	MaxSessions int
-	// SessionBudgetBytes bounds the approximate bytes of executed-but-
-	// unacknowledged reply payloads one session may hold. A session at its
-	// budget has NEW requests dropped (counted in ServerStats.BudgetRefused)
-	// until acks or a Hello LowSeq release cached replies; the client's
-	// redelivery machinery retries them later, so the budget is
-	// backpressure, not loss. Cached replies are never evicted by the
-	// budget — dropping one would re-execute its redelivered request and
-	// break at-most-once. Zero means unbounded.
+	// SessionBudgetBytes bounds the bytes of executed-but-unacknowledged
+	// reply encodings one session may hold, each charged 16 bytes over its
+	// length (replyCharge). A session at its budget has NEW requests
+	// dropped (counted in ServerStats.BudgetRefused) until acks or a Hello
+	// LowSeq release cached replies; the client's redelivery machinery
+	// retries them later, so the budget is backpressure, not loss. Cached
+	// replies are never evicted by the budget — dropping one would
+	// re-execute its redelivered request and break at-most-once. Zero means
+	// unbounded.
 	SessionBudgetBytes int
-	// ReplyCacheBytes bounds the server-global cache of encoded replies
-	// that lets redelivery replays and replication exec-streaming reuse the
-	// encoding produced at execution time instead of re-marshaling (an LRU;
-	// eviction only costs a re-marshal on the next replay). Zero selects
-	// the default (8 MiB); negative disables the cache.
-	ReplyCacheBytes int
 }
 
 // session is the per-client redelivery state. It lives across transport
 // connections (and server-side, across client crashes): the reply cache is
 // what makes redelivered requests idempotent.
 type session struct {
-	clientID  string
-	replies   map[uint64]*Reply // executed but unacknowledged
-	executing map[uint64]bool   // in handler right now
+	clientID string
+	// replies holds each executed but unacknowledged reply as the bytes of
+	// its reply frame, encoded once by executeRun (or taken from a journal
+	// record or a replica peer). A redelivery is answered with them, and
+	// journal snapshots splice them in; nothing decodes or re-encodes them.
+	replies   map[uint64][]byte
+	executing map[uint64]bool // in handler right now
 	// acked records individually acknowledged sequence numbers at or above
 	// lowSeq. A plain high-watermark is NOT sound here: replies complete
 	// out of order (priorities, retransmission on lossy links), and
@@ -114,8 +113,8 @@ type session struct {
 	// seqs by foldAcked.
 	lowSeq uint64
 	sender Sender // most recent transport, for callbacks
-	// replyBytes approximates the payload bytes held in replies (see
-	// replyApproxSize); ServerConfig.SessionBudgetBytes bounds it.
+	// replyBytes is the budget charge of replies (see replyCharge);
+	// ServerConfig.SessionBudgetBytes bounds it.
 	replyBytes int
 	// queue holds the session's dispatched requests while the worker pool
 	// has them; guarded by the pool's mutex, unused in inline mode.
@@ -133,13 +132,18 @@ func (sess *session) foldAcked() {
 	}
 }
 
-// replyApproxSize is the budget charge for one cached reply: its payload
-// bytes plus a small fixed overhead. Computed from the decoded Reply (not
-// its encoding) so the charge can be reversed at ack/prune time without
-// retaining the encoding.
-func replyApproxSize(rep *Reply) int {
-	return 16 + len(rep.Result) + len(rep.ErrMsg)
+func newSession(clientID string) *session {
+	return &session{
+		clientID:  clientID,
+		replies:   make(map[uint64][]byte),
+		executing: make(map[uint64]bool),
+		acked:     make(map[uint64]bool),
+	}
 }
+
+// replyCharge is the budget charge for one cached reply: its encoding plus
+// a small fixed overhead for the map entry.
+func replyCharge(enc []byte) int { return 16 + len(enc) }
 
 // conn is per-transport state: which client the transport authenticated
 // as, and which optional capabilities its Hello advertised.
@@ -162,14 +166,10 @@ type Server struct {
 
 	// onExecuted, when set (SetOnExecuted), observes every execution after
 	// its reply is recorded in the session cache (and journaled), with the
-	// reply's wire encoding so observers need not re-marshal. The
-	// replication layer streams these to the peer so a failed-over client's
-	// redeliveries are answered from cache there too. Runs outside mu.
-	onExecuted func(clientID string, req Request, rep *Reply, enc []byte)
-
-	// replyCache holds encoded replies for the replay path (under mu; nil
-	// when disabled). See replycache.go.
-	replyCache *replyCache
+	// reply's wire encoding. The replication layer streams these to the
+	// peer so a failed-over client's redeliveries are answered from cache
+	// there too. Runs outside mu.
+	onExecuted func(clientID string, req Request, enc []byte)
 
 	// Journal state (see journal.go): the shards slice is set at
 	// construction and never written again, so it is read without a lock.
@@ -192,7 +192,6 @@ func NewServer(cfg ServerConfig) *Server {
 		sessions: make(map[string]*session),
 		conns:    make(map[Sender]*conn),
 	}
-	s.replyCache = newReplyCache(cfg.ReplyCacheBytes)
 	if cfg.Workers > 0 {
 		s.pool = newWorkerPool(s, cfg.Workers)
 	}
@@ -371,9 +370,8 @@ func (s *Server) onHello(from Sender, payload []byte, out *[]wire.Frame) {
 		// replies and ack records there are dead weight.
 		for seq := range sess.replies {
 			if seq < sess.lowSeq {
-				sess.replyBytes -= replyApproxSize(sess.replies[seq])
+				sess.replyBytes -= replyCharge(sess.replies[seq])
 				delete(sess.replies, seq)
-				s.replyCache.delete(h.ClientID, seq)
 			}
 		}
 		for seq := range sess.acked {
@@ -441,12 +439,7 @@ func (s *Server) journalSessionRecord(clientID string, lazy bool, encode func() 
 func (s *Server) sessionLocked(clientID string) *session {
 	sess := s.sessions[clientID]
 	if sess == nil {
-		sess = &session{
-			clientID:  clientID,
-			replies:   make(map[uint64]*Reply),
-			executing: make(map[uint64]bool),
-			acked:     make(map[uint64]bool),
-		}
+		sess = newSession(clientID)
 		s.sessions[clientID] = sess
 	}
 	return sess
@@ -474,20 +467,9 @@ func (s *Server) onRequest(from Sender, payload []byte, now vtime.Time, out *[]w
 	sess := s.sessionLocked(cn.clientID)
 	sess.sender = from
 	s.stats.Requests++
-	if cached, ok := sess.replies[req.Seq]; ok {
-		// Redelivered request already executed: replay the reply, reusing
-		// the encoding cached at execution time when it is still around (a
-		// miss — evicted, or recovered from the journal — re-marshals and
-		// repopulates the cache).
+	if enc, ok := sess.replies[req.Seq]; ok {
+		// Redelivered request already executed: replay the reply's bytes.
 		s.stats.ReplaysServed++
-		enc, hit := s.replyCache.get(cn.clientID, req.Seq)
-		if hit {
-			s.stats.ReplyCacheHits++
-		} else {
-			s.stats.ReplyCacheMisses++
-			enc = wire.Marshal(cached)
-			s.stats.ReplyCacheEvictions += s.replyCache.put(cn.clientID, req.Seq, enc)
-		}
 		s.mu.Unlock()
 		*out = append(*out, wire.Frame{Type: wire.FrameReply, Payload: enc})
 		return
@@ -510,7 +492,7 @@ func (s *Server) onRequest(from Sender, payload []byte, now vtime.Time, out *[]w
 	}
 	if s.cfg.SessionBudgetBytes > 0 && sess.replyBytes >= s.cfg.SessionBudgetBytes {
 		// The session holds its budget's worth of unacknowledged reply
-		// payloads. Dropping the NEW request (never a cached reply — that
+		// encodings. Dropping the NEW request (never a cached reply — that
 		// would break at-most-once) is safe backpressure: the client
 		// redelivers it after acks or a Hello LowSeq free the budget.
 		s.stats.BudgetRefused++
@@ -549,8 +531,9 @@ func (s *Server) onRequest(from Sender, payload []byte, now vtime.Time, out *[]w
 // of one — runs the handlers back-to-back outside engine locks, stages each
 // exec record on the session's home journal shard, pays ONE commit for the
 // run (pipelined group commit), and only then publishes every reply in one
-// pass under s.mu. Each reply is marshaled once, into its task's slot, and
-// the journal record, reply frame, reply cache and onExecuted hook share it.
+// pass under s.mu. Each reply is encoded once, into its task's slot, and
+// the journal record, reply frame, session cache and onExecuted hook share
+// those bytes.
 //
 // Until the commit returns the dispatch marks (sess.executing) stay set, so
 // a concurrent redelivery is dropped rather than answered from a reply the
@@ -567,8 +550,7 @@ func (s *Server) executeRun(tasks []poolTask) bool {
 	}
 	for i := range tasks {
 		t := &tasks[i]
-		t.rep = runHandler(t.clientID, t.handler, t.req)
-		t.enc = wire.Marshal(t.rep)
+		t.enc = runHandler(t.clientID, t.handler, t.req)
 	}
 	var sh *journalShard
 	if s.hasJournal() {
@@ -595,7 +577,7 @@ func (s *Server) executeRun(tasks []poolTask) bool {
 	for i := range tasks {
 		t := &tasks[i]
 		delete(t.sess.executing, t.req.Seq)
-		s.recordReplyLocked(t.sess, t.rep, t.enc)
+		s.recordReplyLocked(t.sess, t.req.Seq, t.enc)
 		s.stats.Executed++
 		if sh != nil {
 			sh.ids = append(sh.ids, t.jid)
@@ -613,7 +595,7 @@ func (s *Server) executeRun(tasks []poolTask) bool {
 	}
 	if hook != nil {
 		for i := range tasks {
-			hook(tasks[i].clientID, tasks[i].req, tasks[i].rep, tasks[i].enc)
+			hook(tasks[i].clientID, tasks[i].req, tasks[i].enc)
 		}
 	}
 	return true
@@ -633,22 +615,22 @@ func (s *Server) refuseRun(tasks []poolTask, err error) {
 	s.stats.JournalRefused += int64(len(tasks))
 }
 
-// recordReplyLocked caches rep as the session's answer to its seq: the
-// at-most-once table, the session's reply budget, its high-water mark and
-// the encoded-reply cache. Callers hold s.mu.
-func (s *Server) recordReplyLocked(sess *session, rep *Reply, enc []byte) {
-	sess.replies[rep.Seq] = rep
-	sess.replyBytes += replyApproxSize(rep)
-	if rep.Seq > sess.maxExec {
-		sess.maxExec = rep.Seq
+// recordReplyLocked caches enc as the session's answer to seq: the
+// at-most-once table, the session's reply budget and its high-water mark.
+// Callers hold s.mu.
+func (s *Server) recordReplyLocked(sess *session, seq uint64, enc []byte) {
+	sess.replies[seq] = enc
+	sess.replyBytes += replyCharge(enc)
+	if seq > sess.maxExec {
+		sess.maxExec = seq
 	}
-	s.stats.ReplyCacheEvictions += s.replyCache.put(sess.clientID, rep.Seq, enc)
 }
 
-// runHandler executes one request's handler and builds its reply. Handler
-// panics are not recovered here.
-func runHandler(clientID string, handler Handler, req Request) *Reply {
-	rep := &Reply{Seq: req.Seq}
+// runHandler executes one request's handler and returns its reply's
+// encoding, the only form in which the server keeps it. Handler panics are
+// not recovered here.
+func runHandler(clientID string, handler Handler, req Request) []byte {
+	rep := Reply{Seq: req.Seq}
 	if handler == nil {
 		rep.Status = StatusNoService
 		rep.ErrMsg = req.Service
@@ -659,45 +641,49 @@ func runHandler(clientID string, handler Handler, req Request) *Reply {
 		rep.Status = StatusOK
 		rep.Result = result
 	}
-	return rep
+	// Encoded by the concrete method, so rep stays on the stack
+	// (wire.Marshal's interface argument would move it to the heap).
+	b := wire.GetBuffer()
+	rep.MarshalWire(b)
+	return wire.Detach(b)
 }
 
 // SetOnExecuted installs the execution observer (see Server.onExecuted).
 // Install it before the server sees traffic; pass nil to remove it.
-func (s *Server) SetOnExecuted(fn func(clientID string, req Request, rep *Reply, enc []byte)) {
+func (s *Server) SetOnExecuted(fn func(clientID string, req Request, enc []byte)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.onExecuted = fn
 }
 
-// InstallReply installs a reply executed by a replica peer into clientID's
-// session cache, so a client that fails over here has its redelivered
-// requests answered from cache instead of re-executed. Stale installs —
-// already acked, below the session's LowSeq, already cached, or currently
-// executing locally — are ignored. Installed replies are journaled
-// (apply-then-log) with the same exec record the local path writes, so
-// recovery rebuilds them too. It reports whether the reply was installed.
-func (s *Server) InstallReply(clientID string, rep *Reply) bool {
-	if rep == nil {
-		return false
+// InstallReply installs a reply executed by a replica peer, given as the
+// encoding its onExecuted hook saw, into clientID's session cache, so a
+// client that fails over here has its redelivered requests answered from
+// cache instead of re-executed. The server keeps enc, which must not be
+// written afterwards. An encoding that does not decode as one Reply is an
+// error. Stale installs — already acked, below the session's LowSeq,
+// already cached, or currently executing locally — are ignored. Installed
+// replies are journaled (apply-then-log) with the same exec record the local
+// path writes, so recovery rebuilds them too. It reports whether the reply
+// was installed.
+func (s *Server) InstallReply(clientID string, enc []byte) (bool, error) {
+	var rep Reply
+	r := wire.OwnedReader(enc)
+	if err := cmp.Or(rep.UnmarshalWire(&r), r.Finish()); err != nil {
+		return false, fmt.Errorf("qrpc: bad reply: %w", err)
 	}
 	s.mu.Lock()
 	sess := s.sessionLocked(clientID)
-	if sess.acked[rep.Seq] || rep.Seq < sess.lowSeq || sess.executing[rep.Seq] {
+	_, cached := sess.replies[rep.Seq]
+	if cached || sess.acked[rep.Seq] || rep.Seq < sess.lowSeq || sess.executing[rep.Seq] {
 		s.mu.Unlock()
-		return false
+		return false, nil
 	}
-	if _, ok := sess.replies[rep.Seq]; ok {
-		s.mu.Unlock()
-		return false
-	}
-	cp := *rep
-	enc := wire.Marshal(&cp)
-	s.recordReplyLocked(sess, &cp, enc)
+	s.recordReplyLocked(sess, rep.Seq, enc)
 	s.stats.ReplicatedReplies++
 	s.mu.Unlock()
 	s.journalSessionRecord(clientID, false, func() []byte { return encodeExecRecordEnc(clientID, enc) })
-	return true
+	return true, nil
 }
 
 func (s *Server) onAck(from Sender, payload []byte) {
@@ -718,11 +704,10 @@ func (s *Server) onAck(from Sender, payload []byte) {
 	clientID := cn.clientID
 	sess := s.sessionLocked(clientID)
 	for _, seq := range ack.Seqs {
-		if rep, ok := sess.replies[seq]; ok {
-			sess.replyBytes -= replyApproxSize(rep)
+		if enc, ok := sess.replies[seq]; ok {
+			sess.replyBytes -= replyCharge(enc)
 			delete(sess.replies, seq)
 		}
-		s.replyCache.delete(clientID, seq)
 		if seq >= sess.lowSeq {
 			sess.acked[seq] = true
 		}

@@ -1,10 +1,10 @@
 package qrpc
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -371,8 +371,9 @@ func TestAdmissionControlRefusesNewSessions(t *testing.T) {
 // checks that NEW requests are dropped (BudgetRefused) while cached replays
 // still serve, and that acks release the budget.
 func TestSessionBudgetBackpressure(t *testing.T) {
-	// replyApproxSize = 16 + len(result); 8-byte payloads cost 24 each, so
-	// a 48-byte budget admits two replies and refuses the third request.
+	// replyCharge = 16 + len(encoding); an 8-byte echo encodes in 12 bytes
+	// (seq, status, length-prefixed result, empty error), so each costs 28
+	// and a 48-byte budget admits two replies and refuses the third request.
 	srv := NewServer(ServerConfig{ServerID: "srv", SessionBudgetBytes: 48})
 	defer srv.Close()
 	srv.Register("echo", func(_ string, req Request) ([]byte, error) { return req.Args, nil })
@@ -409,70 +410,56 @@ func TestSessionBudgetBackpressure(t *testing.T) {
 	}
 }
 
-// TestReplyCacheServesEncodedReplays checks the encoded-reply cache: a
-// redelivered request replays the encoding marshaled at execution time
-// (hit), a disabled cache re-marshals every replay (miss), and a byte
-// budget evicts LRU entries.
-func TestReplyCacheServesEncodedReplays(t *testing.T) {
+// TestReplaysServeTheSentBytes: a redelivered request is answered with the
+// bytes of the original reply frame — the very slice a session holds, never
+// a re-encoding — after an execute, after an InstallReply, and after journal
+// recovery, where the bytes are the journal's.
+func TestReplaysServeTheSentBytes(t *testing.T) {
+	journal := stable.NewMemLog(stable.Options{})
+	echo := func(_ string, req Request) ([]byte, error) { return req.Args, nil }
 	up := true
-	t.Run("hit", func(t *testing.T) {
-		srv := NewServer(ServerConfig{ServerID: "srv"})
-		defer srv.Close()
-		srv.Register("echo", func(_ string, req Request) ([]byte, error) { return req.Args, nil })
-		snd := &harnessSender{up: &up}
+	snd := &harnessSender{up: &up}
+	open := func() *Server {
+		srv := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{journal}})
+		srv.Register("echo", echo)
 		srv.OnConnect(snd, 0)
 		srv.OnFrame(snd, helloFrame("c", 1), 0)
-		srv.OnFrame(snd, requestFrame(1, "echo", []byte("x")), 0)
+		return srv
+	}
+	send := func(srv *Server, seq uint64) []byte {
+		t.Helper()
 		snd.queue = nil
-		srv.OnFrame(snd, requestFrame(1, "echo", []byte("x")), 0)
-		if reps := drainReplies(t, snd); len(reps) != 1 || string(reps[0].Result) != "x" {
-			t.Fatalf("replay = %v", reps)
+		srv.OnFrame(snd, requestFrame(seq, "echo", []byte("x")), 0)
+		if len(snd.queue) != 1 || snd.queue[0].Type != wire.FrameReply {
+			t.Fatalf("seq %d: sent %v, want one reply frame", seq, snd.queue)
 		}
-		st := srv.Stats()
-		if st.ReplyCacheHits != 1 || st.ReplyCacheMisses != 0 {
-			t.Fatalf("hits=%d misses=%d, want 1/0", st.ReplyCacheHits, st.ReplyCacheMisses)
+		return snd.queue[0].Payload
+	}
+
+	srv := open()
+	sent := send(srv, 1)
+	if replay := send(srv, 1); &replay[0] != &sent[0] {
+		t.Fatalf("replay %x is a copy of the reply frame %x", replay, sent)
+	}
+	peer := wire.Marshal(&Reply{Seq: 2, Status: StatusOK, Result: []byte("from the peer")})
+	if ok, err := srv.InstallReply("c", peer); !ok || err != nil {
+		t.Fatalf("InstallReply = %v, %v", ok, err)
+	}
+	if replay := send(srv, 2); &replay[0] != &peer[0] {
+		t.Fatalf("replay %x of an installed reply is not the peer's bytes", replay)
+	}
+	if ok, err := srv.InstallReply("c", peer[:len(peer)-1]); ok || err == nil {
+		t.Fatalf("InstallReply of a torn reply = %v, %v; want an error", ok, err)
+	}
+
+	srv2 := open()
+	for seq, want := range map[uint64][]byte{1: sent, 2: peer} {
+		first, again := send(srv2, seq), send(srv2, seq)
+		if !bytes.Equal(first, want) || &first[0] != &again[0] {
+			t.Fatalf("recovered seq %d replayed %x then %x, want the held bytes %x twice", seq, first, again, want)
 		}
-	})
-	t.Run("disabled", func(t *testing.T) {
-		srv := NewServer(ServerConfig{ServerID: "srv", ReplyCacheBytes: -1})
-		defer srv.Close()
-		srv.Register("echo", func(_ string, req Request) ([]byte, error) { return req.Args, nil })
-		snd := &harnessSender{up: &up}
-		srv.OnConnect(snd, 0)
-		srv.OnFrame(snd, helloFrame("c", 1), 0)
-		srv.OnFrame(snd, requestFrame(1, "echo", []byte("x")), 0)
-		snd.queue = nil
-		srv.OnFrame(snd, requestFrame(1, "echo", []byte("x")), 0)
-		if reps := drainReplies(t, snd); len(reps) != 1 || string(reps[0].Result) != "x" {
-			t.Fatalf("replay = %v", reps)
-		}
-		st := srv.Stats()
-		if st.ReplyCacheHits != 0 || st.ReplyCacheMisses != 1 {
-			t.Fatalf("hits=%d misses=%d, want 0/1", st.ReplyCacheHits, st.ReplyCacheMisses)
-		}
-	})
-	t.Run("eviction", func(t *testing.T) {
-		// A cache barely larger than one encoded reply: the second execute
-		// evicts the first, whose replay then misses and repopulates.
-		srv := NewServer(ServerConfig{ServerID: "srv", ReplyCacheBytes: 40})
-		defer srv.Close()
-		srv.Register("echo", func(_ string, req Request) ([]byte, error) { return req.Args, nil })
-		snd := &harnessSender{up: &up}
-		srv.OnConnect(snd, 0)
-		srv.OnFrame(snd, helloFrame("c", 1), 0)
-		srv.OnFrame(snd, requestFrame(1, "echo", []byte(strings.Repeat("a", 24))), 0)
-		srv.OnFrame(snd, requestFrame(2, "echo", []byte(strings.Repeat("b", 24))), 0)
-		if st := srv.Stats(); st.ReplyCacheEvictions == 0 {
-			t.Fatalf("no evictions from a %d-byte cache after two ~30-byte replies", 40)
-		}
-		snd.queue = nil
-		srv.OnFrame(snd, requestFrame(1, "echo", []byte(strings.Repeat("a", 24))), 0)
-		reps := drainReplies(t, snd)
-		if len(reps) != 1 || string(reps[0].Result) != strings.Repeat("a", 24) {
-			t.Fatalf("post-eviction replay = %v", reps)
-		}
-		if st := srv.Stats(); st.ReplyCacheMisses == 0 {
-			t.Fatalf("evicted reply replayed without a cache miss")
-		}
-	})
+	}
+	if st := srv2.Stats(); st.Executed != 0 || st.ReplaysServed != 4 {
+		t.Fatalf("recovered server executed=%d replays=%d, want 0 and 4", st.Executed, st.ReplaysServed)
+	}
 }

@@ -107,8 +107,10 @@ func (o *Object) UnmarshalWire(r *wire.Reader) error {
 	o.Type = r.String()
 	o.Version = r.Uvarint()
 	o.Code = r.String()
+	// A state entry takes at least two bytes (two empty strings), so the
+	// count sizes the map only as far as the input could back it.
 	n := r.Len()
-	o.State = make(map[string]string, n)
+	o.State = make(map[string]string, min(n, r.Remaining()/2))
 	for i := 0; i < n; i++ {
 		k := r.String()
 		v := r.String()

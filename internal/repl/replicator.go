@@ -178,10 +178,10 @@ func (r *Replicator) onStoreApply(ev store.ApplyEvent) {
 
 // onExecuted streams one executed request's reply to the peer so a client
 // that fails over there is answered from cache. The engine hands us the
-// reply's wire encoding produced at execution time, so streaming costs no
-// re-marshal. Replication traffic itself is excluded — the peer executed
-// ours, we executed theirs.
-func (r *Replicator) onExecuted(clientID string, req qrpc.Request, rep *qrpc.Reply, enc []byte) {
+// reply's wire encoding produced at execution time, which the record carries
+// as is. Replication traffic itself is excluded — the peer executed ours, we
+// executed theirs.
+func (r *Replicator) onExecuted(clientID string, req qrpc.Request, enc []byte) {
 	if IsReplClient(clientID) || IsReplService(req.Service) {
 		return
 	}
@@ -570,11 +570,11 @@ func (r *Replicator) applyExec(rec *Record) ([]byte, error) {
 	if IsReplClient(rec.ClientID) {
 		return applyReply(ApplyOK, 0), nil
 	}
-	var rep qrpc.Reply
-	if err := wire.Unmarshal(rec.Reply, &rep); err != nil {
+	installed, err := r.cfg.Engine.InstallReply(rec.ClientID, rec.Reply)
+	if err != nil {
 		return nil, fmt.Errorf("repl: bad exec reply: %w", err)
 	}
-	if r.cfg.Engine.InstallReply(rec.ClientID, &rep) {
+	if installed {
 		r.mu.Lock()
 		r.stats.ExecInstalled++
 		r.mu.Unlock()

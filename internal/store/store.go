@@ -394,7 +394,8 @@ func (s *Store) LoadSnapshot(data []byte) error {
 func DecodeSnapshot(data []byte) (map[urn.URN]*rdo.Object, error) {
 	r := wire.NewReader(data)
 	n := r.Len()
-	objs := make(map[urn.URN]*rdo.Object, n)
+	// An object takes at least six bytes: a length and five empty fields.
+	objs := make(map[urn.URN]*rdo.Object, min(n, r.Remaining()/6))
 	for i := 0; i < n; i++ {
 		blob := r.Bytes()
 		if err := r.Err(); err != nil {

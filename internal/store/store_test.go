@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
 	"testing"
 
 	"rover/internal/rdo"
 	"rover/internal/urn"
+	"rover/internal/wire"
 )
 
 func obj(path string) *rdo.Object {
@@ -180,5 +182,23 @@ func TestConcurrentCommitsSerialize(t *testing.T) {
 	}
 	if got.Version != uint64(workers*perWorker)+1 {
 		t.Errorf("version %d", got.Version)
+	}
+}
+
+// TestDecodeSnapshotCountCannotOutgrowInput: a snapshot whose count claims
+// 2^20 objects, in a few bytes, is refused without sizing a map for the
+// claim.
+func TestDecodeSnapshotCountCannotOutgrowInput(t *testing.T) {
+	var b wire.Buffer
+	b.PutUvarint(wire.MaxSliceLen)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeSnapshot(b.Bytes())
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("a count with no objects behind it decoded")
+	}
+	if spent := after.TotalAlloc - before.TotalAlloc; spent > 1<<20 {
+		t.Errorf("%d input bytes allocated %d bytes", b.Len(), spent)
 	}
 }

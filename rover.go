@@ -513,15 +513,11 @@ type ServerOptions struct {
 	// next backup address. Size it with headroom — a refused client retries
 	// elsewhere or later, it does not queue here.
 	MaxSessions int
-	// SessionBudgetBytes, when positive, bounds the approximate bytes of
-	// unacknowledged reply payloads one session may hold; at the budget,
-	// new requests from that session are dropped (clients redeliver later)
-	// until acks release cached replies. Backpressure, never loss.
+	// SessionBudgetBytes, when positive, bounds the bytes of unacknowledged
+	// reply encodings one session may hold; at the budget, new requests from
+	// that session are dropped (clients redeliver later) until acks release
+	// cached replies. Backpressure, never loss.
 	SessionBudgetBytes int
-	// ReplyCacheBytes sizes the server-global cache of encoded replies
-	// (zero = default 8 MiB, negative = disabled). See
-	// qrpc.ServerConfig.ReplyCacheBytes.
-	ReplyCacheBytes int
 }
 
 // Server is a Rover home server: QRPC engine + object store + conflict
@@ -599,7 +595,6 @@ func NewServer(opts ServerOptions) (*Server, error) {
 		Journals:           journals,
 		MaxSessions:        opts.MaxSessions,
 		SessionBudgetBytes: opts.SessionBudgetBytes,
-		ReplyCacheBytes:    opts.ReplyCacheBytes,
 	})
 	if err := engine.JournalError(); err != nil {
 		closeJournals()
