@@ -11,6 +11,7 @@
 package access
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -251,7 +252,8 @@ func (am *AccessManager) importRemote(u urn.URN, haveVersion uint64, p qrpc.Prio
 			return
 		}
 		var rep proto.ImportReply
-		if err := wire.Unmarshal(res, &rep); err != nil {
+		r := wire.OwnedReader(res)
+		if err := cmp.Or(rep.UnmarshalWire(&r), r.Finish()); err != nil {
 			f.resolve(nil, err)
 			return
 		}
@@ -682,7 +684,8 @@ func (am *AccessManager) onExportReply(u urn.URN, f *Future[ExportResult], res [
 		return
 	}
 	var rep proto.ExportReply
-	if err := wire.Unmarshal(res, &rep); err != nil {
+	r := wire.OwnedReader(res)
+	if err := cmp.Or(rep.UnmarshalWire(&r), r.Finish()); err != nil {
 		am.mu.Unlock()
 		f.resolve(ExportResult{}, err)
 		return

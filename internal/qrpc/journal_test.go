@@ -723,3 +723,35 @@ func TestDirtyStageMidRunJournalsWholeRun(t *testing.T) {
 		}
 	}
 }
+
+// TestAckRedeliveredJournalsOnce: an Ack frame delivered twice — a
+// redelivery, or a batch the mail transport duplicated — changes the
+// session once, so it adds one journal record, not two; nor does an ack of
+// a seq below the session's LowSeq.
+func TestAckRedeliveredJournalsOnce(t *testing.T) {
+	srv := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{stable.NewMemLog(stable.Options{})}})
+	defer srv.Close()
+	srv.Register("echo", func(_ string, req Request) ([]byte, error) { return req.Args, nil })
+	up := true
+	snd := &harnessSender{up: &up}
+	srv.OnConnect(snd, 0)
+	srv.OnFrame(snd, helloFrame("c1", 0), 0)
+	srv.OnFrame(snd, requestFrame(1, "echo", nil), 0)
+	srv.Quiesce()
+	if reps := drainReplies(t, snd); len(reps) != 1 {
+		t.Fatalf("got %d replies, want 1", len(reps))
+	}
+	before := srv.Stats().JournalRecords
+	srv.OnFrame(snd, ackFrame(1), 0)
+	if got := srv.Stats().JournalRecords; got != before+1 {
+		t.Fatalf("first ack: %d journal records, want %d", got, before+1)
+	}
+	srv.OnFrame(snd, ackFrame(1), 0)
+	if got := srv.Stats().JournalRecords; got != before+1 {
+		t.Fatalf("redelivered ack: %d journal records, want still %d", got, before+1)
+	}
+	srv.OnFrame(snd, ackFrame(0), 0)
+	if got := srv.Stats().JournalRecords; got != before+1 {
+		t.Fatalf("ack below LowSeq: %d journal records, want still %d", got, before+1)
+	}
+}

@@ -703,13 +703,16 @@ func (s *Server) onAck(from Sender, payload []byte) {
 	}
 	clientID := cn.clientID
 	sess := s.sessionLocked(clientID)
+	changed := false
 	for _, seq := range ack.Seqs {
 		if enc, ok := sess.replies[seq]; ok {
 			sess.replyBytes -= replyCharge(enc)
 			delete(sess.replies, seq)
+			changed = true
 		}
-		if seq >= sess.lowSeq {
+		if seq >= sess.lowSeq && !sess.acked[seq] {
 			sess.acked[seq] = true
+			changed = true
 		}
 		s.stats.AcksReceived++
 	}
@@ -718,7 +721,13 @@ func (s *Server) onAck(from Sender, payload []byte) {
 	// Journal the acknowledgment so recovery drops these reply payloads
 	// too. Apply-then-log and only staged, like prune records: losing an ack
 	// record means a fatter recovered cache, never a correctness violation
-	// (the client already consumed the replies and will not redeliver).
+	// (the client already consumed the replies and will not redeliver). An
+	// ack that changed nothing — redelivered, or naming only seqs already
+	// acked or below LowSeq — journals nothing, as a Hello that does not
+	// advance LowSeq journals no prune record.
+	if !changed {
+		return
+	}
 	s.journalSessionRecord(clientID, true, func() []byte { return encodeAckRecord(clientID, ack.Seqs) })
 }
 

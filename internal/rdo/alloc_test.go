@@ -60,3 +60,39 @@ func TestNewEnvAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestObjectCopyAllocs pins what moving an object costs: a Clone is the new
+// Object alone, re-sending a decoded object it has not written is one copy
+// of the bytes it arrived as, and a Decode is the one copy of its input,
+// the Object, its URN and Type (one string), and the state map.
+func TestObjectCopyAllocs(t *testing.T) {
+	o := rover.NewObject(rover.MustParseURN("urn:rover:alloc/counter"), "counter")
+	o.Code = `proc get {} { state get count 0 }`
+	o.Version = 4
+	o.Set("count", "41")
+	o.Set("owner", "adj")
+	enc := o.Encode()
+	d, err := rdo.Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		want float64
+		f    func()
+	}{
+		{"Clone", 1, func() { objSink = d.Clone() }},
+		{"Encode of a decoded object", 1, func() { bytesSink = d.Encode() }},
+		{"Decode", 5, func() { objSink, _ = rdo.Decode(enc) }},
+	} {
+		if n := testing.AllocsPerRun(200, c.f); n > c.want {
+			t.Errorf("%s allocates %v objects, want at most %v", c.name, n, c.want)
+		}
+	}
+}
+
+// Sinks make what a measured call returns escape, as it does for callers.
+var (
+	objSink   *rdo.Object
+	bytesSink []byte
+)

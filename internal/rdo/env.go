@@ -183,7 +183,7 @@ func (e *Env) cmdState(ip *rscript.Interp, args []string) (string, error) {
 		if len(args) != 2 {
 			return "", errors.New("usage: state unset key")
 		}
-		delete(e.obj.State, args[1])
+		e.obj.Delete(args[1])
 		e.ops = append(e.ops, StateOp{Unset: true, Key: args[1]})
 		return "", nil
 	case "exists":
@@ -210,7 +210,7 @@ func (e *Env) cmdState(ip *rscript.Interp, args []string) (string, error) {
 func ApplyOps(obj *Object, ops []StateOp) {
 	for _, op := range ops {
 		if op.Unset {
-			delete(obj.State, op.Key)
+			obj.Delete(op.Key)
 		} else {
 			obj.Set(op.Key, op.Value)
 		}

@@ -2,7 +2,6 @@ package rdo
 
 import (
 	"bytes"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -13,8 +12,9 @@ import (
 // FuzzDecodeObject: an object's encoding arrives from clients (a created
 // object), replica peers and disk segments. The decoder never panics or
 // allocates out of proportion to its input whatever a count claims, and an
-// object it accepts re-encodes to bytes that decode to the same object and
-// encode to the same bytes again.
+// object it accepts encodes to the canonical encoding of its fields — kept
+// bytes or not — which decodes to the same object and encodes to the same
+// bytes again.
 func FuzzDecodeObject(f *testing.F) {
 	o := New(urn.MustParse("urn:rover:cal.mit.edu/counter"), "counter")
 	o.Version = 7
@@ -32,6 +32,11 @@ func FuzzDecodeObject(f *testing.F) {
 	huge.PutString("")
 	huge.PutUvarint(wire.MaxSliceLen)
 	f.Add(huge.Bytes())
+	// Input that decodes but is not what the encoder writes: it must not be
+	// kept as the object's encoding.
+	for _, p := range nonCanonicalSeeds() {
+		f.Add(p)
+	}
 
 	f.Fuzz(func(t *testing.T, p []byte) {
 		var before, after runtime.MemStats
@@ -45,8 +50,13 @@ func FuzzDecodeObject(f *testing.F) {
 			return
 		}
 		enc := o.Encode()
+		var fresh wire.Buffer
+		plainCopy(o).MarshalWire(&fresh)
+		if !bytes.Equal(enc, fresh.Bytes()) {
+			t.Fatalf("decoded object encodes to % x, its fields to % x", enc, fresh.Bytes())
+		}
 		again, err := Decode(enc)
-		if err != nil || !reflect.DeepEqual(again, o) || !bytes.Equal(again.Encode(), enc) {
+		if err != nil || !Equal(again, o) || !bytes.Equal(again.Encode(), enc) {
 			t.Fatalf("object did not survive re-encoding: %v\n got %+v\nwant %+v", err, again, o)
 		}
 	})

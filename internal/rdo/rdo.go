@@ -20,22 +20,42 @@
 package rdo
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
+	"math/bits"
 	"sort"
+	"sync/atomic"
+	"unsafe"
 
 	"rover/internal/urn"
 	"rover/internal/wire"
 )
 
-// Object is a relocatable dynamic object instance. Object values are
-// copied freely between cache, log, and wire; State must not be shared
-// mutably across copies (use Clone).
+// Object is a relocatable dynamic object instance.
+//
+// Copies share what they can. Clone is O(1): the copy reads the same State
+// map as its source, both are marked shared, and the first Set or Delete on
+// either side copies the map before writing it. State is exported for
+// reading only; every write goes through Set or Delete (a guard test holds
+// every Go file in the tree to that), and an Object is copied with Clone,
+// never by value. An object Decode produced keeps the bytes it arrived as
+// and sends them again (MarshalWire, Encode) for as long as they still
+// encode it — see kept.
 type Object struct {
 	URN     urn.URN
 	Type    string
 	Version uint64
 	Code    string
 	State   map[string]string
+
+	// shared is set once another Object may read State. It is atomic
+	// because a cached object is cloned by many readers at once with no
+	// lock held; only the object's single writer clears it.
+	shared atomic.Bool
+	// enc is the canonical encoding Decode read the object from; Code and
+	// the state keys and values are strings over it. A State write drops it.
+	enc []byte
 }
 
 // New returns an empty object of the given type.
@@ -43,14 +63,17 @@ func New(u urn.URN, typeName string) *Object {
 	return &Object{URN: u, Type: typeName, State: make(map[string]string)}
 }
 
-// Clone returns a deep copy.
+// Clone returns a copy of o that shares o's State map and kept encoding
+// until either side writes its state. It allocates the new Object and
+// nothing else, and may run on one object from many goroutines at once as
+// long as nobody writes that object.
 func (o *Object) Clone() *Object {
-	cp := *o
-	cp.State = make(map[string]string, len(o.State))
-	for k, v := range o.State {
-		cp.State[k] = v
+	if !o.shared.Load() {
+		o.shared.Store(true)
 	}
-	return &cp
+	cp := &Object{URN: o.URN, Type: o.Type, Version: o.Version, Code: o.Code, State: o.State, enc: o.enc}
+	cp.shared.Store(true)
+	return cp
 }
 
 // Get reads a state key.
@@ -61,10 +84,32 @@ func (o *Object) Get(key string) (string, bool) {
 
 // Set writes a state key.
 func (o *Object) Set(key, value string) {
-	if o.State == nil {
-		o.State = make(map[string]string)
-	}
+	o.writeState()
 	o.State[key] = value
+}
+
+// Delete removes a state key.
+func (o *Object) Delete(key string) {
+	if _, ok := o.State[key]; !ok {
+		return
+	}
+	o.writeState()
+	delete(o.State, key)
+}
+
+// writeState readies State for a write: the kept encoding stops describing
+// the object, and a map another Object may read is copied first.
+func (o *Object) writeState() {
+	o.enc = nil
+	switch {
+	case o.State == nil:
+		o.State = make(map[string]string)
+	case o.shared.Load():
+		o.State = maps.Clone(o.State)
+	default:
+		return
+	}
+	o.shared.Store(false)
 }
 
 // Keys returns the state keys in sorted order.
@@ -80,15 +125,23 @@ func (o *Object) Keys() []string {
 // SizeEstimate returns the approximate encoded size in bytes; the access
 // manager's migration heuristics and cache accounting use it.
 func (o *Object) SizeEstimate() int {
-	n := len(o.URN.String()) + len(o.Type) + len(o.Code) + 16
+	n := urnLen(o.URN) + len(o.Type) + len(o.Code) + 16
 	for k, v := range o.State {
 		n += len(k) + len(v) + 4
 	}
 	return n
 }
 
-// MarshalWire implements wire.Marshaler.
+// urnLen is len(u.String()) without building the string.
+func urnLen(u urn.URN) int { return len(urn.Prefix) + len(u.Authority) + 1 + len(u.Path) }
+
+// MarshalWire implements wire.Marshaler. A decoded object whose kept
+// encoding still describes it is spliced in as those bytes.
 func (o *Object) MarshalWire(b *wire.Buffer) {
+	if enc := o.kept(); enc != nil {
+		b.PutRaw(enc)
+		return
+	}
 	b.PutString(o.URN.String())
 	b.PutString(o.Type)
 	b.PutUvarint(o.Version)
@@ -101,46 +154,121 @@ func (o *Object) MarshalWire(b *wire.Buffer) {
 	}
 }
 
-// UnmarshalWire implements wire.Unmarshaler.
+// kept returns the encoding Decode kept while it still encodes o: State
+// has not been written since (Set and Delete drop it), and URN, Type,
+// Version and Code equal the header it starts with — callers assign those
+// fields directly, the store's new Version above all.
+func (o *Object) kept() []byte {
+	if o.enc == nil {
+		return nil
+	}
+	r := wire.OwnedReader(o.enc)
+	u, typ, ver, code := r.Bytes(), r.Bytes(), r.Uvarint(), r.Bytes()
+	if ver != o.Version || string(typ) != o.Type || string(code) != o.Code || !isURN(u, o.URN) {
+		return nil
+	}
+	return o.enc
+}
+
+// isURN reports whether p is u.String(), without building the string.
+func isURN(p []byte, u urn.URN) bool {
+	a := len(urn.Prefix) + len(u.Authority)
+	return len(p) == urnLen(u) && string(p[:len(urn.Prefix)]) == urn.Prefix &&
+		string(p[len(urn.Prefix):a]) == u.Authority && p[a] == '/' && string(p[a+1:]) == u.Path
+}
+
+// UnmarshalWire implements wire.Unmarshaler. Code and the state keys and
+// values are strings over the reader's Bytes: views of the input from an
+// OwnedReader, copies otherwise.
 func (o *Object) UnmarshalWire(r *wire.Reader) error {
-	us := r.String()
-	o.Type = r.String()
+	_, err := o.read(r)
+	return err
+}
+
+// read decodes an object from r and reports whether its state keys were
+// strictly ascending, as the canonical encoding writes them.
+func (o *Object) read(r *wire.Reader) (sorted bool, err error) {
+	u, typ := r.Bytes(), r.Bytes()
 	o.Version = r.Uvarint()
-	o.Code = r.String()
+	o.Code = str(r.Bytes())
 	// A state entry takes at least two bytes (two empty strings), so the
 	// count sizes the map only as far as the input could back it.
 	n := r.Len()
 	o.State = make(map[string]string, min(n, r.Remaining()/2))
+	sorted = true
+	var prev string
 	for i := 0; i < n; i++ {
-		k := r.String()
-		v := r.String()
+		k, v := str(r.Bytes()), str(r.Bytes())
 		if r.Err() != nil {
-			return r.Err()
+			return false, r.Err()
 		}
+		sorted = sorted && (i == 0 || k > prev)
+		prev = k
 		o.State[k] = v
 	}
 	if r.Err() != nil {
-		return r.Err()
+		return false, r.Err()
 	}
-	u, err := urn.Parse(us)
+	// URN and Type outlive the object as map keys and index fields, so
+	// they are copied out of the input, together in one allocation.
+	hdr := str(append(append(make([]byte, 0, len(u)+len(typ)), u...), typ...))
+	parsed, err := urn.Parse(hdr[:len(u)])
 	if err != nil {
-		return fmt.Errorf("rdo: bad object URN: %w", err)
+		return false, fmt.Errorf("rdo: bad object URN: %w", err)
 	}
-	o.URN = u
-	return nil
+	o.URN, o.Type = parsed, hdr[len(u):]
+	return sorted, nil
 }
 
-// Encode returns the wire encoding of the object.
-func (o *Object) Encode() []byte { return wire.Marshal(o) }
+// str is the string over b, which nobody may write again.
+func str(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
-// Decode parses a wire-encoded object.
+// Encode returns the wire encoding of the object in a slice the caller
+// owns. A decoded object's kept encoding is copied, one allocation and no
+// key sort; it is never returned itself, because the object's strings are
+// views of it.
+func (o *Object) Encode() []byte {
+	if enc := o.kept(); enc != nil {
+		return bytes.Clone(enc)
+	}
+	return wire.Marshal(o)
+}
+
+// Decode parses a wire-encoded object. It copies p once, and Code and the
+// state keys and values are views of that copy. When p is the canonical
+// encoding of the object it decodes to — keys strictly ascending and every
+// varint minimal, so the fields re-encode to exactly len(p) bytes — the
+// object keeps the copy as its encoding.
 func Decode(p []byte) (*Object, error) {
-	var o Object
-	if err := wire.Unmarshal(p, &o); err != nil {
+	buf := bytes.Clone(p)
+	o := new(Object)
+	r := wire.OwnedReader(buf)
+	sorted, err := o.read(&r)
+	if err == nil {
+		err = r.Finish()
+	}
+	if err != nil {
 		return nil, err
 	}
-	return &o, nil
+	if sorted && o.encodedLen() == len(buf) {
+		o.enc = buf
+	}
+	return o, nil
 }
+
+// encodedLen is the length of the canonical encoding of o.
+func (o *Object) encodedLen() int {
+	n := fieldLen(urnLen(o.URN)) + fieldLen(len(o.Type)) + uvarintLen(o.Version) +
+		fieldLen(len(o.Code)) + uvarintLen(uint64(len(o.State)))
+	for k, v := range o.State {
+		n += fieldLen(len(k)) + fieldLen(len(v))
+	}
+	return n
+}
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+func fieldLen(n int) int { return uvarintLen(uint64(n)) + n }
 
 // Equal reports deep equality of two objects.
 func Equal(a, b *Object) bool {

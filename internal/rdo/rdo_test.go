@@ -274,7 +274,7 @@ func TestRestrictedAfterTrustedOverSameCode(t *testing.T) {
 		t.Errorf("restricted env wrote to stdout: %q", out.String())
 	}
 	for round := 0; round < 2; round++ {
-		delete(ro.State, "n")
+		ro.Delete("n")
 		_, err := re.Invoke("spin")
 		if !errors.Is(err, ErrBudget) && (err == nil || !strings.Contains(err.Error(), "step budget exhausted")) {
 			t.Fatalf("round %d: runaway method: %v", round, err)

@@ -41,7 +41,8 @@ func (c *progCache[T]) get(src string) (T, bool) {
 
 // put stores v under src and returns the entry that ended up cached: when
 // two goroutines compile the same source at once the first insert wins, so
-// every later hit sees one value.
+// every later hit sees one value. src must be the string v was compiled
+// from, as own returned it.
 func (c *progCache[T]) put(src string, v T) T {
 	if len(src) > cacheMaxSource {
 		return v
@@ -55,9 +56,7 @@ func (c *progCache[T]) put(src string, v T) T {
 		c.m = make(map[string]T)
 		c.bytes = 0
 	}
-	// The key is cloned so a short source sliced out of a long string does
-	// not pin the long one past the byte bound.
-	c.m[strings.Clone(src)] = v
+	c.m[src] = v
 	c.bytes += len(src)
 	return v
 }
@@ -73,12 +72,25 @@ var (
 	exprs   progCache[*exprProg]
 )
 
+// own returns the string a cache miss compiles and stores as its key: a
+// private copy of a cacheable src. A compiled form holds slices of the
+// source it came from, so compiling the caller's string would pin whatever
+// that string is a slice of past the byte bound — an object's code is a
+// view of the whole encoding it was decoded from.
+func own(src string) string {
+	if len(src) > cacheMaxSource {
+		return src
+	}
+	return strings.Clone(src)
+}
+
 // parseCached returns the shared parse of src. Parse errors are not
 // cached; broken code re-reports its error from a fresh parse.
 func parseCached(src string) (*Script, error) {
 	if s, ok := scripts.get(src); ok {
 		return s, nil
 	}
+	src = own(src)
 	s, err := Parse(src)
 	if err != nil {
 		return nil, err
@@ -93,5 +105,6 @@ func compileExprCached(src string) *exprProg {
 	if p, ok := exprs.get(src); ok {
 		return p
 	}
+	src = own(src)
 	return exprs.put(src, compileExpr(src))
 }

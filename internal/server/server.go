@@ -17,6 +17,7 @@
 package server
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -223,7 +224,8 @@ func (s *Server) Resolvers() *resolve.Registry { return s.resolvers }
 
 func (s *Server) handleImport(clientID string, req qrpc.Request) ([]byte, error) {
 	var args proto.ImportArgs
-	if err := wire.Unmarshal(req.Args, &args); err != nil {
+	r := wire.OwnedReader(req.Args)
+	if err := cmp.Or(args.UnmarshalWire(&r), r.Finish()); err != nil {
 		return nil, err
 	}
 	obj, err := s.store.Get(args.URN)
@@ -279,7 +281,8 @@ func (s *Server) countDelta(served bool) {
 
 func (s *Server) handleExport(clientID string, req qrpc.Request) ([]byte, error) {
 	var args proto.ExportArgs
-	if err := wire.Unmarshal(req.Args, &args); err != nil {
+	r := wire.OwnedReader(req.Args)
+	if err := cmp.Or(args.UnmarshalWire(&r), r.Finish()); err != nil {
 		return nil, err
 	}
 	if len(args.Invs) == 0 {
@@ -555,7 +558,8 @@ func (s *Server) handleCreate(clientID string, req qrpc.Request) ([]byte, error)
 
 func (s *Server) handleStat(clientID string, req qrpc.Request) ([]byte, error) {
 	var args proto.StatArgs
-	if err := wire.Unmarshal(req.Args, &args); err != nil {
+	r := wire.OwnedReader(req.Args)
+	if err := cmp.Or(args.UnmarshalWire(&r), r.Finish()); err != nil {
 		return nil, err
 	}
 	rep := proto.StatReply{}

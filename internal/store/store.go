@@ -392,7 +392,8 @@ func (s *Store) LoadSnapshot(data []byte) error {
 // DecodeSnapshot decodes a Snapshot encoding into an object map — shared by
 // every Backend's LoadSnapshot.
 func DecodeSnapshot(data []byte) (map[urn.URN]*rdo.Object, error) {
-	r := wire.NewReader(data)
+	// Each blob is a view of data: rdo.Decode copies what the object keeps.
+	r := wire.OwnedReader(data)
 	n := r.Len()
 	// An object takes at least six bytes: a length and five empty fields.
 	objs := make(map[urn.URN]*rdo.Object, min(n, r.Remaining()/6))
