@@ -317,6 +317,7 @@ func BenchmarkRscriptEval(b *testing.B) {
 	}`); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ip.Call("work"); err != nil {

@@ -3,6 +3,8 @@ package access
 import (
 	"testing"
 
+	"rover/internal/proto"
+	"rover/internal/qrpc"
 	"rover/internal/urn"
 )
 
@@ -52,5 +54,46 @@ func TestImportRoundTripAllocs(t *testing.T) {
 	}
 	if n > 27 {
 		t.Errorf("one import round trip allocates %v objects, want at most 27", n)
+	}
+}
+
+// TestExportRoundTripAllocs pins what a committed write costs both parties
+// over a Pipe: `add 1` run in the client's cached environment, its export
+// queued and sent, the server's replay of it in a restricted environment
+// and the commit, and the lean reply that lets the client keep the object
+// and the environment it has.
+func TestExportRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts, so allocation counts mean nothing")
+	}
+	engine, srv := newServerRig(t)
+	u := urn.MustParse("urn:rover:home/w")
+	if err := srv.Store().Create(counterObj("w")); err != nil {
+		t.Fatal(err)
+	}
+	r := newRig(t, "cli-1", engine, srv, func(c *Config) { c.AutoExport = false })
+	wait(t, r.am.Import(u, ImportOptions{}))
+	write := func() {
+		if _, err := r.am.Invoke(u, "add", "1"); err != nil {
+			t.Fatal(err)
+		}
+		f, err := r.am.Export(u, qrpc.PriorityNormal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-f.Done()
+		if res, err, _ := f.Result(); err != nil || res.Outcome != proto.OutcomeCommitted {
+			t.Fatalf("export: %+v, %v", res, err)
+		}
+	}
+	for range 100 { // scratch arrays, maps and pools reach their steady state
+		write()
+	}
+	n := testing.AllocsPerRun(1000, write)
+	if refetches := r.am.Stats().ExportRefetches; refetches != 0 {
+		t.Fatalf("%d export replies carried the object", refetches)
+	}
+	if n > 41 {
+		t.Errorf("one committed write allocates %v objects, want at most 41", n)
 	}
 }

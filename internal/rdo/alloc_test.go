@@ -11,10 +11,10 @@ import (
 )
 
 // TestNewEnvAllocs: binding an environment to an object whose code has
-// been loaded before costs the same few objects however many methods the
-// code defines — on the three suites the repository ships, in the sandbox
-// each party uses (the client Trusted, the server Restricted with its host
-// commands).
+// been loaded before is one object — the Env, its interpreter inside it —
+// however many methods the code defines: on the three suites the
+// repository ships, in the sandbox each party uses (the client Trusted,
+// the server Restricted with its host commands, which it shares).
 func TestNewEnvAllocs(t *testing.T) {
 	srv, err := rover.NewServer(rover.ServerOptions{ServerID: "alloc"})
 	if err != nil {
@@ -51,8 +51,8 @@ func TestNewEnvAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if n > 6 {
-				t.Errorf("%s, sandbox %d: NewEnv allocates %v objects, want at most 6", name, opts.Sandbox, n)
+			if n > 1 {
+				t.Errorf("%s, sandbox %d: NewEnv allocates %v objects, want 1", name, opts.Sandbox, n)
 			}
 			if len(env.Methods()) < 2 {
 				t.Errorf("%s: methods %v", name, env.Methods())

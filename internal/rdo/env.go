@@ -44,20 +44,26 @@ type EnvOptions struct {
 	// Stdout receives `puts` output in trusted mode; nil discards.
 	Stdout io.Writer
 	// HostCommands are extra commands exposed to the object's methods
-	// (e.g. the server exposes `rover.import` so server-side RDOs can
-	// compose other objects).
+	// (e.g. the server exposes `rover.getstate` so server-side RDOs can
+	// compose other objects). The environment shares the map rather than
+	// copying it: it must not change while any environment uses it.
 	HostCommands map[string]rscript.CmdFunc
 }
 
 // Env binds an interpreter to a single RDO: the object's procs become
 // callable methods, and the object's state dictionary is reachable through
 // the `state` command. Env is not safe for concurrent use.
+//
+// An Env is one allocation: the interpreter lives inside it, and `state`
+// is one shared command that finds its Env through the interpreter.
 type Env struct {
+	interp rscript.Interp
 	obj    *Object
-	interp *rscript.Interp
 	ops    []StateOp
-	budget int64
 }
+
+// envCommands is the table every environment shares: `state`.
+var envCommands = map[string]rscript.CmdFunc{"state": cmdState}
 
 // StateOp records one state mutation made during method execution; the
 // access manager uses the presence of ops to know an invocation dirtied
@@ -87,19 +93,20 @@ func NewEnv(obj *Object, opts EnvOptions) (*Env, error) {
 	if opts.Sandbox == Trusted {
 		out = opts.Stdout
 	}
-	ip := rscript.New(rscript.Options{
+	e := &Env{obj: obj}
+	ip := &e.interp
+	ip.Init(rscript.Options{
 		StepBudget: budget,
 		Stdout:     out,
 	})
-	e := &Env{obj: obj, interp: ip, budget: budget}
-	ip.Register("state", e.cmdState)
+	ip.SetClientData(e)
+	ip.Share(envCommands)
 	if opts.Sandbox == Restricted {
-		for _, name := range []string{"puts", "info"} {
-			ip.Unregister(name)
-		}
+		ip.Unregister("puts")
+		ip.Unregister("info")
 	}
-	for name, fn := range opts.HostCommands {
-		ip.Register(name, fn)
+	if opts.HostCommands != nil {
+		ip.Share(opts.HostCommands)
 	}
 	if obj.Code != "" {
 		if _, err := ip.Eval(obj.Code); err != nil {
@@ -156,7 +163,8 @@ func (e *Env) Dirty() bool { return len(e.ops) > 0 }
 //	state exists key          — 1/0
 //	state keys                — sorted list of keys
 //	state size                — number of keys
-func (e *Env) cmdState(ip *rscript.Interp, args []string) (string, error) {
+func cmdState(ip *rscript.Interp, args []string) (string, error) {
+	e := ip.ClientData().(*Env)
 	if len(args) < 1 {
 		return "", errors.New("state: subcommand required")
 	}
@@ -195,6 +203,9 @@ func (e *Env) cmdState(ip *rscript.Interp, args []string) (string, error) {
 		}
 		return "0", nil
 	case "keys":
+		if len(args) != 1 {
+			return "", errors.New("usage: state keys")
+		}
 		return rscript.FormatList(e.obj.Keys()), nil
 	case "size":
 		if len(args) != 1 {

@@ -207,6 +207,29 @@ func TestStateCommand(t *testing.T) {
 	}
 }
 
+// TestStateUsageErrors: every `state` subcommand given the wrong number of
+// arguments is a usage error, not a quiet answer to a different question.
+func TestStateUsageErrors(t *testing.T) {
+	o := New(urn.MustParse("urn:rover:x/y"), "t")
+	o.Code = `proc try {src} { eval $src }`
+	e, err := NewEnv(o, EnvOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{
+		`state`, `state get`, `state get a b c`, `state set a`, `state unset`,
+		`state exists`, `state keys x`, `state size x`,
+	} {
+		if _, err := e.Invoke("try", src); err == nil ||
+			!strings.Contains(err.Error(), "usage") && !strings.Contains(err.Error(), "subcommand required") {
+			t.Errorf("%s: %v, want a usage error", src, err)
+		}
+	}
+	if ops := e.TakeOps(); len(ops) != 0 {
+		t.Errorf("usage errors recorded %v", ops)
+	}
+}
+
 func TestRestrictedSandbox(t *testing.T) {
 	o := New(urn.MustParse("urn:rover:x/y"), "t")
 	o.Code = `

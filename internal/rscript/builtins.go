@@ -15,11 +15,12 @@ type builtin struct {
 }
 
 // builtins is the full standard command set, shared by every interpreter
-// and read-only after init. Hosts building restricted sandboxes Unregister
-// names per interpreter (see rdo.Sandbox), which sets the command's bit in
-// that interpreter's hidden mask. It is filled in init rather than by its
+// and read-only after init; the parser resolves a command's literal first
+// word against it. Hosts building restricted sandboxes Unregister names
+// per interpreter (see rdo.Sandbox), which sets the command's bit in that
+// interpreter's hidden mask. It is filled in init rather than by its
 // declaration because `info commands` reads it.
-var builtins map[string]builtin
+var builtins map[string]*builtin
 
 func init() {
 	fns := map[string]builtinFunc{
@@ -63,9 +64,9 @@ func init() {
 	if len(fns) > 64 {
 		panic("rscript: more builtins than bits in Interp.hidden")
 	}
-	builtins = make(map[string]builtin, len(fns))
+	builtins = make(map[string]*builtin, len(fns))
 	for name, fn := range fns {
-		builtins[name] = builtin{fn: fn, bit: 1 << len(builtins)}
+		builtins[name] = &builtin{fn: fn, bit: 1 << len(builtins)}
 	}
 }
 
@@ -106,7 +107,7 @@ func cmdIncr(ip *Interp, args []string) (string, *flow) {
 	}
 	delta := int64(1)
 	if len(args) == 2 {
-		d, err := strconv.ParseInt(args[1], 0, 64)
+		d, err := parseInt(args[1])
 		if err != nil {
 			return "", errorFlow("incr: bad increment %q", args[1])
 		}
@@ -114,7 +115,7 @@ func cmdIncr(ip *Interp, args []string) (string, *flow) {
 	}
 	cur := int64(0)
 	if v, ok := ip.lookupVar(args[0]); ok {
-		c, err := strconv.ParseInt(strings.TrimSpace(v), 0, 64)
+		c, err := parseInt(strings.TrimSpace(v))
 		if err != nil {
 			return "", errorFlow("incr: variable %q holds non-integer %q", args[0], v)
 		}
@@ -137,10 +138,11 @@ func cmdAppend(ip *Interp, args []string) (string, *flow) {
 }
 
 func cmdProc(ip *Interp, args []string) (string, *flow) {
+	cmd := ip.cmd
 	if len(args) != 3 {
 		return "", argErr("proc", "name params body")
 	}
-	proc, f := newProc(args[0], args[1], args[2])
+	proc, f := newProc(args[0], args[1], args[2], argWord(cmd, 2))
 	if f != nil {
 		return "", f
 	}
@@ -148,13 +150,14 @@ func cmdProc(ip *Interp, args []string) (string, *flow) {
 		ip.own = make(map[string]*Proc)
 	}
 	ip.own[proc.Name] = proc
+	ip.shadowed |= builtinBit(proc.Name)
 	return "", nil
 }
 
-// newProc builds the procedure that `proc name params body` defines. A body
-// that does not parse is not an error of the definition: calling the
-// procedure reports it.
-func newProc(name, params, body string) (*Proc, *flow) {
+// newProc builds the procedure that `proc name params body` defines; w is
+// the word body was written as, nil if unknown. A body that does not parse
+// is not an error of the definition: calling the procedure reports it.
+func newProc(name, params, body string, w *Word) (*Proc, *flow) {
 	paramList, err := ParseList(params)
 	if err != nil {
 		return nil, errorFlow("proc %q: bad parameter list: %v", name, err)
@@ -175,8 +178,47 @@ func newProc(name, params, body string) (*Proc, *flow) {
 		}
 		proc.Params = append(proc.Params, p)
 	}
-	proc.body, proc.bodyErr = parseCached(body)
+	proc.body, proc.bodyErr = scriptOf(w, body)
 	return proc, nil
+}
+
+// argWord returns the word args[i] of the builtin cmd is running was
+// written as; nil when cmd is.
+func argWord(cmd *Cmd, i int) *Word {
+	if cmd == nil {
+		return nil
+	}
+	return cmd.Words[i+1]
+}
+
+// scriptOf returns the compiled form of src, which was written as word w:
+// the one kept on w when w is literal, the cached one by source otherwise.
+func scriptOf(w *Word, src string) (*Script, error) {
+	if w != nil {
+		if _, ok := w.literal(); ok {
+			return w.asScript(src)
+		}
+	}
+	return parseCached(src)
+}
+
+// exprOf is scriptOf for expressions.
+func exprOf(w *Word, src string) *exprProg {
+	if w != nil {
+		if _, ok := w.literal(); ok {
+			return w.asExpr(src)
+		}
+	}
+	return compileExprCached(src)
+}
+
+// evalIn evaluates src, written as word w, as a script.
+func (ip *Interp) evalIn(w *Word, src string) (string, *flow) {
+	s, err := scriptOf(w, src)
+	if err != nil {
+		return "", errorFlow("%v", err)
+	}
+	return ip.evalScript(s)
 }
 
 func cmdReturn(ip *Interp, args []string) (string, *flow) {
@@ -187,15 +229,18 @@ func cmdReturn(ip *Interp, args []string) (string, *flow) {
 	if len(args) == 1 {
 		val = args[0]
 	}
-	return "", &flow{kind: flowReturn, val: val}
+	// A return flow is consumed before anything else runs, so one per
+	// interpreter serves them all.
+	ip.ret = flow{kind: flowReturn, val: val}
+	return "", &ip.ret
 }
 
 func cmdBreak(ip *Interp, args []string) (string, *flow) {
-	return "", &flow{kind: flowBreak}
+	return "", breakFlow
 }
 
 func cmdContinue(ip *Interp, args []string) (string, *flow) {
-	return "", &flow{kind: flowContinue}
+	return "", continueFlow
 }
 
 func cmdError(ip *Interp, args []string) (string, *flow) {
@@ -206,16 +251,11 @@ func cmdError(ip *Interp, args []string) (string, *flow) {
 }
 
 func cmdCatch(ip *Interp, args []string) (string, *flow) {
+	cmd := ip.cmd
 	if len(args) < 1 || len(args) > 2 {
 		return "", argErr("catch", "script ?resultVarName?")
 	}
-	v, err := func() (string, *flow) {
-		s, perr := parseCached(args[0])
-		if perr != nil {
-			return "", errorFlow("%v", perr)
-		}
-		return ip.evalScript(s)
-	}()
+	v, err := ip.evalIn(argWord(cmd, 0), args[0])
 	code := "0"
 	result := v
 	if err != nil {
@@ -244,12 +284,13 @@ func cmdCatch(ip *Interp, args []string) (string, *flow) {
 }
 
 func cmdIf(ip *Interp, args []string) (string, *flow) {
+	cmd := ip.cmd
 	i := 0
 	for {
 		if i >= len(args) {
 			return "", argErr("if", "cond ?then? body ?elseif cond body ...? ?else body?")
 		}
-		cond := args[i]
+		cond := i
 		i++
 		if i < len(args) && args[i] == "then" {
 			i++
@@ -257,14 +298,14 @@ func cmdIf(ip *Interp, args []string) (string, *flow) {
 		if i >= len(args) {
 			return "", argErr("if", "cond ?then? body ...")
 		}
-		body := args[i]
+		body := i
 		i++
-		ok, f := ip.truthy(cond)
+		ok, f := ip.truthy(exprOf(argWord(cmd, cond), args[cond]))
 		if f != nil {
 			return "", f
 		}
 		if ok {
-			return ip.evalBody(body)
+			return ip.evalIn(argWord(cmd, body), args[body])
 		}
 		if i >= len(args) {
 			return "", nil
@@ -278,35 +319,28 @@ func cmdIf(ip *Interp, args []string) (string, *flow) {
 			if i != len(args)-1 {
 				return "", argErr("if", "... else body")
 			}
-			return ip.evalBody(args[i])
+			return ip.evalIn(argWord(cmd, i), args[i])
 		default:
 			return "", errorFlow("if: expected \"elseif\" or \"else\" but got %q", args[i])
 		}
 	}
 }
 
-func (ip *Interp) evalBody(body string) (string, *flow) {
-	s, err := parseCached(body)
-	if err != nil {
-		return "", errorFlow("%v", err)
-	}
-	return ip.evalScript(s)
-}
-
 func cmdWhile(ip *Interp, args []string) (string, *flow) {
+	cmd := ip.cmd
 	if len(args) != 2 {
 		return "", argErr("while", "condition body")
 	}
 	for {
 		since := ip.steps
-		ok, f := ip.truthy(args[0])
+		ok, f := ip.truthy(exprOf(argWord(cmd, 0), args[0]))
 		if f != nil {
 			return "", f
 		}
 		if !ok {
 			return "", nil
 		}
-		_, f = ip.evalBody(args[1])
+		_, f = ip.evalIn(argWord(cmd, 1), args[1])
 		if f != nil && f.kind != flowContinue {
 			if f.kind == flowBreak {
 				return "", nil
@@ -320,22 +354,23 @@ func cmdWhile(ip *Interp, args []string) (string, *flow) {
 }
 
 func cmdFor(ip *Interp, args []string) (string, *flow) {
+	cmd := ip.cmd
 	if len(args) != 4 {
 		return "", argErr("for", "start test next body")
 	}
-	if _, f := ip.evalBody(args[0]); f != nil {
+	if _, f := ip.evalIn(argWord(cmd, 0), args[0]); f != nil {
 		return "", f
 	}
 	for {
 		since := ip.steps
-		ok, f := ip.truthy(args[1])
+		ok, f := ip.truthy(exprOf(argWord(cmd, 1), args[1]))
 		if f != nil {
 			return "", f
 		}
 		if !ok {
 			return "", nil
 		}
-		_, f = ip.evalBody(args[3])
+		_, f = ip.evalIn(argWord(cmd, 3), args[3])
 		if f != nil {
 			switch f.kind {
 			case flowBreak:
@@ -346,7 +381,7 @@ func cmdFor(ip *Interp, args []string) (string, *flow) {
 				return "", f
 			}
 		}
-		if _, f := ip.evalBody(args[2]); f != nil {
+		if _, f := ip.evalIn(argWord(cmd, 2), args[2]); f != nil {
 			return "", f
 		}
 		if f := ip.stepIfIdle(since); f != nil {
@@ -356,6 +391,7 @@ func cmdFor(ip *Interp, args []string) (string, *flow) {
 }
 
 func cmdForeach(ip *Interp, args []string) (string, *flow) {
+	cmd := ip.cmd
 	if len(args) != 3 {
 		return "", argErr("foreach", "varList list body")
 	}
@@ -375,7 +411,7 @@ func cmdForeach(ip *Interp, args []string) (string, *flow) {
 				ip.setVarLocal(v, "")
 			}
 		}
-		_, f := ip.evalBody(args[2])
+		_, f := ip.evalIn(argWord(cmd, 2), args[2])
 		if f != nil {
 			switch f.kind {
 			case flowBreak:
@@ -391,6 +427,7 @@ func cmdForeach(ip *Interp, args []string) (string, *flow) {
 }
 
 func cmdSwitch(ip *Interp, args []string) (string, *flow) {
+	cmd := ip.cmd
 	glob := false
 	i := 0
 	for i < len(args) && strings.HasPrefix(args[i], "-") {
@@ -414,15 +451,23 @@ done:
 	val := args[i]
 	i++
 	var pairs []string
+	var words []*Word // what pairs were written as, when known
 	switch {
 	case len(args)-i == 1:
 		var err error
-		pairs, err = ParseList(args[i])
+		if w := argWord(cmd, i); w != nil {
+			pairs, words, err = w.asArms(args[i])
+		} else {
+			pairs, err = ParseList(args[i])
+		}
 		if err != nil {
 			return "", errorFlow("switch: bad pattern/body list: %v", err)
 		}
 	case (len(args)-i)%2 == 0:
 		pairs = args[i:]
+		if cmd != nil {
+			words = cmd.Words[i+1:]
+		}
 	default:
 		return "", argErr("switch", "?options? value {pattern body ...}")
 	}
@@ -445,28 +490,32 @@ done:
 				j += 2
 				body = pairs[j+1]
 			}
-			return ip.evalBody(body)
+			var w *Word
+			if words != nil {
+				w = words[j+1]
+			}
+			return ip.evalIn(w, body)
 		}
 	}
 	return "", nil
 }
 
 func cmdExpr(ip *Interp, args []string) (string, *flow) {
-	if len(args) == 0 {
+	cmd := ip.cmd
+	switch len(args) {
+	case 0:
 		return "", argErr("expr", "arg ?arg ...?")
+	case 1:
+		return ip.exprString(exprOf(argWord(cmd, 0), args[0]))
 	}
-	v, f := ip.evalExpr(strings.Join(args, " "))
-	if f != nil {
-		return "", f
-	}
-	return v.String(), nil
+	return ip.exprString(compileExprCached(strings.Join(args, " ")))
 }
 
 func cmdEval(ip *Interp, args []string) (string, *flow) {
 	if len(args) == 0 {
 		return "", argErr("eval", "arg ?arg ...?")
 	}
-	return ip.evalBody(strings.Join(args, " "))
+	return ip.evalIn(nil, strings.Join(args, " "))
 }
 
 func cmdGlobal(ip *Interp, args []string) (string, *flow) {
@@ -954,7 +1003,7 @@ func cmdString(ip *Interp, args []string) (string, *flow) {
 		if err != nil || nRep < 0 {
 			return "", errorFlow("string repeat: bad count %q", rest[0])
 		}
-		if nRep*len(s) > 1<<20 {
+		if len(s) > 0 && nRep > (1<<20)/len(s) {
 			return "", errorFlow("string repeat: result too large")
 		}
 		return strings.Repeat(s, nRep), nil

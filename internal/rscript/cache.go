@@ -6,14 +6,19 @@ import (
 )
 
 // Compiled forms are cached once per process, keyed by source text, so an
-// object's code and every loop body, proc body and expr condition in it are
-// parsed the first time any interpreter meets them and never again. Only
-// the compiled form is shared — with, for a script handed to Eval that does
-// nothing but define procs, the procs it defines (its class, class.go): it
-// is read-only once cached (the evaluator never writes to a *Script, a
-// *Proc or an *exprProg), so any number of interpreters in any sandbox may
-// walk one concurrently. Variables, step counters, command tables and the
-// procs defined at run time stay per-Interp.
+// object's code is parsed the first time any interpreter meets it and never
+// again. What a cached script's commands use as scripts and expressions —
+// the literal bodies of its procs, loops, ifs, catches and switches, and
+// its expr operands and conditions — is compiled onto the words they were
+// written as on first use (parse.go) and so is not looked up by string at
+// all; only sources made at run time (eval, a substituted body, expr of
+// several words) come through here again. Only the compiled form is shared
+// — with, for a script handed to Eval that does nothing but define procs,
+// the procs it defines (its class, class.go): it is read-only once
+// published (the evaluator never writes to a *Script, a *Proc or an
+// *exprProg), so any number of interpreters in any sandbox may run one
+// concurrently. Variables, step counters, command tables and the procs
+// defined at run time stay per-Interp.
 //
 // The bounds are constants, not options: no caller at the parent commit
 // needed a different value. A source longer than cacheMaxSource is compiled
@@ -98,9 +103,9 @@ func parseCached(src string) (*Script, error) {
 	return scripts.put(src, s), nil
 }
 
-// compileExprCached returns the shared token form of an expr source. An
-// expression with a lexical error still compiles (the error is part of the
-// program, see exprProg), so every source is cacheable.
+// compileExprCached returns the shared compiled form of an expr source. An
+// expression with a lexical or grammar error still compiles (the error is
+// part of the program, see exprProg), so every source is cacheable.
 func compileExprCached(src string) *exprProg {
 	if p, ok := exprs.get(src); ok {
 		return p

@@ -13,14 +13,15 @@ package rscript
 // other than proc, a parameter list proc rejects, a proc named "proc"
 // (later definitions would call it) — has none and is evaluated.
 type class struct {
-	procs map[string]*Proc // a name defined twice keeps its last definition
-	defs  int64            // proc commands in the script, one step each
+	procs   map[string]*Proc // a name defined twice keeps its last definition
+	defs    int64            // proc commands in the script, one step each
+	shadows uint64           // builtin.bit of every proc named like a builtin
 }
 
 // loadClass returns the class of s, nil if s is not definitions only. Only
-// Eval asks: a proc, loop or catch body is walked, never loaded, so
-// resolving one (newProc) is a flat parse however deep definitions nest in
-// it, and the nested ones cost their steps and depth when they run.
+// Eval asks: a proc, loop or catch body is run, never loaded, so resolving
+// one (newProc) is a flat parse however deep definitions nest in it, and
+// the nested ones cost their steps and depth when they run.
 func (s *Script) loadClass() *class {
 	s.classOnce.Do(func() { s.class = newClass(s) })
 	return s.class
@@ -43,7 +44,7 @@ func newClass(s *Script) *class {
 		if words[0] != "proc" || words[1] == "proc" {
 			return nil
 		}
-		proc, f := newProc(words[1], words[2], words[3])
+		proc, f := newProc(words[1], words[2], words[3], cmd.Words[3])
 		if f != nil {
 			return nil
 		}
@@ -51,6 +52,7 @@ func newClass(s *Script) *class {
 			c = &class{procs: make(map[string]*Proc, len(s.Cmds)), defs: int64(len(s.Cmds))}
 		}
 		c.procs[proc.Name] = proc
+		c.shadows |= builtinBit(proc.Name)
 	}
 	return c
 }
@@ -66,7 +68,7 @@ func (ip *Interp) bindClass(c *class) bool {
 	if c == nil || ip.class != nil || ip.own != nil {
 		return false
 	}
-	if _, shadowed := ip.host["proc"]; shadowed || ip.hidden&builtins["proc"].bit != 0 {
+	if ip.shadowed&builtins["proc"].bit != 0 {
 		return false
 	}
 	if ip.opts.StepBudget > 0 {
@@ -76,5 +78,6 @@ func (ip *Interp) bindClass(c *class) bool {
 		ip.steps += c.defs
 	}
 	ip.class = c
+	ip.shadowed |= c.shadows
 	return true
 }

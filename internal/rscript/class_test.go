@@ -172,9 +172,9 @@ func TestClassBodyParseError(t *testing.T) {
 
 // TestClassNestedDefinitionsLoadFlat: a proc whose body defines a proc whose
 // body defines a proc, thousands deep, loads as one definition. Only the
-// source handed to Eval gets a class; its body is parsed, not loaded, so
+// source handed to Eval gets a class; its body is compiled, not loaded, so
 // the levels below are met one call at a time, each charged its step —
-// exactly as when the script is walked.
+// exactly as when the script is run command by command.
 func TestClassNestedDefinitionsLoadFlat(t *testing.T) {
 	const depth = 3000
 	src := nestedProcs(depth)
@@ -183,20 +183,32 @@ func TestClassNestedDefinitionsLoadFlat(t *testing.T) {
 	if _, err := ip.Eval(src); err != nil || ip.class == nil || ip.StepsUsed() != 1 {
 		t.Fatalf("load: %v, class %p, %d steps", err, ip.class, ip.StepsUsed())
 	}
-	if n, _ := scripts.size(); n != 2 {
-		t.Errorf("loading cached %d scripts, want 2: the source and the outermost body", n)
+	s, ok := scripts.get(src)
+	if !ok {
+		t.Fatal("source not cached")
+	}
+	// compiled counts the levels whose body has been compiled.
+	compiled := func() int {
+		n := 0
+		for b := s.Cmds[0].Words[3].body.Load(); b != nil; b = b.Cmds[0].Words[3].body.Load() {
+			n++
+		}
+		return n
+	}
+	if n := compiled(); n != 1 {
+		t.Errorf("loading compiled %d levels, want 1: the outermost body", n)
 	}
 	for i := 1; i <= 3; i++ {
 		if v, err := ip.Call("a"); err != nil || v != "" {
 			t.Fatalf("call %d: %q, %v", i, v, err)
 		}
-		if n, _ := scripts.size(); n != 2+i {
-			t.Errorf("after %d calls %d scripts cached, want %d", i, n, 2+i)
+		if n := compiled(); n != 1+i {
+			t.Errorf("after %d calls %d levels compiled, want %d", i, n, 1+i)
 		}
 	}
 	resetCaches()
-	if loaded, walked := observeEval(src, 400, false), observeEval(src, 400, true); loaded != walked {
-		t.Errorf("loaded: %+v\nwalked: %+v", loaded, walked)
+	if loaded, ran := observeEval(src, 400, false), observeEval(src, 400, true); loaded != ran {
+		t.Errorf("loaded: %+v\n   ran: %+v", loaded, ran)
 	}
 }
 
@@ -300,8 +312,8 @@ func TestFrameReuse(t *testing.T) {
 		t.Errorf("stack depth %d, call depth %d after all calls returned", len(ip.stack), ip.depth)
 	}
 
-	// A frame that ever held many variables is not kept: clearing it would
-	// cost its capacity on every later call.
+	// A frame whose map ever held many variables is kept without it:
+	// clearing the map would cost its capacity on every later call.
 	if _, err := ip.Eval(`proc hoard {} {
 		for {set i 0} {$i < 100} {incr i} { set v$i $i }
 		for {set i 0} {$i < 100} {incr i} { unset v$i }
@@ -313,8 +325,8 @@ func TestFrameReuse(t *testing.T) {
 	if _, err := ip.Call("hoard"); err != nil {
 		t.Fatal(err)
 	}
-	if ip.nfree != 0 {
-		t.Error("a frame that held 100 variables was kept for reuse")
+	if ip.nfree != 1 || ip.free[0].more != nil {
+		t.Error("a frame that held 100 variables was kept for reuse with its map")
 	}
 
 	if _, err := ip.Call("noop"); err != nil {

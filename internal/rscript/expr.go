@@ -88,13 +88,37 @@ func classify(s string) value {
 	if t == "" {
 		return strVal(s)
 	}
-	if i, err := strconv.ParseInt(t, 0, 64); err == nil {
+	if i, err := parseInt(t); err == nil {
 		return intVal(i)
 	}
 	if f, err := strconv.ParseFloat(t, 64); err == nil {
 		return floatVal(f)
 	}
 	return strVal(s)
+}
+
+// parseInt is strconv.ParseInt(s, 0, 64), with a shortcut for what most
+// values are: a short decimal without a leading zero (which would make it
+// octal).
+func parseInt(s string) (int64, error) {
+	i, n := 0, len(s)
+	if n > 0 && (s[0] == '-' || s[0] == '+') {
+		i++
+	}
+	if i == n || n > 18 || s[i] == '0' && n > i+1 {
+		return strconv.ParseInt(s, 0, 64)
+	}
+	var v int64
+	for _, c := range []byte(s[i:]) {
+		if c < '0' || c > '9' {
+			return strconv.ParseInt(s, 0, 64)
+		}
+		v = v*10 + int64(c-'0')
+	}
+	if s[0] == '-' {
+		v = -v
+	}
+	return v, nil
 }
 
 // exprToken kinds.
@@ -107,41 +131,126 @@ const (
 	tokRParen
 	tokComma
 	tokIdent
-	tokVar // $name, read when the expression is evaluated
-	tokCmd // [script], run when the expression is evaluated
+	tokOperand // $name or [script]: exprTok.slot indexes exprProg.operands
 )
 
 type exprTok struct {
-	kind   exprTokKind
-	val    value   // tokValue
-	op     string  // tokOp
-	id     string  // tokIdent, tokVar
-	script *Script // tokCmd
-	slot   int     // tokVar, tokCmd: index of the operand's value at evaluation
+	kind exprTokKind
+	val  value  // tokValue
+	op   string // tokOp
+	id   string // tokIdent
+	slot int    // tokOperand
 }
 
-// exprProg is the compiled form of one expr source: its tokens, with $var
-// and [cmd] operands left symbolic. Like a *Script it is read-only once
-// compiled and shared through the cache. A lexical error does not discard
-// the tokens before it: evaluation substitutes those operands first, as a
-// single scan-and-substitute pass would, and then reports lexErr.
+// exprOperand is a $var (script nil) or [cmd] operand of an expression.
+type exprOperand struct {
+	name   string
+	script *Script
+}
+
+// exprProg is the compiled form of one expr source: its $var and [cmd]
+// operands in source order, and a postfix program over their values. Like
+// a *Script it is read-only once compiled and shared, through the cache or
+// the word it was written as. Evaluation substitutes every operand first,
+// as a single scan-and-substitute pass would; a lexical error does not
+// discard the operands before it — they are substituted, and then lexErr
+// is reported.
+//
+// The program is what the recursive descent over the tokens used to do at
+// every evaluation, done once: each operator is emitted where the descent
+// applied it, so values are computed, and fail, in the same order. A
+// grammar error becomes an exprFail instruction at the point the descent
+// would have stopped, so whatever it evaluated before noticing still runs
+// (and may fail first).
 type exprProg struct {
-	toks   []exprTok
-	nsubst int    // number of tokVar/tokCmd tokens
-	lexErr string // message of the error that ended the scan, or ""
+	operands []exprOperand
+	lexErr   string // message of the error that ended the scan, or ""
+	code     []exprInstr
+	depth    int // most values code holds on the stack at once
 }
 
-// compileExpr scans src into tokens.
+type exprOpcode uint8
+
+const (
+	exprPush   exprOpcode = iota // push val
+	exprLoad                     // push the value of operand n
+	exprFail                     // fail with text
+	exprBinary                   // apply op to the top two values
+	exprUnary                    // apply op to the top value
+	exprCall                     // apply function text to the top n values
+)
+
+// exprOperator is an operator, resolved from its text at compile time.
+type exprOperator uint8
+
+const (
+	opOr exprOperator = iota
+	opAnd
+	opBitOr
+	opBitXor
+	opBitAnd
+	opShl
+	opShr
+	opEq
+	opNe
+	opStrEq
+	opStrNe
+	opLt
+	opGt
+	opLe
+	opGe
+	opAdd
+	opSub
+	opMul
+	opDiv
+	opMod
+	opPow
+	opNeg
+	opPlus
+	opNot
+	opBitNot
+)
+
+// binaryOperators and unaryOperators map operator text to operators.
+var (
+	binaryOperators = map[string]exprOperator{
+		"||": opOr, "&&": opAnd, "|": opBitOr, "^": opBitXor, "&": opBitAnd,
+		"<<": opShl, ">>": opShr, "==": opEq, "!=": opNe, "eq": opStrEq, "ne": opStrNe,
+		"<": opLt, ">": opGt, "<=": opLe, ">=": opGe,
+		"+": opAdd, "-": opSub, "*": opMul, "/": opDiv, "%": opMod, "**": opPow,
+	}
+	unaryOperators = map[string]exprOperator{"-": opNeg, "+": opPlus, "!": opNot, "~": opBitNot}
+)
+
+type exprInstr struct {
+	code exprOpcode
+	op   exprOperator
+	text string // operator, function name or error message
+	val  value
+	n    int
+}
+
+// compileExpr scans src into tokens and compiles them.
 func compileExpr(src string) *exprProg {
 	prog := &exprProg{}
-	fail := func(format string, args ...any) *exprProg {
-		prog.lexErr = fmt.Sprintf(format, args...)
+	toks, lexErr := prog.scan(src)
+	if lexErr != "" {
+		prog.lexErr = lexErr
 		return prog
 	}
-	operand := func(t exprTok) {
-		t.slot = prog.nsubst
-		prog.nsubst++
-		prog.toks = append(prog.toks, t)
+	c := exprCompiler{toks: toks, prog: prog}
+	if c.or() && c.pos != len(toks) {
+		c.fail("expr: trailing tokens in %q", src)
+	}
+	return prog
+}
+
+// scan tokenizes src, recording $var and [cmd] operands as it meets them.
+func (prog *exprProg) scan(src string) ([]exprTok, string) {
+	var toks []exprTok
+	operand := func(o exprOperand) {
+		toks = append(toks, exprTok{kind: tokOperand, slot: len(prog.operands)})
+		prog.operands = append(prog.operands, o)
 	}
 	i := 0
 	n := len(src)
@@ -173,33 +282,33 @@ func compileExpr(src string) *exprProg {
 			if isFloat && !hex {
 				f, err := strconv.ParseFloat(lit, 64)
 				if err != nil {
-					return fail("expr: bad number %q", lit)
+					return toks, fmt.Sprintf("expr: bad number %q", lit)
 				}
-				prog.toks = append(prog.toks, exprTok{kind: tokValue, val: floatVal(f)})
+				toks = append(toks, exprTok{kind: tokValue, val: floatVal(f)})
 			} else {
 				v, err := strconv.ParseInt(lit, 0, 64)
 				if err != nil {
-					return fail("expr: bad number %q", lit)
+					return toks, fmt.Sprintf("expr: bad number %q", lit)
 				}
-				prog.toks = append(prog.toks, exprTok{kind: tokValue, val: intVal(v)})
+				toks = append(toks, exprTok{kind: tokValue, val: intVal(v)})
 			}
 			i = j
 		case c == '$':
 			p := &parser{src: src, pos: i, line: 1}
 			name, ok := p.scanVarName()
 			if !ok {
-				return fail("expr: bad variable reference")
+				return toks, "expr: bad variable reference"
 			}
 			i = p.pos
-			operand(exprTok{kind: tokVar, id: name})
+			operand(exprOperand{name: name})
 		case c == '[':
 			p := &parser{src: src, pos: i + 1, line: 1}
 			inner, err := p.parseScript(']')
 			if err != nil {
-				return fail("expr: %v", err)
+				return toks, fmt.Sprintf("expr: %v", err)
 			}
 			i = p.pos
-			operand(exprTok{kind: tokCmd, script: inner})
+			operand(exprOperand{script: inner})
 		case c == '"':
 			var sb strings.Builder
 			j := i + 1
@@ -214,9 +323,9 @@ func compileExpr(src string) *exprProg {
 				j++
 			}
 			if j >= n {
-				return fail("expr: missing close quote")
+				return toks, "expr: missing close quote"
 			}
-			prog.toks = append(prog.toks, exprTok{kind: tokValue, val: strVal(sb.String())})
+			toks = append(toks, exprTok{kind: tokValue, val: strVal(sb.String())})
 			i = j + 1
 		case c == '{':
 			depth := 1
@@ -231,39 +340,39 @@ func compileExpr(src string) *exprProg {
 				j++
 			}
 			if depth != 0 {
-				return fail("expr: missing close brace")
+				return toks, "expr: missing close brace"
 			}
-			prog.toks = append(prog.toks, exprTok{kind: tokValue, val: strVal(src[i+1 : j-1])})
+			toks = append(toks, exprTok{kind: tokValue, val: strVal(src[i+1 : j-1])})
 			i = j
 		case c == '(':
-			prog.toks = append(prog.toks, exprTok{kind: tokLParen})
+			toks = append(toks, exprTok{kind: tokLParen})
 			i++
 		case c == ')':
-			prog.toks = append(prog.toks, exprTok{kind: tokRParen})
+			toks = append(toks, exprTok{kind: tokRParen})
 			i++
 		case c == ',':
-			prog.toks = append(prog.toks, exprTok{kind: tokComma})
+			toks = append(toks, exprTok{kind: tokComma})
 			i++
 		case isAlpha(c):
 			j := i
 			for j < n && (isAlpha(src[j]) || src[j] >= '0' && src[j] <= '9') {
 				j++
 			}
-			prog.toks = append(prog.toks, exprTok{kind: tokIdent, id: src[i:j]})
+			toks = append(toks, exprTok{kind: tokIdent, id: src[i:j]})
 			i = j
 		default:
 			for _, op := range exprOps {
 				if strings.HasPrefix(src[i:], op) {
-					prog.toks = append(prog.toks, exprTok{kind: tokOp, op: op})
+					toks = append(toks, exprTok{kind: tokOp, op: op})
 					i += len(op)
 					goto next
 				}
 			}
-			return fail("expr: unexpected character %q", string(c))
+			return toks, fmt.Sprintf("expr: unexpected character %q", string(c))
 		next:
 		}
 	}
-	return prog
+	return toks, ""
 }
 
 func isAlpha(c byte) bool {
@@ -276,66 +385,261 @@ var exprOps = []string{
 	"+", "-", "*", "/", "%", "<", ">", "!", "~", "&", "|", "^",
 }
 
-type exprParser struct {
-	toks []exprTok
-	vals []value // substituted operands, indexed by exprTok.slot
-	pos  int
+// exprCompiler is the precedence descent over an expression's tokens,
+// emitting postfix code. Every method reports whether it parsed its
+// production; one that did not has emitted the exprFail that ends the
+// program, and its callers stop emitting.
+type exprCompiler struct {
+	toks  []exprTok
+	pos   int
+	prog  *exprProg
+	stack int // values on the stack after the code emitted so far
 }
 
-// substitute resolves the program's $var and [cmd] operands in source
-// order against the interpreter's current state.
-func (ip *Interp) substitute(prog *exprProg, vals []value) *flow {
-	for i := range prog.toks {
-		t := &prog.toks[i]
-		switch t.kind {
-		case tokVar:
-			v, found := ip.lookupVar(t.id)
-			if !found {
-				return errorFlow("can't read %q: no such variable", t.id)
-			}
-			vals[t.slot] = classify(v)
-		case tokCmd:
-			v, f := ip.evalScript(t.script)
-			if f != nil {
-				if f.kind != flowReturn {
-					return f
-				}
-				v = f.val
-			}
-			vals[t.slot] = classify(v)
-		}
-	}
-	if prog.lexErr != "" {
-		return &flow{kind: flowError, val: prog.lexErr}
+func (c *exprCompiler) emit(in exprInstr, pops, pushes int) {
+	c.prog.code = append(c.prog.code, in)
+	c.stack += pushes - pops
+	c.prog.depth = max(c.prog.depth, c.stack)
+}
+
+func (c *exprCompiler) fail(format string, args ...any) bool {
+	c.emit(exprInstr{code: exprFail, text: fmt.Sprintf(format, args...)}, 0, 0)
+	return false
+}
+
+func (c *exprCompiler) peek() *exprTok {
+	if c.pos < len(c.toks) {
+		return &c.toks[c.pos]
 	}
 	return nil
 }
 
-// evalExpr evaluates an expression string with substitution.
-func (ip *Interp) evalExpr(src string) (value, *flow) {
-	prog := compileExprCached(src)
-	var few [4]value
-	vals := few[:]
-	if prog.nsubst > len(few) {
-		vals = make([]value, prog.nsubst)
+// accept consumes the next token if it is one of ops (an operator, or an
+// identifier when ident is set) and returns it.
+func (c *exprCompiler) accept(ident bool, ops ...string) (string, bool) {
+	t := c.peek()
+	if t == nil || ident && t.kind != tokIdent || !ident && t.kind != tokOp {
+		return "", false
 	}
-	if f := ip.substitute(prog, vals); f != nil {
-		return value{}, f
+	text := t.op
+	if ident {
+		text = t.id
 	}
-	p := &exprParser{toks: prog.toks, vals: vals}
-	v, flw := p.parseOr()
-	if flw != nil {
-		return value{}, flw
+	for _, op := range ops {
+		if text == op {
+			c.pos++
+			return op, true
+		}
 	}
-	if p.pos != len(p.toks) {
-		return value{}, errorFlow("expr: trailing tokens in %q", src)
-	}
-	return v, nil
+	return "", false
 }
 
-// Truthy evaluates src as a boolean condition.
-func (ip *Interp) truthy(src string) (bool, *flow) {
-	v, f := ip.evalExpr(src)
+// binary parses one left-associative precedence level: operands by next,
+// joined by any of ops, each applied where the descent applied it.
+func (c *exprCompiler) binary(next func() bool, ops ...string) bool {
+	if !next() {
+		return false
+	}
+	for {
+		op, ok := c.accept(false, ops...)
+		if !ok {
+			return true
+		}
+		if !next() {
+			return false
+		}
+		c.emit(exprInstr{code: exprBinary, op: binaryOperators[op], text: op}, 2, 1)
+	}
+}
+
+func (c *exprCompiler) or() bool     { return c.binary(c.and, "||") }
+func (c *exprCompiler) and() bool    { return c.binary(c.bitOr, "&&") }
+func (c *exprCompiler) bitOr() bool  { return c.binary(c.bitXor, "|") }
+func (c *exprCompiler) bitXor() bool { return c.binary(c.bitAnd, "^") }
+func (c *exprCompiler) bitAnd() bool { return c.binary(c.equality, "&") }
+
+// equality is == and != (numeric when both sides are) interleaved with eq
+// and ne (always strings) at one level.
+func (c *exprCompiler) equality() bool {
+	if !c.relational() {
+		return false
+	}
+	for {
+		op, ok := c.accept(false, "==", "!=")
+		if !ok {
+			if op, ok = c.accept(true, "eq", "ne"); !ok {
+				return true
+			}
+		}
+		if !c.relational() {
+			return false
+		}
+		c.emit(exprInstr{code: exprBinary, op: binaryOperators[op], text: op}, 2, 1)
+	}
+}
+
+func (c *exprCompiler) relational() bool     { return c.binary(c.shift, "<", ">", "<=", ">=") }
+func (c *exprCompiler) shift() bool          { return c.binary(c.additive, "<<", ">>") }
+func (c *exprCompiler) additive() bool       { return c.binary(c.multiplicative, "+", "-") }
+func (c *exprCompiler) multiplicative() bool { return c.binary(c.unary, "*", "/", "%", "**") }
+
+func (c *exprCompiler) unary() bool {
+	if op, ok := c.accept(false, "-", "+", "!", "~"); ok {
+		if !c.unary() {
+			return false
+		}
+		c.emit(exprInstr{code: exprUnary, op: unaryOperators[op], text: op}, 1, 1)
+		return true
+	}
+	return c.primary()
+}
+
+func (c *exprCompiler) primary() bool {
+	t := c.peek()
+	if t == nil {
+		return c.fail("expr: unexpected end of expression")
+	}
+	switch t.kind {
+	case tokValue:
+		c.pos++
+		c.emit(exprInstr{code: exprPush, val: t.val}, 0, 1)
+		return true
+	case tokOperand:
+		c.pos++
+		c.emit(exprInstr{code: exprLoad, n: t.slot}, 0, 1)
+		return true
+	case tokLParen:
+		c.pos++
+		if !c.or() {
+			return false
+		}
+		if tt := c.peek(); tt == nil || tt.kind != tokRParen {
+			return c.fail("expr: missing close paren")
+		}
+		c.pos++
+		return true
+	case tokIdent:
+		id := t.id
+		c.pos++
+		switch id {
+		case "true", "yes", "on":
+			c.emit(exprInstr{code: exprPush, val: boolVal(true)}, 0, 1)
+			return true
+		case "false", "no", "off":
+			c.emit(exprInstr{code: exprPush, val: boolVal(false)}, 0, 1)
+			return true
+		}
+		if tt := c.peek(); tt == nil || tt.kind != tokLParen {
+			return c.fail("expr: bare word %q (quote strings)", id)
+		}
+		c.pos++
+		n := 0
+		if tt := c.peek(); tt != nil && tt.kind == tokRParen {
+			c.pos++
+		} else {
+			for {
+				if !c.or() {
+					return false
+				}
+				n++
+				tt := c.peek()
+				if tt == nil {
+					return c.fail("expr: missing close paren")
+				}
+				c.pos++
+				if tt.kind == tokComma {
+					continue
+				}
+				if tt.kind == tokRParen {
+					break
+				}
+				return c.fail("expr: bad function arguments")
+			}
+		}
+		c.emit(exprInstr{code: exprCall, text: id, n: n}, n, 1)
+		return true
+	}
+	return c.fail("expr: unexpected token")
+}
+
+// evalExpr evaluates a compiled expression: its operands substituted in
+// source order against the interpreter's current state, then its code.
+func (ip *Interp) evalExpr(prog *exprProg) (value, *flow) {
+	var few [4]value
+	vals := few[:]
+	if len(prog.operands) > len(few) {
+		vals = make([]value, len(prog.operands))
+	}
+	for i, o := range prog.operands {
+		var v string
+		if o.script == nil {
+			var found bool
+			if v, found = ip.lookupVar(o.name); !found {
+				return value{}, errorFlow("can't read %q: no such variable", o.name)
+			}
+		} else {
+			var f *flow
+			if v, f = ip.evalScript(o.script); f != nil {
+				if f.kind != flowReturn {
+					return value{}, f
+				}
+				v = f.val
+			}
+		}
+		vals[i] = classify(v)
+	}
+	if prog.lexErr != "" {
+		return value{}, &flow{kind: flowError, val: prog.lexErr}
+	}
+	var room [8]value
+	stack := room[:0]
+	if prog.depth > len(room) {
+		stack = make([]value, 0, prog.depth)
+	}
+	for i := range prog.code {
+		in := &prog.code[i]
+		var f *flow
+		switch in.code {
+		case exprPush:
+			stack = append(stack, in.val)
+			continue
+		case exprLoad:
+			stack = append(stack, vals[in.n])
+			continue
+		case exprFail:
+			return value{}, &flow{kind: flowError, val: in.text}
+		case exprUnary:
+			top := &stack[len(stack)-1]
+			*top, f = unaryOp(in.op, *top)
+		case exprCall:
+			args := stack[len(stack)-in.n:]
+			var v value
+			v, f = applyFunc(in.text, args)
+			stack = append(stack[:len(stack)-in.n], v)
+		default:
+			l, r := &stack[len(stack)-2], stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			*l, f = binaryOp(in, *l, r)
+		}
+		if f != nil {
+			return value{}, f
+		}
+	}
+	return stack[0], nil
+}
+
+// exprString evaluates an expression for a command: the result as a string.
+func (ip *Interp) exprString(prog *exprProg) (string, *flow) {
+	v, f := ip.evalExpr(prog)
+	if f != nil {
+		return "", f
+	}
+	return v.String(), nil
+}
+
+// truthy evaluates a condition.
+func (ip *Interp) truthy(prog *exprProg) (bool, *flow) {
+	v, f := ip.evalExpr(prog)
 	if f != nil {
 		return false, f
 	}
@@ -359,168 +663,70 @@ func valueTruthy(v value) (bool, *flow) {
 	}
 }
 
-func (p *exprParser) peek() *exprTok {
-	if p.pos < len(p.toks) {
-		return &p.toks[p.pos]
-	}
-	return nil
-}
-
-func (p *exprParser) acceptOp(ops ...string) (string, bool) {
-	t := p.peek()
-	if t == nil || t.kind != tokOp {
-		return "", false
-	}
-	for _, op := range ops {
-		if t.op == op {
-			p.pos++
-			return op, true
-		}
-	}
-	return "", false
-}
-
-func (p *exprParser) acceptIdent(ids ...string) (string, bool) {
-	t := p.peek()
-	if t == nil || t.kind != tokIdent {
-		return "", false
-	}
-	for _, id := range ids {
-		if t.id == id {
-			p.pos++
-			return id, true
-		}
-	}
-	return "", false
-}
-
-func (p *exprParser) parseOr() (value, *flow) {
-	left, f := p.parseAnd()
-	if f != nil {
-		return value{}, f
-	}
-	for {
-		if _, ok := p.acceptOp("||"); !ok {
-			return left, nil
-		}
-		right, f := p.parseAnd()
+// binaryOp applies one binary instruction to its operands.
+func binaryOp(in *exprInstr, l, r value) (value, *flow) {
+	switch op := in.op; op {
+	case opOr, opAnd:
+		lb, f := valueTruthy(l)
 		if f != nil {
 			return value{}, f
 		}
-		lb, f := valueTruthy(left)
+		if lb == (op == opOr) {
+			return boolVal(lb), nil
+		}
+		rb, f := valueTruthy(r)
 		if f != nil {
 			return value{}, f
 		}
-		if lb {
-			left = boolVal(true)
-			continue
+		return boolVal(rb), nil
+	case opBitOr, opBitXor, opBitAnd, opShl, opShr:
+		if l.kind != vInt || r.kind != vInt {
+			return value{}, errorFlow("expr: operator %q requires integer operands", in.text)
 		}
-		rb, f := valueTruthy(right)
-		if f != nil {
-			return value{}, f
+		a, b := l.i, r.i
+		switch op {
+		case opBitOr:
+			return intVal(a | b), nil
+		case opBitXor:
+			return intVal(a ^ b), nil
+		case opBitAnd:
+			return intVal(a & b), nil
 		}
-		left = boolVal(rb)
-	}
-}
-
-func (p *exprParser) parseAnd() (value, *flow) {
-	left, f := p.parseBitOr()
-	if f != nil {
-		return value{}, f
-	}
-	for {
-		if _, ok := p.acceptOp("&&"); !ok {
-			return left, nil
+		if b < 0 || b > 63 {
+			return value{}, errorFlow("expr: shift count %d out of range", b)
 		}
-		right, f := p.parseBitOr()
-		if f != nil {
-			return value{}, f
+		if op == opShl {
+			return intVal(a << uint(b)), nil
 		}
-		lb, f := valueTruthy(left)
-		if f != nil {
-			return value{}, f
-		}
-		if !lb {
-			left = boolVal(false)
-			continue
-		}
-		rb, f := valueTruthy(right)
-		if f != nil {
-			return value{}, f
-		}
-		left = boolVal(rb)
-	}
-}
-
-func (p *exprParser) parseBitOr() (value, *flow) {
-	return p.binaryInt([]string{"|"}, p.parseBitXor, func(a, b int64) (int64, *flow) { return a | b, nil })
-}
-
-func (p *exprParser) parseBitXor() (value, *flow) {
-	return p.binaryInt([]string{"^"}, p.parseBitAnd, func(a, b int64) (int64, *flow) { return a ^ b, nil })
-}
-
-func (p *exprParser) parseBitAnd() (value, *flow) {
-	return p.binaryInt([]string{"&"}, p.parseEquality, func(a, b int64) (int64, *flow) { return a & b, nil })
-}
-
-func (p *exprParser) binaryInt(ops []string, sub func() (value, *flow), apply func(a, b int64) (int64, *flow)) (value, *flow) {
-	left, f := sub()
-	if f != nil {
-		return value{}, f
-	}
-	for {
-		op, ok := p.acceptOp(ops...)
-		if !ok {
-			return left, nil
-		}
-		right, f := sub()
-		if f != nil {
-			return value{}, f
-		}
-		if left.kind != vInt || right.kind != vInt {
-			return value{}, errorFlow("expr: operator %q requires integer operands", op)
-		}
-		r, f := apply(left.i, right.i)
-		if f != nil {
-			return value{}, f
-		}
-		left = intVal(r)
-	}
-}
-
-func (p *exprParser) parseEquality() (value, *flow) {
-	left, f := p.parseRelational()
-	if f != nil {
-		return value{}, f
-	}
-	for {
-		if op, ok := p.acceptOp("==", "!="); ok {
-			right, f := p.parseRelational()
-			if f != nil {
-				return value{}, f
+		return intVal(a >> uint(b)), nil
+	case opEq, opNe:
+		return boolVal(valuesEqual(l, r) == (op == opEq)), nil
+	case opStrEq, opStrNe:
+		return boolVal((l.String() == r.String()) == (op == opStrEq)), nil
+	case opLt, opGt, opLe, opGe:
+		var cmp int
+		if l.isNumeric() && r.isNumeric() {
+			lf, rf := l.asFloat(), r.asFloat()
+			switch {
+			case lf < rf:
+				cmp = -1
+			case lf > rf:
+				cmp = 1
 			}
-			eq := valuesEqual(left, right)
-			if op == "!=" {
-				eq = !eq
-			}
-			left = boolVal(eq)
-			continue
+		} else {
+			cmp = strings.Compare(l.String(), r.String())
 		}
-		if id, ok := p.acceptIdent("eq", "ne"); ok {
-			right, f := p.parseRelational()
-			if f != nil {
-				return value{}, f
-			}
-			eq := left.String() == right.String()
-			if id == "ne" {
-				eq = !eq
-			}
-			left = boolVal(eq)
-			continue
+		switch op {
+		case opLt:
+			return boolVal(cmp < 0), nil
+		case opGt:
+			return boolVal(cmp > 0), nil
+		case opLe:
+			return boolVal(cmp <= 0), nil
 		}
-		return left, nil
+		return boolVal(cmp >= 0), nil
 	}
+	return arith(in, l, r)
 }
 
 func valuesEqual(a, b value) bool {
@@ -531,145 +737,52 @@ func valuesEqual(a, b value) bool {
 		return a.asFloat() == b.asFloat()
 	}
 	// Tcl coerces: "5" == 5 is true. classify() already promoted numeric
-	// strings at tokenization, so remaining strings are non-numeric.
+	// strings at substitution, so remaining strings are non-numeric.
 	return a.String() == b.String()
 }
 
-func (p *exprParser) parseRelational() (value, *flow) {
-	left, f := p.parseShift()
-	if f != nil {
-		return value{}, f
-	}
-	for {
-		op, ok := p.acceptOp("<", ">", "<=", ">=")
-		if !ok {
-			return left, nil
+func unaryOp(op exprOperator, v value) (value, *flow) {
+	switch op {
+	case opNeg:
+		switch v.kind {
+		case vInt:
+			return intVal(-v.i), nil
+		case vFloat:
+			return floatVal(-v.f), nil
 		}
-		right, f := p.parseShift()
+		return value{}, errorFlow("expr: unary - on non-number %q", v.String())
+	case opPlus:
+		if !v.isNumeric() {
+			return value{}, errorFlow("expr: unary + on non-number %q", v.String())
+		}
+		return v, nil
+	case opNot:
+		b, f := valueTruthy(v)
 		if f != nil {
 			return value{}, f
 		}
-		var cmp int
-		if left.isNumeric() && right.isNumeric() {
-			lf, rf := left.asFloat(), right.asFloat()
-			switch {
-			case lf < rf:
-				cmp = -1
-			case lf > rf:
-				cmp = 1
-			}
-		} else {
-			cmp = strings.Compare(left.String(), right.String())
-		}
-		var r bool
-		switch op {
-		case "<":
-			r = cmp < 0
-		case ">":
-			r = cmp > 0
-		case "<=":
-			r = cmp <= 0
-		case ">=":
-			r = cmp >= 0
-		}
-		left = boolVal(r)
+		return boolVal(!b), nil
 	}
+	if v.kind != vInt {
+		return value{}, errorFlow("expr: ~ requires an integer")
+	}
+	return intVal(^v.i), nil
 }
 
-func (p *exprParser) parseShift() (value, *flow) {
-	return p.binaryIntOp([]string{"<<", ">>"}, p.parseAdditive, func(op string, a, b int64) (int64, *flow) {
-		if b < 0 || b > 63 {
-			return 0, errorFlow("expr: shift count %d out of range", b)
-		}
-		if op == "<<" {
-			return a << uint(b), nil
-		}
-		return a >> uint(b), nil
-	})
-}
-
-// binaryIntOp is binaryInt for operator families that need the matched
-// operator to compute the result.
-func (p *exprParser) binaryIntOp(ops []string, sub func() (value, *flow), apply func(op string, a, b int64) (int64, *flow)) (value, *flow) {
-	left, f := sub()
-	if f != nil {
-		return value{}, f
-	}
-	for {
-		op, ok := p.acceptOp(ops...)
-		if !ok {
-			return left, nil
-		}
-		right, f := sub()
-		if f != nil {
-			return value{}, f
-		}
-		if left.kind != vInt || right.kind != vInt {
-			return value{}, errorFlow("expr: operator %q requires integer operands", op)
-		}
-		r, f := apply(op, left.i, right.i)
-		if f != nil {
-			return value{}, f
-		}
-		left = intVal(r)
-	}
-}
-
-func (p *exprParser) parseAdditive() (value, *flow) {
-	left, f := p.parseMultiplicative()
-	if f != nil {
-		return value{}, f
-	}
-	for {
-		op, ok := p.acceptOp("+", "-")
-		if !ok {
-			return left, nil
-		}
-		right, f := p.parseMultiplicative()
-		if f != nil {
-			return value{}, f
-		}
-		left, f = arith(op, left, right)
-		if f != nil {
-			return value{}, f
-		}
-	}
-}
-
-func (p *exprParser) parseMultiplicative() (value, *flow) {
-	left, f := p.parseUnary()
-	if f != nil {
-		return value{}, f
-	}
-	for {
-		op, ok := p.acceptOp("*", "/", "%", "**")
-		if !ok {
-			return left, nil
-		}
-		right, f := p.parseUnary()
-		if f != nil {
-			return value{}, f
-		}
-		left, f = arith(op, left, right)
-		if f != nil {
-			return value{}, f
-		}
-	}
-}
-
-func arith(op string, a, b value) (value, *flow) {
+// arith applies an arithmetic operator: + - * / % **.
+func arith(in *exprInstr, a, b value) (value, *flow) {
 	if !a.isNumeric() || !b.isNumeric() {
-		return value{}, errorFlow("expr: operator %q requires numeric operands (got %q, %q)", op, a.String(), b.String())
+		return value{}, errorFlow("expr: operator %q requires numeric operands (got %q, %q)", in.text, a.String(), b.String())
 	}
 	if a.kind == vInt && b.kind == vInt {
-		switch op {
-		case "+":
+		switch in.op {
+		case opAdd:
 			return intVal(a.i + b.i), nil
-		case "-":
+		case opSub:
 			return intVal(a.i - b.i), nil
-		case "*":
+		case opMul:
 			return intVal(a.i * b.i), nil
-		case "/":
+		case opDiv:
 			if b.i == 0 {
 				return value{}, errorFlow("expr: divide by zero")
 			}
@@ -679,7 +792,7 @@ func arith(op string, a, b value) (value, *flow) {
 				q--
 			}
 			return intVal(q), nil
-		case "%":
+		case opMod:
 			if b.i == 0 {
 				return value{}, errorFlow("expr: divide by zero")
 			}
@@ -688,7 +801,7 @@ func arith(op string, a, b value) (value, *flow) {
 				m += b.i
 			}
 			return intVal(m), nil
-		case "**":
+		case opPow:
 			if b.i < 0 {
 				return floatVal(math.Pow(float64(a.i), float64(b.i))), nil
 			}
@@ -705,127 +818,24 @@ func arith(op string, a, b value) (value, *flow) {
 		}
 	}
 	lf, rf := a.asFloat(), b.asFloat()
-	switch op {
-	case "+":
+	switch in.op {
+	case opAdd:
 		return floatVal(lf + rf), nil
-	case "-":
+	case opSub:
 		return floatVal(lf - rf), nil
-	case "*":
+	case opMul:
 		return floatVal(lf * rf), nil
-	case "/":
+	case opDiv:
 		if rf == 0 {
 			return value{}, errorFlow("expr: divide by zero")
 		}
 		return floatVal(lf / rf), nil
-	case "%":
+	case opMod:
 		return value{}, errorFlow("expr: %% requires integer operands")
-	case "**":
+	case opPow:
 		return floatVal(math.Pow(lf, rf)), nil
 	}
-	return value{}, errorFlow("expr: unknown operator %q", op)
-}
-
-func (p *exprParser) parseUnary() (value, *flow) {
-	if op, ok := p.acceptOp("-", "+", "!", "~"); ok {
-		v, f := p.parseUnary()
-		if f != nil {
-			return value{}, f
-		}
-		switch op {
-		case "-":
-			switch v.kind {
-			case vInt:
-				return intVal(-v.i), nil
-			case vFloat:
-				return floatVal(-v.f), nil
-			}
-			return value{}, errorFlow("expr: unary - on non-number %q", v.String())
-		case "+":
-			if !v.isNumeric() {
-				return value{}, errorFlow("expr: unary + on non-number %q", v.String())
-			}
-			return v, nil
-		case "!":
-			b, f := valueTruthy(v)
-			if f != nil {
-				return value{}, f
-			}
-			return boolVal(!b), nil
-		case "~":
-			if v.kind != vInt {
-				return value{}, errorFlow("expr: ~ requires an integer")
-			}
-			return intVal(^v.i), nil
-		}
-	}
-	return p.parsePrimary()
-}
-
-func (p *exprParser) parsePrimary() (value, *flow) {
-	t := p.peek()
-	if t == nil {
-		return value{}, errorFlow("expr: unexpected end of expression")
-	}
-	switch t.kind {
-	case tokValue:
-		p.pos++
-		return t.val, nil
-	case tokVar, tokCmd:
-		p.pos++
-		return p.vals[t.slot], nil
-	case tokLParen:
-		p.pos++
-		v, f := p.parseOr()
-		if f != nil {
-			return value{}, f
-		}
-		if tt := p.peek(); tt == nil || tt.kind != tokRParen {
-			return value{}, errorFlow("expr: missing close paren")
-		}
-		p.pos++
-		return v, nil
-	case tokIdent:
-		id := t.id
-		p.pos++
-		switch id {
-		case "true", "yes", "on":
-			return boolVal(true), nil
-		case "false", "no", "off":
-			return boolVal(false), nil
-		}
-		// Function call.
-		if tt := p.peek(); tt != nil && tt.kind == tokLParen {
-			p.pos++
-			var args []value
-			if tt2 := p.peek(); tt2 != nil && tt2.kind == tokRParen {
-				p.pos++
-			} else {
-				for {
-					v, f := p.parseOr()
-					if f != nil {
-						return value{}, f
-					}
-					args = append(args, v)
-					tt2 := p.peek()
-					if tt2 == nil {
-						return value{}, errorFlow("expr: missing close paren")
-					}
-					if tt2.kind == tokComma {
-						p.pos++
-						continue
-					}
-					if tt2.kind == tokRParen {
-						p.pos++
-						break
-					}
-					return value{}, errorFlow("expr: bad function arguments")
-				}
-			}
-			return applyFunc(id, args)
-		}
-		return value{}, errorFlow("expr: bare word %q (quote strings)", id)
-	}
-	return value{}, errorFlow("expr: unexpected token")
+	return value{}, errorFlow("expr: unknown operator %q", in.text)
 }
 
 func applyFunc(name string, args []value) (value, *flow) {

@@ -195,10 +195,10 @@ type evalOutcome struct {
 }
 
 // observeEval loads src into a fresh interpreter with the given step
-// budget — through Eval, or when walk is set by walking a parse of its own
-// with evalScript, which never binds a class — and then calls every proc
+// budget — through Eval, or when run is set by running a compile of its
+// own with evalScript, which never binds a class — and then calls every proc
 // the interpreter ended up with, with no, one and two arguments.
-func observeEval(src string, budget int64, walk bool) evalOutcome {
+func observeEval(src string, budget int64, run bool) evalOutcome {
 	var out strings.Builder
 	store := map[string]string{}
 	ip := New(Options{StepBudget: budget, MaxDepth: 12, Stdout: &out})
@@ -207,7 +207,7 @@ func observeEval(src string, budget int64, walk bool) evalOutcome {
 	ip.SetVar("n", "0")
 	var v string
 	var err error
-	if walk {
+	if run {
 		var s *Script
 		if s, err = Parse(src); err == nil {
 			v, err = finish(ip.evalScript(s))
@@ -246,8 +246,8 @@ func observeEval(src string, budget int64, walk bool) evalOutcome {
 // interpreter that first compiled it, shows up as a difference.
 //
 // The same holds between loading through Eval, which binds a class where
-// the code has one, and walking the script command by command: a class is
-// that walk's result, so every source must come out the same both ways,
+// the code has one, and running the script command by command: a class is
+// that run's result, so every source must come out the same both ways,
 // under a budget that covers the load and under one that may not.
 func FuzzEvalCachedVsFresh(f *testing.F) {
 	for _, seeds := range [][]string{rdoSeeds, evalSeeds, classSeeds} {
@@ -255,6 +255,8 @@ func FuzzEvalCachedVsFresh(f *testing.F) {
 			f.Add(s)
 		}
 	}
+	// A repetition whose length overflows an int: it once panicked.
+	f.Add(`string repeat ab 4611686018427387905`)
 	// The shipped suites without the invocations behind them: what NewEnv loads.
 	for _, s := range rdoSeeds {
 		f.Add(s[:strings.LastIndex(s, "}\n")+2])
@@ -272,11 +274,11 @@ func FuzzEvalCachedVsFresh(f *testing.F) {
 		if mixed := observeEval(src, 400, false); mixed != fresh {
 			t.Fatalf("source %q\n fresh: %+v\n mixed: %+v", src, fresh, mixed)
 		}
-		if walked := observeEval(src, 400, true); walked != fresh {
-			t.Fatalf("source %q\n loaded: %+v\n walked: %+v", src, fresh, walked)
+		if ran := observeEval(src, 400, true); ran != fresh {
+			t.Fatalf("source %q\n loaded: %+v\n    ran: %+v", src, fresh, ran)
 		}
-		if loaded, walked := observeEval(src, 3, false), observeEval(src, 3, true); loaded != walked {
-			t.Fatalf("source %q, budget 3\n loaded: %+v\n walked: %+v", src, loaded, walked)
+		if loaded, ran := observeEval(src, 3, false), observeEval(src, 3, true); loaded != ran {
+			t.Fatalf("source %q, budget 3\n loaded: %+v\n    ran: %+v", src, loaded, ran)
 		}
 	})
 }

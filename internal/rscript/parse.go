@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // The rscript grammar is a faithful subset of Tcl's dodekalogue:
@@ -16,14 +17,20 @@ import (
 //     the result of evaluating a nested script; '\x' escapes.
 //   - '#' at a command position starts a comment through end of line.
 //
-// Scripts parse to a small AST that the evaluator walks; parsed scripts
-// are cached by source string (cache.go), since loop bodies re-evaluate
-// constantly and every environment over one object evaluates the same code.
+// Scripts parse to a small AST that the evaluator runs. The AST is also
+// the compiled form (see DESIGN.md §14 "Compiled forms"): a command whose
+// first word names a builtin carries that builtin, and a literal word that
+// a command uses as a script, an expression or a switch arm list keeps what
+// it compiles to, made the first time it is used so. Top-level sources are
+// cached by string (cache.go); what hangs off their words is not looked up
+// again.
 
 // Script is a parsed rscript program. A Script, and everything reachable
-// from it, is read-only once Parse returns: cached scripts are walked by
-// many interpreters at once, so neither the evaluator nor a caller may
-// modify one. The one exception is class, which loadClass sets once.
+// from it, is read-only once Parse returns except for what is compiled on
+// first use (class, and the forms of literal words), each of which is
+// published once and never changed: cached scripts are run by many
+// interpreters at once, so neither the evaluator nor a caller may modify
+// one.
 type Script struct {
 	Cmds []*Cmd
 
@@ -35,11 +42,27 @@ type Script struct {
 type Cmd struct {
 	Words []*Word
 	Line  int
+	// builtin is the builtin the first word names when that word is
+	// literal, nil otherwise. It runs unless the interpreter shadows it.
+	builtin *builtin
 }
 
 // Word is a sequence of parts concatenated after substitution.
 type Word struct {
 	Parts []Part
+
+	// What a literal word compiles to, by role, each set by its first use.
+	body atomic.Pointer[Script]
+	expr atomic.Pointer[exprProg]
+	arms atomic.Pointer[armList]
+}
+
+// armList is a literal word that switch uses as its {pattern body ...}
+// list, parsed: the items, and each as a literal word of its own, so that
+// a body is compiled once too.
+type armList struct {
+	items []string
+	words []*Word
 }
 
 // literal returns the word's value if no substitution contributes to it.
@@ -50,6 +73,48 @@ func (w *Word) literal() (string, bool) {
 		}
 	}
 	return "", false
+}
+
+// asScript returns the literal word compiled as a script. A word that does
+// not parse is not remembered: every use reports the error afresh, as the
+// cache does.
+func (w *Word) asScript(src string) (*Script, error) {
+	if s := w.body.Load(); s != nil {
+		return s, nil
+	}
+	s, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	w.body.CompareAndSwap(nil, s)
+	return w.body.Load(), nil
+}
+
+// asArms returns the literal word parsed as a switch's arm list.
+func (w *Word) asArms(src string) ([]string, []*Word, error) {
+	if a := w.arms.Load(); a != nil {
+		return a.items, a.words, nil
+	}
+	items, err := ParseList(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	a := &armList{items: items, words: make([]*Word, len(items))}
+	for i, item := range items {
+		a.words[i] = &Word{Parts: []Part{LitPart(item)}}
+	}
+	w.arms.CompareAndSwap(nil, a)
+	a = w.arms.Load()
+	return a.items, a.words, nil
+}
+
+// asExpr returns the literal word compiled as an expression.
+func (w *Word) asExpr(src string) *exprProg {
+	if p := w.expr.Load(); p != nil {
+		return p
+	}
+	w.expr.CompareAndSwap(nil, compileExpr(src))
+	return w.expr.Load()
 }
 
 // Part is a component of a word.
@@ -187,6 +252,11 @@ func (p *parser) parseCommand(terminator byte) (*Cmd, error) {
 		if err != nil {
 			return nil, err
 		}
+		if len(cmd.Words) == 0 {
+			if name, ok := w.literal(); ok {
+				cmd.builtin = builtins[name]
+			}
+		}
 		cmd.Words = append(cmd.Words, w)
 	}
 }
@@ -218,49 +288,36 @@ func (p *parser) parseWord(terminator byte) (*Word, error) {
 	}
 }
 
-// parseBracedWord consumes {...} with nesting; contents are verbatim.
+// parseBracedWord consumes {...} with nesting; contents are verbatim, so
+// the word is a slice of the source.
 func (p *parser) parseBracedWord() (*Word, error) {
 	startLine := p.line
 	p.pos++ // consume '{'
+	start := p.pos
 	depth := 1
-	var sb strings.Builder
 	for p.pos < len(p.src) {
-		c := p.src[p.pos]
-		switch c {
+		switch p.src[p.pos] {
 		case '\\':
-			if p.pos+1 < len(p.src) {
-				if p.src[p.pos+1] == '\n' {
-					p.line++
-				}
-				sb.WriteByte(c)
-				sb.WriteByte(p.src[p.pos+1])
-				p.pos += 2
-				continue
+			if p.pos+1 < len(p.src) && p.src[p.pos+1] == '\n' {
+				p.line++
 			}
-			sb.WriteByte(c)
 			p.pos++
 		case '{':
 			depth++
-			sb.WriteByte(c)
-			p.pos++
 		case '}':
 			depth--
-			p.pos++
 			if depth == 0 {
+				lit := p.src[start:p.pos]
+				p.pos++
 				if p.pos < len(p.src) && !isWordEnd(p.src[p.pos]) {
 					return nil, &ParseError{Line: p.line, Msg: "extra characters after close brace"}
 				}
-				return &Word{Parts: []Part{LitPart(sb.String())}}, nil
+				return &Word{Parts: []Part{LitPart(lit)}}, nil
 			}
-			sb.WriteByte(c)
 		case '\n':
 			p.line++
-			sb.WriteByte(c)
-			p.pos++
-		default:
-			sb.WriteByte(c)
-			p.pos++
 		}
+		p.pos++
 	}
 	return nil, &ParseError{Line: startLine, Msg: "missing close brace"}
 }

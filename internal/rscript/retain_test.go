@@ -64,18 +64,23 @@ func TestCacheOwnsSharedSource(t *testing.T) {
 		t.Fatal("walked no strings")
 	}
 	p := compileExprCached(esrc)
-	for _, tok := range p.toks {
-		for _, str := range []string{tok.op, tok.id, tok.val.s} {
-			if inside(str, buf) {
-				t.Errorf("cached expr holds %q inside the caller's buffer", str)
-			}
+	for _, o := range p.operands {
+		if inside(o.name, buf) {
+			t.Errorf("cached expr holds operand %q inside the caller's buffer", o.name)
 		}
-		if tok.script != nil {
-			scriptStrings(tok.script, func(str string) {
+		if o.script != nil {
+			scriptStrings(o.script, func(str string) {
 				if inside(str, buf) {
 					t.Errorf("cached expr script holds %q inside the caller's buffer", str)
 				}
 			})
+		}
+	}
+	for _, in := range p.code {
+		for _, str := range []string{in.text, in.val.s} {
+			if inside(str, buf) {
+				t.Errorf("cached expr holds %q inside the caller's buffer", str)
+			}
 		}
 	}
 	for key := range scripts.m {

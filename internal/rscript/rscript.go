@@ -62,10 +62,15 @@ type Options struct {
 	Stdout io.Writer
 }
 
-// CmdFunc is a host command callable from scripts.
+// CmdFunc is a host command callable from scripts. args is valid only for
+// the duration of the call: the interpreter reuses its storage, so a
+// command that keeps the slice itself must copy it (the strings in it it
+// may keep).
 type CmdFunc func(ip *Interp, args []string) (string, error)
 
 // builtinFunc is a builtin command; control commands need flow access.
+// A builtin that uses the compiled forms of its arguments reads ip.cmd
+// before it evaluates anything.
 type builtinFunc func(ip *Interp, args []string) (string, *flow)
 
 // flow carries non-local control: return, break, continue, error.
@@ -83,6 +88,12 @@ type flow struct {
 	val  string // return value or error message
 	err  error  // optional underlying error (ErrBudget etc.)
 }
+
+// break and continue carry nothing, so every one is the same flow.
+var (
+	breakFlow    = &flow{kind: flowBreak}
+	continueFlow = &flow{kind: flowContinue}
+)
 
 func errorFlow(format string, args ...any) *flow {
 	return &flow{kind: flowError, val: fmt.Sprintf(format, args...)}
@@ -104,72 +115,170 @@ type param struct {
 	variadic bool // the trailing "args" parameter
 }
 
-// frame is one level of local variables.
+// variable is one of a frame's own variables.
+type variable struct{ name, value string }
+
+// frame is one level of local variables. The first frameSlots live in the
+// frame itself and are found by comparing names; more go to a map made
+// when they first overflow. Links (global/upvar) are kept apart from the
+// frame's own variables, as the language defines them: a linked name
+// reads and writes the target frame's own variable of that name.
 type frame struct {
-	vars  map[string]string // made by the first set
-	links map[string]*frame // variables linked to another frame (global/upvar)
-	big   bool              // held more than frameReuseVars variables at some point
+	vars  [frameSlots]variable
+	more  map[string]string // variables past frameSlots
+	links map[string]*frame // made by the first global/upvar
+	n     int32             // vars[:n] are in use
+	big   bool              // more held over frameReuseVars entries at some point
+}
+
+func (fr *frame) get(name string) (string, bool) {
+	for i := range fr.n {
+		if fr.vars[i].name == name {
+			return fr.vars[i].value, true
+		}
+	}
+	v, ok := fr.more[name]
+	return v, ok
 }
 
 // set writes a variable of this frame, not following links.
 func (fr *frame) set(name, value string) {
-	if fr.vars == nil {
-		fr.vars = make(map[string]string)
+	for i := range fr.n {
+		if fr.vars[i].name == name {
+			fr.vars[i].value = value
+			return
+		}
 	}
-	fr.vars[name] = value
-	if len(fr.vars) > frameReuseVars {
+	if _, ok := fr.more[name]; !ok && int(fr.n) < len(fr.vars) {
+		fr.vars[fr.n] = variable{name, value}
+		fr.n++
+		return
+	}
+	if fr.more == nil {
+		fr.more = make(map[string]string)
+	}
+	fr.more[name] = value
+	if len(fr.more) > frameReuseVars {
 		fr.big = true
 	}
 }
 
+// unset removes a variable of this frame and reports whether it existed.
+func (fr *frame) unset(name string) bool {
+	for i := range fr.n {
+		if fr.vars[i].name == name {
+			fr.n--
+			fr.vars[i] = fr.vars[fr.n]
+			fr.vars[fr.n] = variable{}
+			return true
+		}
+	}
+	if _, ok := fr.more[name]; ok {
+		delete(fr.more, name)
+		return true
+	}
+	return false
+}
+
+// reset empties the frame for another call.
+func (fr *frame) reset() {
+	clear(fr.vars[:fr.n])
+	fr.n = 0
+	if fr.big {
+		fr.more, fr.big = nil, false
+	} else {
+		clear(fr.more)
+	}
+	fr.links = nil
+}
+
 const (
+	// frameSlots is how many variables a frame holds before it needs a map:
+	// every proc the shipped applications define fits.
+	frameSlots = 6
 	// inlineDepth is how deep calls nest before the frame stack leaves the
 	// array inside Interp for the heap.
-	inlineDepth = 8
+	inlineDepth = 6
 	// maxFreeFrames bounds the frames an interpreter keeps for its next calls.
 	maxFreeFrames = 8
-	// frameReuseVars is the most variables a frame may ever have held and
-	// still be reused: clearing a map costs its capacity, not its length, so
-	// a reused frame that once grew huge would tax every later call with
+	// frameReuseVars is the most variables a frame's map may ever have held
+	// and still be kept: clearing a map costs its capacity, not its length,
+	// so a reused map that once grew huge would tax every later call with
 	// work the step budget does not see.
 	frameReuseVars = 32
+	// inlineArgs is how many words the argument stack holds before it
+	// leaves the array inside Interp for the heap.
+	inlineArgs = 12
 )
 
 // Interp is an rscript interpreter. An Interp is not safe for concurrent
-// use; RDO execution environments serialize access per object.
+// use; RDO execution environments serialize access per object. An Interp
+// may be embedded by value (see Init) but not copied once initialized.
 //
 // The builtin command table is one package-level map shared by every
 // interpreter and never written after init. An Interp's own command state
-// is what its host changed: the commands it Registered, which shadow
-// builtins of the same name, and the builtins it Unregistered.
+// is what its host changed: the commands it Registered, the tables it
+// Shared, both of which shadow builtins of the same name, and the builtins
+// it Unregistered. shadowed has the bit of every builtin that a command
+// naming it would not reach — hidden, or taken by a host command or a
+// proc — so a command whose builtin the compiler resolved runs it after
+// one mask test.
 //
 // Procs are looked up in own, then in class. class is the shared, immutable
 // table of the code the interpreter loaded (see class); own holds what a
 // `proc` command defined at run time, so a redefinition shadows the class's
 // proc in this interpreter and is invisible to every other one.
 type Interp struct {
-	opts   Options
-	global frame
-	stack  []*frame              // stack[0] == &global
-	stack0 [inlineDepth]*frame   // what stack is a slice of until calls nest deeper
-	free   [maxFreeFrames]*frame // free[:nfree]: emptied frames of returned calls
-	nfree  int
-	host   map[string]CmdFunc // Register'ed commands
-	hidden uint64             // builtin.bit of every builtin removed by Unregister
-	class  *class             // procs of the loaded code, shared
-	own    map[string]*Proc   // procs a `proc` command defined here; made by the first
-	steps  int64
-	depth  int
+	opts     Options
+	global   frame
+	frame1   frame                 // the first call's frame, kept in free until taken
+	stack    []*frame              // stack[0] == &global
+	stack0   [inlineDepth]*frame   // what stack is a slice of until calls nest deeper
+	free     [maxFreeFrames]*frame // free[:nfree]: emptied frames of returned calls
+	nfree    int
+	args     []string              // words of the commands being run, innermost last
+	args0    [inlineArgs]string    // what args is a slice of until it outgrows it
+	host     map[string]CmdFunc    // Register'ed commands; made by the first
+	shared   []map[string]CmdFunc  // Share'd tables, read-only, newest last
+	shared0  [2]map[string]CmdFunc // what shared is a slice of
+	hidden   uint64                // builtin.bit of every builtin removed by Unregister
+	shadowed uint64                // builtin.bit of every builtin a command would not reach
+	class    *class                // procs of the loaded code, shared
+	own      map[string]*Proc      // procs a `proc` command defined here; made by the first
+	cmd      *Cmd                  // the command whose builtin is being called
+	ret      flow                  // the one return flow in flight, see cmdReturn
+	data     any                   // SetClientData
+	steps    int64
+	depth    int
 }
 
 const defaultMaxDepth = 200
 
 // New returns an interpreter with the full builtin command set.
 func New(opts Options) *Interp {
-	ip := &Interp{opts: opts}
+	ip := new(Interp)
+	ip.Init(opts)
+	return ip
+}
+
+// Init makes ip a new interpreter, as New(opts) returns, in place: a host
+// that keeps one interpreter per object can hold it by value.
+func (ip *Interp) Init(opts Options) {
+	*ip = Interp{opts: opts}
 	ip.stack0[0] = &ip.global
 	ip.stack = ip.stack0[:1]
-	return ip
+	ip.free[0] = &ip.frame1
+	ip.nfree = 1
+	ip.args = ip.args0[:0]
+	ip.shared = ip.shared0[:0]
+}
+
+// builtinBit returns the bit of the builtin named name, 0 if there is none.
+func builtinBit(name string) uint64 {
+	if b := builtins[name]; b != nil {
+		return b.bit
+	}
+	return 0
 }
 
 // Register installs (or replaces) a host command.
@@ -178,13 +287,69 @@ func (ip *Interp) Register(name string, fn CmdFunc) {
 		ip.host = make(map[string]CmdFunc)
 	}
 	ip.host[name] = fn
+	ip.shadowed |= builtinBit(name)
 }
+
+// Share makes every command of cmds callable, as if each were Registered,
+// without copying the table: many interpreters may share one. The host
+// must not modify cmds while any interpreter shares it. Commands Register
+// installs take precedence over shared ones, and a table shared later over
+// one shared earlier.
+func (ip *Interp) Share(cmds map[string]CmdFunc) {
+	ip.shared = append(ip.shared, cmds)
+	for name := range cmds {
+		ip.shadowed |= builtinBit(name)
+	}
+}
+
+// SetClientData attaches a value of the host's to the interpreter, for
+// host commands shared by many interpreters to find what they act on.
+func (ip *Interp) SetClientData(v any) { ip.data = v }
+
+// ClientData returns what SetClientData attached.
+func (ip *Interp) ClientData() any { return ip.data }
 
 // Unregister removes a command from the table. Removing builtins is how
 // hosts build restricted sandboxes.
 func (ip *Interp) Unregister(name string) {
+	if ip.sharedCmd(name, len(ip.shared)) != nil {
+		// A shared table is read-only: this interpreter stops sharing, and
+		// registers what it shared, except name, as its own.
+		own := ip.host
+		ip.host = nil
+		for _, t := range ip.shared {
+			for n, fn := range t {
+				ip.Register(n, fn)
+			}
+		}
+		for n, fn := range own {
+			ip.Register(n, fn)
+		}
+		clear(ip.shared)
+		ip.shared = ip.shared[:0]
+	}
 	delete(ip.host, name)
-	ip.hidden |= builtins[name].bit
+	ip.hidden |= builtinBit(name)
+	ip.shadowed |= builtinBit(name)
+}
+
+// sharedCmd looks name up in the shared tables older than shared[before].
+func (ip *Interp) sharedCmd(name string, before int) CmdFunc {
+	for i := before - 1; i >= 0; i-- {
+		if fn, ok := ip.shared[i][name]; ok {
+			return fn
+		}
+	}
+	return nil
+}
+
+// hostCmd resolves a host command: Registered, then shared.
+func (ip *Interp) hostCmd(name string) (CmdFunc, bool) {
+	if fn, ok := ip.host[name]; ok {
+		return fn, true
+	}
+	fn := ip.sharedCmd(name, len(ip.shared))
+	return fn, fn != nil
 }
 
 // Commands returns the sorted-later names of all registered commands
@@ -192,15 +357,31 @@ func (ip *Interp) Unregister(name string) {
 func (ip *Interp) Commands() []string {
 	names := make([]string, 0, len(builtins)+len(ip.host)+ip.numProcs())
 	for n, b := range builtins {
-		_, shadowed := ip.host[n]
-		if ip.hidden&b.bit == 0 && !shadowed {
+		if _, isHost := ip.hostCmd(n); ip.hidden&b.bit == 0 && !isHost {
 			names = append(names, n)
 		}
 	}
 	for n := range ip.host {
 		names = append(names, n)
 	}
+	for i, t := range ip.shared {
+		for n := range t {
+			if _, own := ip.host[n]; !own && !ip.sharedLater(n, i) {
+				names = append(names, n)
+			}
+		}
+	}
 	return ip.appendProcs(names)
+}
+
+// sharedLater reports whether a table shared after shared[i] has name.
+func (ip *Interp) sharedLater(name string, i int) bool {
+	for _, t := range ip.shared[i+1:] {
+		if _, ok := t[name]; ok {
+			return true
+		}
+	}
+	return false
 }
 
 // StepsUsed reports how many commands have executed.
@@ -214,19 +395,20 @@ func (ip *Interp) ResetBudget() { ip.steps = 0 }
 func (ip *Interp) SetVar(name, value string) { ip.global.set(name, value) }
 
 // GetVar reads a global variable.
-func (ip *Interp) GetVar(name string) (string, bool) {
-	v, ok := ip.global.vars[name]
-	return v, ok
-}
+func (ip *Interp) GetVar(name string) (string, bool) { return ip.global.get(name) }
 
 // UnsetVar removes a global variable.
-func (ip *Interp) UnsetVar(name string) { delete(ip.global.vars, name) }
+func (ip *Interp) UnsetVar(name string) { ip.global.unset(name) }
 
 // GlobalVars returns a copy of the global variable table; the RDO layer
 // uses this to capture object state after method execution.
 func (ip *Interp) GlobalVars() map[string]string {
-	out := make(map[string]string, len(ip.global.vars))
-	for k, v := range ip.global.vars {
+	g := &ip.global
+	out := make(map[string]string, int(g.n)+len(g.more))
+	for _, v := range g.vars[:g.n] {
+		out[v.name] = v.value
+	}
+	for k, v := range g.more {
 		out[k] = v
 	}
 	return out
@@ -334,24 +516,17 @@ func (ip *Interp) current() *frame { return ip.stack[len(ip.stack)-1] }
 // lookupVar resolves a variable in the active frame, following links.
 func (ip *Interp) lookupVar(name string) (string, bool) {
 	fr := ip.current()
-	if fr.links != nil {
-		if target, ok := fr.links[name]; ok {
-			v, ok := target.vars[name]
-			return v, ok
-		}
+	if target, ok := fr.links[name]; ok {
+		return target.get(name)
 	}
-	v, ok := fr.vars[name]
-	return v, ok
+	return fr.get(name)
 }
 
 // setVarLocal writes a variable in the active frame, following links.
 func (ip *Interp) setVarLocal(name, value string) {
 	fr := ip.current()
-	if fr.links != nil {
-		if target, ok := fr.links[name]; ok {
-			target.set(name, value)
-			return
-		}
+	if target, ok := fr.links[name]; ok {
+		fr = target
 	}
 	fr.set(name, value)
 }
@@ -360,16 +535,10 @@ func (ip *Interp) setVarLocal(name, value string) {
 // existed.
 func (ip *Interp) unsetVarLocal(name string) bool {
 	fr := ip.current()
-	if fr.links != nil {
-		if target, ok := fr.links[name]; ok {
-			_, existed := target.vars[name]
-			delete(target.vars, name)
-			return existed
-		}
+	if target, ok := fr.links[name]; ok {
+		fr = target
 	}
-	_, existed := fr.vars[name]
-	delete(fr.vars, name)
-	return existed
+	return fr.unset(name)
 }
 
 // evalScript runs every command; value is the last command's result.
@@ -408,72 +577,108 @@ func (ip *Interp) stepIfIdle(since int64) *flow {
 	return nil
 }
 
-// evalCommand expands the command's words and dispatches it.
+// evalCommand expands the command's words onto the argument stack and
+// dispatches it: straight to the builtin the compiler resolved when the
+// interpreter does not shadow it, by name otherwise.
 func (ip *Interp) evalCommand(cmd *Cmd) (string, *flow) {
 	if f := ip.step(); f != nil {
 		return "", f
 	}
-	words := make([]string, len(cmd.Words))
-	for i, w := range cmd.Words {
+	base := len(ip.args)
+	for _, w := range cmd.Words {
 		v, f := ip.expandWord(w)
 		if f != nil {
+			ip.popArgs(base)
 			return "", f
 		}
-		words[i] = v
+		ip.args = append(ip.args, v)
 	}
-	return ip.dispatch(words, cmd.Line)
+	top := len(ip.args)
+	words := ip.args[base:top:top]
+	var v string
+	var f *flow
+	if b := cmd.builtin; b != nil && ip.shadowed&b.bit == 0 {
+		ip.cmd = cmd
+		v, f = b.fn(ip, words[1:])
+	} else {
+		v, f = ip.dispatch(cmd, words)
+	}
+	ip.popArgs(base)
+	return v, f
 }
 
-func (ip *Interp) dispatch(words []string, line int) (string, *flow) {
+// popArgs drops the argument stack back to base, letting go of the values.
+func (ip *Interp) popArgs(base int) {
+	clear(ip.args[base:])
+	ip.args = ip.args[:base]
+}
+
+func (ip *Interp) dispatch(cmd *Cmd, words []string) (string, *flow) {
 	name := words[0]
 	if proc, ok := ip.lookupProc(name); ok {
 		return ip.callProc(proc, words[1:])
 	}
-	_ = line // parse errors carry line numbers; runtime errors stay clean
-	if fn, ok := ip.host[name]; ok {
+	if fn, ok := ip.hostCmd(name); ok {
 		v, err := fn(ip, words[1:])
 		if err != nil {
 			return "", &flow{kind: flowError, val: err.Error(), err: err}
 		}
 		return v, nil
 	}
-	if b, ok := builtins[name]; ok && ip.hidden&b.bit == 0 {
+	if b := builtins[name]; b != nil && ip.hidden&b.bit == 0 {
+		ip.cmd = cmd
 		return b.fn(ip, words[1:])
 	}
 	return "", errorFlow("invalid command name %q", name)
 }
 
-// expandWord concatenates a word's parts after substitution.
+// expandWord substitutes a word. A word of one part is that part's value;
+// the parts of a longer one are expanded onto the argument stack and
+// joined in one allocation.
 func (ip *Interp) expandWord(w *Word) (string, *flow) {
-	if lit, ok := w.literal(); ok {
-		return lit, nil
+	if len(w.Parts) == 1 {
+		return ip.expandPart(w.Parts[0])
+	}
+	base := len(ip.args)
+	n := 0
+	for _, part := range w.Parts {
+		v, f := ip.expandPart(part)
+		if f != nil {
+			ip.popArgs(base)
+			return "", f
+		}
+		ip.args = append(ip.args, v)
+		n += len(v)
 	}
 	var sb strings.Builder
-	for _, part := range w.Parts {
-		switch p := part.(type) {
-		case LitPart:
-			sb.WriteString(string(p))
-		case VarPart:
-			v, ok := ip.lookupVar(string(p))
-			if !ok {
-				return "", errorFlow("can't read %q: no such variable", string(p))
-			}
-			sb.WriteString(v)
-		case CmdPart:
-			v, f := ip.evalScript(p.Script)
-			if f != nil {
-				if f.kind == flowReturn {
-					// return inside [] behaves like its value (Tcl nuance
-					// simplified: treat as value).
-					sb.WriteString(f.val)
-					continue
-				}
-				return "", f
-			}
-			sb.WriteString(v)
-		}
+	sb.Grow(n)
+	for _, v := range ip.args[base:] {
+		sb.WriteString(v)
 	}
+	ip.popArgs(base)
 	return sb.String(), nil
+}
+
+func (ip *Interp) expandPart(part Part) (string, *flow) {
+	switch p := part.(type) {
+	case LitPart:
+		return string(p), nil
+	case VarPart:
+		v, ok := ip.lookupVar(string(p))
+		if !ok {
+			return "", errorFlow("can't read %q: no such variable", string(p))
+		}
+		return v, nil
+	case CmdPart:
+		v, f := ip.evalScript(p.Script)
+		if f != nil && f.kind == flowReturn {
+			// return inside [] behaves like its value (Tcl nuance
+			// simplified: treat as value).
+			return f.val, nil
+		}
+		return v, f
+	}
+	return "", nil
 }
 
 // callProc invokes a script procedure with the given argument values.
@@ -533,23 +738,21 @@ func (ip *Interp) newFrame() *frame {
 // frames above it, which returned before it did — links point down the
 // stack, never up.
 func (ip *Interp) freeFrame(fr *frame) {
-	if fr.big || ip.nfree == len(ip.free) {
+	if ip.nfree == len(ip.free) {
 		return
 	}
-	clear(fr.vars)
-	fr.links = nil
+	fr.reset()
 	ip.free[ip.nfree] = fr
 	ip.nfree++
 }
 
 func bindParams(fr *frame, proc *Proc, args []string) error {
 	i := 0
-	for pi, p := range proc.Params {
+	for _, p := range proc.Params {
 		if p.variadic {
+			// variadic is last by construction
 			fr.set(p.name, FormatList(args[i:]))
 			i = len(args)
-			// variadic must be last by construction
-			_ = pi
 			break
 		}
 		if i < len(args) {

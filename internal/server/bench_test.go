@@ -32,3 +32,28 @@ func BenchmarkExportReplay(b *testing.B) {
 		}
 	}
 }
+
+// TestExportReplayAllocs pins BenchmarkExportReplay's stage: the Env, with
+// its interpreter inside it; the operation it records; the new count as a
+// string; and the reply.
+func TestExportReplayAllocs(t *testing.T) {
+	srv, err := New(Config{Engine: qrpc.NewServer(qrpc.ServerConfig{ServerID: "allocs"})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := counter("replay")
+	obj.Set("count", "100")
+	args := &proto.ExportArgs{
+		URN:     obj.URN,
+		BaseVer: obj.Version,
+		Invs:    []rdo.Invocation{{Object: obj.URN, Method: "add", Args: []string{"1"}}},
+	}
+	n := testing.AllocsPerRun(100, func() {
+		if _, commit, err := srv.applyExport("allocs-cli", obj, obj.Version, args); err != nil || !commit {
+			t.Fatalf("applyExport: commit=%v, err=%v", commit, err)
+		}
+	})
+	if n > 4 {
+		t.Errorf("replaying one shipped operation allocates %v objects, want at most 4", n)
+	}
+}

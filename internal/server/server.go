@@ -366,11 +366,10 @@ func (s *Server) exportReply(rep *proto.ExportReply, obj *rdo.Object, args *prot
 // applyExport runs the operations (directly or through the resolver)
 // against obj. It returns the reply skeleton and whether to commit obj.
 func (s *Server) applyExport(clientID string, obj *rdo.Object, cur uint64, args *proto.ExportArgs) (*proto.ExportReply, bool, error) {
-	replay := s.replayFunc(obj, args.Invs)
 	switch {
 	case args.BaseVer == cur:
 		// No concurrent update: plain commit path.
-		if err := replay(); err != nil {
+		if err := s.replay(obj, args.Invs); err != nil {
 			// Deterministic application failure, not a concurrency
 			// conflict — surface as an application error so the client
 			// sees exactly what its method said.
@@ -397,7 +396,7 @@ func (s *Server) applyExport(clientID string, obj *rdo.Object, cur uint64, args 
 			BaseVersion:    args.BaseVer,
 			CurrentVersion: cur,
 			Invocations:    args.Invs,
-			Replay:         replay,
+			Replay:         func() error { return s.replay(obj, args.Invs) },
 		})
 		if err != nil {
 			return nil, false, fmt.Errorf("server: resolver for %q: %w", obj.Type, err)
@@ -427,30 +426,24 @@ func (s *Server) applyExport(clientID string, obj *rdo.Object, cur uint64, args 
 	}
 }
 
-// replayFunc builds the op-replay closure used by both the direct path and
-// resolvers. Shipped operations run in the restricted sandbox: they are
-// client-chosen method names on server-held code, but budgets still apply.
-func (s *Server) replayFunc(obj *rdo.Object, invs []rdo.Invocation) func() error {
-	var env *rdo.Env
-	return func() error {
-		if env == nil {
-			e, err := rdo.NewEnv(obj, rdo.EnvOptions{
-				Sandbox:      rdo.Restricted,
-				StepBudget:   s.budget,
-				HostCommands: s.hostCmds,
-			})
-			if err != nil {
-				return err
-			}
-			env = e
-		}
-		for _, inv := range invs {
-			if _, err := env.Invoke(inv.Method, inv.Args...); err != nil {
-				return err
-			}
-		}
-		return nil
+// replay applies shipped operations to obj, for the direct path and for
+// resolvers. They run in the restricted sandbox: they are client-chosen
+// method names on server-held code, but budgets still apply.
+func (s *Server) replay(obj *rdo.Object, invs []rdo.Invocation) error {
+	env, err := rdo.NewEnv(obj, rdo.EnvOptions{
+		Sandbox:      rdo.Restricted,
+		StepBudget:   s.budget,
+		HostCommands: s.hostCmds,
+	})
+	if err != nil {
+		return err
 	}
+	for _, inv := range invs {
+		if _, err := env.Invoke(inv.Method, inv.Args...); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // hostCommands exposes read-only access to other objects' committed state

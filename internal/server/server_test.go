@@ -444,3 +444,27 @@ func TestGetStateHostCommand(t *testing.T) {
 		}
 	}
 }
+
+// TestCreateWithHostileCodeIsRefused: a Create whose code cannot load is an
+// application error for that request alone — here code that asks for a
+// repetition whose length overflows an int, which once panicked the
+// server — and the next request is served.
+func TestCreateWithHostileCodeIsRefused(t *testing.T) {
+	r := newRig(t)
+	bad := rdo.New(urn.MustParse("urn:rover:unit/hostile"), "counter")
+	bad.Code = `string repeat ab 4611686018427387905`
+	if _, err := r.call(proto.SvcCreate, &proto.CreateArgs{Object: bad.Encode()}); err == nil ||
+		!strings.Contains(err.Error(), "result too large") {
+		t.Fatalf("create with hostile code: %v", err)
+	}
+	if _, err := r.srv.Store().Get(bad.URN); err == nil {
+		t.Error("the refused object was stored")
+	}
+	good := counter("after")
+	if _, err := r.call(proto.SvcCreate, &proto.CreateArgs{Object: good.Encode()}); err != nil {
+		t.Fatalf("create after the refused one: %v", err)
+	}
+	if _, err := r.call(proto.SvcImport, &proto.ImportArgs{URN: good.URN}); err != nil {
+		t.Fatalf("import after the refused create: %v", err)
+	}
+}
