@@ -178,7 +178,7 @@ func newProc(name, params, body string, w *Word) (*Proc, *flow) {
 		}
 		proc.Params = append(proc.Params, p)
 	}
-	proc.body, proc.bodyErr = scriptOf(w, body)
+	proc.body, proc.bodyErr = w.script(body)
 	return proc, nil
 }
 
@@ -191,30 +191,9 @@ func argWord(cmd *Cmd, i int) *Word {
 	return cmd.Words[i+1]
 }
 
-// scriptOf returns the compiled form of src, which was written as word w:
-// the one kept on w when w is literal, the cached one by source otherwise.
-func scriptOf(w *Word, src string) (*Script, error) {
-	if w != nil {
-		if _, ok := w.literal(); ok {
-			return w.asScript(src)
-		}
-	}
-	return parseCached(src)
-}
-
-// exprOf is scriptOf for expressions.
-func exprOf(w *Word, src string) *exprProg {
-	if w != nil {
-		if _, ok := w.literal(); ok {
-			return w.asExpr(src)
-		}
-	}
-	return compileExprCached(src)
-}
-
-// evalIn evaluates src, written as word w, as a script.
+// evalIn evaluates src, the value of word w, as a script.
 func (ip *Interp) evalIn(w *Word, src string) (string, *flow) {
-	s, err := scriptOf(w, src)
+	s, err := w.script(src)
 	if err != nil {
 		return "", errorFlow("%v", err)
 	}
@@ -300,7 +279,7 @@ func cmdIf(ip *Interp, args []string) (string, *flow) {
 		}
 		body := i
 		i++
-		ok, f := ip.truthy(exprOf(argWord(cmd, cond), args[cond]))
+		ok, f := ip.truthy(argWord(cmd, cond).expression(args[cond]))
 		if f != nil {
 			return "", f
 		}
@@ -333,7 +312,7 @@ func cmdWhile(ip *Interp, args []string) (string, *flow) {
 	}
 	for {
 		since := ip.steps
-		ok, f := ip.truthy(exprOf(argWord(cmd, 0), args[0]))
+		ok, f := ip.truthy(argWord(cmd, 0).expression(args[0]))
 		if f != nil {
 			return "", f
 		}
@@ -363,7 +342,7 @@ func cmdFor(ip *Interp, args []string) (string, *flow) {
 	}
 	for {
 		since := ip.steps
-		ok, f := ip.truthy(exprOf(argWord(cmd, 1), args[1]))
+		ok, f := ip.truthy(argWord(cmd, 1).expression(args[1]))
 		if f != nil {
 			return "", f
 		}
@@ -455,12 +434,7 @@ done:
 	switch {
 	case len(args)-i == 1:
 		var err error
-		if w := argWord(cmd, i); w != nil {
-			pairs, words, err = w.asArms(args[i])
-		} else {
-			pairs, err = ParseList(args[i])
-		}
-		if err != nil {
+		if pairs, words, err = argWord(cmd, i).switchArms(args[i]); err != nil {
 			return "", errorFlow("switch: bad pattern/body list: %v", err)
 		}
 	case (len(args)-i)%2 == 0:
@@ -506,7 +480,7 @@ func cmdExpr(ip *Interp, args []string) (string, *flow) {
 	case 0:
 		return "", argErr("expr", "arg ?arg ...?")
 	case 1:
-		return ip.exprString(exprOf(argWord(cmd, 0), args[0]))
+		return ip.exprString(argWord(cmd, 0).expression(args[0]))
 	}
 	return ip.exprString(compileExprCached(strings.Join(args, " ")))
 }

@@ -192,3 +192,25 @@ func TestLoopAllocs(t *testing.T) {
 		t.Errorf("a call of work allocates %v objects, want at most 87", n)
 	}
 }
+
+// TestSubstitutedWordsCompileEachValue: only a literal word keeps what it
+// compiles to. A body, condition, expression or switch list that is
+// substituted has a new value each time the command runs, and each value
+// is what runs.
+func TestSubstitutedWordsCompileEachValue(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{`foreach b {{lappend r 1} {lappend r 2}} {if 1 $b}; set r`, "1 2"},
+		{`foreach b {{lappend r 1} {lappend r 2}} {catch $b}; set r`, "1 2"},
+		{`foreach e {{1+1} {2*3}} {lappend r [expr $e]}; set r`, "2 6"},
+		{`foreach e {{1+1} {2*3}} {lappend r [expr "$e"]}; set r`, "2 6"},
+		{`foreach c {0 1} {if $c {lappend r yes} else {lappend r no}}; set r`, "no yes"},
+		{`foreach c {{$i < 2} {$i < 3}} {set i 0; while $c {incr i}; lappend r $i}; set r`, "2 3"},
+		{`foreach a {{x {lappend r 1}} {x {lappend r 2}}} {switch x $a}; set r`, "1 2"},
+		{`foreach b {{lappend r 1} {lappend r 2}} {switch x x $b}; set r`, "1 2"},
+		{`foreach b {{return 1} {return 2}} {proc p {} $b; lappend r [p]}; set r`, "1 2"},
+	} {
+		if got := ev(t, c.src); got != c.want {
+			t.Errorf("Eval(%q) = %q, want %q", c.src, got, c.want)
+		}
+	}
+}

@@ -15,9 +15,9 @@ import (
 // numerically when both operands parse as numbers and lexically otherwise;
 // `eq` and `ne` always compare as strings.
 //
-// The source is scanned once into tokens (compileExpr) and the result is
-// cached by source; $var and [cmd] operands stay symbolic in the tokens
-// and are resolved each time the expression is evaluated.
+// The source is compiled once (compileExpr) into its $var and [cmd]
+// operands and a postfix program over their values; the operands are
+// resolved each time the expression is evaluated.
 //
 // Substitution is eager (every operand is resolved, in source order,
 // before evaluation), so `&&`/`||` short-circuit the *evaluation* but not
@@ -156,12 +156,13 @@ type exprOperand struct {
 // discard the operands before it — they are substituted, and then lexErr
 // is reported.
 //
-// The program is what the recursive descent over the tokens used to do at
-// every evaluation, done once: each operator is emitted where the descent
-// applied it, so values are computed, and fail, in the same order. A
-// grammar error becomes an exprFail instruction at the point the descent
-// would have stopped, so whatever it evaluated before noticing still runs
-// (and may fail first).
+// The language defines an expression's errors by a precedence descent
+// that evaluates as it parses: the first failure in that order is the one
+// reported. The descent runs once, at compile time, and emits each
+// operator where it would apply it, so values are computed, and fail, in
+// that order. A grammar error becomes an exprFail instruction at the point
+// the descent stops, so whatever it would have evaluated before noticing
+// still runs, and may fail first.
 type exprProg struct {
 	operands []exprOperand
 	lexErr   string // message of the error that ended the scan, or ""

@@ -75,10 +75,25 @@ func (w *Word) literal() (string, bool) {
 	return "", false
 }
 
-// asScript returns the literal word compiled as a script. A word that does
+// isLiteral reports whether w is a word no substitution contributes to; a
+// nil w is not.
+func (w *Word) isLiteral() bool {
+	if w == nil {
+		return false
+	}
+	_, ok := w.literal()
+	return ok
+}
+
+// script returns src compiled as a script, where src is the value of word w
+// (nil when not known). A literal word keeps what it compiles to and
+// compiles once; any other source goes through the cache. A word that does
 // not parse is not remembered: every use reports the error afresh, as the
 // cache does.
-func (w *Word) asScript(src string) (*Script, error) {
+func (w *Word) script(src string) (*Script, error) {
+	if !w.isLiteral() {
+		return parseCached(src)
+	}
 	if s := w.body.Load(); s != nil {
 		return s, nil
 	}
@@ -90,8 +105,25 @@ func (w *Word) asScript(src string) (*Script, error) {
 	return w.body.Load(), nil
 }
 
-// asArms returns the literal word parsed as a switch's arm list.
-func (w *Word) asArms(src string) ([]string, []*Word, error) {
+// expression is script for expressions.
+func (w *Word) expression(src string) *exprProg {
+	if !w.isLiteral() {
+		return compileExprCached(src)
+	}
+	if p := w.expr.Load(); p != nil {
+		return p
+	}
+	w.expr.CompareAndSwap(nil, compileExpr(src))
+	return w.expr.Load()
+}
+
+// switchArms is script for a switch's {pattern body ...} list: its items,
+// and the words they were written as when w is literal, nil otherwise.
+func (w *Word) switchArms(src string) ([]string, []*Word, error) {
+	if !w.isLiteral() {
+		items, err := ParseList(src)
+		return items, nil, err
+	}
 	if a := w.arms.Load(); a != nil {
 		return a.items, a.words, nil
 	}
@@ -106,15 +138,6 @@ func (w *Word) asArms(src string) ([]string, []*Word, error) {
 	w.arms.CompareAndSwap(nil, a)
 	a = w.arms.Load()
 	return a.items, a.words, nil
-}
-
-// asExpr returns the literal word compiled as an expression.
-func (w *Word) asExpr(src string) *exprProg {
-	if p := w.expr.Load(); p != nil {
-		return p
-	}
-	w.expr.CompareAndSwap(nil, compileExpr(src))
-	return w.expr.Load()
 }
 
 // Part is a component of a word.
