@@ -144,10 +144,12 @@ func TestUnregisterSharedCommand(t *testing.T) {
 	if len(older) != 2 || len(newer) != 2 {
 		t.Errorf("the shared tables changed: %v, %v", older, newer)
 	}
-	names := strings.Join(ip.Commands(), " ")
-	for _, n := range []string{"a", "c", "join"} {
-		if strings.Count(" "+names+" ", " "+n+" ") != 1 {
-			t.Errorf("Commands() lists %q other than once: %s", n, names)
+	for x, want := range map[*Interp][]string{ip: {"a", "c", "join"}, other: {"a", "b", "join"}} {
+		names := strings.Join(x.Commands(), " ")
+		for _, n := range want {
+			if strings.Count(" "+names+" ", " "+n+" ") != 1 {
+				t.Errorf("Commands() lists %q other than once: %s", n, names)
+			}
 		}
 	}
 }

@@ -566,11 +566,14 @@ func (c *exprCompiler) primary() bool {
 // evalExpr evaluates a compiled expression: its operands substituted in
 // source order against the interpreter's current state, then its code.
 func (ip *Interp) evalExpr(prog *exprProg) (value, *flow) {
-	var few [4]value
-	vals := few[:]
-	if len(prog.operands) > len(few) {
-		vals = make([]value, len(prog.operands))
+	// The operands' values, then the stack the code runs on.
+	var room [8]value
+	buf := room[:]
+	if n := len(prog.operands) + prog.depth; n > len(room) {
+		buf = make([]value, n)
 	}
+	vals := buf[:len(prog.operands)]
+	stack := buf[len(vals):len(vals)]
 	for i, o := range prog.operands {
 		var v string
 		if o.script == nil {
@@ -591,11 +594,6 @@ func (ip *Interp) evalExpr(prog *exprProg) (value, *flow) {
 	}
 	if prog.lexErr != "" {
 		return value{}, &flow{kind: flowError, val: prog.lexErr}
-	}
-	var room [8]value
-	stack := room[:0]
-	if prog.depth > len(room) {
-		stack = make([]value, 0, prog.depth)
 	}
 	for i := range prog.code {
 		in := &prog.code[i]

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"strings"
 )
 
@@ -312,7 +313,7 @@ func (ip *Interp) ClientData() any { return ip.data }
 // Unregister removes a command from the table. Removing builtins is how
 // hosts build restricted sandboxes.
 func (ip *Interp) Unregister(name string) {
-	if ip.sharedCmd(name, len(ip.shared)) != nil {
+	if ip.sharedCmd(name) != nil {
 		// A shared table is read-only: this interpreter stops sharing, and
 		// registers what it shared, except name, as its own.
 		own := ip.host
@@ -333,9 +334,9 @@ func (ip *Interp) Unregister(name string) {
 	ip.shadowed |= builtinBit(name)
 }
 
-// sharedCmd looks name up in the shared tables older than shared[before].
-func (ip *Interp) sharedCmd(name string, before int) CmdFunc {
-	for i := before - 1; i >= 0; i-- {
+// sharedCmd looks name up in the shared tables, the newest first.
+func (ip *Interp) sharedCmd(name string) CmdFunc {
+	for i := len(ip.shared) - 1; i >= 0; i-- {
 		if fn, ok := ip.shared[i][name]; ok {
 			return fn
 		}
@@ -348,7 +349,7 @@ func (ip *Interp) hostCmd(name string) (CmdFunc, bool) {
 	if fn, ok := ip.host[name]; ok {
 		return fn, true
 	}
-	fn := ip.sharedCmd(name, len(ip.shared))
+	fn := ip.sharedCmd(name)
 	return fn, fn != nil
 }
 
@@ -361,27 +362,17 @@ func (ip *Interp) Commands() []string {
 			names = append(names, n)
 		}
 	}
-	for n := range ip.host {
+	hosts := maps.Clone(ip.host)
+	if hosts == nil {
+		hosts = make(map[string]CmdFunc)
+	}
+	for _, t := range ip.shared {
+		maps.Copy(hosts, t)
+	}
+	for n := range hosts {
 		names = append(names, n)
 	}
-	for i, t := range ip.shared {
-		for n := range t {
-			if _, own := ip.host[n]; !own && !ip.sharedLater(n, i) {
-				names = append(names, n)
-			}
-		}
-	}
 	return ip.appendProcs(names)
-}
-
-// sharedLater reports whether a table shared after shared[i] has name.
-func (ip *Interp) sharedLater(name string, i int) bool {
-	for _, t := range ip.shared[i+1:] {
-		if _, ok := t[name]; ok {
-			return true
-		}
-	}
-	return false
 }
 
 // StepsUsed reports how many commands have executed.
@@ -513,33 +504,27 @@ func finish(v string, f *flow) (string, error) {
 // current returns the active frame.
 func (ip *Interp) current() *frame { return ip.stack[len(ip.stack)-1] }
 
-// lookupVar resolves a variable in the active frame, following links.
-func (ip *Interp) lookupVar(name string) (string, bool) {
+// varFrame returns the frame whose own variable name is in the active
+// frame: the one a global or upvar links it to, or the active frame.
+func (ip *Interp) varFrame(name string) *frame {
 	fr := ip.current()
-	if target, ok := fr.links[name]; ok {
-		return target.get(name)
+	if fr.links != nil {
+		if target, ok := fr.links[name]; ok {
+			return target
+		}
 	}
-	return fr.get(name)
+	return fr
 }
 
-// setVarLocal writes a variable in the active frame, following links.
-func (ip *Interp) setVarLocal(name, value string) {
-	fr := ip.current()
-	if target, ok := fr.links[name]; ok {
-		fr = target
-	}
-	fr.set(name, value)
-}
+// lookupVar reads a variable of the active frame, following links.
+func (ip *Interp) lookupVar(name string) (string, bool) { return ip.varFrame(name).get(name) }
 
-// unsetVarLocal removes a variable, following links. Reports whether it
-// existed.
-func (ip *Interp) unsetVarLocal(name string) bool {
-	fr := ip.current()
-	if target, ok := fr.links[name]; ok {
-		fr = target
-	}
-	return fr.unset(name)
-}
+// setVarLocal writes a variable of the active frame, following links.
+func (ip *Interp) setVarLocal(name, value string) { ip.varFrame(name).set(name, value) }
+
+// unsetVarLocal removes a variable of the active frame, following links,
+// and reports whether it existed.
+func (ip *Interp) unsetVarLocal(name string) bool { return ip.varFrame(name).unset(name) }
 
 // evalScript runs every command; value is the last command's result.
 func (ip *Interp) evalScript(s *Script) (string, *flow) {
