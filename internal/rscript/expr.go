@@ -181,51 +181,8 @@ const (
 	exprCall                     // apply function text to the top n values
 )
 
-// exprOperator is an operator, resolved from its text at compile time.
-type exprOperator uint8
-
-const (
-	opOr exprOperator = iota
-	opAnd
-	opBitOr
-	opBitXor
-	opBitAnd
-	opShl
-	opShr
-	opEq
-	opNe
-	opStrEq
-	opStrNe
-	opLt
-	opGt
-	opLe
-	opGe
-	opAdd
-	opSub
-	opMul
-	opDiv
-	opMod
-	opPow
-	opNeg
-	opPlus
-	opNot
-	opBitNot
-)
-
-// binaryOperators and unaryOperators map operator text to operators.
-var (
-	binaryOperators = map[string]exprOperator{
-		"||": opOr, "&&": opAnd, "|": opBitOr, "^": opBitXor, "&": opBitAnd,
-		"<<": opShl, ">>": opShr, "==": opEq, "!=": opNe, "eq": opStrEq, "ne": opStrNe,
-		"<": opLt, ">": opGt, "<=": opLe, ">=": opGe,
-		"+": opAdd, "-": opSub, "*": opMul, "/": opDiv, "%": opMod, "**": opPow,
-	}
-	unaryOperators = map[string]exprOperator{"-": opNeg, "+": opPlus, "!": opNot, "~": opBitNot}
-)
-
 type exprInstr struct {
 	code exprOpcode
-	op   exprOperator
 	text string // operator, function name or error message
 	val  value
 	n    int
@@ -449,7 +406,7 @@ func (c *exprCompiler) binary(next func() bool, ops ...string) bool {
 		if !next() {
 			return false
 		}
-		c.emit(exprInstr{code: exprBinary, op: binaryOperators[op], text: op}, 2, 1)
+		c.emit(exprInstr{code: exprBinary, text: op}, 2, 1)
 	}
 }
 
@@ -475,7 +432,7 @@ func (c *exprCompiler) equality() bool {
 		if !c.relational() {
 			return false
 		}
-		c.emit(exprInstr{code: exprBinary, op: binaryOperators[op], text: op}, 2, 1)
+		c.emit(exprInstr{code: exprBinary, text: op}, 2, 1)
 	}
 }
 
@@ -489,7 +446,7 @@ func (c *exprCompiler) unary() bool {
 		if !c.unary() {
 			return false
 		}
-		c.emit(exprInstr{code: exprUnary, op: unaryOperators[op], text: op}, 1, 1)
+		c.emit(exprInstr{code: exprUnary, text: op}, 1, 1)
 		return true
 	}
 	return c.primary()
@@ -609,7 +566,7 @@ func (ip *Interp) evalExpr(prog *exprProg) (value, *flow) {
 			return value{}, &flow{kind: flowError, val: in.text}
 		case exprUnary:
 			top := &stack[len(stack)-1]
-			*top, f = unaryOp(in.op, *top)
+			*top, f = unaryOp(in.text, *top)
 		case exprCall:
 			args := stack[len(stack)-in.n:]
 			var v value
@@ -618,7 +575,7 @@ func (ip *Interp) evalExpr(prog *exprProg) (value, *flow) {
 		default:
 			l, r := &stack[len(stack)-2], stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			*l, f = binaryOp(in, *l, r)
+			*l, f = binaryOp(in.text, *l, r)
 		}
 		if f != nil {
 			return value{}, f
@@ -662,15 +619,15 @@ func valueTruthy(v value) (bool, *flow) {
 	}
 }
 
-// binaryOp applies one binary instruction to its operands.
-func binaryOp(in *exprInstr, l, r value) (value, *flow) {
-	switch op := in.op; op {
-	case opOr, opAnd:
+// binaryOp applies a binary operator to its operands.
+func binaryOp(op string, l, r value) (value, *flow) {
+	switch op {
+	case "||", "&&":
 		lb, f := valueTruthy(l)
 		if f != nil {
 			return value{}, f
 		}
-		if lb == (op == opOr) {
+		if lb == (op == "||") {
 			return boolVal(lb), nil
 		}
 		rb, f := valueTruthy(r)
@@ -678,31 +635,31 @@ func binaryOp(in *exprInstr, l, r value) (value, *flow) {
 			return value{}, f
 		}
 		return boolVal(rb), nil
-	case opBitOr, opBitXor, opBitAnd, opShl, opShr:
+	case "|", "^", "&", "<<", ">>":
 		if l.kind != vInt || r.kind != vInt {
-			return value{}, errorFlow("expr: operator %q requires integer operands", in.text)
+			return value{}, errorFlow("expr: operator %q requires integer operands", op)
 		}
 		a, b := l.i, r.i
 		switch op {
-		case opBitOr:
+		case "|":
 			return intVal(a | b), nil
-		case opBitXor:
+		case "^":
 			return intVal(a ^ b), nil
-		case opBitAnd:
+		case "&":
 			return intVal(a & b), nil
 		}
 		if b < 0 || b > 63 {
 			return value{}, errorFlow("expr: shift count %d out of range", b)
 		}
-		if op == opShl {
+		if op == "<<" {
 			return intVal(a << uint(b)), nil
 		}
 		return intVal(a >> uint(b)), nil
-	case opEq, opNe:
-		return boolVal(valuesEqual(l, r) == (op == opEq)), nil
-	case opStrEq, opStrNe:
-		return boolVal((l.String() == r.String()) == (op == opStrEq)), nil
-	case opLt, opGt, opLe, opGe:
+	case "==", "!=":
+		return boolVal(valuesEqual(l, r) == (op == "==")), nil
+	case "eq", "ne":
+		return boolVal((l.String() == r.String()) == (op == "eq")), nil
+	case "<", ">", "<=", ">=":
 		var cmp int
 		if l.isNumeric() && r.isNumeric() {
 			lf, rf := l.asFloat(), r.asFloat()
@@ -716,16 +673,16 @@ func binaryOp(in *exprInstr, l, r value) (value, *flow) {
 			cmp = strings.Compare(l.String(), r.String())
 		}
 		switch op {
-		case opLt:
+		case "<":
 			return boolVal(cmp < 0), nil
-		case opGt:
+		case ">":
 			return boolVal(cmp > 0), nil
-		case opLe:
+		case "<=":
 			return boolVal(cmp <= 0), nil
 		}
 		return boolVal(cmp >= 0), nil
 	}
-	return arith(in, l, r)
+	return arith(op, l, r)
 }
 
 func valuesEqual(a, b value) bool {
@@ -740,9 +697,9 @@ func valuesEqual(a, b value) bool {
 	return a.String() == b.String()
 }
 
-func unaryOp(op exprOperator, v value) (value, *flow) {
+func unaryOp(op string, v value) (value, *flow) {
 	switch op {
-	case opNeg:
+	case "-":
 		switch v.kind {
 		case vInt:
 			return intVal(-v.i), nil
@@ -750,12 +707,12 @@ func unaryOp(op exprOperator, v value) (value, *flow) {
 			return floatVal(-v.f), nil
 		}
 		return value{}, errorFlow("expr: unary - on non-number %q", v.String())
-	case opPlus:
+	case "+":
 		if !v.isNumeric() {
 			return value{}, errorFlow("expr: unary + on non-number %q", v.String())
 		}
 		return v, nil
-	case opNot:
+	case "!":
 		b, f := valueTruthy(v)
 		if f != nil {
 			return value{}, f
@@ -769,19 +726,19 @@ func unaryOp(op exprOperator, v value) (value, *flow) {
 }
 
 // arith applies an arithmetic operator: + - * / % **.
-func arith(in *exprInstr, a, b value) (value, *flow) {
+func arith(op string, a, b value) (value, *flow) {
 	if !a.isNumeric() || !b.isNumeric() {
-		return value{}, errorFlow("expr: operator %q requires numeric operands (got %q, %q)", in.text, a.String(), b.String())
+		return value{}, errorFlow("expr: operator %q requires numeric operands (got %q, %q)", op, a.String(), b.String())
 	}
 	if a.kind == vInt && b.kind == vInt {
-		switch in.op {
-		case opAdd:
+		switch op {
+		case "+":
 			return intVal(a.i + b.i), nil
-		case opSub:
+		case "-":
 			return intVal(a.i - b.i), nil
-		case opMul:
+		case "*":
 			return intVal(a.i * b.i), nil
-		case opDiv:
+		case "/":
 			if b.i == 0 {
 				return value{}, errorFlow("expr: divide by zero")
 			}
@@ -791,7 +748,7 @@ func arith(in *exprInstr, a, b value) (value, *flow) {
 				q--
 			}
 			return intVal(q), nil
-		case opMod:
+		case "%":
 			if b.i == 0 {
 				return value{}, errorFlow("expr: divide by zero")
 			}
@@ -800,7 +757,7 @@ func arith(in *exprInstr, a, b value) (value, *flow) {
 				m += b.i
 			}
 			return intVal(m), nil
-		case opPow:
+		case "**":
 			if b.i < 0 {
 				return floatVal(math.Pow(float64(a.i), float64(b.i))), nil
 			}
@@ -817,24 +774,24 @@ func arith(in *exprInstr, a, b value) (value, *flow) {
 		}
 	}
 	lf, rf := a.asFloat(), b.asFloat()
-	switch in.op {
-	case opAdd:
+	switch op {
+	case "+":
 		return floatVal(lf + rf), nil
-	case opSub:
+	case "-":
 		return floatVal(lf - rf), nil
-	case opMul:
+	case "*":
 		return floatVal(lf * rf), nil
-	case opDiv:
+	case "/":
 		if rf == 0 {
 			return value{}, errorFlow("expr: divide by zero")
 		}
 		return floatVal(lf / rf), nil
-	case opMod:
+	case "%":
 		return value{}, errorFlow("expr: %% requires integer operands")
-	case opPow:
+	case "**":
 		return floatVal(math.Pow(lf, rf)), nil
 	}
-	return value{}, errorFlow("expr: unknown operator %q", in.text)
+	return value{}, errorFlow("expr: unknown operator %q", op)
 }
 
 func applyFunc(name string, args []value) (value, *flow) {
