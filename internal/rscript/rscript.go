@@ -132,11 +132,20 @@ type frame struct {
 	big   bool              // more held over frameReuseVars entries at some point
 }
 
-func (fr *frame) get(name string) (string, bool) {
-	for i := range fr.n {
+// find returns where name is among the frame's in-place variables, -1 if
+// it is not there.
+func (fr *frame) find(name string) int {
+	for i := range int(fr.n) {
 		if fr.vars[i].name == name {
-			return fr.vars[i].value, true
+			return i
 		}
+	}
+	return -1
+}
+
+func (fr *frame) get(name string) (string, bool) {
+	if i := fr.find(name); i >= 0 {
+		return fr.vars[i].value, true
 	}
 	v, ok := fr.more[name]
 	return v, ok
@@ -144,11 +153,9 @@ func (fr *frame) get(name string) (string, bool) {
 
 // set writes a variable of this frame, not following links.
 func (fr *frame) set(name, value string) {
-	for i := range fr.n {
-		if fr.vars[i].name == name {
-			fr.vars[i].value = value
-			return
-		}
+	if i := fr.find(name); i >= 0 {
+		fr.vars[i].value = value
+		return
 	}
 	if _, ok := fr.more[name]; !ok && int(fr.n) < len(fr.vars) {
 		fr.vars[fr.n] = variable{name, value}
@@ -166,19 +173,15 @@ func (fr *frame) set(name, value string) {
 
 // unset removes a variable of this frame and reports whether it existed.
 func (fr *frame) unset(name string) bool {
-	for i := range fr.n {
-		if fr.vars[i].name == name {
-			fr.n--
-			fr.vars[i] = fr.vars[fr.n]
-			fr.vars[fr.n] = variable{}
-			return true
-		}
-	}
-	if _, ok := fr.more[name]; ok {
-		delete(fr.more, name)
+	if i := fr.find(name); i >= 0 {
+		fr.n--
+		fr.vars[i] = fr.vars[fr.n]
+		fr.vars[fr.n] = variable{}
 		return true
 	}
-	return false
+	_, ok := fr.more[name]
+	delete(fr.more, name)
+	return ok
 }
 
 // reset empties the frame for another call.
