@@ -147,6 +147,36 @@ func TestKeptEncodingRetention(t *testing.T) {
 	}
 }
 
+// TestBracedLiteralStateRetention: a method that writes a braced literal
+// of its code into the state does not make the new value a view of the
+// encoding the code was decoded from — whether the code is short enough
+// for the program cache or too long for it — so the written object does
+// not pin the version it was made from.
+func TestBracedLiteralStateRetention(t *testing.T) {
+	for _, pad := range []int{0, 70 << 10} {
+		o := testObj()
+		o.Code = "# " + strings.Repeat("x", pad) + "\nproc mark {} { state set note {a braced literal} }"
+		d, err := Decode(o.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := d.enc // a write drops it from the object
+		if d.kept() == nil || !inside(d.Code, enc) {
+			t.Fatal("the decoded code is not a view of the kept encoding")
+		}
+		e, err := NewEnv(d, EnvOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Invoke("mark"); err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := d.Get("note"); v != "a braced literal" || inside(v, enc) {
+			t.Errorf("code of %d bytes: state value %q is a view of the encoding", len(d.Code), v)
+		}
+	}
+}
+
 // TestKeptEncodingFollowsTheFields: the kept bytes are sent only while they
 // still encode the object. A State write drops them; a header field
 // assigned directly makes them unusable until it matches again; and Encode

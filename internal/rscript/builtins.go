@@ -107,7 +107,7 @@ func cmdIncr(ip *Interp, args []string) (string, *flow) {
 	}
 	delta := int64(1)
 	if len(args) == 2 {
-		d, err := parseInt(args[1])
+		d, err := strconv.ParseInt(args[1], 0, 64)
 		if err != nil {
 			return "", errorFlow("incr: bad increment %q", args[1])
 		}
@@ -115,7 +115,7 @@ func cmdIncr(ip *Interp, args []string) (string, *flow) {
 	}
 	cur := int64(0)
 	if v, ok := ip.lookupVar(args[0]); ok {
-		c, err := parseInt(strings.TrimSpace(v))
+		c, err := strconv.ParseInt(strings.TrimSpace(v), 0, 64)
 		if err != nil {
 			return "", errorFlow("incr: variable %q holds non-integer %q", args[0], v)
 		}
@@ -138,11 +138,10 @@ func cmdAppend(ip *Interp, args []string) (string, *flow) {
 }
 
 func cmdProc(ip *Interp, args []string) (string, *flow) {
-	cmd := ip.cmd
 	if len(args) != 3 {
 		return "", argErr("proc", "name params body")
 	}
-	proc, f := newProc(args[0], args[1], args[2], argWord(cmd, 2))
+	proc, f := newProc(args[0], args[1], args[2])
 	if f != nil {
 		return "", f
 	}
@@ -154,10 +153,10 @@ func cmdProc(ip *Interp, args []string) (string, *flow) {
 	return "", nil
 }
 
-// newProc builds the procedure that `proc name params body` defines; w is
-// the word body was written as, nil if unknown. A body that does not parse
-// is not an error of the definition: calling the procedure reports it.
-func newProc(name, params, body string, w *Word) (*Proc, *flow) {
+// newProc builds the procedure that `proc name params body` defines. A body
+// that does not parse is not an error of the definition: calling the
+// procedure reports it.
+func newProc(name, params, body string) (*Proc, *flow) {
 	paramList, err := ParseList(params)
 	if err != nil {
 		return nil, errorFlow("proc %q: bad parameter list: %v", name, err)
@@ -178,26 +177,8 @@ func newProc(name, params, body string, w *Word) (*Proc, *flow) {
 		}
 		proc.Params = append(proc.Params, p)
 	}
-	proc.body, proc.bodyErr = w.script(body)
+	proc.body, proc.bodyErr = parseCached(body)
 	return proc, nil
-}
-
-// argWord returns the word args[i] of the builtin cmd is running was
-// written as; nil when cmd is.
-func argWord(cmd *Cmd, i int) *Word {
-	if cmd == nil {
-		return nil
-	}
-	return cmd.Words[i+1]
-}
-
-// evalIn evaluates src, the value of word w, as a script.
-func (ip *Interp) evalIn(w *Word, src string) (string, *flow) {
-	s, err := w.script(src)
-	if err != nil {
-		return "", errorFlow("%v", err)
-	}
-	return ip.evalScript(s)
 }
 
 func cmdReturn(ip *Interp, args []string) (string, *flow) {
@@ -230,11 +211,10 @@ func cmdError(ip *Interp, args []string) (string, *flow) {
 }
 
 func cmdCatch(ip *Interp, args []string) (string, *flow) {
-	cmd := ip.cmd
 	if len(args) < 1 || len(args) > 2 {
 		return "", argErr("catch", "script ?resultVarName?")
 	}
-	v, err := ip.evalIn(argWord(cmd, 0), args[0])
+	v, err := ip.evalBody(args[0])
 	code := "0"
 	result := v
 	if err != nil {
@@ -263,13 +243,12 @@ func cmdCatch(ip *Interp, args []string) (string, *flow) {
 }
 
 func cmdIf(ip *Interp, args []string) (string, *flow) {
-	cmd := ip.cmd
 	i := 0
 	for {
 		if i >= len(args) {
 			return "", argErr("if", "cond ?then? body ?elseif cond body ...? ?else body?")
 		}
-		cond := i
+		cond := args[i]
 		i++
 		if i < len(args) && args[i] == "then" {
 			i++
@@ -277,14 +256,14 @@ func cmdIf(ip *Interp, args []string) (string, *flow) {
 		if i >= len(args) {
 			return "", argErr("if", "cond ?then? body ...")
 		}
-		body := i
+		body := args[i]
 		i++
-		ok, f := ip.truthy(argWord(cmd, cond).expression(args[cond]))
+		ok, f := ip.truthy(cond)
 		if f != nil {
 			return "", f
 		}
 		if ok {
-			return ip.evalIn(argWord(cmd, body), args[body])
+			return ip.evalBody(body)
 		}
 		if i >= len(args) {
 			return "", nil
@@ -298,28 +277,35 @@ func cmdIf(ip *Interp, args []string) (string, *flow) {
 			if i != len(args)-1 {
 				return "", argErr("if", "... else body")
 			}
-			return ip.evalIn(argWord(cmd, i), args[i])
+			return ip.evalBody(args[i])
 		default:
 			return "", errorFlow("if: expected \"elseif\" or \"else\" but got %q", args[i])
 		}
 	}
 }
 
+func (ip *Interp) evalBody(body string) (string, *flow) {
+	s, err := parseCached(body)
+	if err != nil {
+		return "", errorFlow("%v", err)
+	}
+	return ip.evalScript(s)
+}
+
 func cmdWhile(ip *Interp, args []string) (string, *flow) {
-	cmd := ip.cmd
 	if len(args) != 2 {
 		return "", argErr("while", "condition body")
 	}
 	for {
 		since := ip.steps
-		ok, f := ip.truthy(argWord(cmd, 0).expression(args[0]))
+		ok, f := ip.truthy(args[0])
 		if f != nil {
 			return "", f
 		}
 		if !ok {
 			return "", nil
 		}
-		_, f = ip.evalIn(argWord(cmd, 1), args[1])
+		_, f = ip.evalBody(args[1])
 		if f != nil && f.kind != flowContinue {
 			if f.kind == flowBreak {
 				return "", nil
@@ -333,23 +319,22 @@ func cmdWhile(ip *Interp, args []string) (string, *flow) {
 }
 
 func cmdFor(ip *Interp, args []string) (string, *flow) {
-	cmd := ip.cmd
 	if len(args) != 4 {
 		return "", argErr("for", "start test next body")
 	}
-	if _, f := ip.evalIn(argWord(cmd, 0), args[0]); f != nil {
+	if _, f := ip.evalBody(args[0]); f != nil {
 		return "", f
 	}
 	for {
 		since := ip.steps
-		ok, f := ip.truthy(argWord(cmd, 1).expression(args[1]))
+		ok, f := ip.truthy(args[1])
 		if f != nil {
 			return "", f
 		}
 		if !ok {
 			return "", nil
 		}
-		_, f = ip.evalIn(argWord(cmd, 3), args[3])
+		_, f = ip.evalBody(args[3])
 		if f != nil {
 			switch f.kind {
 			case flowBreak:
@@ -360,7 +345,7 @@ func cmdFor(ip *Interp, args []string) (string, *flow) {
 				return "", f
 			}
 		}
-		if _, f := ip.evalIn(argWord(cmd, 2), args[2]); f != nil {
+		if _, f := ip.evalBody(args[2]); f != nil {
 			return "", f
 		}
 		if f := ip.stepIfIdle(since); f != nil {
@@ -370,7 +355,6 @@ func cmdFor(ip *Interp, args []string) (string, *flow) {
 }
 
 func cmdForeach(ip *Interp, args []string) (string, *flow) {
-	cmd := ip.cmd
 	if len(args) != 3 {
 		return "", argErr("foreach", "varList list body")
 	}
@@ -390,7 +374,7 @@ func cmdForeach(ip *Interp, args []string) (string, *flow) {
 				ip.setVarLocal(v, "")
 			}
 		}
-		_, f := ip.evalIn(argWord(cmd, 2), args[2])
+		_, f := ip.evalBody(args[2])
 		if f != nil {
 			switch f.kind {
 			case flowBreak:
@@ -406,7 +390,6 @@ func cmdForeach(ip *Interp, args []string) (string, *flow) {
 }
 
 func cmdSwitch(ip *Interp, args []string) (string, *flow) {
-	cmd := ip.cmd
 	glob := false
 	i := 0
 	for i < len(args) && strings.HasPrefix(args[i], "-") {
@@ -430,18 +413,15 @@ done:
 	val := args[i]
 	i++
 	var pairs []string
-	var words []*Word // what pairs were written as, when known
 	switch {
 	case len(args)-i == 1:
 		var err error
-		if pairs, words, err = argWord(cmd, i).switchArms(args[i]); err != nil {
+		pairs, err = ParseList(args[i])
+		if err != nil {
 			return "", errorFlow("switch: bad pattern/body list: %v", err)
 		}
 	case (len(args)-i)%2 == 0:
 		pairs = args[i:]
-		if cmd != nil {
-			words = cmd.Words[i+1:]
-		}
 	default:
 		return "", argErr("switch", "?options? value {pattern body ...}")
 	}
@@ -464,32 +444,28 @@ done:
 				j += 2
 				body = pairs[j+1]
 			}
-			var w *Word
-			if words != nil {
-				w = words[j+1]
-			}
-			return ip.evalIn(w, body)
+			return ip.evalBody(body)
 		}
 	}
 	return "", nil
 }
 
 func cmdExpr(ip *Interp, args []string) (string, *flow) {
-	cmd := ip.cmd
-	switch len(args) {
-	case 0:
+	if len(args) == 0 {
 		return "", argErr("expr", "arg ?arg ...?")
-	case 1:
-		return ip.exprString(argWord(cmd, 0).expression(args[0]))
 	}
-	return ip.exprString(compileExprCached(strings.Join(args, " ")))
+	v, f := ip.evalExpr(compileExprCached(strings.Join(args, " ")))
+	if f != nil {
+		return "", f
+	}
+	return v.String(), nil
 }
 
 func cmdEval(ip *Interp, args []string) (string, *flow) {
 	if len(args) == 0 {
 		return "", argErr("eval", "arg ?arg ...?")
 	}
-	return ip.evalIn(nil, strings.Join(args, " "))
+	return ip.evalBody(strings.Join(args, " "))
 }
 
 func cmdGlobal(ip *Interp, args []string) (string, *flow) {

@@ -7,18 +7,15 @@ import (
 
 // Compiled forms are cached once per process, keyed by source text, so an
 // object's code is parsed the first time any interpreter meets it and never
-// again. What a cached script's commands use as scripts and expressions —
-// the literal bodies of its procs, loops, ifs, catches and switches, and
-// its expr operands and conditions — is compiled onto the words they were
-// written as on first use (parse.go) and so is not looked up by string at
-// all; only sources made at run time (eval, a substituted body, expr of
-// several words) come through here again. Only the compiled form is shared
-// — with, for a script handed to Eval that does nothing but define procs,
-// the procs it defines (its class, class.go): it is read-only once
-// published (the evaluator never writes to a *Script, a *Proc or an
-// *exprProg), so any number of interpreters in any sandbox may run one
-// concurrently. Variables, step counters, command tables and the procs
-// defined at run time stay per-Interp.
+// again. So are what its commands use as scripts and expressions — the
+// bodies of its procs, loops, ifs, catches and switches, and its expr
+// operands and conditions — each looked up by its text when it runs. Only
+// the compiled form is shared — with, for a script handed to Eval that does
+// nothing but define procs, the procs it defines (its class, class.go): it
+// is read-only once published (the evaluator never writes to a *Script, a
+// *Proc or an *exprProg), so any number of interpreters in any sandbox may
+// run one concurrently. Variables, step counters, command tables and the
+// procs defined at run time stay per-Interp.
 //
 // The bounds are constants, not options: no caller at the parent commit
 // needed a different value. A source longer than cacheMaxSource is compiled
@@ -77,17 +74,14 @@ var (
 	exprs   progCache[*exprProg]
 )
 
-// own returns the string a cache miss compiles and stores as its key: a
-// private copy of a cacheable src. A compiled form holds slices of the
-// source it came from, so compiling the caller's string would pin whatever
-// that string is a slice of past the byte bound — an object's code is a
-// view of the whole encoding it was decoded from.
-func own(src string) string {
-	if len(src) > cacheMaxSource {
-		return src
-	}
-	return strings.Clone(src)
-}
+// own returns the string a cache miss compiles, and stores as its key when
+// it is cacheable: a private copy of src. A compiled form holds slices of
+// the source it came from — a braced word is one — so compiling the
+// caller's string would pin whatever that string is a slice of: an
+// object's code is a view of the whole encoding it was decoded from. A
+// source too long to cache is copied too, so that no compiled form, and no
+// value taken from one, is ever a view of an encoding.
+func own(src string) string { return strings.Clone(src) }
 
 // parseCached returns the shared parse of src. Parse errors are not
 // cached; broken code re-reports its error from a fresh parse.

@@ -44,7 +44,7 @@ func newClass(s *Script) *class {
 		if words[0] != "proc" || words[1] == "proc" {
 			return nil
 		}
-		proc, f := newProc(words[1], words[2], words[3], cmd.Words[3])
+		proc, f := newProc(words[1], words[2], words[3])
 		if f != nil {
 			return nil
 		}

@@ -172,7 +172,7 @@ func TestClassBodyParseError(t *testing.T) {
 
 // TestClassNestedDefinitionsLoadFlat: a proc whose body defines a proc whose
 // body defines a proc, thousands deep, loads as one definition. Only the
-// source handed to Eval gets a class; its body is compiled, not loaded, so
+// source handed to Eval gets a class; its body is parsed, not loaded, so
 // the levels below are met one call at a time, each charged its step —
 // exactly as when the script is run command by command.
 func TestClassNestedDefinitionsLoadFlat(t *testing.T) {
@@ -183,27 +183,15 @@ func TestClassNestedDefinitionsLoadFlat(t *testing.T) {
 	if _, err := ip.Eval(src); err != nil || ip.class == nil || ip.StepsUsed() != 1 {
 		t.Fatalf("load: %v, class %p, %d steps", err, ip.class, ip.StepsUsed())
 	}
-	s, ok := scripts.get(src)
-	if !ok {
-		t.Fatal("source not cached")
-	}
-	// compiled counts the levels whose body has been compiled.
-	compiled := func() int {
-		n := 0
-		for b := s.Cmds[0].Words[3].body.Load(); b != nil; b = b.Cmds[0].Words[3].body.Load() {
-			n++
-		}
-		return n
-	}
-	if n := compiled(); n != 1 {
-		t.Errorf("loading compiled %d levels, want 1: the outermost body", n)
+	if n, _ := scripts.size(); n != 2 {
+		t.Errorf("loading cached %d scripts, want 2: the source and the outermost body", n)
 	}
 	for i := 1; i <= 3; i++ {
 		if v, err := ip.Call("a"); err != nil || v != "" {
 			t.Fatalf("call %d: %q, %v", i, v, err)
 		}
-		if n := compiled(); n != 1+i {
-			t.Errorf("after %d calls %d levels compiled, want %d", i, n, 1+i)
+		if n, _ := scripts.size(); n != 2+i {
+			t.Errorf("after %d calls %d scripts cached, want %d", i, n, 2+i)
 		}
 	}
 	resetCaches()

@@ -195,10 +195,9 @@ func TestLoopAllocs(t *testing.T) {
 	}
 }
 
-// TestSubstitutedWordsCompileEachValue: only a literal word keeps what it
-// compiles to. A body, condition, expression or switch list that is
-// substituted has a new value each time the command runs, and each value
-// is what runs.
+// TestSubstitutedWordsCompileEachValue: a body, condition, expression or
+// switch list that is substituted has a new value each time the command
+// runs, and each value is what runs.
 func TestSubstitutedWordsCompileEachValue(t *testing.T) {
 	for _, c := range []struct{ src, want string }{
 		{`foreach b {{lappend r 1} {lappend r 2}} {if 1 $b}; set r`, "1 2"},

@@ -88,37 +88,13 @@ func classify(s string) value {
 	if t == "" {
 		return strVal(s)
 	}
-	if i, err := parseInt(t); err == nil {
+	if i, err := strconv.ParseInt(t, 0, 64); err == nil {
 		return intVal(i)
 	}
 	if f, err := strconv.ParseFloat(t, 64); err == nil {
 		return floatVal(f)
 	}
 	return strVal(s)
-}
-
-// parseInt is strconv.ParseInt(s, 0, 64), with a shortcut for what most
-// values are: a short decimal without a leading zero (which would make it
-// octal).
-func parseInt(s string) (int64, error) {
-	i, n := 0, len(s)
-	if n > 0 && (s[0] == '-' || s[0] == '+') {
-		i++
-	}
-	if i == n || n > 18 || s[i] == '0' && n > i+1 {
-		return strconv.ParseInt(s, 0, 64)
-	}
-	var v int64
-	for _, c := range []byte(s[i:]) {
-		if c < '0' || c > '9' {
-			return strconv.ParseInt(s, 0, 64)
-		}
-		v = v*10 + int64(c-'0')
-	}
-	if s[0] == '-' {
-		v = -v
-	}
-	return v, nil
 }
 
 // exprToken kinds.
@@ -150,11 +126,10 @@ type exprOperand struct {
 
 // exprProg is the compiled form of one expr source: its $var and [cmd]
 // operands in source order, and a postfix program over their values. Like
-// a *Script it is read-only once compiled and shared, through the cache or
-// the word it was written as. Evaluation substitutes every operand first,
-// as a single scan-and-substitute pass would; a lexical error does not
-// discard the operands before it — they are substituted, and then lexErr
-// is reported.
+// a *Script it is read-only once compiled and shared through the cache.
+// Evaluation substitutes every operand first, as a single
+// scan-and-substitute pass would; a lexical error does not discard the
+// operands before it — they are substituted, and then lexErr is reported.
 //
 // The language defines an expression's errors by a precedence descent
 // that evaluates as it parses: the first failure in that order is the one
@@ -584,18 +559,9 @@ func (ip *Interp) evalExpr(prog *exprProg) (value, *flow) {
 	return stack[0], nil
 }
 
-// exprString evaluates an expression for a command: the result as a string.
-func (ip *Interp) exprString(prog *exprProg) (string, *flow) {
-	v, f := ip.evalExpr(prog)
-	if f != nil {
-		return "", f
-	}
-	return v.String(), nil
-}
-
 // truthy evaluates a condition.
-func (ip *Interp) truthy(prog *exprProg) (bool, *flow) {
-	v, f := ip.evalExpr(prog)
+func (ip *Interp) truthy(src string) (bool, *flow) {
+	v, f := ip.evalExpr(compileExprCached(src))
 	if f != nil {
 		return false, f
 	}

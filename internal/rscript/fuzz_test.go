@@ -239,8 +239,7 @@ func observeEval(src string, budget int64, run bool) evalOutcome {
 
 // FuzzEvalCachedVsFresh: evaluating a source whose every script, body and
 // expression is compiled afresh, and evaluating it again with all of them
-// served from the process-wide caches and the forms compiled onto its
-// words, must be indistinguishable — value,
+// served from the process-wide caches, must be indistinguishable — value,
 // error text, step count, variables, procs, host state and output, and then
 // the result, error and step count of calling each proc. A compiled form
 // that evaluation modified, or one that captured anything of the
@@ -269,9 +268,8 @@ func FuzzEvalCachedVsFresh(f *testing.F) {
 		if fresh != cached {
 			t.Fatalf("source %q\n fresh: %+v\ncached: %+v", src, fresh, cached)
 		}
-		// Once more with the top-level script evicted but what it compiled
-		// through the caches (eval'd and substituted bodies, expressions
-		// of several words) still cached: a fresh Parse over cached parts.
+		// Once more with the top-level script evicted but its bodies and
+		// expressions still cached: a fresh Parse over cached parts.
 		scripts.evict(src)
 		if mixed := observeEval(src, 400, false); mixed != fresh {
 			t.Fatalf("source %q\n fresh: %+v\n mixed: %+v", src, fresh, mixed)

@@ -3,9 +3,6 @@ package rscript
 import (
 	"flag"
 	"fmt"
-	"go/ast"
-	goparser "go/parser"
-	"go/token"
 	"os"
 	"sort"
 	"strconv"
@@ -21,88 +18,29 @@ var update = flag.Bool("update", false, "rewrite testdata/eval.golden from the c
 // stop at their third command.
 var goldenBudgets = []int64{100_000, 3}
 
-// tableSources returns the scripts of rscript_test.go's table tests, in
-// file order: every string literal that is a slice element, or the first
-// field of one, or an argument of ev, evErr, mustEval or Eval, inside a
-// test function that evaluates anything.
-func tableSources(t *testing.T) []string {
+// goldenSources returns the scripts testdata/eval.golden has rows for, in
+// file order: the source of every row header under the first budget. The
+// list lives in the file, not in the tests, so that editing a test or a
+// fuzz seed does not change which rows the file must hold. It was written
+// from the fuzz seeds and the table tests' scripts; to add a source, add a
+// header `=== budget 100000: "<source>"` and run with -update.
+func goldenSources(t *testing.T, golden string) []string {
 	t.Helper()
-	file, err := goparser.ParseFile(token.NewFileSet(), "rscript_test.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evaluates := func(call *ast.CallExpr) bool {
-		switch fn := call.Fun.(type) {
-		case *ast.Ident:
-			return fn.Name == "ev" || fn.Name == "evErr" || fn.Name == "mustEval"
-		case *ast.SelectorExpr:
-			return fn.Sel.Name == "Eval"
-		}
-		return false
-	}
+	prefix := fmt.Sprintf("=== budget %d: ", goldenBudgets[0])
 	var srcs []string
-	add := func(e ast.Expr) {
-		if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-			if s, err := strconv.Unquote(lit.Value); err == nil {
-				srcs = append(srcs, s)
+	for _, line := range strings.Split(golden, "\n") {
+		if q, ok := strings.CutPrefix(line, prefix); ok {
+			src, err := strconv.Unquote(q)
+			if err != nil {
+				t.Fatalf("golden row header %s: %v", line, err)
 			}
+			srcs = append(srcs, src)
 		}
 	}
-	for _, decl := range file.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || !strings.HasPrefix(fn.Name.Name, "Test") {
-			continue
-		}
-		var calls bool
-		ast.Inspect(fn, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok && evaluates(call) {
-				calls = true
-			}
-			return !calls
-		})
-		if !calls {
-			continue
-		}
-		ast.Inspect(fn, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				if evaluates(n) {
-					for _, a := range n.Args {
-						add(a)
-					}
-				}
-			case *ast.CompositeLit:
-				if _, ok := n.Type.(*ast.ArrayType); !ok {
-					return true
-				}
-				for _, elt := range n.Elts {
-					if row, ok := elt.(*ast.CompositeLit); ok && len(row.Elts) > 0 {
-						add(row.Elts[0])
-					} else {
-						add(elt)
-					}
-				}
-			}
-			return true
-		})
+	if len(srcs) == 0 {
+		t.Fatal("no golden sources")
 	}
 	return srcs
-}
-
-// goldenSources is every script the golden file has a row for, each once:
-// the fuzz seeds, then the table tests' sources.
-func goldenSources(t *testing.T) []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, seeds := range [][]string{rdoSeeds, evalSeeds, classSeeds, tableSources(t)} {
-		for _, s := range seeds {
-			if !seen[s] {
-				seen[s] = true
-				out = append(out, s)
-			}
-		}
-	}
-	return out
 }
 
 // goldenRow evaluates src in a fresh interpreter with the `state` command
@@ -142,27 +80,27 @@ func goldenRow(src string, budget int64) string {
 }
 
 // TestEvalGolden holds the evaluator to what it did when testdata/
-// eval.golden was written: for every fuzz seed and every table-test script,
-// under a roomy and a tiny step budget, the same result, error text, step
-// count, globals and `state` calls, byte for byte. Run with -update to
-// rewrite the file after a deliberate change of behaviour.
+// eval.golden was written: for every source the file lists, under a roomy
+// and a tiny step budget, the same result, error text, step count, globals
+// and `state` calls, byte for byte. Run with -update to rewrite the rows
+// after a deliberate change of behaviour.
 func TestEvalGolden(t *testing.T) {
+	const path = "testdata/eval.golden"
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sb strings.Builder
-	for _, src := range goldenSources(t) {
+	for _, src := range goldenSources(t, string(want)) {
 		for _, budget := range goldenBudgets {
 			sb.WriteString(goldenRow(src, budget))
 		}
 	}
-	const path = "testdata/eval.golden"
 	if *update {
 		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if got := sb.String(); got != string(want) {
 		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")

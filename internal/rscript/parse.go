@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // The rscript grammar is a faithful subset of Tcl's dodekalogue:
@@ -19,16 +18,12 @@ import (
 //
 // Scripts parse to a small AST that the evaluator runs. The AST is also
 // the compiled form (see DESIGN.md §14 "Compiled forms"): a command whose
-// first word names a builtin carries that builtin, and a literal word that
-// a command uses as a script, an expression or a switch arm list keeps what
-// it compiles to, made the first time it is used so. Top-level sources are
-// cached by string (cache.go); what hangs off their words is not looked up
-// again.
+// first word names a builtin carries that builtin. Sources, and the bodies
+// and expressions commands run, are cached by string (cache.go).
 
 // Script is a parsed rscript program. A Script, and everything reachable
-// from it, is read-only once Parse returns except for what is compiled on
-// first use (class, and the forms of literal words), each of which is
-// published once and never changed: cached scripts are run by many
+// from it, is read-only once Parse returns except for its class, which is
+// computed on first use and published once: cached scripts are run by many
 // interpreters at once, so neither the evaluator nor a caller may modify
 // one.
 type Script struct {
@@ -50,19 +45,6 @@ type Cmd struct {
 // Word is a sequence of parts concatenated after substitution.
 type Word struct {
 	Parts []Part
-
-	// What a literal word compiles to, by role, each set by its first use.
-	body atomic.Pointer[Script]
-	expr atomic.Pointer[exprProg]
-	arms atomic.Pointer[armList]
-}
-
-// armList is a literal word that switch uses as its {pattern body ...}
-// list, parsed: the items, and each as a literal word of its own, so that
-// a body is compiled once too.
-type armList struct {
-	items []string
-	words []*Word
 }
 
 // literal returns the word's value if no substitution contributes to it.
@@ -73,71 +55,6 @@ func (w *Word) literal() (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// isLiteral reports whether w is a word no substitution contributes to; a
-// nil w is not.
-func (w *Word) isLiteral() bool {
-	if w == nil {
-		return false
-	}
-	_, ok := w.literal()
-	return ok
-}
-
-// script returns src compiled as a script, where src is the value of word w
-// (nil when not known). A literal word keeps what it compiles to and
-// compiles once; any other source goes through the cache. A word that does
-// not parse is not remembered: every use reports the error afresh, as the
-// cache does.
-func (w *Word) script(src string) (*Script, error) {
-	if !w.isLiteral() {
-		return parseCached(src)
-	}
-	if s := w.body.Load(); s != nil {
-		return s, nil
-	}
-	s, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	w.body.CompareAndSwap(nil, s)
-	return w.body.Load(), nil
-}
-
-// expression is script for expressions.
-func (w *Word) expression(src string) *exprProg {
-	if !w.isLiteral() {
-		return compileExprCached(src)
-	}
-	if p := w.expr.Load(); p != nil {
-		return p
-	}
-	w.expr.CompareAndSwap(nil, compileExpr(src))
-	return w.expr.Load()
-}
-
-// switchArms is script for a switch's {pattern body ...} list: its items,
-// and the words they were written as when w is literal, nil otherwise.
-func (w *Word) switchArms(src string) ([]string, []*Word, error) {
-	if !w.isLiteral() {
-		items, err := ParseList(src)
-		return items, nil, err
-	}
-	if a := w.arms.Load(); a != nil {
-		return a.items, a.words, nil
-	}
-	items, err := ParseList(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	a := &armList{items: items, words: make([]*Word, len(items))}
-	for i, item := range items {
-		a.words[i] = &Word{Parts: []Part{LitPart(item)}}
-	}
-	w.arms.CompareAndSwap(nil, a)
-	a = w.arms.Load()
-	return a.items, a.words, nil
 }
 
 // Part is a component of a word.

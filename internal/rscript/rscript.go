@@ -70,8 +70,6 @@ type Options struct {
 type CmdFunc func(ip *Interp, args []string) (string, error)
 
 // builtinFunc is a builtin command; control commands need flow access.
-// A builtin that uses the compiled forms of its arguments reads ip.cmd
-// before it evaluates anything.
 type builtinFunc func(ip *Interp, args []string) (string, *flow)
 
 // flow carries non-local control: return, break, continue, error.
@@ -221,12 +219,14 @@ const (
 //
 // The builtin command table is one package-level map shared by every
 // interpreter and never written after init. An Interp's own command state
-// is what its host changed: the commands it Registered, the tables it
-// Shared, both of which shadow builtins of the same name, and the builtins
-// it Unregistered. shadowed has the bit of every builtin that a command
-// naming it would not reach — hidden, or taken by a host command or a
-// proc — so a command whose builtin the compiler resolved runs it after
-// one mask test.
+// is what its host changed: a stack of host command tables, which shadow
+// builtins of the same name, and the builtins it Unregistered. A table
+// comes from Share, read-only and perhaps shared with other interpreters,
+// or from Register and Unregister, which write only a table of the
+// interpreter's own on top of the stack and start one when the top is
+// shared. shadowed has the bit of every builtin that a command naming it
+// would not reach — hidden, or taken by a host command or a proc — so a
+// command whose builtin the compiler resolved runs it after one mask test.
 //
 // Procs are looked up in own, then in class. class is the shared, immutable
 // table of the code the interpreter loaded (see class); own holds what a
@@ -242,14 +242,13 @@ type Interp struct {
 	nfree    int
 	args     []string              // words of the commands being run, innermost last
 	args0    [inlineArgs]string    // what args is a slice of until it outgrows it
-	host     map[string]CmdFunc    // Register'ed commands; made by the first
-	shared   []map[string]CmdFunc  // Share'd tables, read-only, newest last
-	shared0  [2]map[string]CmdFunc // what shared is a slice of
+	host     []map[string]CmdFunc  // host command tables, newest last; see hostCmd
+	host0    [2]map[string]CmdFunc // what host is a slice of
+	ownTop   bool                  // host's last table is this interpreter's own
 	hidden   uint64                // builtin.bit of every builtin removed by Unregister
 	shadowed uint64                // builtin.bit of every builtin a command would not reach
 	class    *class                // procs of the loaded code, shared
 	own      map[string]*Proc      // procs a `proc` command defined here; made by the first
-	cmd      *Cmd                  // the command whose builtin is being called
 	ret      flow                  // the one return flow in flight, see cmdReturn
 	data     any                   // SetClientData
 	steps    int64
@@ -274,7 +273,7 @@ func (ip *Interp) Init(opts Options) {
 	ip.free[0] = &ip.frame1
 	ip.nfree = 1
 	ip.args = ip.args0[:0]
-	ip.shared = ip.shared0[:0]
+	ip.host = ip.host0[:0]
 }
 
 // builtinBit returns the bit of the builtin named name, 0 if there is none.
@@ -287,23 +286,31 @@ func builtinBit(name string) uint64 {
 
 // Register installs (or replaces) a host command.
 func (ip *Interp) Register(name string, fn CmdFunc) {
-	if ip.host == nil {
-		ip.host = make(map[string]CmdFunc)
-	}
-	ip.host[name] = fn
+	ip.setHost(name, fn)
 	ip.shadowed |= builtinBit(name)
 }
 
 // Share makes every command of cmds callable, as if each were Registered,
 // without copying the table: many interpreters may share one. The host
-// must not modify cmds while any interpreter shares it. Commands Register
-// installs take precedence over shared ones, and a table shared later over
-// one shared earlier.
+// must not modify cmds while any interpreter shares it. A command
+// Registered or Unregistered later takes precedence over a shared one, and
+// so does a table shared later.
 func (ip *Interp) Share(cmds map[string]CmdFunc) {
-	ip.shared = append(ip.shared, cmds)
+	ip.host = append(ip.host, cmds)
+	ip.ownTop = false
 	for name := range cmds {
 		ip.shadowed |= builtinBit(name)
 	}
+}
+
+// setHost writes name into the interpreter's own table, on top of the
+// stack; a nil fn removes the command.
+func (ip *Interp) setHost(name string, fn CmdFunc) {
+	if !ip.ownTop {
+		ip.host = append(ip.host, make(map[string]CmdFunc))
+		ip.ownTop = true
+	}
+	ip.host[len(ip.host)-1][name] = fn
 }
 
 // SetClientData attaches a value of the host's to the interpreter, for
@@ -314,66 +321,44 @@ func (ip *Interp) SetClientData(v any) { ip.data = v }
 func (ip *Interp) ClientData() any { return ip.data }
 
 // Unregister removes a command from the table. Removing builtins is how
-// hosts build restricted sandboxes.
+// hosts build restricted sandboxes. A shared table is not changed: the
+// removal is an entry of the interpreter's own that hides the name.
 func (ip *Interp) Unregister(name string) {
-	if ip.sharedCmd(name) != nil {
-		// A shared table is read-only: this interpreter stops sharing, and
-		// registers what it shared, except name, as its own.
-		own := ip.host
-		ip.host = nil
-		for _, t := range ip.shared {
-			for n, fn := range t {
-				ip.Register(n, fn)
-			}
-		}
-		for n, fn := range own {
-			ip.Register(n, fn)
-		}
-		clear(ip.shared)
-		ip.shared = ip.shared[:0]
+	if _, ok := ip.hostCmd(name); ok {
+		ip.setHost(name, nil)
 	}
-	delete(ip.host, name)
 	ip.hidden |= builtinBit(name)
 	ip.shadowed |= builtinBit(name)
 }
 
-// sharedCmd looks name up in the shared tables, the newest first.
-func (ip *Interp) sharedCmd(name string) CmdFunc {
-	for i := len(ip.shared) - 1; i >= 0; i-- {
-		if fn, ok := ip.shared[i][name]; ok {
-			return fn
+// hostCmd resolves a host command in the newest table that has its name;
+// a nil entry there is a removed command.
+func (ip *Interp) hostCmd(name string) (CmdFunc, bool) {
+	for i := len(ip.host) - 1; i >= 0; i-- {
+		if fn, ok := ip.host[i][name]; ok {
+			return fn, fn != nil
 		}
 	}
-	return nil
-}
-
-// hostCmd resolves a host command: Registered, then shared.
-func (ip *Interp) hostCmd(name string) (CmdFunc, bool) {
-	if fn, ok := ip.host[name]; ok {
-		return fn, true
-	}
-	fn := ip.sharedCmd(name)
-	return fn, fn != nil
+	return nil, false
 }
 
 // Commands returns the sorted-later names of all registered commands
 // (including builtins); used by `info commands` and sandbox auditing.
 func (ip *Interp) Commands() []string {
-	names := make([]string, 0, len(builtins)+len(ip.host)+ip.numProcs())
+	hosts := make(map[string]CmdFunc)
+	for _, t := range ip.host {
+		maps.Copy(hosts, t)
+	}
+	names := make([]string, 0, len(builtins)+len(hosts)+ip.numProcs())
 	for n, b := range builtins {
-		if _, isHost := ip.hostCmd(n); ip.hidden&b.bit == 0 && !isHost {
+		if _, isHost := hosts[n]; ip.hidden&b.bit == 0 && !isHost {
 			names = append(names, n)
 		}
 	}
-	hosts := maps.Clone(ip.host)
-	if hosts == nil {
-		hosts = make(map[string]CmdFunc)
-	}
-	for _, t := range ip.shared {
-		maps.Copy(hosts, t)
-	}
-	for n := range hosts {
-		names = append(names, n)
+	for n, fn := range hosts {
+		if fn != nil {
+			names = append(names, n)
+		}
 	}
 	return ip.appendProcs(names)
 }
@@ -586,10 +571,9 @@ func (ip *Interp) evalCommand(cmd *Cmd) (string, *flow) {
 	var v string
 	var f *flow
 	if b := cmd.builtin; b != nil && ip.shadowed&b.bit == 0 {
-		ip.cmd = cmd
 		v, f = b.fn(ip, words[1:])
 	} else {
-		v, f = ip.dispatch(cmd, words)
+		v, f = ip.dispatch(words)
 	}
 	ip.popArgs(base)
 	return v, f
@@ -601,7 +585,7 @@ func (ip *Interp) popArgs(base int) {
 	ip.args = ip.args[:base]
 }
 
-func (ip *Interp) dispatch(cmd *Cmd, words []string) (string, *flow) {
+func (ip *Interp) dispatch(words []string) (string, *flow) {
 	name := words[0]
 	if proc, ok := ip.lookupProc(name); ok {
 		return ip.callProc(proc, words[1:])
@@ -614,7 +598,6 @@ func (ip *Interp) dispatch(cmd *Cmd, words []string) (string, *flow) {
 		return v, nil
 	}
 	if b := builtins[name]; b != nil && ip.hidden&b.bit == 0 {
-		ip.cmd = cmd
 		return b.fn(ip, words[1:])
 	}
 	return "", errorFlow("invalid command name %q", name)
