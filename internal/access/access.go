@@ -197,7 +197,11 @@ func (am *AccessManager) enqueue(svc string, msg wire.Marshaler, p qrpc.Priority
 			return nil, fmt.Errorf("%w: %d pending (limit %d)", ErrShedLoad, pending, limit)
 		}
 	}
-	prom, err := am.cfg.Engine.Enqueue(svc, wire.Marshal(msg), pri(p), am.now())
+	// Enqueue copies the arguments into its log record: encode in scratch.
+	b := wire.GetBuffer()
+	msg.MarshalWire(b)
+	prom, err := am.cfg.Engine.Enqueue(svc, b.Bytes(), pri(p), am.now())
+	wire.PutBuffer(b)
 	if err != nil {
 		return nil, err
 	}

@@ -14,12 +14,28 @@ import (
 // TestEchoRoundTripAllocs pins what one QRPC costs the engines: a 64-byte
 // echo — Enqueue, the request out, the reply back, Wait — over a Pipe to a
 // pooled server with no journal. What is allocated is what a party keeps:
-// the client's log record, its pending request (promise inline) and that
-// promise's channel, the request's encoding and the batch it rides in with
-// the last reply's ack; the server's reply encoding, which its session
-// holds until the ack. Receiving costs nothing: frames are decoded where
-// they arrived.
+// the client's log record, which the request frame is a view of, its
+// pending request (promise inline) and that promise's channel, and the
+// batch the request rides in with the last reply's ack; the server's reply
+// encoding, which its session holds until the ack. Receiving costs nothing:
+// frames are decoded where they arrived.
 func TestEchoRoundTripAllocs(t *testing.T) {
+	echoRoundTripAllocs(t, qrpc.ServerConfig{ServerID: "alloc", Workers: 2}, 5)
+}
+
+// TestJournaledEchoRoundTripAllocs is the same round trip to a server with
+// a 4-shard journal. The reply is encoded once, into its exec record, which
+// the journal keeps and the session cache and reply frame are views of; the
+// one allocation more is the ack record the last reply's ack journals.
+func TestJournaledEchoRoundTripAllocs(t *testing.T) {
+	var shards []stable.Log
+	for range 4 {
+		shards = append(shards, stable.NewMemLog(stable.Options{}))
+	}
+	echoRoundTripAllocs(t, qrpc.ServerConfig{ServerID: "alloc", Workers: 2, Journals: shards}, 6)
+}
+
+func echoRoundTripAllocs(t *testing.T, cfg qrpc.ServerConfig, want float64) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool puts, so allocation counts mean nothing")
 	}
@@ -28,7 +44,7 @@ func TestEchoRoundTripAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	srv := qrpc.NewServer(qrpc.ServerConfig{ServerID: "alloc", Workers: 2})
+	srv := qrpc.NewServer(cfg)
 	defer srv.Close()
 	srv.Register("echo", func(_ string, req qrpc.Request) ([]byte, error) { return req.Args, nil })
 	clock := vtime.NewRealClock()
@@ -51,7 +67,7 @@ func TestEchoRoundTripAllocs(t *testing.T) {
 	for range 100 { // scratch arrays, maps and pools reach their steady state
 		echo()
 	}
-	if n := testing.AllocsPerRun(1000, echo); n > 6 {
-		t.Fatalf("one echo round trip allocates %v objects, want at most 6", n)
+	if n := testing.AllocsPerRun(1000, echo); n != want {
+		t.Fatalf("one echo round trip allocates %v objects, want %v", n, want)
 	}
 }

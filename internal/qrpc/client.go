@@ -65,7 +65,7 @@ const (
 
 type pendingReq struct {
 	req     Request
-	enc     []byte // cached wire encoding of req; resends must not re-marshal
+	enc     []byte // req's wire encoding: a view of its log record, sent as is
 	logID   uint64
 	promise Promise // handed out by address; lives as long as its holder does
 	state   reqState
@@ -188,7 +188,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 			}
 			return nil
 		}
-		pr := &pendingReq{req: *req, logID: id, heapIdx: -1}
+		pr := &pendingReq{req: *req, enc: rec[1:], logID: id, heapIdx: -1}
 		pr.promise.init(req.Seq)
 		c.pend[req.Seq] = pr
 		heap.Push(&c.queue, pr)
@@ -220,7 +220,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 // log — the non-blocking guarantee: this never waits for the network, only
 // for the local flush. The returned promise completes when the reply
 // arrives (possibly after arbitrarily many disconnections, or after a
-// crash and recovery).
+// crash and recovery). Enqueue copies args; the caller may reuse it.
 func (c *Client) Enqueue(service string, args []byte, pri Priority, now vtime.Time) (*Promise, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -258,12 +258,14 @@ func (c *Client) Enqueue(service string, args []byte, pri Priority, now vtime.Ti
 	// log (see stable.FileLog). This is safe: the request cannot be
 	// transmitted (and so no reply can race the bookkeeping below) until it
 	// is registered in c.pend and pumped, which happens after the append.
+	//
+	// The request is encoded once, into the record the log keeps. The frame
+	// the pump sends and the request's Args are views of that record, so
+	// args is copied exactly once and the caller may reuse it on return.
 	req := Request{Seq: seq, Priority: pri, Service: service, Args: args}
-	scratch := wire.GetBuffer()
-	scratch.PutByte(recRequest)
-	req.MarshalWire(scratch)
-	logID, err := c.cfg.Log.Append(scratch.Bytes())
-	wire.PutBuffer(scratch)
+	rec := encodeRequestRecord(&req)
+	req.Args = rec[len(rec)-len(args):]
+	logID, err := c.cfg.Log.Append(rec)
 	if err != nil {
 		// Do NOT roll nextSeq back: a "dirty" append failure may have
 		// durably written the record before erroring (crash-before-ack).
@@ -275,7 +277,7 @@ func (c *Client) Enqueue(service string, args []byte, pri Priority, now vtime.Ti
 		c.mu.Unlock()
 		return nil, fmt.Errorf("qrpc: stable log append: %w", err)
 	}
-	pr := &pendingReq{req: req, logID: logID, readyAt: now.Add(c.flushCost), heapIdx: -1}
+	pr := &pendingReq{req: req, enc: rec[1:], logID: logID, readyAt: now.Add(c.flushCost), heapIdx: -1}
 	pr.promise.init(seq)
 
 	c.mu.Lock()
@@ -687,9 +689,6 @@ func (c *Client) pumpLocked(now vtime.Time, flush bool) {
 				continue
 			}
 			heap.Pop(&c.queue)
-			if pr.enc == nil {
-				pr.enc = wire.Marshal(&pr.req)
-			}
 			frames = append(frames, wire.Frame{Type: wire.FrameRequest, Payload: pr.enc})
 			batch = append(batch, pr)
 			batchBytes += len(pr.enc)

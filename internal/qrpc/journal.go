@@ -164,37 +164,37 @@ func (s *Server) ownedSessionsLocked(idx int) map[string]*session {
 // encodeExecRecordEnc builds an exec record around a reply's encoding,
 // spliced in raw: the record holds exactly the bytes of the reply frame.
 func encodeExecRecordEnc(clientID string, encReply []byte) []byte {
-	var b wire.Buffer
+	b := wire.GetBuffer()
 	b.PutByte(jrecExec)
 	b.PutString(clientID)
 	b.PutRaw(encReply)
-	return b.Bytes()
+	return wire.Detach(b)
 }
 
 func encodeAckRecord(clientID string, seqs []uint64) []byte {
-	var b wire.Buffer
+	b := wire.GetBuffer()
 	b.PutByte(jrecAck)
 	b.PutString(clientID)
 	b.PutUvarintSlice(seqs)
-	return b.Bytes()
+	return wire.Detach(b)
 }
 
 func encodePruneRecord(clientID string, lowSeq uint64) []byte {
-	var b wire.Buffer
+	b := wire.GetBuffer()
 	b.PutByte(jrecPrune)
 	b.PutString(clientID)
 	b.PutUvarint(lowSeq)
-	return b.Bytes()
+	return wire.Detach(b)
 }
 
 // encodeSnapshotRecord serializes the complete recovery state of the given
 // sessions (a shard's owned set; the whole map on an unsharded server).
 // Callers hold s.mu (and, for compaction, the shard gate's write lock).
 func encodeSnapshotRecord(sessions map[string]*session) []byte {
-	var b wire.Buffer
+	b := wire.GetBuffer()
 	b.PutByte(jrecSnapshot)
-	putSessionList(&b, sessions)
-	return b.Bytes()
+	putSessionList(b, sessions)
+	return wire.Detach(b)
 }
 
 // encodeMigrateRecord carries the same session-list payload as a snapshot
@@ -202,10 +202,10 @@ func encodeSnapshotRecord(sessions map[string]*session) []byte {
 // misplaced session's merged state into its home shard without resetting
 // the sessions already journaled there.
 func encodeMigrateRecord(sessions map[string]*session) []byte {
-	var b wire.Buffer
+	b := wire.GetBuffer()
 	b.PutByte(jrecMigrate)
-	putSessionList(&b, sessions)
-	return b.Bytes()
+	putSessionList(b, sessions)
+	return wire.Detach(b)
 }
 
 // putSessionList appends the session-list payload shared by snapshot and

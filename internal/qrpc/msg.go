@@ -213,17 +213,17 @@ const (
 const seqReserveChunk = 1024
 
 func encodeRequestRecord(req *Request) []byte {
-	var b wire.Buffer
+	b := wire.GetBuffer()
 	b.PutByte(recRequest)
-	req.MarshalWire(&b)
-	return b.Bytes()
+	req.MarshalWire(b)
+	return wire.Detach(b)
 }
 
 func encodeMetaRecord(floor uint64) []byte {
-	var b wire.Buffer
+	b := wire.GetBuffer()
 	b.PutByte(recMeta)
 	b.PutUvarint(floor)
-	return b.Bytes()
+	return wire.Detach(b)
 }
 
 // decodeRecord parses a stable-log record: exactly one of req or meta

@@ -35,7 +35,8 @@ type poolTask struct {
 	handler  Handler
 	req      Request
 
-	enc []byte
+	rec []byte // the reply's exec record on a journaled server
+	enc []byte // the reply, a view of rec
 	jid uint64
 }
 

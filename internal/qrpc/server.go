@@ -531,9 +531,9 @@ func (s *Server) onRequest(from Sender, payload []byte, now vtime.Time, out *[]w
 // of one — runs the handlers back-to-back outside engine locks, stages each
 // exec record on the session's home journal shard, pays ONE commit for the
 // run (pipelined group commit), and only then publishes every reply in one
-// pass under s.mu. Each reply is encoded once, into its task's slot, and
-// the journal record, reply frame, session cache and onExecuted hook share
-// those bytes.
+// pass under s.mu. Each reply is encoded once, into its exec record (its
+// own slice without a journal), and the journal, reply frame, session
+// cache and onExecuted hook share that one allocation.
 //
 // Until the commit returns the dispatch marks (sess.executing) stay set, so
 // a concurrent redelivery is dropped rather than answered from a reply the
@@ -548,12 +548,13 @@ func (s *Server) executeRun(tasks []poolTask) bool {
 		s.refuseRun(tasks, nil)
 		return false
 	}
+	journaled := s.hasJournal()
 	for i := range tasks {
 		t := &tasks[i]
-		t.enc = runHandler(t.clientID, t.handler, t.req)
+		t.rec, t.enc = runHandler(t.clientID, t.handler, t.req, journaled)
 	}
 	var sh *journalShard
-	if s.hasJournal() {
+	if journaled {
 		// The gate is taken after the handlers, which may journal on their
 		// own (see journalShard.gate). Every record is staged, past a failed
 		// stage or a poison since the check above: its handler ran, and a
@@ -563,7 +564,7 @@ func (s *Server) executeRun(tasks []poolTask) bool {
 		var err error
 		for i := range tasks {
 			var serr error
-			tasks[i].jid, serr = sh.log.AppendNoSync(encodeExecRecordEnc(tasks[i].clientID, tasks[i].enc))
+			tasks[i].jid, serr = sh.log.AppendNoSync(tasks[i].rec)
 			err = cmp.Or(err, serr)
 		}
 		if err = cmp.Or(err, sh.log.Commit()); err != nil {
@@ -627,9 +628,11 @@ func (s *Server) recordReplyLocked(sess *session, seq uint64, enc []byte) {
 }
 
 // runHandler executes one request's handler and returns its reply's
-// encoding, the only form in which the server keeps it. Handler panics are
+// encoding, the only form in which the server keeps it. On a journaled
+// server the reply is encoded once, into its exec record: rec is that
+// record and enc is a view of it. Otherwise rec is enc. Handler panics are
 // not recovered here.
-func runHandler(clientID string, handler Handler, req Request) []byte {
+func runHandler(clientID string, handler Handler, req Request, journaled bool) (rec, enc []byte) {
 	rep := Reply{Seq: req.Seq}
 	if handler == nil {
 		rep.Status = StatusNoService
@@ -644,8 +647,14 @@ func runHandler(clientID string, handler Handler, req Request) []byte {
 	// Encoded by the concrete method, so rep stays on the stack
 	// (wire.Marshal's interface argument would move it to the heap).
 	b := wire.GetBuffer()
+	if journaled { // the head of the exec record, as encodeExecRecordEnc writes it
+		b.PutByte(jrecExec)
+		b.PutString(clientID)
+	}
+	head := b.Len()
 	rep.MarshalWire(b)
-	return wire.Detach(b)
+	rec = wire.Detach(b)
+	return rec, rec[head:]
 }
 
 // SetOnExecuted installs the execution observer (see Server.onExecuted).
@@ -659,8 +668,9 @@ func (s *Server) SetOnExecuted(fn func(clientID string, req Request, enc []byte)
 // InstallReply installs a reply executed by a replica peer, given as the
 // encoding its onExecuted hook saw, into clientID's session cache, so a
 // client that fails over here has its redelivered requests answered from
-// cache instead of re-executed. The server keeps enc, which must not be
-// written afterwards. An encoding that does not decode as one Reply is an
+// cache instead of re-executed. A server without a journal keeps enc,
+// which must not be written afterwards; a journaled one keeps the copy in
+// the reply's exec record. An encoding that does not decode as one Reply is an
 // error. Stale installs — already acked, below the session's LowSeq,
 // already cached, or currently executing locally — are ignored. Installed
 // replies are journaled (apply-then-log) with the same exec record the local
@@ -672,6 +682,12 @@ func (s *Server) InstallReply(clientID string, enc []byte) (bool, error) {
 	if err := cmp.Or(rep.UnmarshalWire(&r), r.Finish()); err != nil {
 		return false, fmt.Errorf("qrpc: bad reply: %w", err)
 	}
+	var rec []byte
+	if s.hasJournal() {
+		// Cached as a view of its exec record, as a local reply is.
+		rec = encodeExecRecordEnc(clientID, enc)
+		enc = rec[len(rec)-len(enc):]
+	}
 	s.mu.Lock()
 	sess := s.sessionLocked(clientID)
 	_, cached := sess.replies[rep.Seq]
@@ -682,7 +698,7 @@ func (s *Server) InstallReply(clientID string, enc []byte) (bool, error) {
 	s.recordReplyLocked(sess, rep.Seq, enc)
 	s.stats.ReplicatedReplies++
 	s.mu.Unlock()
-	s.journalSessionRecord(clientID, false, func() []byte { return encodeExecRecordEnc(clientID, enc) })
+	s.journalSessionRecord(clientID, false, func() []byte { return rec })
 	return true, nil
 }
 

@@ -413,7 +413,9 @@ func TestSessionBudgetBackpressure(t *testing.T) {
 // TestReplaysServeTheSentBytes: a redelivered request is answered with the
 // bytes of the original reply frame — the very slice a session holds, never
 // a re-encoding — after an execute, after an InstallReply, and after journal
-// recovery, where the bytes are the journal's.
+// recovery, where the bytes are the journal's. On this journaled server the
+// slice a session holds is a view of the reply's exec record, the record
+// the journal keeps.
 func TestReplaysServeTheSentBytes(t *testing.T) {
 	journal := stable.NewMemLog(stable.Options{})
 	echo := func(_ string, req Request) ([]byte, error) { return req.Args, nil }
@@ -445,8 +447,19 @@ func TestReplaysServeTheSentBytes(t *testing.T) {
 	if ok, err := srv.InstallReply("c", peer); !ok || err != nil {
 		t.Fatalf("InstallReply = %v, %v", ok, err)
 	}
-	if replay := send(srv, 2); &replay[0] != &peer[0] {
-		t.Fatalf("replay %x of an installed reply is not the peer's bytes", replay)
+	inRecord := func(enc []byte) bool {
+		held := false
+		journal.Replay(func(_ uint64, rec []byte) error {
+			held = held || len(rec) >= len(enc) && &rec[len(rec)-len(enc)] == &enc[0]
+			return nil
+		})
+		return held
+	}
+	if !inRecord(sent) {
+		t.Fatalf("reply frame %x is not a view of its exec record", sent)
+	}
+	if replay := send(srv, 2); !bytes.Equal(replay, peer) || !inRecord(replay) {
+		t.Fatalf("replay %x of an installed reply is not the peer's bytes in its exec record", replay)
 	}
 	if ok, err := srv.InstallReply("c", peer[:len(peer)-1]); ok || err == nil {
 		t.Fatalf("InstallReply of a torn reply = %v, %v; want an error", ok, err)

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"maps"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"unsafe"
@@ -146,7 +147,13 @@ func (o *Object) MarshalWire(b *wire.Buffer) {
 	b.PutString(o.Type)
 	b.PutUvarint(o.Version)
 	b.PutString(o.Code)
-	keys := o.Keys()
+	// Sorted in a stack array: up to 16 keys cost no allocation.
+	var room [16]string
+	keys := room[:0]
+	for k := range o.State {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
 	b.PutUvarint(uint64(len(keys)))
 	for _, k := range keys {
 		b.PutString(k)

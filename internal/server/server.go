@@ -319,13 +319,14 @@ func (s *Server) handleExport(clientID string, req qrpc.Request) ([]byte, error)
 			} else {
 				newVer, err = s.store.Commit(obj, cur)
 			}
-			if err != nil {
+			if errors.Is(err, store.ErrRace) {
 				continue // lost a race; re-resolve on fresh state
 			}
-			// The working copy is what was just committed: stamped with
-			// its new version it is the stored object, whatever another
-			// export has done to the store since.
-			obj.Version = newVer
+			if err != nil {
+				return nil, err
+			}
+			// The store took the working copy, stamped newVer, and others
+			// may now read it: from here on it is only read.
 			s.notifyInvalidate(clientID, args.URN, newVer)
 			return s.exportReply(rep, obj, &args), nil
 		}
@@ -506,8 +507,11 @@ func (s *Server) handleInvoke(clientID string, req qrpc.Request) ([]byte, error)
 			// export; record it so revalidating clients can fetch a delta.
 			inv := rdo.Invocation{Object: args.URN, Method: args.Method, Args: args.Args, BaseVer: cur}
 			newVer, err := s.store.CommitOps(obj, cur, []rdo.Invocation{inv})
-			if err != nil {
+			if errors.Is(err, store.ErrRace) {
 				continue // raced; re-execute against fresh state
+			}
+			if err != nil {
+				return nil, err
 			}
 			rep.Mutated = true
 			rep.NewVersion = newVer

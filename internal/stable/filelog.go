@@ -111,7 +111,7 @@ func (l *FileLog) stage(rec []byte) (uint64, *SegmentFile, uint64, error) {
 	}
 	id := l.next
 	l.next++
-	l.live[id] = append([]byte(nil), rec...)
+	l.live[id] = rec
 	l.liveBytes += int64(len(rec))
 	return id, l.seg, seq, nil
 }

@@ -59,9 +59,7 @@ func (l *MemLog) Append(rec []byte) (uint64, error) {
 	}
 	id := l.next
 	l.next++
-	cp := make([]byte, len(rec))
-	copy(cp, rec)
-	l.recs[id] = cp
+	l.recs[id] = rec
 	l.stats.Appends++
 	l.stats.BytesLogical += int64(len(rec))
 	l.stats.BytesWritten += int64(len(rec))

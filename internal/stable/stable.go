@@ -95,7 +95,11 @@ const MaxRecord = 32 << 20
 // acknowledged), and replayed in append order at recovery.
 type Log interface {
 	// Append stores rec durably and returns its assigned id. Ids are
-	// strictly increasing within and across recoveries.
+	// strictly increasing within and across recoveries. The log keeps rec
+	// itself as the live record, so the caller must not write it afterwards
+	// and should hand over an exact-size slice (wire.Detach's): the live
+	// set pins whatever capacity rec has. Other holders of the same bytes
+	// take views of rec instead of copies.
 	Append(rec []byte) (uint64, error)
 	// AppendNoSync is Append without the durability wait — pipelined group
 	// commit [Hagmann 87]: stage K records, pay ONE Commit for them all, and
@@ -124,6 +128,8 @@ type Log interface {
 	RemoveBatch(ids []uint64) error
 	// Replay calls fn for every live (appended, not removed) record in
 	// append order. Replay during active use sees a consistent snapshot.
+	// A record fn is handed is the log's own, the very slice Append kept
+	// before a reopen: fn must not write it.
 	Replay(fn func(id uint64, rec []byte) error) error
 	// Len returns the number of live records.
 	Len() int

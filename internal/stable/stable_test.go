@@ -219,20 +219,42 @@ func TestReplayError(t *testing.T) {
 	}
 }
 
-func TestAppendDoesNotAliasCaller(t *testing.T) {
+// TestAppendKeepsRecord pins the ownership contract: a log keeps the slice
+// it is handed as the live record, so until a reopen Replay hands back that
+// very slice, and the request frame, reply cache and committed object that
+// are views of it share its one allocation.
+func TestAppendKeepsRecord(t *testing.T) {
 	for _, f := range factories() {
 		t.Run(f.name, func(t *testing.T) {
 			l := f.make(t, Options{})
 			defer l.Close()
-			rec := []byte("mutable")
-			l.Append(rec)
-			rec[0] = 'X'
-			l.Replay(func(_ uint64, got []byte) error {
-				if string(got) != "mutable" {
-					t.Errorf("log aliases caller buffer: %q", got)
+			recs := [][]byte{[]byte("first"), []byte("second")}
+			for i, rec := range recs {
+				var err error
+				if i == 0 {
+					_, err = l.Append(rec)
+				} else {
+					_, err = l.AppendNoSync(rec)
 				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			var got [][]byte
+			if err := l.Replay(func(_ uint64, rec []byte) error {
+				got = append(got, rec)
 				return nil
-			})
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(recs) {
+				t.Fatalf("replayed %d records, want %d", len(got), len(recs))
+			}
+			for i := range recs {
+				if &got[i][0] != &recs[i][0] || len(got[i]) != len(recs[i]) {
+					t.Errorf("record %d: replay handed back a copy, not the appended slice", i)
+				}
+			}
 		})
 	}
 }

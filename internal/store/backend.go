@@ -14,6 +14,12 @@ import (
 // conformance_test.go enforces them):
 //
 //   - Returned objects are clones; callers mutate freely.
+//   - A commit takes its object: Commit, CommitOps, CommitOpsBy and
+//     InstallOps stamp obj.Version = expect+1 once the race check passes
+//     and publish obj and invs themselves, uncopied. After a commit the
+//     caller may read obj but must not write obj or invs.
+//   - A commit that lost a race to another fails with an error wrapping
+//     ErrRace, the one failure worth retrying on fresh state.
 //   - Versions start at 1 (Create) and advance by exactly one per commit.
 //   - Commit/CommitOps check the caller's expected version and fail on a
 //     race; InstallState replaces without an expect check but refuses to

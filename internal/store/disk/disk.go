@@ -313,8 +313,8 @@ func (s *Store) Create(obj *rdo.Object) error {
 		s.release(cp.URN)
 		return fmt.Errorf("%w: %s", store.ErrExists, cp.URN)
 	}
-	objBytes := cp.Encode()
-	return s.commitRecord(cp.URN, encodeState(cp.URN, 1, objBytes), func(off, rlen int64) {
+	rec, objBytes := encodeState(cp.URN, 1, cp)
+	return s.commitRecord(cp.URN, rec, func(off, rlen int64) {
 		s.setIdxLocked(cp.URN, idxEnt{ver: 1, off: off, rlen: rlen, typ: cp.Type, kind: recState})
 		s.lru.put(cp)
 		s.notifyLocked(store.ApplyEvent{Kind: store.ApplyState, URN: cp.URN, Version: 1, Object: objBytes})
@@ -325,33 +325,7 @@ func (s *Store) Create(obj *rdo.Object) error {
 // for the optimistic-concurrency contract; a plain Commit is an opaque jump
 // and clears the object's history).
 func (s *Store) Commit(obj *rdo.Object, expect uint64) (uint64, error) {
-	ent, ok, err := s.begin(obj.URN)
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
-		s.release(obj.URN)
-		return 0, fmt.Errorf("%w: %s", store.ErrNotFound, obj.URN)
-	}
-	if ent.ver != expect {
-		s.release(obj.URN)
-		return 0, fmt.Errorf("store: commit race on %s: store at %d, caller read %d",
-			obj.URN, ent.ver, expect)
-	}
-	cp := obj.Clone()
-	cp.Version = expect + 1
-	objBytes := cp.Encode()
-	err = s.commitRecord(cp.URN, encodeState(cp.URN, cp.Version, objBytes), func(off, rlen int64) {
-		s.setIdxLocked(cp.URN, idxEnt{ver: cp.Version, off: off, rlen: rlen, typ: cp.Type, kind: recState})
-		s.hist.Clear(cp.URN)
-		s.lru.put(cp)
-		s.notifyLocked(store.ApplyEvent{Kind: store.ApplyState, URN: cp.URN,
-			PrevVersion: expect, Version: cp.Version, Object: objBytes})
-	})
-	if err != nil {
-		return 0, err
-	}
-	return cp.Version, nil
+	return s.commitOps(obj, expect, nil, "", true)
 }
 
 // CommitOps implements store.Backend.
@@ -381,45 +355,41 @@ func (s *Store) commitOps(obj *rdo.Object, expect uint64, invs []rdo.Invocation,
 	}
 	if ent.ver != expect {
 		s.release(obj.URN)
-		return 0, fmt.Errorf("store: commit race on %s: store at %d, caller read %d",
-			obj.URN, ent.ver, expect)
+		return 0, fmt.Errorf("%w on %s: store at %d, caller read %d",
+			store.ErrRace, obj.URN, ent.ver, expect)
 	}
-	cp := obj.Clone()
-	cp.Version = expect + 1
-	objBytes := cp.Encode()
-	cpInvs := make([]rdo.Invocation, len(invs))
-	copy(cpInvs, invs)
-	var rec []byte
+	obj.Version = expect + 1
+	var rec, objBytes []byte
 	recKind := recState
-	if len(cpInvs) > 0 {
+	if len(invs) > 0 {
 		// The chain link points at the object's previous record (ent.off),
 		// letting recovery and far-behind catch-up walk versions backwards.
-		rec = encodeOps(cp.URN, expect, cp.Version, src, cpInvs, objBytes, ent.off)
+		rec, objBytes = encodeOps(obj.URN, expect, obj.Version, src, invs, obj, ent.off)
 		recKind = recOps
 	} else {
-		rec = encodeState(cp.URN, cp.Version, objBytes)
+		rec, objBytes = encodeState(obj.URN, obj.Version, obj)
 	}
-	err = s.commitRecord(cp.URN, rec, func(off, rlen int64) {
-		s.setIdxLocked(cp.URN, idxEnt{ver: cp.Version, off: off, rlen: rlen, typ: cp.Type, kind: recKind})
-		s.lru.put(cp)
-		if s.hist.Record(cp.URN, cp.Version, cpInvs, src) {
+	err = s.commitRecord(obj.URN, rec, func(off, rlen int64) {
+		s.setIdxLocked(obj.URN, idxEnt{ver: obj.Version, off: off, rlen: rlen, typ: obj.Type, kind: recKind})
+		s.lru.put(obj)
+		if s.hist.Record(obj.URN, obj.Version, invs, src) {
 			if notify {
-				s.notifyLocked(store.ApplyEvent{Kind: store.ApplyOps, URN: cp.URN,
-					PrevVersion: expect, Version: cp.Version, Invs: cpInvs, Src: src, Object: objBytes})
+				s.notifyLocked(store.ApplyEvent{Kind: store.ApplyOps, URN: obj.URN,
+					PrevVersion: expect, Version: obj.Version, Invs: invs, Src: src, Object: objBytes})
 			}
 		} else {
 			// History disabled or a no-op commit: an opaque jump.
-			s.hist.Clear(cp.URN)
+			s.hist.Clear(obj.URN)
 			if notify {
-				s.notifyLocked(store.ApplyEvent{Kind: store.ApplyState, URN: cp.URN,
-					PrevVersion: expect, Version: cp.Version, Object: objBytes})
+				s.notifyLocked(store.ApplyEvent{Kind: store.ApplyState, URN: obj.URN,
+					PrevVersion: expect, Version: obj.Version, Object: objBytes})
 			}
 		}
 	})
 	if err != nil {
 		return 0, err
 	}
-	return cp.Version, nil
+	return expect + 1, nil
 }
 
 // InstallState implements store.Backend: whole-object install without an
@@ -435,8 +405,8 @@ func (s *Store) InstallState(obj *rdo.Object) (uint64, error) {
 			obj.URN, obj.Version, ent.ver)
 	}
 	cp := obj.Clone()
-	objBytes := cp.Encode()
-	err = s.commitRecord(cp.URN, encodeState(cp.URN, cp.Version, objBytes), func(off, rlen int64) {
+	rec, _ := encodeState(cp.URN, cp.Version, cp)
+	err = s.commitRecord(cp.URN, rec, func(off, rlen int64) {
 		s.setIdxLocked(cp.URN, idxEnt{ver: cp.Version, off: off, rlen: rlen, typ: cp.Type, kind: recState})
 		s.hist.Clear(cp.URN)
 		s.lru.put(cp)
@@ -710,8 +680,8 @@ func (s *Store) LoadSnapshot(data []byte) error {
 	err = s.rewriteLocked(func(tmp *stable.SegmentFile, add func(urn.URN, idxEnt)) error {
 		for _, u := range urns {
 			obj := objs[u]
-			objBytes := obj.Encode()
-			off, aerr := tmp.AppendNoSync(encodeState(u, obj.Version, objBytes))
+			rec, _ := encodeState(u, obj.Version, obj)
+			off, aerr := tmp.AppendNoSync(rec)
 			if aerr != nil {
 				return aerr
 			}
@@ -765,7 +735,7 @@ func (s *Store) maybeCompact() {
 				rec = encodeSnap(u, ent.ver, objBytes, w)
 				recKind = recSnap
 			} else {
-				rec = encodeState(u, ent.ver, objBytes)
+				rec, _ = encodeState(u, ent.ver, wire.Raw(objBytes))
 			}
 			off, aerr := tmp.AppendNoSync(rec)
 			if aerr != nil {

@@ -290,7 +290,7 @@ func TestUnpublishedDurableRecordReplaysAsCommitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := seg.AppendNoSync(encodeOps(o.URN, 1, 2, "client-9", []rdo.Invocation{inv}, cur.Encode(), -1)); err != nil {
+	if _, err := seg.AppendNoSync(recOf(encodeOps(o.URN, 1, 2, "client-9", []rdo.Invocation{inv}, cur, -1))); err != nil {
 		t.Fatal(err)
 	}
 	seg.Close()

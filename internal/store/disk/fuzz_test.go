@@ -49,9 +49,9 @@ func FuzzDecodeRecord(f *testing.F) {
 	o.Version = 3
 	objBytes := o.Encode()
 	invs := []rdo.Invocation{{Object: u, Method: "add", Args: []string{"1", "x"}, BaseVer: 2}}
-	f.Add(encodeState(u, 3, objBytes))
-	f.Add(encodeOps(u, 2, 3, "cli", invs, objBytes, 42))
-	f.Add(encodeOps(u, 2, 3, "", invs, objBytes, -1))
+	f.Add(recOf(encodeState(u, 3, o)))
+	f.Add(recOf(encodeOps(u, 2, 3, "cli", invs, o, 42)))
+	f.Add(recOf(encodeOps(u, 2, 3, "", invs, o, -1)))
 	f.Add(encodeSnap(u, 3, objBytes, []store.OpsRec{{Ver: 2, Src: "cli", Invs: invs}, {Ver: 3, Invs: invs}}))
 	f.Add(encodeFooterChunk(bytes.Repeat([]byte{7}, footerGenLen), 1,
 		[]footerEnt{{u: u, ent: idxEnt{ver: 3, off: 10, rlen: 40, typ: "t", kind: recOps}}}))
@@ -108,9 +108,9 @@ func FuzzDecodeRecord(f *testing.F) {
 		var enc []byte
 		switch rec.kind {
 		case recState:
-			enc = encodeState(rec.urn, rec.ver, rec.obj)
+			enc = recOf(encodeState(rec.urn, rec.ver, wire.Raw(rec.obj)))
 		case recOps:
-			enc = encodeOps(rec.urn, rec.prevVer, rec.ver, rec.src, rec.invs, rec.obj, rec.prevOff)
+			enc = recOf(encodeOps(rec.urn, rec.prevVer, rec.ver, rec.src, rec.invs, wire.Raw(rec.obj), rec.prevOff))
 		case recSnap:
 			enc = encodeSnap(rec.urn, rec.ver, rec.obj, rec.hist)
 		default:
@@ -122,3 +122,6 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 	})
 }
+
+// recOf is a record encoder's record, without the view of its object.
+func recOf(rec, _ []byte) []byte { return rec }

@@ -46,13 +46,16 @@ type record struct {
 	prevOff int64          // recOps: offset of the object's previous record; -1 unknown
 }
 
-func encodeState(u urn.URN, ver uint64, obj []byte) []byte {
+// encodeState frames a state record. Like encodeOps it encodes obj straight
+// into the record and returns objBytes, that encoding, as a view of rec.
+func encodeState(u urn.URN, ver uint64, obj wire.Marshaler) (rec, objBytes []byte) {
 	b := wire.GetBuffer()
 	b.PutByte(recState)
 	b.PutString(u.String())
 	b.PutUvarint(ver)
-	b.PutBytes(obj)
-	return wire.Detach(b)
+	n := b.PutMessage(obj)
+	rec = wire.Detach(b)
+	return rec, rec[len(rec)-n:]
 }
 
 // encodeOps frames an ops commit. prevOff is the byte offset of the
@@ -61,7 +64,7 @@ func encodeState(u urn.URN, ver uint64, obj []byte) []byte {
 // both decode safely, making old records (no trailing field) readable and
 // letting recovery and catch-up walk an object's record chain backwards
 // without scanning.
-func encodeOps(u urn.URN, prevVer, ver uint64, src string, invs []rdo.Invocation, obj []byte, prevOff int64) []byte {
+func encodeOps(u urn.URN, prevVer, ver uint64, src string, invs []rdo.Invocation, obj wire.Marshaler, prevOff int64) (rec, objBytes []byte) {
 	b := wire.GetBuffer()
 	b.PutByte(recOps)
 	b.PutString(u.String())
@@ -72,13 +75,15 @@ func encodeOps(u urn.URN, prevVer, ver uint64, src string, invs []rdo.Invocation
 	for i := range invs {
 		invs[i].MarshalWire(b)
 	}
-	b.PutBytes(obj)
+	n := b.PutMessage(obj)
+	end := b.Len()
 	if prevOff < 0 {
 		b.PutUvarint(0)
 	} else {
 		b.PutUvarint(uint64(prevOff) + 1)
 	}
-	return wire.Detach(b)
+	rec = wire.Detach(b)
+	return rec, rec[end-n : end]
 }
 
 func encodeSnap(u urn.URN, ver uint64, obj []byte, hist []store.OpsRec) []byte {

@@ -10,7 +10,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -23,6 +22,10 @@ import (
 var (
 	ErrNotFound = errors.New("store: no such object")
 	ErrExists   = errors.New("store: object already exists")
+	// ErrRace marks a commit whose expected version is no longer the
+	// object's: another commit landed first. Only it is worth a retry on
+	// fresh state.
+	ErrRace = errors.New("store: commit race")
 )
 
 // DefaultHistoryLimit bounds the per-object invocation history kept for
@@ -157,32 +160,16 @@ func (s *Store) Version(u urn.URN) (uint64, error) {
 	return obj.Version, nil
 }
 
-// Commit replaces the object's state with the mutated clone, advancing the
-// version by one, and returns the new version. The caller must pass the
-// version it read (expect) — Commit fails if the object moved meanwhile,
-// making read-modify-write sequences safe without holding the store lock
-// across RDO method execution.
+// Commit replaces the object with obj, which it takes (see Backend),
+// advancing the version by one, and returns the new version. The caller
+// must pass the version it read (expect) — Commit fails if the object moved
+// meanwhile, making read-modify-write sequences safe without holding the
+// store lock across RDO method execution. A plain Commit records no
+// operations: this version is an opaque jump, and any delta spanning it
+// would silently skip state, so the object's history is dropped and
+// OpsSince refuses rather than lies.
 func (s *Store) Commit(obj *rdo.Object, expect uint64) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur, ok := s.objs[obj.URN]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, obj.URN)
-	}
-	if cur.Version != expect {
-		return 0, fmt.Errorf("store: commit race on %s: store at %d, caller read %d",
-			obj.URN, cur.Version, expect)
-	}
-	cp := obj.Clone()
-	cp.Version = cur.Version + 1
-	s.objs[obj.URN] = cp
-	// A plain Commit records no operations: this version is an opaque
-	// jump, and any delta spanning it would silently skip state. Drop the
-	// object's history so OpsSince refuses rather than lies.
-	s.hist.Clear(obj.URN)
-	s.notifyLocked(ApplyEvent{Kind: ApplyState, URN: cp.URN,
-		PrevVersion: expect, Version: cp.Version, Object: cp.Encode()})
-	return cp.Version, nil
+	return s.CommitOpsBy(obj, expect, nil, "")
 }
 
 // CommitOps is Commit for a version produced by deterministically
@@ -207,28 +194,26 @@ func (s *Store) commitOpsLocked(obj *rdo.Object, expect uint64, invs []rdo.Invoc
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, obj.URN)
 	}
 	if cur.Version != expect {
-		return 0, fmt.Errorf("store: commit race on %s: store at %d, caller read %d",
-			obj.URN, cur.Version, expect)
+		return 0, fmt.Errorf("%w on %s: store at %d, caller read %d",
+			ErrRace, obj.URN, cur.Version, expect)
 	}
-	cp := obj.Clone()
-	cp.Version = cur.Version + 1
-	s.objs[obj.URN] = cp
-	if !s.hist.Record(obj.URN, cp.Version, slices.Clone(invs), src) {
+	obj.Version = expect + 1
+	s.objs[obj.URN] = obj
+	if !s.hist.Record(obj.URN, obj.Version, invs, src) {
 		// History disabled, or a no-op commit (version advanced with no
 		// recorded operations): treat like a plain Commit.
 		s.hist.Clear(obj.URN)
 		if notify {
-			s.notifyLocked(ApplyEvent{Kind: ApplyState, URN: cp.URN,
-				PrevVersion: expect, Version: cp.Version, Object: cp.Encode()})
+			s.notifyLocked(ApplyEvent{Kind: ApplyState, URN: obj.URN,
+				PrevVersion: expect, Version: obj.Version, Object: obj.Encode()})
 		}
-		return cp.Version, nil
+		return obj.Version, nil
 	}
 	if notify {
-		w := s.hist.Window(obj.URN)
-		s.notifyLocked(ApplyEvent{Kind: ApplyOps, URN: cp.URN,
-			PrevVersion: expect, Version: cp.Version, Invs: w[len(w)-1].Invs, Src: src, Object: cp.Encode()})
+		s.notifyLocked(ApplyEvent{Kind: ApplyOps, URN: obj.URN,
+			PrevVersion: expect, Version: obj.Version, Invs: invs, Src: src, Object: obj.Encode()})
 	}
-	return cp.Version, nil
+	return obj.Version, nil
 }
 
 // WasCommitted reports whether the export (base, invs, src) is already

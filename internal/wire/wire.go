@@ -127,6 +127,25 @@ func (b *Buffer) PutUvarintSlice(xs []uint64) {
 // PutRaw appends p verbatim, with no length prefix.
 func (b *Buffer) PutRaw(p []byte) { b.b = append(b.b, p...) }
 
+// PutMessage appends m's encoding with a uvarint length prefix, the bytes
+// PutBytes(Marshal(m)) appends, and returns the encoding's length: it ends
+// the buffer. m is encoded in place and moved up past its prefix.
+func (b *Buffer) PutMessage(m Marshaler) int {
+	start := len(b.b)
+	m.MarshalWire(b)
+	n := len(b.b) - start
+	b.b = binary.AppendUvarint(b.b, uint64(n))
+	copy(b.b[len(b.b)-n:], b.b[start:start+n])
+	binary.PutUvarint(b.b[start:], uint64(n))
+	return n
+}
+
+// Raw is an encoding already made, marshaled as its bytes.
+type Raw []byte
+
+// MarshalWire implements Marshaler.
+func (r Raw) MarshalWire(b *Buffer) { b.PutRaw(r) }
+
 // Reader decodes a message produced by Buffer. Errors are sticky: after the
 // first failure all subsequent reads return zero values, and Err reports
 // the original error.

@@ -372,3 +372,22 @@ func TestUvarintSliceTruncated(t *testing.T) {
 		t.Errorf("Err = %v, want ErrTruncated", r.Err())
 	}
 }
+
+// TestPutMessageIsPutBytesOfMarshal: a message encoded in place behind its
+// length prefix is byte for byte what PutBytes of its own encoding writes,
+// across the sizes where the prefix grows from one byte to three.
+func TestPutMessageIsPutBytesOfMarshal(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 16383, 16384} {
+		msg := Raw(bytes.Repeat([]byte{0xA5}, n))
+		var got, want Buffer
+		got.PutString("head")
+		want.PutString("head")
+		if m := got.PutMessage(msg); m != n {
+			t.Errorf("n=%d: PutMessage reported %d bytes", n, m)
+		}
+		want.PutBytes(Marshal(msg))
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("n=%d: PutMessage wrote %d bytes, PutBytes of Marshal %d", n, got.Len(), want.Len())
+		}
+	}
+}
