@@ -74,6 +74,18 @@ type ExportResult struct {
 	Message    string
 }
 
+// Future is the access manager's typed promise, the toolkit's one
+// completion type: Import, Export and the other non-blocking operations
+// return one.
+type Future[T any] = qrpc.Future[T]
+
+// resolvedFuture returns an already-completed future (cache fast path).
+func resolvedFuture[T any](v T, err error) *Future[T] {
+	f := new(Future[T])
+	f.Complete(v, err)
+	return f
+}
+
 // Status is the user-notification snapshot.
 type Status struct {
 	qrpc.StatusInfo
@@ -176,11 +188,12 @@ func pri(p qrpc.Priority) qrpc.Priority {
 	return p
 }
 
-// enqueue ships a QRPC and kicks the transport. It is the single
-// chokepoint for every outgoing request, which is where backpressure
-// belongs: when the queue is backed up (dead link, failing log), shed
-// prefetches first, then everything.
-func (am *AccessManager) enqueue(svc string, msg wire.Marshaler, p qrpc.Priority) (*qrpc.Promise, error) {
+// enqueue ships a QRPC whose arguments b holds, returns b to the pool and
+// kicks the transport. It is the single chokepoint for every outgoing
+// request, which is where backpressure belongs: when the queue is backed up
+// (dead link, failing log), shed prefetches first, then everything.
+func (am *AccessManager) enqueue(svc string, b *wire.Buffer, p qrpc.Priority) (*qrpc.Promise, error) {
+	defer wire.PutBuffer(b)
 	if limit := am.cfg.MaxPending; limit > 0 {
 		pending := am.cfg.Engine.Pending()
 		if pending >= 2*limit || (pending >= limit && pri(p) == qrpc.PriorityLow) {
@@ -197,11 +210,8 @@ func (am *AccessManager) enqueue(svc string, msg wire.Marshaler, p qrpc.Priority
 			return nil, fmt.Errorf("%w: %d pending (limit %d)", ErrShedLoad, pending, limit)
 		}
 	}
-	// Enqueue copies the arguments into its log record: encode in scratch.
-	b := wire.GetBuffer()
-	msg.MarshalWire(b)
+	// Enqueue copies the arguments into its log record.
 	prom, err := am.cfg.Engine.Enqueue(svc, b.Bytes(), pri(p), am.now())
-	wire.PutBuffer(b)
 	if err != nil {
 		return nil, err
 	}
@@ -209,6 +219,17 @@ func (am *AccessManager) enqueue(svc string, msg wire.Marshaler, p qrpc.Priority
 		am.cfg.Kick()
 	}
 	return prom, nil
+}
+
+// send enqueues a request and attaches h to its promise. A request that
+// cannot be queued completes h with the error at once.
+func (am *AccessManager) send(svc string, b *wire.Buffer, p qrpc.Priority, h qrpc.Hook[[]byte]) {
+	prom, err := am.enqueue(svc, b, p)
+	if err != nil {
+		h.Completed(nil, err)
+		return
+	}
+	prom.Attach(h)
 }
 
 // Import obtains an object, from the cache when permissible, otherwise by
@@ -233,75 +254,83 @@ func (am *AccessManager) Import(u urn.URN, opts ImportOptions) *Future[*rdo.Obje
 	am.stats.ImportsSent++
 	am.mu.Unlock()
 
-	f := newFuture[*rdo.Object]()
-	am.importRemote(u, haveVersion, opts.Priority, f)
-	return f
+	op := &importOp{am: am, u: u, p: opts.Priority}
+	op.send(haveVersion)
+	return &op.Future
 }
 
-// importRemote queues the server round trip of an import and wires its
-// completion into f. It may be re-entered once: a delta reply the cache
-// cannot apply falls back to a full import with HaveVersion 0 chained to
-// the same future, and the server never answers HaveVersion 0 with a
-// delta, so the recursion terminates.
-func (am *AccessManager) importRemote(u urn.URN, haveVersion uint64, p qrpc.Priority, f *Future[*rdo.Object]) {
-	prom, err := am.enqueue(proto.SvcImport, &proto.ImportArgs{URN: u, HaveVersion: haveVersion}, p)
+// importOp is an import waiting on its server round trip: the future the
+// caller holds and the hook the reply completes it through.
+type importOp struct {
+	Future[*rdo.Object]
+	am *AccessManager
+	u  urn.URN
+	p  qrpc.Priority
+}
+
+// send queues the import's request. It may run twice: a delta reply the
+// cache cannot apply falls back to a full import with HaveVersion 0 for the
+// same future, and the server never answers HaveVersion 0 with a delta, so
+// the fallback terminates.
+func (op *importOp) send(haveVersion uint64) {
+	b := wire.GetBuffer()
+	(&proto.ImportArgs{URN: op.u, HaveVersion: haveVersion}).MarshalWire(b)
+	op.am.send(proto.SvcImport, b, op.p, op)
+}
+
+// Completed takes in the import's reply.
+func (op *importOp) Completed(res []byte, err error) {
 	if err != nil {
-		f.resolve(nil, err)
+		op.Fail(err)
 		return
 	}
-	prom.OnComplete(func(pr *qrpc.Promise) {
-		res, perr, _ := pr.Result()
-		if perr != nil {
-			f.resolve(nil, perr)
-			return
-		}
-		var rep proto.ImportReply
-		r := wire.OwnedReader(res)
-		if err := cmp.Or(rep.UnmarshalWire(&r), r.Finish()); err != nil {
-			f.resolve(nil, err)
-			return
-		}
-		if rep.NotModified {
-			am.mu.Lock()
-			am.stats.NotModified++
-			e, ok := am.cache.Get(u)
-			if !ok {
-				am.mu.Unlock()
-				f.resolve(nil, fmt.Errorf("access: NotModified for %s but cache entry gone", u))
-				return
-			}
-			obj := e.Obj.Clone()
-			am.sess.RecordRead(u, e.CommittedVersion)
-			am.mu.Unlock()
-			f.resolve(obj, nil)
-			return
-		}
-		if rep.Delta {
-			if out, ok := am.applyDelta(u, &rep); ok {
-				f.resolve(out, nil)
-				return
-			}
-			// The delta no longer matches what we hold (entry evicted or
-			// moved, replay failed, or the checksum disagreed): re-import
-			// the whole object.
-			am.mu.Lock()
-			am.stats.DeltaFallbacks++
-			am.stats.ImportsSent++
-			am.mu.Unlock()
-			am.importRemote(u, 0, p, f)
-			return
-		}
-		obj, err := rdo.Decode(rep.Object)
-		if err != nil {
-			f.resolve(nil, err)
-			return
-		}
+	am, u := op.am, op.u
+	var rep proto.ImportReply
+	r := wire.OwnedReader(res)
+	if err := cmp.Or(rep.UnmarshalWire(&r), r.Finish()); err != nil {
+		op.Fail(err)
+		return
+	}
+	if rep.NotModified {
 		am.mu.Lock()
-		out := am.adoptCommittedLocked(obj).Obj.Clone()
-		am.sess.RecordRead(u, obj.Version)
+		am.stats.NotModified++
+		e, ok := am.cache.Get(u)
+		if !ok {
+			am.mu.Unlock()
+			op.Fail(fmt.Errorf("access: NotModified for %s but cache entry gone", u))
+			return
+		}
+		obj := e.Obj.Clone()
+		am.sess.RecordRead(u, e.CommittedVersion)
 		am.mu.Unlock()
-		f.resolve(out, nil)
-	})
+		op.Resolve(obj)
+		return
+	}
+	if rep.Delta {
+		if out, ok := am.applyDelta(u, &rep); ok {
+			op.Resolve(out)
+			return
+		}
+		// The delta no longer matches what we hold (entry evicted or
+		// moved, replay failed, or the checksum disagreed): re-import the
+		// whole object.
+		am.mu.Lock()
+		am.stats.DeltaFallbacks++
+		am.stats.ImportsSent++
+		am.mu.Unlock()
+		op.send(0)
+		return
+	}
+	obj, err := rdo.Decode(rep.Object)
+	if err != nil {
+		op.Fail(err)
+		return
+	}
+	am.mu.Lock()
+	out := am.adoptCommittedLocked(obj).Obj.Clone()
+	am.sess.RecordRead(u, obj.Version)
+	am.mu.Unlock()
+	op.Resolve(out)
 }
 
 // applyDelta advances the cached committed copy of u by replaying a delta
@@ -526,36 +555,42 @@ func (am *AccessManager) InvokeRemote(u urn.URN, method string, args []string, p
 	am.mu.Lock()
 	am.stats.RemoteInvokes++
 	am.mu.Unlock()
-	f := newFuture[InvokeResult]()
-	prom, err := am.enqueue(proto.SvcInvoke, &proto.InvokeArgs{URN: u, Method: method, Args: args}, p)
-	if err != nil {
-		f.resolve(InvokeResult{}, err)
-		return f
+	op := &invokeOp{am: am, u: u}
+	b := wire.GetBuffer()
+	(&proto.InvokeArgs{URN: u, Method: method, Args: args}).MarshalWire(b)
+	am.send(proto.SvcInvoke, b, p, op)
+	return &op.Future
+}
+
+// invokeOp is a remote invocation waiting on its reply.
+type invokeOp struct {
+	Future[InvokeResult]
+	am *AccessManager
+	u  urn.URN
+}
+
+// Completed takes in the invocation's reply.
+func (op *invokeOp) Completed(res []byte, err error) {
+	var rep proto.InvokeReply
+	if err == nil {
+		err = wire.Unmarshal(res, &rep)
 	}
-	prom.OnComplete(func(pr *qrpc.Promise) {
-		res, perr, _ := pr.Result()
-		if perr != nil {
-			f.resolve(InvokeResult{}, perr)
-			return
+	if err != nil {
+		op.Fail(err)
+		return
+	}
+	if rep.Mutated {
+		am := op.am
+		am.mu.Lock()
+		am.sess.RecordWrite(op.u, rep.NewVersion)
+		// The local copy (if any) is now stale; drop clean copies so the
+		// next import refetches.
+		if e, ok := am.cache.Peek(op.u); ok && !e.Tentative && !e.ExportInFlight {
+			am.cache.Remove(op.u)
 		}
-		var rep proto.InvokeReply
-		if err := wire.Unmarshal(res, &rep); err != nil {
-			f.resolve(InvokeResult{}, err)
-			return
-		}
-		if rep.Mutated {
-			am.mu.Lock()
-			am.sess.RecordWrite(u, rep.NewVersion)
-			// The local copy (if any) is now stale; drop clean copies so
-			// the next import refetches.
-			if e, ok := am.cache.Peek(u); ok && !e.Tentative && !e.ExportInFlight {
-				am.cache.Remove(u)
-			}
-			am.mu.Unlock()
-		}
-		f.resolve(InvokeResult{Result: rep.Result, NewVersion: rep.NewVersion, Mutated: rep.Mutated}, nil)
-	})
-	return f
+		am.mu.Unlock()
+	}
+	op.Resolve(InvokeResult{Result: rep.Result, NewVersion: rep.NewVersion, Mutated: rep.Mutated})
 }
 
 // InvokeBest is the dynamic-placement helper: "depending on the power of
@@ -571,19 +606,16 @@ func (am *AccessManager) InvokeBest(u urn.URN, method string, args []string, p q
 	am.mu.Unlock()
 	if cached {
 		result, err := am.Invoke(u, method, args...)
-		f := newFuture[InvokeResult]()
 		if err != nil {
-			f.resolve(InvokeResult{}, err)
-		} else {
-			am.mu.Lock()
-			ver := uint64(0)
-			if e, ok := am.cache.Peek(u); ok {
-				ver = e.CommittedVersion
-			}
-			am.mu.Unlock()
-			f.resolve(InvokeResult{Result: result, NewVersion: ver}, nil)
+			return resolvedFuture(InvokeResult{}, err)
 		}
-		return f
+		am.mu.Lock()
+		ver := uint64(0)
+		if e, ok := am.cache.Peek(u); ok {
+			ver = e.CommittedVersion
+		}
+		am.mu.Unlock()
+		return resolvedFuture(InvokeResult{Result: result, NewVersion: ver}, nil)
 	}
 	return am.InvokeRemote(u, method, args, p)
 }
@@ -605,49 +637,61 @@ func (am *AccessManager) Export(u urn.URN, p qrpc.Priority) (*Future[ExportResul
 		am.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrExportInFlight, u)
 	}
-	args := am.beginExportLocked(u, e)
+	b := wire.GetBuffer()
+	am.beginExportLocked(u, e, b)
 	am.stats.ExportsSent++
 	am.mu.Unlock()
 
-	f := newFuture[ExportResult]()
-	prom, err := am.enqueue(proto.SvcExport, args, p)
+	op := &exportOp{am: am, u: u}
+	prom, err := am.enqueue(proto.SvcExport, b, p)
 	if err != nil {
 		am.mu.Lock()
 		e.ExportInFlight = false
 		e.InFlightCount = 0
 		e.ExportBase = 0
 		am.mu.Unlock()
-		f.resolve(ExportResult{}, err)
-		return f, nil
+		op.Fail(err)
+		return &op.Future, nil
 	}
-	prom.OnComplete(func(pr *qrpc.Promise) {
-		res, perr, _ := pr.Result()
-		am.onExportReply(u, f, res, perr)
-	})
-	return f, nil
+	prom.Attach(op)
+	return &op.Future, nil
 }
 
-// beginExportLocked marks every pending operation of e in flight and builds
-// the request that ships them. Because it ships them all, the working copy
+// exportOp is an export waiting on its reply.
+type exportOp struct {
+	Future[ExportResult]
+	am *AccessManager
+	u  urn.URN
+}
+
+// Completed settles the export.
+func (op *exportOp) Completed(res []byte, err error) {
+	op.am.onExportReply(op.u, &op.Future, res, err)
+}
+
+// beginExportLocked marks every pending operation of e in flight and encodes
+// the request that ships them into b, under the lock so the operations are
+// not copied. Because it ships them all, the working copy
 // stamped BaseVer+1 IS the object a clean replay at the server must
 // produce: its checksum rides along as ExportArgs.Expect and the entry
 // remembers it, so a server that commits exactly that state can answer
 // without the object and onExportReply promotes the copy it already holds.
-func (am *AccessManager) beginExportLocked(u urn.URN, e *cache.Entry) *proto.ExportArgs {
+func (am *AccessManager) beginExportLocked(u urn.URN, e *cache.Entry, b *wire.Buffer) {
 	e.ExportInFlight = true
 	e.InFlightCount = len(e.PendingOps)
 	e.ExportBase = e.CommittedVersion
 	e.Obj.Version = e.ExportBase + 1
 	e.ExportCheck = proto.CheckOf(e.Obj)
 	e.Obj.Version = e.ExportBase
-	return &proto.ExportArgs{
+	args := proto.ExportArgs{
 		URN:       u,
 		BaseVer:   e.ExportBase,
-		Invs:      append([]rdo.Invocation(nil), e.PendingOps...),
+		Invs:      e.PendingOps,
 		ReadDep:   am.sess.ReadDependency(u),
 		HasExpect: true,
 		Expect:    e.ExportCheck,
 	}
+	args.MarshalWire(b)
 }
 
 // onExportReply settles an export: res is the encoded proto.ExportReply,
@@ -657,7 +701,7 @@ func (am *AccessManager) onExportReply(u urn.URN, f *Future[ExportResult], res [
 	e, ok := am.cache.Peek(u)
 	if !ok {
 		am.mu.Unlock()
-		f.resolve(ExportResult{}, fmt.Errorf("access: cache entry for %s vanished mid-export", u))
+		f.Fail(fmt.Errorf("access: cache entry for %s vanished mid-export", u))
 		return
 	}
 	inFlight := e.InFlightCount
@@ -673,7 +717,7 @@ func (am *AccessManager) onExportReply(u urn.URN, f *Future[ExportResult], res [
 			// and tentative so a later Export (after the lock clears)
 			// retries them.
 			am.mu.Unlock()
-			f.resolve(ExportResult{}, perr)
+			f.Fail(perr)
 			return
 		}
 		// The server executed our export and reported an application
@@ -684,14 +728,14 @@ func (am *AccessManager) onExportReply(u urn.URN, f *Future[ExportResult], res [
 		am.conflictLocked(u, perr.Error())
 		am.mu.Unlock()
 		am.Import(u, ImportOptions{Revalidate: true})
-		f.resolve(ExportResult{}, perr)
+		f.Fail(perr)
 		return
 	}
 	var rep proto.ExportReply
 	r := wire.OwnedReader(res)
 	if err := cmp.Or(rep.UnmarshalWire(&r), r.Finish()); err != nil {
 		am.mu.Unlock()
-		f.resolve(ExportResult{}, err)
+		f.Fail(err)
 		return
 	}
 	// The exported ops leave the pending queue (committed, merged, or
@@ -762,7 +806,7 @@ func (am *AccessManager) onExportReply(u urn.URN, f *Future[ExportResult], res [
 	case more:
 		am.Export(u, qrpc.PriorityNormal)
 	}
-	f.resolve(ExportResult{Outcome: rep.Outcome, NewVersion: rep.NewVersion, Message: rep.Message}, nil)
+	f.Resolve(ExportResult{Outcome: rep.Outcome, NewVersion: rep.NewVersion, Message: rep.Message})
 }
 
 // ExportAll exports every object with tentative operations.
@@ -779,63 +823,65 @@ func (am *AccessManager) ExportAll(p qrpc.Priority) []*Future[ExportResult] {
 // Create registers a new object at its home server and caches it locally
 // on commit.
 func (am *AccessManager) Create(obj *rdo.Object, p qrpc.Priority) *Future[uint64] {
-	f := newFuture[uint64]()
-	snapshot := obj.Clone()
-	prom, err := am.enqueue(proto.SvcCreate, &proto.CreateArgs{Object: snapshot.Encode()}, p)
-	if err != nil {
-		f.resolve(0, err)
-		return f
+	op := &createOp{am: am, snapshot: obj.Clone()}
+	b := wire.GetBuffer()
+	(&proto.CreateArgs{Object: op.snapshot.Encode()}).MarshalWire(b)
+	am.send(proto.SvcCreate, b, p, op)
+	return &op.Future
+}
+
+// createOp is a create waiting on its reply.
+type createOp struct {
+	Future[uint64]
+	am       *AccessManager
+	snapshot *rdo.Object
+}
+
+// Completed caches the created object once the server committed it.
+func (op *createOp) Completed(res []byte, err error) {
+	var rep proto.CreateReply
+	if err == nil {
+		err = wire.Unmarshal(res, &rep)
 	}
-	prom.OnComplete(func(pr *qrpc.Promise) {
-		res, perr, _ := pr.Result()
-		if perr != nil {
-			f.resolve(0, perr)
-			return
-		}
-		var rep proto.CreateReply
-		if err := wire.Unmarshal(res, &rep); err != nil {
-			f.resolve(0, err)
-			return
-		}
-		committed := snapshot.Clone()
-		committed.Version = rep.Version
-		am.mu.Lock()
-		am.adoptCommittedLocked(committed)
-		am.sess.RecordWrite(committed.URN, rep.Version)
-		am.mu.Unlock()
-		f.resolve(rep.Version, nil)
-	})
-	return f
+	if err != nil {
+		op.Fail(err)
+		return
+	}
+	committed := op.snapshot.Clone()
+	committed.Version = rep.Version
+	am := op.am
+	am.mu.Lock()
+	am.adoptCommittedLocked(committed)
+	am.sess.RecordWrite(committed.URN, rep.Version)
+	am.mu.Unlock()
+	op.Resolve(rep.Version)
 }
 
 // Stat probes an object's existence and version at the server.
 func (am *AccessManager) Stat(u urn.URN, p qrpc.Priority) *Future[proto.StatReply] {
-	return enqueueDecoded[proto.StatReply](am, proto.SvcStat, &proto.StatArgs{URN: u}, p)
+	b := wire.GetBuffer()
+	(&proto.StatArgs{URN: u}).MarshalWire(b)
+	return request(am, proto.SvcStat, b, p, func(res []byte) (rep proto.StatReply, err error) {
+		return rep, wire.Unmarshal(res, &rep)
+	})
 }
 
 // List enumerates server objects under a prefix.
 func (am *AccessManager) List(prefix urn.URN, p qrpc.Priority) *Future[[]proto.ListEntry] {
-	f := newFuture[[]proto.ListEntry]()
-	inner := enqueueDecoded[proto.ListReply](am, proto.SvcList, &proto.ListArgs{Prefix: prefix}, p)
-	inner.OnReady(func(rep proto.ListReply, err error) {
-		f.resolve(rep.Entries, err)
+	b := wire.GetBuffer()
+	(&proto.ListArgs{Prefix: prefix}).MarshalWire(b)
+	return request(am, proto.SvcList, b, p, func(res []byte) ([]proto.ListEntry, error) {
+		var rep proto.ListReply
+		err := wire.Unmarshal(res, &rep)
+		return rep.Entries, err
 	})
-	return f
 }
 
 // Subscribe registers for invalidation callbacks on objects under prefix.
 func (am *AccessManager) Subscribe(prefix urn.URN, p qrpc.Priority) *Future[struct{}] {
-	f := newFuture[struct{}]()
-	prom, err := am.enqueue(proto.SvcSubscribe, &proto.SubscribeArgs{Prefix: prefix}, p)
-	if err != nil {
-		f.resolve(struct{}{}, err)
-		return f
-	}
-	prom.OnComplete(func(pr *qrpc.Promise) {
-		_, perr, _ := pr.Result()
-		f.resolve(struct{}{}, perr)
-	})
-	return f
+	b := wire.GetBuffer()
+	(&proto.SubscribeArgs{Prefix: prefix}).MarshalWire(b)
+	return request[struct{}](am, proto.SvcSubscribe, b, p, nil)
 }
 
 // CheckoutResult reports a lock attempt.
@@ -855,71 +901,56 @@ type CheckoutResult struct {
 // the model's intent — take locks while connected, then disconnect and
 // work exclusively.
 func (am *AccessManager) Checkout(u urn.URN, force bool, p qrpc.Priority) *Future[CheckoutResult] {
-	f := newFuture[CheckoutResult]()
-	inner := enqueueDecoded[proto.CheckoutReply](am, proto.SvcCheckout, &proto.CheckoutArgs{URN: u, Force: force}, p)
-	inner.OnReady(func(rep proto.CheckoutReply, err error) {
-		f.resolve(CheckoutResult{Granted: rep.Granted, Holder: rep.Holder}, err)
+	b := wire.GetBuffer()
+	(&proto.CheckoutArgs{URN: u, Force: force}).MarshalWire(b)
+	return request(am, proto.SvcCheckout, b, p, func(res []byte) (CheckoutResult, error) {
+		var rep proto.CheckoutReply
+		err := wire.Unmarshal(res, &rep)
+		return CheckoutResult{Granted: rep.Granted, Holder: rep.Holder}, err
 	})
-	return f
 }
 
 // Checkin releases a check-out lock held by this client.
 func (am *AccessManager) Checkin(u urn.URN, p qrpc.Priority) *Future[struct{}] {
-	f := newFuture[struct{}]()
-	prom, err := am.enqueue(proto.SvcCheckin, &proto.CheckinArgs{URN: u}, p)
-	if err != nil {
-		f.resolve(struct{}{}, err)
-		return f
-	}
-	prom.OnComplete(func(pr *qrpc.Promise) {
-		_, perr, _ := pr.Result()
-		f.resolve(struct{}{}, perr)
-	})
-	return f
+	b := wire.GetBuffer()
+	(&proto.CheckinArgs{URN: u}).MarshalWire(b)
+	return request[struct{}](am, proto.SvcCheckin, b, p, nil)
 }
 
 // Conflicts fetches the server's manual-repair queue.
 func (am *AccessManager) Conflicts(p qrpc.Priority) *Future[[]proto.ConflictEntry] {
-	f := newFuture[[]proto.ConflictEntry]()
-	inner := enqueueDecoded[proto.ConflictsReply](am, proto.SvcConflicts, &emptyMsg{}, p)
-	inner.OnReady(func(rep proto.ConflictsReply, err error) {
-		f.resolve(rep.Conflicts, err)
+	return request(am, proto.SvcConflicts, wire.GetBuffer(), p, func(res []byte) ([]proto.ConflictEntry, error) {
+		var rep proto.ConflictsReply
+		err := wire.Unmarshal(res, &rep)
+		return rep.Conflicts, err
 	})
-	return f
 }
 
-type emptyMsg struct{}
+// request sends a simple service's request; its future completes with what
+// decode makes of the reply, or with nothing when decode is nil.
+func request[T any](am *AccessManager, svc string, b *wire.Buffer, p qrpc.Priority, decode func([]byte) (T, error)) *Future[T] {
+	op := &replyOp[T]{decode: decode}
+	am.send(svc, b, p, op)
+	return &op.Future
+}
 
-func (emptyMsg) MarshalWire(*wire.Buffer) {}
+// replyOp is a simple service's request waiting on its reply.
+type replyOp[T any] struct {
+	Future[T]
+	decode func([]byte) (T, error)
+}
 
-// enqueueDecoded is the generic request/decode plumbing for simple
-// services.
-func enqueueDecoded[T any, PT interface {
-	*T
-	wire.Unmarshaler
-}](am *AccessManager, svc string, args wire.Marshaler, p qrpc.Priority) *Future[T] {
-	f := newFuture[T]()
-	prom, err := am.enqueue(svc, args, p)
-	if err != nil {
-		var zero T
-		f.resolve(zero, err)
-		return f
+// Completed decodes the reply.
+func (op *replyOp[T]) Completed(res []byte, err error) {
+	var v T
+	if err == nil && op.decode != nil {
+		v, err = op.decode(res)
 	}
-	prom.OnComplete(func(pr *qrpc.Promise) {
-		var zero T
-		res, perr, _ := pr.Result()
-		if perr != nil {
-			f.resolve(zero, perr)
-			return
-		}
-		var rep T
-		if err := wire.Unmarshal(res, PT(&rep)); err != nil {
-			f.resolve(zero, err)
-			return
-		}
-		f.resolve(rep, nil)
-	})
-	return f
+	if err != nil {
+		op.Fail(err)
+		return
+	}
+	op.Resolve(v)
 }
 
 // Prefetch imports an object at low priority, warming the cache for
@@ -936,10 +967,10 @@ func (am *AccessManager) Prefetch(u urn.URN) *Future[*rdo.Object] {
 // not already cached. The returned future yields how many imports were
 // started.
 func (am *AccessManager) PrefetchPrefix(prefix urn.URN) *Future[int] {
-	f := newFuture[int]()
+	f := new(Future[int])
 	am.List(prefix, qrpc.PriorityLow).OnReady(func(entries []proto.ListEntry, err error) {
 		if err != nil {
-			f.resolve(0, err)
+			f.Fail(err)
 			return
 		}
 		started := 0
@@ -953,7 +984,7 @@ func (am *AccessManager) PrefetchPrefix(prefix urn.URN) *Future[int] {
 				started++
 			}
 		}
-		f.resolve(started, nil)
+		f.Resolve(started)
 	})
 	return f
 }

@@ -1,21 +1,29 @@
 package access
 
 import (
+	"context"
 	"testing"
 
 	"rover/internal/proto"
 	"rover/internal/qrpc"
+	"rover/internal/rdo"
 	"rover/internal/urn"
 )
 
 // TestImportRoundTripAllocs pins what a full import costs both parties over
-// a Pipe: the client's log record, which the request is a view of, and its
-// promise; the server's store clone, the copy of the object's kept encoding
-// and the reply around it; and the client's one copy of the object it
-// decodes, its cache entry and the clone handed to the caller. The client cache holds one object and
-// the imports alternate between two, so every import fetches the whole
-// object, as import_read does; the server's objects come from a snapshot,
-// decoded as a disk store faults them in.
+// a Pipe, 18 objects. The client's 13: the log record the request is a view
+// of, the pending request with its promise inline, the import op that holds
+// the caller's future and is the hook the promise completes, that future's
+// channel (the caller takes Done before the reply is in), and the batch the
+// request rides in with the last reply's ack; then, from the reply, the one
+// copy of the object's bytes Decode makes, the object, its state map and
+// the map's storage, its URN and type, the cache entry and its LRU element,
+// and the clone handed to the caller. The server's 5: the URN string of the
+// arguments, the store's clone, the reply the object is encoded straight
+// into, the reply frame's encoding, and its output frame list. The client
+// cache holds one object and the imports alternate between two, so every
+// import fetches the whole object, as import_read does; the server's
+// objects come from a snapshot, decoded as a disk store faults them in.
 func TestImportRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool puts, so allocation counts mean nothing")
@@ -52,8 +60,8 @@ func TestImportRoundTripAllocs(t *testing.T) {
 	if sent := r.am.Stats().ImportsSent - before; sent < 1000 {
 		t.Fatalf("%d of 1001 imports reached the server: the cache served the rest", sent)
 	}
-	if n != 25 {
-		t.Errorf("one import round trip allocates %v objects, want 25", n)
+	if n != 18 {
+		t.Errorf("one import round trip allocates %v objects, want 18", n)
 	}
 }
 
@@ -63,7 +71,11 @@ func TestImportRoundTripAllocs(t *testing.T) {
 // and the commit, and the lean reply that lets the client keep the object
 // and the environment it has. The export is encoded once, into the client's
 // log record, and its reply once, into the server's; the store commits the
-// replayed object itself, encoded straight into its segment record.
+// replayed object itself, encoded straight into its segment record. The
+// export's completion costs the client two objects: the export op, which
+// holds the caller's future and is the hook its promise completes, and the
+// channel the caller's Done makes before the reply is in. Its arguments are
+// encoded from the pending operations themselves, under the manager's lock.
 func TestExportRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool puts, so allocation counts mean nothing")
@@ -95,7 +107,31 @@ func TestExportRoundTripAllocs(t *testing.T) {
 	if refetches := r.am.Stats().ExportRefetches; refetches != 0 {
 		t.Fatalf("%d export replies carried the object", refetches)
 	}
-	if n != 34 {
-		t.Errorf("one committed write allocates %v objects, want 34", n)
+	if n != 29 {
+		t.Errorf("one committed write allocates %v objects, want 29", n)
+	}
+}
+
+// TestResolvedFutureAllocs pins what a future that is complete when it is
+// made costs, as a cache-served import returns one: the future alone. Its
+// Done, Wait and a callback on it make no channel and no slice.
+func TestResolvedFutureAllocs(t *testing.T) {
+	obj := counterObj("resolved")
+	ctx := context.Background()
+	fired := 0
+	ready := func(*rdo.Object, error) { fired++ }
+	n := testing.AllocsPerRun(1000, func() {
+		f := resolvedFuture(obj, nil)
+		<-f.Done()
+		if got, err := f.Wait(ctx); got != obj || err != nil {
+			t.Fatalf("Wait = %v, %v", got, err)
+		}
+		f.OnReady(ready)
+	})
+	if fired == 0 {
+		t.Fatal("the callback never ran")
+	}
+	if n != 1 {
+		t.Errorf("a resolved future allocates %v objects, want 1", n)
 	}
 }

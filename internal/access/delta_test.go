@@ -2,6 +2,7 @@ package access
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"rover/internal/proto"
@@ -109,6 +110,58 @@ func TestDeltaFallbackWhenReplayNeedsServerEnv(t *testing.T) {
 	st := r1.am.Stats()
 	if st.DeltaImports != 0 || st.DeltaFallbacks != 1 {
 		t.Fatalf("stats %+v: want one transparent fallback to a full import", st)
+	}
+}
+
+// TestFutureDeltaFallbackResolvesOnce drives the client-side delta fallback
+// through Import: the server answers a revalidation with a delta the cache
+// cannot replay, the client re-imports with HaveVersion 0 for the same
+// future, and that future resolves once, with the full object, after two
+// imports went out.
+func TestFutureDeltaFallbackResolvesOnce(t *testing.T) {
+	engine, srv := newServerRig(t)
+	o := rdo.New(urn.MustParse("urn:rover:home/d4"), "peeker")
+	o.Code = `
+		proc bump {} {
+			state set seen [rover.getstate urn:rover:home/d4 count 0]
+			state set count [expr {[state get count 0] + 1}]
+		}
+	`
+	o.Set("pad", strings.Repeat("bulk state a delta need not resend ", 40))
+	srv.Store().Create(o)
+	u := o.URN
+	r1 := newRig(t, "cli-1", engine, srv, nil)
+	r2 := newRig(t, "cli-2", engine, srv, nil)
+	wait(t, r1.am.Import(u, ImportOptions{}))
+	wait(t, r2.am.InvokeRemote(u, "bump", nil, qrpc.PriorityNormal))
+
+	sent, replies := r1.am.Stats().ImportsSent, r1.am.cfg.Engine.Stats().Replies
+	f := r1.am.Import(u, ImportOptions{Revalidate: true})
+	var mu sync.Mutex
+	fired := 0
+	f.OnReady(func(*rdo.Object, error) {
+		mu.Lock()
+		fired++
+		mu.Unlock()
+	})
+	obj := wait(t, f)
+	if obj.Version != 2 {
+		t.Fatalf("resolved at version %d, want the full object at 2", obj.Version)
+	}
+	if v, _ := obj.Get("count"); v != "1" {
+		t.Fatalf("count = %q, want 1", v)
+	}
+	st := r1.am.Stats()
+	if st.DeltaFallbacks != 1 || st.ImportsSent-sent != 2 {
+		t.Fatalf("stats %+v: want one fallback and two imports sent", st)
+	}
+	if got := r1.am.cfg.Engine.Stats().Replies - replies; got != 2 {
+		t.Fatalf("%d import replies arrived, want the delta and the full object", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if fired != 1 {
+		t.Fatalf("the import's callback fired %d times, want once", fired)
 	}
 }
 

@@ -181,7 +181,7 @@ func TestLeanExportHandlerAllocs(t *testing.T) {
 	r.am.mu.Unlock()
 	pending, pristine, env := e.PendingOps, e.Committed, e.Env
 	lean := wire.Marshal(&proto.ExportReply{Outcome: proto.OutcomeCommitted, NewVersion: 2})
-	fut := newFuture[ExportResult]()
+	fut := new(Future[ExportResult])
 
 	handler := testing.AllocsPerRun(100, func() {
 		// The state Export leaves behind, restored by hand so that only
@@ -373,7 +373,7 @@ func TestLeanExportUnusableReplyRefetches(t *testing.T) {
 		t.Helper()
 		r.am.mu.Lock()
 		e, _ := r.am.cache.Peek(u)
-		r.am.beginExportLocked(u, e)
+		r.am.beginExportLocked(u, e, new(wire.Buffer))
 		if tamper != nil {
 			tamper(e)
 		}
@@ -383,7 +383,7 @@ func TestLeanExportUnusableReplyRefetches(t *testing.T) {
 		if _, err := r.srv.Store().Commit(w, 1); err != nil {
 			t.Fatal(err)
 		}
-		r.am.onExportReply(u, newFuture[ExportResult](), wire.Marshal(reply), nil)
+		r.am.onExportReply(u, new(Future[ExportResult]), wire.Marshal(reply), nil)
 	}
 	check := func(t *testing.T, r *rig, u urn.URN) {
 		t.Helper()
@@ -464,7 +464,7 @@ func TestLeanExportInFlightOpDroppedByRebase(t *testing.T) {
 	}
 	r.am.mu.Lock()
 	e, _ := r.am.cache.Peek(u)
-	r.am.beginExportLocked(u, e)
+	r.am.beginExportLocked(u, e, new(wire.Buffer))
 	r.am.mu.Unlock()
 	// Behind the in-flight export: one more booking.
 	if _, err := r.am.Invoke(u, "schedule", "wed-9", "me", "dentist"); err != nil {
@@ -483,7 +483,7 @@ func TestLeanExportInFlightOpDroppedByRebase(t *testing.T) {
 	}
 	// The export's verdict arrives: rejected, with the server's object.
 	cur, _ := srv.Store().Get(u)
-	r.am.onExportReply(u, newFuture[ExportResult](), wire.Marshal(&proto.ExportReply{
+	r.am.onExportReply(u, new(Future[ExportResult]), wire.Marshal(&proto.ExportReply{
 		Outcome: proto.OutcomeConflict, NewVersion: cur.Version, Object: cur.Encode(), Message: "slot taken",
 	}), nil)
 	after := entryOf(t, r.am, u)

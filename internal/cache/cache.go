@@ -59,7 +59,8 @@ type Entry struct {
 	// ImportedAt is when the committed copy was fetched.
 	ImportedAt vtime.Time
 
-	lruElem *list.Element
+	urn     urn.URN
+	lruElem *list.Element // its Value is the entry itself
 	bytes   int
 }
 
@@ -79,7 +80,7 @@ type Stats struct {
 type Cache struct {
 	mu       sync.Mutex
 	entries  map[urn.URN]*Entry
-	lru      *list.List // front = most recent
+	lru      *list.List // of *Entry, front = most recent
 	maxBytes int
 	curBytes int
 	stats    Stats
@@ -136,12 +137,13 @@ func (c *Cache) Put(obj *rdo.Object, now vtime.Time) *Entry {
 		return old
 	}
 	e := &Entry{
+		urn:              obj.URN,
 		Obj:              obj,
 		CommittedVersion: obj.Version,
 		ImportedAt:       now,
 		bytes:            obj.SizeEstimate(),
 	}
-	e.lruElem = c.lru.PushFront(obj.URN)
+	e.lruElem = c.lru.PushFront(e)
 	c.entries[obj.URN] = e
 	c.curBytes += e.bytes
 	c.stats.Inserts++
@@ -188,11 +190,10 @@ func (c *Cache) evictLocked() {
 	elem := c.lru.Back()
 	for c.curBytes > c.maxBytes && elem != nil {
 		prev := elem.Prev()
-		u := elem.Value.(urn.URN)
-		e := c.entries[u]
+		e := elem.Value.(*Entry)
 		if !e.Tentative && !e.ExportInFlight {
 			c.lru.Remove(elem)
-			delete(c.entries, u)
+			delete(c.entries, e.urn)
 			c.curBytes -= e.bytes
 			c.stats.Evictions++
 		}

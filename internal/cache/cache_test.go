@@ -218,3 +218,29 @@ func TestEnvEvictedWithEntry(t *testing.T) {
 		t.Fatalf("replace kept state of the old copy: %+v", e)
 	}
 }
+
+// TestPutAllocs pins an insert that evicts: the entry and its LRU element,
+// which holds the entry itself, so the URN is neither boxed nor looked up
+// again to evict it.
+func TestPutAllocs(t *testing.T) {
+	a, b := obj("a", 100), obj("b", 100)
+	c := New(a.SizeEstimate() + a.SizeEstimate()/2)
+	i := 0
+	put := func() {
+		o := a
+		if i%2 == 1 {
+			o = b
+		}
+		i++
+		c.Put(o, 0)
+	}
+	for range 10 {
+		put()
+	}
+	if n := testing.AllocsPerRun(1000, put); n != 2 {
+		t.Errorf("an insert that evicts allocates %v objects, want 2", n)
+	}
+	if st := c.Stats(); c.Len() != 1 || st.Evictions < 1000 {
+		t.Fatalf("len %d, stats %+v: every insert should evict the other object", c.Len(), st)
+	}
+}

@@ -9,13 +9,15 @@ import (
 	"rover/internal/stable"
 	"rover/internal/transport"
 	"rover/internal/vtime"
+	"rover/internal/wire"
 )
 
 // TestEchoRoundTripAllocs pins what one QRPC costs the engines: a 64-byte
 // echo — Enqueue, the request out, the reply back, Wait — over a Pipe to a
 // pooled server with no journal. What is allocated is what a party keeps:
 // the client's log record, which the request frame is a view of, its
-// pending request (promise inline) and that promise's channel, and the
+// pending request (promise inline) and that promise's channel, made by the
+// Wait because it runs before the reply arrives, and the
 // batch the request rides in with the last reply's ack; the server's reply
 // encoding, which its session holds until the ack. Receiving costs nothing:
 // frames are decoded where they arrived.
@@ -69,5 +71,40 @@ func echoRoundTripAllocs(t *testing.T, cfg qrpc.ServerConfig, want float64) {
 	}
 	if n := testing.AllocsPerRun(1000, echo); n != want {
 		t.Fatalf("one echo round trip allocates %v objects, want %v", n, want)
+	}
+}
+
+// TestStaleInstallReplyAllocs: a replica peer's reply that the session
+// already holds is turned away before anything is built for it. On a
+// journaled server no journal record is appended, and the exec record a
+// fresh install is cached in is not even encoded: the stale install
+// allocates nothing.
+func TestStaleInstallReplyAllocs(t *testing.T) {
+	journal := stable.NewMemLog(stable.Options{})
+	srv := qrpc.NewServer(qrpc.ServerConfig{ServerID: "alloc", Journals: []stable.Log{journal}})
+	defer srv.Close()
+	enc := wire.Marshal(&qrpc.Reply{Seq: 1, Status: qrpc.StatusOK, Result: []byte("from the peer")})
+	if ok, err := srv.InstallReply("peer", enc); !ok || err != nil {
+		t.Fatalf("first install = %v, %v", ok, err)
+	}
+	records := func() (n int) {
+		journal.Replay(func(uint64, []byte) error { n++; return nil })
+		return n
+	}
+	before := records()
+	stale := func() {
+		if ok, err := srv.InstallReply("peer", enc); ok || err != nil {
+			t.Fatalf("stale install = %v, %v; want it ignored", ok, err)
+		}
+	}
+	stale()
+	if n := records(); n != before {
+		t.Fatalf("a stale install took the journal from %d records to %d", before, n)
+	}
+	if raceEnabled {
+		return // allocation counts are held by the run without -race
+	}
+	if n := testing.AllocsPerRun(100, stale); n != 0 {
+		t.Fatalf("a stale install allocates %v objects, want 0", n)
 	}
 }

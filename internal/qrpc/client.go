@@ -188,8 +188,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 			}
 			return nil
 		}
-		pr := &pendingReq{req: *req, enc: rec[1:], logID: id, heapIdx: -1}
-		pr.promise.init(req.Seq)
+		pr := &pendingReq{req: *req, enc: rec[1:], logID: id, promise: Promise{seq: req.Seq}, heapIdx: -1}
 		c.pend[req.Seq] = pr
 		heap.Push(&c.queue, pr)
 		c.queuedCount++
@@ -277,8 +276,7 @@ func (c *Client) Enqueue(service string, args []byte, pri Priority, now vtime.Ti
 		c.mu.Unlock()
 		return nil, fmt.Errorf("qrpc: stable log append: %w", err)
 	}
-	pr := &pendingReq{req: req, enc: rec[1:], logID: logID, readyAt: now.Add(c.flushCost), heapIdx: -1}
-	pr.promise.init(seq)
+	pr := &pendingReq{req: req, enc: rec[1:], logID: logID, promise: Promise{seq: seq}, readyAt: now.Add(c.flushCost), heapIdx: -1}
 
 	c.mu.Lock()
 	delete(c.held, seq)
@@ -321,7 +319,7 @@ func (c *Client) Cancel(seq uint64) bool {
 		delete(c.held, seq)
 		c.mu.Unlock()
 	}
-	pr.promise.fulfill(nil, ErrCancelled)
+	pr.promise.Fail(ErrCancelled)
 	return true
 }
 
@@ -640,9 +638,9 @@ func (c *Client) onReply(payload []byte, now vtime.Time) {
 	c.mu.Unlock()
 
 	if rep.Status == StatusOK {
-		pr.promise.fulfill(rep.Result, nil)
+		pr.promise.Resolve(rep.Result)
 	} else {
-		pr.promise.fulfill(nil, &RemoteError{Status: rep.Status, Message: rep.ErrMsg})
+		pr.promise.Fail(&RemoteError{Status: rep.Status, Message: rep.ErrMsg})
 	}
 	c.notify(status)
 }

@@ -682,18 +682,18 @@ func (s *Server) InstallReply(clientID string, enc []byte) (bool, error) {
 	if err := cmp.Or(rep.UnmarshalWire(&r), r.Finish()); err != nil {
 		return false, fmt.Errorf("qrpc: bad reply: %w", err)
 	}
-	var rec []byte
-	if s.hasJournal() {
-		// Cached as a view of its exec record, as a local reply is.
-		rec = encodeExecRecordEnc(clientID, enc)
-		enc = rec[len(rec)-len(enc):]
-	}
 	s.mu.Lock()
 	sess := s.sessionLocked(clientID)
 	_, cached := sess.replies[rep.Seq]
 	if cached || sess.acked[rep.Seq] || rep.Seq < sess.lowSeq || sess.executing[rep.Seq] {
 		s.mu.Unlock()
 		return false, nil
+	}
+	var rec []byte
+	if s.hasJournal() {
+		// Cached as a view of its exec record, as a local reply is.
+		rec = encodeExecRecordEnc(clientID, enc)
+		enc = rec[len(rec)-len(enc):]
 	}
 	s.recordReplyLocked(sess, rep.Seq, enc)
 	s.stats.ReplicatedReplies++

@@ -232,13 +232,17 @@ func (s *Server) handleImport(clientID string, req qrpc.Request) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	rep := proto.ImportReply{}
 	if args.HaveVersion != 0 && args.HaveVersion == obj.Version {
-		rep.NotModified = true
-		return wire.Marshal(&rep), nil
+		return wire.Marshal(&proto.ImportReply{NotModified: true}), nil
 	}
-	rep.Object = obj.Encode()
-	full := wire.Marshal(&rep)
+	// The full reply is ImportReply{Object: obj.Encode()}, written with the
+	// object encoded straight into it; the delta's checksum reads the
+	// object's bytes where they lie in the reply.
+	b := wire.GetBuffer()
+	b.PutBool(false)
+	n := b.PutMessage(obj)
+	full := wire.Detach(b)
+	objEnc := full[len(full)-n:]
 	if args.HaveVersion == 0 || args.HaveVersion > obj.Version {
 		// HaveVersion 0 never yields a delta — the client's checksum-
 		// mismatch fallback re-imports with 0 and relies on that to
@@ -259,7 +263,7 @@ func (s *Server) handleImport(clientID string, req qrpc.Request) ([]byte, error)
 		FromVersion: args.HaveVersion,
 		NewVersion:  newVer,
 		Ops:         ops,
-		Check:       proto.ObjectCheck(rep.Object),
+		Check:       proto.ObjectCheck(objEnc),
 	}
 	if enc := wire.Marshal(&d); len(enc) < len(full) {
 		s.countDelta(true)

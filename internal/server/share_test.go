@@ -56,3 +56,38 @@ func TestImportKeptEncodingIsCanonical(t *testing.T) {
 	want.Set("count", "2")
 	imported(want)
 }
+
+// TestFullImportReplyIsMarshalOfReply: a full import's reply, written with
+// the object encoded straight into it, is byte for byte the ImportReply
+// marshaled around the object's own encoding — for an object written since
+// it was stored (no kept encoding) and for one decoded from a snapshot —
+// whether the client asked for everything or is ahead of the server.
+func TestFullImportReplyIsMarshalOfReply(t *testing.T) {
+	r := newRig(t)
+	obj := paddedCounter("full")
+	if err := r.srv.Store().Create(obj); err != nil {
+		t.Fatal(err)
+	}
+	check := func(kind string) {
+		t.Helper()
+		cur, err := r.srv.Store().Get(obj.URN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := wire.Marshal(&proto.ImportReply{Object: cur.Encode()})
+		for _, have := range []uint64{0, cur.Version + 1} {
+			res, err := r.call(proto.SvcImport, &proto.ImportArgs{URN: obj.URN, HaveVersion: have})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(res, want) {
+				t.Fatalf("%s object, HaveVersion %d: reply % x\nwant % x", kind, have, res, want)
+			}
+		}
+	}
+	check("written")
+	if err := r.srv.Store().LoadSnapshot(r.srv.Store().Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	check("decoded")
+}

@@ -735,7 +735,7 @@ func (s *Store) maybeCompact() {
 				rec = encodeSnap(u, ent.ver, objBytes, w)
 				recKind = recSnap
 			} else {
-				rec, _ = encodeState(u, ent.ver, wire.Raw(objBytes))
+				rec = encodeStateBytes(u, ent.ver, objBytes)
 			}
 			off, aerr := tmp.AppendNoSync(rec)
 			if aerr != nil {

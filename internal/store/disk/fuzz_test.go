@@ -108,7 +108,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		var enc []byte
 		switch rec.kind {
 		case recState:
-			enc = recOf(encodeState(rec.urn, rec.ver, wire.Raw(rec.obj)))
+			enc = encodeStateBytes(rec.urn, rec.ver, rec.obj)
 		case recOps:
 			enc = recOf(encodeOps(rec.urn, rec.prevVer, rec.ver, rec.src, rec.invs, wire.Raw(rec.obj), rec.prevOff))
 		case recSnap:

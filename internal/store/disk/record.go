@@ -58,6 +58,17 @@ func encodeState(u urn.URN, ver uint64, obj wire.Marshaler) (rec, objBytes []byt
 	return rec, rec[len(rec)-n:]
 }
 
+// encodeStateBytes frames the same record around an object encoding already
+// made: the bytes compaction read back.
+func encodeStateBytes(u urn.URN, ver uint64, obj []byte) []byte {
+	b := wire.GetBuffer()
+	b.PutByte(recState)
+	b.PutString(u.String())
+	b.PutUvarint(ver)
+	b.PutBytes(obj)
+	return wire.Detach(b)
+}
+
 // encodeOps frames an ops commit. prevOff is the byte offset of the
 // object's previous record in the same segment (-1 when unknown); it is
 // appended as a trailing field, biased by one so absence and "no previous"

@@ -68,7 +68,7 @@ type Future[T any] = access.Future[T]
 
 // NewFuture returns an incomplete future for application-level
 // composition.
-func NewFuture[T any]() *Future[T] { return access.NewFuture[T]() }
+func NewFuture[T any]() *Future[T] { return new(Future[T]) }
 
 // Core re-exported types. The toolkit's working vocabulary: names,
 // objects, invocations, priorities, futures.
