@@ -19,6 +19,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -28,7 +30,6 @@ import (
 	"rover/internal/apps/calendar"
 	"rover/internal/apps/mail"
 	"rover/internal/apps/webproxy"
-	"rover/internal/apps/webproxy/httpmini"
 	"rover/internal/gateway"
 )
 
@@ -98,13 +99,13 @@ func main() {
 	}
 	log.Printf("rover-server %q listening on %s (%d objects)", *serverID, ln.Addr(), srv.Store().Occupancy().Objects)
 	if *httpAddr != "" {
-		gw, err := httpmini.Serve(*httpAddr, gateway.HandlerWithPeer(srv.Store(), "demo",
+		gw, addr, err := serveHTTP(*httpAddr, gateway.Handler(srv.Store(), "demo",
 			gateway.Peer{URL: *peerHTTP}))
 		if err != nil {
 			log.Fatalf("rover-server: http gateway: %v", err)
 		}
 		defer gw.Close()
-		log.Printf("rover-server: HTTP gateway on http://%s/ (read-only)", gw.Addr())
+		log.Printf("rover-server: HTTP gateway on http://%s/ (read-only)", addr)
 	}
 
 	stop := make(chan os.Signal, 1)
@@ -125,6 +126,19 @@ func main() {
 			return
 		}
 	}
+}
+
+// serveHTTP serves h on addr until the returned server is closed. Close
+// drops every connection, idle ones included, and a client gets
+// ReadHeaderTimeout to finish its request headers.
+func serveHTTP(addr string, h http.Handler) (*http.Server, net.Addr, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	hs := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
+	go hs.Serve(ln)
+	return hs, ln.Addr(), nil
 }
 
 // logStats prints one -stats-interval line of operational counters: engine

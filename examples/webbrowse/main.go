@@ -8,12 +8,14 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"net"
+	"net/http"
 	"time"
 
 	"rover"
 	"rover/internal/apps/webproxy"
-	"rover/internal/apps/webproxy/httpmini"
 )
 
 func main() {
@@ -70,15 +72,23 @@ func main() {
 	}
 
 	fmt.Println("\n-- HTTP front end (the paper's unmodified-browser path) --")
-	fe, err := httpmini.Serve("127.0.0.1:0", webproxy.FrontEnd(proxy, 2*time.Second))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
+	fe := &http.Server{Handler: webproxy.FrontEnd(proxy, 2*time.Second), ReadHeaderTimeout: 10 * time.Second}
+	go fe.Serve(ln)
 	defer fe.Close()
-	resp, err := httpmini.Get(fe.Addr(), "/"+paths[0])
+	url := fmt.Sprintf("http://%s/%s", ln.Addr(), paths[0])
+	resp, err := http.Get(url)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("GET http://%s/%s -> %d (%d bytes of HTML, links: %v)\n",
-		fe.Addr(), paths[0], resp.Status, len(resp.Body), webproxy.ExtractLinks(resp.Body))
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("GET %s -> %d (%d bytes of HTML, links: %v)\n",
+		url, resp.StatusCode, len(body), webproxy.ExtractLinks(body))
 }

@@ -19,9 +19,9 @@
 //     and satisfied requests").
 //
 // Pages are RDOs (type "webpage"); the synthetic web generator replaces
-// the live Internet of the paper's testbed. A minimal HTTP/1.0 front end
-// (subpackage httpmini) serves real browsers from the proxy, mirroring the
-// paper's CGI/standalone-HTTP server split.
+// the live Internet of the paper's testbed. FrontEnd, a net/http handler
+// limited to GET and HEAD, serves real browsers from the proxy, mirroring
+// the paper's CGI/standalone-HTTP server split.
 package webproxy
 
 import (

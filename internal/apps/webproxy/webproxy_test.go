@@ -2,6 +2,9 @@ package webproxy
 
 import (
 	"context"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"rover/internal/transport"
 	"rover/internal/vtime"
 	"strings"
@@ -9,7 +12,6 @@ import (
 	"time"
 
 	"rover"
-	"rover/internal/apps/webproxy/httpmini"
 )
 
 func rig(t *testing.T, pages int) (*rover.Server, *Proxy, interface{ SetConnected(bool) }, []string) {
@@ -172,39 +174,45 @@ func TestRenderAndExtractLinks(t *testing.T) {
 
 func TestHTTPFrontEnd(t *testing.T) {
 	_, p, link, paths := rig(t, 8)
-	fe, err := httpmini.Serve("127.0.0.1:0", FrontEnd(p, time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fe := httptest.NewServer(FrontEnd(p, time.Second))
 	defer fe.Close()
 
-	resp, err := httpmini.Get(fe.Addr(), "/"+paths[0])
+	resp, err := get(fe.URL + "/" + paths[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Status != 200 || !strings.Contains(string(resp.Body), "Synthetic page 0") {
 		t.Fatalf("GET: %d %q", resp.Status, truncate(resp.Body))
 	}
+	if resp.ContentType != "text/html" {
+		t.Errorf("content type %q", resp.ContentType)
+	}
 	links := ExtractLinks(resp.Body)
 	if len(links) == 0 {
 		t.Fatal("served page has no links")
 	}
 	// Root path defaults to p0.
-	if resp, err := httpmini.Get(fe.Addr(), "/"); err != nil || resp.Status != 200 {
+	if resp, err := get(fe.URL + "/"); err != nil || resp.Status != 200 {
 		t.Errorf("GET /: %d %v", resp.Status, err)
 	}
 	// Missing page: 404.
-	if resp, _ := httpmini.Get(fe.Addr(), "/ghost"); resp.Status != 404 {
+	if resp, _ := get(fe.URL + "/ghost"); resp.Status != 404 {
 		t.Errorf("GET /ghost: %d", resp.Status)
 	}
-	// Disconnected miss: 504 "queued" page.
-	link.SetConnected(false)
-	fe2, err := httpmini.Serve("127.0.0.1:0", FrontEnd(p, 30*time.Millisecond))
+	// Only GET and HEAD are served.
+	post, err := http.Post(fe.URL+"/"+paths[0], "text/plain", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	post.Body.Close()
+	if post.StatusCode != 405 {
+		t.Errorf("POST: %d", post.StatusCode)
+	}
+	// Disconnected miss: 504 "queued" page.
+	link.SetConnected(false)
+	fe2 := httptest.NewServer(FrontEnd(p, 30*time.Millisecond))
 	defer fe2.Close()
-	resp, err = httpmini.Get(fe2.Addr(), "/"+paths[7])
+	resp, err = get(fe2.URL + "/" + paths[7])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,38 +221,27 @@ func TestHTTPFrontEnd(t *testing.T) {
 	}
 }
 
+type response struct {
+	Status      int
+	ContentType string
+	Body        []byte
+}
+
+func get(url string) (response, error) {
+	resp, err := http.Get(url)
+	if err != nil {
+		return response{}, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	return response{Status: resp.StatusCode, ContentType: resp.Header.Get("Content-Type"), Body: body}, err
+}
+
 func truncate(b []byte) string {
 	if len(b) > 120 {
 		return string(b[:120]) + "..."
 	}
 	return string(b)
-}
-
-func TestHTTPMiniProtocol(t *testing.T) {
-	srv, err := httpmini.Serve("127.0.0.1:0", func(req httpmini.Request) httpmini.Response {
-		if req.Path == "/echo" {
-			return httpmini.Response{Status: 200, ContentType: "text/plain",
-				Body: []byte(req.Method + " " + req.Headers["host"])}
-		}
-		return httpmini.Response{Status: 404, Body: []byte("nope")}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	resp, err := httpmini.Get(srv.Addr(), "/echo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != 200 || !strings.HasPrefix(string(resp.Body), "GET ") {
-		t.Errorf("echo: %d %q", resp.Status, resp.Body)
-	}
-	if resp.ContentType != "text/plain" {
-		t.Errorf("content type %q", resp.ContentType)
-	}
-	if resp, _ := httpmini.Get(srv.Addr(), "/other"); resp.Status != 404 {
-		t.Errorf("404 path: %d", resp.Status)
-	}
 }
 
 // TestBrowseOverMailTransport reproduces the Rover Mosaic configuration

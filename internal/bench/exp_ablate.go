@@ -105,11 +105,12 @@ func ExpACompress(o Options) (*Table, error) {
 		})
 	}
 	return &Table{
-		ID:      "ACOMPRESS",
-		Title:   fmt.Sprintf("Ablation: stable-log compression (%d enqueues, 1 KiB payloads, fsync on)", n),
-		Columns: []string{"mode", "enqueue latency (each)", "log bytes written"},
-		Rows:    rows,
-		Notes:   []string{"compression trades CPU on the critical path for log (and modem, if logs are shipped) bytes"},
+		ID:       "ACOMPRESS",
+		Title:    fmt.Sprintf("Ablation: stable-log compression (%d enqueues, 1 KiB payloads, fsync on)", n),
+		Columns:  []string{"mode", "enqueue latency (each)", "log bytes written"},
+		Volatile: []int{1},
+		Rows:     rows,
+		Notes:    []string{"compression trades CPU on the critical path for log (and modem, if logs are shipped) bytes"},
 	}, nil
 }
 
@@ -144,11 +145,12 @@ func ExpAGroup(o Options) (*Table, error) {
 		})
 	}
 	return &Table{
-		ID:      "AGROUP",
-		Title:   fmt.Sprintf("Ablation: group commit on the QRPC enqueue path (%d enqueues, every one durable)", n),
-		Columns: []string{"mode", "enqueue latency (each)", "throughput", "fsyncs"},
-		Rows:    rows,
-		Notes:   []string{"group commit coalesces concurrent appenders onto one in-flight fsync; durability is never deferred"},
+		ID:       "AGROUP",
+		Title:    fmt.Sprintf("Ablation: group commit on the QRPC enqueue path (%d enqueues, every one durable)", n),
+		Columns:  []string{"mode", "enqueue latency (each)", "throughput", "fsyncs"},
+		Volatile: []int{1, 2, 3},
+		Rows:     rows,
+		Notes:    []string{"group commit coalesces concurrent appenders onto one in-flight fsync; durability is never deferred"},
 	}, nil
 }
 

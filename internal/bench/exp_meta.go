@@ -90,11 +90,12 @@ func ExpT2(o Options) (*Table, error) {
 	}
 	rows = append(rows, []string{"(toolkit core, for scale)", fmt.Sprintf("%d", toolkitCode), "-", "-"})
 	return &Table{
-		ID:      "T2",
-		Title:   "Application code sizes",
-		Columns: []string{"application", "Go lines", "RDO (rscript) lines", "test lines"},
-		Rows:    rows,
-		Notes:   []string{"RDO lines are the shipped rscript method suites embedded in each application"},
+		ID:       "T2",
+		Title:    "Application code sizes",
+		Columns:  []string{"application", "Go lines", "RDO (rscript) lines", "test lines"},
+		Volatile: []int{1, 3},
+		Rows:     rows,
+		Notes:    []string{"RDO lines are the shipped rscript method suites embedded in each application"},
 	}, nil
 }
 

@@ -244,9 +244,10 @@ func ExpE56(o Options) (*Table, error) {
 	remote := total / time.Duration(calls)
 	ratio := float64(remote) / float64(local)
 	return &Table{
-		ID:      "E56",
-		Title:   "Local RDO invocation vs RPC over CSLIP 14.4",
-		Columns: []string{"operation", "latency", "speedup"},
+		ID:       "E56",
+		Title:    "Local RDO invocation vs RPC over CSLIP 14.4",
+		Columns:  []string{"operation", "latency", "speedup"},
+		Volatile: []int{1, 2},
 		Rows: [][]string{
 			{"local invocation (cached RDO)", ms(local), "1x"},
 			{"rover.invoke over CSLIP14.4", ms(remote), fmt.Sprintf("%.0fx slower", ratio)},
@@ -331,11 +332,12 @@ func ExpFQueue(o Options) (*Table, error) {
 		})
 	}
 	return &Table{
-		ID:      "FQUEUE",
-		Title:   "Non-blocking enqueue while disconnected, and drain on reconnect (CSLIP 14.4)",
-		Columns: []string{"requests", "QRPC enqueue (each, fsync log)", "blocking RPC", "drain after reconnect"},
-		Rows:    rows,
-		Notes:   []string{"enqueue cost is local (file log append + fsync) and independent of connectivity"},
+		ID:       "FQUEUE",
+		Title:    "Non-blocking enqueue while disconnected, and drain on reconnect (CSLIP 14.4)",
+		Columns:  []string{"requests", "QRPC enqueue (each, fsync log)", "blocking RPC", "drain after reconnect"},
+		Volatile: []int{1},
+		Rows:     rows,
+		Notes:    []string{"enqueue cost is local (file log append + fsync) and independent of connectivity"},
 	}, nil
 }
 

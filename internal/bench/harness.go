@@ -46,6 +46,10 @@ type Table struct {
 	Columns []string
 	Rows    [][]string
 	Notes   []string
+	// Volatile lists the columns whose cells differ from run to run: wall
+	// clock, scheduling, or the size of the source tree. The golden file
+	// (testdata/tables.golden) renders their cells as "~".
+	Volatile []int
 }
 
 // Render formats the table as aligned text.

@@ -21,7 +21,8 @@
 //     tunable in one place.
 //
 // Everything is seeded: the same seed produces the same fault schedule, so a
-// failing chaos run (cmd/rover-chaos) is reproducible from its printed seed.
+// failing chaos schedule (internal/chaos's TestChaos) is reproducible from
+// the replay line it logs.
 package faults
 
 import (

@@ -13,10 +13,12 @@ package gateway
 
 import (
 	"fmt"
+	"io"
+	"net/http"
+	"strconv"
 	"strings"
 
 	"rover/internal/apps/webproxy"
-	"rover/internal/apps/webproxy/httpmini"
 	"rover/internal/store"
 	"rover/internal/urn"
 )
@@ -32,53 +34,71 @@ type Peer struct {
 	Serving func() bool
 }
 
-// Handler builds an httpmini handler over a store.
+// Handler serves a store over the restricted HTTP subset: GET (and HEAD)
+// on the paths below, 404 with a hint elsewhere, 405 for any other method.
 //
-// Paths:
-//
-//	/                          index of all objects
+//	/ or /index                index of all objects
 //	/obj/urn:rover:<a>/<p>     text dump of one object
 //	/web/<path>                webpage-typed RDO rendered as HTML
-func Handler(st store.Backend, webAuthority string) httpmini.Handler {
-	return HandlerWithPeer(st, webAuthority, Peer{})
-}
-
-// HandlerWithPeer is Handler plus the replica routing entry: /replica
-// redirects to the peer gateway, and when peer.Serving reports false every
-// path redirects there (302, preserving the path).
-func HandlerWithPeer(st store.Backend, webAuthority string, peer Peer) httpmini.Handler {
-	return func(req httpmini.Request) httpmini.Response {
-		if req.Path == "/replica" {
-			if peer.URL == "" {
-				return httpmini.Response{Status: 404, ContentType: "text/plain",
-					Body: []byte("no replica configured\n")}
-			}
-			return redirect(peer.URL, "/")
+//	/replica                   redirect to the peer gateway (404 without one)
+//
+// While peer.Serving reports false every path but /replica redirects to the
+// peer (302, preserving the path). The zero Peer serves locally always.
+func Handler(st store.Backend, webAuthority string, peer Peer) http.Handler {
+	mux := http.NewServeMux()
+	showIndex := func(w http.ResponseWriter, r *http.Request) { index(w, st) }
+	mux.HandleFunc("GET /{$}", showIndex)
+	mux.HandleFunc("GET /index", showIndex)
+	mux.HandleFunc("GET /obj/", func(w http.ResponseWriter, r *http.Request) {
+		object(w, st, strings.TrimPrefix(r.URL.Path, "/obj/"))
+	})
+	mux.HandleFunc("GET /web/", func(w http.ResponseWriter, r *http.Request) {
+		webpage(w, st, webAuthority, strings.TrimPrefix(r.URL.Path, "/web/"))
+	})
+	mux.HandleFunc("GET /replica", func(w http.ResponseWriter, r *http.Request) {
+		if peer.URL == "" {
+			reply(w, http.StatusNotFound, textPlain, "no replica configured\n")
+			return
 		}
-		if peer.URL != "" && peer.Serving != nil && !peer.Serving() {
-			return redirect(peer.URL, req.Path)
-		}
-		switch {
-		case req.Path == "/" || req.Path == "/index":
-			return index(st)
-		case strings.HasPrefix(req.Path, "/obj/"):
-			return object(st, strings.TrimPrefix(req.Path, "/obj/"))
-		case strings.HasPrefix(req.Path, "/web/"):
-			return webpage(st, webAuthority, strings.TrimPrefix(req.Path, "/web/"))
-		default:
-			return httpmini.Response{Status: 404, ContentType: "text/plain",
-				Body: []byte("try /, /obj/<urn>, /web/<page>, or /replica\n")}
-		}
+		redirect(w, peer.URL, "/")
+	})
+	mux.HandleFunc("GET /", func(w http.ResponseWriter, r *http.Request) {
+		reply(w, http.StatusNotFound, textPlain, "try /, /obj/<urn>, /web/<page>, or /replica\n")
+	})
+	if peer.URL == "" || peer.Serving == nil {
+		return mux
 	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/replica" && !peer.Serving() {
+			redirect(w, peer.URL, r.URL.RequestURI())
+			return
+		}
+		mux.ServeHTTP(w, r)
+	})
 }
 
-func redirect(base, path string) httpmini.Response {
+const (
+	textHTML  = "text/html"
+	textPlain = "text/plain"
+)
+
+// reply writes a whole response. The Content-Type is set exactly as given:
+// http.Error would append a charset.
+func reply(w http.ResponseWriter, status int, contentType, body string) {
+	h := w.Header()
+	h.Set("Content-Type", contentType)
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = io.WriteString(w, body) // a client that hung up is past telling
+}
+
+func redirect(w http.ResponseWriter, base, path string) {
 	loc := strings.TrimSuffix(base, "/") + path
-	return httpmini.Response{Status: 302, ContentType: "text/plain", Location: loc,
-		Body: []byte("see " + loc + "\n")}
+	w.Header().Set("Location", loc)
+	reply(w, http.StatusFound, textPlain, "see "+loc+"\n")
 }
 
-func index(st store.Backend) httpmini.Response {
+func index(w http.ResponseWriter, st store.Backend) {
 	var sb strings.Builder
 	sb.WriteString("<html><head><title>Rover object store</title></head><body>\n")
 	sb.WriteString("<h1>Rover object store</h1>\n<table border=1>\n")
@@ -95,19 +115,19 @@ func index(st store.Backend) httpmini.Response {
 			link, e.URN, e.Type, e.Version)
 	}
 	fmt.Fprintf(&sb, "</table><p>%d objects</p></body></html>\n", len(entries))
-	return httpmini.Response{Status: 200, Body: []byte(sb.String())}
+	reply(w, http.StatusOK, textHTML, sb.String())
 }
 
-func object(st store.Backend, urnStr string) httpmini.Response {
+func object(w http.ResponseWriter, st store.Backend, urnStr string) {
 	u, err := urn.Parse(urnStr)
 	if err != nil {
-		return httpmini.Response{Status: 400, ContentType: "text/plain",
-			Body: []byte("bad URN: " + err.Error() + "\n")}
+		reply(w, http.StatusBadRequest, textPlain, "bad URN: "+err.Error()+"\n")
+		return
 	}
 	obj, err := st.Get(u)
 	if err != nil {
-		return httpmini.Response{Status: 404, ContentType: "text/plain",
-			Body: []byte("no such object\n")}
+		reply(w, http.StatusNotFound, textPlain, "no such object\n")
+		return
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "urn:     %s\ntype:    %s\nversion: %d\n", obj.URN, obj.Type, obj.Version)
@@ -122,19 +142,21 @@ func object(st store.Backend, urnStr string) httpmini.Response {
 		}
 		fmt.Fprintf(&sb, "%s = %s\n", k, v)
 	}
-	return httpmini.Response{Status: 200, ContentType: "text/plain", Body: []byte(sb.String())}
+	reply(w, http.StatusOK, textPlain, sb.String())
 }
 
-func webpage(st store.Backend, authority, path string) httpmini.Response {
+func webpage(w http.ResponseWriter, st store.Backend, authority, path string) {
 	obj, err := st.Get(rdoPageURN(authority, path))
 	if err != nil {
-		return httpmini.Response{Status: 404, ContentType: "text/plain", Body: []byte("no such page\n")}
+		reply(w, http.StatusNotFound, textPlain, "no such page\n")
+		return
 	}
 	page, err := webproxy.PageFromObject(obj)
 	if err != nil {
-		return httpmini.Response{Status: 500, ContentType: "text/plain", Body: []byte(err.Error() + "\n")}
+		reply(w, http.StatusInternalServerError, textPlain, err.Error()+"\n")
+		return
 	}
-	return httpmini.Response{Status: 200, Body: webproxy.RenderHTML(page)}
+	reply(w, http.StatusOK, textHTML, string(webproxy.RenderHTML(page)))
 }
 
 func rdoPageURN(authority, path string) urn.URN {

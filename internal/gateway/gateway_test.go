@@ -1,13 +1,16 @@
 package gateway
 
 import (
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"rover"
 	"rover/internal/apps/webproxy"
-	"rover/internal/apps/webproxy/httpmini"
 	"rover/internal/rdo"
 	"rover/internal/store"
 	"rover/internal/urn"
@@ -34,23 +37,57 @@ func testStore(t *testing.T) store.Backend {
 
 func serve(t *testing.T, st store.Backend) string {
 	t.Helper()
-	srv, err := httpmini.Serve("127.0.0.1:0", Handler(st, "demo"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return srv.Addr()
+	return serveHandler(t, Handler(st, "demo", Peer{}))
 }
+
+func serveHandler(t *testing.T, h http.Handler) string {
+	t.Helper()
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	return srv.Listener.Addr().String()
+}
+
+type response struct {
+	Status      int
+	ContentType string
+	Location    string
+	Body        []byte
+}
+
+// do sends one request and reads the whole response. Redirects are
+// returned, not followed.
+func do(method, addr, path string) (response, error) {
+	req, err := http.NewRequest(method, "http://"+addr+path, nil)
+	if err != nil {
+		return response{}, err
+	}
+	client := http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
+		return http.ErrUseLastResponse
+	}}
+	resp, err := client.Do(req)
+	if err != nil {
+		return response{}, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	return response{Status: resp.StatusCode, ContentType: resp.Header.Get("Content-Type"),
+		Location: resp.Header.Get("Location"), Body: body}, err
+}
+
+func get(addr, path string) (response, error) { return do("GET", addr, path) }
 
 func TestIndex(t *testing.T) {
 	addr := serve(t, testStore(t))
-	resp, err := httpmini.Get(addr, "/")
+	resp, err := get(addr, "/")
 	if err != nil {
 		t.Fatal(err)
 	}
 	body := string(resp.Body)
 	if resp.Status != 200 || !strings.Contains(body, "urn:rover:demo/notes") {
 		t.Fatalf("index: %d %q", resp.Status, body)
+	}
+	if resp.ContentType != "text/html" {
+		t.Errorf("index content type %q", resp.ContentType)
 	}
 	// Webpage objects link to their rendered form.
 	if !strings.Contains(body, `href="/web/p0"`) {
@@ -63,7 +100,7 @@ func TestIndex(t *testing.T) {
 
 func TestObjectDump(t *testing.T) {
 	addr := serve(t, testStore(t))
-	resp, err := httpmini.Get(addr, "/obj/urn:rover:demo/notes")
+	resp, err := get(addr, "/obj/urn:rover:demo/notes")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +121,7 @@ func TestObjectDump(t *testing.T) {
 
 func TestWebpageRendered(t *testing.T) {
 	addr := serve(t, testStore(t))
-	resp, err := httpmini.Get(addr, "/web/p0")
+	resp, err := get(addr, "/web/p0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,19 +135,45 @@ func TestWebpageRendered(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	addr := serve(t, testStore(t))
-	for path, want := range map[string]int{
-		"/obj/garbage":             400,
-		"/obj/urn:rover:demo/nope": 404,
-		"/web/missing":             404,
-		"/other":                   404,
+	for target, want := range map[string]int{
+		"GET /obj/garbage":             400,
+		"GET /obj/urn:rover:demo/nope": 404,
+		"GET /web/missing":             404,
+		"GET /other":                   404,
+		"POST /":                       405,
 	} {
-		resp, err := httpmini.Get(addr, path)
+		method, path, _ := strings.Cut(target, " ")
+		resp, err := do(method, addr, path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if resp.Status != want {
-			t.Errorf("GET %s = %d, want %d", path, resp.Status, want)
+			t.Errorf("%s = %d, want %d", target, resp.Status, want)
 		}
+	}
+}
+
+// TestHead: HEAD is answered with GET's status and headers and no body.
+func TestHead(t *testing.T) {
+	addr := serve(t, testStore(t))
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "HEAD /obj/urn:rover:demo/notes HTTP/1.0\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, body, _ := strings.Cut(string(raw), "\r\n\r\n")
+	if !strings.HasPrefix(head, "HTTP/1.0 200 ") || !strings.Contains(head, "\r\nContent-Type: text/plain\r\n") {
+		t.Errorf("HEAD headers:\n%s", head)
+	}
+	if body != "" {
+		t.Errorf("HEAD sent a body: %q", body)
 	}
 }
 
@@ -121,17 +184,13 @@ func TestReplicaRouting(t *testing.T) {
 	st := testStore(t)
 	var serving atomic.Bool
 	serving.Store(true)
-	srv, err := httpmini.Serve("127.0.0.1:0", HandlerWithPeer(st, "demo", Peer{
+	addr := serveHandler(t, Handler(st, "demo", Peer{
 		URL:     "http://peer.example:8081",
 		Serving: serving.Load,
 	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
 
 	// /replica always redirects to the peer gateway.
-	resp, err := httpmini.Get(srv.Addr(), "/replica")
+	resp, err := get(addr, "/replica")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,23 +198,27 @@ func TestReplicaRouting(t *testing.T) {
 		t.Fatalf("/replica: %d %q", resp.Status, resp.Location)
 	}
 	// While serving, ordinary paths are answered locally.
-	if resp, err = httpmini.Get(srv.Addr(), "/"); err != nil || resp.Status != 200 {
+	if resp, err = get(addr, "/"); err != nil || resp.Status != 200 {
 		t.Fatalf("/ while serving: %d %v", resp.Status, err)
 	}
 	// Once draining, every path redirects to the peer, preserving the path.
 	serving.Store(false)
-	resp, err = httpmini.Get(srv.Addr(), "/obj/urn:rover:demo/notes")
+	resp, err = get(addr, "/obj/urn:rover:demo/notes")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Status != 302 || resp.Location != "http://peer.example:8081/obj/urn:rover:demo/notes" {
 		t.Fatalf("drained redirect: %d %q", resp.Status, resp.Location)
 	}
+	// /replica still names the peer's root, not the peer's own /replica.
+	if resp, err = get(addr, "/replica"); err != nil || resp.Location != "http://peer.example:8081/" {
+		t.Fatalf("drained /replica: %d %q %v", resp.Status, resp.Location, err)
+	}
 }
 
 func TestReplicaUnconfigured(t *testing.T) {
 	addr := serve(t, testStore(t))
-	resp, err := httpmini.Get(addr, "/replica")
+	resp, err := get(addr, "/replica")
 	if err != nil {
 		t.Fatal(err)
 	}

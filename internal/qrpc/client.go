@@ -43,9 +43,6 @@ type ClientConfig struct {
 	// from the log after a crash, letting the application re-attach to its
 	// promise.
 	OnRecovered func(req Request, p *Promise)
-	// OnPong receives liveness probe responses (the network scheduler's
-	// link-quality input).
-	OnPong func(now vtime.Time)
 	// OnBusy, if set, is invoked (outside engine locks) when a server
 	// refuses this client's Hello with a FrameBusy — it is past its
 	// admission high-water mark and this client has no session there. The
@@ -566,16 +563,6 @@ func (c *Client) onFrame(f wire.Frame, now vtime.Time) {
 		status := c.statusLocked()
 		c.mu.Unlock()
 		c.notify(status)
-	case wire.FramePing:
-		c.mu.Lock()
-		if c.sender != nil {
-			c.sender.SendFrame(wire.Frame{Type: wire.FramePong})
-		}
-		c.mu.Unlock()
-	case wire.FramePong:
-		if c.cfg.OnPong != nil {
-			c.cfg.OnPong(now)
-		}
 	case wire.FrameBusy:
 		// The server refused our Hello: it is at its session high-water
 		// mark and we are a stranger there. Nothing is lost — requests are

@@ -816,41 +816,6 @@ func TestBroadcastCallback(t *testing.T) {
 	}
 }
 
-func TestPingPong(t *testing.T) {
-	h := newHarness(t, ClientConfig{}, ServerConfig{})
-	h.connect()
-	// Server answers pings.
-	h.server.OnFrame(h.sc, wire.Frame{Type: wire.FramePing}, 0)
-	foundPong := false
-	for _, f := range h.sc.queue {
-		if f.Type == wire.FramePong {
-			foundPong = true
-		}
-	}
-	if !foundPong {
-		t.Error("server did not pong")
-	}
-	h.settle()
-	// Client answers pings and reports pongs.
-	var pongs int
-	h2 := newHarness(t, ClientConfig{OnPong: func(vtime.Time) { pongs++ }}, ServerConfig{})
-	h2.connect()
-	h2.client.OnFrame(wire.Frame{Type: wire.FramePing}, 0)
-	found := false
-	for _, f := range h2.cs.queue {
-		if f.Type == wire.FramePong {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("client did not pong")
-	}
-	h2.client.OnFrame(wire.Frame{Type: wire.FramePong}, 0)
-	if pongs != 1 {
-		t.Errorf("pongs = %d", pongs)
-	}
-}
-
 func TestMalformedFramesIgnored(t *testing.T) {
 	h := newHarness(t, ClientConfig{}, ServerConfig{})
 	h.server.Register("echo", echoHandler)

@@ -290,8 +290,6 @@ func (s *Server) handleFrame(from Sender, f wire.Frame, now vtime.Time, out *[]w
 		s.onRequest(from, f.Payload, now, out)
 	case wire.FrameAck:
 		s.onAck(from, f.Payload)
-	case wire.FramePing:
-		*out = append(*out, wire.Frame{Type: wire.FramePong})
 	}
 }
 

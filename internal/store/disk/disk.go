@@ -44,8 +44,6 @@ type Options struct {
 	// rewrites when the segment holds more than twice its live data, so
 	// pure-insert workloads never pay a rewrite.
 	CompactEvery int
-	// Compress flate-compresses segment records (stable.Options.Compress).
-	Compress bool
 }
 
 // idxEnt is the resident per-object index entry: everything List/Version
@@ -149,7 +147,7 @@ func Open(opts Options) (*Store, error) {
 	}
 	var scanned int
 	nm := newNames()
-	seg, err := stable.OpenSegmentFile(s.path, stable.Options{Compress: opts.Compress},
+	seg, err := stable.OpenSegmentFile(s.path, stable.Options{},
 		func(off int64, rec []byte) error {
 			scanned++
 			if len(rec) > 0 && rec[0] == recFooter {

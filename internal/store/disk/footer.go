@@ -161,7 +161,7 @@ func (s *Store) openFromFooter() bool {
 	if fi, err := os.Stat(s.path); err == nil && fi.Size() > f.off {
 		buf = make([]byte, 0, fi.Size()-f.off)
 	}
-	seg, err := stable.OpenSegmentFileAt(s.path, stable.Options{Compress: s.opts.Compress}, f.off,
+	seg, err := stable.OpenSegmentFileAt(s.path, stable.Options{}, f.off,
 		func(off int64, rec []byte) error {
 			buf = append(buf, rec...)
 			tail = append(tail, scannedRec{off: off, end: len(buf)})

@@ -106,12 +106,6 @@ func (s *Store) SetOnApply(fn func(ApplyEvent)) {
 	s.onApply = fn
 }
 
-func (s *Store) notifyLocked(ev ApplyEvent) {
-	if s.onApply != nil {
-		s.onApply(ev)
-	}
-}
-
 // SetHistoryLimit changes how many versions of invocation history the
 // store retains per object: 0 restores the default, a negative value
 // disables history entirely (every import ships the full object — the
@@ -134,7 +128,9 @@ func (s *Store) Create(obj *rdo.Object) error {
 	cp := obj.Clone()
 	cp.Version = 1
 	s.objs[obj.URN] = cp
-	s.notifyLocked(ApplyEvent{Kind: ApplyState, URN: cp.URN, Version: 1, Object: cp.Encode()})
+	if s.onApply != nil {
+		s.onApply(ApplyEvent{Kind: ApplyState, URN: cp.URN, Version: 1, Object: cp.Encode()})
+	}
 	return nil
 }
 
@@ -203,14 +199,16 @@ func (s *Store) commitOpsLocked(obj *rdo.Object, expect uint64, invs []rdo.Invoc
 		// History disabled, or a no-op commit (version advanced with no
 		// recorded operations): treat like a plain Commit.
 		s.hist.Clear(obj.URN)
-		if notify {
-			s.notifyLocked(ApplyEvent{Kind: ApplyState, URN: obj.URN,
+		if notify && s.onApply != nil {
+			s.onApply(ApplyEvent{Kind: ApplyState, URN: obj.URN,
 				PrevVersion: expect, Version: obj.Version, Object: obj.Encode()})
 		}
 		return obj.Version, nil
 	}
-	if notify {
-		s.notifyLocked(ApplyEvent{Kind: ApplyOps, URN: obj.URN,
+	// The event, and the encoding it carries, are built only for an
+	// observer: with none installed a commit encodes nothing.
+	if notify && s.onApply != nil {
+		s.onApply(ApplyEvent{Kind: ApplyOps, URN: obj.URN,
 			PrevVersion: expect, Version: obj.Version, Invs: invs, Src: src, Object: obj.Encode()})
 	}
 	return obj.Version, nil

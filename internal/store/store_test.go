@@ -202,3 +202,27 @@ func TestDecodeSnapshotCountCannotOutgrowInput(t *testing.T) {
 		t.Errorf("%d input bytes allocated %d bytes", b.Len(), spent)
 	}
 }
+
+// TestCommitAllocs pins a read-modify-commit cycle on the in-memory store
+// with no commit observer installed: the observer's event, and the object
+// encoding it carries, are built only when someone is listening.
+func TestCommitAllocs(t *testing.T) {
+	s := New()
+	o := obj("allocs")
+	if err := s.Create(o); err != nil {
+		t.Fatal(err)
+	}
+	invs := []rdo.Invocation{inv(o, 0)}
+	if n := testing.AllocsPerRun(100, func() {
+		cur, err := s.Get(o.URN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur.Set("k", "v")
+		if _, err := s.CommitOpsBy(cur, cur.Version, invs, "c"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 3 {
+		t.Errorf("Get + Set + CommitOpsBy: %v allocs, want 3", n)
+	}
+}

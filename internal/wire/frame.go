@@ -33,7 +33,7 @@ const (
 	FrameReply      byte = 4 // server -> client QRPC reply
 	FrameAck        byte = 5 // client -> server reply acknowledgement
 	FrameCallback   byte = 6 // server -> client object-change notification
-	FramePing       byte = 7 // liveness / link-quality probe
+	FramePing       byte = 7 // reserved with 8: nothing sends either; tests use it as a neutral type
 	FramePong       byte = 8
 	FrameBatch      byte = 9  // multiple coalesced frames in one transport frame (see batch.go)
 	FrameAuthReject byte = 10 // server -> client authentication failure
