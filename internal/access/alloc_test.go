@@ -11,16 +11,17 @@ import (
 )
 
 // TestImportRoundTripAllocs pins what a full import costs both parties over
-// a Pipe, 18 objects. The client's 13: the log record the request is a view
+// a Pipe, 17 objects. The client's 13: the log record the request is a view
 // of, the pending request with its promise inline, the import op that holds
 // the caller's future and is the hook the promise completes, that future's
 // channel (the caller takes Done before the reply is in), and the batch the
 // request rides in with the last reply's ack; then, from the reply, the one
 // copy of the object's bytes Decode makes, the object, its state map and
 // the map's storage, its URN and type, the cache entry and its LRU element,
-// and the clone handed to the caller. The server's 5: the URN string of the
+// and the clone handed to the caller. The server's 4: the URN string of the
 // arguments, the store's clone, the reply the object is encoded straight
-// into, the reply frame's encoding, and its output frame list. The client
+// into, and the reply frame's encoding (the inline server collects the
+// frames it answers with on its stack). The client
 // cache holds one object and the imports alternate between two, so every
 // import fetches the whole object, as import_read does; the server's
 // objects come from a snapshot, decoded as a disk store faults them in.
@@ -60,8 +61,8 @@ func TestImportRoundTripAllocs(t *testing.T) {
 	if sent := r.am.Stats().ImportsSent - before; sent < 1000 {
 		t.Fatalf("%d of 1001 imports reached the server: the cache served the rest", sent)
 	}
-	if n != 18 {
-		t.Errorf("one import round trip allocates %v objects, want 18", n)
+	if n != 17 {
+		t.Errorf("one import round trip allocates %v objects, want 17", n)
 	}
 }
 
@@ -108,8 +109,8 @@ func TestExportRoundTripAllocs(t *testing.T) {
 	if refetches := r.am.Stats().ExportRefetches; refetches != 0 {
 		t.Fatalf("%d export replies carried the object", refetches)
 	}
-	if n != 28 {
-		t.Errorf("one committed write allocates %v objects, want 28", n)
+	if n != 27 {
+		t.Errorf("one committed write allocates %v objects, want 27", n)
 	}
 }
 

@@ -25,6 +25,14 @@ func TestEchoRoundTripAllocs(t *testing.T) {
 	echoRoundTripAllocs(t, qrpc.ServerConfig{ServerID: "alloc", Workers: 2}, 5)
 }
 
+// TestInlineEchoRoundTripAllocs is the same round trip to an inline server
+// (Workers 0), the mode every simulation runs: the handler runs inside the
+// server's OnFrame, and the reply frame it answers with is collected on the
+// stack, so the count is the pooled server's.
+func TestInlineEchoRoundTripAllocs(t *testing.T) {
+	echoRoundTripAllocs(t, qrpc.ServerConfig{ServerID: "alloc"}, 5)
+}
+
 // TestJournaledEchoRoundTripAllocs is the same round trip to a server with
 // a 4-shard journal. The reply is encoded once, into its exec record, which
 // the journal keeps and the session cache and reply frame are views of; the

@@ -256,7 +256,8 @@ func (s *Server) OnDisconnect(from Sender, now vtime.Time) {
 // (Welcome, cached replays, pongs, inline replies) is coalesced back into a
 // single frame toward the sender.
 func (s *Server) OnFrame(from Sender, f wire.Frame, now vtime.Time) {
-	var out []wire.Frame
+	var room [4]wire.Frame // responses collect on the stack
+	out := room[:0]
 	if f.Type == wire.FrameBatchZ {
 		// Drop corrupt compressed batches; the client redelivers.
 		zf, err := wire.InflateBatchFrame(f)
@@ -272,25 +273,28 @@ func (s *Server) OnFrame(from Sender, f wire.Frame, now vtime.Time) {
 			return
 		}
 		for _, sf := range subs {
-			s.handleFrame(from, sf, now, &out)
+			if resp, ok := s.handleFrame(from, sf, now); ok {
+				out = append(out, resp)
+			}
 		}
-	} else {
-		s.handleFrame(from, f, now, &out)
+	} else if resp, ok := s.handleFrame(from, f, now); ok {
+		out = append(out, resp)
 	}
 	s.sendCoalesced(from, out)
 }
 
-// handleFrame processes one (non-batch) frame, appending any synchronous
-// response frames to out rather than sending them directly.
-func (s *Server) handleFrame(from Sender, f wire.Frame, now vtime.Time, out *[]wire.Frame) {
+// handleFrame processes one (non-batch) frame and returns its synchronous
+// response frame, if any, rather than sending it directly.
+func (s *Server) handleFrame(from Sender, f wire.Frame, now vtime.Time) (wire.Frame, bool) {
 	switch f.Type {
 	case wire.FrameHello:
-		s.onHello(from, f.Payload, out)
+		return s.onHello(from, f.Payload)
 	case wire.FrameRequest:
-		s.onRequest(from, f.Payload, now, out)
+		return s.onRequest(from, f.Payload, now)
 	case wire.FrameAck:
 		s.onAck(from, f.Payload)
 	}
+	return wire.Frame{}, false
 }
 
 // sendCoalesced delivers the collected response frames to a sender:
@@ -322,10 +326,10 @@ func (s *Server) sendCoalesced(to Sender, out []wire.Frame) {
 	}
 }
 
-func (s *Server) onHello(from Sender, payload []byte, out *[]wire.Frame) {
+func (s *Server) onHello(from Sender, payload []byte) (wire.Frame, bool) {
 	var h Hello
 	if err := wire.Unmarshal(payload, &h); err != nil {
-		return
+		return wire.Frame{}, false
 	}
 	s.mu.Lock()
 	cn := s.conns[from]
@@ -337,8 +341,7 @@ func (s *Server) onHello(from Sender, payload []byte, out *[]wire.Frame) {
 		if err := s.cfg.Auth.Verify(h.ClientID, h.Nonce, h.Proof); err != nil {
 			s.stats.AuthFailures++
 			s.mu.Unlock()
-			*out = append(*out, wire.Frame{Type: wire.FrameAuthReject})
-			return
+			return wire.Frame{Type: wire.FrameAuthReject}, true
 		}
 	}
 	if s.cfg.MaxSessions > 0 && s.sessions[h.ClientID] == nil && len(s.sessions) >= s.cfg.MaxSessions {
@@ -349,8 +352,7 @@ func (s *Server) onHello(from Sender, payload []byte, out *[]wire.Frame) {
 		// so any requests the client sends anyway are dropped, not executed.
 		s.stats.SessionsRefused++
 		s.mu.Unlock()
-		*out = append(*out, wire.Frame{Type: wire.FrameBusy})
-		return
+		return wire.Frame{Type: wire.FrameBusy}, true
 	}
 	cn.clientID = h.ClientID
 	cn.authed = true
@@ -388,7 +390,7 @@ func (s *Server) onHello(from Sender, payload []byte, out *[]wire.Frame) {
 		// until the client's next Hello advertises the floor again.
 		s.journalSessionRecord(h.ClientID, true, func() []byte { return encodePruneRecord(h.ClientID, h.LowSeq) })
 	}
-	*out = append(*out, wire.Frame{Type: wire.FrameWelcome, Payload: wire.Marshal(w)})
+	return wire.Frame{Type: wire.FrameWelcome, Payload: wire.Marshal(w)}, true
 }
 
 // journalSessionRecord appends one session record (exec-install, ack or
@@ -446,12 +448,12 @@ func (s *Server) sessionLocked(clientID string) *session {
 // onRequest takes in one request. The payload is the receiver's
 // (wire.ReadFrame), so it is decoded on the stack, Args aliases it, and the
 // service name is looked up in place.
-func (s *Server) onRequest(from Sender, payload []byte, now vtime.Time, out *[]wire.Frame) {
+func (s *Server) onRequest(from Sender, payload []byte, now vtime.Time) (wire.Frame, bool) {
 	var req Request
 	r := wire.OwnedReader(payload)
 	name := req.unmarshalNamed(&r)
 	if r.Finish() != nil {
-		return
+		return wire.Frame{}, false
 	}
 	s.mu.Lock()
 	cn := s.conns[from]
@@ -460,7 +462,7 @@ func (s *Server) onRequest(from Sender, payload []byte, now vtime.Time, out *[]w
 		// redeliver after it completes a handshake.
 		s.stats.Dropped++
 		s.mu.Unlock()
-		return
+		return wire.Frame{}, false
 	}
 	sess := s.sessionLocked(cn.clientID)
 	sess.sender = from
@@ -469,15 +471,14 @@ func (s *Server) onRequest(from Sender, payload []byte, now vtime.Time, out *[]w
 		// Redelivered request already executed: replay the reply's bytes.
 		s.stats.ReplaysServed++
 		s.mu.Unlock()
-		*out = append(*out, wire.Frame{Type: wire.FrameReply, Payload: enc})
-		return
+		return wire.Frame{Type: wire.FrameReply, Payload: enc}, true
 	}
 	if sess.acked[req.Seq] || req.Seq < sess.lowSeq || sess.executing[req.Seq] {
 		// Acked (the client has the reply), already complete per the
 		// client's own LowSeq, or currently executing: drop.
 		s.stats.Dropped++
 		s.mu.Unlock()
-		return
+		return wire.Frame{}, false
 	}
 	if s.journalErr != nil {
 		// The session journal is poisoned (or never recovered): executing
@@ -486,7 +487,7 @@ func (s *Server) onRequest(from Sender, payload []byte, now vtime.Time, out *[]w
 		// are still served; new work waits for a repaired incarnation.
 		s.stats.JournalRefused++
 		s.mu.Unlock()
-		return
+		return wire.Frame{}, false
 	}
 	if s.cfg.SessionBudgetBytes > 0 && sess.replyBytes >= s.cfg.SessionBudgetBytes {
 		// The session holds its budget's worth of unacknowledged reply
@@ -495,7 +496,7 @@ func (s *Server) onRequest(from Sender, payload []byte, now vtime.Time, out *[]w
 		// redelivers it after acks or a Hello LowSeq free the budget.
 		s.stats.BudgetRefused++
 		s.mu.Unlock()
-		return
+		return wire.Frame{}, false
 	}
 	svc, ok := s.handlers[string(name)]
 	req.Service = svc.name
@@ -514,14 +515,15 @@ func (s *Server) onRequest(from Sender, payload []byte, now vtime.Time, out *[]w
 	run := [1]poolTask{{from: from, clientID: clientID, sess: sess, handler: handler, req: req}}
 	if pool != nil {
 		pool.submit(run[0])
-		return
+		return wire.Frame{}, false
 	}
 	// Inline mode: execute here as a run of one (outside the lock; handlers
 	// may be slow and may re-enter the server, e.g. SendCallback) and
 	// coalesce the reply with the rest of the batch's output.
 	if s.executeRun(run[:]) {
-		*out = append(*out, wire.Frame{Type: wire.FrameReply, Payload: run[0].enc})
+		return wire.Frame{Type: wire.FrameReply, Payload: run[0].enc}, true
 	}
+	return wire.Frame{}, false
 }
 
 // executeRun is the only place a handler runs. It takes a run of one

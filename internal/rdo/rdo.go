@@ -313,19 +313,42 @@ func (inv *Invocation) MarshalWire(b *wire.Buffer) {
 }
 
 // UnmarshalWire implements wire.Unmarshaler.
-func (inv *Invocation) UnmarshalWire(r *wire.Reader) error {
-	us := r.String()
-	inv.Method = r.String()
-	inv.Args = r.StringSlice()
-	inv.BaseVer = r.Uvarint()
+func (inv *Invocation) UnmarshalWire(r *wire.Reader) error { return inv.read(r, true) }
+
+// read reads one invocation into inv, or with keep false only checks it.
+// The fields are read in place and the URN parsed either way; strings are
+// copied out only when kept, so a check allocates nothing unless it fails.
+func (inv *Invocation) read(r *wire.Reader, keep bool) error {
+	us, method := r.View(), r.View()
+	n := r.Len()
+	var args []string
+	if keep {
+		args = make([]string, 0, min(n, 1024))
+	}
+	for range n {
+		a := r.View()
+		if r.Err() != nil {
+			break
+		}
+		if keep {
+			args = append(args, string(a))
+		}
+	}
+	base := r.Uvarint()
 	if r.Err() != nil {
 		return r.Err()
 	}
-	u, err := urn.Parse(us)
+	s := str(us)
+	if keep {
+		s = string(us)
+	}
+	u, err := urn.Parse(s)
 	if err != nil {
 		return fmt.Errorf("rdo: bad invocation URN: %w", err)
 	}
-	inv.Object = u
+	if keep {
+		*inv = Invocation{Object: u, Method: string(method), Args: args, BaseVer: base}
+	}
 	return nil
 }
 
@@ -337,10 +360,23 @@ func ReadInvocations(r *wire.Reader, n uint64) ([]Invocation, error) {
 	invs := make([]Invocation, 0, min(n, uint64(r.Remaining()/4)))
 	for i := uint64(0); i < n; i++ {
 		var inv Invocation
-		if err := inv.UnmarshalWire(r); err != nil {
+		if err := inv.read(r, true); err != nil {
 			return nil, err
 		}
 		invs = append(invs, inv)
 	}
 	return invs, r.Err()
+}
+
+// SkipInvocations reads past n invocations without keeping any: it fails on
+// exactly the inputs ReadInvocations fails on, and allocates nothing unless
+// it fails.
+func SkipInvocations(r *wire.Reader, n uint64) error {
+	var inv Invocation
+	for i := uint64(0); i < n; i++ {
+		if err := inv.read(r, false); err != nil {
+			return err
+		}
+	}
+	return r.Err()
 }

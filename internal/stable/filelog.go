@@ -1,6 +1,7 @@
 package stable
 
 import (
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -37,8 +38,19 @@ var _ Log = (*FileLog)(nil)
 // OpenFileLog opens or creates the log at path, replaying its contents. A
 // torn trailing record is truncated away (see TornTail); corruption before
 // the tail fails the open with ErrCorrupt.
+//
+// The scan's payloads alias its window, so each is copied out, back to back
+// into one buffer sized from the file: a reopen allocates by the log's
+// size, not once per record. When most of what was copied was removed
+// further on, the live records move to one buffer of their own size. The
+// records Replay then serves are views of that buffer, each capped at its
+// own length.
 func OpenFileLog(path string, opts Options) (*FileLog, error) {
 	l := &FileLog{next: 1, live: make(map[uint64][]byte)}
+	var buf []byte
+	if fi, err := os.Stat(path); err == nil {
+		buf = make([]byte, 0, fi.Size())
+	}
 	seg, err := openSegment(path, opts, 0, func(_ int64, r record) error {
 		if r.id >= l.next {
 			l.next = r.id + 1
@@ -49,7 +61,8 @@ func OpenFileLog(path string, opts Options) (*FileLog, error) {
 		}
 		p := r.payload
 		if !r.inflated {
-			p = append([]byte(nil), p...) // aliases the scan buffer
+			buf = append(buf, p...)
+			p = buf[len(buf)-len(p) : len(buf) : len(buf)]
 		}
 		l.live[r.id] = p
 		l.liveBytes += int64(len(p))
@@ -57,6 +70,13 @@ func OpenFileLog(path string, opts Options) (*FileLog, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	if int64(len(buf)) > 2*l.liveBytes {
+		keep := make([]byte, 0, l.liveBytes)
+		for id, p := range l.live {
+			keep = append(keep, p...)
+			l.live[id] = keep[len(keep)-len(p) : len(keep) : len(keep)]
+		}
 	}
 	l.seg = seg
 	return l, nil

@@ -56,6 +56,10 @@ type idxEnt struct {
 	rlen int64 // on-disk record length (live-bytes accounting)
 	typ  string
 	kind byte // segment record kind at off (footer recovery, delta streaming)
+	// winOnDisk marks an object Open found with an 'O' or 'Z' record: its
+	// history window is still only in the record chain at off, and
+	// loadWindow reads it in the first time anything needs it.
+	winOnDisk bool
 }
 
 // Store is the disk-backed Backend. See the package comment for the
@@ -101,6 +105,8 @@ type Store struct {
 	liveBytes        int64
 	compactions      int64
 	coldFaults       atomic.Int64
+	compactErr       error // the last compaction's failure, nil once one succeeds
+	windowLoads      int   // history windows read in from record chains
 
 	// Footer bookkeeping. segFooterBytes is the weight of 'X' records in
 	// the current segment (excluded from the compaction dead-weight test —
@@ -115,9 +121,10 @@ type Store struct {
 var _ store.Backend = (*Store)(nil)
 
 // Open opens (or creates) the store under opts.Dir, replaying the segment
-// to rebuild the index and the per-object history windows. A torn trailing
-// record — a crash mid-commit — is truncated away (TornTail reports it);
-// compaction leftovers from a crash mid-rewrite are removed.
+// to rebuild the index. History windows are not rebuilt here: each stays in
+// its object's record chain until first used (loadWindow). A torn
+// trailing record — a crash mid-commit — is truncated away (TornTail
+// reports it); compaction leftovers from a crash mid-rewrite are removed.
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("disk: Options.Dir is required")
@@ -182,15 +189,13 @@ func (s *Store) RecoveredByFooter() bool {
 	return s.recoveredByFooter
 }
 
-// applyScan replays one segment record into the index and history during
-// Open — the same transitions the publish paths make, minus the cache and
-// the live-bytes count, which sumLiveBytes takes once the index is built.
-// The record is decoded in place through n: p need only outlive the call.
+// applyScan replays one object record into the index during Open. The
+// record is checked whole but only its header kept, decoded in place
+// through n: p need only outlive the call. An 'O' or 'Z' record leaves its
+// object's window on disk; the live-bytes count is sumLiveBytes's once the
+// index is built.
 func (s *Store) applyScan(off int64, p []byte, n *names) error {
-	if len(p) > 0 && p[0] == recFooter {
-		return nil // index footer chunk: recovery metadata, not object state
-	}
-	rec, err := decodeRecord(p, n)
+	rec, err := decodeRecord(p, n, false)
 	if err != nil {
 		return fmt.Errorf("disk: segment offset %d: %w", off, err)
 	}
@@ -200,21 +205,64 @@ func (s *Store) applyScan(off int64, p []byte, n *names) error {
 	}
 	rlen := int64(len(p)) + 16 // approximate framing; exact enough for the 2× heuristic
 	objs := len(s.idx)
-	s.idx[rec.urn] = idxEnt{ver: rec.ver, off: off, rlen: rlen, typ: typ, kind: rec.kind}
+	s.idx[rec.urn] = idxEnt{ver: rec.ver, off: off, rlen: rlen, typ: typ, kind: rec.kind,
+		winOnDisk: rec.kind != recState}
 	if len(s.idx) == objs {
 		n.keys[rec.urn] = rec.urn // seen before: the key its later records reuse
 	}
-	switch rec.kind {
-	case recState:
-		s.hist.Clear(rec.urn)
-	case recOps:
-		if !s.hist.Record(rec.urn, rec.ver, rec.invs, rec.src) {
-			s.hist.Clear(rec.urn)
-		}
-	case recSnap:
-		s.hist.Clear(rec.urn)
-		s.hist.Restore(rec.urn, rec.hist)
+	return nil
+}
+
+// loadWindow reads u's history window in from its record chain if it is
+// still on disk, and clears the mark. The chain is read with no lock held,
+// from the segment and index entry current at the call; the window is kept
+// only if the mark is still set on that same record, so of several callers
+// racing to load one window the first keeps it and the rest drop theirs.
+// A commit loads before its record is published: walking from the new
+// record would count the commit it is about to record as well.
+//
+// A window that fails to load reads as empty and stays marked: OpsSince
+// then ships the whole object, and a WasCommitted that answers false is
+// safe, because the commit that follows loads the window again and fails
+// instead of recording over a window it cannot read.
+func (s *Store) loadWindow(u urn.URN) error {
+	s.mu.RLock()
+	ent := s.idx[u]
+	seg := s.seg
+	s.mu.RUnlock()
+	if !ent.winOnDisk {
+		return nil
 	}
+	w, err := rebuildWindow(seg, u, ent)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if cur := s.idx[u]; !cur.winOnDisk || cur.off != ent.off || s.seg != seg {
+		return nil // loaded, or replaced, while the chain was read
+	}
+	return s.restoreLocked(u, ent, w, err)
+}
+
+// loadWindowLocked is loadWindow for a caller that holds mu for writing
+// throughout (compaction, which rewrites every object under it anyway).
+func (s *Store) loadWindowLocked(u urn.URN) error {
+	ent := s.idx[u]
+	if !ent.winOnDisk {
+		return nil
+	}
+	w, err := rebuildWindow(s.seg, u, ent)
+	return s.restoreLocked(u, ent, w, err)
+}
+
+// restoreLocked installs the window rebuildWindow read for ent, or returns
+// its error with the mark left set.
+func (s *Store) restoreLocked(u urn.URN, ent idxEnt, w []store.OpsRec, err error) error {
+	if err != nil {
+		return fmt.Errorf("disk: history window of %s: %w", u, err)
+	}
+	s.hist.Restore(u, w)
+	ent.winOnDisk = false
+	s.idx[u] = ent
+	s.windowLoads++
 	return nil
 }
 
@@ -356,6 +404,12 @@ func (s *Store) commitOps(obj *rdo.Object, expect uint64, invs []rdo.Invocation,
 		return 0, fmt.Errorf("%w on %s: store at %d, caller read %d",
 			store.ErrRace, obj.URN, ent.ver, expect)
 	}
+	if ent.winOnDisk && len(invs) > 0 {
+		if err := s.loadWindow(obj.URN); err != nil {
+			s.release(obj.URN)
+			return 0, err
+		}
+	}
 	obj.Version = expect + 1
 	var rec, objBytes []byte
 	recKind := recState
@@ -435,7 +489,7 @@ func (s *Store) Get(u urn.URN) (*rdo.Object, error) {
 	var obj *rdo.Object
 	nm := names{held: u}
 	err := s.seg.ReadAtFunc(ent.off, func(p []byte) error {
-		rec, err := decodeRecord(p, &nm)
+		rec, err := decodeRecord(p, &nm, false)
 		if err == nil && rec.urn != u {
 			err = fmt.Errorf("disk: record at %d holds %s", ent.off, rec.urn)
 		}
@@ -465,10 +519,12 @@ func (s *Store) Version(u urn.URN) (uint64, error) {
 }
 
 // OpsSince implements store.Backend (see Store.OpsSince in the parent
-// package for the contiguity contract). History windows are rebuilt from
-// the segment at Open and persisted through compaction, so deltas keep
-// working across restarts.
+// package for the contiguity contract). History windows persist through
+// compaction, and after a reopen an object's window is read from its record
+// chain the first time it is asked for, so deltas keep working across
+// restarts.
 func (s *Store) OpsSince(u urn.URN, from uint64) ([]rdo.Invocation, uint64, bool) {
+	s.loadWindow(u)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	ent, ok := s.idx[u]
@@ -511,7 +567,7 @@ func (s *Store) StreamOpsSince(u urn.URN, from uint64, fn func(ver uint64, invs 
 	offs := make([]int64, 0, ent.ver-from)
 	off, want := ent.off, ent.ver
 	for want > from {
-		rec, err := readRecordAt(seg, off)
+		rec, err := readRecordAt(seg, off, true)
 		if err != nil || rec.kind != recOps || rec.urn != u || rec.ver != want {
 			return false, nil
 		}
@@ -527,7 +583,7 @@ func (s *Store) StreamOpsSince(u urn.URN, from uint64, fn func(ver uint64, invs 
 	}
 	// Forward pass: replay oldest-first, handing each record to fn.
 	for i := len(offs) - 1; i >= 0; i-- {
-		rec, err := readRecordAt(seg, offs[i])
+		rec, err := readRecordAt(seg, offs[i], true)
 		if err != nil || rec.kind != recOps {
 			return false, nil
 		}
@@ -545,10 +601,12 @@ func (s *Store) SetCacheBytes(n int64) { s.lru.setMax(n) }
 // CacheBytes implements store.CacheTuner.
 func (s *Store) CacheBytes() int64 { return s.lru.maxBytes() }
 
-// WasCommitted implements store.Backend. Because history survives restart,
-// redelivery detection holds even when the store's fsync won the race
-// against the session journal's before a crash.
+// WasCommitted implements store.Backend. Because history survives restart
+// (read from the record chain on first use after a reopen), redelivery
+// detection holds even when the store's fsync won the race against the
+// session journal's before a crash.
 func (s *Store) WasCommitted(u urn.URN, base uint64, invs []rdo.Invocation, src string) bool {
+	s.loadWindow(u)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.hist.WasCommitted(u, base, invs, src)
@@ -631,7 +689,7 @@ func (s *Store) objBytesLocked(u urn.URN, ent idxEnt) ([]byte, error) {
 	if obj := s.lru.peek(u); obj != nil && obj.Version == ent.ver {
 		return obj.Encode(), nil
 	}
-	rec, err := readRecordAt(s.seg, ent.off)
+	rec, err := readRecordAt(s.seg, ent.off, false)
 	if err != nil {
 		return nil, err
 	}
@@ -698,6 +756,9 @@ func (s *Store) LoadSnapshot(data []byte) error {
 // maybeCompact rewrites the segment when enough mutations have landed AND
 // the file holds more than twice its live data — the gate excludes new
 // mutators, drains in-flight committers, and swaps atomically via rename.
+// A failed rewrite leaves the old segment live, rearms the counter, so the
+// next attempt waits for as many mutations again, and is kept for
+// CompactErr.
 func (s *Store) maybeCompact() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -723,6 +784,9 @@ func (s *Store) maybeCompact() {
 		sort.Slice(urns, func(i, j int) bool { return urns[i].Less(urns[j]) })
 		for _, u := range urns {
 			ent := s.idx[u]
+			if err := s.loadWindowLocked(u); err != nil {
+				return err
+			}
 			objBytes, oerr := s.objBytesLocked(u, ent)
 			if oerr != nil {
 				return oerr
@@ -746,6 +810,8 @@ func (s *Store) maybeCompact() {
 	if err == nil {
 		s.compactions++
 	}
+	s.compactErr = err
+	s.mutsSinceCompact = 0
 	s.compacting = false
 	s.cond.Broadcast()
 }
@@ -819,6 +885,15 @@ func (s *Store) TornTail() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.seg.TornTail()
+}
+
+// CompactErr reports why the last compaction failed, or nil if it succeeded
+// or none has run. A history window whose record chain no longer reads back
+// fails every compaction until a plain commit or install replaces it.
+func (s *Store) CompactErr() error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.compactErr
 }
 
 // Poisoned reports the segment's sticky fsync failure, or nil.

@@ -138,10 +138,11 @@ type scannedRec struct {
 
 // openFromFooter attempts footer-based recovery: read the sidecar, scan the
 // segment only from the footer offset, rebuild the index from the footer
-// chunks (decoded in parallel), reconstruct history windows with a pread
-// worker pool, and replay the post-footer tail. It reports success; any
-// validation or I/O surprise abandons the attempt — closing the segment and
-// resetting partial state — and the caller falls back to the full scan.
+// chunks (decoded in parallel), and replay the post-footer tail. History
+// windows load on first use, as after a full scan: an entry whose record is
+// 'O' or 'Z' leaves its window on disk. It reports success; any validation
+// or I/O surprise abandons the attempt — closing the segment and resetting
+// partial state — and the caller falls back to the full scan.
 func (s *Store) openFromFooter() bool {
 	raw, err := os.ReadFile(s.sidecarPath())
 	if err != nil {
@@ -180,16 +181,14 @@ func (s *Store) openFromFooter() bool {
 	seg.Close()
 	s.seg = nil
 	s.idx = make(map[urn.URN]idxEnt)
-	s.hist = store.NewHistory()
 	s.liveBytes = 0
 	s.segFooterBytes = 0
 	return false
 }
 
-// buildFromFooter rebuilds resident state from one footer run plus the tail
+// buildFromFooter rebuilds the index from one footer run plus the tail
 // records that follow it. Called only from openFromFooter, before the store
-// is shared — the parallel phases below touch s only through the segment
-// (whose ReadAt is thread-safe) and write results back single-threaded.
+// is shared: the parallel chunk decode below touches nothing of s.
 func (s *Store) buildFromFooter(seg *stable.SegmentFile, f footerInfo, tail []scannedRec) bool {
 	if uint64(len(tail)) < f.parts {
 		return false
@@ -239,6 +238,7 @@ func (s *Store) buildFromFooter(seg *stable.SegmentFile, f footerInfo, tail []sc
 			if e.ent.off < 0 || e.ent.off >= f.off {
 				return false // live entries always precede their footer
 			}
+			e.ent.winOnDisk = e.ent.kind == recOps || e.ent.kind == recSnap
 			s.idx[e.u] = e.ent
 		}
 	}
@@ -246,41 +246,7 @@ func (s *Store) buildFromFooter(seg *stable.SegmentFile, f footerInfo, tail []sc
 		return false // a URN listed twice: not an index this store wrote
 	}
 	s.seg = seg
-	// Phase 2: history windows. 'Z' entries restore their persisted window,
-	// 'O' entries walk the record chain backwards — both pread, so fan out
-	// across a worker pool and apply the windows single-threaded (History is
-	// not safe for concurrent use).
-	var histWork []footerEnt
-	for _, ents := range decoded {
-		for _, e := range ents {
-			if e.ent.kind == recSnap || e.ent.kind == recOps {
-				histWork = append(histWork, e)
-			}
-		}
-	}
-	windows := make([][]store.OpsRec, len(histWork))
-	for i := range histWork {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			w, err := rebuildWindow(seg, histWork[i])
-			if err != nil {
-				bad.Store(true)
-				return
-			}
-			windows[i] = w
-		}(i)
-	}
-	wg.Wait()
-	if bad.Load() {
-		return false
-	}
-	for i, w := range windows {
-		s.hist.Restore(histWork[i].u, w)
-	}
-	// Phase 3: replay the post-footer tail in order. 'X' records here are a
+	// Phase 2: replay the post-footer tail in order. 'X' records here are a
 	// later footer run whose sidecar write never landed — dead weight.
 	tailMuts := 0
 	nm := newNames()
@@ -320,48 +286,48 @@ func segExtent(chunks, rest []scannedRec, i int, c scannedRec, seg *stable.Segme
 	return next - c.off
 }
 
-// rebuildWindow reconstructs the history window the streaming scan would
-// have produced for one object: a 'Z' record's persisted window, or an 'O'
-// chain walked backwards via prevOff until an opaque jump ('S'), a 'Z'
-// ancestor (whose persisted window is prepended), a record without a chain
-// link, or the window limit. An I/O or decode error is fatal to the footer
-// fast path; a merely broken chain just yields the shorter (still accurate)
-// window.
-func rebuildWindow(seg *stable.SegmentFile, e footerEnt) ([]store.OpsRec, error) {
-	if e.ent.kind == recSnap {
-		rec, err := readRecordAt(seg, e.ent.off)
-		if err != nil {
-			return nil, err
-		}
-		if rec.kind != recSnap || rec.urn != e.u || rec.ver != e.ent.ver {
-			return nil, errors.New("disk: footer entry does not match its record")
-		}
-		return rec.hist, nil
-	}
+// rebuildWindow reads u's history window from the segment: the window a
+// replay of every record from the segment's start would leave. The walk
+// starts at ent's record and follows 'O' records backwards via prevOff until
+// an opaque jump ('S'), a 'Z' record (whose persisted window is prepended),
+// a record without a chain link, or DefaultHistoryLimit records. Such a
+// link-less 'O' record, written before records carried one, starts the
+// window as an opaque jump would. An I/O or decode error, or a first record
+// that is not ent's, is returned; a chain that merely breaks off yields the
+// shorter (still accurate) window. History.Restore trims the result to the
+// limit in force when it loads; after SetHistoryLimit lowered the limit and
+// raised it again, that can be more than a window kept in memory would still
+// hold, but every entry is true history.
+func rebuildWindow(seg *stable.SegmentFile, u urn.URN, ent idxEnt) ([]store.OpsRec, error) {
 	var newest []store.OpsRec // newest-first along the chain
-	var prefix []store.OpsRec // a 'Z' ancestor's window, oldest-first
-	off := e.ent.off
-	wantVer := e.ent.ver
-	for i := 0; i < store.DefaultHistoryLimit && off >= 0; i++ {
-		rec, err := readRecordAt(seg, off)
+	var prefix []store.OpsRec // a 'Z' record's window, oldest-first
+	off, want := ent.off, ent.ver
+	nm := names{held: u}
+	for len(newest) < store.DefaultHistoryLimit && off >= 0 {
+		var rec record // decoded in place: rec.obj is the read buffer's, unused
+		err := seg.ReadAtFunc(off, func(p []byte) error {
+			var derr error
+			rec, derr = decodeRecord(p, &nm, true)
+			return derr
+		})
 		if err != nil {
 			return nil, err
 		}
-		if rec.urn != e.u {
+		if len(newest) == 0 && (rec.urn != u || rec.ver != ent.ver) {
+			return nil, errors.New("disk: index entry does not match its record")
+		}
+		if rec.urn != u {
 			break // foreign link: stop with what we have
 		}
 		if rec.kind == recSnap {
 			prefix = rec.hist
 			break
 		}
-		if rec.kind != recOps || (len(newest) > 0 && rec.ver != wantVer) {
+		if rec.kind != recOps || rec.ver != want {
 			break // opaque jump ('S') or a gap: history starts after it
 		}
-		if len(newest) == 0 && rec.ver != e.ent.ver {
-			return nil, errors.New("disk: footer entry does not match its record")
-		}
 		newest = append(newest, store.OpsRec{Ver: rec.ver, Invs: rec.invs, Src: rec.src})
-		wantVer = rec.ver - 1
+		want = rec.ver - 1
 		off = rec.prevOff
 	}
 	out := make([]store.OpsRec, 0, len(prefix)+len(newest))
@@ -372,13 +338,14 @@ func rebuildWindow(seg *stable.SegmentFile, e footerEnt) ([]store.OpsRec, error)
 	return out, nil
 }
 
-// readRecordAt preads and decodes one segment record, decoding in place on
-// the segment's pooled read buffer (decodeRecord copies what it keeps).
-func readRecordAt(seg *stable.SegmentFile, off int64) (record, error) {
+// readRecordAt preads and decodes one segment record on the segment's
+// pooled read buffer: whole, or only checked when keep is false. Either
+// way what it returns is a copy.
+func readRecordAt(seg *stable.SegmentFile, off int64, keep bool) (record, error) {
 	var rec record
 	err := seg.ReadAtFunc(off, func(p []byte) error {
 		var derr error
-		rec, derr = decodeRecord(p, nil)
+		rec, derr = decodeRecord(p, nil, keep)
 		return derr
 	})
 	return rec, err

@@ -39,9 +39,11 @@ func countHeader(kind byte, n uint64) []byte {
 // footer recovery every index chunk, so both decoders must hold up against
 // bytes they did not write. Neither panics, neither allocates out of
 // proportion to the input whatever a count claims, and whatever they accept
-// re-encodes to bytes that decode to the same record. The in-place decode
-// the scan uses must agree with the copying one the read paths use, field
-// for field, including through a key its names already holds.
+// re-encodes to bytes that decode to the same record. The keep-nothing
+// check Open runs on every record, in place or copying, must accept exactly
+// what the whole decode accepts and return the same record without its
+// history, including through a key its names already holds, allocating no
+// more than a few objects whatever the record holds.
 func FuzzDecodeRecord(f *testing.F) {
 	u := urn.MustParse("urn:rover:h/obj")
 	o := rdo.New(u, "t")
@@ -55,6 +57,10 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add(encodeSnap(u, 3, objBytes, []store.OpsRec{{Ver: 2, Src: "cli", Invs: invs}, {Ver: 3, Invs: invs}}))
 	f.Add(encodeFooterChunk(bytes.Repeat([]byte{7}, footerGenLen), 1,
 		[]footerEnt{{u: u, ent: idxEnt{ver: 3, off: 10, rlen: 40, typ: "t", kind: recOps}}}))
+	// An invocation URN that does not parse fails the decode and the check.
+	bad := []rdo.Invocation{{Object: urn.URN{Path: "x"}, Method: "add"}}
+	f.Add(recOf(encodeOps(u, 2, 3, "cli", bad, o, 42)))
+	f.Add(encodeSnap(u, 3, objBytes, []store.OpsRec{{Ver: 3, Src: "cli", Invs: bad}}))
 	// Counts the input cannot back: a 22-byte ops record claiming 2^22
 	// invocations allocated 320 MB before failing, and a count of 2^63 made
 	// the decoders panic in makeslice.
@@ -66,44 +72,55 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p []byte) {
 		footer := len(p) > 0 && p[0] == recFooter
 		var (
-			rec, inPlace record
-			gen          []byte
-			part         uint64
-			ents         []footerEnt
-			err, ierr    error
+			rec  record
+			gen  []byte
+			part uint64
+			ents []footerEnt
+			err  error
 		)
-		nm := newNames()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if footer {
-			gen, part, ents, err = decodeFooterChunk(p, nm)
+			gen, part, ents, err = decodeFooterChunk(p, newNames())
 		} else {
-			rec, err = decodeRecord(p, nil)
-			inPlace, ierr = decodeRecord(p, nm)
+			rec, err = decodeRecord(p, nil, true)
 		}
 		runtime.ReadMemStats(&after)
 		if spent := after.TotalAlloc - before.TotalAlloc; spent > 1<<20+64*uint64(len(p)) {
 			t.Fatalf("%d input bytes made the decoder allocate %d bytes", len(p), spent)
 		}
-		if !footer && (err == nil) != (ierr == nil) {
-			t.Fatalf("copying decode: %v; in place: %v", err, ierr)
-		}
-		if err != nil {
-			return
-		}
 		if footer {
+			if err != nil {
+				return
+			}
 			gen2, part2, ents2, err := decodeFooterChunk(encodeFooterChunk(gen, part, ents), newNames())
 			if err != nil || !bytes.Equal(gen2, gen) || part2 != part || !reflect.DeepEqual(ents2, ents) {
 				t.Fatalf("footer chunk did not survive re-encoding: %v", err)
 			}
 			return
 		}
-		if !reflect.DeepEqual(inPlace, rec) {
-			t.Fatalf("in-place decode differs:\n got %+v\nwant %+v", inPlace, rec)
+		nm := newNames()
+		runtime.ReadMemStats(&before)
+		inPlace, ierr := decodeRecord(p, nm, false)
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n > 16 {
+			t.Fatalf("checking %d input bytes allocated %d objects", len(p), n)
+		}
+		copied, cerr := decodeRecord(p, nil, false)
+		if (err == nil) != (ierr == nil) || (err == nil) != (cerr == nil) {
+			t.Fatalf("decode: %v; check in place: %v; copying: %v", err, ierr, cerr)
+		}
+		if err != nil {
+			return
+		}
+		head := rec
+		head.src, head.invs, head.hist = "", nil, nil
+		if !reflect.DeepEqual(inPlace, head) || !reflect.DeepEqual(copied, head) {
+			t.Fatalf("check differs:\n got %+v\n and %+v\nwant %+v", inPlace, copied, head)
 		}
 		nm.keys[inPlace.urn] = inPlace.urn
-		if again, err := decodeRecord(p, nm); err != nil || !reflect.DeepEqual(again, rec) {
-			t.Fatalf("in-place decode through a held key: %v\n got %+v\nwant %+v", err, again, rec)
+		if again, err := decodeRecord(p, nm, false); err != nil || !reflect.DeepEqual(again, head) {
+			t.Fatalf("check through a held key: %v\n got %+v\nwant %+v", err, again, head)
 		}
 		var enc []byte
 		switch rec.kind {
@@ -116,7 +133,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		default:
 			t.Fatalf("accepted record kind %#x", rec.kind)
 		}
-		again, err := decodeRecord(enc, nil)
+		again, err := decodeRecord(enc, nil, true)
 		if err != nil || !reflect.DeepEqual(again, rec) {
 			t.Fatalf("record did not survive re-encoding: %v\n got %+v\nwant %+v", err, again, rec)
 		}

@@ -118,7 +118,7 @@ func encodeSnap(u urn.URN, ver uint64, obj []byte, hist []store.OpsRec) []byte {
 // names holds the strings an open-time decode keeps, so rebuilding an index
 // of N objects does not allocate N of each. URNs are copied into shared
 // append-only blocks (a strings.Builder grown nameBlock at a time) and
-// sliced; types and sources, a handful of distinct values, are interned.
+// sliced; types, a handful of distinct values, are interned.
 // keys maps each object the decode met more than once to the key its index
 // entry holds, so a long tail of commits to the same objects copies each
 // URN at most twice. A names is not safe for concurrent use.
@@ -149,12 +149,8 @@ func (n *names) block(b []byte) string {
 	return n.blk.String()[start:]
 }
 
-// str reads a length-prefixed string: a fresh copy without names, else the
-// interned one.
+// str reads a length-prefixed string, interned.
 func (n *names) str(r *wire.Reader) string {
-	if n == nil {
-		return r.String()
-	}
 	b := r.Bytes()
 	if s, ok := n.intern[string(b)]; ok {
 		return s
@@ -189,10 +185,16 @@ func (n *names) urn(r *wire.Reader) (urn.URN, error) {
 	return urn.Parse(n.block(b))
 }
 
-// decodeRecord decodes one segment record. Without names (nil) everything
-// it returns is a copy, so p may be a pooled read buffer; with names it
-// decodes in place: obj aliases p and the strings come from n.
-func decodeRecord(p []byte, n *names) (record, error) {
+// decodeRecord decodes one segment record. With keep false it is the
+// keep-nothing check: it accepts exactly the records a whole decode
+// accepts and returns the same record without what an ops or snapshot
+// record carries for history (src, invs and hist stay empty), so it
+// allocates nothing in proportion to a count; Open checks every record
+// this way, and the reads that only want the object decode this way.
+// Without names (nil) everything it returns is a copy, so p may be a
+// pooled read buffer; with names it decodes in place: obj aliases p and
+// the URN comes from n.
+func decodeRecord(p []byte, n *names, keep bool) (record, error) {
 	r := wire.OwnedReader(p)
 	if n == nil {
 		r = *wire.NewReader(p)
@@ -214,12 +216,11 @@ func decodeRecord(p []byte, n *names) (record, error) {
 	case recOps:
 		rec.prevVer = r.Uvarint()
 		rec.ver = r.Uvarint()
-		rec.src = n.str(&r)
-		invs, err := rdo.ReadInvocations(&r, r.Uvarint())
+		src, invs, err := readOps(&r, keep)
 		if err != nil {
 			return rec, fmt.Errorf("disk: ops record: %w", err)
 		}
-		rec.invs = invs
+		rec.src, rec.invs = src, invs
 		rec.obj = r.Bytes()
 		rec.prevOff = -1
 		if !r.Done() {
@@ -233,18 +234,19 @@ func decodeRecord(p []byte, n *names) (record, error) {
 		rec.ver = r.Uvarint()
 		rec.obj = r.Bytes()
 		cnt := r.Uvarint()
-		// Sized by the bytes present: a window entry encodes to at least three.
-		rec.hist = make([]store.OpsRec, 0, min(cnt, uint64(r.Remaining()/3)))
+		if keep {
+			// Sized by the bytes present: a window entry encodes to at least three.
+			rec.hist = make([]store.OpsRec, 0, min(cnt, uint64(r.Remaining()/3)))
+		}
 		for i := uint64(0); i < cnt; i++ {
-			var h store.OpsRec
-			h.Ver = r.Uvarint()
-			h.Src = n.str(&r)
-			invs, err := rdo.ReadInvocations(&r, r.Uvarint())
+			ver := r.Uvarint()
+			src, invs, err := readOps(&r, keep)
 			if err != nil {
 				return rec, fmt.Errorf("disk: snap record window %d: %w", i, err)
 			}
-			h.Invs = invs
-			rec.hist = append(rec.hist, h)
+			if keep {
+				rec.hist = append(rec.hist, store.OpsRec{Ver: ver, Invs: invs, Src: src})
+			}
 		}
 	default:
 		return rec, fmt.Errorf("disk: unknown record kind %#x", rec.kind)
@@ -256,6 +258,18 @@ func decodeRecord(p []byte, n *names) (record, error) {
 		return rec, fmt.Errorf("disk: record has trailing bytes")
 	}
 	return rec, nil
+}
+
+// readOps reads the source and the count-prefixed invocations of one commit,
+// or only checks them when keep is false.
+func readOps(r *wire.Reader, keep bool) (string, []rdo.Invocation, error) {
+	if !keep {
+		r.View()
+		return "", nil, rdo.SkipInvocations(r, r.Uvarint())
+	}
+	src := r.String()
+	invs, err := rdo.ReadInvocations(r, r.Uvarint())
+	return src, invs, err
 }
 
 // Index footer. Compaction (and a clean Close) append the live index as a

@@ -314,6 +314,11 @@ func (r *Reader) Bytes() []byte {
 	return append(make([]byte, 0, len(p)), p...)
 }
 
+// View reads a length-prefixed field and returns it in place from any
+// Reader, even one from NewReader: the bytes alias the input, for a caller
+// that checks or skips a field without keeping it. Nil after an error.
+func (r *Reader) View() []byte { return r.field() }
+
 // StringSlice reads a count-prefixed slice of strings.
 func (r *Reader) StringSlice() []string {
 	n := r.Len()
