@@ -517,7 +517,48 @@ func TestCorruptChainRecordAfterFooterReopen(t *testing.T) {
 // asked one OpsSince per touched object ("open+delta"), which reads each
 // touched object's window from its record chain.
 func BenchmarkReopenThenDelta(b *testing.B) {
-	const objects, hot, perHot = 1000, 128, 78
+	abandoned, hots := abandonedHotStore(b)
+	b.Run("open", func(b *testing.B) { benchReopen(b, abandoned, nil) })
+	b.Run("open+delta", func(b *testing.B) {
+		benchReopen(b, abandoned, func(s *Store) {
+			for _, u := range hots {
+				if _, _, ok := s.OpsSince(u, hotCommits); !ok {
+					b.Fatal("no delta after the reopen")
+				}
+			}
+		})
+	})
+}
+
+// BenchmarkReopenThenRedeliver is BenchmarkReopenThenDelta's store reopened
+// by footer and then asked, for each touched object, whether the export
+// that made its latest version was committed: the redelivery check a
+// client's resent export meets after a crash.
+func BenchmarkReopenThenRedeliver(b *testing.B) {
+	abandoned, hots := abandonedHotStore(b)
+	last := make([][]rdo.Invocation, len(hots))
+	for h, u := range hots {
+		last[h] = []rdo.Invocation{{Object: u, Method: "set", Args: []string{strconv.Itoa(hotCommits - 1)}, BaseVer: hotCommits}}
+	}
+	benchReopen(b, abandoned, func(s *Store) {
+		for h, u := range hots {
+			if !s.WasCommitted(u, hotCommits, last[h], "cli") {
+				b.Fatal("the last export was not recognised after the reopen")
+			}
+		}
+	})
+}
+
+// hotCommits is how many ops commits abandonedHotStore makes to each of its
+// touched objects, taking them from version 1 to hotCommits+1.
+const hotCommits = 78
+
+// abandonedHotStore builds a store of 1,000 objects, commits hotCommits ops
+// to each of 128 of them concurrently, and returns a copy of its directory
+// taken before Close (a footer from the snapshot load and the ops behind
+// it) with the touched objects' URNs.
+func abandonedHotStore(b *testing.B) (string, []urn.URN) {
+	const objects, hot = 1000, 128
 	src := store.New()
 	for i := range objects {
 		if err := src.Create(obj(fmt.Sprintf("pop/%04d", i))); err != nil {
@@ -539,7 +580,7 @@ func BenchmarkReopenThenDelta(b *testing.B) {
 		wg.Add(1)
 		go func(u urn.URN) {
 			defer wg.Done()
-			for i := range perHot {
+			for i := range hotCommits {
 				cur, err := s.Get(u)
 				if err != nil {
 					b.Error(err)
@@ -560,36 +601,34 @@ func BenchmarkReopenThenDelta(b *testing.B) {
 		b.Fatal(err)
 	}
 	s.Close()
+	return abandoned, hots
+}
 
-	for _, c := range []struct {
-		name   string
-		deltas int
-	}{{"open", 0}, {"open+delta", hot}} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				d := filepath.Join(b.TempDir(), strconv.Itoa(i))
-				if err := os.CopyFS(d, os.DirFS(abandoned)); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				s, err := Open(Options{Dir: d})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, u := range hots[:c.deltas] {
-					if _, _, ok := s.OpsSince(u, perHot); !ok {
-						b.Fatal("no delta after the reopen")
-					}
-				}
-				b.StopTimer()
-				if !s.RecoveredByFooter() {
-					b.Fatal("not recovered by footer")
-				}
-				s.Close()
-				b.StartTimer()
-			}
-		})
+// benchReopen times reopening a fresh copy of the store in abandoned by
+// footer, then running after on it (nil: the reopen alone). The caller's
+// setup is not timed.
+func benchReopen(b *testing.B, abandoned string, after func(*Store)) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d := filepath.Join(b.TempDir(), strconv.Itoa(i))
+		if err := os.CopyFS(d, os.DirFS(abandoned)); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		s, err := Open(Options{Dir: d})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if after != nil {
+			after(s)
+		}
+		b.StopTimer()
+		if !s.RecoveredByFooter() {
+			b.Fatal("not recovered by footer")
+		}
+		s.Close()
+		b.StartTimer()
 	}
 }

@@ -4,7 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -33,8 +36,34 @@ type ledgerRow struct {
 	Source     string `json:"source,omitempty"`
 }
 
+// goBenchUnits are the metrics of a Go benchmark row, all better lower.
+var goBenchUnits = map[string]string{"ns_per_op": "ns", "allocs_per_op": "count"}
+
+// checkGoBench checks a workload "go:<pkg>.<Benchmark>[/<sub>]": a Go
+// benchmark of the module, <pkg> its package directory, which must declare
+// the function.
+func checkGoBench(workload string) error {
+	pkg, bench, ok := strings.Cut(strings.TrimPrefix(workload, "go:"), ".Benchmark")
+	name, _, _ := strings.Cut("Benchmark"+bench, "/")
+	if !ok || pkg == "" || name == "Benchmark" {
+		return fmt.Errorf("workload %q is not go:<pkg>.<Benchmark>[/<sub>]", workload)
+	}
+	files, _ := filepath.Glob(filepath.Join(filepath.FromSlash(pkg), "*_test.go"))
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			return err
+		}
+		if bytes.Contains(src, []byte("func "+name+"(b *testing.B)")) {
+			return nil
+		}
+	}
+	return fmt.Errorf("workload %q: no func %s in %s", workload, name, pkg)
+}
+
 // TestLedger checks every row of LEDGER.jsonl against BENCHMARK.json's
-// workloads and metrics, and every claimed gain against the rule a perf
+// workloads and metrics (or, for a go: workload, against the Go benchmark
+// it names and goBenchUnits), and every claimed gain against the rule a perf
 // claim must meet: the change wins at least 9 of 10 pairs, and its median
 // is further from the parent's, in the better direction, than the parent
 // runs' interquartile range.
@@ -73,15 +102,22 @@ func TestLedger(t *testing.T) {
 			t.Errorf("line %d: %v", line, err)
 			continue
 		}
+		wantUnit, wantBetter, goErr := unit[r.Metric], better[r.Metric], error(nil)
+		goBench := strings.HasPrefix(r.Workload, "go:")
+		if goBench {
+			wantUnit, wantBetter, goErr = goBenchUnits[r.Metric], "lower", checkGoBench(r.Workload)
+		}
 		switch {
 		case r.PR <= 0 || r.Parent == "":
 			t.Errorf("line %d: a row names its PR and the parent it was measured against", line)
-		case !workloads[r.Workload]:
+		case goErr != nil:
+			t.Errorf("line %d: %v", line, goErr)
+		case !goBench && !workloads[r.Workload]:
 			t.Errorf("line %d: workload %q is not in BENCHMARK.json", line, r.Workload)
-		case unit[r.Metric] == "":
-			t.Errorf("line %d: %q is not an end-to-end metric of BENCHMARK.json", line, r.Metric)
-		case r.Unit != unit[r.Metric]:
-			t.Errorf("line %d: %s is in %q, BENCHMARK.json says %q", line, r.Metric, r.Unit, unit[r.Metric])
+		case wantUnit == "":
+			t.Errorf("line %d: %q is not a metric of workload %q", line, r.Metric, r.Workload)
+		case r.Unit != wantUnit:
+			t.Errorf("line %d: %s is in %q, want %q", line, r.Metric, r.Unit, wantUnit)
 		case r.ParentMedian == nil || r.ParentIQR == nil || r.ChangeMedian == nil || *r.ParentIQR < 0:
 			t.Errorf("line %d: parent_median, parent_iqr (>= 0) and change_median are required", line)
 		case r.Pairs <= 0 || r.Wins < 0 || r.Wins > r.Pairs || len(r.Seeds) != r.Pairs:
@@ -91,7 +127,7 @@ func TestLedger(t *testing.T) {
 		case *r.Claim:
 			claims[r.PR]++
 			gap := *r.ChangeMedian - *r.ParentMedian
-			if better[r.Metric] == "lower" {
+			if wantBetter == "lower" {
 				gap = -gap
 			}
 			if r.Pairs < 10 || 10*r.Wins < 9*r.Pairs || gap <= *r.ParentIQR {
