@@ -8,6 +8,7 @@ import (
 	"rover/internal/proto"
 	"rover/internal/qrpc"
 	"rover/internal/rdo"
+	"rover/internal/store"
 	"rover/internal/urn"
 )
 
@@ -53,7 +54,7 @@ func TestDeltaImportEndToEnd(t *testing.T) {
 
 func TestDeltaFallbackWhenHistoryPruned(t *testing.T) {
 	engine, srv := newServerRig(t)
-	srv.Store().SetHistoryLimit(2)
+	srv.Store().(*store.Store).SetHistoryLimit(2)
 	srv.Store().Create(paddedCounter("d2"))
 	u := urn.MustParse("urn:rover:home/d2")
 	r1 := newRig(t, "cli-1", engine, srv, nil)

@@ -8,6 +8,7 @@ import (
 	"rover"
 	"rover/internal/netsim"
 	"rover/internal/sched"
+	"rover/internal/store"
 	"rover/internal/vtime"
 )
 
@@ -41,7 +42,7 @@ func abwireRun(spec netsim.LinkSpec, mode abwireMode, bodyBytes, muts int) (int6
 		return 0, 0, false, err
 	}
 	if !mode.delta {
-		stack.Server.Store().SetHistoryLimit(-1)
+		stack.Server.Store().(*store.Store).SetHistoryLimit(-1)
 	}
 	u := rover.MustParseURN("urn:rover:bench/abwire")
 	obj := rover.NewObject(u, "notes")

@@ -8,6 +8,7 @@ import (
 
 	"rover/internal/stable"
 	"rover/internal/wire"
+	"rover/internal/yield"
 )
 
 // Server session journal.
@@ -77,6 +78,19 @@ import (
 // waiter protocol in stable.SegmentFile), so within a shard N concurrent
 // executes share ~one fsync instead of paying N — the durability write is
 // amortized per shard and parallel across shards.
+//
+// # Releasing a gate
+//
+// The snapshot reset above holds only if no appender lets go of its shard's
+// gate between a durable record and either that record's effect in
+// s.sessions or the poison that refuses it: a compaction waiting on the
+// gate would take the gap, capture sessions without the effect, see no
+// poison, and append a snapshot after the record, and replay would reset
+// the record away. A run whose exec record failed dirty is the case that
+// needs care — the record may be durable while its reply is in no session —
+// so executeRun poisons (refuseRun) before it releases the gate. The
+// releases that race over this gap offer it to a test's yield hook
+// (internal/yield) right after.
 
 // journalShard is one bucket of the sharded session journal.
 type journalShard struct {
@@ -94,6 +108,13 @@ type journalShard struct {
 	ids        []uint64 // under Server.mu: live record ids compaction may remove
 	compacting bool     // under Server.mu: one compaction per shard at a time
 }
+
+// Yield sites: the gate releases a refused run and a compaction race over.
+const (
+	yieldRunRefused    = "qrpc.executeRun.refused"
+	yieldCompactAbort  = "qrpc.compactShardOnce.poisoned"
+	yieldCompactAppend = "qrpc.compactShardOnce.appended"
+)
 
 // Journal record kinds (first byte of each record).
 const (
@@ -636,6 +657,7 @@ func (s *Server) compactShardOnce(sh *journalShard) (again bool) {
 		sh.compacting = false
 		s.mu.Unlock()
 		sh.gate.Unlock()
+		yield.Point(yieldCompactAbort)
 		return false
 	}
 	snap := encodeSnapshotRecord(s.ownedSessionsLocked(sh.idx))
@@ -644,6 +666,7 @@ func (s *Server) compactShardOnce(sh *journalShard) (again bool) {
 	s.mu.Unlock()
 	sid, err := sh.log.Append(snap)
 	sh.gate.Unlock()
+	yield.Point(yieldCompactAppend)
 	if err != nil {
 		s.mu.Lock()
 		s.poisonJournalLocked(err)

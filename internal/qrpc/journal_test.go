@@ -10,6 +10,7 @@ import (
 	"rover/internal/faults"
 	"rover/internal/stable"
 	"rover/internal/wire"
+	"rover/internal/yield"
 )
 
 // Frame builders for driving a server engine directly (no client engine),
@@ -753,5 +754,78 @@ func TestAckRedeliveredJournalsOnce(t *testing.T) {
 	srv.OnFrame(snd, ackFrame(0), 0)
 	if got := srv.Stats().JournalRecords; got != before+1 {
 		t.Fatalf("ack below LowSeq: %d journal records, want still %d", got, before+1)
+	}
+}
+
+// TestRefusedRunSurvivesCompaction: a run whose exec record fails dirty is
+// refused, but the record may be durable. The runner must poison the
+// journal before it lets go of the shard gate, or a compaction waiting on
+// the gate snapshots the session without the reply, appends that snapshot
+// after the record, and replay resets the record away: the redelivered
+// request would run a second time. The yield hook holds the runner just
+// after its release until a compaction claimed then has taken the gate and
+// either appended or, seeing the poison, given up.
+func TestRefusedRunSurvivesCompaction(t *testing.T) {
+	// The Hello's LowSeq 0 journals no prune record, so seq 1's exec record
+	// is append 1.
+	jl := &dirtyAtLog{MemLog: stable.NewMemLog(stable.Options{}), nth: 1}
+	var mu sync.Mutex
+	execs := 0
+	handler := func(string, Request) ([]byte, error) {
+		mu.Lock()
+		execs++
+		mu.Unlock()
+		return []byte("v"), nil
+	}
+	srv1 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}})
+	srv1.Register("echo", handler)
+	compacted := make(chan struct{})
+	restore := yield.Set(func(site string) {
+		switch site {
+		case yieldRunRefused:
+			sh := srv1.shards[0]
+			srv1.mu.Lock()
+			sh.compacting = true
+			srv1.compactWG.Add(1)
+			srv1.mu.Unlock()
+			go srv1.compactShardOnce(sh)
+			<-compacted
+		case yieldCompactAbort, yieldCompactAppend:
+			close(compacted)
+		}
+	})
+	defer restore()
+	up := true
+	snd := &harnessSender{up: &up}
+	srv1.OnConnect(snd, 0)
+	srv1.OnFrame(snd, helloFrame("c1", 0), 0)
+	srv1.OnFrame(snd, requestFrame(1, "echo", nil), 0)
+	select {
+	case <-compacted:
+	default:
+		t.Fatal("the refused run never released its gate through the yield site")
+	}
+	restore()
+	srv1.Close()
+	if reps := drainReplies(t, snd); len(reps) != 0 {
+		t.Fatalf("released %+v from a refused run", reps)
+	}
+	if srv1.JournalError() == nil {
+		t.Fatal("dirty append did not poison the incarnation that saw it")
+	}
+
+	srv2 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl.MemLog}})
+	defer srv2.Close()
+	srv2.Register("echo", handler)
+	srv2.OnConnect(snd, 0)
+	srv2.OnFrame(snd, helloFrame("c1", 0), 0)
+	srv2.OnFrame(snd, requestFrame(1, "echo", nil), 0)
+	if reps := drainReplies(t, snd); len(reps) != 1 || reps[0].Status != StatusOK {
+		t.Fatalf("recovered incarnation answered %+v", reps)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if execs != 1 {
+		t.Fatalf("the handler ran %d times, want once: recovery lost the durable exec record", execs)
 	}
 }

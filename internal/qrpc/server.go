@@ -9,6 +9,7 @@ import (
 	"rover/internal/stable"
 	"rover/internal/vtime"
 	"rover/internal/wire"
+	"rover/internal/yield"
 )
 
 // Handler executes one service request at the server. Handlers run outside
@@ -568,8 +569,13 @@ func (s *Server) executeRun(tasks []poolTask) bool {
 			err = cmp.Or(err, serr)
 		}
 		if err = cmp.Or(err, sh.log.Commit()); err != nil {
-			sh.gate.RUnlock()
+			// Poison before the release: a dirty failure may have left the
+			// records durable, and a compaction that took the gate first
+			// would snapshot the sessions without their replies (see
+			// "Releasing a gate" in journal.go).
 			s.refuseRun(tasks, err)
+			sh.gate.RUnlock()
+			yield.Point(yieldRunRefused)
 			return false
 		}
 	}

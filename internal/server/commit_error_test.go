@@ -10,6 +10,7 @@ import (
 	"rover/internal/rdo"
 	"rover/internal/store"
 	"rover/internal/store/disk"
+	"rover/internal/urn"
 	"rover/internal/wire"
 )
 
@@ -66,5 +67,46 @@ func TestStoreErrorIsNotARace(t *testing.T) {
 	}
 	if n := cs.commits.Load(); n != 1 {
 		t.Errorf("invoke after Close ran %d times, want 1", n)
+	}
+}
+
+// unreadableHistory is a store whose history cannot be read back, as a disk
+// store's is when a record in the chain is damaged.
+type unreadableHistory struct{ *countingStore }
+
+var errHistory = errors.New("history record does not read back")
+
+func (u unreadableHistory) WasCommitted(urn.URN, uint64, []rdo.Invocation, string) (bool, error) {
+	return false, errHistory
+}
+
+// TestUnreadableHistoryRefusesExport: an export whose base is behind the
+// store may be a redelivery of one that already committed. When the store
+// cannot read the history that would tell, the export is refused with that
+// error: answering it as new would send it to the resolver and could run it
+// a second time.
+func TestUnreadableHistoryRefusesExport(t *testing.T) {
+	cs := &countingStore{Backend: store.New()}
+	srv, err := New(Config{Engine: qrpc.NewServer(qrpc.ServerConfig{ServerID: "unit"}), Store: unreadableHistory{cs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := counter("redelivered")
+	if err := cs.Create(o); err != nil {
+		t.Fatal(err)
+	}
+	inv := rdo.Invocation{Object: o.URN, Method: "add", Args: []string{"1"}, BaseVer: 1}
+	export := proto.ExportArgs{URN: o.URN, BaseVer: 1, Invs: []rdo.Invocation{inv}}
+	if _, err := srv.handleExport("c", qrpc.Request{Args: wire.Marshal(&export)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.handleExport("c", qrpc.Request{Args: wire.Marshal(&export)}); !errors.Is(err, errHistory) {
+		t.Fatalf("redelivered export over an unreadable history: %v, want an error wrapping %v", err, errHistory)
+	}
+	if n := cs.commits.Load(); n != 1 {
+		t.Errorf("the export committed %d times, want once", n)
+	}
+	if v, _ := cs.Version(o.URN); v != 2 {
+		t.Errorf("object at v%d after the refused redelivery, want v2", v)
 	}
 }

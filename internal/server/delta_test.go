@@ -6,6 +6,7 @@ import (
 
 	"rover/internal/proto"
 	"rover/internal/rdo"
+	"rover/internal/store"
 	"rover/internal/wire"
 )
 
@@ -91,7 +92,7 @@ func TestImportHaveVersionAheadOfServer(t *testing.T) {
 
 func TestImportFullWhenHistoryPruned(t *testing.T) {
 	r := newRig(t)
-	r.srv.Store().SetHistoryLimit(2)
+	r.srv.Store().(*store.Store).SetHistoryLimit(2)
 	obj := paddedCounter("d")
 	r.srv.Store().Create(obj)
 	u := obj.URN

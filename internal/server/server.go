@@ -387,8 +387,13 @@ func (s *Server) applyExport(clientID string, obj *rdo.Object, cur uint64, args 
 		// original reply was lost in a crash, or the client failed over to
 		// this replica after the mutation replicated but before its cached
 		// reply did. Re-applying (or resolving) it would execute accepted
-		// work twice; answer committed instead.
-		if s.store.WasCommitted(args.URN, args.BaseVer, args.Invs, clientID) {
+		// work twice; answer committed instead. A history the store cannot
+		// read refuses the export for the same reason.
+		seen, err := s.store.WasCommitted(args.URN, args.BaseVer, args.Invs, clientID)
+		if err != nil {
+			return nil, false, fmt.Errorf("server: redelivery check: %w", err)
+		}
+		if seen {
 			s.mu.Lock()
 			s.stats.DuplicateExports++
 			s.mu.Unlock()

@@ -48,10 +48,14 @@ type Backend interface {
 	List(prefix urn.URN) []Entry
 	ListAll() []Entry
 
-	// History: delta imports and redelivery detection.
+	// History: delta imports and redelivery detection, each answered from
+	// the object's last DefaultHistoryLimit ops commits. OpsSince answers
+	// ok=false when it cannot serve a delta, and the caller ships the whole
+	// object. WasCommitted's error means the history could not be read (the
+	// disk backend reads it from its segment): the caller must refuse the
+	// export, since answering it as new could run it twice.
 	OpsSince(u urn.URN, from uint64) ([]rdo.Invocation, uint64, bool)
-	WasCommitted(u urn.URN, base uint64, invs []rdo.Invocation, src string) bool
-	SetHistoryLimit(n int)
+	WasCommitted(u urn.URN, base uint64, invs []rdo.Invocation, src string) (bool, error)
 
 	// Whole-store state transfer.
 	Snapshot() []byte

@@ -31,7 +31,7 @@ func TestCommitOpsAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Written copies made up front, so the measured call is the commit
-	// alone; the first 100 fill the history window to its limit.
+	// alone; the first 100 let the segment's buffers grow.
 	const warm, runs = 100, 200
 	objs := make([]*rdo.Object, warm+runs+1)
 	for i := range objs {

@@ -1,10 +1,12 @@
 package disk
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -48,26 +50,23 @@ type Options struct {
 
 // idxEnt is the resident per-object index entry: everything List/Version
 // need plus the byte offset of the object's latest segment record — the
-// fault-in address. ~100 bytes per object; this index and the LRU are the
+// fault-in address, and the head of the record chain that holds the
+// object's history. ~100 bytes per object; this index and the LRU are the
 // store's whole resident footprint.
 type idxEnt struct {
 	ver  uint64
 	off  int64
 	rlen int64 // on-disk record length (live-bytes accounting)
 	typ  string
-	kind byte // segment record kind at off (footer recovery, delta streaming)
-	// winOnDisk marks an object Open found with an 'O' or 'Z' record: its
-	// history window is still only in the record chain at off, and
-	// loadWindow reads it in the first time anything needs it.
-	winOnDisk bool
+	kind byte // segment record kind at off (footer recovery, history walks)
 }
 
 // Store is the disk-backed Backend. See the package comment for the
 // shape; the essential invariants are:
 //
 //   - Publish-after-durable: a mutation's record is appended and fsynced
-//     (riding the segment's group commit) BEFORE the index, history, LRU,
-//     and observer see it, and before the mutation returns. Readers never
+//     (riding the segment's group commit) BEFORE the index, LRU, and
+//     observer see it, and before the mutation returns. Readers never
 //     observe state that a crash could lose, and the index only ever
 //     points at durable records — so fault-in cannot read a torn record.
 //     A crash between append and publish leaves a durable record the
@@ -79,8 +78,13 @@ type idxEnt struct {
 //     different objects proceed concurrently and coalesce onto one fsync.
 //   - Compaction gate: the compactor excludes new mutations, drains
 //     in-flight committers, rewrites every live object (plus its history
-//     window) into a fresh segment, fsyncs, renames over the old path, and
-//     swaps — readers are excluded only during the rewrite itself.
+//     window, copied from its record chain) into a fresh segment, fsyncs,
+//     renames over the old path, and swaps — readers are excluded only
+//     during the rewrite itself.
+//   - History lives in the segment: OpsSince, WasCommitted and compaction
+//     read an object's history window from its record chain (walkChain)
+//     under the read lock, so no copy of it is kept in memory beyond the
+//     ops commit that wrote an object the LRU holds.
 //
 // A failed segment fsync poisons the segment permanently: every later
 // mutation fails with stable.ErrPoisoned, while reads keep working.
@@ -93,7 +97,6 @@ type Store struct {
 	seg  *stable.SegmentFile
 
 	idx        map[urn.URN]idxEnt
-	hist       *store.History
 	lru        *lruCache
 	committing map[urn.URN]struct{}
 	compacting bool
@@ -106,7 +109,6 @@ type Store struct {
 	compactions      int64
 	coldFaults       atomic.Int64
 	compactErr       error // the last compaction's failure, nil once one succeeds
-	windowLoads      int   // history windows read in from record chains
 
 	// Footer bookkeeping. segFooterBytes is the weight of 'X' records in
 	// the current segment (excluded from the compaction dead-weight test —
@@ -121,9 +123,8 @@ type Store struct {
 var _ store.Backend = (*Store)(nil)
 
 // Open opens (or creates) the store under opts.Dir, replaying the segment
-// to rebuild the index. History windows are not rebuilt here: each stays in
-// its object's record chain until first used (loadWindow). A torn
-// trailing record — a crash mid-commit — is truncated away (TornTail
+// to rebuild the index; history stays in the record chains it indexes. A
+// torn trailing record — a crash mid-commit — is truncated away (TornTail
 // reports it); compaction leftovers from a crash mid-rewrite are removed.
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
@@ -142,7 +143,6 @@ func Open(opts Options) (*Store, error) {
 		path:       filepath.Join(opts.Dir, SegmentName),
 		opts:       opts,
 		idx:        make(map[urn.URN]idxEnt),
-		hist:       store.NewHistory(),
 		lru:        newLRU(opts.CacheBytes),
 		committing: make(map[urn.URN]struct{}),
 	}
@@ -191,9 +191,8 @@ func (s *Store) RecoveredByFooter() bool {
 
 // applyScan replays one object record into the index during Open. The
 // record is checked whole but only its header kept, decoded in place
-// through n: p need only outlive the call. An 'O' or 'Z' record leaves its
-// object's window on disk; the live-bytes count is sumLiveBytes's once the
-// index is built.
+// through n: p need only outlive the call. The live-bytes count is
+// sumLiveBytes's once the index is built.
 func (s *Store) applyScan(off int64, p []byte, n *names) error {
 	rec, err := decodeRecord(p, n, false)
 	if err != nil {
@@ -205,65 +204,87 @@ func (s *Store) applyScan(off int64, p []byte, n *names) error {
 	}
 	rlen := int64(len(p)) + 16 // approximate framing; exact enough for the 2× heuristic
 	objs := len(s.idx)
-	s.idx[rec.urn] = idxEnt{ver: rec.ver, off: off, rlen: rlen, typ: typ, kind: rec.kind,
-		winOnDisk: rec.kind != recState}
+	s.idx[rec.urn] = idxEnt{ver: rec.ver, off: off, rlen: rlen, typ: typ, kind: rec.kind}
 	if len(s.idx) == objs {
 		n.keys[rec.urn] = rec.urn // seen before: the key its later records reuse
 	}
 	return nil
 }
 
-// loadWindow reads u's history window in from its record chain if it is
-// still on disk, and clears the mark. The chain is read with no lock held,
-// from the segment and index entry current at the call; the window is kept
-// only if the mark is still set on that same record, so of several callers
-// racing to load one window the first keeps it and the rest drop theirs.
-// A commit loads before its record is published: walking from the new
-// record would count the commit it is about to record as well.
-//
-// A window that fails to load reads as empty and stays marked: OpsSince
-// then ships the whole object, and a WasCommitted that answers false is
-// safe, because the commit that follows loads the window again and fails
-// instead of recording over a window it cannot read.
-func (s *Store) loadWindow(u urn.URN) error {
-	s.mu.RLock()
-	ent := s.idx[u]
-	seg := s.seg
-	s.mu.RUnlock()
-	if !ent.winOnDisk {
-		return nil
+// walkChain visits the entries of u's history window from version stop up,
+// reading them from the record chain that starts at ent's record: 'O'
+// records newest first along their prevOff links, then the entries of the
+// 'Z' record the chain reaches, oldest first. The window is what replaying
+// every record into a store.History leaves, the last
+// store.DefaultHistoryLimit ops commits since the object's last opaque
+// jump, so the walk also ends at an 'S' record, a gap, a link to another
+// object's record, or after an 'O' record written without a link. fn gets
+// each entry's version and body (its source and invocations as encoded), a
+// view of the segment's read buffer. An I/O or decode error, fn's error, or
+// a first record that is not ent's is returned. Callers hold mu in either
+// mode, so compaction cannot swap the segment mid-walk.
+func (s *Store) walkChain(u urn.URN, ent idxEnt, stop uint64, fn func(ver uint64, body []byte) error) error {
+	low := max(stop, ent.ver-min(ent.ver, store.DefaultHistoryLimit)+1)
+	nm := names{held: u}
+	off, want := ent.off, ent.ver
+	for off >= 0 && want >= low && ent.kind != recState {
+		first, next := want == ent.ver, int64(-1)
+		err := s.seg.ReadAtFunc(off, func(p []byte) error {
+			rec, err := decodeRecord(p, &nm, false)
+			switch {
+			case err != nil:
+				return err
+			case first && (rec.urn != u || rec.ver != ent.ver):
+				return errors.New("disk: index entry does not match its record")
+			case rec.urn != u || rec.ver != want:
+				return nil // a foreign link or a gap
+			case rec.kind == recOps:
+				next, want = rec.prevOff, want-1
+				return fn(rec.ver, rec.ops)
+			case rec.kind == recSnap:
+				r := wire.OwnedReader(rec.ops) // checked whole above
+				for range r.Uvarint() {
+					ver, start := r.Uvarint(), len(rec.ops)-r.Remaining()
+					readOps(&r, false)
+					if ver >= low && ver <= want {
+						if err := fn(ver, rec.ops[start:len(rec.ops)-r.Remaining()]); err != nil {
+							return err
+						}
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		off = next
 	}
-	w, err := rebuildWindow(seg, u, ent)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cur := s.idx[u]; !cur.winOnDisk || cur.off != ent.off || s.seg != seg {
-		return nil // loaded, or replaced, while the chain was read
-	}
-	return s.restoreLocked(u, ent, w, err)
-}
-
-// loadWindowLocked is loadWindow for a caller that holds mu for writing
-// throughout (compaction, which rewrites every object under it anyway).
-func (s *Store) loadWindowLocked(u urn.URN) error {
-	ent := s.idx[u]
-	if !ent.winOnDisk {
-		return nil
-	}
-	w, err := rebuildWindow(s.seg, u, ent)
-	return s.restoreLocked(u, ent, w, err)
-}
-
-// restoreLocked installs the window rebuildWindow read for ent, or returns
-// its error with the mark left set.
-func (s *Store) restoreLocked(u urn.URN, ent idxEnt, w []store.OpsRec, err error) error {
-	if err != nil {
-		return fmt.Errorf("disk: history window of %s: %w", u, err)
-	}
-	s.hist.Restore(u, w)
-	ent.winOnDisk = false
-	s.idx[u] = ent
-	s.windowLoads++
 	return nil
+}
+
+// history runs walkChain over u's window from version oldest up under the
+// read lock, and reports u's version; ok is false, and nothing is read,
+// when the window cannot reach back that far.
+func (s *Store) history(u urn.URN, oldest uint64, fn func(ver uint64, body []byte) error) (cur uint64, ok bool, err error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	ent, found := s.idx[u]
+	if !found || oldest == 0 || oldest > ent.ver || ent.ver-oldest >= store.DefaultHistoryLimit {
+		return 0, false, nil
+	}
+	return ent.ver, true, s.walkChain(u, ent, oldest, fn)
+}
+
+// cachedOps returns the ops commit that wrote u's current version if the
+// LRU holds it, and one with Ver 0 otherwise.
+func (s *Store) cachedOps(u urn.URN) store.OpsRec {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if _, ops := s.lru.peek(u); ops.Ver == s.idx[u].ver {
+		return ops
+	}
+	return store.OpsRec{}
 }
 
 // sumLiveBytes sets liveBytes from a freshly rebuilt index.
@@ -362,7 +383,7 @@ func (s *Store) Create(obj *rdo.Object) error {
 	rec, objBytes := encodeState(cp.URN, 1, cp)
 	return s.commitRecord(cp.URN, rec, func(off, rlen int64) {
 		s.setIdxLocked(cp.URN, idxEnt{ver: 1, off: off, rlen: rlen, typ: cp.Type, kind: recState})
-		s.lru.put(cp)
+		s.lru.put(cp, store.OpsRec{}, 0)
 		s.notifyLocked(store.ApplyEvent{Kind: store.ApplyState, URN: cp.URN, Version: 1, Object: objBytes})
 	})
 }
@@ -404,38 +425,28 @@ func (s *Store) commitOps(obj *rdo.Object, expect uint64, invs []rdo.Invocation,
 		return 0, fmt.Errorf("%w on %s: store at %d, caller read %d",
 			store.ErrRace, obj.URN, ent.ver, expect)
 	}
-	if ent.winOnDisk && len(invs) > 0 {
-		if err := s.loadWindow(obj.URN); err != nil {
-			s.release(obj.URN)
-			return 0, err
-		}
-	}
 	obj.Version = expect + 1
 	var rec, objBytes []byte
-	recKind := recState
+	recKind, ops, opsBytes := recState, store.OpsRec{}, 0
 	if len(invs) > 0 {
 		// The chain link points at the object's previous record (ent.off),
 		// letting recovery and far-behind catch-up walk versions backwards.
 		rec, objBytes = encodeOps(obj.URN, expect, obj.Version, src, invs, obj, ent.off)
-		recKind = recOps
+		recKind, ops, opsBytes = recOps, store.OpsRec{Ver: obj.Version, Invs: invs, Src: src}, len(rec)-len(objBytes)
 	} else {
 		rec, objBytes = encodeState(obj.URN, obj.Version, obj)
 	}
 	err = s.commitRecord(obj.URN, rec, func(off, rlen int64) {
 		s.setIdxLocked(obj.URN, idxEnt{ver: obj.Version, off: off, rlen: rlen, typ: obj.Type, kind: recKind})
-		s.lru.put(obj)
-		if s.hist.Record(obj.URN, obj.Version, invs, src) {
-			if notify {
-				s.notifyLocked(store.ApplyEvent{Kind: store.ApplyOps, URN: obj.URN,
-					PrevVersion: expect, Version: obj.Version, Invs: invs, Src: src, Object: objBytes})
-			}
-		} else {
-			// History disabled or a no-op commit: an opaque jump.
-			s.hist.Clear(obj.URN)
-			if notify {
-				s.notifyLocked(store.ApplyEvent{Kind: store.ApplyState, URN: obj.URN,
-					PrevVersion: expect, Version: obj.Version, Object: objBytes})
-			}
+		s.lru.put(obj, ops, opsBytes)
+		switch {
+		case !notify:
+		case recKind == recOps:
+			s.notifyLocked(store.ApplyEvent{Kind: store.ApplyOps, URN: obj.URN,
+				PrevVersion: expect, Version: obj.Version, Invs: invs, Src: src, Object: objBytes})
+		default: // a no-op commit: an opaque jump
+			s.notifyLocked(store.ApplyEvent{Kind: store.ApplyState, URN: obj.URN,
+				PrevVersion: expect, Version: obj.Version, Object: objBytes})
 		}
 	})
 	if err != nil {
@@ -460,8 +471,7 @@ func (s *Store) InstallState(obj *rdo.Object) (uint64, error) {
 	rec, _ := encodeState(cp.URN, cp.Version, cp)
 	err = s.commitRecord(cp.URN, rec, func(off, rlen int64) {
 		s.setIdxLocked(cp.URN, idxEnt{ver: cp.Version, off: off, rlen: rlen, typ: cp.Type, kind: recState})
-		s.hist.Clear(cp.URN)
-		s.lru.put(cp)
+		s.lru.put(cp, store.OpsRec{}, 0)
 	})
 	if err != nil {
 		return 0, err
@@ -503,7 +513,7 @@ func (s *Store) Get(u urn.URN) (*rdo.Object, error) {
 		return nil, fmt.Errorf("disk: fault-in %s: %w", u, err)
 	}
 	s.coldFaults.Add(1)
-	s.lru.put(obj)
+	s.lru.put(obj, store.OpsRec{}, 0)
 	return obj.Clone(), nil
 }
 
@@ -519,19 +529,31 @@ func (s *Store) Version(u urn.URN) (uint64, error) {
 }
 
 // OpsSince implements store.Backend (see Store.OpsSince in the parent
-// package for the contiguity contract). History windows persist through
-// compaction, and after a reopen an object's window is read from its record
-// chain the first time it is asked for, so deltas keep working across
-// restarts.
+// package for the contiguity contract). One version behind, it answers
+// from the ops commit the LRU caches with u, if any; otherwise it reads the
+// cur − from newest records of u's chain and decodes their invocations. A
+// chain it cannot read answers ok=false, and the caller ships the whole
+// object. 'Z' records carry the window through compactions and restarts.
 func (s *Store) OpsSince(u urn.URN, from uint64) ([]rdo.Invocation, uint64, bool) {
-	s.loadWindow(u)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ent, ok := s.idx[u]
-	if !ok {
+	if ops := s.cachedOps(u); ops.Ver == from+1 {
+		return slices.Clone(ops.Invs), ops.Ver, true
+	}
+	var steps [store.DefaultHistoryLimit][]rdo.Invocation // by version, oldest first
+	n := 0
+	cur, ok, err := s.history(u, from+1, func(ver uint64, body []byte) error {
+		r := wire.NewReader(body)
+		r.View() // the source
+		invs, err := rdo.ReadInvocations(r, r.Uvarint())
+		steps[ver-from-1], n = invs, n+1
+		return err
+	})
+	if !ok || err != nil || uint64(n) != cur-from {
 		return nil, 0, false
 	}
-	return s.hist.OpsSince(u, from, ent.ver)
+	if n == 1 {
+		return steps[0], cur, true
+	}
+	return slices.Concat(steps[:n]...), cur, true
 }
 
 // maxStreamChain bounds StreamOpsSince's backward walk. Past ~64k versions
@@ -543,8 +565,8 @@ const maxStreamChain = 1 << 16
 // StreamOpsSince implements store.OpsReader: it streams the ops records
 // that advance u from version `from` up to the version current at the call,
 // oldest first, reading them straight from the segment via each record's
-// chain link — the far-behind catch-up path that keeps working long after
-// the in-memory history window pruned those versions.
+// chain link — the far-behind catch-up path that keeps working past the
+// store.DefaultHistoryLimit versions OpsSince and WasCommitted reach back.
 //
 // ok=false with a nil error means the delta cannot be served — the object
 // reached its version through an opaque jump, the chain left the current
@@ -601,22 +623,34 @@ func (s *Store) SetCacheBytes(n int64) { s.lru.setMax(n) }
 // CacheBytes implements store.CacheTuner.
 func (s *Store) CacheBytes() int64 { return s.lru.maxBytes() }
 
-// WasCommitted implements store.Backend. Because history survives restart
-// (read from the record chain on first use after a reopen), redelivery
-// detection holds even when the store's fsync won the race against the
-// session journal's before a crash.
-func (s *Store) WasCommitted(u urn.URN, base uint64, invs []rdo.Invocation, src string) bool {
-	s.loadWindow(u)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.hist.WasCommitted(u, base, invs, src)
-}
-
-// SetHistoryLimit implements store.Backend.
-func (s *Store) SetHistoryLimit(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.hist.SetLimit(n)
+// WasCommitted implements store.Backend. When base+1 is u's version it
+// compares the ops commit the LRU caches with u, if any; otherwise it reads
+// u's chain back to the record of version base+1 and decodes only that
+// record's invocations. History lives in the segment, so redelivery
+// detection holds across restarts, even when the store's fsync won the race
+// against the session journal's before a crash. A chain it cannot read is
+// an error: the caller must refuse the export rather than treat it as new.
+func (s *Store) WasCommitted(u urn.URN, base uint64, invs []rdo.Invocation, src string) (bool, error) {
+	if src == "" || len(invs) == 0 {
+		return false, nil
+	}
+	if ops := s.cachedOps(u); ops.Ver == base+1 {
+		return ops.Src == src && store.SameInvocations(ops.Invs, invs), nil
+	}
+	var seen bool
+	_, _, err := s.history(u, base+1, func(ver uint64, body []byte) error {
+		r := wire.NewReader(body)
+		if ver != base+1 || string(r.View()) != src {
+			return nil
+		}
+		got, err := rdo.ReadInvocations(r, r.Uvarint())
+		seen = err == nil && store.SameInvocations(got, invs)
+		return err
+	})
+	if err != nil {
+		return false, fmt.Errorf("disk: history of %s: %w", u, err)
+	}
+	return seen, nil
 }
 
 // SetOnApply implements store.Backend.
@@ -686,7 +720,7 @@ func (s *Store) Snapshot() []byte {
 // hot (without promoting), else a pread of its latest segment record.
 // Callers hold mu in either mode.
 func (s *Store) objBytesLocked(u urn.URN, ent idxEnt) ([]byte, error) {
-	if obj := s.lru.peek(u); obj != nil && obj.Version == ent.ver {
+	if obj, _ := s.lru.peek(u); obj != nil && obj.Version == ent.ver {
 		return obj.Encode(), nil
 	}
 	rec, err := readRecordAt(s.seg, ent.off, false)
@@ -701,8 +735,8 @@ func (s *Store) objBytesLocked(u urn.URN, ent idxEnt) ([]byte, error) {
 
 // LoadSnapshot implements store.Backend: it atomically replaces the whole
 // population AND makes it durable, by rewriting the segment wholesale (the
-// compaction machinery) before the swap. History is cleared — snapshot
-// versions are opaque jumps.
+// compaction machinery) before the swap. Every object's history ends —
+// snapshot versions are opaque jumps, written as 'S' records.
 func (s *Store) LoadSnapshot(data []byte) error {
 	objs, err := store.DecodeSnapshot(data)
 	if err != nil {
@@ -748,7 +782,6 @@ func (s *Store) LoadSnapshot(data []byte) error {
 	if err != nil {
 		return err
 	}
-	s.hist.ClearAll()
 	s.lru.reset()
 	return nil
 }
@@ -782,24 +815,26 @@ func (s *Store) maybeCompact() {
 			urns = append(urns, u)
 		}
 		sort.Slice(urns, func(i, j int) bool { return urns[i].Less(urns[j]) })
+		var w windowCopy
+		var b wire.Buffer // AppendNoSync copies: one buffer serves every record
 		for _, u := range urns {
 			ent := s.idx[u]
-			if err := s.loadWindowLocked(u); err != nil {
-				return err
-			}
 			objBytes, oerr := s.objBytesLocked(u, ent)
 			if oerr != nil {
 				return oerr
 			}
-			var rec []byte
+			if err := s.copyWindow(&w, u, ent); err != nil {
+				return fmt.Errorf("disk: history of %s: %w", u, err)
+			}
+			b.Reset()
 			recKind := recState
-			if w := s.hist.Window(u); len(w) > 0 {
-				rec = encodeSnap(u, ent.ver, objBytes, w)
+			if len(w.ents) > 0 {
+				w.appendSnap(&b, u, ent.ver, objBytes)
 				recKind = recSnap
 			} else {
-				rec = encodeStateBytes(u, ent.ver, objBytes)
+				appendStateBytes(&b, u, ent.ver, objBytes)
 			}
-			off, aerr := tmp.AppendNoSync(rec)
+			off, aerr := tmp.AppendNoSync(b.Bytes())
 			if aerr != nil {
 				return aerr
 			}
@@ -814,6 +849,45 @@ func (s *Store) maybeCompact() {
 	s.mutsSinceCompact = 0
 	s.compacting = false
 	s.cond.Broadcast()
+}
+
+// windowCopy is compaction's scratch for an object's history window, copied
+// from its record chain as encoded and reused from one object to the next.
+type windowCopy struct {
+	bodies []byte // the entries' bodies back to back
+	ents   []windowEnt
+}
+
+type windowEnt struct {
+	ver        uint64
+	start, end int // the body's place in bodies
+}
+
+// copyWindow reads u's window from its record chain into w, oldest first.
+func (s *Store) copyWindow(w *windowCopy, u urn.URN, ent idxEnt) error {
+	w.bodies, w.ents = w.bodies[:0], w.ents[:0]
+	err := s.walkChain(u, ent, 1, func(ver uint64, body []byte) error {
+		w.ents = append(w.ents, windowEnt{ver, len(w.bodies), len(w.bodies) + len(body)})
+		w.bodies = append(w.bodies, body...)
+		return nil
+	})
+	slices.SortFunc(w.ents, func(a, b windowEnt) int { return cmp.Compare(a.ver, b.ver) })
+	return err
+}
+
+// appendSnap appends the 'Z' record of u at version ver holding the object
+// encoding obj and the window in w: each entry its version and its body as
+// copied, byte for byte what encoding the decoded window gives.
+func (w *windowCopy) appendSnap(b *wire.Buffer, u urn.URN, ver uint64, obj []byte) {
+	b.PutByte(recSnap)
+	b.PutString(u.String())
+	b.PutUvarint(ver)
+	b.PutBytes(obj)
+	b.PutUvarint(uint64(len(w.ents)))
+	for _, e := range w.ents {
+		b.PutUvarint(e.ver)
+		b.PutRaw(w.bodies[e.start:e.end])
+	}
 }
 
 // rewriteLocked replaces the segment (stable.SegmentFile.Rewrite: a fresh
@@ -888,8 +962,9 @@ func (s *Store) TornTail() error {
 }
 
 // CompactErr reports why the last compaction failed, or nil if it succeeded
-// or none has run. A history window whose record chain no longer reads back
-// fails every compaction until a plain commit or install replaces it.
+// or none has run. A record chain that no longer reads back within an
+// object's history window fails every compaction until a plain commit or
+// install ends that history.
 func (s *Store) CompactErr() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -22,6 +22,16 @@ func obj(path string) *rdo.Object {
 	return o
 }
 
+// wasCommitted is s.WasCommitted for a history that must read back.
+func wasCommitted(t testing.TB, s *Store, u urn.URN, base uint64, invs []rdo.Invocation, src string) bool {
+	t.Helper()
+	seen, err := s.WasCommitted(u, base, invs, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seen
+}
+
 func openStore(t *testing.T, dir string, opts Options) *Store {
 	t.Helper()
 	opts.Dir = dir
@@ -75,7 +85,7 @@ func TestRecoveryRebuildsIndexAndHistory(t *testing.T) {
 		t.Fatalf("OpsSince after restart: %d ops to v%d ok=%v", len(ops), newVer, ok)
 	}
 	inv0 := rdo.Invocation{Object: o.URN, Method: "add", Args: []string{"0"}}
-	if !s2.WasCommitted(o.URN, 1, []rdo.Invocation{inv0}, "cli") {
+	if !wasCommitted(t, s2, o.URN, 1, []rdo.Invocation{inv0}, "cli") {
 		t.Fatal("WasCommitted lost across restart")
 	}
 }
@@ -299,7 +309,7 @@ func TestUnpublishedDurableRecordReplaysAsCommitted(t *testing.T) {
 	if v, _ := s2.Version(o.URN); v != 2 {
 		t.Fatalf("replayed version %d, want 2", v)
 	}
-	if !s2.WasCommitted(o.URN, 1, []rdo.Invocation{inv}, "client-9") {
+	if !wasCommitted(t, s2, o.URN, 1, []rdo.Invocation{inv}, "client-9") {
 		t.Fatal("redelivered export not recognized after replay")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 
 	"rover/internal/stable"
-	"rover/internal/store"
 	"rover/internal/urn"
 	"rover/internal/wire"
 )
@@ -138,9 +137,8 @@ type scannedRec struct {
 
 // openFromFooter attempts footer-based recovery: read the sidecar, scan the
 // segment only from the footer offset, rebuild the index from the footer
-// chunks (decoded in parallel), and replay the post-footer tail. History
-// windows load on first use, as after a full scan: an entry whose record is
-// 'O' or 'Z' leaves its window on disk. It reports success; any validation
+// chunks (decoded in parallel), and replay the post-footer tail. It reports
+// success; any validation
 // or I/O surprise abandons the attempt — closing the segment and resetting
 // partial state — and the caller falls back to the full scan.
 func (s *Store) openFromFooter() bool {
@@ -238,7 +236,6 @@ func (s *Store) buildFromFooter(seg *stable.SegmentFile, f footerInfo, tail []sc
 			if e.ent.off < 0 || e.ent.off >= f.off {
 				return false // live entries always precede their footer
 			}
-			e.ent.winOnDisk = e.ent.kind == recOps || e.ent.kind == recSnap
 			s.idx[e.u] = e.ent
 		}
 	}
@@ -284,58 +281,6 @@ func segExtent(chunks, rest []scannedRec, i int, c scannedRec, seg *stable.Segme
 		next = seg.Size()
 	}
 	return next - c.off
-}
-
-// rebuildWindow reads u's history window from the segment: the window a
-// replay of every record from the segment's start would leave. The walk
-// starts at ent's record and follows 'O' records backwards via prevOff until
-// an opaque jump ('S'), a 'Z' record (whose persisted window is prepended),
-// a record without a chain link, or DefaultHistoryLimit records. Such a
-// link-less 'O' record, written before records carried one, starts the
-// window as an opaque jump would. An I/O or decode error, or a first record
-// that is not ent's, is returned; a chain that merely breaks off yields the
-// shorter (still accurate) window. History.Restore trims the result to the
-// limit in force when it loads; after SetHistoryLimit lowered the limit and
-// raised it again, that can be more than a window kept in memory would still
-// hold, but every entry is true history.
-func rebuildWindow(seg *stable.SegmentFile, u urn.URN, ent idxEnt) ([]store.OpsRec, error) {
-	var newest []store.OpsRec // newest-first along the chain
-	var prefix []store.OpsRec // a 'Z' record's window, oldest-first
-	off, want := ent.off, ent.ver
-	nm := names{held: u}
-	for len(newest) < store.DefaultHistoryLimit && off >= 0 {
-		var rec record // decoded in place: rec.obj is the read buffer's, unused
-		err := seg.ReadAtFunc(off, func(p []byte) error {
-			var derr error
-			rec, derr = decodeRecord(p, &nm, true)
-			return derr
-		})
-		if err != nil {
-			return nil, err
-		}
-		if len(newest) == 0 && (rec.urn != u || rec.ver != ent.ver) {
-			return nil, errors.New("disk: index entry does not match its record")
-		}
-		if rec.urn != u {
-			break // foreign link: stop with what we have
-		}
-		if rec.kind == recSnap {
-			prefix = rec.hist
-			break
-		}
-		if rec.kind != recOps || rec.ver != want {
-			break // opaque jump ('S') or a gap: history starts after it
-		}
-		newest = append(newest, store.OpsRec{Ver: rec.ver, Invs: rec.invs, Src: rec.src})
-		want = rec.ver - 1
-		off = rec.prevOff
-	}
-	out := make([]store.OpsRec, 0, len(prefix)+len(newest))
-	out = append(out, prefix...)
-	for i := len(newest) - 1; i >= 0; i-- {
-		out = append(out, newest[i])
-	}
-	return out, nil
 }
 
 // readRecordAt preads and decodes one segment record on the segment's

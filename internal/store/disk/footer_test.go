@@ -69,7 +69,7 @@ func TestFooterRecoveryFastPath(t *testing.T) {
 			len(gotOps), gotVer, ok, len(wantOps), wantVer)
 	}
 	inv := rdo.Invocation{Object: a, Method: "set", Args: []string{"9"}, BaseVer: 10}
-	if !s2.WasCommitted(a, 10, []rdo.Invocation{inv}, "cli") {
+	if !wasCommitted(t, s2, a, 10, []rdo.Invocation{inv}, "cli") {
 		t.Fatal("WasCommitted lost across footer recovery")
 	}
 	if err := s2.Close(); err != nil {

@@ -2,6 +2,7 @@ package disk
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
@@ -114,7 +115,7 @@ func FuzzDecodeRecord(f *testing.F) {
 			return
 		}
 		head := rec
-		head.src, head.invs, head.hist = "", nil, nil
+		head.src, head.invs = "", nil
 		if !reflect.DeepEqual(inPlace, head) || !reflect.DeepEqual(copied, head) {
 			t.Fatalf("check differs:\n got %+v\n and %+v\nwant %+v", inPlace, copied, head)
 		}
@@ -125,15 +126,23 @@ func FuzzDecodeRecord(f *testing.F) {
 		var enc []byte
 		switch rec.kind {
 		case recState:
-			enc = encodeStateBytes(rec.urn, rec.ver, rec.obj)
+			var b wire.Buffer
+			appendStateBytes(&b, rec.urn, rec.ver, rec.obj)
+			enc = b.Bytes()
 		case recOps:
 			enc = recOf(encodeOps(rec.urn, rec.prevVer, rec.ver, rec.src, rec.invs, wire.Raw(rec.obj), rec.prevOff))
 		case recSnap:
-			enc = encodeSnap(rec.urn, rec.ver, rec.obj, rec.hist)
+			enc = encodeSnap(rec.urn, rec.ver, rec.obj, snapWindow(t, rec))
 		default:
 			t.Fatalf("accepted record kind %#x", rec.kind)
 		}
 		again, err := decodeRecord(enc, nil, true)
+		if err == nil && rec.kind == recSnap && !reflect.DeepEqual(snapWindow(t, again), snapWindow(t, rec)) {
+			err = errors.New("the window changed")
+		}
+		// ops holds the history as it was encoded: the same history, but a
+		// padded uvarint in it is written back minimal.
+		again.ops, rec.ops = nil, nil
 		if err != nil || !reflect.DeepEqual(again, rec) {
 			t.Fatalf("record did not survive re-encoding: %v\n got %+v\nwant %+v", err, again, rec)
 		}
@@ -142,3 +151,40 @@ func FuzzDecodeRecord(f *testing.F) {
 
 // recOf is a record encoder's record, without the view of its object.
 func recOf(rec, _ []byte) []byte { return rec }
+
+// snapWindow decodes the window of a 'Z' record that decodeRecord accepted.
+func snapWindow(t testing.TB, rec record) []store.OpsRec {
+	t.Helper()
+	r := wire.NewReader(rec.ops)
+	var hist []store.OpsRec
+	for range r.Uvarint() {
+		e := store.OpsRec{Ver: r.Uvarint(), Src: r.String()}
+		invs, err := rdo.ReadInvocations(r, r.Uvarint())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Invs = invs
+		hist = append(hist, e)
+	}
+	return hist
+}
+
+// encodeSnap encodes a 'Z' record from a decoded window: the reference the
+// byte copy compaction makes is held to.
+func encodeSnap(u urn.URN, ver uint64, obj []byte, hist []store.OpsRec) []byte {
+	var b wire.Buffer
+	b.PutByte(recSnap)
+	b.PutString(u.String())
+	b.PutUvarint(ver)
+	b.PutBytes(obj)
+	b.PutUvarint(uint64(len(hist)))
+	for _, h := range hist {
+		b.PutUvarint(h.Ver)
+		b.PutString(h.Src)
+		b.PutUvarint(uint64(len(h.Invs)))
+		for i := range h.Invs {
+			h.Invs[i].MarshalWire(&b)
+		}
+	}
+	return b.Bytes()
+}

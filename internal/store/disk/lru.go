@@ -5,15 +5,18 @@ import (
 	"sync"
 
 	"rover/internal/rdo"
+	"rover/internal/store"
 	"rover/internal/urn"
 )
 
 // lruCache is the byte-bounded cache of hot decoded objects. Cached objects
 // are immutable by convention: the store inserts private clones and Get
 // hands out clones of them, so a cached object is never written after
-// insertion. The cache has its own lock — Get promotes recency, which is a
-// write even on the read path, and serializing that under the store's
-// RWMutex would defeat concurrent reads.
+// insertion. An object an ops commit wrote is cached with that commit, so
+// the commonest delta (one version behind) and redelivery check (of the
+// latest export) read no record. The cache has its own lock — Get promotes
+// recency, which is a write even on the read path, and serializing that
+// under the store's RWMutex would defeat concurrent reads.
 type lruCache struct {
 	mu    sync.Mutex
 	max   int64
@@ -26,6 +29,7 @@ type lruCache struct {
 type lruEnt struct {
 	u    urn.URN
 	obj  *rdo.Object
+	ops  store.OpsRec // the ops commit that wrote obj; Ver 0 if none did
 	size int64
 }
 
@@ -52,13 +56,14 @@ func (c *lruCache) get(u urn.URN, ver uint64) *rdo.Object {
 	return obj.Clone()
 }
 
-// put admits obj (which the caller must never mutate again) and evicts from
-// the cold end until the byte bound holds. An object that would never fit
+// put admits obj with the ops commit that wrote it, which the caller must
+// never mutate again, counting opsBytes (their encoded size), and evicts
+// from the cold end until the bound holds. An object that would never fit
 // is not admitted. A racing put of an older version than the resident one
 // is dropped — fault-ins publish concurrently with commits, and the cache
 // must never regress an object.
-func (c *lruCache) put(obj *rdo.Object) {
-	size := int64(obj.SizeEstimate())
+func (c *lruCache) put(obj *rdo.Object, ops store.OpsRec, opsBytes int) {
+	size := int64(obj.SizeEstimate() + opsBytes)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.max <= 0 || size > c.max {
@@ -70,10 +75,10 @@ func (c *lruCache) put(obj *rdo.Object) {
 			return
 		}
 		c.bytes += size - ent.size
-		ent.obj, ent.size = obj, size
+		ent.obj, ent.ops, ent.size = obj, ops, size
 		c.ll.MoveToFront(el)
 	} else {
-		c.m[obj.URN] = c.ll.PushFront(&lruEnt{u: obj.URN, obj: obj, size: size})
+		c.m[obj.URN] = c.ll.PushFront(&lruEnt{u: obj.URN, obj: obj, ops: ops, size: size})
 		c.bytes += size
 	}
 	for c.bytes > c.max {
@@ -112,15 +117,15 @@ func (c *lruCache) maxBytes() int64 {
 	return c.max
 }
 
-// peek returns the cached object without promoting it — compaction's bulk
-// read must not churn the recency order.
-func (c *lruCache) peek(u urn.URN) *rdo.Object {
+// peek returns the cached object and the ops commit that wrote it without
+// promoting it — compaction's bulk read must not churn the recency order.
+func (c *lruCache) peek(u urn.URN) (*rdo.Object, store.OpsRec) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[u]; ok {
-		return el.Value.(*lruEnt).obj
+		return el.Value.(*lruEnt).obj, el.Value.(*lruEnt).ops
 	}
-	return nil
+	return nil, store.OpsRec{}
 }
 
 func (c *lruCache) reset() {

@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"rover/internal/rdo"
-	"rover/internal/store"
 	"rover/internal/urn"
 	"rover/internal/wire"
 )
@@ -22,8 +21,9 @@ import (
 // shapes mirror the replication stream's (repl.Record) — ops with source
 // tagging and whole-state installs — but are encoded locally because repl
 // sits above the store. 'Z' is compaction's output: the object plus
-// its retained history window, so OpsSince and WasCommitted survive both
-// restart and compaction.
+// its history window, the last store.DefaultHistoryLimit ops commits, so
+// OpsSince and WasCommitted still find them once compaction has dropped
+// their 'O' records.
 const (
 	recState  = byte('S') // opaque jump: Create, plain Commit, InstallState
 	recOps    = byte('O') // ops commit: CommitOps/InstallOps with invocations
@@ -41,9 +41,14 @@ type record struct {
 	prevVer uint64 // recOps: version the ops applied against
 	src     string // recOps: exporting client
 	invs    []rdo.Invocation
-	obj     []byte         // encoded object
-	hist    []store.OpsRec // recSnap: retained window, oldest first
-	prevOff int64          // recOps: offset of the object's previous record; -1 unknown
+	obj     []byte // encoded object
+	prevOff int64  // recOps: offset of the object's previous record; -1 unknown
+	// ops is the history the record carries as it is encoded, always a view
+	// of the decoded bytes: for recOps its source and count-prefixed
+	// invocations, which is also the body of a 'Z' window entry; for
+	// recSnap the count-prefixed window entries, each a version and such a
+	// body.
+	ops []byte
 }
 
 // encodeState frames a state record. Like encodeOps it encodes obj straight
@@ -58,15 +63,13 @@ func encodeState(u urn.URN, ver uint64, obj wire.Marshaler) (rec, objBytes []byt
 	return rec, rec[len(rec)-n:]
 }
 
-// encodeStateBytes frames the same record around an object encoding already
-// made: the bytes compaction read back.
-func encodeStateBytes(u urn.URN, ver uint64, obj []byte) []byte {
-	b := wire.GetBuffer()
+// appendStateBytes appends the same record to b, framed around an object
+// encoding already made: the bytes compaction read back.
+func appendStateBytes(b *wire.Buffer, u urn.URN, ver uint64, obj []byte) {
 	b.PutByte(recState)
 	b.PutString(u.String())
 	b.PutUvarint(ver)
 	b.PutBytes(obj)
-	return wire.Detach(b)
 }
 
 // encodeOps frames an ops commit. prevOff is the byte offset of the
@@ -95,24 +98,6 @@ func encodeOps(u urn.URN, prevVer, ver uint64, src string, invs []rdo.Invocation
 	}
 	rec = wire.Detach(b)
 	return rec, rec[end-n : end]
-}
-
-func encodeSnap(u urn.URN, ver uint64, obj []byte, hist []store.OpsRec) []byte {
-	b := wire.GetBuffer()
-	b.PutByte(recSnap)
-	b.PutString(u.String())
-	b.PutUvarint(ver)
-	b.PutBytes(obj)
-	b.PutUvarint(uint64(len(hist)))
-	for _, h := range hist {
-		b.PutUvarint(h.Ver)
-		b.PutString(h.Src)
-		b.PutUvarint(uint64(len(h.Invs)))
-		for i := range h.Invs {
-			h.Invs[i].MarshalWire(b)
-		}
-	}
-	return wire.Detach(b)
 }
 
 // names holds the strings an open-time decode keeps, so rebuilding an index
@@ -187,12 +172,13 @@ func (n *names) urn(r *wire.Reader) (urn.URN, error) {
 
 // decodeRecord decodes one segment record. With keep false it is the
 // keep-nothing check: it accepts exactly the records a whole decode
-// accepts and returns the same record without what an ops or snapshot
-// record carries for history (src, invs and hist stay empty), so it
-// allocates nothing in proportion to a count; Open checks every record
-// this way, and the reads that only want the object decode this way.
-// Without names (nil) everything it returns is a copy, so p may be a
-// pooled read buffer; with names it decodes in place: obj aliases p and
+// accepts and returns the same record without an ops record's src and
+// invs, so it allocates nothing in proportion to a count; Open checks every
+// record this way, and the reads that only want the object or the encoded
+// history (ops) decode this way. A snapshot record's window is only ever
+// checked: walkChain reads it from ops.
+// Without names (nil) everything it returns but ops is a copy, so p may be
+// a pooled read buffer; with names it decodes in place: obj aliases p and
 // the URN comes from n.
 func decodeRecord(p []byte, n *names, keep bool) (record, error) {
 	r := wire.OwnedReader(p)
@@ -216,11 +202,12 @@ func decodeRecord(p []byte, n *names, keep bool) (record, error) {
 	case recOps:
 		rec.prevVer = r.Uvarint()
 		rec.ver = r.Uvarint()
+		start := len(p) - r.Remaining()
 		src, invs, err := readOps(&r, keep)
 		if err != nil {
 			return rec, fmt.Errorf("disk: ops record: %w", err)
 		}
-		rec.src, rec.invs = src, invs
+		rec.src, rec.invs, rec.ops = src, invs, p[start:len(p)-r.Remaining()]
 		rec.obj = r.Bytes()
 		rec.prevOff = -1
 		if !r.Done() {
@@ -233,19 +220,11 @@ func decodeRecord(p []byte, n *names, keep bool) (record, error) {
 	case recSnap:
 		rec.ver = r.Uvarint()
 		rec.obj = r.Bytes()
-		cnt := r.Uvarint()
-		if keep {
-			// Sized by the bytes present: a window entry encodes to at least three.
-			rec.hist = make([]store.OpsRec, 0, min(cnt, uint64(r.Remaining()/3)))
-		}
-		for i := uint64(0); i < cnt; i++ {
-			ver := r.Uvarint()
-			src, invs, err := readOps(&r, keep)
-			if err != nil {
+		rec.ops = p[len(p)-r.Remaining():]
+		for i, cnt := uint64(0), r.Uvarint(); i < cnt; i++ {
+			r.Uvarint() // the entry's version
+			if _, _, err := readOps(&r, false); err != nil {
 				return rec, fmt.Errorf("disk: snap record window %d: %w", i, err)
-			}
-			if keep {
-				rec.hist = append(rec.hist, store.OpsRec{Ver: ver, Invs: invs, Src: src})
 			}
 		}
 	default:

@@ -18,10 +18,10 @@ import (
 	"rover/internal/urn"
 )
 
-// eagerHistory is the reference lazy windows are held to: every object
-// record of the segment in dir replayed in order into a fresh History with
-// Record, Clear and Restore, the windows Open used to rebuild before it left
-// them on disk.
+// eagerHistory is the reference chain reads are held to: every object record
+// of the segment in dir replayed in order into a fresh History, a 'Z'
+// record's window recorded entry by entry, as a store that kept its windows
+// in memory would have them.
 func eagerHistory(t *testing.T, dir string) *store.History {
 	t.Helper()
 	h := store.NewHistory()
@@ -38,12 +38,12 @@ func eagerHistory(t *testing.T, dir string) *store.History {
 			case recState:
 				h.Clear(rec.urn)
 			case recOps:
-				if !h.Record(rec.urn, rec.ver, rec.invs, rec.src) {
-					h.Clear(rec.urn)
-				}
+				h.Record(rec.urn, rec.ver, rec.invs, rec.src)
 			case recSnap:
 				h.Clear(rec.urn)
-				h.Restore(rec.urn, rec.hist)
+				for _, e := range snapWindow(t, rec) {
+					h.Record(rec.urn, e.Ver, e.Invs, e.Src)
+				}
 			}
 			return nil
 		})
@@ -60,9 +60,8 @@ type commitLog map[urn.URN]map[uint64]store.OpsRec
 
 // windowModel drives a store and the eager reference through the same
 // random mutations: ops commits from several sources, plain commits,
-// installs, snapshot loads and history-limit changes. Compactions happen on
-// their own (CompactEvery is small) and leave the reference untouched, as
-// they left the eager windows.
+// installs and snapshot loads. Compactions happen on their own (CompactEvery
+// is small) and leave the reference untouched, as they leave the history.
 type windowModel struct {
 	t    *testing.T
 	rng  *rand.Rand
@@ -80,7 +79,24 @@ func (m *windowModel) step(s *Store, ref *store.History) {
 		t.Fatal(err)
 	}
 	switch r := m.rng.Intn(20); {
-	case r < 14:
+	case r < 2:
+		cur.Set("n", "plain")
+		if _, err := s.Commit(cur, cur.Version); err != nil {
+			t.Fatal(err)
+		}
+		ref.Clear(u)
+	case r < 3:
+		cur.Version += uint64(1 + m.rng.Intn(3))
+		if _, err := s.InstallState(cur); err != nil {
+			t.Fatal(err)
+		}
+		ref.Clear(u)
+	case r < 4 && m.rng.Intn(4) == 0:
+		if err := s.LoadSnapshot(s.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		ref.ClearAll()
+	default:
 		src := windowSources[m.rng.Intn(len(windowSources))]
 		invs := make([]rdo.Invocation, 1+m.rng.Intn(2))
 		for i := range invs {
@@ -92,58 +108,14 @@ func (m *windowModel) step(s *Store, ref *store.History) {
 			t.Fatal(err)
 		}
 		m.log[u][ver] = store.OpsRec{Ver: ver, Invs: invs, Src: src}
-		if !ref.Record(u, ver, invs, src) {
-			ref.Clear(u)
-		}
-	case r < 16:
-		cur.Set("n", "plain")
-		if _, err := s.Commit(cur, cur.Version); err != nil {
-			t.Fatal(err)
-		}
-		ref.Clear(u)
-	case r < 17:
-		cur.Version += uint64(1 + m.rng.Intn(3))
-		if _, err := s.InstallState(cur); err != nil {
-			t.Fatal(err)
-		}
-		ref.Clear(u)
-	case r < 18 && m.rng.Intn(4) == 0:
-		if err := s.LoadSnapshot(s.Snapshot()); err != nil {
-			t.Fatal(err)
-		}
-		ref.ClearAll()
-	default:
-		m.setLimit(s, ref)
+		ref.Record(u, ver, invs, src)
 	}
 }
 
-func (m *windowModel) setLimit(s *Store, ref *store.History) {
-	n := []int{-1, 0, 0, 2, 5, 40}[m.rng.Intn(6)]
-	s.SetHistoryLimit(n)
-	ref.SetLimit(n)
-}
-
-// opsSince is the delta the commit log holds from version from to ver, if
-// every version in between was made by an ops commit.
-func (m *windowModel) opsSince(u urn.URN, from, ver uint64) ([]rdo.Invocation, uint64, bool) {
-	var ops []rdo.Invocation
-	for v := from + 1; v <= ver; v++ {
-		c, ok := m.log[u][v]
-		if !ok {
-			return nil, 0, false
-		}
-		ops = append(ops, c.Invs...)
-	}
-	return ops, ver, len(ops) > 0
-}
-
-// check asks s and ref the same questions: OpsSince from every version an
-// object has had, and WasCommitted for every export that made a version,
-// under every source, and for an export that never happened. s must answer
-// as ref does, with one allowance: a window loaded after a lower limit
-// pruned the eager one may reach further back, so where s serves a delta or
-// recognizes an export that ref does not, the answer must be the commit
-// log's.
+// check asks s and ref the same questions, and s must answer as ref does:
+// OpsSince from every version an object has had, and WasCommitted for every
+// export that made a version, under every source, and for an export that
+// never happened.
 func (m *windowModel) check(s *Store, ref *store.History, where string) {
 	t := m.t
 	t.Helper()
@@ -155,9 +127,6 @@ func (m *windowModel) check(s *Store, ref *store.History, where string) {
 		for from := uint64(0); from <= ver; from++ {
 			gotOps, gotVer, gotOK := s.OpsSince(u, from)
 			wantOps, wantVer, wantOK := ref.OpsSince(u, from, ver)
-			if gotOK && !wantOK {
-				wantOps, wantVer, wantOK = m.opsSince(u, from, ver)
-			}
 			if gotOK != wantOK || gotVer != wantVer || !reflect.DeepEqual(gotOps, wantOps) {
 				t.Fatalf("%s: OpsSince(%s, %d) = %d ops to v%d ok=%v, want %d ops to v%d ok=%v",
 					where, u.Path, from, len(gotOps), gotVer, gotOK, len(wantOps), wantVer, wantOK)
@@ -168,11 +137,8 @@ func (m *windowModel) check(s *Store, ref *store.History, where string) {
 			}
 			never := []rdo.Invocation{{Object: u, Method: "never", BaseVer: from}}
 			for _, src := range windowSources {
-				for i, invs := range [][]rdo.Invocation{c.Invs, never} {
-					got, want := s.WasCommitted(u, from, invs, src), ref.WasCommitted(u, from, invs, src)
-					if got && !want {
-						want = i == 0 && src != "" && src == c.Src
-					}
+				for _, invs := range [][]rdo.Invocation{c.Invs, never} {
+					got, want := wasCommitted(t, s, u, from, invs, src), ref.WasCommitted(u, from, invs, src)
 					if got != want {
 						t.Fatalf("%s: WasCommitted(%s, %d, %s, %q) = %v, want %v", where, u.Path, from, invs[0].Method, src, got, want)
 					}
@@ -182,16 +148,15 @@ func (m *windowModel) check(s *Store, ref *store.History, where string) {
 	}
 }
 
-// TestLazyWindowsMatchEagerReplay: windows loaded from the record chain on
-// first use answer OpsSince and WasCommitted as the windows a full replay of
-// the segment rebuilds (or, after a lower history limit, with more true
-// history, see check). Each seeded history lives through several
-// reopens (clean, by full scan, and abandoned without Close) so that commits,
-// compactions and limit changes meet windows that are still on disk; the
+// TestLazyWindowsMatchEagerReplay: history read from the record chain when a
+// question needs it answers OpsSince and WasCommitted as the windows a full
+// replay of the segment builds. Each seeded history lives through several
+// reopens (clean, by full scan, and abandoned without Close), so that
+// commits and compactions meet chains written by earlier incarnations; the
 // last segment is then reopened by footer and by full scan, and checked
-// straight away and after limit changes and more mutations. Odd seeds
-// compact every few mutations, even ones never, so windows stay on disk
-// until a commit or a question loads them.
+// straight away and after more mutations. Odd seeds compact every few
+// mutations, so windows pass through 'Z' records and are carried on by
+// later 'O' records; even ones never compact.
 func TestLazyWindowsMatchEagerReplay(t *testing.T) {
 	for seed := int64(1); seed <= 16; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -249,9 +214,6 @@ func TestLazyWindowsMatchEagerReplay(t *testing.T) {
 					}
 					ref := eagerHistory(t, d)
 					if mutate {
-						for range 3 {
-							m.setLimit(s, ref)
-						}
 						for range 20 {
 							m.step(s, ref)
 						}
@@ -272,14 +234,14 @@ func compactNow(t *testing.T, s *Store) {
 	s.mu.Unlock()
 	s.maybeCompact()
 	if s.Occupancy().Compactions != before+1 {
-		t.Fatal("the segment was not rewritten")
+		t.Fatalf("the segment was not rewritten: %v", s.CompactErr())
 	}
 }
 
 // TestCompactionKeepsUnloadedWindows: a compaction right after a reopen
-// meets windows still on disk. It must load them before writing each
-// object's snapshot record, or the rewrite drops a window nobody asked for
-// and the next reopen forgets the exports it held.
+// meets windows nobody has read since. It must copy each from its record
+// chain into the object's snapshot record, or the rewrite drops a window and
+// the next reopen forgets the exports it held.
 func TestCompactionKeepsUnloadedWindows(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{})
@@ -293,14 +255,14 @@ func TestCompactionKeepsUnloadedWindows(t *testing.T) {
 	}
 
 	s2 := openStore(t, dir, Options{})
-	compactNow(t, s2) // no object touched: a's window is still on disk
+	compactNow(t, s2) // no object touched since the reopen
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	s3 := openStore(t, dir, Options{})
 	last := rdo.Invocation{Object: a.URN, Method: "set", Args: []string{"19"}, BaseVer: 20}
-	if !s3.WasCommitted(a.URN, 20, []rdo.Invocation{last}, "cli") {
+	if !wasCommitted(t, s3, a.URN, 20, []rdo.Invocation{last}, "cli") {
 		t.Fatal("WasCommitted lost an export committed before the first reopen")
 	}
 	ops, ver, ok := s3.OpsSince(a.URN, 18)
@@ -309,117 +271,89 @@ func TestCompactionKeepsUnloadedWindows(t *testing.T) {
 	}
 }
 
-// TestLazyWindowLoadsOnce: right after a reopen, readers and a committer of
-// one object whose window is still on disk race to load it. Several may read
-// the chain, but the window must be installed exactly once, before the
-// commit is published, and every answer must be one the same calls give run
-// one after another, before or after the commit.
-func TestLazyWindowLoadsOnce(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir, Options{})
+// setInv is the invocation bumpOps and the tests below commit to make
+// version ver of u.
+func setInv(u urn.URN, ver uint64) []rdo.Invocation {
+	return []rdo.Invocation{{Object: u, Method: "set", Args: []string{strconv.FormatUint(ver-2, 10)}, BaseVer: ver - 1}}
+}
+
+// TestChainReadsRaceCommits: readers walk an object's record chain while a
+// committer extends it and compactions rewrite the segment under them.
+// Every answer must be one the store gives asked alone at some version
+// between the one it had before the question and the one after: a delta of
+// exactly the ops that made its versions, and an export recognised exactly
+// when its version is among the last store.DefaultHistoryLimit.
+func TestChainReadsRaceCommits(t *testing.T) {
+	s := openStore(t, t.TempDir(), Options{CompactEvery: 8})
 	o := obj("race")
 	if err := s.Create(o); err != nil {
 		t.Fatal(err)
 	}
-	bumpOps(t, s, o.URN, 10) // versions 2..11 by "cli", args 0..9
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
 	u := o.URN
-	inv := func(i int) []rdo.Invocation {
-		return []rdo.Invocation{{Object: u, Method: "set", Args: []string{strconv.Itoa(i)}, BaseVer: uint64(i + 1)}}
-	}
-	commit := func(s *Store) {
-		cur, err := s.Get(u)
+	const commits = 120
+	ask := func(t *testing.T) {
+		v0, _ := s.Version(u)
+		from := uint64(1 + rand.Intn(int(v0)+1))
+		ops, ver, ok := s.OpsSince(u, from)
+		base := uint64(1 + rand.Intn(int(v0)+1))
+		seen, err := s.WasCommitted(u, base, setInv(u, base+1), "cli")
+		v1, _ := s.Version(u)
 		if err != nil {
-			t.Error(err)
+			t.Errorf("WasCommitted(%d): %v", base, err)
 			return
 		}
-		cur.Set("n", "10")
-		if _, err := s.CommitOpsBy(cur, 11, inv(10), "cli"); err != nil {
-			t.Error(err)
-		}
-	}
-	type answers struct {
-		ops  [12]int // len of OpsSince(from), -1 when not served
-		seen [11]bool
-	}
-	ask := func(s *Store) (a answers) {
-		for from := range a.ops {
-			ops, _, ok := s.OpsSince(u, uint64(from))
-			a.ops[from] = -1
-			if ok {
-				a.ops[from] = len(ops)
+		if ok {
+			var want []rdo.Invocation
+			for v := from + 1; v <= ver; v++ {
+				want = append(want, setInv(u, v)...)
 			}
+			if ver < v0 || ver > v1 || !reflect.DeepEqual(ops, want) {
+				t.Errorf("OpsSince(%d) = %d ops to v%d between v%d and v%d", from, len(ops), ver, v0, v1)
+			}
+		} else if from < v0 && v1-from <= store.DefaultHistoryLimit {
+			t.Errorf("OpsSince(%d) served nothing between v%d and v%d", from, v0, v1)
 		}
-		for i := range a.seen {
-			a.seen[i] = s.WasCommitted(u, uint64(i+1), inv(i), "cli")
+		inWindow := func(v uint64) bool { return base < v && v-base <= store.DefaultHistoryLimit }
+		if seen && !inWindow(v0) && !inWindow(v1) || !seen && inWindow(v0) && inWindow(v1) {
+			t.Errorf("WasCommitted(%d) = %v between v%d and v%d", base, seen, v0, v1)
 		}
-		return a
 	}
-
-	serial := openStore(t, copyDir(t, dir), Options{})
-	before := ask(serial)
-	commit(serial)
-	after := ask(serial)
-	if serial.windowLoads != 1 || after.ops[1] != 11 || !after.seen[10] {
-		t.Fatalf("serial run: %d loads, %+v", serial.windowLoads, after)
-	}
-
-	for trial := 0; trial < 20; trial++ {
-		s := openStore(t, copyDir(t, dir), Options{})
-		start := make(chan struct{})
-		var wg sync.WaitGroup
-		got := make([]answers, 4)
-		for g := range got {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				got[g] = ask(s)
-			}()
-		}
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for range 4 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			<-start
-			commit(s)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					ask(t)
+				}
+			}
 		}()
-		close(start)
-		wg.Wait()
-		for _, a := range got {
-			for from, n := range a.ops {
-				if n != before.ops[from] && n != after.ops[from] {
-					t.Fatalf("trial %d: OpsSince(%d) served %d ops, want %d or %d", trial, from, n, before.ops[from], after.ops[from])
-				}
-			}
-			for i, seen := range a.seen {
-				if seen != before.seen[i] && seen != after.seen[i] {
-					t.Fatalf("trial %d: WasCommitted(%d) = %v", trial, i+1, seen)
-				}
-			}
-		}
-		if final := ask(s); final != after {
-			t.Fatalf("trial %d: after the race %+v, want %+v", trial, final, after)
-		}
-		s.mu.RLock()
-		loads := s.windowLoads
-		s.mu.RUnlock()
-		if loads != 1 {
-			t.Fatalf("trial %d: the window loaded %d times, want once", trial, loads)
-		}
+	}
+	bumpOps(t, s, u, commits)
+	close(done)
+	wg.Wait()
+	if s.Occupancy().Compactions == 0 {
+		t.Fatal("no compaction ran under the readers")
+	}
+	for range 50 {
+		ask(t) // and alone, once the commits are in
 	}
 }
 
 // TestCorruptChainRecordAfterFooterReopen: a reopen by footer reads no
 // history record, so a damaged 'O' record behind an object's latest one
-// surfaces only when its window is first needed. The window then reads as
-// empty: OpsSince ships the whole object and WasCommitted answers false,
-// while an ops commit to the object fails instead of recording over the
-// window it cannot read. Compaction fails too, is reported by CompactErr and
-// waits for as many mutations again before it retries; a plain commit
-// replaces the window and lets the next compaction drop the damaged record.
-// A full scan checks every record and refuses the segment.
+// surfaces only when a question reaches it. OpsSince then ships the whole
+// object, and WasCommitted fails, so the export it was asked about is
+// refused rather than run again; questions that stop short of the damage
+// are answered, and ops commits go on. Compaction fails too, is reported by
+// CompactErr and waits for as many mutations again before it retries; a
+// plain commit ends the history and lets the next compaction drop the
+// damaged record. A full scan checks every record and refuses the segment.
 func TestCorruptChainRecordAfterFooterReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{})
@@ -467,15 +401,21 @@ func TestCorruptChainRecordAfterFooterReopen(t *testing.T) {
 		t.Fatalf("Get = v%d, %v; want v21", cur.Version, err)
 	}
 	if _, _, ok := s2.OpsSince(a.URN, 19); ok {
-		t.Fatal("OpsSince served a delta from a window that did not load")
+		t.Fatal("OpsSince served a delta across a record that does not read back")
 	}
-	last := rdo.Invocation{Object: a.URN, Method: "set", Args: []string{"19"}, BaseVer: 20}
-	if s2.WasCommitted(a.URN, 20, []rdo.Invocation{last}, "cli") {
-		t.Fatal("WasCommitted answered from a window that did not load")
+	if ops, _, ok := s2.OpsSince(a.URN, 20); !ok || len(ops) != 1 {
+		t.Fatalf("OpsSince(20), short of the damage: %d ops ok=%v", len(ops), ok)
 	}
-	next := rdo.Invocation{Object: a.URN, Method: "set", Args: []string{"x"}, BaseVer: 21}
-	if _, err := s2.CommitOpsBy(cur, 21, []rdo.Invocation{next}, "cli"); !errors.Is(err, stable.ErrCorrupt) {
-		t.Fatalf("ops commit over an unreadable window: %v, want ErrCorrupt", err)
+	if seen, err := s2.WasCommitted(a.URN, 19, setInv(a.URN, 20), "cli"); !errors.Is(err, stable.ErrCorrupt) {
+		t.Fatalf("WasCommitted over the damaged record = %v, %v; want ErrCorrupt", seen, err)
+	}
+	if !wasCommitted(t, s2, a.URN, 20, setInv(a.URN, 21), "cli") {
+		t.Fatal("WasCommitted short of the damage missed the export")
+	}
+	bumpOps(t, s2, a.URN, 1) // version 22, linked to 21
+	cur, err = s2.Get(a.URN)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	s2.mu.Lock()
@@ -493,7 +433,7 @@ func TestCorruptChainRecordAfterFooterReopen(t *testing.T) {
 	}
 
 	cur.Set("n", "plain")
-	if _, err := s2.Commit(cur, 21); err != nil {
+	if _, err := s2.Commit(cur, 22); err != nil {
 		t.Fatal(err)
 	}
 	compactNow(t, s2)
@@ -508,6 +448,169 @@ func TestCorruptChainRecordAfterFooterReopen(t *testing.T) {
 	s4 := openStore(t, dir, Options{})
 	if !bytes.Equal(s3.Snapshot(), s4.Snapshot()) {
 		t.Fatal("footer and scan reopen differ after the damaged record was compacted away")
+	}
+}
+
+// readPayload returns a copy of the segment record at off.
+func readPayload(t *testing.T, s *Store, off int64) []byte {
+	t.Helper()
+	var p []byte
+	if err := s.seg.ReadAtFunc(off, func(b []byte) error {
+		p = bytes.Clone(b)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestCompactionSnapMatchesEncode: the 'Z' record compaction copies out of
+// an object's record chain is byte for byte encodeSnap of the reference
+// window — the object's last store.DefaultHistoryLimit ops commits since its
+// last plain one, as they were made — including windows carried through an
+// earlier 'Z' record and trimmed as the chain grows past them; an object
+// whose history a plain commit ended gets an 'S' record.
+func TestCompactionSnapMatchesEncode(t *testing.T) {
+	s := openStore(t, t.TempDir(), Options{CompactEvery: 1 << 20})
+	rng := rand.New(rand.NewSource(7))
+	var urns []urn.URN
+	made := map[urn.URN][]store.OpsRec{} // ops commits since the last plain one
+	for i := range 6 {
+		o := obj(fmt.Sprintf("z/%d", i))
+		if err := s.Create(o); err != nil {
+			t.Fatal(err)
+		}
+		urns = append(urns, o.URN)
+	}
+	commit := func(u urn.URN, plain bool) {
+		cur, err := s.Get(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur.Set("n", strconv.Itoa(rng.Intn(100)))
+		if plain {
+			if _, err := s.Commit(cur, cur.Version); err != nil {
+				t.Fatal(err)
+			}
+			made[u] = nil
+			return
+		}
+		invs := make([]rdo.Invocation, 1+rng.Intn(2))
+		for i := range invs {
+			invs[i] = rdo.Invocation{Object: u, Method: "set", Args: []string{strconv.Itoa(rng.Intn(9)), "x"}, BaseVer: cur.Version}
+		}
+		src := windowSources[rng.Intn(len(windowSources))]
+		ver, err := s.CommitOpsBy(cur, cur.Version, invs, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		made[u] = append(made[u], store.OpsRec{Ver: ver, Invs: invs, Src: src})
+	}
+	for round := range 3 {
+		for i, u := range urns {
+			for range 3 + 7*i {
+				commit(u, false)
+			}
+			if i == 1 && round == 2 {
+				commit(u, true)
+			}
+		}
+		compactNow(t, s)
+		for _, u := range urns {
+			s.mu.RLock()
+			ent := s.idx[u]
+			s.mu.RUnlock()
+			p := readPayload(t, s, ent.off)
+			rec, err := decodeRecord(p, nil, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			window := made[u][max(0, len(made[u])-store.DefaultHistoryLimit):]
+			if len(window) == 0 {
+				if rec.kind != recState {
+					t.Fatalf("round %d, %s: record kind %c with no history, want S", round, u.Path, rec.kind)
+				}
+				continue
+			}
+			if want := encodeSnap(u, ent.ver, rec.obj, window); !bytes.Equal(p, want) {
+				t.Fatalf("round %d, %s: the 'Z' record compaction wrote is not encodeSnap of the %d-entry window", round, u.Path, len(window))
+			}
+		}
+	}
+}
+
+// TestCompactionWindowCopyAllocs pins compaction's copy of a history window
+// at no allocation once its scratch has grown: the chain is read into the
+// segment's pooled buffer and the entries copied out as bytes, none decoded.
+// The window here spans an earlier 'Z' record and the 'O' records after it.
+func TestCompactionWindowCopyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts, so allocation counts mean nothing")
+	}
+	s := openStore(t, t.TempDir(), Options{CompactEvery: 1 << 20})
+	o := obj("copy")
+	if err := s.Create(o); err != nil {
+		t.Fatal(err)
+	}
+	bumpOps(t, s, o.URN, 40)
+	compactNow(t, s)
+	bumpOps(t, s, o.URN, 10)
+	s.mu.RLock()
+	ent := s.idx[o.URN]
+	s.mu.RUnlock()
+	var w windowCopy
+	copyWindow := func() {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		if err := s.copyWindow(&w, o.URN, ent); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copyWindow()
+	if len(w.ents) != store.DefaultHistoryLimit {
+		t.Fatalf("copied %d entries, want %d", len(w.ents), store.DefaultHistoryLimit)
+	}
+	if n := testing.AllocsPerRun(100, copyWindow); n != 0 {
+		t.Errorf("copying a window allocates %v objects, want 0", n)
+	}
+}
+
+// TestCachedHeadAllocs: while the LRU holds an object an ops commit wrote,
+// a delta one version behind and a redelivery check of that commit read no
+// record — OpsSince allocates only the slice it returns, WasCommitted
+// nothing. With the object evicted, both read the chain and answer the same.
+func TestCachedHeadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts, so allocation counts mean nothing")
+	}
+	s := openStore(t, t.TempDir(), Options{})
+	o := obj("head")
+	if err := s.Create(o); err != nil {
+		t.Fatal(err)
+	}
+	bumpOps(t, s, o.URN, 5) // versions 2..6
+	last := setInv(o.URN, 6)
+	ask := func() {
+		ops, ver, ok := s.OpsSince(o.URN, 5)
+		if !ok || ver != 6 || !reflect.DeepEqual(ops, last) {
+			t.Fatalf("OpsSince(5) = %v to v%d ok=%v, want %v to v6", ops, ver, ok, last)
+		}
+		if !wasCommitted(t, s, o.URN, 5, last, "cli") || wasCommitted(t, s, o.URN, 5, last, "other") {
+			t.Fatal("WasCommitted does not tell the latest export by its source")
+		}
+	}
+	answer := func() {
+		s.OpsSince(o.URN, 5)
+		s.WasCommitted(o.URN, 5, last, "cli")
+	}
+	ask()
+	if n := testing.AllocsPerRun(100, answer); n != 1 {
+		t.Errorf("answering from the cached head allocates %v objects, want 1", n)
+	}
+	s.SetCacheBytes(0)
+	ask()
+	if n := testing.AllocsPerRun(100, answer); n <= 1 {
+		t.Errorf("answering from the chain allocates %v objects, want the decode's too", n)
 	}
 }
 
@@ -542,7 +645,7 @@ func BenchmarkReopenThenRedeliver(b *testing.B) {
 	}
 	benchReopen(b, abandoned, func(s *Store) {
 		for h, u := range hots {
-			if !s.WasCommitted(u, hotCommits, last[h], "cli") {
+			if !wasCommitted(b, s, u, hotCommits, last[h], "cli") {
 				b.Fatal("the last export was not recognised after the reopen")
 			}
 		}

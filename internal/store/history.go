@@ -8,22 +8,20 @@ import (
 // OpsRec is one per-object history entry: the invocations that produced
 // version Ver, tagged with the client that exported them (Src, empty when
 // untagged) so a redelivered export can be recognized as already committed.
-// It is exported so Backend implementations outside this package can persist
-// and restore history windows (the disk backend writes them into its
-// compaction snapshot records).
 type OpsRec struct {
 	Ver  uint64
 	Invs []rdo.Invocation
 	Src  string
 }
 
-// History is the bounded per-object invocation-history window every Backend
-// keeps — the raw material for delta imports (OpsSince) and for recognizing
-// redelivered exports (WasCommitted). Entry i of an object's window carries
-// the ops that advanced the object TO version window[i].Ver; only ops
-// commits record history, and an opaque state jump (plain Commit, install,
-// snapshot load) clears the object's window because a delta spanning it
-// cannot be represented.
+// History is the in-memory Store's bounded per-object invocation-history
+// window — the raw material for delta imports (OpsSince) and for
+// recognizing redelivered exports (WasCommitted); the disk backend reads
+// the same window from its segment's record chain instead. Entry i of an
+// object's window carries the ops that advanced the object TO version
+// window[i].Ver; only ops commits record history, and an opaque state jump
+// (plain Commit, install, snapshot load) clears the object's window because
+// a delta spanning it cannot be represented.
 //
 // History is NOT safe for concurrent use: it is a building block that runs
 // under its owning backend's lock.
@@ -129,35 +127,23 @@ func (h *History) WasCommitted(u urn.URN, base uint64, invs []rdo.Invocation, sr
 		return false
 	}
 	for _, rec := range h.m[u] {
-		if rec.Ver != base+1 {
-			continue
+		if rec.Ver == base+1 {
+			return rec.Src == src && SameInvocations(rec.Invs, invs)
 		}
-		if rec.Src != src || len(rec.Invs) != len(invs) {
-			return false
-		}
-		for i := range invs {
-			if !invEqual(&rec.Invs[i], &invs[i]) {
-				return false
-			}
-		}
-		return true
 	}
 	return false
 }
 
-// Window returns the object's retained window, oldest first. The returned
-// slice aliases the history's own storage; callers must copy before
-// mutating or holding past the owning lock.
-func (h *History) Window(u urn.URN) []OpsRec { return h.m[u] }
-
-// Restore installs a previously persisted window verbatim (recovery path),
-// pruned to the current limit. It records nothing when history is disabled.
-func (h *History) Restore(u urn.URN, recs []OpsRec) {
-	if h.limit < 0 || len(recs) == 0 {
-		return
+// SameInvocations reports whether a and b are the same invocations, in the
+// same order: the test that tells a redelivered export from a new one.
+func SameInvocations(a, b []rdo.Invocation) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	if limit := h.effectiveLimit(); len(recs) > limit {
-		recs = recs[len(recs)-limit:]
+	for i := range a {
+		if !invEqual(&a[i], &b[i]) {
+			return false
+		}
 	}
-	h.m[u] = append([]OpsRec(nil), recs...)
+	return true
 }

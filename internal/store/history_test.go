@@ -132,16 +132,10 @@ func TestHistoryRecordAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Record on a full window: %v allocs, want 0", n)
 	}
-	w := h.Window(o.URN)
-	if len(w) != 4 {
-		t.Fatalf("window holds %d entries, want 4", len(w))
-	}
-	for i, rec := range w {
-		if want := ver - 3 + uint64(i); rec.Ver != want {
-			t.Fatalf("window[%d] = v%d, want v%d (window %v)", i, rec.Ver, want, w)
-		}
-	}
 	if ops, to, ok := h.OpsSince(o.URN, ver-4, ver); !ok || to != ver || len(ops) != 4 {
 		t.Fatalf("OpsSince over the slid window = %d ops to v%d, ok=%v", len(ops), to, ok)
+	}
+	if _, _, ok := h.OpsSince(o.URN, ver-5, ver); ok {
+		t.Fatal("the slid window still holds the entry it dropped")
 	}
 }

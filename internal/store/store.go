@@ -221,13 +221,14 @@ func (s *Store) commitOpsLocked(obj *rdo.Object, expect uint64, invs []rdo.Invoc
 // without re-applying — the close of the at-most-once window when a reply
 // was lost in a server crash but the mutation survived (locally journaled
 // or replicated to the peer a client failed over to).
-func (s *Store) WasCommitted(u urn.URN, base uint64, invs []rdo.Invocation, src string) bool {
+// Reading an in-memory window cannot fail: the error is always nil.
+func (s *Store) WasCommitted(u urn.URN, base uint64, invs []rdo.Invocation, src string) (bool, error) {
 	if src == "" || len(invs) == 0 {
-		return false
+		return false, nil
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.hist.WasCommitted(u, base, invs, src)
+	return s.hist.WasCommitted(u, base, invs, src), nil
 }
 
 func invEqual(a, b *rdo.Invocation) bool {
