@@ -49,7 +49,6 @@ func main() {
 		peer         = flag.String("peer", "", "replica peer QRPC address; enables home-pair replication")
 		peerHTTP     = flag.String("peer-http", "", "replica peer gateway URL for /replica redirects (e.g. http://host:8081)")
 		replLog      = flag.String("repl-log", "", "replication stream log path (backlog survives restarts)")
-		replInstance = flag.String("repl-instance", "", "replication incarnation tag; REQUIRED fresh after a restart without -repl-log")
 		statsEvery   = flag.Duration("stats-interval", time.Minute, "periodic stats line interval (0 disables)")
 	)
 	flag.Parse()
@@ -87,7 +86,6 @@ func main() {
 		if _, err := srv.EnableReplication(rover.ReplicationOptions{
 			PeerAddr: *peer,
 			LogPath:  *replLog,
-			Instance: *replInstance,
 		}); err != nil {
 			log.Fatalf("rover-server: replication: %v", err)
 		}
@@ -144,7 +142,7 @@ func serveHTTP(addr string, h http.Handler) (*http.Server, net.Addr, error) {
 // logStats prints one -stats-interval line of operational counters: engine
 // activity (including replays, journal health and replicated replies),
 // admission and budget refusals, journal fsync economics (fsyncs per
-// executed op and the measured fsync latency), per-shard journal depths,
+// executed op and the mean measured fsync time), per-shard journal depths,
 // delta-import and lean-export-reply service counters, and — when
 // replication is on — the live replication lag plus the stream/anti-entropy
 // counters.
@@ -157,16 +155,20 @@ func logStats(srv *rover.Server) {
 		ss.DeltasServed, ss.DeltaFallbacks, ss.LeanReplies, ss.DuplicateExports)
 	line += fmt.Sprintf(" | admission: refused=%d budgetRefused=%d", es.SessionsRefused, es.BudgetRefused)
 	if js := srv.JournalStats(); len(js) > 0 {
-		var syncs int64
+		var syncs, syncNanos int64
 		for _, st := range js {
 			syncs += st.Syncs
+			syncNanos += st.SyncNanos
 		}
-		fsyncsPerOp := 0.0
+		fsyncsPerOp, fsyncMean := 0.0, time.Duration(0)
 		if es.Executed > 0 {
 			fsyncsPerOp = float64(syncs) / float64(es.Executed)
 		}
-		line += fmt.Sprintf(" | journal: fsyncs=%d fsyncs/op=%.3f fsyncCost=%s depths=%v",
-			syncs, fsyncsPerOp, srv.JournalCost().Round(time.Microsecond), srv.Engine().JournalShardDepths())
+		if syncs > 0 {
+			fsyncMean = time.Duration(syncNanos / syncs)
+		}
+		line += fmt.Sprintf(" | journal: fsyncs=%d fsyncs/op=%.3f fsyncMean=%s depths=%v",
+			syncs, fsyncsPerOp, fsyncMean.Round(time.Microsecond), srv.Engine().JournalShardDepths())
 	}
 	occ := srv.StoreStats()
 	line += fmt.Sprintf(" | store: objects=%d resident=%d/%s hits=%d coldFaults=%d compactions=%d segBytes=%d",

@@ -16,6 +16,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -95,6 +96,12 @@ func (r *Registry) Remove(clientID string) {
 func (r *Registry) Verify(clientID string, challenge, proof []byte) error {
 	r.mu.RLock()
 	key, ok := r.keys[clientID]
+	if i, j := strings.IndexByte(clientID, '#'), strings.LastIndexByte(clientID, '!'); !ok && i >= 0 && i < j {
+		// An incarnation-tagged identity, "A#<tag>!repl" (see
+		// repl.ClientID), proves with the key of its untagged form: the tag
+		// changes at every restart, the key does not.
+		key, ok = r.keys[clientID[:i]+clientID[j:]]
+	}
 	r.mu.RUnlock()
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownClient, clientID)

@@ -70,6 +70,25 @@ func TestProofBoundToIdentity(t *testing.T) {
 	}
 }
 
+// TestTaggedIdentityUsesUntaggedKey: a replication incarnation, tagged
+// "A#<tag>!repl", proves with the key registered for "A!repl", and its
+// proof stays bound to the tagged identity it names.
+func TestTaggedIdentityUsesUntaggedKey(t *testing.T) {
+	key, _ := NewKey()
+	reg := NewRegistry()
+	reg.Add("A!repl", key)
+	ch, _ := NewChallenge()
+	if err := reg.Verify("A#1700000000!repl", ch, Prove(key, "A#1700000000!repl", ch)); err != nil {
+		t.Fatalf("tagged identity: %v", err)
+	}
+	if err := reg.Verify("A#1700000000!repl", ch, Prove(key, "A!repl", ch)); !errors.Is(err, ErrBadProof) {
+		t.Errorf("untagged proof accepted for the tagged identity: %v", err)
+	}
+	if err := reg.Verify("B#1!repl", ch, Prove(key, "B#1!repl", ch)); !errors.Is(err, ErrUnknownClient) {
+		t.Errorf("tagged identity of an unregistered server: %v", err)
+	}
+}
+
 func TestRemove(t *testing.T) {
 	key, _ := NewKey()
 	reg := NewRegistry()

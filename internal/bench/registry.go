@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Experiment is a regenerable table/figure.
 type Experiment struct {
@@ -64,17 +61,4 @@ func IDs() []string {
 		out = append(out, e.ID)
 	}
 	return out
-}
-
-// RunAll executes every experiment and returns the rendered tables.
-func RunAll(o Options) ([]*Table, error) {
-	var out []*Table
-	for _, e := range All() {
-		t, err := e.Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("experiment %s: %w", e.ID, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }

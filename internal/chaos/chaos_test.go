@@ -703,7 +703,7 @@ func runCrashServer(t *testing.T, seed int64, shards int) string {
 	stop()
 	liveRecords := 0
 	for _, jf := range jfaults {
-		liveRecords += jf.Len()
+		_ = jf.Inner().Replay(func(uint64, []byte) error { liveRecords++; return nil })
 	}
 
 	l.check(t)
@@ -901,7 +901,6 @@ func runCrashPrimarySim(t *testing.T, seed int64) string {
 		replSim [2]*transport.Sim // replSim[i]: reps[i]'s stream to srvs[1-i]
 		cliSim  *transport.Sim
 		simSeed = seed * 100
-		inc     int
 	)
 	// newSim links c to s over a clean WaveLAN: the injected failures are
 	// the crashes.
@@ -913,8 +912,7 @@ func runCrashPrimarySim(t *testing.T, seed int64) string {
 	boot := func(i int) {
 		srv, err := rover.NewServer(rover.ServerOptions{ServerID: [2]string{"pair-a", "pair-b"}[i], Workers: -1})
 		must(t, err)
-		inc++
-		reps[i], err = srv.EnableReplication(rover.ReplicationOptions{Clock: clock, Instance: fmt.Sprintf("i%d", inc)})
+		reps[i], err = srv.EnableReplication(rover.ReplicationOptions{Clock: clock})
 		must(t, err)
 		srvs[i] = srv
 	}
@@ -1008,7 +1006,6 @@ func runCrashPrimaryTCP(t *testing.T, seed int64) string {
 		reps  [2]*repl.Replicator
 		lns   [2]*transport.TCPServer
 		addrs [2]string
-		inc   int
 	)
 	t.Cleanup(func() {
 		for i := 0; i < 2; i++ {
@@ -1028,8 +1025,7 @@ func runCrashPrimaryTCP(t *testing.T, seed int64) string {
 		srv, err := rover.NewServer(rover.ServerOptions{ServerID: [2]string{"pair-a", "pair-b"}[i]})
 		must(t, err)
 		srvs[i] = srv
-		inc++
-		reps[i], err = srv.EnableReplication(rover.ReplicationOptions{Instance: fmt.Sprintf("i%d", inc)})
+		reps[i], err = srv.EnableReplication(rover.ReplicationOptions{})
 		must(t, err)
 		drain(t, "listen "+addr, func() bool { lns[i], err = srv.ListenTCP(addr); return err == nil }, wait)
 		addrs[i] = lns[i].Addr()

@@ -235,6 +235,13 @@ func TestFrameFaultsDisabledPassesThrough(t *testing.T) {
 	}
 }
 
+// liveLen counts l's live records.
+func liveLen(l stable.Log) int {
+	n := 0
+	l.Replay(func(uint64, []byte) error { n++; return nil })
+	return n
+}
+
 func TestLogFaultsCleanAndDirtyAppend(t *testing.T) {
 	inner := stable.NewMemLog(stable.Options{})
 	// Force the fault classes deterministically by using rate 1 for one
@@ -243,42 +250,36 @@ func TestLogFaultsCleanAndDirtyAppend(t *testing.T) {
 	if _, err := clean.Append([]byte("x")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("clean append fail: err = %v", err)
 	}
-	if inner.Len() != 0 {
-		t.Fatalf("clean failure wrote a record: Len = %d", inner.Len())
+	if n := liveLen(inner); n != 0 {
+		t.Fatalf("clean failure wrote a record: %d live", n)
 	}
 
 	dirty := WrapLog(inner, 1, LogFaultRates{AppendDirty: 1})
 	if _, err := dirty.Append([]byte("y")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("dirty append fail: err = %v", err)
 	}
-	if inner.Len() != 1 {
-		t.Fatalf("dirty failure must persist the record: Len = %d", inner.Len())
+	if n := liveLen(inner); n != 1 {
+		t.Fatalf("dirty failure must persist the record: %d live", n)
 	}
 
 	rm := WrapLog(inner, 1, LogFaultRates{RemoveFail: 1})
 	var id uint64
 	inner.Replay(func(i uint64, rec []byte) error { id = i; return nil })
-	if err := rm.Remove(id); !errors.Is(err, ErrInjected) {
+	if err := rm.RemoveNoSync(id, id+1); !errors.Is(err, ErrInjected) {
 		t.Fatalf("remove fail: err = %v", err)
 	}
-	if inner.Len() != 1 {
-		t.Fatalf("failed remove must leave the record: Len = %d", inner.Len())
+	if n := liveLen(inner); n != 1 {
+		t.Fatalf("failed remove must leave the record: %d live", n)
 	}
-	if err := rm.RemoveNoSync(id); !errors.Is(err, ErrInjected) || inner.Len() != 1 {
-		t.Fatalf("staged remove fail: err = %v, Len = %d", err, inner.Len())
-	}
-	if err := rm.RemoveBatch([]uint64{id}); !errors.Is(err, ErrInjected) {
-		t.Fatalf("batch remove fail: err = %v", err)
-	}
-	if inner.Len() != 1 {
-		t.Fatalf("failed batch remove must leave the record: Len = %d", inner.Len())
+	if st := rm.FaultStats(); st.RemovesFailed != 1 {
+		t.Fatalf("RemovesFailed = %d, want 1 for the one call", st.RemovesFailed)
 	}
 	rm.SetEnabled(false)
-	if err := rm.RemoveBatch([]uint64{id}); err != nil || inner.Len() != 0 {
-		t.Fatalf("disabled faults: RemoveBatch = %v, Len = %d", err, inner.Len())
+	if err := rm.RemoveNoSync(id); err != nil || liveLen(inner) != 0 {
+		t.Fatalf("disabled faults: RemoveNoSync = %v, %d live", err, liveLen(inner))
 	}
-	if err := rm.Remove(id); !errors.Is(err, stable.ErrNotFound) {
-		t.Fatalf("disabled faults: Remove of the batch-removed record = %v", err)
+	if err := rm.RemoveNoSync(id); err != nil {
+		t.Fatalf("disabled faults: RemoveNoSync of the removed record = %v, want a no-op", err)
 	}
 	st := clean.FaultStats()
 	if st.AppendsFailed != 1 {
@@ -309,8 +310,8 @@ func TestLogFaultsDirtyAppendNoSyncIsDurable(t *testing.T) {
 	}
 
 	clean := WrapLog(inner, 1, LogFaultRates{AppendFail: 1})
-	if _, err := clean.AppendNoSync([]byte("lost")); !errors.Is(err, ErrInjected) || inner.Len() != 1 {
-		t.Fatalf("clean staged append fail: err = %v, Len = %d", err, inner.Len())
+	if _, err := clean.AppendNoSync([]byte("lost")); !errors.Is(err, ErrInjected) || liveLen(inner) != 1 {
+		t.Fatalf("clean staged append fail: err = %v, %d live", err, liveLen(inner))
 	}
 }
 

@@ -23,7 +23,7 @@ type LogFaultRates struct {
 	// replayed — the client must tolerate a request it thinks it rejected
 	// coming back to life (and must never reuse its sequence number).
 	AppendDirty float64
-	// RemoveFail fails a Remove; the record stays live and is replayed on
+	// RemoveFail fails a RemoveNoSync; the records stay live and replay on
 	// recovery (the server's reply cache absorbs the duplicate).
 	RemoveFail float64
 	// ReplayFail fails a Replay wholesale before yielding any record —
@@ -108,40 +108,19 @@ func (l *Log) append(rec []byte, write func([]byte) (uint64, error)) (uint64, er
 	return write(rec)
 }
 
-// removeFails rolls RemoveFail and counts the failure it injects.
-func (l *Log) removeFails() bool {
+// RemoveNoSync implements stable.Log. RemoveFail is rolled once per call:
+// it is one write underneath, so it fails whole.
+func (l *Log) RemoveNoSync(ids ...uint64) error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.enabled && l.rng.Float64() < l.rates.RemoveFail {
+	fail := l.enabled && l.rng.Float64() < l.rates.RemoveFail
+	if fail {
 		l.stats.RemovesFailed++
-		return true
 	}
-	return false
-}
-
-// Remove implements stable.Log.
-func (l *Log) Remove(id uint64) error {
-	if l.removeFails() {
-		return fmt.Errorf("%w: remove %d", ErrInjected, id)
-	}
-	return l.inner.Remove(id)
-}
-
-// RemoveNoSync implements stable.Log; RemoveFail applies to it as to Remove.
-func (l *Log) RemoveNoSync(id uint64) error {
-	if l.removeFails() {
-		return fmt.Errorf("%w: remove %d", ErrInjected, id)
-	}
-	return l.inner.RemoveNoSync(id)
-}
-
-// RemoveBatch implements stable.Log. RemoveFail is rolled once for the
-// batch: it is one write and one flush underneath, so it fails whole.
-func (l *Log) RemoveBatch(ids []uint64) error {
-	if l.removeFails() {
+	l.mu.Unlock()
+	if fail {
 		return fmt.Errorf("%w: remove of %d records", ErrInjected, len(ids))
 	}
-	return l.inner.RemoveBatch(ids)
+	return l.inner.RemoveNoSync(ids...)
 }
 
 // Replay implements stable.Log.
@@ -155,9 +134,6 @@ func (l *Log) Replay(fn func(id uint64, rec []byte) error) error {
 	l.mu.Unlock()
 	return l.inner.Replay(fn)
 }
-
-// Len implements stable.Log.
-func (l *Log) Len() int { return l.inner.Len() }
 
 // Cost implements stable.Log.
 func (l *Log) Cost() time.Duration { return l.inner.Cost() }

@@ -158,9 +158,6 @@ func (d *Duplex) Attach(a, b Endpoint) {
 	d.ends[0], d.ends[1] = a, b
 }
 
-// Spec returns the link's parameters.
-func (d *Duplex) Spec() LinkSpec { return d.spec }
-
 // Up reports whether the link is currently connected.
 func (d *Duplex) Up() bool { return d.up }
 

@@ -137,6 +137,9 @@ type Client struct {
 	batchScratch []*pendingReq
 	deferScratch []*pendingReq
 	ackScratch   wire.Buffer // a piggy-backed ack, until the batch copies it
+	// removeScratch carries onReply's RemoveNoSync argument: a variadic
+	// slice built for a call through the Log interface escapes to the heap.
+	removeScratch [1]uint64
 
 	// Wire-compression negotiation state. compressWanted is the link
 	// policy's wish (sched.Selector sets it per interface); peerCaps is
@@ -201,8 +204,12 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if c.nextSeq < c.seqFloor {
 		c.nextSeq = c.seqFloor
 	}
-	for _, id := range staleMetaIDs {
-		_ = cfg.Log.Remove(id)
+	if len(staleMetaIDs) > 0 {
+		// Errors are dropped: a stale meta record that survives is removed
+		// again by the next recovery, which keeps only the highest floor.
+		if err := cfg.Log.RemoveNoSync(staleMetaIDs...); err == nil {
+			_ = cfg.Log.Commit()
+		}
 	}
 	if cfg.OnRecovered != nil {
 		for _, r := range recs {
@@ -311,7 +318,11 @@ func (c *Client) Cancel(seq uint64) bool {
 	c.mu.Unlock()
 	// A cancelled request that came back after a crash would execute, so
 	// this remove is waited for — with the engine lock released.
-	if err := c.cfg.Log.Remove(pr.logID); err == nil {
+	err := c.cfg.Log.RemoveNoSync(pr.logID)
+	if err == nil {
+		err = c.cfg.Log.Commit()
+	}
+	if err == nil {
 		c.mu.Lock()
 		delete(c.held, seq)
 		c.mu.Unlock()
@@ -605,7 +616,8 @@ func (c *Client) onReply(payload []byte, now vtime.Time) {
 	// Stage the remove BEFORE completing the promise, so that whatever the
 	// application appends next is written behind it and its flush covers
 	// both. Only the write happens under the lock, never a flush.
-	if err := c.cfg.Log.RemoveNoSync(pr.logID); err != nil {
+	c.removeScratch[0] = pr.logID
+	if err := c.cfg.Log.RemoveNoSync(c.removeScratch[:]...); err != nil {
 		c.held[rep.Seq] = struct{}{}
 	} else {
 		c.startAckDeadlineLocked(now)

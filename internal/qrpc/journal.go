@@ -465,7 +465,11 @@ func (s *Server) compactShardAtRecovery(idx int) error {
 	}
 	prev := sh.ids
 	sh.ids = []uint64{sid}
-	if rerr := sh.log.RemoveBatch(prev); rerr != nil {
+	rerr := sh.log.RemoveNoSync(prev...)
+	if rerr == nil {
+		rerr = sh.log.Commit()
+	}
+	if rerr != nil {
 		sh.ids = append(sh.ids, prev...)
 	}
 	s.stats.JournalCompactions++
@@ -680,7 +684,10 @@ func (s *Server) compactShardOnce(sh *journalShard) (again bool) {
 	// fatal — the records replay idempotently underneath the snapshot — so
 	// they are kept for retry at the next compaction instead of poisoning
 	// the journal.
-	rerr := sh.log.RemoveBatch(prev)
+	rerr := sh.log.RemoveNoSync(prev...)
+	if rerr == nil {
+		rerr = sh.log.Commit()
+	}
 	s.mu.Lock()
 	// Only records that landed meanwhile earn another round: a failed remove
 	// (or a threshold the snapshot alone meets) would loop here forever.

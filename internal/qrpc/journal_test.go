@@ -280,8 +280,8 @@ func TestJournalCompactionBoundsLog(t *testing.T) {
 	}
 	// Bounded: live records ≤ threshold plus the records of one in-progress
 	// window (snapshot + appends since the last compaction claimed).
-	if journal.Len() > 2*threshold+1 {
-		t.Fatalf("journal holds %d live records after compaction, want ≤ %d", journal.Len(), 2*threshold+1)
+	if n := liveLen(journal); n > 2*threshold+1 {
+		t.Fatalf("journal holds %d live records after compaction, want ≤ %d", n, 2*threshold+1)
 	}
 
 	srv2 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{journal}})
@@ -372,25 +372,11 @@ func (p *poisonLog) AppendNoSync(rec []byte) (uint64, error) {
 	return p.MemLog.AppendNoSync(rec)
 }
 
-func (p *poisonLog) Remove(id uint64) error {
+func (p *poisonLog) RemoveNoSync(ids ...uint64) error {
 	if err := p.charge(); err != nil {
 		return err
 	}
-	return p.MemLog.Remove(id)
-}
-
-func (p *poisonLog) RemoveNoSync(id uint64) error {
-	if err := p.charge(); err != nil {
-		return err
-	}
-	return p.MemLog.RemoveNoSync(id)
-}
-
-func (p *poisonLog) RemoveBatch(ids []uint64) error {
-	if err := p.charge(); err != nil {
-		return err
-	}
-	return p.MemLog.RemoveBatch(ids)
+	return p.MemLog.RemoveNoSync(ids...)
 }
 
 // TestJournaledServerRefusesWhenPoisoned is the durability contract: once

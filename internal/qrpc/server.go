@@ -778,31 +778,6 @@ func (s *Server) SendCallback(clientID, topic string, payload []byte) bool {
 	return false
 }
 
-// BroadcastCallback sends a notification to every connected client except
-// the named one (used to propagate object invalidations to other caches).
-func (s *Server) BroadcastCallback(exceptClientID, topic string, payload []byte) int {
-	s.mu.Lock()
-	var targets []Sender
-	for id, sess := range s.sessions {
-		if id != exceptClientID && sess.sender != nil {
-			targets = append(targets, sess.sender)
-		}
-	}
-	s.mu.Unlock()
-	cb := &Callback{Topic: topic, Payload: payload}
-	frame := wire.Frame{Type: wire.FrameCallback, Payload: wire.Marshal(cb)}
-	n := 0
-	for _, snd := range targets {
-		if snd.SendFrame(frame) {
-			n++
-		}
-	}
-	s.mu.Lock()
-	s.stats.CallbacksSent += int64(n)
-	s.mu.Unlock()
-	return n
-}
-
 // Quiesce blocks until every request dispatched to the worker pool has
 // executed and its reply has been handed to a transport. Inline servers
 // return immediately. Connectionless transports (mail) use it to harvest a

@@ -52,11 +52,12 @@ const (
 const ClientSuffix = "!repl"
 
 // ClientID builds the replication identity for a server incarnation. A
-// server that crashed and lost its replication log MUST come back with a
-// fresh instance tag ("A#2!repl"): the peer's session for the old identity
-// remembers a sequence floor the reset client would fall below, and every
-// record from the new incarnation would be dropped as a stale duplicate.
-// Servers with durable state keep instance empty and a stable identity.
+// server without a durable replication log comes back from a restart with a
+// fresh instance tag ("A#<boot ns>!repl", see New): the peer's session for
+// the old identity remembers a sequence floor the reset client would fall
+// below, and every record from the new incarnation would be dropped as a
+// stale duplicate. Servers with a durable log keep instance empty and a
+// stable identity.
 func ClientID(serverID, instance string) string {
 	if instance == "" {
 		return serverID + ClientSuffix

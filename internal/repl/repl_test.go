@@ -126,7 +126,6 @@ type pair struct {
 	reps    [2]*repl.Replicator
 	links   [2]*transport.Sim // links[i]: reps[i] stream -> srvs[1-i]
 	simSeed int64
-	inc     int
 
 	// Disk-backed variant (newDiskPair): per-server store directories so a
 	// rebooted server recovers its population, and the origin's compaction
@@ -186,10 +185,7 @@ func (p *pair) boot(t *testing.T, i int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.inc++
-	rep, err := srv.EnableReplication(rover.ReplicationOptions{
-		Clock: p.clock, Instance: fmt.Sprintf("i%d", p.inc),
-	})
+	rep, err := srv.EnableReplication(rover.ReplicationOptions{Clock: p.clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,6 +428,34 @@ func TestPairFarBehindSegmentCatchUp(t *testing.T) {
 	full := int64(len(p.srvs[0].Store().Snapshot()))
 	if st.CatchUpBytes >= full*4 {
 		t.Fatalf("catch-up bytes %d vs full state %d: delta path is not paying", st.CatchUpBytes, full)
+	}
+}
+
+// TestPairOneStepCatchUpKeepsSource: a replica one version behind is caught
+// up by a one-step ops record from the origin's history, and that record
+// carries the exporting client, so the replica recognizes a redelivery of
+// the export as committed just as the origin does — a client that fails
+// over to it does not have the export resolved twice.
+func TestPairOneStepCatchUpKeepsSource(t *testing.T) {
+	p := newDiskPair(t, 0)
+	u := farBehindPair(t, p, 1)
+	p.requireConverged(t)
+	if st := p.reps[0].Stats(); st.CatchUps != 1 || st.SegmentCatchUps != 0 {
+		t.Fatalf("%d catch-ups, %d from the segment: want one from the history", st.CatchUps, st.SegmentCatchUps)
+	}
+	origin := p.srvs[0].Store()
+	v, err := origin.Version(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	invs, _, _, ok := origin.OpsSince(u, v-1)
+	if !ok {
+		t.Fatalf("origin has no history for v%d", v)
+	}
+	for i, srv := range p.srvs {
+		if done, err := srv.Store().WasCommitted(u, v-1, invs, "pair-test-mobile"); err != nil || !done {
+			t.Errorf("server %d: WasCommitted(v%d) = %v, %v: want the export recognized", i, v-1, done, err)
+		}
 	}
 }
 

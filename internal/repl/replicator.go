@@ -2,8 +2,10 @@ package repl
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"rover/internal/auth"
 	"rover/internal/proto"
@@ -19,12 +21,10 @@ import (
 // Config configures a Replicator.
 type Config struct {
 	// ServerID is the local server's name; the replicator identifies
-	// itself to the peer as ServerID + ClientSuffix, and the ID orders the
+	// itself to the peer as ServerID + ClientSuffix, tagged with the
+	// incarnation when Log is nil (see New), and the ID orders the
 	// deterministic winner when a digest sweep finds divergent replicas.
 	ServerID string
-	// Instance distinguishes server incarnations that restart without their
-	// replication log (see ClientID). Empty keeps a stable identity.
-	Instance string
 	// Engine is the local server engine: the replication services are
 	// registered here, and its executions stream to the peer.
 	Engine *qrpc.Server
@@ -35,7 +35,8 @@ type Config struct {
 	Key auth.Key
 	// Log backs the outbound stream's QRPC client; nil selects an
 	// in-memory log (records a crash loses are regenerated by the
-	// anti-entropy sweep, so durability is an optimization here).
+	// anti-entropy sweep, so durability is an optimization here) and an
+	// identity of this incarnation's own.
 	Log stable.Log
 	// Clock supplies time (simulations); nil selects real time.
 	Clock vtime.Clock
@@ -86,16 +87,24 @@ func New(cfg Config) (*Replicator, error) {
 	if cfg.Engine == nil || cfg.Store == nil {
 		return nil, fmt.Errorf("repl: Engine and Store are required")
 	}
-	log := cfg.Log
-	if log == nil {
-		log = stable.NewMemLog(stable.Options{})
-	}
+	// An incarnation is tagged with its clock's reading at boot, wall time
+	// under a real clock (a RealClock reads from its own start).
+	boot := time.Now().UnixNano()
 	if cfg.Clock == nil {
 		cfg.Clock = vtime.NewRealClock()
+	} else {
+		boot = int64(cfg.Clock.Now())
+	}
+	log, instance := cfg.Log, ""
+	if log == nil {
+		// A memory log starts the stream's sequence numbers over, which the
+		// peer's session for an earlier incarnation would drop as stale
+		// duplicates: each incarnation needs an identity of its own.
+		log, instance = stable.NewMemLog(stable.Options{}), strconv.FormatInt(boot, 10)
 	}
 	r := &Replicator{cfg: cfg, inflight: make(map[urn.URN]bool)}
 	client, err := qrpc.NewClient(qrpc.ClientConfig{
-		ClientID: ClientID(cfg.ServerID, cfg.Instance),
+		ClientID: ClientID(cfg.ServerID, instance),
 		Key:      cfg.Key,
 		Log:      log,
 		OnStatus: r.onClientStatus,
@@ -281,10 +290,12 @@ func (r *Replicator) pushCatchUp(u urn.URN, have uint64) {
 		r.mu.Unlock()
 		return
 	}
-	ops, newVer, ok := r.cfg.Store.OpsSince(u, have)
+	ops, newVer, src, ok := r.cfg.Store.OpsSince(u, have)
 	if ok && newVer == obj.Version {
+		// A one-step record carries its source, as the stream's own records
+		// do, so the replica can recognize the export redelivered.
 		n := r.send(&Record{Kind: KindOps, URN: u, PrevVersion: have, Version: newVer,
-			Invs: ops, Check: proto.CheckOf(obj)}, true)
+			Invs: ops, Src: src, Check: proto.CheckOf(obj)}, true)
 		r.mu.Lock()
 		r.stats.CatchUps++
 		r.stats.CatchUpBytes += int64(n)

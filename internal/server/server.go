@@ -251,7 +251,7 @@ func (s *Server) handleImport(clientID string, req qrpc.Request) ([]byte, error)
 		// copy describes a history this server no longer has.
 		return full, nil
 	}
-	ops, newVer, ok := s.store.OpsSince(args.URN, args.HaveVersion)
+	ops, newVer, _, ok := s.store.OpsSince(args.URN, args.HaveVersion)
 	if !ok || newVer != obj.Version {
 		// History pruned, interrupted by an opaque commit, or the object
 		// moved between Get and OpsSince: ship the full object.

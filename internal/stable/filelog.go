@@ -2,6 +2,7 @@ package stable
 
 import (
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -107,7 +108,7 @@ func (l *FileLog) Append(rec []byte) (uint64, error) {
 // AppendNoSync implements Log: the record is written and sequenced
 // exactly like Append, but the call returns without waiting for the flush.
 // The staged record becomes durable at the next Commit (or any later
-// durable Append/Remove, whose group-commit leader covers it); until then a
+// Append, whose group-commit leader covers it); until then a
 // crash loses it as a torn tail. Close's final flush also covers a staged
 // suffix.
 func (l *FileLog) AppendNoSync(rec []byte) (uint64, error) {
@@ -156,58 +157,25 @@ func (l *FileLog) Commit() error {
 	return nil
 }
 
-// Remove implements Log.
-func (l *FileLog) Remove(id uint64) error { return l.remove(true, id) }
-
-// RemoveNoSync implements Log: the remove record is written behind whatever
-// the segment already holds; the segment's next flush — any later Commit,
-// Append or durable remove — makes it durable.
-func (l *FileLog) RemoveNoSync(id uint64) error { return l.remove(false, id) }
-
-func (l *FileLog) remove(wait bool, id uint64) error {
+// RemoveNoSync implements Log: the ids still live get remove records in one
+// write behind whatever the segment already holds, and leave the live set at
+// once, so a compaction that gets in before the write is durable (it flushes
+// the old file first) already leaves them out of the new one. The segment's
+// next flush — any later Commit or Append — makes the write durable.
+func (l *FileLog) RemoveNoSync(ids ...uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
-	if _, ok := l.live[id]; !ok {
-		return ErrNotFound
+	dead := func(id uint64) bool { _, ok := l.live[id]; return !ok }
+	if slices.ContainsFunc(ids, dead) {
+		ids = slices.DeleteFunc(slices.Clone(ids), dead)
 	}
-	return l.removeLocked(wait, id)
-}
-
-// RemoveBatch implements Log: one remove record per live id, staged in a
-// single write and made durable by a single group commit.
-func (l *FileLog) RemoveBatch(ids []uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	live := make([]uint64, 0, len(ids))
-	for _, id := range ids {
-		if _, ok := l.live[id]; ok {
-			live = append(live, id)
-		}
-	}
-	if len(live) == 0 {
+	if len(ids) == 0 {
 		return nil
 	}
-	return l.removeLocked(true, live...)
-}
-
-// removeLocked writes a remove record per id and drops the ids from the live
-// set at once, so a compaction that gets in before the records are durable
-// (it flushes the old file first) already leaves them out of the new one.
-// With wait set it then waits, l.mu released, for the records to be durable
-// — the only error that wait can return is the segment's poison — and
-// compacts if the file is now mostly dead weight; without, the next Commit
-// or append makes that check (sweepDue). Compaction is best effort: a failed rewrite
-// leaves the log as it was and the next remove tries again.
-func (l *FileLog) removeLocked(wait bool, ids ...uint64) error {
-	seg := l.seg
-	_, seq, err := seg.stage(kindRemove, nil, ids...)
-	if err != nil {
+	if _, _, err := l.seg.stage(kindRemove, nil, ids...); err != nil {
 		return err
 	}
 	for _, id := range ids {
@@ -215,21 +183,13 @@ func (l *FileLog) removeLocked(wait bool, ids ...uint64) error {
 			l.removes++
 		}
 	}
-	if !wait {
-		l.sweepDue = true
-		return nil
-	}
-	l.mu.Unlock()
-	err = seg.commit(seq)
-	l.mu.Lock()
-	if err != nil {
-		return err
-	}
-	l.maybeCompactLocked()
+	l.sweepDue = true
 	return nil
 }
 
 // sweepLocked makes the dead-weight check staged removes have put off.
+// Compaction is best effort: a failed rewrite leaves the log as it was and
+// the next sweep tries again.
 func (l *FileLog) sweepLocked() {
 	if l.sweepDue {
 		l.sweepDue = false
@@ -273,7 +233,7 @@ func (l *FileLog) compactLocked() error {
 	if err != nil {
 		return err
 	}
-	fresh.stats, fresh.syncEWMA, fresh.torn = old.Stats(), old.Cost(), old.torn
+	fresh.stats, fresh.torn = old.Stats(), old.torn
 	fresh.stats.Compactions++
 	l.seg = fresh
 	return old.Close()
@@ -305,13 +265,6 @@ func (l *FileLog) Replay(fn func(id uint64, rec []byte) error) error {
 	return nil
 }
 
-// Len implements Log.
-func (l *FileLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.live)
-}
-
 // segment returns the current segment.
 func (l *FileLog) segment() *SegmentFile {
 	l.mu.Lock()
@@ -321,7 +274,7 @@ func (l *FileLog) segment() *SegmentFile {
 
 // Poisoned reports the sticky *PoisonedError set by the first failed write
 // or group-commit fsync, or nil while the log is healthy. Once non-nil,
-// every Append and Remove returns the same error.
+// every append, remove and Commit returns the same error.
 func (l *FileLog) Poisoned() error { return l.segment().Poisoned() }
 
 // TornTail reports the torn trailing record recovery truncated at open, as
@@ -331,12 +284,9 @@ func (l *FileLog) Poisoned() error { return l.segment().Poisoned() }
 // normally none do — can log or alert on it.
 func (l *FileLog) TornTail() error { return l.segment().TornTail() }
 
-// Cost implements Log: a FileLog pays its flush cost in wall time inside
-// Append, but reports a rolling estimate of that cost — an EWMA over its
-// own group-commit fsync durations — so schedulers and stats lines can see
-// what a flush actually costs on this disk. Zero until the first fsync
-// completes (and always zero under NoSync).
-func (l *FileLog) Cost() time.Duration { return l.segment().Cost() }
+// Cost implements Log: a FileLog pays its flush in wall time inside Append
+// and Commit, so there is no modeled charge left for a caller to add.
+func (l *FileLog) Cost() time.Duration { return 0 }
 
 // Stats implements Log.
 func (l *FileLog) Stats() Stats {

@@ -116,7 +116,7 @@ func TestParentWrittenLog(t *testing.T) {
 	if id, err := l.Append([]byte("five")); err != nil || id != 5 {
 		t.Fatalf("Append after reopen = %d, %v; want id 5", id, err)
 	}
-	if err := l.Remove(1); err != nil {
+	if err := remove(l, 1); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()

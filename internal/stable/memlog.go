@@ -102,27 +102,10 @@ func (l *MemLog) Commit() error {
 	return nil
 }
 
-// Remove implements Log. A MemLog remove has never been charged a modeled
-// flush — only appends are — so there is nothing for RemoveNoSync to defer.
-func (l *MemLog) Remove(id uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if _, ok := l.recs[id]; !ok {
-		return ErrNotFound
-	}
-	delete(l.recs, id)
-	l.stats.Removes++
-	return nil
-}
-
-// RemoveNoSync implements Log.
-func (l *MemLog) RemoveNoSync(id uint64) error { return l.Remove(id) }
-
-// RemoveBatch implements Log.
-func (l *MemLog) RemoveBatch(ids []uint64) error {
+// RemoveNoSync implements Log. A MemLog remove has never been charged a
+// modeled flush — only appends are — so there is nothing for Commit to
+// charge it either.
+func (l *MemLog) RemoveNoSync(ids ...uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -156,13 +139,6 @@ func (l *MemLog) Replay(fn func(id uint64, rec []byte) error) error {
 		}
 	}
 	return nil
-}
-
-// Len implements Log.
-func (l *MemLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.recs)
 }
 
 // Cost implements Log, returning the configured modeled flush latency.

@@ -59,7 +59,7 @@ func openPoisonTarget(t *testing.T, view, path string) poisonTarget {
 		append:       func(b []byte) error { _, err := l.Append(b); return err },
 		appendNoSync: func(b []byte) error { _, err := l.AppendNoSync(b); return err },
 		commit:       l.Commit,
-		remove:       func() error { return l.Remove(1) },
+		remove:       func() error { return remove(l, 1) },
 		poisoned:     l.Poisoned,
 		close:        l.Close,
 	}

@@ -53,12 +53,11 @@ type SegmentFile struct {
 	// Group-commit state. Writes are sequenced under mu; fsync happens with
 	// mu RELEASED so concurrent appenders can queue more writes behind the
 	// in-flight flush and then ride the next one. See commitLocked.
-	writeSeq  uint64        // writes issued to the file
-	syncedSeq uint64        // writes known durable
-	syncing   bool          // an fsync is in flight (mu released by the leader)
-	syncErr   error         // sticky *PoisonedError: first failed write or fsync
-	synced    *sync.Cond    // broadcast when a sync completes (or fails)
-	syncEWMA  time.Duration // rolling measured fsync latency (see Cost)
+	writeSeq  uint64     // writes issued to the file
+	syncedSeq uint64     // writes known durable
+	syncing   bool       // an fsync is in flight (mu released by the leader)
+	syncErr   error      // sticky *PoisonedError: first failed write or fsync
+	synced    *sync.Cond // broadcast when a sync completes (or fails)
 }
 
 const (
@@ -467,14 +466,6 @@ func (s *SegmentFile) commitLocked(seq uint64) error {
 			s.syncedSeq = target
 			s.stats.Syncs++
 			s.stats.SyncNanos += int64(d)
-			// First sample seeds the estimate Cost reports; later samples
-			// blend 1/8 new against 7/8 history so a single slow flush moves
-			// it without whipsawing it.
-			if s.syncEWMA == 0 {
-				s.syncEWMA = d
-			} else {
-				s.syncEWMA = (s.syncEWMA*7 + d) / 8
-			}
 		}
 		s.synced.Broadcast()
 	}
@@ -581,14 +572,6 @@ func (s *SegmentFile) Poisoned() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.syncErr
-}
-
-// Cost returns the rolling measured group-commit fsync latency: zero until
-// the first fsync completes (and always zero under NoSync).
-func (s *SegmentFile) Cost() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.syncEWMA
 }
 
 // Stats returns operation counters.

@@ -34,7 +34,6 @@ import (
 // Errors returned by logs.
 var (
 	ErrClosed    = errors.New("stable: log is closed")
-	ErrNotFound  = errors.New("stable: record not found")
 	ErrCorrupt   = errors.New("stable: corrupt log record")
 	ErrRecordBig = errors.New("stable: record exceeds size limit")
 	// ErrTornTail marks a partially-written record at the end of the log —
@@ -67,11 +66,11 @@ func (e *TornTailError) Unwrap() error { return ErrTornTail }
 
 // PoisonedError is the sticky error a log returns once a write or a
 // group-commit fsync has failed: the first failure is remembered and every
-// subsequent Append/Remove (and any waiter that was riding the failed flush)
-// gets it. Durability-critical callers — the QRPC server's session journal —
-// treat it as fatal and refuse further work instead of continuing without
-// durability. It matches errors.Is(err, ErrPoisoned) and unwraps to the
-// underlying failure.
+// subsequent append, remove or Commit (and any waiter that was riding the
+// failed flush) gets it. Durability-critical callers — the QRPC server's
+// session journal — treat it as fatal and refuse further work instead of
+// continuing without durability. It matches errors.Is(err, ErrPoisoned) and
+// unwraps to the underlying failure.
 type PoisonedError struct {
 	// Cause is the original write or fsync error that poisoned the log.
 	Cause error
@@ -106,39 +105,25 @@ type Log interface {
 	// release nothing that depends on a staged record before Commit returns
 	// nil. A crash before then may lose the staged suffix as a torn tail.
 	AppendNoSync(rec []byte) (uint64, error)
-	// Remove marks the record as no longer needed. Removing an unknown id
-	// returns ErrNotFound.
-	Remove(id uint64) error
-	// RemoveNoSync is Remove without the durability wait: the remove record
-	// is written and the id leaves the live set at once, but a crash before
-	// the next durable point brings the record back at recovery. The remove
-	// is durable once a Commit, Append, Remove or RemoveBatch that was
-	// called after RemoveNoSync returned has itself returned nil — their
-	// flush covers every earlier write — so a caller about to append anyway
-	// pays nothing for it. Nothing that depends on the record staying gone
-	// may be released before then.
-	RemoveNoSync(id uint64) error
-	// RemoveBatch removes every listed record that is still live and pays
-	// one durability wait for the lot; ids that are not live are skipped.
-	// It is for records something durable already supersedes (a compaction
-	// snapshot), where losing some of the removes in a crash is harmless.
-	// An error means the flush failed: which of the removes took is decided
-	// at recovery, and the caller should keep treating every id as possibly
-	// live.
-	RemoveBatch(ids []uint64) error
+	// RemoveNoSync stages, in one write, a remove record for each listed id
+	// that is still live and drops those ids from the live set at once; ids
+	// that are not live are skipped, and when none is nothing is written. The
+	// removes are durable once a Commit, or an Append, called after
+	// RemoveNoSync has returned nil — their flush covers every earlier
+	// write — so a caller about to append anyway pays nothing for them.
+	// Nothing that depends on the records staying gone may be released
+	// before then: a crash first brings them back at recovery. After a
+	// failed flush, which of the removes took is decided at recovery. The
+	// log does not keep ids.
+	RemoveNoSync(ids ...uint64) error
 	// Replay calls fn for every live (appended, not removed) record in
 	// append order. Replay during active use sees a consistent snapshot.
 	// A record fn is handed is the log's own, the very slice Append kept
 	// before a reopen: fn must not write it.
 	Replay(fn func(id uint64, rec []byte) error) error
-	// Len returns the number of live records.
-	Len() int
-	// Cost returns the flush latency an Append is expected to pay. MemLog
-	// returns the configured modeled latency (charged under virtual time);
-	// FileLog returns a rolling estimate measured from its own group-commit
-	// fsyncs — zero until the first sync completes, so engines built on a
-	// freshly opened log still treat the flush as already paid in wall time
-	// inside Append itself.
+	// Cost returns the modeled flush latency a caller under virtual time
+	// charges each durable Append: MemLog's configured FlushCost. A FileLog
+	// pays its flush in wall time inside Append and Commit and returns 0.
 	Cost() time.Duration
 	// Commit blocks until every record written so far — appended or removed,
 	// staged or not — is durable, joining the in-flight group commit if one

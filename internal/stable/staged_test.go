@@ -26,6 +26,18 @@ func liveIDs(t *testing.T, l Log) []uint64 {
 	return ids
 }
 
+// liveLen counts l's live records.
+func liveLen(t *testing.T, l Log) int { return len(liveIDs(t, l)) }
+
+// remove makes the removes of ids durable the one way a Log offers:
+// RemoveNoSync, then Commit.
+func remove(l Log, ids ...uint64) error {
+	if err := l.RemoveNoSync(ids...); err != nil {
+		return err
+	}
+	return l.Commit()
+}
+
 // TestStagedRemoveRidesNextAppend: RemoveNoSync costs no flush, the id is
 // gone at once, and the next Append's one flush makes the remove durable — a
 // copy of the file cut before the remove record still has the record (what a
@@ -46,14 +58,15 @@ func TestStagedRemoveRidesNextAppend(t *testing.T) {
 	if err := l.RemoveNoSync(id); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.Stats(); got.Syncs != syncs || got.Removes != 1 || l.Len() != 0 {
-		t.Fatalf("after RemoveNoSync: syncs %d (was %d), removes %d, len %d", got.Syncs, syncs, got.Removes, l.Len())
+	if got := l.Stats(); got.Syncs != syncs || got.Removes != 1 || liveLen(t, l) != 0 {
+		t.Fatalf("after RemoveNoSync: syncs %d (was %d), removes %d, len %d", got.Syncs, syncs, got.Removes, liveLen(t, l))
 	}
-	if err := l.RemoveNoSync(id); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("second RemoveNoSync = %v, want ErrNotFound", err)
-	}
-	if fileSize(t, path) == before {
+	staged := fileSize(t, path)
+	if staged == before {
 		t.Fatal("RemoveNoSync wrote nothing: the remove record must be in the file for the next flush to cover")
+	}
+	if err := l.RemoveNoSync(id); err != nil || fileSize(t, path) != staged || l.Stats().Removes != 1 {
+		t.Fatalf("second RemoveNoSync = %v, file %d -> %d bytes: want a no-op", err, staged, fileSize(t, path))
 	}
 	if _, err := l.Append([]byte("next")); err != nil {
 		t.Fatal(err)
@@ -112,8 +125,8 @@ func TestStagedRemoveCommit(t *testing.T) {
 		if name == "mem" {
 			want = syncs // a MemLog charges appends only
 		}
-		if got := l.Stats().Syncs; got != want || l.Len() != 0 {
-			t.Fatalf("%s: syncs %d want %d, len %d", name, got, want, l.Len())
+		if got := l.Stats().Syncs; got != want || liveLen(t, l) != 0 {
+			t.Fatalf("%s: syncs %d want %d, len %d", name, got, want, liveLen(t, l))
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
@@ -176,5 +189,80 @@ func TestStagedRemoveCompactsAtNextFlush(t *testing.T) {
 		if ids := liveIDs(t, l); !slices.Equal(ids, want) {
 			t.Fatalf("live after the %s sweep: %v, want %v", how, ids, want)
 		}
+	}
+}
+
+// TestRemoveNoSyncIDs: one RemoveNoSync of several ids is one write, ids
+// that are not live are skipped and a call with none live writes nothing;
+// a crash before the next Commit brings every id back, one after keeps them
+// gone.
+func TestRemoveNoSyncIDs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	l, err := OpenFileLog(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var ids []uint64
+	for _, rec := range []string{"a", "b", "c", "d"} {
+		id, err := l.Append([]byte(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if err := remove(l, ids[3]); err != nil {
+		t.Fatal(err)
+	}
+	durable, writes := fileSize(t, path), l.segment().staged()
+	if err := l.RemoveNoSync(ids[0], 999, ids[3], ids[1]); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.segment().staged() - writes; got != 1 {
+		t.Fatalf("RemoveNoSync of two live ids took %d writes, want 1", got)
+	}
+	if got := liveIDs(t, l); !slices.Equal(got, ids[2:3]) {
+		t.Fatalf("live after RemoveNoSync: %v, want %v", got, ids[2:3])
+	}
+	if st := l.Stats(); st.Removes != 3 {
+		t.Fatalf("removes %d, want 3: the ids that were not live count for nothing", st.Removes)
+	}
+	staged, writes := fileSize(t, path), l.segment().staged()
+	if err := l.RemoveNoSync(ids[0], 999, ids[3]); err != nil {
+		t.Fatal(err)
+	}
+	if fileSize(t, path) != staged || l.segment().staged() != writes {
+		t.Fatal("RemoveNoSync with no live id wrote to the log")
+	}
+
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	reopen := func(name string, b []byte) []uint64 {
+		p := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(p, b, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenFileLog(p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		return liveIDs(t, r)
+	}
+	// What a crash before Commit keeps is the file up to its last flush.
+	if got := reopen("crashed", image[:durable]); !slices.Equal(got, ids[:3]) {
+		t.Fatalf("crash before Commit recovers %v, want %v back", got, ids[:3])
+	}
+	committed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reopen("committed", committed); !slices.Equal(got, ids[2:3]) {
+		t.Fatalf("after Commit a reopen recovers %v, want %v", got, ids[2:3])
 	}
 }

@@ -51,10 +51,11 @@ type Backend interface {
 	// History: delta imports and redelivery detection, each answered from
 	// the object's last DefaultHistoryLimit ops commits. OpsSince answers
 	// ok=false when it cannot serve a delta, and the caller ships the whole
-	// object. WasCommitted's error means the history could not be read (the
-	// disk backend reads it from its segment): the caller must refuse the
-	// export, since answering it as new could run it twice.
-	OpsSince(u urn.URN, from uint64) ([]rdo.Invocation, uint64, bool)
+	// object; a one-step answer carries the step's source. WasCommitted's
+	// error means the history could not be read (the disk backend reads it
+	// from its segment): the caller must refuse the export, since answering
+	// it as new could run it twice.
+	OpsSince(u urn.URN, from uint64) (invs []rdo.Invocation, ver uint64, src string, ok bool)
 	WasCommitted(u urn.URN, base uint64, invs []rdo.Invocation, src string) (bool, error)
 
 	// Whole-store state transfer.

@@ -118,7 +118,7 @@ func TestConformanceOpsHistoryAndDeltas(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ops, newVer, ok := st.OpsSince(o.URN, 1)
+		ops, newVer, _, ok := st.OpsSince(o.URN, 1)
 		if !ok || newVer != 4 || len(ops) != 3 {
 			t.Fatalf("OpsSince(1): %d ops to v%d ok=%v", len(ops), newVer, ok)
 		}
@@ -137,11 +137,11 @@ func TestConformanceOpsHistoryAndDeltas(t *testing.T) {
 		// A plain Commit is an opaque jump: deltas over it must refuse.
 		cur, _ := st.Get(o.URN)
 		st.Commit(cur, cur.Version)
-		if _, _, ok := st.OpsSince(o.URN, 1); ok {
+		if _, _, _, ok := st.OpsSince(o.URN, 1); ok {
 			t.Fatal("delta served across an opaque jump")
 		}
 		// Current-version ask: nothing to serve, ok with zero ops.
-		if ops, _, ok := st.OpsSince(o.URN, 5); ok && len(ops) != 0 {
+		if ops, _, _, ok := st.OpsSince(o.URN, 5); ok && len(ops) != 0 {
 			t.Fatalf("OpsSince(current) served %d ops", len(ops))
 		}
 	})
@@ -161,7 +161,7 @@ func TestConformanceHistoryLimitDisable(t *testing.T) {
 		if _, err := st.CommitOpsBy(cur, 1, []rdo.Invocation{inv}, "cli"); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, ok := st.OpsSince(o.URN, 1); ok {
+		if _, _, _, ok := st.OpsSince(o.URN, 1); ok {
 			t.Fatal("delta served with history disabled")
 		}
 	})
@@ -294,7 +294,7 @@ func TestConformanceSnapshotParity(t *testing.T) {
 	}
 	// Loaded versions are opaque: no deltas across a snapshot load.
 	u := urn.MustParse("urn:rover:conf/p/0")
-	if _, _, ok := dsk2.OpsSince(u, 0); ok {
+	if _, _, _, ok := dsk2.OpsSince(u, 0); ok {
 		t.Fatal("delta served across a snapshot load")
 	}
 }

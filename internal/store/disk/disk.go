@@ -534,26 +534,32 @@ func (s *Store) Version(u urn.URN) (uint64, error) {
 // cur − from newest records of u's chain and decodes their invocations. A
 // chain it cannot read answers ok=false, and the caller ships the whole
 // object. 'Z' records carry the window through compactions and restarts.
-func (s *Store) OpsSince(u urn.URN, from uint64) ([]rdo.Invocation, uint64, bool) {
+// The oldest step's source is copied out of the read buffer onto the stack
+// and made a string only for a one-step answer, the one that returns it.
+func (s *Store) OpsSince(u urn.URN, from uint64) ([]rdo.Invocation, uint64, string, bool) {
 	if ops := s.cachedOps(u); ops.Ver == from+1 {
-		return slices.Clone(ops.Invs), ops.Ver, true
+		return slices.Clone(ops.Invs), ops.Ver, ops.Src, true
 	}
 	var steps [store.DefaultHistoryLimit][]rdo.Invocation // by version, oldest first
+	var srcBuf [64]byte
+	var src []byte
 	n := 0
 	cur, ok, err := s.history(u, from+1, func(ver uint64, body []byte) error {
 		r := wire.NewReader(body)
-		r.View() // the source
+		if v := r.View(); ver == from+1 {
+			src = append(srcBuf[:0], v...)
+		}
 		invs, err := rdo.ReadInvocations(r, r.Uvarint())
 		steps[ver-from-1], n = invs, n+1
 		return err
 	})
 	if !ok || err != nil || uint64(n) != cur-from {
-		return nil, 0, false
+		return nil, 0, "", false
 	}
 	if n == 1 {
-		return steps[0], cur, true
+		return steps[0], cur, string(src), true
 	}
-	return slices.Concat(steps[:n]...), cur, true
+	return slices.Concat(steps[:n]...), cur, "", true
 }
 
 // maxStreamChain bounds StreamOpsSince's backward walk. Past ~64k versions

@@ -80,7 +80,7 @@ func TestRecoveryRebuildsIndexAndHistory(t *testing.T) {
 		t.Fatalf("state %q", v)
 	}
 	// History survived: deltas and redelivery detection still work.
-	ops, newVer, ok := s2.OpsSince(o.URN, 1)
+	ops, newVer, _, ok := s2.OpsSince(o.URN, 1)
 	if !ok || newVer != 4 || len(ops) != 3 {
 		t.Fatalf("OpsSince after restart: %d ops to v%d ok=%v", len(ops), newVer, ok)
 	}
@@ -215,7 +215,7 @@ func TestCompactionReclaimsAndPreservesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := openStore(t, dir, Options{})
-	ops, newVer, ok := s2.OpsSince(o.URN, 95)
+	ops, newVer, _, ok := s2.OpsSince(o.URN, 95)
 	if !ok || newVer != 101 || len(ops) != 6 {
 		t.Fatalf("OpsSince(95) after compaction+restart: %d ops to v%d ok=%v", len(ops), newVer, ok)
 	}

@@ -44,16 +44,14 @@ func encodeSidecar(f footerInfo) []byte {
 	return b.Bytes()
 }
 
+// decodeSidecar accepts only the bytes encodeSidecar writes: the re-encoding
+// check also rejects a wrong magic, a torn or overlong file and a varint
+// spelled in more bytes than it needs.
 func decodeSidecar(p []byte) (footerInfo, error) {
 	r := wire.NewReader(p)
-	if r.String() != sidecarMagic {
-		return footerInfo{}, errors.New("disk: bad footer sidecar magic")
-	}
-	var f footerInfo
-	f.gen = r.Bytes()
-	f.off = int64(r.Uvarint())
-	f.parts = r.Uvarint()
-	if err := r.Err(); err != nil || len(f.gen) != footerGenLen || !r.Done() {
+	r.View() // the magic
+	f := footerInfo{gen: r.Bytes(), off: int64(r.Uvarint()), parts: r.Uvarint()}
+	if len(f.gen) != footerGenLen || !bytes.Equal(encodeSidecar(f), p) {
 		return footerInfo{}, errors.New("disk: bad footer sidecar")
 	}
 	return f, nil

@@ -45,7 +45,7 @@ func TestFooterRecoveryFastPath(t *testing.T) {
 	a := urn.MustParse("urn:rover:h/f/00")
 	bumpOps(t, s, a, 10)
 	want := s.Snapshot()
-	wantOps, wantVer, ok := s.OpsSince(a, 5)
+	wantOps, wantVer, _, ok := s.OpsSince(a, 5)
 	if !ok {
 		t.Fatal("OpsSince before close")
 	}
@@ -63,7 +63,7 @@ func TestFooterRecoveryFastPath(t *testing.T) {
 	if !bytes.Equal(s2.Snapshot(), want) {
 		t.Fatal("footer-recovered snapshot diverges from pre-close snapshot")
 	}
-	gotOps, gotVer, ok := s2.OpsSince(a, 5)
+	gotOps, gotVer, _, ok := s2.OpsSince(a, 5)
 	if !ok || gotVer != wantVer || len(gotOps) != len(wantOps) {
 		t.Fatalf("history after footer recovery: %d ops to v%d ok=%v, want %d to v%d",
 			len(gotOps), gotVer, ok, len(wantOps), wantVer)

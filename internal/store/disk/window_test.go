@@ -125,11 +125,11 @@ func (m *windowModel) check(s *Store, ref *store.History, where string) {
 			t.Fatal(err)
 		}
 		for from := uint64(0); from <= ver; from++ {
-			gotOps, gotVer, gotOK := s.OpsSince(u, from)
-			wantOps, wantVer, wantOK := ref.OpsSince(u, from, ver)
-			if gotOK != wantOK || gotVer != wantVer || !reflect.DeepEqual(gotOps, wantOps) {
-				t.Fatalf("%s: OpsSince(%s, %d) = %d ops to v%d ok=%v, want %d ops to v%d ok=%v",
-					where, u.Path, from, len(gotOps), gotVer, gotOK, len(wantOps), wantVer, wantOK)
+			gotOps, gotVer, gotSrc, gotOK := s.OpsSince(u, from)
+			wantOps, wantVer, wantSrc, wantOK := ref.OpsSince(u, from, ver)
+			if gotOK != wantOK || gotVer != wantVer || gotSrc != wantSrc || !reflect.DeepEqual(gotOps, wantOps) {
+				t.Fatalf("%s: OpsSince(%s, %d) = %d ops to v%d from %q ok=%v, want %d ops to v%d from %q ok=%v",
+					where, u.Path, from, len(gotOps), gotVer, gotSrc, gotOK, len(wantOps), wantVer, wantSrc, wantOK)
 			}
 			c, ok := m.log[u][from+1]
 			if !ok {
@@ -265,7 +265,7 @@ func TestCompactionKeepsUnloadedWindows(t *testing.T) {
 	if !wasCommitted(t, s3, a.URN, 20, []rdo.Invocation{last}, "cli") {
 		t.Fatal("WasCommitted lost an export committed before the first reopen")
 	}
-	ops, ver, ok := s3.OpsSince(a.URN, 18)
+	ops, ver, _, ok := s3.OpsSince(a.URN, 18)
 	if !ok || ver != 21 || len(ops) != 3 || ops[2].Args[0] != "19" {
 		t.Fatalf("OpsSince(18) after compaction = %d ops to v%d ok=%v, want 3 to v21", len(ops), ver, ok)
 	}
@@ -294,7 +294,7 @@ func TestChainReadsRaceCommits(t *testing.T) {
 	ask := func(t *testing.T) {
 		v0, _ := s.Version(u)
 		from := uint64(1 + rand.Intn(int(v0)+1))
-		ops, ver, ok := s.OpsSince(u, from)
+		ops, ver, _, ok := s.OpsSince(u, from)
 		base := uint64(1 + rand.Intn(int(v0)+1))
 		seen, err := s.WasCommitted(u, base, setInv(u, base+1), "cli")
 		v1, _ := s.Version(u)
@@ -400,10 +400,10 @@ func TestCorruptChainRecordAfterFooterReopen(t *testing.T) {
 	if err != nil || cur.Version != 21 {
 		t.Fatalf("Get = v%d, %v; want v21", cur.Version, err)
 	}
-	if _, _, ok := s2.OpsSince(a.URN, 19); ok {
+	if _, _, _, ok := s2.OpsSince(a.URN, 19); ok {
 		t.Fatal("OpsSince served a delta across a record that does not read back")
 	}
-	if ops, _, ok := s2.OpsSince(a.URN, 20); !ok || len(ops) != 1 {
+	if ops, _, _, ok := s2.OpsSince(a.URN, 20); !ok || len(ops) != 1 {
 		t.Fatalf("OpsSince(20), short of the damage: %d ops ok=%v", len(ops), ok)
 	}
 	if seen, err := s2.WasCommitted(a.URN, 19, setInv(a.URN, 20), "cli"); !errors.Is(err, stable.ErrCorrupt) {
@@ -591,7 +591,7 @@ func TestCachedHeadAllocs(t *testing.T) {
 	bumpOps(t, s, o.URN, 5) // versions 2..6
 	last := setInv(o.URN, 6)
 	ask := func() {
-		ops, ver, ok := s.OpsSince(o.URN, 5)
+		ops, ver, _, ok := s.OpsSince(o.URN, 5)
 		if !ok || ver != 6 || !reflect.DeepEqual(ops, last) {
 			t.Fatalf("OpsSince(5) = %v to v%d ok=%v, want %v to v6", ops, ver, ok, last)
 		}
@@ -625,7 +625,7 @@ func BenchmarkReopenThenDelta(b *testing.B) {
 	b.Run("open+delta", func(b *testing.B) {
 		benchReopen(b, abandoned, func(s *Store) {
 			for _, u := range hots {
-				if _, _, ok := s.OpsSince(u, hotCommits); !ok {
+				if _, _, _, ok := s.OpsSince(u, hotCommits); !ok {
 					b.Fatal("no delta after the reopen")
 				}
 			}

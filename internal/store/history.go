@@ -59,9 +59,6 @@ func (h *History) effectiveLimit() int {
 	return h.limit
 }
 
-// Disabled reports whether recording is turned off (negative limit).
-func (h *History) Disabled() bool { return h.limit < 0 }
-
 // Record appends the ops that produced version ver, keeping invs itself: the
 // caller hands it over and must not modify it afterwards. A full window
 // slides down one entry in place. The caller must treat a false return as
@@ -87,10 +84,11 @@ func (h *History) ClearAll() { h.m = make(map[urn.URN][]OpsRec) }
 
 // OpsSince returns the invocations that advance the object from version
 // `from` to version cur, oldest first, with ok=true only when the window is
-// contiguous over that whole span (see Store.OpsSince for the contract).
-func (h *History) OpsSince(u urn.URN, from, cur uint64) ([]rdo.Invocation, uint64, bool) {
+// contiguous over that whole span, and the step's source when it is one
+// step (see Store.OpsSince for the contract).
+func (h *History) OpsSince(u urn.URN, from, cur uint64) ([]rdo.Invocation, uint64, string, bool) {
 	if from >= cur {
-		return nil, 0, false
+		return nil, 0, "", false
 	}
 	w := h.m[u]
 	start := -1
@@ -101,21 +99,24 @@ func (h *History) OpsSince(u urn.URN, from, cur uint64) ([]rdo.Invocation, uint6
 		}
 	}
 	if start < 0 {
-		return nil, 0, false
+		return nil, 0, "", false
 	}
 	want := from
 	var out []rdo.Invocation
 	for _, rec := range w[start:] {
 		if rec.Ver != want+1 {
-			return nil, 0, false
+			return nil, 0, "", false
 		}
 		want = rec.Ver
 		out = append(out, rec.Invs...)
 	}
 	if want != cur {
-		return nil, 0, false
+		return nil, 0, "", false
 	}
-	return out, cur, true
+	if cur == from+1 {
+		return out, cur, w[start].Src, true
+	}
+	return out, cur, "", true
 }
 
 // WasCommitted reports whether the export (base, invs, src) is already

@@ -248,13 +248,16 @@ func invEqual(a, b *rdo.Invocation) bool {
 // `from` to its current version, oldest first, with ok=true only when the
 // history is contiguous over that whole span. ok=false means the caller
 // must fall back to shipping the full object (history pruned, a plain
-// Commit intervened, or `from` is not behind the current version).
-func (s *Store) OpsSince(u urn.URN, from uint64) ([]rdo.Invocation, uint64, bool) {
+// Commit intervened, or `from` is not behind the current version). A
+// one-step answer also carries the step's source, the client that
+// exported it, so a replica that installs the step can recognize that
+// export redelivered; a longer one has no single source and carries "".
+func (s *Store) OpsSince(u urn.URN, from uint64) ([]rdo.Invocation, uint64, string, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	cur, ok := s.objs[u]
 	if !ok {
-		return nil, 0, false
+		return nil, 0, "", false
 	}
 	return s.hist.OpsSince(u, from, cur.Version)
 }

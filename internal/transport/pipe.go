@@ -173,23 +173,6 @@ func (p *Pipe) Connected() bool {
 	return p.connected
 }
 
-// Drain blocks until both directions are empty. Tests use it to reach
-// quiescence without sleeping.
-func (p *Pipe) Drain() {
-	for {
-		p.mu.Lock()
-		empty := len(p.toServer) == 0 && len(p.toClient) == 0
-		p.mu.Unlock()
-		if empty {
-			// One more pass: a frame may be in an OnFrame handler that is
-			// about to send a response. Checking twice with a handoff in
-			// between is not airtight, but combined with promise waits it
-			// serves test synchronization well.
-			return
-		}
-	}
-}
-
 // Close shuts down the pipe and its pump goroutines.
 func (p *Pipe) Close() error {
 	p.mu.Lock()

@@ -55,15 +55,6 @@ func New(authority, path string) (URN, error) {
 	return u, nil
 }
 
-// MustNew is New for statically known-good names; it panics on error.
-func MustNew(authority, path string) URN {
-	u, err := New(authority, path)
-	if err != nil {
-		panic(err)
-	}
-	return u
-}
-
 // Parse decodes a string of the form urn:rover:<authority>/<path>.
 func Parse(s string) (URN, error) {
 	if len(s) > MaxLen {

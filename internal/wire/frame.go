@@ -194,35 +194,3 @@ func DecodeFrame(p []byte) (Frame, int, error) {
 	}
 	return Frame{Type: typ, Payload: payload}, off, nil
 }
-
-// FrameTypeName returns a human-readable name for a frame type tag.
-func FrameTypeName(t byte) string {
-	switch t {
-	case FrameHello:
-		return "hello"
-	case FrameWelcome:
-		return "welcome"
-	case FrameRequest:
-		return "request"
-	case FrameReply:
-		return "reply"
-	case FrameAck:
-		return "ack"
-	case FrameCallback:
-		return "callback"
-	case FramePing:
-		return "ping"
-	case FramePong:
-		return "pong"
-	case FrameBatch:
-		return "batch"
-	case FrameAuthReject:
-		return "auth-reject"
-	case FrameBatchZ:
-		return "batch-z"
-	case FrameBusy:
-		return "busy"
-	default:
-		return fmt.Sprintf("unknown(%d)", t)
-	}
-}

@@ -176,15 +176,6 @@ func TestEncodedFrameSize(t *testing.T) {
 	}
 }
 
-func TestFrameTypeName(t *testing.T) {
-	if FrameTypeName(FrameRequest) != "request" {
-		t.Error("FrameTypeName(FrameRequest)")
-	}
-	if FrameTypeName(200) != "unknown(200)" {
-		t.Errorf("FrameTypeName(200) = %q", FrameTypeName(200))
-	}
-}
-
 // Property: every frame round-trips through both the byte and stream paths.
 func TestQuickFrameRoundTrip(t *testing.T) {
 	f := func(typ byte, payload []byte) bool {

@@ -675,18 +675,6 @@ func (s *Server) JournalStats() []stable.Stats {
 	return out
 }
 
-// JournalCost reports the slowest per-shard measured fsync latency estimate
-// (zero without a journal or before the first sync).
-func (s *Server) JournalCost() time.Duration {
-	var worst time.Duration
-	for _, jl := range s.journals {
-		if c := jl.Cost(); c > worst {
-			worst = c
-		}
-	}
-	return worst
-}
-
 // Store exposes the object store backend (in-memory by default, disk-backed
 // when StoreDir is configured).
 func (s *Server) Store() store.Backend { return s.srv.Store() }
@@ -759,13 +747,10 @@ type ReplicationOptions struct {
 	// disables proofs.
 	KeyHex string
 	// LogPath backs the replication stream with a stable log so a queued
-	// backlog survives this server's own restart; empty selects memory.
+	// backlog survives this server's own restart; empty selects memory,
+	// and each incarnation replicates under an identity of its own (see
+	// repl.ClientID).
 	LogPath string
-	// Instance distinguishes server incarnations that restart WITHOUT
-	// their replication log (a rebuilt replica must not reuse the previous
-	// incarnation's session toward the peer — see repl.ClientID). Leave
-	// empty when LogPath makes the stream durable across restarts.
-	Instance string
 	// Clock overrides time (simulations); nil selects real time.
 	Clock vtime.Clock
 }
@@ -800,7 +785,6 @@ func (s *Server) EnableReplication(opts ReplicationOptions) (*repl.Replicator, e
 	}
 	rep, err := repl.New(repl.Config{
 		ServerID: s.opts.ServerID,
-		Instance: opts.Instance,
 		Engine:   s.engine,
 		Store:    s.srv.Store(),
 		Key:      key,
