@@ -1,9 +1,8 @@
 package qrpc
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"rover/internal/stable"
@@ -237,7 +236,7 @@ func putSessionList(b *wire.Buffer, sessions map[string]*session) {
 	for id := range sessions {
 		ids = append(ids, id)
 	}
-	sort.Strings(ids)
+	slices.Sort(ids)
 	b.PutUvarint(uint64(len(ids)))
 	for _, id := range ids {
 		sess := sessions[id]
@@ -248,7 +247,7 @@ func putSessionList(b *wire.Buffer, sessions map[string]*session) {
 		for seq := range sess.replies {
 			seqs = append(seqs, seq)
 		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		slices.Sort(seqs)
 		b.PutUvarint(uint64(len(seqs)))
 		for _, seq := range seqs {
 			b.PutRaw(sess.replies[seq])
@@ -257,15 +256,16 @@ func putSessionList(b *wire.Buffer, sessions map[string]*session) {
 		for seq := range sess.acked {
 			acked = append(acked, seq)
 		}
-		sort.Slice(acked, func(i, j int) bool { return acked[i] < acked[j] })
+		slices.Sort(acked)
 		b.PutUvarintSlice(acked)
 	}
 }
 
 // readSessionList decodes a snapshot/migrate payload from r, a reader over
-// rec. A session takes at least five bytes (an empty clientID, a zero floor
-// and high-water mark, no replies, no acks), so the map is sized by the
-// count only as far as rec could hold that many.
+// rec, into sessions of their own that keep their replies as views of rec.
+// A session takes at least five bytes (an empty clientID, a zero floor and
+// high-water mark, no replies, no acks), so the map is sized by the count
+// only as far as rec could hold that many.
 func readSessionList(rec []byte, r *wire.Reader) (map[string]*session, error) {
 	n := r.Len()
 	sessions := make(map[string]*session, min(n, r.Remaining()/5))
@@ -281,7 +281,11 @@ func readSessionList(rec []byte, r *wire.Reader) (map[string]*session, error) {
 			}
 			sess.replies[seq] = enc
 		}
-		for _, seq := range r.UvarintSlice() {
+		for an := r.Len(); an > 0; an-- {
+			seq := r.Uvarint()
+			if r.Err() != nil {
+				break
+			}
 			sess.acked[seq] = true
 		}
 		if r.Err() != nil {
@@ -293,15 +297,28 @@ func readSessionList(rec []byte, r *wire.Reader) (map[string]*session, error) {
 }
 
 // readReply checks that the bytes at r's position in rec decode as one
-// Reply and returns its seq and those bytes, copied once: the form a session
-// keeps a reply in.
+// Reply and returns its seq and those bytes as a view of rec, capped at
+// their own end: the form a session keeps a reply in, as executeRun keeps a
+// live one as a view of its exec record.
 func readReply(rec []byte, r *wire.Reader) (uint64, []byte, error) {
 	start := len(rec) - r.Remaining()
 	var rep Reply
 	if err := rep.UnmarshalWire(r); err != nil {
 		return 0, nil, err
 	}
-	return rep.Seq, bytes.Clone(rec[start : len(rec)-r.Remaining()]), nil
+	end := len(rec) - r.Remaining()
+	return rep.Seq, rec[start:end:end], nil
+}
+
+// skipSeqs reads past the count-prefixed seq list at r's position and
+// returns a reader that reads the list again: a record is checked whole
+// before any of it takes effect, and its list is read in place both times.
+func skipSeqs(r *wire.Reader) wire.Reader {
+	seqs := *r
+	for n := r.Len(); n > 0 && r.Err() == nil; n-- {
+		r.Uvarint()
+	}
+	return seqs
 }
 
 // recoverJournal rebuilds session state from the journal shards at
@@ -478,15 +495,17 @@ func (s *Server) compactShardAtRecovery(idx int) error {
 
 // applyJournalRecord applies one journal record to a recovery bucket,
 // returning the (possibly replaced, for snapshots) bucket map. The record is
-// read in place (it is only valid during the replay call): what a session
-// keeps of it is copied out.
+// the log's own slice, which nobody writes again (the stable.Log contract),
+// so it is read in place and a session keeps its replies as views of it: a
+// recovered reply pins its record until it is acknowledged. A session's
+// clientID is the one thing copied out, once, when the session is created.
 func applyJournalRecord(sessions map[string]*session, rec []byte) (map[string]*session, error) {
 	rd := wire.OwnedReader(rec)
 	r := &rd
 	kind := r.Byte()
 	switch kind {
 	case jrecExec:
-		clientID := r.String()
+		clientID := r.View()
 		seq, enc, err := readReply(rec, r)
 		if err != nil {
 			return nil, fmt.Errorf("qrpc: corrupt exec record: %w", err)
@@ -502,13 +521,14 @@ func applyJournalRecord(sessions map[string]*session, rec []byte) (map[string]*s
 			sess.maxExec = seq
 		}
 	case jrecAck:
-		clientID := r.String()
-		seqs := r.UvarintSlice()
+		clientID := r.View()
+		seqs := skipSeqs(r)
 		if err := journalRecordDone(r); err != nil {
 			return nil, err
 		}
 		sess := bucketSession(sessions, clientID)
-		for _, seq := range seqs {
+		for n := seqs.Len(); n > 0; n-- {
+			seq := seqs.Uvarint()
 			delete(sess.replies, seq)
 			if seq >= sess.lowSeq {
 				sess.acked[seq] = true
@@ -516,7 +536,7 @@ func applyJournalRecord(sessions map[string]*session, rec []byte) (map[string]*s
 		}
 		sess.foldAcked()
 	case jrecPrune:
-		clientID := r.String()
+		clientID := r.View()
 		lowSeq := r.Uvarint()
 		if err := journalRecordDone(r); err != nil {
 			return nil, err
@@ -566,12 +586,14 @@ func applyJournalRecord(sessions map[string]*session, rec []byte) (map[string]*s
 	return sessions, nil
 }
 
-// bucketSession finds or creates a session in a recovery bucket.
-func bucketSession(sessions map[string]*session, clientID string) *session {
-	sess := sessions[clientID]
+// bucketSession finds or creates a session in a recovery bucket by the
+// clientID bytes of a record: the lookup copies nothing, and the session's
+// clientID string is made when it is created.
+func bucketSession(sessions map[string]*session, clientID []byte) *session {
+	sess := sessions[string(clientID)]
 	if sess == nil {
-		sess = newSession(clientID)
-		sessions[clientID] = sess
+		sess = newSession(string(clientID))
+		sessions[sess.clientID] = sess
 	}
 	return sess
 }

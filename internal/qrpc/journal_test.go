@@ -1,8 +1,10 @@
 package qrpc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -813,5 +815,130 @@ func TestRefusedRunSurvivesCompaction(t *testing.T) {
 	defer mu.Unlock()
 	if execs != 1 {
 		t.Fatalf("the handler ran %d times, want once: recovery lost the durable exec record", execs)
+	}
+}
+
+// TestRecoveredReplySurvivesJournalCompaction: a recovered reply is a view
+// of the record it was replayed from. A server abandoned with unacked
+// replies is reopened, and new traffic makes every shard compact: the
+// journal snapshots its sessions and removes the exec records those replies
+// view, and each FileLog rewrites its file. The old requests, redelivered
+// after that and again after one more abandon and reopen, are answered with
+// the bytes first sent, and their handler does not run again.
+func TestRecoveredReplySurvivesJournalCompaction(t *testing.T) {
+	const shards, compactEvery = 4, 8
+	dir := t.TempDir()
+	var logs []stable.Log
+	open := func() *Server {
+		t.Helper()
+		logs = logs[:0]
+		for i := range shards {
+			fl, err := stable.OpenFileLog(filepath.Join(dir, fmt.Sprintf("journal.%d", i)), stable.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			logs = append(logs, fl)
+		}
+		srv := NewServer(ServerConfig{ServerID: "srv", Journals: logs, JournalCompactEvery: compactEvery})
+		if err := srv.JournalError(); err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	// The abandoned server is never closed; its logs are, so the next
+	// incarnation can open the files.
+	abandon := func() {
+		for _, l := range logs {
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	execs := map[string]int{}
+	handler := func(clientID string, req Request) ([]byte, error) {
+		execs[fmt.Sprintf("%s/%d", clientID, req.Seq)]++
+		return req.Args, nil
+	}
+	up := true
+	snd := &harnessSender{up: &up}
+	send := func(srv *Server, clientID string, seq uint64, args []byte) []byte {
+		t.Helper()
+		snd.queue = nil
+		srv.OnConnect(snd, 0)
+		srv.OnFrame(snd, helloFrame(clientID, 1), 0)
+		snd.queue = nil
+		srv.OnFrame(snd, requestFrame(seq, "echo", args), 0)
+		if len(snd.queue) != 1 || snd.queue[0].Type != wire.FrameReply {
+			t.Fatalf("%s seq %d: sent %v, want one reply frame", clientID, seq, snd.queue)
+		}
+		return snd.queue[0].Payload
+	}
+
+	srv := open()
+	srv.Register("echo", handler)
+	clients := clientsAcrossShards(t, srv, shards)
+	const old = 3
+	sent := map[string][]byte{}
+	for _, c := range clients {
+		for seq := uint64(1); seq <= old; seq++ {
+			sent[fmt.Sprintf("%s/%d", c, seq)] = bytes.Clone(send(srv, c, seq, []byte(fmt.Sprintf("old %s %d", c, seq))))
+		}
+	}
+	abandon()
+
+	srv = open()
+	srv.Register("echo", handler)
+	if got := srv.Stats().RecoveredReplies; got != shards*old {
+		t.Fatalf("recovered %d replies, want %d", got, shards*old)
+	}
+	replayed := make([]map[uint64]bool, shards)
+	for i, l := range logs {
+		replayed[i] = map[uint64]bool{}
+		l.Replay(func(id uint64, _ []byte) error { replayed[i][id] = true; return nil })
+	}
+	// Large acked replies: the shards compact, and the snapshots stay small
+	// beside the files, so each FileLog rewrites its own.
+	big := bytes.Repeat([]byte{0xA5}, 8<<10)
+	for _, c := range clients {
+		for seq := uint64(old + 1); seq <= old+3*compactEvery; seq++ {
+			send(srv, c, seq, big)
+			srv.OnFrame(snd, ackFrame(seq), 0)
+		}
+	}
+	srv.compactWG.Wait()
+	for i, l := range logs {
+		if st := l.Stats(); st.Compactions == 0 {
+			t.Fatalf("shard %d's file was never rewritten: %+v", i, st)
+		}
+		l.Replay(func(id uint64, _ []byte) error {
+			if replayed[i][id] {
+				t.Fatalf("shard %d still holds record %d, replayed at the reopen", i, id)
+			}
+			return nil
+		})
+	}
+
+	redeliver := func(srv *Server) {
+		t.Helper()
+		for _, c := range clients {
+			for seq := uint64(1); seq <= old; seq++ {
+				key := fmt.Sprintf("%s/%d", c, seq)
+				if got := send(srv, c, seq, []byte("redelivered")); !bytes.Equal(got, sent[key]) {
+					t.Fatalf("%s redelivered: reply %x, want the bytes first sent %x", key, got, sent[key])
+				}
+			}
+		}
+	}
+	redeliver(srv)
+	abandon()
+	srv = open()
+	srv.Register("echo", handler)
+	defer abandon()
+	defer srv.Close()
+	redeliver(srv)
+	for key, n := range execs {
+		if n != 1 {
+			t.Fatalf("%s ran %d times, want once", key, n)
+		}
 	}
 }

@@ -24,10 +24,10 @@ func recoverConfig(shards []stable.Log) qrpc.ServerConfig {
 	return qrpc.ServerConfig{ServerID: "recover", Journals: shards, JournalCompactEvery: 1 << 30}
 }
 
-// fillJournal journals recoverSessions sessions of records executed echoes
-// each into recoverSessions fresh MemLog shards, acknowledging the first of
-// every two seqs: one ack record per two exec records, and half the replies
-// still cached when the server is abandoned.
+// fillJournal journals recoverSessions client sessions, each executing
+// records echoes, into as many fresh MemLog shards. Each session
+// acknowledges the first of every two seqs: one ack record per two exec
+// records, and half the replies still cached when the server is abandoned.
 func fillJournal(tb testing.TB, records int) []stable.Log {
 	tb.Helper()
 	shards := make([]stable.Log, recoverSessions)
@@ -113,5 +113,33 @@ func BenchmarkRecoverJournal(b *testing.B) {
 				qrpc.NewServer(cfg).Close()
 			}
 		})
+	}
+}
+
+// TestRecoverJournalAllocs pins what journal recovery allocates over four
+// MemLog shards: the sessions, their maps and the shards' replay order, and
+// nothing per record. Every record is read in place, and a recovered reply
+// is a view of its exec record, so four times the records costs only the
+// maps' growth, well under twice as much.
+func TestRecoverJournalAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts, so allocation counts mean nothing")
+	}
+	counts := map[int]float64{}
+	for _, tc := range []struct {
+		records int
+		want    float64
+	}{{256, 189}, {1024, 233}} {
+		cfg := recoverConfig(fillJournal(t, tc.records))
+		n := testing.AllocsPerRun(20, func() { qrpc.NewServer(cfg).Close() })
+		if n != tc.want {
+			t.Errorf("recovering %d sessions of %d exec records allocates %v objects, want %v",
+				recoverSessions, tc.records, n, tc.want)
+		}
+		counts[tc.records] = n
+	}
+	if counts[1024] >= 2*counts[256] {
+		t.Errorf("recovery allocates %v objects for 1024 records a session against %v for 256: it allocates per record",
+			counts[1024], counts[256])
 	}
 }

@@ -3,7 +3,6 @@ package stable
 import (
 	"os"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 )
@@ -244,7 +243,7 @@ func (l *FileLog) liveIDsLocked() []uint64 {
 	for id := range l.live {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 

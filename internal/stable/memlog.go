@@ -1,7 +1,8 @@
 package stable
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 )
@@ -132,7 +133,7 @@ func (l *MemLog) Replay(fn func(id uint64, rec []byte) error) error {
 		live = append(live, pair{id, rec})
 	}
 	l.mu.Unlock()
-	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
+	slices.SortFunc(live, func(a, b pair) int { return cmp.Compare(a.id, b.id) })
 	for _, p := range live {
 		if err := fn(p.id, p.rec); err != nil {
 			return err
