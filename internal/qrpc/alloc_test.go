@@ -83,36 +83,41 @@ func echoRoundTripAllocs(t *testing.T, cfg qrpc.ServerConfig, want float64) {
 }
 
 // TestStaleInstallReplyAllocs: a replica peer's reply that the session
-// already holds is turned away before anything is built for it. On a
-// journaled server no journal record is appended, and the exec record a
-// fresh install is cached in is not even encoded: the stale install
-// allocates nothing.
+// already holds is turned away before anything is built for it, an error
+// reply's message included. On a journaled server no journal record is
+// appended, and the exec record a fresh install is cached in is not even
+// encoded: the stale install allocates nothing.
 func TestStaleInstallReplyAllocs(t *testing.T) {
-	journal := stable.NewMemLog(stable.Options{})
-	srv := qrpc.NewServer(qrpc.ServerConfig{ServerID: "alloc", Journals: []stable.Log{journal}})
-	defer srv.Close()
-	enc := wire.Marshal(&qrpc.Reply{Seq: 1, Status: qrpc.StatusOK, Result: []byte("from the peer")})
-	if ok, err := srv.InstallReply("peer", enc); !ok || err != nil {
-		t.Fatalf("first install = %v, %v", ok, err)
-	}
-	records := func() (n int) {
-		journal.Replay(func(uint64, []byte) error { n++; return nil })
-		return n
-	}
-	before := records()
-	stale := func() {
-		if ok, err := srv.InstallReply("peer", enc); ok || err != nil {
-			t.Fatalf("stale install = %v, %v; want it ignored", ok, err)
+	for _, rep := range []qrpc.Reply{
+		{Seq: 1, Status: qrpc.StatusOK, Result: []byte("from the peer")},
+		{Seq: 1, Status: qrpc.StatusAppError, ErrMsg: "the method failed"},
+	} {
+		journal := stable.NewMemLog(stable.Options{})
+		srv := qrpc.NewServer(qrpc.ServerConfig{ServerID: "alloc", Journals: []stable.Log{journal}})
+		defer srv.Close()
+		enc := wire.Marshal(&rep)
+		if ok, err := srv.InstallReply("peer", enc); !ok || err != nil {
+			t.Fatalf("status %d: first install = %v, %v", rep.Status, ok, err)
 		}
-	}
-	stale()
-	if n := records(); n != before {
-		t.Fatalf("a stale install took the journal from %d records to %d", before, n)
-	}
-	if raceEnabled {
-		return // allocation counts are held by the run without -race
-	}
-	if n := testing.AllocsPerRun(100, stale); n != 0 {
-		t.Fatalf("a stale install allocates %v objects, want 0", n)
+		records := func() (n int) {
+			journal.Replay(func(uint64, []byte) error { n++; return nil })
+			return n
+		}
+		before := records()
+		stale := func() {
+			if ok, err := srv.InstallReply("peer", enc); ok || err != nil {
+				t.Fatalf("status %d: stale install = %v, %v; want it ignored", rep.Status, ok, err)
+			}
+		}
+		stale()
+		if n := records(); n != before {
+			t.Fatalf("status %d: a stale install took the journal from %d records to %d", rep.Status, before, n)
+		}
+		if raceEnabled {
+			continue // allocation counts are held by the run without -race
+		}
+		if n := testing.AllocsPerRun(100, stale); n != 0 {
+			t.Errorf("status %d: a stale install allocates %v objects, want 0", rep.Status, n)
+		}
 	}
 }

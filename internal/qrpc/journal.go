@@ -302,12 +302,12 @@ func readSessionList(rec []byte, r *wire.Reader) (map[string]*session, error) {
 // live one as a view of its exec record.
 func readReply(rec []byte, r *wire.Reader) (uint64, []byte, error) {
 	start := len(rec) - r.Remaining()
-	var rep Reply
-	if err := rep.UnmarshalWire(r); err != nil {
+	seq, err := readReplySeq(r)
+	if err != nil {
 		return 0, nil, err
 	}
 	end := len(rec) - r.Remaining()
-	return rep.Seq, rec[start:end:end], nil
+	return seq, rec[start:end:end], nil
 }
 
 // skipSeqs reads past the count-prefixed seq list at r's position and

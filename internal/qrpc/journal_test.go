@@ -942,3 +942,29 @@ func TestRecoveredReplySurvivesJournalCompaction(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoveredReplyAllocs: journal recovery checks a reply and learns its
+// seq in place, and builds nothing for an OK or an application-error exec
+// record: the error message, like the result, stays a view of its record.
+func TestRecoveredReplyAllocs(t *testing.T) {
+	for _, rep := range []Reply{
+		{Seq: 7, Status: StatusOK, Result: []byte("the result")},
+		{Seq: 7, Status: StatusAppError, ErrMsg: "the method failed"},
+	} {
+		enc := wire.Marshal(&rep)
+		rec := encodeExecRecordEnc("phone", enc)
+		sessions := map[string]*session{}
+		recover := func() {
+			if _, err := applyJournalRecord(sessions, rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		recover()
+		if got := sessions["phone"].replies[rep.Seq]; !bytes.Equal(got, enc) {
+			t.Fatalf("status %d: recovered reply %q, want %q", rep.Status, got, enc)
+		}
+		if n := testing.AllocsPerRun(100, recover); n != 0 {
+			t.Errorf("status %d: recovering an exec record allocates %v objects, want 0", rep.Status, n)
+		}
+	}
+}

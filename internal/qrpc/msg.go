@@ -158,6 +158,17 @@ func (m *Reply) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
+// readReplySeq checks that the bytes at r's position decode as one Reply
+// and returns its seq. Result and ErrMsg are read as views, so the check
+// builds nothing, even for an error reply.
+func readReplySeq(r *wire.Reader) (uint64, error) {
+	seq := r.Uvarint()
+	r.Byte()
+	r.View()
+	r.View()
+	return seq, r.Err()
+}
+
 // Ack tells the server which replies arrived, so it can discard its
 // idempotency state for them.
 type Ack struct {

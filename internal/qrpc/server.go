@@ -683,15 +683,15 @@ func (s *Server) SetOnExecuted(fn func(clientID string, req Request, enc []byte)
 // path writes, so recovery rebuilds them too. It reports whether the reply
 // was installed.
 func (s *Server) InstallReply(clientID string, enc []byte) (bool, error) {
-	var rep Reply
 	r := wire.OwnedReader(enc)
-	if err := cmp.Or(rep.UnmarshalWire(&r), r.Finish()); err != nil {
+	seq, err := readReplySeq(&r)
+	if err = cmp.Or(err, r.Finish()); err != nil {
 		return false, fmt.Errorf("qrpc: bad reply: %w", err)
 	}
 	s.mu.Lock()
 	sess := s.sessionLocked(clientID)
-	_, cached := sess.replies[rep.Seq]
-	if cached || sess.acked[rep.Seq] || rep.Seq < sess.lowSeq || sess.executing[rep.Seq] {
+	_, cached := sess.replies[seq]
+	if cached || sess.acked[seq] || seq < sess.lowSeq || sess.executing[seq] {
 		s.mu.Unlock()
 		return false, nil
 	}
@@ -701,7 +701,7 @@ func (s *Server) InstallReply(clientID string, enc []byte) (bool, error) {
 		rec = encodeExecRecordEnc(clientID, enc)
 		enc = rec[len(rec)-len(enc):]
 	}
-	s.recordReplyLocked(sess, rep.Seq, enc)
+	s.recordReplyLocked(sess, seq, enc)
 	s.stats.ReplicatedReplies++
 	s.mu.Unlock()
 	s.journalSessionRecord(clientID, false, func() []byte { return rec })

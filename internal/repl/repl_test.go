@@ -360,7 +360,7 @@ func TestPairStreamsExecRecords(t *testing.T) {
 
 // farBehindPair drives a disk-backed pair into the far-behind shape: B goes
 // down holding the object at a low version, A commits `commits` more ops
-// (far past the in-memory history window), then BOTH servers reboot — so no
+// (far past the history OpsSince reaches), then BOTH servers reboot — so no
 // queued stream records survive anywhere and the gap can only be closed by
 // the digest sweep. Returns the URN and B's pre-outage version.
 func farBehindPair(t *testing.T, p *pair, commits int) rover.URN {
@@ -395,39 +395,34 @@ func farBehindPair(t *testing.T, p *pair, commits int) rover.URN {
 	return u
 }
 
-// TestPairFarBehindSegmentCatchUp: a replica behind by far more than the
-// in-memory history window converges by segment-streamed deltas — bounded
-// chunks read straight from the origin's segment — with no full-state
-// transfer.
-func TestPairFarBehindSegmentCatchUp(t *testing.T) {
-	p := newDiskPair(t, 0)
-	const commits = 100 // >> store.DefaultHistoryLimit (32)
-	u := farBehindPair(t, p, commits)
-	p.requireConverged(t)
-	obj, err := p.srvs[1].Store().Get(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < commits; i += 7 {
-		if _, ok := obj.Get(fmt.Sprintf("far%d", i)); !ok {
-			t.Errorf("replica missing far%d after segment catch-up", i)
-		}
-	}
-	st := p.reps[0].Stats()
-	if st.SegmentCatchUps == 0 {
-		t.Fatal("far-behind replica converged without a segment catch-up")
-	}
-	if st.FullSyncs != 0 {
-		t.Fatalf("far-behind catch-up fell back to %d full syncs", st.FullSyncs)
-	}
-	if st.CatchUpBytes == 0 {
-		t.Fatal("segment catch-up accounted no bytes")
-	}
-	// The delta must genuinely undercut shipping the object: compare against
-	// the full current state's encoding.
-	full := int64(len(p.srvs[0].Store().Snapshot()))
-	if st.CatchUpBytes >= full*4 {
-		t.Fatalf("catch-up bytes %d vs full state %d: delta path is not paying", st.CatchUpBytes, full)
+// TestPairFarBehindFullSync: a replica behind by more than the history's
+// reach (store.DefaultHistoryLimit versions) is caught up the way a stale
+// client is: with the whole object. It converges whether the origin's
+// record chain is whole or compaction has collapsed it.
+func TestPairFarBehindFullSync(t *testing.T) {
+	for _, compactEvery := range []int{0, 8} {
+		t.Run(fmt.Sprintf("compactEvery=%d", compactEvery), func(t *testing.T) {
+			p := newDiskPair(t, compactEvery)
+			const commits = 100 // >> store.DefaultHistoryLimit (32)
+			u := farBehindPair(t, p, commits)
+			p.requireConverged(t)
+			obj, err := p.srvs[1].Store().Get(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < commits; i++ {
+				if _, ok := obj.Get(fmt.Sprintf("far%d", i)); !ok {
+					t.Errorf("replica missing far%d after catch-up", i)
+				}
+			}
+			st := p.reps[0].Stats()
+			if st.FullSyncs == 0 {
+				t.Fatal("far-behind replica converged without a full sync")
+			}
+			if st.FullSyncBytes == 0 {
+				t.Fatal("full sync accounted no bytes")
+			}
+		})
 	}
 }
 
@@ -440,8 +435,8 @@ func TestPairOneStepCatchUpKeepsSource(t *testing.T) {
 	p := newDiskPair(t, 0)
 	u := farBehindPair(t, p, 1)
 	p.requireConverged(t)
-	if st := p.reps[0].Stats(); st.CatchUps != 1 || st.SegmentCatchUps != 0 {
-		t.Fatalf("%d catch-ups, %d from the segment: want one from the history", st.CatchUps, st.SegmentCatchUps)
+	if st := p.reps[0].Stats(); st.CatchUps != 1 {
+		t.Fatalf("%d catch-ups: want one from the history", st.CatchUps)
 	}
 	origin := p.srvs[0].Store()
 	v, err := origin.Version(u)
@@ -456,31 +451,6 @@ func TestPairOneStepCatchUpKeepsSource(t *testing.T) {
 		if done, err := srv.Store().WasCommitted(u, v-1, invs, "pair-test-mobile"); err != nil || !done {
 			t.Errorf("server %d: WasCommitted(v%d) = %v, %v: want the export recognized", i, v-1, done, err)
 		}
-	}
-}
-
-// TestPairFarBehindCompactedFallsBackToFullSync: when compaction has
-// collapsed the origin's segment chain, the delta cannot be served — the
-// digest sweep must repair via full-state transfer instead, and the pair
-// still converges.
-func TestPairFarBehindCompactedFallsBackToFullSync(t *testing.T) {
-	p := newDiskPair(t, 8) // aggressive compaction breaks the chain
-	const commits = 100
-	u := farBehindPair(t, p, commits)
-	p.requireConverged(t)
-	obj, err := p.srvs[1].Store().Get(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := obj.Get(fmt.Sprintf("far%d", commits-1)); !ok {
-		t.Errorf("replica missing the newest commit after full-sync repair")
-	}
-	st := p.reps[0].Stats()
-	if st.FullSyncs == 0 {
-		t.Fatal("compacted origin repaired the gap without a full sync")
-	}
-	if st.FullSyncBytes == 0 {
-		t.Fatal("full sync accounted no bytes")
 	}
 }
 

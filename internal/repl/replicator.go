@@ -53,7 +53,6 @@ type Stats struct {
 	Duplicates      int64 // records already reflected in the local store
 	Behind          int64 // sends the peer answered Behind/NeedState to
 	CatchUps        int64 // operation catch-up records pushed
-	SegmentCatchUps int64 // catch-ups delta-streamed from the durable segment
 	FullSyncs       int64 // whole-object transfers pushed
 	CatchUpBytes    int64 // encoded bytes of catch-up ops records
 	FullSyncBytes   int64 // encoded bytes of whole-object transfers
@@ -243,12 +242,12 @@ func (r *Replicator) send(rec *Record, catchup bool) int {
 			r.mu.Lock()
 			r.stats.Behind++
 			r.mu.Unlock()
-			r.pushCatchUp(u, ar.HaveVersion)
+			r.pushCatchUp(u, ar.HaveVersion, true)
 		case ApplyNeedState:
 			r.mu.Lock()
 			r.stats.Behind++
 			r.mu.Unlock()
-			r.pushState(u)
+			r.pushCatchUp(u, 0, false)
 		}
 	})
 	if r.cfg.Kick != nil {
@@ -257,14 +256,15 @@ func (r *Replicator) send(rec *Record, catchup bool) int {
 	return len(enc)
 }
 
-// pushCatchUp advances the peer's copy of u from its version `have`: an
-// operation delta when the local history still spans the gap, a
-// segment-streamed delta when the store can replay the gap from durable
-// storage (see pushSegmentCatchUp), the whole object otherwise. At most one
-// catch-up per object is in flight — a burst of Behind replies for the same
+// pushCatchUp advances the peer's copy of u from its version `have` by the
+// rule a client's stale copy is revalidated by: an operation delta when the
+// store's history spans the gap (OpsSince), the whole object otherwise.
+// With delta false it ships the whole object regardless: replay at the peer
+// diverged, or its same-version copy lost the digest tie-break. At most one
+// push per object is in flight — a burst of Behind replies for the same
 // object collapses to one transfer (the version guard at the receiver makes
 // any extras harmless duplicates).
-func (r *Replicator) pushCatchUp(u urn.URN, have uint64) {
+func (r *Replicator) pushCatchUp(u urn.URN, have uint64, delta bool) {
 	r.mu.Lock()
 	if r.inflight[u] {
 		r.mu.Unlock()
@@ -283,124 +283,29 @@ func (r *Replicator) pushCatchUp(u urn.URN, have uint64) {
 		r.mu.Unlock()
 		return
 	}
-	if have >= obj.Version {
-		// Peer is caught up (or ahead: its own stream will reach us).
-		r.mu.Lock()
-		delete(r.inflight, u)
-		r.mu.Unlock()
-		return
-	}
-	ops, newVer, src, ok := r.cfg.Store.OpsSince(u, have)
-	if ok && newVer == obj.Version {
-		// A one-step record carries its source, as the stream's own records
-		// do, so the replica can recognize the export redelivered.
-		n := r.send(&Record{Kind: KindOps, URN: u, PrevVersion: have, Version: newVer,
-			Invs: ops, Src: src, Check: proto.CheckOf(obj)}, true)
-		r.mu.Lock()
-		r.stats.CatchUps++
-		r.stats.CatchUpBytes += int64(n)
-		r.mu.Unlock()
-		return
-	}
-	if sr, srOK := r.cfg.Store.(store.OpsReader); srOK && have > 0 {
-		if r.pushSegmentCatchUp(sr, u, have) {
+	if delta {
+		if have >= obj.Version {
+			// Peer is caught up (or ahead: its own stream will reach us).
+			r.mu.Lock()
+			delete(r.inflight, u)
+			r.mu.Unlock()
+			return
+		}
+		if ops, newVer, src, ok := r.cfg.Store.OpsSince(u, have); ok && newVer == obj.Version {
+			// A one-step record carries its source, as the stream's own
+			// records do, so the replica can recognize the export redelivered.
+			n := r.send(&Record{Kind: KindOps, URN: u, PrevVersion: have, Version: newVer,
+				Invs: ops, Src: src, Check: proto.CheckOf(obj)}, true)
+			r.mu.Lock()
+			r.stats.CatchUps++
+			r.stats.CatchUpBytes += int64(n)
+			r.mu.Unlock()
 			return
 		}
 	}
 	n := r.send(&Record{Kind: KindState, URN: u, Object: obj.Encode()}, true)
 	r.mu.Lock()
 	r.stats.FullSyncs++
-	r.stats.FullSyncBytes += int64(n)
-	r.mu.Unlock()
-}
-
-// catchUpChunk is the number of version steps coalesced into one spanning
-// ops record by a segment-streamed catch-up — each chunk is applied (and
-// checked) atomically at the peer, bounding both sides' memory to one chunk
-// regardless of how far behind the peer is.
-const catchUpChunk = 64
-
-// pushSegmentCatchUp advances the peer from version `have` by replaying the
-// object's operation chain straight from the durable segment — the
-// in-memory history window has been pruned, but the gap may still be
-// bridgeable with deltas far smaller than the object. The stream is cut
-// into chunks of catchUpChunk version steps; every chunk carries the
-// ObjectCheck of its end-of-chunk state, so the peer verifies each hop.
-// Only the final chunk is sent with the catchup flag (its completion clears
-// the in-flight marker). Reports whether it handled the catch-up; false
-// (opaque jump in the chain, segment rewritten mid-stream, span too large)
-// means the caller must fall back to a full-state transfer — any chunks
-// already sent are harmless prefixes the peer has applied.
-func (r *Replicator) pushSegmentCatchUp(sr store.OpsReader, u urn.URN, have uint64) bool {
-	type step struct {
-		ver  uint64
-		invs []rdo.Invocation
-		src  string
-		obj  []byte
-	}
-	var pending []step
-	base := have
-	sentBytes := int64(0)
-	flush := func(steps []step, last bool) {
-		end := steps[len(steps)-1]
-		rec := &Record{Kind: KindOps, URN: u, PrevVersion: base, Version: end.ver,
-			Check: proto.ObjectCheck(end.obj)}
-		for _, st := range steps {
-			rec.Invs = append(rec.Invs, st.invs...)
-		}
-		if end.ver == base+1 {
-			// A single-step chunk installs through the peer's ops path,
-			// which records history with the exporting source.
-			rec.Src = end.src
-		}
-		sentBytes += int64(r.send(rec, last))
-		base = end.ver
-	}
-	ok, err := sr.StreamOpsSince(u, have, func(ver uint64, invs []rdo.Invocation, src string, obj []byte) error {
-		pending = append(pending, step{ver: ver, invs: invs, src: src, obj: obj})
-		if len(pending) > catchUpChunk {
-			// Flush all but the newest step: holding one back keeps the
-			// final chunk identifiable when the stream ends.
-			flush(pending[:len(pending)-1], false)
-			pending = pending[:1:1]
-			pending[0] = step{ver: ver, invs: invs, src: src, obj: obj}
-		}
-		return nil
-	})
-	if err != nil || !ok || len(pending) == 0 {
-		return false
-	}
-	flush(pending, true)
-	r.mu.Lock()
-	r.stats.CatchUps++
-	r.stats.SegmentCatchUps++
-	r.stats.CatchUpBytes += sentBytes
-	r.mu.Unlock()
-	return true
-}
-
-// pushState ships the whole current object (replay at the peer diverged,
-// or no contiguous history exists).
-func (r *Replicator) pushState(u urn.URN) {
-	r.mu.Lock()
-	if r.inflight[u] {
-		r.mu.Unlock()
-		return
-	}
-	r.inflight[u] = true
-	r.stats.FullSyncs++
-	r.mu.Unlock()
-	obj, err := r.cfg.Store.Get(u)
-	if err != nil {
-		// A read fault, as in pushCatchUp.
-		r.mu.Lock()
-		delete(r.inflight, u)
-		r.stats.Errors++
-		r.mu.Unlock()
-		return
-	}
-	n := r.send(&Record{Kind: KindState, URN: u, Object: obj.Encode()}, true)
-	r.mu.Lock()
 	r.stats.FullSyncBytes += int64(n)
 	r.mu.Unlock()
 }
@@ -445,9 +350,9 @@ func (r *Replicator) applyDigest(dig *DigestReply) {
 		pe, ok := peer[e.URN]
 		switch {
 		case !ok:
-			r.pushCatchUp(e.URN, 0)
+			r.pushCatchUp(e.URN, 0, true)
 		case pe.Version < e.Version:
-			r.pushCatchUp(e.URN, pe.Version)
+			r.pushCatchUp(e.URN, pe.Version, true)
 		case pe.Version == e.Version:
 			obj, err := r.cfg.Store.Get(e.URN)
 			if err != nil {
@@ -458,7 +363,7 @@ func (r *Replicator) applyDigest(dig *DigestReply) {
 				// Same version, different bytes: deterministic winner (the
 				// larger ServerID) pushes its copy; the loser's handler
 				// accepts the equal-version replace from it.
-				r.pushState(e.URN)
+				r.pushCatchUp(e.URN, 0, false)
 			}
 		}
 	}

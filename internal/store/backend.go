@@ -75,27 +75,14 @@ type Backend interface {
 	Close() error
 }
 
-// OpsReader is an optional Backend extension for segment-backed stores: it
-// streams the ops that advance an object from version `from` to the version
-// current at the call, oldest first, straight from durable storage — so a
-// caller can assemble a delta far longer than the in-memory history window.
-// Each fn call carries one version step: its invocations, source tag, and
-// the object's full encoding at that version (callers use the last one as a
-// convergence check).
-//
-// ok=false with err=nil means the delta cannot be served (opaque jump in
-// the object's past, storage rewritten mid-stream, span too large) and the
-// caller must fall back to full-state transfer; an error from fn aborts the
-// stream and is returned. The replication layer type-asserts this interface
-// for far-behind replica catch-up.
+// OpsReader is named only by the benchmark module; no store in this module
+// implements it, and it goes when that module next changes.
 type OpsReader interface {
 	StreamOpsSince(u urn.URN, from uint64, fn func(ver uint64, invs []rdo.Invocation, src string, obj []byte) error) (bool, error)
 }
 
-// CacheTuner is an optional Backend extension: online retuning of the
-// backend's resident-cache budget. The facade's adaptive controller grows
-// the budget when the observed cold-fault ratio says the working set does
-// not fit; shrinking evicts immediately.
+// CacheTuner is named only by the benchmark module; no store in this module
+// implements it, and it goes when that module next changes.
 type CacheTuner interface {
 	SetCacheBytes(n int64)
 	CacheBytes() int64

@@ -430,7 +430,7 @@ func (s *Store) commitOps(obj *rdo.Object, expect uint64, invs []rdo.Invocation,
 	recKind, ops, opsBytes := recState, store.OpsRec{}, 0
 	if len(invs) > 0 {
 		// The chain link points at the object's previous record (ent.off),
-		// letting recovery and far-behind catch-up walk versions backwards.
+		// letting history reads (walkChain) walk versions backwards.
 		rec, objBytes = encodeOps(obj.URN, expect, obj.Version, src, invs, obj, ent.off)
 		recKind, ops, opsBytes = recOps, store.OpsRec{Ver: obj.Version, Invs: invs, Src: src}, len(rec)-len(objBytes)
 	} else {
@@ -562,73 +562,6 @@ func (s *Store) OpsSince(u urn.URN, from uint64) ([]rdo.Invocation, uint64, stri
 	return slices.Concat(steps[:n]...), cur, "", true
 }
 
-// maxStreamChain bounds StreamOpsSince's backward walk. Past ~64k versions
-// the offset list itself is still tiny, but the replica is so far behind
-// that shipping the object's state is almost certainly cheaper than
-// replaying the delta.
-const maxStreamChain = 1 << 16
-
-// StreamOpsSince implements store.OpsReader: it streams the ops records
-// that advance u from version `from` up to the version current at the call,
-// oldest first, reading them straight from the segment via each record's
-// chain link — the far-behind catch-up path that keeps working past the
-// store.DefaultHistoryLimit versions OpsSince and WasCommitted reach back.
-//
-// ok=false with a nil error means the delta cannot be served — the object
-// reached its version through an opaque jump, the chain left the current
-// segment (compaction swapped it mid-walk), or the span is unreasonable —
-// and the caller should fall back to full-state transfer. An error from fn
-// aborts the stream and is returned as (false, err).
-//
-// Memory stays bounded regardless of how far behind `from` is: the backward
-// pass retains only one offset per version, and the forward pass re-reads
-// one record at a time.
-func (s *Store) StreamOpsSince(u urn.URN, from uint64, fn func(ver uint64, invs []rdo.Invocation, src string, obj []byte) error) (bool, error) {
-	s.mu.RLock()
-	ent, ok := s.idx[u]
-	seg := s.seg
-	s.mu.RUnlock()
-	if !ok || from >= ent.ver || ent.ver-from > maxStreamChain || ent.kind != recOps {
-		return false, nil
-	}
-	// Backward pass: collect each version's record offset via the chain.
-	offs := make([]int64, 0, ent.ver-from)
-	off, want := ent.off, ent.ver
-	for want > from {
-		rec, err := readRecordAt(seg, off, true)
-		if err != nil || rec.kind != recOps || rec.urn != u || rec.ver != want {
-			return false, nil
-		}
-		offs = append(offs, off)
-		want--
-		if want == from {
-			break
-		}
-		if rec.prevOff < 0 {
-			return false, nil
-		}
-		off = rec.prevOff
-	}
-	// Forward pass: replay oldest-first, handing each record to fn.
-	for i := len(offs) - 1; i >= 0; i-- {
-		rec, err := readRecordAt(seg, offs[i], true)
-		if err != nil || rec.kind != recOps {
-			return false, nil
-		}
-		if ferr := fn(rec.ver, rec.invs, rec.src, rec.obj); ferr != nil {
-			return false, ferr
-		}
-	}
-	return true, nil
-}
-
-// SetCacheBytes implements store.CacheTuner: it retunes the hot-object LRU
-// budget online, evicting immediately on shrink.
-func (s *Store) SetCacheBytes(n int64) { s.lru.setMax(n) }
-
-// CacheBytes implements store.CacheTuner.
-func (s *Store) CacheBytes() int64 { return s.lru.maxBytes() }
-
 // WasCommitted implements store.Backend. When base+1 is u's version it
 // compares the ops commit the LRU caches with u, if any; otherwise it reads
 // u's chain back to the record of version base+1 and decodes only that
@@ -729,7 +662,7 @@ func (s *Store) objBytesLocked(u urn.URN, ent idxEnt) ([]byte, error) {
 	if obj, _ := s.lru.peek(u); obj != nil && obj.Version == ent.ver {
 		return obj.Encode(), nil
 	}
-	rec, err := readRecordAt(s.seg, ent.off, false)
+	rec, err := readRecordAt(s.seg, ent.off)
 	if err != nil {
 		return nil, err
 	}

@@ -281,14 +281,14 @@ func segExtent(chunks, rest []scannedRec, i int, c scannedRec, seg *stable.Segme
 	return next - c.off
 }
 
-// readRecordAt preads and decodes one segment record on the segment's
-// pooled read buffer: whole, or only checked when keep is false. Either
-// way what it returns is a copy.
-func readRecordAt(seg *stable.SegmentFile, off int64, keep bool) (record, error) {
+// readRecordAt preads one segment record on the segment's pooled read
+// buffer and decodes it without an ops record's src and invs; what it
+// returns is a copy.
+func readRecordAt(seg *stable.SegmentFile, off int64) (record, error) {
 	var rec record
 	err := seg.ReadAtFunc(off, func(p []byte) error {
 		var derr error
-		rec, derr = decodeRecord(p, nil, keep)
+		rec, derr = decodeRecord(p, nil, false)
 		return derr
 	})
 	return rec, err

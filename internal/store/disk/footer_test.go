@@ -294,113 +294,3 @@ func TestFooterTornTailTruncation(t *testing.T) {
 		t.Fatalf("store not writable after torn-tail footer recovery: %v", err)
 	}
 }
-
-// TestStreamOpsSince covers the OpsReader contract on the happy path and
-// every documented ok=false case reachable without racing compaction.
-func TestStreamOpsSince(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir, Options{})
-	o := obj("chain")
-	if err := s.Create(o); err != nil {
-		t.Fatal(err)
-	}
-	const steps = 100 // far beyond the in-memory history window
-	bumpOps(t, s, o.URN, steps)
-
-	type got struct {
-		ver  uint64
-		args []string
-		src  string
-	}
-	collect := func(from uint64) ([]got, bool) {
-		var out []got
-		ok, err := s.StreamOpsSince(o.URN, from, func(ver uint64, invs []rdo.Invocation, src string, objBytes []byte) error {
-			if len(invs) != 1 || len(objBytes) == 0 {
-				t.Fatalf("step v%d: %d invs, %d obj bytes", ver, len(invs), len(objBytes))
-			}
-			out = append(out, got{ver: ver, args: invs[0].Args, src: src})
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("StreamOpsSince(%d): %v", from, err)
-		}
-		return out, ok
-	}
-
-	// Full chain from version 1: contiguous, oldest first, bounded memory is
-	// the implementation's problem — we just check the contract.
-	all, ok := collect(1)
-	if !ok || len(all) != steps {
-		t.Fatalf("stream from 1: %d steps ok=%v, want %d", len(all), ok, steps)
-	}
-	for i, g := range all {
-		if g.ver != uint64(i+2) || g.src != "cli" || g.args[0] != strconv.Itoa(i) {
-			t.Fatalf("step %d = %+v", i, g)
-		}
-	}
-	// Mid-chain start.
-	mid, ok := collect(51)
-	if !ok || len(mid) != 50 || mid[0].ver != 52 {
-		t.Fatalf("stream from 51: %d steps ok=%v first=%v", len(mid), ok, mid)
-	}
-	// Already caught up, and ahead of head.
-	if _, ok := collect(uint64(steps + 1)); ok {
-		t.Fatal("stream from head reported a delta")
-	}
-	// fn errors abort and propagate.
-	sentinel := errors.New("stop")
-	if ok, err := s.StreamOpsSince(o.URN, 1, func(uint64, []rdo.Invocation, string, []byte) error {
-		return sentinel
-	}); ok || !errors.Is(err, sentinel) {
-		t.Fatalf("fn error: ok=%v err=%v", ok, err)
-	}
-	// An opaque jump (plain state commit) breaks the chain: no delta.
-	cur, err := s.Get(o.URN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur.Set("n", "opaque")
-	if _, err := s.Commit(cur, cur.Version); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := collect(1); ok {
-		t.Fatal("streamed a delta across an opaque state jump")
-	}
-	// Unknown object.
-	if ok, err := s.StreamOpsSince(urn.MustParse("urn:rover:h/nope"), 0,
-		func(uint64, []rdo.Invocation, string, []byte) error { return nil }); ok || err != nil {
-		t.Fatalf("unknown urn: ok=%v err=%v", ok, err)
-	}
-}
-
-// TestStreamOpsSinceAfterCompaction: compaction collapses an object's chain
-// into one snapshot record, so a pre-compaction `from` cannot be served
-// (ok=false → the caller's full-state fallback), while deltas wholly within
-// post-compaction commits stream fine.
-func TestStreamOpsSinceAfterCompaction(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir, Options{CompactEvery: 8})
-	o := obj("hot")
-	if err := s.Create(o); err != nil {
-		t.Fatal(err)
-	}
-	bumpOps(t, s, o.URN, 100)
-	if s.Occupancy().Compactions == 0 {
-		t.Fatal("no compaction fired")
-	}
-	nop := func(uint64, []rdo.Invocation, string, []byte) error { return nil }
-	if ok, err := s.StreamOpsSince(o.URN, 1, nop); ok || err != nil {
-		t.Fatalf("far-behind stream across a compaction: ok=%v err=%v (want fallback)", ok, err)
-	}
-	// Fresh commits re-grow a streamable chain.
-	bumpOps(t, s, o.URN, 10)
-	ver, _ := s.Version(o.URN)
-	n := 0
-	ok, err := s.StreamOpsSince(o.URN, ver-5, func(uint64, []rdo.Invocation, string, []byte) error {
-		n++
-		return nil
-	})
-	if !ok || err != nil || n != 5 {
-		t.Fatalf("post-compaction stream: %d steps ok=%v err=%v, want 5", n, ok, err)
-	}
-}

@@ -90,33 +90,6 @@ func (c *lruCache) put(obj *rdo.Object, ops store.OpsRec, opsBytes int) {
 	}
 }
 
-// setMax retunes the byte bound online, evicting from the cold end when the
-// new bound is below current occupancy. A bound <= 0 caches nothing:
-// existing entries are evicted and every later put is refused by the size
-// check.
-func (c *lruCache) setMax(n int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.max = n
-	for c.bytes > c.max {
-		el := c.ll.Back()
-		if el == nil {
-			break
-		}
-		ent := el.Value.(*lruEnt)
-		c.ll.Remove(el)
-		delete(c.m, ent.u)
-		c.bytes -= ent.size
-	}
-}
-
-// maxBytes returns the current byte bound.
-func (c *lruCache) maxBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.max
-}
-
 // peek returns the cached object and the ops commit that wrote it without
 // promoting it — compaction's bulk read must not churn the recency order.
 func (c *lruCache) peek(u urn.URN) (*rdo.Object, store.OpsRec) {

@@ -76,8 +76,8 @@ func appendStateBytes(b *wire.Buffer, u urn.URN, ver uint64, obj []byte) {
 // object's previous record in the same segment (-1 when unknown); it is
 // appended as a trailing field, biased by one so absence and "no previous"
 // both decode safely, making old records (no trailing field) readable and
-// letting recovery and catch-up walk an object's record chain backwards
-// without scanning.
+// letting history reads (walkChain) walk an object's record chain
+// backwards without scanning.
 func encodeOps(u urn.URN, prevVer, ver uint64, src string, invs []rdo.Invocation, obj wire.Marshaler, prevOff int64) (rec, objBytes []byte) {
 	b := wire.GetBuffer()
 	b.PutByte(recOps)
@@ -175,8 +175,10 @@ func (n *names) urn(r *wire.Reader) (urn.URN, error) {
 // accepts and returns the same record without an ops record's src and
 // invs, so it allocates nothing in proportion to a count; Open checks every
 // record this way, and the reads that only want the object or the encoded
-// history (ops) decode this way. A snapshot record's window is only ever
-// checked: walkChain reads it from ops.
+// history (ops) decode this way. The whole decode (keep true) is the
+// reference FuzzDecodeRecord and the eager-replay tests compare the check
+// against. A snapshot record's window is only ever checked: walkChain reads
+// it from ops.
 // Without names (nil) everything it returns but ops is a copy, so p may be
 // a pooled read buffer; with names it decodes in place: obj aliases p and
 // the URN comes from n.

@@ -365,7 +365,7 @@ func TestCorruptChainRecordAfterFooterReopen(t *testing.T) {
 	}
 	bumpOps(t, s, a.URN, 20) // versions 2..21
 	s.mu.RLock()
-	rec, err := readRecordAt(s.seg, s.idx[a.URN].off, false)
+	rec, err := readRecordAt(s.seg, s.idx[a.URN].off)
 	s.mu.RUnlock()
 	if err != nil || rec.prevOff < 0 {
 		t.Fatalf("latest record: prevOff %d, %v", rec.prevOff, err)
@@ -578,39 +578,45 @@ func TestCompactionWindowCopyAllocs(t *testing.T) {
 // TestCachedHeadAllocs: while the LRU holds an object an ops commit wrote,
 // a delta one version behind and a redelivery check of that commit read no
 // record — OpsSince allocates only the slice it returns, WasCommitted
-// nothing. With the object evicted, both read the chain and answer the same.
+// nothing. In a store whose cache admits nothing (a one-byte budget leaves
+// every object oversized), both read the chain and answer the same.
 func TestCachedHeadAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool puts, so allocation counts mean nothing")
 	}
-	s := openStore(t, t.TempDir(), Options{})
-	o := obj("head")
-	if err := s.Create(o); err != nil {
-		t.Fatal(err)
-	}
-	bumpOps(t, s, o.URN, 5) // versions 2..6
-	last := setInv(o.URN, 6)
-	ask := func() {
-		ops, ver, _, ok := s.OpsSince(o.URN, 5)
-		if !ok || ver != 6 || !reflect.DeepEqual(ops, last) {
-			t.Fatalf("OpsSince(5) = %v to v%d ok=%v, want %v to v6", ops, ver, ok, last)
-		}
-		if !wasCommitted(t, s, o.URN, 5, last, "cli") || wasCommitted(t, s, o.URN, 5, last, "other") {
-			t.Fatal("WasCommitted does not tell the latest export by its source")
-		}
-	}
-	answer := func() {
-		s.OpsSince(o.URN, 5)
-		s.WasCommitted(o.URN, 5, last, "cli")
-	}
-	ask()
-	if n := testing.AllocsPerRun(100, answer); n != 1 {
-		t.Errorf("answering from the cached head allocates %v objects, want 1", n)
-	}
-	s.SetCacheBytes(0)
-	ask()
-	if n := testing.AllocsPerRun(100, answer); n <= 1 {
-		t.Errorf("answering from the chain allocates %v objects, want the decode's too", n)
+	for _, tc := range []struct {
+		name       string
+		cacheBytes int64
+	}{{"cached", 0}, {"uncached", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := openStore(t, t.TempDir(), Options{CacheBytes: tc.cacheBytes})
+			o := obj("head")
+			if err := s.Create(o); err != nil {
+				t.Fatal(err)
+			}
+			bumpOps(t, s, o.URN, 5) // versions 2..6
+			last := setInv(o.URN, 6)
+			ops, ver, _, ok := s.OpsSince(o.URN, 5)
+			if !ok || ver != 6 || !reflect.DeepEqual(ops, last) {
+				t.Fatalf("OpsSince(5) = %v to v%d ok=%v, want %v to v6", ops, ver, ok, last)
+			}
+			if !wasCommitted(t, s, o.URN, 5, last, "cli") || wasCommitted(t, s, o.URN, 5, last, "other") {
+				t.Fatal("WasCommitted does not tell the latest export by its source")
+			}
+			if occ := s.Occupancy(); (occ.ResidentObjects == 0) != (tc.cacheBytes == 1) {
+				t.Fatalf("%d objects resident under a budget of %d", occ.ResidentObjects, tc.cacheBytes)
+			}
+			n := testing.AllocsPerRun(100, func() {
+				s.OpsSince(o.URN, 5)
+				s.WasCommitted(o.URN, 5, last, "cli")
+			})
+			switch {
+			case tc.cacheBytes == 0 && n != 1:
+				t.Errorf("answering from the cached head allocates %v objects, want 1", n)
+			case tc.cacheBytes == 1 && n <= 1:
+				t.Errorf("answering from the chain allocates %v objects, want the decode's too", n)
+			}
+		})
 	}
 }
 
