@@ -395,35 +395,44 @@ func farBehindPair(t *testing.T, p *pair, commits int) rover.URN {
 	return u
 }
 
-// TestPairFarBehindFullSync: a replica behind by more than the history's
+// requireFarBehindFullSync: a replica behind by more than the history's
 // reach (store.DefaultHistoryLimit versions) is caught up the way a stale
-// client is: with the whole object. It converges whether the origin's
-// record chain is whole or compaction has collapsed it.
-func TestPairFarBehindFullSync(t *testing.T) {
-	for _, compactEvery := range []int{0, 8} {
-		t.Run(fmt.Sprintf("compactEvery=%d", compactEvery), func(t *testing.T) {
-			p := newDiskPair(t, compactEvery)
-			const commits = 100 // >> store.DefaultHistoryLimit (32)
-			u := farBehindPair(t, p, commits)
-			p.requireConverged(t)
-			obj, err := p.srvs[1].Store().Get(u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < commits; i++ {
-				if _, ok := obj.Get(fmt.Sprintf("far%d", i)); !ok {
-					t.Errorf("replica missing far%d after catch-up", i)
-				}
-			}
-			st := p.reps[0].Stats()
-			if st.FullSyncs == 0 {
-				t.Fatal("far-behind replica converged without a full sync")
-			}
-			if st.FullSyncBytes == 0 {
-				t.Fatal("full sync accounted no bytes")
-			}
-		})
+// client is: with the whole object, carrying every commit.
+func requireFarBehindFullSync(t *testing.T, compactEvery int) {
+	t.Helper()
+	p := newDiskPair(t, compactEvery)
+	const commits = 100 // >> store.DefaultHistoryLimit (32)
+	u := farBehindPair(t, p, commits)
+	p.requireConverged(t)
+	obj, err := p.srvs[1].Store().Get(u)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for i := 0; i < commits; i++ {
+		if _, ok := obj.Get(fmt.Sprintf("far%d", i)); !ok {
+			t.Errorf("replica missing far%d after catch-up", i)
+		}
+	}
+	st := p.reps[0].Stats()
+	if st.FullSyncs == 0 {
+		t.Fatal("far-behind replica converged without a full sync")
+	}
+	if st.FullSyncBytes == 0 {
+		t.Fatal("full sync accounted no bytes")
+	}
+}
+
+// TestPairFarBehindSegmentCatchUp: with the origin's record chain whole
+// (no compaction), a far-behind replica still converges by a full sync,
+// not by streaming the segment.
+func TestPairFarBehindSegmentCatchUp(t *testing.T) {
+	requireFarBehindFullSync(t, 0)
+}
+
+// TestPairFarBehindCompactedFallsBackToFullSync: with compaction collapsing
+// the origin's record chain, a far-behind replica converges by a full sync.
+func TestPairFarBehindCompactedFallsBackToFullSync(t *testing.T) {
+	requireFarBehindFullSync(t, 8)
 }
 
 // TestPairOneStepCatchUpKeepsSource: a replica one version behind is caught
