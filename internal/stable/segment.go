@@ -47,8 +47,9 @@ type SegmentFile struct {
 	fileBytes int64
 	stats     Stats
 	closed    bool
-	scratch   []byte
-	torn      error // *TornTailError once recovery truncated a torn tail
+	scratch   []byte // records staged; while buffered, those not yet written
+	buffered  bool   // a rewrite's fresh segment: writes wait for Commit or rewriteChunk bytes
+	torn      error  // *TornTailError once recovery truncated a torn tail
 
 	// Group-commit state. Writes are sequenced under mu; fsync happens with
 	// mu RELEASED so concurrent appenders can queue more writes behind the
@@ -68,6 +69,7 @@ const (
 
 	rewriteSuffix = ".compact"
 	scanChunk     = 256 << 10 // recovery reads the file this much at a time
+	rewriteChunk  = 256 << 10 // a rewrite writes its fresh file this much at a time
 )
 
 var (
@@ -366,6 +368,10 @@ func (s *SegmentFile) stage(kind byte, payload []byte, ids ...uint64) (int64, ui
 		return 0, 0, ErrRecordBig
 	}
 	b := s.scratch[:0]
+	if s.buffered {
+		b = s.scratch // the records not yet written lead
+	}
+	start := len(b)
 	for _, id := range ids {
 		if id == 0 {
 			id = s.nextID
@@ -376,19 +382,35 @@ func (s *SegmentFile) stage(kind byte, payload []byte, ids ...uint64) (int64, ui
 		b = appendRecord(b, kind, id, payload, s.opts.Compress)
 	}
 	s.scratch = b
-	if _, err := s.f.Write(b); err != nil {
-		s.syncErr = &PoisonedError{Cause: fmt.Errorf("write: %w", err)}
-		return 0, 0, s.syncErr
+	if !s.buffered || len(b) >= rewriteChunk {
+		if err := s.writeLocked(); err != nil {
+			return 0, 0, err
+		}
 	}
 	off := s.fileBytes
-	s.fileBytes += int64(len(b))
-	s.stats.BytesWritten += int64(len(b))
+	s.fileBytes += int64(len(b) - start)
+	s.stats.BytesWritten += int64(len(b) - start)
 	s.writeSeq++
 	if kind == kindAppend {
 		s.stats.Appends += int64(len(ids))
 		s.stats.BytesLogical += int64(len(payload) * len(ids))
 	}
 	return off, s.writeSeq, nil
+}
+
+// writeLocked writes the staged records to the file. A failed or short
+// write poisons the segment.
+func (s *SegmentFile) writeLocked() error {
+	if len(s.scratch) == 0 {
+		return nil
+	}
+	_, err := s.f.Write(s.scratch)
+	s.scratch = s.scratch[:0]
+	if err != nil {
+		s.syncErr = &PoisonedError{Cause: fmt.Errorf("write: %w", err)}
+		return s.syncErr
+	}
+	return nil
 }
 
 // Commit blocks until every record appended so far is durable, joining the
@@ -431,6 +453,9 @@ func (s *SegmentFile) staged() uint64 {
 // the segment is poisoned and every waiter and later append gets the same
 // typed *PoisonedError (errors.Is(err, ErrPoisoned); see Poisoned).
 func (s *SegmentFile) commitLocked(seq uint64) error {
+	if s.buffered && s.syncErr == nil && s.writeLocked() != nil {
+		return s.syncErr
+	}
 	if s.opts.NoSync {
 		return nil
 	}
@@ -476,19 +501,25 @@ func (s *SegmentFile) commitLocked(seq uint64) error {
 // appends to it: it creates <path>.compact, runs fill, makes the result
 // durable, renames it over <path>, and returns the fresh segment, whose
 // offsets and counters start from the rewrite. s itself is untouched and
-// still open (fill may read from it): the owner, which must keep appends to
-// s out for the duration, swaps its pointer and closes s, so a straggling
-// reader gets ErrClosed rather than old offsets in a new file. On error the
-// temp file is closed and removed and s stays the live segment.
+// still open (fill may read from it, and may let others append to it while
+// it runs): the owner, which must keep appends to s out from the time fill
+// returns, swaps its pointer and closes s, so a straggling reader gets
+// ErrClosed rather than old offsets in a new file. On error the temp file
+// is closed and removed and s stays the live segment. Until Rewrite
+// returns, what fill appends reaches the file rewriteChunk bytes at a time
+// or at a Commit: fill must not read the fresh segment.
 func (s *SegmentFile) Rewrite(fill func(fresh *SegmentFile) error) (*SegmentFile, error) {
 	tmp := s.path + rewriteSuffix
 	fresh, err := CreateSegmentFile(tmp, s.opts)
 	if err != nil {
 		return nil, err
 	}
+	// The survivors fit in what the live file holds: the buffer is sized once.
+	fresh.buffered, fresh.scratch = true, make([]byte, 0, min(2*rewriteChunk, s.Size()+1))
 	if err = fill(fresh); err == nil {
 		err = fresh.Commit()
 	}
+	fresh.buffered, fresh.scratch = false, nil
 	if err == nil {
 		err = os.Rename(tmp, s.path)
 	}
@@ -498,22 +529,32 @@ func (s *SegmentFile) Rewrite(fill func(fresh *SegmentFile) error) (*SegmentFile
 		return nil, err
 	}
 	fresh.path = s.path
+	// Unbuffered from here on, the fresh segment takes the old one's
+	// scratch, already grown to the records its owner appends.
+	s.mu.Lock()
+	fresh.scratch, s.scratch = s.scratch[:0], nil
+	s.mu.Unlock()
 	return fresh, nil
 }
 
-// segReadPool recycles the full-record read buffers of ReadAtFunc — the
-// cold-object fault-in path does one pread per miss and the buffer is dead
-// the moment the payload is decoded, so recycling removes the dominant
-// per-fault allocation.
+// segReadPool recycles the read buffers of ReadAtFunc — the cold-object
+// fault-in path does one pread per miss and the buffer is dead the moment
+// the payload is decoded, so recycling removes the dominant per-fault
+// allocation.
 var segReadPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// readChunk is how much ReadAtFunc reads before it knows a record's length:
+// a whole record of the common sizes, so it takes one pread, and only a
+// longer one a second for its remainder.
+const readChunk = 1 << 10
 
 // ReadAtFunc reads back the append record starting at off — the offset a
 // previous AppendNoSync (or the open-time scan) reported — verifying its
 // checksum, and hands its payload to fn without copying: the payload aliases
 // a pooled read buffer and is only valid for the duration of the call. This
-// is the cold-object fault-in path — a pread plus a CRC check, no locks held
-// across the I/O, and (via the pool) no per-read allocation when the caller
-// decodes in place.
+// is the cold-object fault-in path — a single pread of up to readChunk bytes
+// plus a CRC check, no locks held across the I/O, and (via the pool) no
+// per-read allocation when the caller decodes in place.
 func (s *SegmentFile) ReadAtFunc(off int64, fn func(payload []byte) error) error {
 	s.mu.Lock()
 	closed, size := s.closed, s.fileBytes
@@ -524,33 +565,84 @@ func (s *SegmentFile) ReadAtFunc(off int64, fn func(payload []byte) error) error
 	if off < 0 || off >= size {
 		return fmt.Errorf("%w: segment read at %d past end %d", ErrCorrupt, off, size)
 	}
-	// Probe enough for the header (kind + two uvarints + flags ≤ 22 bytes),
-	// size the record from it, then read the full extent.
-	var probe [64]byte
-	n, err := s.f.ReadAt(probe[:], off)
+	bp := segReadPool.Get().(*[]byte)
+	defer segReadPool.Put(bp)
+	if cap(*bp) < readChunk {
+		*bp = make([]byte, readChunk)
+	}
+	n, err := s.f.ReadAt((*bp)[:min(readChunk, size-off)], off)
 	if err != nil && err != io.EOF {
 		return fmt.Errorf("stable: segment read: %w", err)
 	}
-	h, err := parseHeader(probe[:n])
+	h, err := parseHeader((*bp)[:n])
 	if err != nil || h.kind != kindAppend {
 		return fmt.Errorf("%w: segment record at %d: unparsable header", ErrCorrupt, off)
 	}
-	bp := segReadPool.Get().(*[]byte)
-	defer segReadPool.Put(bp)
-	if cap(*bp) < h.size() {
-		*bp = make([]byte, h.size())
-	}
-	full := (*bp)[:h.size()]
-	if copy(full, probe[:n]) < len(full) {
-		if _, err := s.f.ReadAt(full, off); err != nil {
+	if h.size() > n {
+		// Longer than the first read: keep what it got, pread the rest.
+		if cap(*bp) < h.size() {
+			*bp = append(make([]byte, 0, h.size()), (*bp)[:n]...)
+		}
+		if _, err := s.f.ReadAt((*bp)[n:h.size()], off+int64(n)); err != nil {
 			return fmt.Errorf("%w: segment record at %d: short read", ErrCorrupt, off)
 		}
 	}
-	rec, _, perr := parseRecord(full)
+	rec, _, perr := parseRecord((*bp)[:h.size()])
 	if perr != nil {
 		return fmt.Errorf("%w: segment record at %d: %v", ErrCorrupt, off, perr)
 	}
 	return fn(rec.payload)
+}
+
+// ReadRangeFunc hands fn, in file order, every record in [start, end) — a
+// run of whole append records already published, such as everything below
+// an offset noted earlier — with its offset and payload. It reads the range
+// sequentially through one window of up to scanChunk bytes, not with a pread
+// per record; a payload is a view of the window, valid only during the call.
+// A record whose checksum fails, but whose header still spans it, is handed
+// to fn with a nil payload, for the caller to judge.
+func (s *SegmentFile) ReadRangeFunc(start, end int64, fn func(off int64, payload []byte) error) error {
+	s.mu.Lock()
+	closed, size := s.closed, s.fileBytes
+	s.mu.Unlock()
+	switch {
+	case closed:
+		return ErrClosed
+	case start < 0 || start > end || end > size:
+		return fmt.Errorf("%w: segment range [%d, %d) outside [0, %d)", ErrCorrupt, start, end, size)
+	}
+	buf := make([]byte, min(scanChunk, end-start))
+	lo, hi, pos := 0, 0, start // buf[lo:hi] holds the file from pos on
+	for pos < end {
+		rec, n, err := parseRecord(buf[lo:hi])
+		if err == errTorn {
+			// The window ends inside a record: slide it to the front and
+			// read on behind it, growing only if one record fills it.
+			hi, lo = copy(buf, buf[lo:hi]), 0
+			if hi == len(buf) {
+				buf = slices.Grow(buf, len(buf))
+				buf = buf[:cap(buf)]
+			}
+			m, rerr := s.f.ReadAt(buf[hi:min(int64(len(buf)), int64(hi)+end-pos)], pos+int64(hi))
+			if m == 0 {
+				return fmt.Errorf("%w: segment record at %d runs past %d: %v", ErrCorrupt, pos, end, rerr)
+			}
+			hi += m
+			continue
+		}
+		switch {
+		case err == errBadCRC && pos+int64(n) <= end:
+			rec.payload = nil
+		case err != nil || rec.kind != kindAppend || pos+int64(n) > end:
+			return fmt.Errorf("%w: segment record at %d: %v", ErrCorrupt, pos, err)
+		}
+		if err := fn(pos, rec.payload); err != nil {
+			return err
+		}
+		lo += n
+		pos += int64(n)
+	}
+	return nil
 }
 
 // Size returns the segment's current length in bytes.

@@ -11,10 +11,11 @@ import (
 	"rover/internal/store"
 )
 
-// TestCommitOpsAllocs pins what an ops commit costs the disk store: its
-// segment record, and nothing else. The store publishes the object it is
-// handed and keeps the invocations uncopied, and the object is encoded
-// straight into the record, which the observer's event sees a view of.
+// TestCommitOpsAllocs pins what an ops commit costs the disk store: the copy
+// of the object's encoding its observer's event gets, and nothing else. The
+// store publishes the object it is handed and keeps the invocations
+// uncopied, and the object is encoded straight into the record, in a pooled
+// buffer the segment copies.
 func TestCommitOpsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool puts, so allocation counts mean nothing")

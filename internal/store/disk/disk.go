@@ -1,11 +1,13 @@
 package disk
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -16,6 +18,7 @@ import (
 	"rover/internal/store"
 	"rover/internal/urn"
 	"rover/internal/wire"
+	"rover/internal/yield"
 )
 
 // Defaults for Options fields left zero.
@@ -32,6 +35,14 @@ const SegmentName = "store.seg"
 
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("disk: store is closed")
+
+// errCutLink fails a compaction whose catch-up meets a record written after
+// the cut that does not link where the cut says it must.
+var errCutLink = errors.New("disk: a record written after the compaction's cut does not link to the object's record before it")
+
+// yieldCompactCopied is the yield.Point past a compaction's unlocked copy,
+// before each of its two catch-up passes: commits and reads go on there.
+const yieldCompactCopied = "disk.compact.copied"
 
 // Options configure a disk store.
 type Options struct {
@@ -76,15 +87,22 @@ type idxEnt struct {
 //   - Per-object commit slots: concurrent committers of one object
 //     serialize (version checks stay correct), while committers of
 //     different objects proceed concurrently and coalesce onto one fsync.
-//   - Compaction gate: the compactor excludes new mutations, drains
-//     in-flight committers, rewrites every live object (plus its history
-//     window, copied from its record chain) into a fresh segment, fsyncs,
-//     renames over the old path, and swaps — readers are excluded only
-//     during the rewrite itself.
-//   - History lives in the segment: OpsSince, WasCommitted and compaction
-//     read an object's history window from its record chain (walkChain)
-//     under the read lock, so no copy of it is kept in memory beyond the
-//     ops commit that wrote an object the LRU holds.
+//   - Compaction: cut, copy, catch-up, swap, on a goroutine of its own that
+//     the committer crossing the trigger starts. Cut: the gate goes up (new
+//     mutations wait), in-flight committers drain, the segment's size is
+//     noted as the cut and the index copied, and the gate goes down. Copy:
+//     with no lock held, every object as of the cut, plus its history
+//     window, goes from the old segment, immutable below the cut, into a
+//     fresh one, followed by its index footer. Catch-up: the records
+//     written since the cut follow as the footer's tail, each ops record
+//     relinked to the copy of the one before it; those before a second cut
+//     with no lock held, the rest with the gate up. Swap: with the gate
+//     still up, fsync, rename over the old path, swap in. Commits and reads
+//     wait only for the drains and for the last catch-up and the swap.
+//   - History lives in the segment: OpsSince and WasCommitted (under the
+//     read lock) and compaction's copy read an object's history window from
+//     its record chain (walkChain), so no copy of it is kept in memory
+//     beyond the ops commit that wrote an object the LRU holds.
 //
 // A failed segment fsync poisons the segment permanently: every later
 // mutation fails with stable.ErrPoisoned, while reads keep working.
@@ -99,8 +117,9 @@ type Store struct {
 	idx        map[urn.URN]idxEnt
 	lru        *lruCache
 	committing map[urn.URN]struct{}
-	compacting bool
-	closed     bool
+	compacting bool        // a compaction or snapshot load is in flight
+	gate       bool        // mutations wait: a cut, a catch-up and swap, or a snapshot load
+	closed     atomic.Bool // set under mu; a compaction's copy polls it
 
 	onApply func(store.ApplyEvent)
 
@@ -220,16 +239,17 @@ func (s *Store) applyScan(off int64, p []byte, n *names) error {
 // jump, so the walk also ends at an 'S' record, a gap, a link to another
 // object's record, or after an 'O' record written without a link. fn gets
 // each entry's version and body (its source and invocations as encoded), a
-// view of the segment's read buffer. An I/O or decode error, fn's error, or
-// a first record that is not ent's is returned. Callers hold mu in either
-// mode, so compaction cannot swap the segment mid-walk.
-func (s *Store) walkChain(u urn.URN, ent idxEnt, stop uint64, fn func(ver uint64, body []byte) error) error {
+// view of the segment's read buffer. head, if not nil, is ent's record
+// already read. An I/O or decode error, fn's error, or a first record that
+// is not ent's is returned. Callers keep seg from being swapped mid-walk:
+// they hold mu in either mode, or are the compactor.
+func walkChain(seg *stable.SegmentFile, u urn.URN, ent idxEnt, stop uint64, head []byte, fn func(ver uint64, body []byte) error) error {
 	low := max(stop, ent.ver-min(ent.ver, store.DefaultHistoryLimit)+1)
 	nm := names{held: u}
 	off, want := ent.off, ent.ver
 	for off >= 0 && want >= low && ent.kind != recState {
 		first, next := want == ent.ver, int64(-1)
-		err := s.seg.ReadAtFunc(off, func(p []byte) error {
+		visit := func(p []byte) error {
 			rec, err := decodeRecord(p, &nm, false)
 			switch {
 			case err != nil:
@@ -254,7 +274,13 @@ func (s *Store) walkChain(u urn.URN, ent idxEnt, stop uint64, fn func(ver uint64
 				}
 			}
 			return nil
-		})
+		}
+		var err error
+		if first && head != nil {
+			err = visit(head)
+		} else {
+			err = seg.ReadAtFunc(off, visit)
+		}
 		if err != nil {
 			return err
 		}
@@ -273,7 +299,7 @@ func (s *Store) history(u urn.URN, oldest uint64, fn func(ver uint64, body []byt
 	if !found || oldest == 0 || oldest > ent.ver || ent.ver-oldest >= store.DefaultHistoryLimit {
 		return 0, false, nil
 	}
-	return ent.ver, true, s.walkChain(u, ent, oldest, fn)
+	return ent.ver, true, walkChain(s.seg, u, ent, oldest, nil, fn)
 }
 
 // cachedOps returns the ops commit that wrote u's current version if the
@@ -303,24 +329,27 @@ func (s *Store) setIdxLocked(u urn.URN, ent idxEnt) {
 	s.liveBytes += ent.rlen
 }
 
+// notifyLocked hands ev to the observer, if any, with a copy of its object
+// encoding: the committer's is a view of a pooled record buffer.
 func (s *Store) notifyLocked(ev store.ApplyEvent) {
 	if s.onApply != nil {
+		ev.Object = bytes.Clone(ev.Object)
 		s.onApply(ev)
 	}
 }
 
 // begin acquires u's commit slot — waiting out a concurrent committer of
-// the same object and any compaction gate — and returns u's current index
+// the same object and the compaction gate — and returns u's current index
 // entry. The caller must end with commitRecord or release.
 func (s *Store) begin(u urn.URN) (idxEnt, bool, error) {
 	s.mu.Lock()
 	for {
-		if s.closed {
+		if s.closed.Load() {
 			s.mu.Unlock()
 			return idxEnt{}, false, ErrClosed
 		}
 		_, busy := s.committing[u]
-		if !s.compacting && !busy {
+		if !s.gate && !busy {
 			break
 		}
 		s.cond.Wait()
@@ -338,14 +367,16 @@ func (s *Store) release(u urn.URN) {
 	s.mu.Unlock()
 }
 
-// commitRecord appends rec, waits for durability (coalescing with other
-// committers' fsync), then publishes under the store lock and releases u's
-// slot. publish runs only on success, with the record's offset and on-disk
-// length.
-func (s *Store) commitRecord(u urn.URN, rec []byte, publish func(off, rlen int64)) error {
+// commitRecord appends the record in b, waits for durability (coalescing
+// with other committers' fsync), then publishes under the store lock and
+// releases u's slot. publish runs only on success, with the record's offset
+// and on-disk length. The segment copies the record, so b goes back to the
+// pool once publish has run.
+func (s *Store) commitRecord(u urn.URN, b *wire.Buffer, publish func(off, rlen int64)) error {
+	defer wire.PutBuffer(b)
 	s.mu.Lock()
 	seg := s.seg
-	off, err := seg.AppendNoSync(rec)
+	off, err := seg.AppendNoSync(b.Bytes())
 	end := seg.Size()
 	s.mu.Unlock()
 	if err == nil {
@@ -380,8 +411,9 @@ func (s *Store) Create(obj *rdo.Object) error {
 		s.release(cp.URN)
 		return fmt.Errorf("%w: %s", store.ErrExists, cp.URN)
 	}
-	rec, objBytes := encodeState(cp.URN, 1, cp)
-	return s.commitRecord(cp.URN, rec, func(off, rlen int64) {
+	b := wire.GetBuffer()
+	_, objBytes := encodeState(b, cp.URN, 1, cp)
+	return s.commitRecord(cp.URN, b, func(off, rlen int64) {
 		s.setIdxLocked(cp.URN, idxEnt{ver: 1, off: off, rlen: rlen, typ: cp.Type, kind: recState})
 		s.lru.put(cp, store.OpsRec{}, 0)
 		s.notifyLocked(store.ApplyEvent{Kind: store.ApplyState, URN: cp.URN, Version: 1, Object: objBytes})
@@ -426,17 +458,19 @@ func (s *Store) commitOps(obj *rdo.Object, expect uint64, invs []rdo.Invocation,
 			store.ErrRace, obj.URN, ent.ver, expect)
 	}
 	obj.Version = expect + 1
-	var rec, objBytes []byte
+	b := wire.GetBuffer()
+	var objBytes []byte
 	recKind, ops, opsBytes := recState, store.OpsRec{}, 0
 	if len(invs) > 0 {
 		// The chain link points at the object's previous record (ent.off),
 		// letting history reads (walkChain) walk versions backwards.
-		rec, objBytes = encodeOps(obj.URN, expect, obj.Version, src, invs, obj, ent.off)
+		var rec []byte
+		rec, objBytes = encodeOps(b, obj.URN, expect, obj.Version, src, invs, obj, ent.off)
 		recKind, ops, opsBytes = recOps, store.OpsRec{Ver: obj.Version, Invs: invs, Src: src}, len(rec)-len(objBytes)
 	} else {
-		rec, objBytes = encodeState(obj.URN, obj.Version, obj)
+		_, objBytes = encodeState(b, obj.URN, obj.Version, obj)
 	}
-	err = s.commitRecord(obj.URN, rec, func(off, rlen int64) {
+	err = s.commitRecord(obj.URN, b, func(off, rlen int64) {
 		s.setIdxLocked(obj.URN, idxEnt{ver: obj.Version, off: off, rlen: rlen, typ: obj.Type, kind: recKind})
 		s.lru.put(obj, ops, opsBytes)
 		switch {
@@ -468,8 +502,9 @@ func (s *Store) InstallState(obj *rdo.Object) (uint64, error) {
 			obj.URN, obj.Version, ent.ver)
 	}
 	cp := obj.Clone()
-	rec, _ := encodeState(cp.URN, cp.Version, cp)
-	err = s.commitRecord(cp.URN, rec, func(off, rlen int64) {
+	b := wire.GetBuffer()
+	encodeState(b, cp.URN, cp.Version, cp)
+	err = s.commitRecord(cp.URN, b, func(off, rlen int64) {
 		s.setIdxLocked(cp.URN, idxEnt{ver: cp.Version, off: off, rlen: rlen, typ: cp.Type, kind: recState})
 		s.lru.put(cp, store.OpsRec{}, 0)
 	})
@@ -673,9 +708,9 @@ func (s *Store) objBytesLocked(u urn.URN, ent idxEnt) ([]byte, error) {
 }
 
 // LoadSnapshot implements store.Backend: it atomically replaces the whole
-// population AND makes it durable, by rewriting the segment wholesale (the
-// compaction machinery) before the swap. Every object's history ends —
-// snapshot versions are opaque jumps, written as 'S' records.
+// population AND makes it durable, by rewriting the segment wholesale
+// before the swap, with the gate up throughout. Every object's history
+// ends — snapshot versions are opaque jumps, written as 'S' records.
 func (s *Store) LoadSnapshot(data []byte) error {
 	objs, err := store.DecodeSnapshot(data)
 	if err != nil {
@@ -683,22 +718,15 @@ func (s *Store) LoadSnapshot(data []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		if s.closed {
-			return ErrClosed
-		}
-		if !s.compacting {
-			break
-		}
-		s.cond.Wait()
+	s.awaitCompactionLocked()
+	if s.closed.Load() {
+		return ErrClosed
 	}
 	s.compacting = true
-	for len(s.committing) > 0 {
-		s.cond.Wait()
-	}
+	s.drainLocked()
 	defer func() {
 		s.compacting = false
-		s.cond.Broadcast()
+		s.openGateLocked()
 	}()
 
 	urns := make([]urn.URN, 0, len(objs))
@@ -706,35 +734,41 @@ func (s *Store) LoadSnapshot(data []byte) error {
 		urns = append(urns, u)
 	}
 	sort.Slice(urns, func(i, j int) bool { return urns[i].Less(urns[j]) })
-	err = s.rewriteLocked(func(tmp *stable.SegmentFile, add func(urn.URN, idxEnt)) error {
+	idx := make(map[urn.URN]idxEnt, len(urns))
+	var live int64
+	var foot footerInfo
+	var b wire.Buffer
+	fresh, err := s.seg.Rewrite(func(tmp *stable.SegmentFile) error {
 		for _, u := range urns {
 			obj := objs[u]
-			rec, _ := encodeState(u, obj.Version, obj)
-			off, aerr := tmp.AppendNoSync(rec)
-			if aerr != nil {
-				return aerr
+			rec, _ := encodeState(&b, u, obj.Version, obj)
+			off, err := tmp.AppendNoSync(rec)
+			if err != nil {
+				return err
 			}
-			add(u, idxEnt{ver: obj.Version, off: off, rlen: tmp.Size() - off, typ: obj.Type, kind: recState})
+			idx[u] = idxEnt{ver: obj.Version, off: off, rlen: tmp.Size() - off, typ: obj.Type, kind: recState}
+			live += tmp.Size() - off
 		}
-		return nil
+		var err error
+		foot, err = appendFooter(tmp, idx)
+		return err
 	})
 	if err != nil {
 		return err
 	}
+	s.swapLocked(fresh, idx, live, foot, fresh.Size()-foot.off)
+	s.mutsSinceCompact = 0
 	s.lru.reset()
 	return nil
 }
 
-// maybeCompact rewrites the segment when enough mutations have landed AND
-// the file holds more than twice its live data — the gate excludes new
-// mutators, drains in-flight committers, and swaps atomically via rename.
-// A failed rewrite leaves the old segment live, rearms the counter, so the
-// next attempt waits for as many mutations again, and is kept for
-// CompactErr.
+// maybeCompact starts a compaction when enough mutations have landed AND the
+// file holds more than twice its live data. The compaction runs on its own
+// goroutine, one at a time; the committer that calls this returns at once.
 func (s *Store) maybeCompact() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.compacting || s.mutsSinceCompact < s.opts.CompactEvery {
+	if s.closed.Load() || s.compacting || s.mutsSinceCompact < s.opts.CompactEvery {
 		return
 	}
 	if s.seg.Size() < 2*(s.liveBytes+s.segFooterBytes+1) {
@@ -745,49 +779,258 @@ func (s *Store) maybeCompact() {
 		return
 	}
 	s.compacting = true
+	go s.compact()
+}
+
+// awaitCompactionLocked waits, with mu held, until no compaction or snapshot
+// load is in flight.
+func (s *Store) awaitCompactionLocked() {
+	for s.compacting {
+		s.cond.Wait()
+	}
+}
+
+// cutEnt is one object of a compaction's cut: its index entry in the old
+// segment.
+type cutEnt struct {
+	u   urn.URN
+	old idxEnt
+}
+
+// compaction is one rewrite's state: the cut, the fresh segment's index and
+// live bytes as they are built, and scratch reused from one record to the
+// next.
+type compaction struct {
+	cut  int64
+	ents []cutEnt // by offset in the old segment
+	idx  map[urn.URN]idxEnt
+	live int64
+	at   map[urn.URN]int64 // an object's last record past the cut, in the old segment
+	w    windowCopy
+	b    wire.Buffer // AppendNoSync copies: one buffer serves every record
+}
+
+// compact rewrites the segment: cut, unlocked copy, catch-up, swap (see the
+// Store comment). It passes the yield point yieldCompactCopied twice, with
+// no lock held: before the second cut, and before the gate goes up for the
+// last catch-up. A failed compaction leaves the old segment live and is
+// kept for CompactErr; the counter it reset at the cut makes the next
+// attempt wait for as many mutations again. Close stops it between objects
+// or at its next step, and the fresh file is removed.
+func (s *Store) compact() {
+	s.mu.Lock()
+	s.drainLocked()
+	// Every record below the cut is now published and durable, and the
+	// index describes exactly them.
+	old := s.seg
+	c := &compaction{cut: old.Size(), ents: make([]cutEnt, 0, len(s.idx)), at: map[urn.URN]int64{}}
+	for u, ent := range s.idx {
+		c.ents = append(c.ents, cutEnt{u, ent})
+	}
+	s.mutsSinceCompact = 0
+	s.openGateLocked()
+	s.mu.Unlock()
+
+	locked := false
+	var foot footerInfo
+	var footBytes int64
+	fresh, err := old.Rewrite(func(tmp *stable.SegmentFile) error {
+		if err := s.copyCut(old, tmp, c); err != nil {
+			return err
+		}
+		// The footer describes the copy; what the catch-up appends behind it
+		// is its tail, which a reopen by footer replays.
+		var err error
+		if foot, err = appendFooter(tmp, c.idx); err != nil {
+			return err
+		}
+		footBytes = tmp.Size() - foot.off
+		yield.Point(yieldCompactCopied)
+		// Most records written since the cut are copied with no lock held,
+		// up to a second cut; only those after it wait for the gate.
+		s.mu.Lock()
+		s.drainLocked()
+		cut2 := old.Size()
+		s.openGateLocked()
+		s.mu.Unlock()
+		if s.closed.Load() {
+			return ErrClosed
+		}
+		if err := s.catchUp(old, tmp, c, c.cut, cut2); err != nil {
+			return err
+		}
+		if err := tmp.Commit(); err != nil {
+			return err
+		}
+		yield.Point(yieldCompactCopied)
+		s.mu.Lock()
+		locked = true
+		s.drainLocked()
+		switch {
+		case s.closed.Load():
+			return ErrClosed
+		case old.Poisoned() != nil:
+			return old.Poisoned()
+		}
+		if err := s.catchUp(old, tmp, c, cut2, old.Size()); err != nil {
+			return err
+		}
+		return s.checkCaughtUp(c)
+	})
+	if !locked {
+		s.mu.Lock()
+	}
+	if err == nil {
+		s.swapLocked(fresh, c.idx, c.live, foot, footBytes)
+		s.cleanFooter = s.cleanFooter && len(c.at) == 0
+		s.compactions++
+	}
+	if !s.closed.Load() {
+		s.compactErr = err
+	}
+	s.compacting = false
+	s.openGateLocked()
+	s.mu.Unlock()
+}
+
+// drainLocked raises the gate and waits, with mu held, until no committer
+// is in flight: every record in the segment is then published.
+func (s *Store) drainLocked() {
+	s.gate = true
 	for len(s.committing) > 0 {
 		s.cond.Wait()
 	}
-	err := s.rewriteLocked(func(tmp *stable.SegmentFile, add func(urn.URN, idxEnt)) error {
-		urns := make([]urn.URN, 0, len(s.idx))
-		for u := range s.idx {
-			urns = append(urns, u)
+}
+
+func (s *Store) openGateLocked() {
+	s.gate = false
+	s.cond.Broadcast()
+}
+
+// copyCut writes every object of the cut into tmp as its version at the cut
+// plus its history window: a 'Z' record, or an 'S' record when the window is
+// empty. It reads the old segment below the cut in one sequential pass and
+// copies each object when the pass reaches its record, decoded in place, so
+// the copy allocates nothing per object; a window is read from the object's
+// record chain. It runs with no lock held: the old segment is immutable
+// below the cut, and only the compactor swaps it.
+func (s *Store) copyCut(old, tmp *stable.SegmentFile, c *compaction) error {
+	slices.SortFunc(c.ents, func(a, b cutEnt) int { return cmp.Compare(a.old.off, b.old.off) })
+	c.idx = make(map[urn.URN]idxEnt, len(c.ents))
+	next := 0
+	err := old.ReadRangeFunc(0, c.cut, func(off int64, p []byte) error {
+		if next == len(c.ents) || c.ents[next].old.off > off {
+			return nil // dead weight, a footer, or a damaged record nobody needs
 		}
-		sort.Slice(urns, func(i, j int) bool { return urns[i].Less(urns[j]) })
-		var w windowCopy
-		var b wire.Buffer // AppendNoSync copies: one buffer serves every record
-		for _, u := range urns {
-			ent := s.idx[u]
-			objBytes, oerr := s.objBytesLocked(u, ent)
-			if oerr != nil {
-				return oerr
-			}
-			if err := s.copyWindow(&w, u, ent); err != nil {
-				return fmt.Errorf("disk: history of %s: %w", u, err)
-			}
-			b.Reset()
-			recKind := recState
-			if len(w.ents) > 0 {
-				w.appendSnap(&b, u, ent.ver, objBytes)
-				recKind = recSnap
-			} else {
-				appendStateBytes(&b, u, ent.ver, objBytes)
-			}
-			off, aerr := tmp.AppendNoSync(b.Bytes())
-			if aerr != nil {
-				return aerr
-			}
-			add(u, idxEnt{ver: ent.ver, off: off, rlen: tmp.Size() - off, typ: ent.typ, kind: recKind})
+		e := &c.ents[next]
+		next++
+		if e.old.off < off || p == nil {
+			return fmt.Errorf("%w: %s indexed at %d, where no record reads back", stable.ErrCorrupt, e.u, e.old.off)
 		}
+		if s.closed.Load() {
+			return ErrClosed
+		}
+		// Commits and reads that are ready run first: the copy is background
+		// work, and a commit has a client waiting.
+		runtime.Gosched()
+		if err := copyWindow(old, &c.w, e.u, e.old, p); err != nil {
+			return fmt.Errorf("disk: history of %s: %w", e.u, err)
+		}
+		nm := names{held: e.u}
+		rec, err := decodeRecord(p, &nm, false)
+		switch {
+		case err != nil:
+			return err
+		case rec.urn != e.u || rec.ver != e.old.ver:
+			return errors.New("disk: index entry does not match its record")
+		}
+		c.b.Reset()
+		kind := recState
+		if len(c.w.ents) > 0 {
+			c.w.appendSnap(&c.b, e.u, e.old.ver, rec.obj)
+			kind = recSnap
+		} else {
+			appendStateBytes(&c.b, e.u, e.old.ver, rec.obj)
+		}
+		at, err := tmp.AppendNoSync(c.b.Bytes())
+		if err != nil {
+			return err
+		}
+		c.idx[e.u] = idxEnt{ver: e.old.ver, off: at, rlen: tmp.Size() - at, typ: e.old.typ, kind: kind}
+		c.live += tmp.Size() - at
 		return nil
 	})
-	if err == nil {
-		s.compactions++
+	if err == nil && next < len(c.ents) {
+		err = fmt.Errorf("%w: %s indexed at %d, where no record reads back", stable.ErrCorrupt, c.ents[next].u, c.ents[next].old.off)
 	}
-	s.compactErr = err
-	s.mutsSinceCompact = 0
-	s.compacting = false
-	s.cond.Broadcast()
+	return err
+}
+
+// catchUp copies into tmp the records written to old in [from, to), past the
+// cut and all published, read in one pass and appended in the order they
+// were written. Each ops record's link is pointed at the copy of the
+// object's record before it: for its first record past the cut, the one
+// copyCut made. A record that does not link where the cut and the records
+// before it say fails the compaction.
+func (s *Store) catchUp(old, tmp *stable.SegmentFile, c *compaction, from, to int64) error {
+	var nm names
+	return old.ReadRangeFunc(from, to, func(off int64, p []byte) error {
+		switch {
+		case p == nil:
+			return fmt.Errorf("%w: record at %d, past the cut, does not read back", stable.ErrCorrupt, off)
+		case len(p) > 0 && p[0] == recFooter:
+			return nil
+		}
+		rec, err := decodeRecord(p, &nm, false)
+		if err != nil {
+			return err
+		}
+		u := rec.urn
+		cur, copied := c.idx[u]
+		c.b.Reset()
+		if rec.kind == recOps {
+			// The record before it is u's last one past the cut, or else
+			// u's record at the cut.
+			var linked bool
+			if last, moved := c.at[u]; moved {
+				linked = rec.prevOff == last
+			} else {
+				i, found := slices.BinarySearchFunc(c.ents, rec.prevOff, func(e cutEnt, off int64) int { return cmp.Compare(e.old.off, off) })
+				linked = found && c.ents[i].u == u
+			}
+			if !copied || !linked || rec.prevVer != cur.ver {
+				return fmt.Errorf("disk: %s v%d at %d: %w", u, rec.ver, off, errCutLink)
+			}
+			c.b.PutRaw(unlinked(p))
+			c.b.PutUvarint(uint64(cur.off) + 1)
+		} else {
+			c.b.PutRaw(p) // an opaque jump: Create, plain Commit, install
+		}
+		at, err := tmp.AppendNoSync(c.b.Bytes())
+		if err != nil {
+			return err
+		}
+		c.live += tmp.Size() - at - cur.rlen
+		c.idx[u] = idxEnt{ver: rec.ver, off: at, rlen: tmp.Size() - at, typ: cur.typ, kind: rec.kind}
+		c.at[u] = off
+		return nil
+	})
+}
+
+// checkCaughtUp checks, with the gate up and the catch-up done, that each
+// object's last record past the cut is the one its index entry holds, and
+// takes its type from there. Called with mu held.
+func (s *Store) checkCaughtUp(c *compaction) error {
+	for u, off := range c.at {
+		live := s.idx[u]
+		if live.off != off {
+			return fmt.Errorf("disk: %s: %w", u, errCutLink)
+		}
+		ent := c.idx[u]
+		ent.typ = live.typ
+		c.idx[u] = ent
+	}
+	return nil
 }
 
 // windowCopy is compaction's scratch for an object's history window, copied
@@ -802,10 +1045,11 @@ type windowEnt struct {
 	start, end int // the body's place in bodies
 }
 
-// copyWindow reads u's window from its record chain into w, oldest first.
-func (s *Store) copyWindow(w *windowCopy, u urn.URN, ent idxEnt) error {
+// copyWindow reads u's window from its record chain in seg into w, oldest
+// first; head, if not nil, is ent's record already read.
+func copyWindow(seg *stable.SegmentFile, w *windowCopy, u urn.URN, ent idxEnt, head []byte) error {
 	w.bodies, w.ents = w.bodies[:0], w.ents[:0]
-	err := s.walkChain(u, ent, 1, func(ver uint64, body []byte) error {
+	err := walkChain(seg, u, ent, 1, head, func(ver uint64, body []byte) error {
 		w.ents = append(w.ents, windowEnt{ver, len(w.bodies), len(w.bodies) + len(body)})
 		w.bodies = append(w.bodies, body...)
 		return nil
@@ -829,40 +1073,20 @@ func (w *windowCopy) appendSnap(b *wire.Buffer, u urn.URN, ver uint64, obj []byt
 	}
 }
 
-// rewriteLocked replaces the segment (stable.SegmentFile.Rewrite: a fresh
-// file beside the live one, made durable, renamed over it) with what write
-// appends plus an index footer, then swaps index and segment. Called with mu
-// held and the compaction gate up (no committers in flight). On error the
-// old segment stays live.
-func (s *Store) rewriteLocked(write func(tmp *stable.SegmentFile, add func(urn.URN, idxEnt)) error) error {
-	newIdx := make(map[urn.URN]idxEnt, len(s.idx))
-	var live int64
-	add := func(u urn.URN, ent idxEnt) {
-		newIdx[u] = ent
-		live += ent.rlen
-	}
-	var foot footerInfo
-	fresh, err := s.seg.Rewrite(func(tmp *stable.SegmentFile) error {
-		err := write(tmp, add)
-		if err == nil {
-			foot, err = appendFooter(tmp, newIdx)
-		}
-		return err
-	})
-	if err != nil {
-		return err
-	}
+// swapLocked makes fresh — durable, renamed over the segment's path, and
+// holding the index idx of live bytes and the footer foot of footBytes —
+// the live segment, and points the sidecar at that footer. Called with mu
+// held and no committer in flight.
+func (s *Store) swapLocked(fresh *stable.SegmentFile, idx map[urn.URN]idxEnt, live int64, foot footerInfo, footBytes int64) {
 	old := s.seg
 	s.seg = fresh
 	old.Close()
-	s.idx = newIdx
+	s.idx = idx
 	s.liveBytes = live
-	s.segFooterBytes = fresh.Size() - foot.off
-	s.mutsSinceCompact = 0
-	// Point the sidecar at the fresh footer; a failed write just means the
-	// next Open scans (writeSidecar already removed the stale pointer).
+	s.segFooterBytes = footBytes
+	// A failed write just means the next Open scans (writeSidecar already
+	// removed the stale pointer).
 	s.cleanFooter = s.writeSidecar(foot)
-	return nil
 }
 
 // Occupancy implements store.Backend.
@@ -917,19 +1141,20 @@ func (s *Store) Poisoned() error {
 	return s.seg.Poisoned()
 }
 
-// Close implements store.Backend: refuses new mutations, drains in-flight
-// committers, and closes the segment (whose Close performs a final safety
+// Close implements store.Backend: refuses new mutations, stops a
+// compaction in flight, drains in-flight committers, and closes the segment (whose Close performs a final safety
 // sync). Reads fail afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.compacting {
-		s.cond.Wait()
-	}
-	if s.closed {
+	if s.closed.Load() {
+		s.awaitCompactionLocked()
 		return nil
 	}
-	s.closed = true
+	s.closed.Store(true)
+	// A compaction stops at its copy's next object or at its catch-up, and
+	// removes its file; a snapshot load finishes.
+	s.awaitCompactionLocked()
 	for len(s.committing) > 0 {
 		s.cond.Wait()
 	}

@@ -14,6 +14,7 @@ import (
 	"rover/internal/stable"
 	"rover/internal/store"
 	"rover/internal/urn"
+	"rover/internal/wire"
 )
 
 func obj(path string) *rdo.Object {
@@ -201,6 +202,7 @@ func TestCompactionReclaimsAndPreservesState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	awaitCompaction(s)
 	occ := s.Occupancy()
 	if occ.Compactions == 0 {
 		t.Fatalf("no compaction after 100 updates with CompactEvery=8: %+v", occ)
@@ -300,7 +302,7 @@ func TestUnpublishedDurableRecordReplaysAsCommitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := seg.AppendNoSync(recOf(encodeOps(o.URN, 1, 2, "client-9", []rdo.Invocation{inv}, cur, -1))); err != nil {
+	if _, err := seg.AppendNoSync(recOf(encodeOps(new(wire.Buffer), o.URN, 1, 2, "client-9", []rdo.Invocation{inv}, cur, -1))); err != nil {
 		t.Fatal(err)
 	}
 	seg.Close()

@@ -96,7 +96,7 @@ func appendFooter(seg *stable.SegmentFile, idx map[urn.URN]idxEnt) (footerInfo, 
 		return footerInfo{}, err
 	}
 	f := footerInfo{gen: gen, off: seg.Size()}
-	ents := make([]footerEnt, 0, footerChunkEnts)
+	ents := make([]footerEnt, 0, min(footerChunkEnts, len(idx)))
 	flush := func() error {
 		if len(ents) == 0 {
 			return nil

@@ -145,6 +145,7 @@ func TestFooterStaleSidecarAfterCompaction(t *testing.T) {
 
 	s2 := openStore(t, dir, Options{CompactEvery: 8})
 	bumpOps(t, s2, o.URN, 100) // enough dead weight to force a rewrite
+	awaitCompaction(s2)
 	if s2.Occupancy().Compactions == 0 {
 		t.Fatal("no compaction; the stale-sidecar scenario needs a segment rewrite")
 	}
@@ -170,9 +171,11 @@ func TestFooterStaleSidecarAfterCompaction(t *testing.T) {
 // few mutations are then guaranteed not to trigger another rewrite.
 func bumpUntilCompact(t *testing.T, s *Store, u urn.URN) {
 	t.Helper()
+	awaitCompaction(s) // one in flight counts mutations made before it
 	before := s.Occupancy().Compactions
 	for i := 0; i < 1000; i++ {
 		bumpOps(t, s, u, 1)
+		awaitCompaction(s)
 		if s.Occupancy().Compactions > before {
 			return
 		}

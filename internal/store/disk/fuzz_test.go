@@ -53,15 +53,15 @@ func FuzzDecodeRecord(f *testing.F) {
 	o.Version = 3
 	objBytes := o.Encode()
 	invs := []rdo.Invocation{{Object: u, Method: "add", Args: []string{"1", "x"}, BaseVer: 2}}
-	f.Add(recOf(encodeState(u, 3, o)))
-	f.Add(recOf(encodeOps(u, 2, 3, "cli", invs, o, 42)))
-	f.Add(recOf(encodeOps(u, 2, 3, "", invs, o, -1)))
+	f.Add(recOf(encodeState(new(wire.Buffer), u, 3, o)))
+	f.Add(recOf(encodeOps(new(wire.Buffer), u, 2, 3, "cli", invs, o, 42)))
+	f.Add(recOf(encodeOps(new(wire.Buffer), u, 2, 3, "", invs, o, -1)))
 	f.Add(encodeSnap(u, 3, objBytes, []store.OpsRec{{Ver: 2, Src: "cli", Invs: invs}, {Ver: 3, Invs: invs}}))
 	f.Add(encodeFooterChunk(bytes.Repeat([]byte{7}, footerGenLen), 1,
 		[]footerEnt{{u: u, ent: idxEnt{ver: 3, off: 10, rlen: 40, typ: "t", kind: recOps}}}))
 	// An invocation URN that does not parse fails the decode and the check.
 	bad := []rdo.Invocation{{Object: urn.URN{Path: "x"}, Method: "add"}}
-	f.Add(recOf(encodeOps(u, 2, 3, "cli", bad, o, 42)))
+	f.Add(recOf(encodeOps(new(wire.Buffer), u, 2, 3, "cli", bad, o, 42)))
 	f.Add(encodeSnap(u, 3, objBytes, []store.OpsRec{{Ver: 3, Src: "cli", Invs: bad}}))
 	// Counts the input cannot back: a 22-byte ops record claiming 2^22
 	// invocations allocated 320 MB before failing, and a count of 2^63 made
@@ -131,7 +131,7 @@ func FuzzDecodeRecord(f *testing.F) {
 			appendStateBytes(&b, rec.urn, rec.ver, rec.obj)
 			enc = b.Bytes()
 		case recOps:
-			enc = recOf(encodeOps(rec.urn, rec.prevVer, rec.ver, rec.src, rec.invs, wire.Raw(rec.obj), rec.prevOff))
+			enc = recOf(encodeOps(new(wire.Buffer), rec.urn, rec.prevVer, rec.ver, rec.src, rec.invs, wire.Raw(rec.obj), rec.prevOff))
 		case recSnap:
 			enc = encodeSnap(rec.urn, rec.ver, rec.obj, snapWindow(t, rec))
 		default:

@@ -91,7 +91,8 @@ func (c *lruCache) put(obj *rdo.Object, ops store.OpsRec, opsBytes int) {
 }
 
 // peek returns the cached object and the ops commit that wrote it without
-// promoting it — compaction's bulk read must not churn the recency order.
+// promoting it — a history question or a snapshot must not churn the
+// recency order.
 func (c *lruCache) peek(u urn.URN) (*rdo.Object, store.OpsRec) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

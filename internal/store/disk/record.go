@@ -51,15 +51,16 @@ type record struct {
 	ops []byte
 }
 
-// encodeState frames a state record. Like encodeOps it encodes obj straight
-// into the record and returns objBytes, that encoding, as a view of rec.
-func encodeState(u urn.URN, ver uint64, obj wire.Marshaler) (rec, objBytes []byte) {
-	b := wire.GetBuffer()
+// encodeState frames a state record in b, which it resets. Like encodeOps
+// it encodes obj straight into the record and returns objBytes, that
+// encoding, as a view of rec; both are b's and valid until b is reused.
+func encodeState(b *wire.Buffer, u urn.URN, ver uint64, obj wire.Marshaler) (rec, objBytes []byte) {
+	b.Reset()
 	b.PutByte(recState)
 	b.PutString(u.String())
 	b.PutUvarint(ver)
 	n := b.PutMessage(obj)
-	rec = wire.Detach(b)
+	rec = b.Bytes()
 	return rec, rec[len(rec)-n:]
 }
 
@@ -72,14 +73,14 @@ func appendStateBytes(b *wire.Buffer, u urn.URN, ver uint64, obj []byte) {
 	b.PutBytes(obj)
 }
 
-// encodeOps frames an ops commit. prevOff is the byte offset of the
-// object's previous record in the same segment (-1 when unknown); it is
-// appended as a trailing field, biased by one so absence and "no previous"
-// both decode safely, making old records (no trailing field) readable and
-// letting history reads (walkChain) walk an object's record chain
-// backwards without scanning.
-func encodeOps(u urn.URN, prevVer, ver uint64, src string, invs []rdo.Invocation, obj wire.Marshaler, prevOff int64) (rec, objBytes []byte) {
-	b := wire.GetBuffer()
+// encodeOps frames an ops commit in b, which it resets. prevOff is the byte
+// offset of the object's previous record in the same segment (-1 when
+// unknown); it is appended as a trailing field, biased by one so absence
+// and "no previous" both decode safely, making old records (no trailing
+// field) readable and letting history reads (walkChain) walk an object's
+// record chain backwards without scanning.
+func encodeOps(b *wire.Buffer, u urn.URN, prevVer, ver uint64, src string, invs []rdo.Invocation, obj wire.Marshaler, prevOff int64) (rec, objBytes []byte) {
+	b.Reset()
 	b.PutByte(recOps)
 	b.PutString(u.String())
 	b.PutUvarint(prevVer)
@@ -96,8 +97,21 @@ func encodeOps(u urn.URN, prevVer, ver uint64, src string, invs []rdo.Invocation
 	} else {
 		b.PutUvarint(uint64(prevOff) + 1)
 	}
-	rec = wire.Detach(b)
+	rec = b.Bytes()
 	return rec, rec[end-n : end]
+}
+
+// unlinked returns the ops record p, already checked by decodeRecord,
+// without its trailing chain link: a view of p that ends with the object.
+func unlinked(p []byte) []byte {
+	r := wire.OwnedReader(p)
+	r.Byte()    // kind
+	r.View()    // urn
+	r.Uvarint() // prevVer
+	r.Uvarint() // ver
+	readOps(&r, false)
+	r.View() // the object
+	return p[:len(p)-r.Remaining()]
 }
 
 // names holds the strings an open-time decode keeps, so rebuilding an index

@@ -233,6 +233,7 @@ func compactNow(t *testing.T, s *Store) {
 	s.mutsSinceCompact = s.opts.CompactEvery
 	s.mu.Unlock()
 	s.maybeCompact()
+	awaitCompaction(s)
 	if s.Occupancy().Compactions != before+1 {
 		t.Fatalf("the segment was not rewritten: %v", s.CompactErr())
 	}
@@ -337,6 +338,7 @@ func TestChainReadsRaceCommits(t *testing.T) {
 	bumpOps(t, s, u, commits)
 	close(done)
 	wg.Wait()
+	awaitCompaction(s)
 	if s.Occupancy().Compactions == 0 {
 		t.Fatal("no compaction ran under the readers")
 	}
@@ -422,6 +424,7 @@ func TestCorruptChainRecordAfterFooterReopen(t *testing.T) {
 	s2.mutsSinceCompact = s2.opts.CompactEvery
 	s2.mu.Unlock()
 	s2.maybeCompact()
+	awaitCompaction(s2)
 	if err := s2.CompactErr(); !errors.Is(err, stable.ErrCorrupt) {
 		t.Fatalf("CompactErr = %v, want ErrCorrupt", err)
 	}
@@ -562,7 +565,7 @@ func TestCompactionWindowCopyAllocs(t *testing.T) {
 	copyWindow := func() {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		if err := s.copyWindow(&w, o.URN, ent); err != nil {
+		if err := copyWindow(s.seg, &w, o.URN, ent, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

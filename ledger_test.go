@@ -139,7 +139,7 @@ func TestLedger(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	for _, pr := range []int{32, 34, 35, 36, 37, 40, 44} {
+	for _, pr := range []int{32, 34, 35, 36, 37, 40, 44, 46} {
 		if claims[pr] == 0 {
 			t.Errorf("PR %d's claim is not in the ledger", pr)
 		}
