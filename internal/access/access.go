@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 
 	"rover/internal/cache"
@@ -711,7 +710,8 @@ func (am *AccessManager) onExportReply(u urn.URN, f *Future[ExportResult], res [
 	e.ExportBase = 0
 
 	if perr != nil {
-		if strings.Contains(perr.Error(), "checked out") {
+		var re *qrpc.RemoteError
+		if errors.As(perr, &re) && proto.IsLockRefusal(re.Message, u) {
 			// Another client holds a check-out lock. That is a transient
 			// refusal, not a verdict on the operations: keep them queued
 			// and tentative so a later Export (after the lock clears)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rover/internal/qrpc"
+	"rover/internal/rdo"
 	"rover/internal/urn"
 )
 
@@ -120,5 +121,38 @@ func TestCheckoutValidation(t *testing.T) {
 	// Re-checkout by the holder is idempotent.
 	if res := wait(t, r1.am.Checkout(u, false, 0)); !res.Granted {
 		t.Error("re-checkout by holder refused")
+	}
+}
+
+// TestMethodErrorMentioningCheckoutIsAnAppError: an export whose operations
+// fail at the server is dropped as an application error even when the
+// method's own message says "checked out"; only the server's lock refusal
+// keeps operations queued (TestCheckoutExcludesOtherWriters).
+func TestMethodErrorMentioningCheckoutIsAnAppError(t *testing.T) {
+	engine, srv := newServerRig(t)
+	o := rdo.New(urn.MustParse("urn:rover:home/desk"), "desk")
+	// puts is hidden in the server's restricted sandbox, so on the same
+	// base the method succeeds at the client and fails at the server.
+	o.Code = `
+		proc take {} {
+			if {[catch {puts -nonewline ""}]} { error "not checked out" }
+			state set taken 1
+		}
+	`
+	srv.Store().Create(o)
+	r := newRig(t, "cli-1", engine, srv, func(c *Config) { c.AutoExport = false })
+	wait(t, r.am.Import(o.URN, ImportOptions{}))
+	if _, err := r.am.Invoke(o.URN, "take"); err != nil {
+		t.Fatal(err)
+	}
+	f, err := r.am.Export(o.URN, qrpc.PriorityNormal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := waitErr(t, f); err == nil || !strings.Contains(err.Error(), "not checked out") {
+		t.Fatalf("export of a failing method: %v", err)
+	}
+	if r.am.Tentative(o.URN) {
+		t.Fatal("the failed operation is still queued as tentative")
 	}
 }

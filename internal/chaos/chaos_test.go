@@ -367,7 +367,7 @@ func runSim(t *testing.T, seed int64, compress bool) string {
 	}
 	// Armed after the last enqueue: it must not die on an empty queue.
 	sched.At(vtime.Time(2*time.Second), func() {
-		link.EnableRetransmitPolicy(faults.RetryPolicy{Initial: 150 * time.Millisecond, Max: 2 * time.Second, Multiplier: 2}, 400*time.Millisecond)
+		link.EnableRetransmit(faults.RetryPolicy{Initial: 150 * time.Millisecond, Max: 2 * time.Second, Multiplier: 2}, 400*time.Millisecond)
 	})
 	// End of the fault phase: clean network from here on.
 	sched.At(vtime.Time(4*time.Second), func() {

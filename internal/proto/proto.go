@@ -7,6 +7,8 @@ package proto
 import (
 	"fmt"
 	"hash/crc32"
+	"strconv"
+	"strings"
 
 	"rover/internal/rdo"
 	"rover/internal/urn"
@@ -460,6 +462,21 @@ func (m *InvalidateEvent) UnmarshalWire(r *wire.Reader) error {
 		return err
 	}
 	return parseURN(us, &m.URN)
+}
+
+// LockRefusal is the error a server refuses another client's update of u
+// with while holder has u checked out.
+func LockRefusal(u urn.URN, holder string) error {
+	return fmt.Errorf("server: %s is checked out by %q", u, holder)
+}
+
+// IsLockRefusal reports whether msg, the message of a remote error, is the
+// server's LockRefusal for u: a transient refusal, not a verdict on the
+// operations. A method's own error never matches, whatever it says.
+func IsLockRefusal(msg string, u urn.URN) bool {
+	holder, ok := strings.CutPrefix(msg, "server: "+u.String()+" is checked out by ")
+	_, err := strconv.Unquote(holder)
+	return ok && err == nil
 }
 
 // CheckoutArgs requests an exclusive application-level lock on an object —

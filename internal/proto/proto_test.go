@@ -169,3 +169,25 @@ func TestListCountsCannotOutgrowInput(t *testing.T) {
 		}
 	}
 }
+
+// TestIsLockRefusal: the server's refusal is recognised for the object it
+// names, whatever the holder is called, and nothing else is: not another
+// object's refusal, not a method error that mentions a check-out, not the
+// check-in refusal.
+func TestIsLockRefusal(t *testing.T) {
+	other := urn.MustParse("urn:rover:h/other")
+	for _, holder := range []string{"cli-1", `odd "holder" by x`, ""} {
+		if msg := LockRefusal(u, holder).Error(); !IsLockRefusal(msg, u) || IsLockRefusal(msg, other) {
+			t.Fatalf("refusal %q: recognised for %s %v, for %s %v", msg, u, IsLockRefusal(msg, u), other, IsLockRefusal(msg, other))
+		}
+	}
+	for _, msg := range []string{
+		`server: export: rscript: not checked out`,
+		`server: ` + u.String() + ` is checked out by "cli-1", not you`,
+		`server: ` + u.String() + ` is checked out by cli-1`,
+	} {
+		if IsLockRefusal(msg, u) {
+			t.Fatalf("%q taken for a lock refusal", msg)
+		}
+	}
+}

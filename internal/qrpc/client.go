@@ -49,8 +49,6 @@ type ClientConfig struct {
 	// owner typically rotates to a backup address; queued requests stay
 	// queued and redeliver after the next successful handshake.
 	OnBusy func()
-	// NonceFn overrides the random nonce source (tests, determinism).
-	NonceFn func() []byte
 }
 
 type reqState int
@@ -789,19 +787,11 @@ func (c *Client) helloLocked() wire.Frame {
 		h.Caps |= CapCompressedBatch
 	}
 	if c.cfg.Key != nil {
-		h.Nonce = c.nonce()
+		h.Nonce = make([]byte, 16)
+		_, _ = rand.Read(h.Nonce)
 		h.Proof = auth.Prove(c.cfg.Key, c.cfg.ClientID, h.Nonce)
 	}
 	return wire.Frame{Type: wire.FrameHello, Payload: wire.Marshal(h)}
-}
-
-func (c *Client) nonce() []byte {
-	if c.cfg.NonceFn != nil {
-		return c.cfg.NonceFn()
-	}
-	n := make([]byte, 16)
-	_, _ = rand.Read(n)
-	return n
 }
 
 // Hello returns the session-open frame for connectionless transports (the

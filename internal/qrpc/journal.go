@@ -463,33 +463,16 @@ func (s *Server) reshardJournal(misplaced map[string]bool, buckets []map[string]
 		if !stale {
 			continue
 		}
-		if err := s.compactShardAtRecovery(i); err != nil {
-			return fmt.Errorf("qrpc: reshard: compact shard %d: %w", i, err)
+		// Not reachable yet: the claim, which a running compaction would
+		// hold under mu, cannot be contended.
+		s.shards[i].compacting = true
+		s.compactWG.Add(1)
+		s.compactJournal(i)
+		if s.journalErr != nil {
+			return fmt.Errorf("qrpc: reshard: compact shard %d: %w", i, s.journalErr)
 		}
 	}
 	s.stats.JournalReshards = int64(len(misplaced))
-	return nil
-}
-
-// compactShardAtRecovery compacts one shard during construction: snapshot
-// its owned sessions, then remove everything the snapshot supersedes. The
-// server is not reachable yet, so no gate or mu is needed.
-func (s *Server) compactShardAtRecovery(idx int) error {
-	sh := s.shards[idx]
-	sid, err := sh.log.Append(encodeSnapshotRecord(s.ownedSessionsLocked(idx)))
-	if err != nil {
-		return err
-	}
-	prev := sh.ids
-	sh.ids = []uint64{sid}
-	rerr := sh.log.RemoveNoSync(prev...)
-	if rerr == nil {
-		rerr = sh.log.Commit()
-	}
-	if rerr != nil {
-		sh.ids = append(sh.ids, prev...)
-	}
-	s.stats.JournalCompactions++
 	return nil
 }
 

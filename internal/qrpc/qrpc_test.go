@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rover/internal/auth"
+	"rover/internal/faults"
 	"rover/internal/stable"
 	"rover/internal/vtime"
 	"rover/internal/wire"
@@ -593,13 +594,13 @@ func TestUsedFileLogChargesNoModeledFlush(t *testing.T) {
 }
 
 func TestLogAppendFailureSurfacesError(t *testing.T) {
-	log := stable.NewMemLog(stable.Options{})
+	log := faults.WrapLog(stable.NewMemLog(stable.Options{}), 1, faults.LogFaultRates{AppendFail: 1})
 	h := newHarness(t, ClientConfig{ClientID: "c", Log: log}, ServerConfig{})
-	log.FailNext(1)
 	if _, err := h.client.Enqueue("x", nil, PriorityNormal, h.now); err == nil {
 		t.Fatal("enqueue succeeded despite log failure")
 	}
 	// Engine remains usable.
+	log.SetEnabled(false)
 	if _, err := h.client.Enqueue("x", nil, PriorityNormal, h.now); err != nil {
 		t.Fatalf("enqueue after failure: %v", err)
 	}

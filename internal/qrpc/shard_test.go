@@ -2,12 +2,15 @@ package qrpc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
+	"rover/internal/faults"
 	"rover/internal/stable"
 	"rover/internal/wire"
 )
@@ -300,6 +303,62 @@ func TestJournalRecoverReshardOnGrowth(t *testing.T) {
 	st = srv3.Stats()
 	if st.RecoveredSessions != 4 || st.JournalReshards != 0 {
 		t.Fatalf("after converged reshard: sessions=%d reshards=%d, want 4/0", st.RecoveredSessions, st.JournalReshards)
+	}
+}
+
+// TestJournalReshardCompactionFailurePoisons: when the compaction of a shard
+// holding stale copies cannot append its snapshot, recovery fails whole (the
+// server refuses to execute) and removes nothing, so a later recovery over
+// healthy logs reshards the same sessions again with every reply intact.
+func TestJournalReshardCompactionFailurePoisons(t *testing.T) {
+	logs := newShardLogs(4)
+	srv1 := NewServer(ServerConfig{ServerID: "srv", Journals: logs[:1]})
+	execs := map[string]int{}
+	handler := func(clientID string, req Request) ([]byte, error) {
+		execs[clientID]++
+		return req.Args, nil
+	}
+	srv1.Register("echo", handler)
+	probe := NewServer(ServerConfig{ServerID: "probe", Journals: newShardLogs(4)})
+	clients := clientsAcrossShards(t, probe, 4)
+	probe.Close()
+	up := true
+	for _, id := range clients {
+		snd := &harnessSender{up: &up}
+		srv1.OnConnect(snd, 0)
+		srv1.OnFrame(snd, helloFrame(id, 1), 0)
+		srv1.OnFrame(snd, requestFrame(1, "echo", []byte(id)), 0)
+	}
+	srv1.Close()
+
+	// Shard 0 holds the stale copies and is home to none of the migrated
+	// sessions, so its one append is the compaction's snapshot.
+	failing := append([]stable.Log{faults.WrapLog(logs[0], 1, faults.LogFaultRates{AppendFail: 1})}, logs[1:]...)
+	srv2 := NewServer(ServerConfig{ServerID: "srv", Journals: failing})
+	err := srv2.JournalError()
+	srv2.Close()
+	if !errors.Is(err, faults.ErrInjected) || !strings.Contains(err.Error(), "reshard: compact shard 0") {
+		t.Fatalf("JournalError = %v, want the reshard compaction's injected append failure", err)
+	}
+
+	srv3 := NewServer(ServerConfig{ServerID: "srv", Journals: logs})
+	defer srv3.Close()
+	srv3.Register("echo", handler)
+	if err := srv3.JournalError(); err != nil {
+		t.Fatalf("recovery over healthy logs: %v", err)
+	}
+	if st := srv3.Stats(); st.RecoveredSessions != 4 || st.JournalReshards != 3 {
+		t.Fatalf("sessions=%d reshards=%d, want 4/3", st.RecoveredSessions, st.JournalReshards)
+	}
+	for _, id := range clients {
+		snd := &harnessSender{up: &up}
+		srv3.OnConnect(snd, 0)
+		srv3.OnFrame(snd, helloFrame(id, 1), 0)
+		snd.queue = nil
+		srv3.OnFrame(snd, requestFrame(1, "echo", []byte(id)), 0)
+		if reps := drainReplies(t, snd); len(reps) != 1 || execs[id] != 1 {
+			t.Fatalf("client %s: %d replies, executed %d times, want 1 and 1", id, len(reps), execs[id])
+		}
 	}
 }
 

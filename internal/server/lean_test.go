@@ -19,7 +19,7 @@ import (
 // backends runs fn against a server over each store backend.
 func backends(t *testing.T, fn func(t *testing.T, srv *Server)) {
 	t.Run("memory", func(t *testing.T) {
-		fn(t, newServerOn(t, store.New(), nil))
+		fn(t, newServerOn(t, store.New()))
 	})
 	t.Run("disk", func(t *testing.T) {
 		st, err := disk.Open(disk.Options{Dir: t.TempDir()})
@@ -27,13 +27,13 @@ func backends(t *testing.T, fn func(t *testing.T, srv *Server)) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { st.Close() })
-		fn(t, newServerOn(t, st, nil))
+		fn(t, newServerOn(t, st))
 	})
 }
 
-func newServerOn(t *testing.T, st store.Backend, reg *resolve.Registry) *Server {
+func newServerOn(t *testing.T, st store.Backend) *Server {
 	t.Helper()
-	srv, err := New(Config{Engine: qrpc.NewServer(qrpc.ServerConfig{ServerID: "unit"}), Store: st, Resolvers: reg})
+	srv, err := New(Config{Engine: qrpc.NewServer(qrpc.ServerConfig{ServerID: "unit"}), Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,8 @@ func TestLeanExportReply(t *testing.T) {
 // TestLeanExportRejectedConflict: a resolver's rejection carries the
 // pristine object even if the client sent a checksum matching it.
 func TestLeanExportRejectedConflict(t *testing.T) {
-	srv := newServerOn(t, store.New(), resolve.NewRegistry(resolve.Reject))
+	srv := newServerOn(t, store.New())
+	srv.Resolvers().Register("counter", resolve.Reject)
 	obj := counter("rej")
 	srv.Store().Create(obj)
 	w, _ := srv.Store().Get(obj.URN)

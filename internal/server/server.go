@@ -38,12 +38,6 @@ type Config struct {
 	Engine *qrpc.Server
 	// Store holds the objects; a fresh one is created when nil.
 	Store store.Backend
-	// Resolvers maps object types to conflict resolvers; a Replay-fallback
-	// registry is created when nil.
-	Resolvers *resolve.Registry
-	// InvokeBudget bounds server-side method execution steps (0 = the
-	// restricted sandbox default).
-	InvokeBudget int64
 }
 
 // Server is a Rover object server.
@@ -51,7 +45,6 @@ type Server struct {
 	engine    *qrpc.Server
 	store     store.Backend
 	resolvers *resolve.Registry
-	budget    int64
 	// hostCmds is what hostCommands built at New: read-only from then on,
 	// handed to every execution environment the server creates.
 	hostCmds map[string]rscript.CmdFunc
@@ -106,16 +99,12 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		engine:    cfg.Engine,
 		store:     cfg.Store,
-		resolvers: cfg.Resolvers,
-		budget:    cfg.InvokeBudget,
+		resolvers: resolve.NewRegistry(nil),
 		subs:      make(map[string][]urn.URN),
 		locks:     make(map[urn.URN]string),
 	}
 	if s.store == nil {
 		s.store = store.New()
-	}
-	if s.resolvers == nil {
-		s.resolvers = resolve.NewRegistry(nil)
 	}
 	s.hostCmds = s.hostCommands()
 	cfg.Engine.Register(proto.SvcImport, s.handleImport)
@@ -131,11 +120,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// ErrCheckedOut marks update refusals caused by another client's
-// check-out lock. The message carries the holder's identity so clients
-// can display "locked by X".
-var ErrCheckedOut = errors.New("checked out")
-
 // checkLock returns an error when u is checked out by someone other than
 // clientID.
 func (s *Server) checkLock(u urn.URN, clientID string) error {
@@ -143,7 +127,7 @@ func (s *Server) checkLock(u urn.URN, clientID string) error {
 	holder, locked := s.locks[u]
 	s.mu.Unlock()
 	if locked && holder != clientID {
-		return fmt.Errorf("server: %s is %w by %q", u, ErrCheckedOut, holder)
+		return proto.LockRefusal(u, holder)
 	}
 	return nil
 }
@@ -442,7 +426,6 @@ func (s *Server) applyExport(clientID string, obj *rdo.Object, cur uint64, args 
 func (s *Server) replay(obj *rdo.Object, invs []rdo.Invocation) error {
 	env, err := rdo.NewEnv(obj, rdo.EnvOptions{
 		Sandbox:      rdo.Restricted,
-		StepBudget:   s.budget,
 		HostCommands: s.hostCmds,
 	})
 	if err != nil {
@@ -500,7 +483,6 @@ func (s *Server) handleInvoke(clientID string, req qrpc.Request) ([]byte, error)
 		cur := obj.Version
 		env, err := rdo.NewEnv(obj, rdo.EnvOptions{
 			Sandbox:      rdo.Restricted,
-			StepBudget:   s.budget,
 			HostCommands: s.hostCmds,
 		})
 		if err != nil {
@@ -543,7 +525,7 @@ func (s *Server) handleCreate(clientID string, req qrpc.Request) ([]byte, error)
 		return nil, err
 	}
 	// Validate that the code loads before accepting the object.
-	if _, err := rdo.NewEnv(obj.Clone(), rdo.EnvOptions{Sandbox: rdo.Restricted, StepBudget: s.budget}); err != nil {
+	if _, err := rdo.NewEnv(obj.Clone(), rdo.EnvOptions{Sandbox: rdo.Restricted}); err != nil {
 		return nil, err
 	}
 	if err := s.store.Create(obj); err != nil {

@@ -179,11 +179,11 @@ func TestExportPaths(t *testing.T) {
 
 func TestExportConflictRejectedByResolver(t *testing.T) {
 	engine := qrpc.NewServer(qrpc.ServerConfig{})
-	reg := resolve.NewRegistry(resolve.Reject)
-	srv, err := New(Config{Engine: engine, Resolvers: reg})
+	srv, err := New(Config{Engine: engine})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.Resolvers().Register("counter", resolve.Reject)
 	cli, _ := qrpc.NewClient(qrpc.ClientConfig{ClientID: "c", Log: stable.NewMemLog(stable.Options{})})
 	pipe := transport.NewPipe(cli, engine, nil)
 	defer pipe.Close()

@@ -20,9 +20,6 @@ type MemLog struct {
 	opts   Options
 	stats  Stats
 	closed bool
-	// failNext, when positive, makes the next Append fail (failure
-	// injection for tests).
-	failNext int
 	// staged is set by AppendNoSync and cleared by the next flush (Commit,
 	// or an Append's own), so the modeled sync counter reflects one flush
 	// per staged run, like a real log.
@@ -36,14 +33,6 @@ func NewMemLog(opts Options) *MemLog {
 	return &MemLog{next: 1, recs: make(map[uint64][]byte), opts: opts}
 }
 
-// FailNext makes the next n Append calls return an error, simulating a
-// full or failing disk.
-func (l *MemLog) FailNext(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.failNext = n
-}
-
 // Append implements Log.
 func (l *MemLog) Append(rec []byte) (uint64, error) {
 	l.mu.Lock()
@@ -53,10 +42,6 @@ func (l *MemLog) Append(rec []byte) (uint64, error) {
 	}
 	if len(rec) > MaxRecord {
 		return 0, ErrRecordBig
-	}
-	if l.failNext > 0 {
-		l.failNext--
-		return 0, ErrCorrupt
 	}
 	id := l.next
 	l.next++

@@ -37,7 +37,7 @@ var poisonViews = []string{"SegmentFile", "FileLog"}
 func openPoisonTarget(t *testing.T, view, path string) poisonTarget {
 	t.Helper()
 	if view == "SegmentFile" {
-		s, err := OpenSegmentFile(path, Options{}, nil)
+		s, err := OpenSegmentFile(path, Options{}, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

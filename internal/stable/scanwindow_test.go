@@ -2,11 +2,13 @@ package stable
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -41,27 +43,38 @@ func (f *segmentFixture) add(rec []byte) {
 	f.data = append(f.data, rec...)
 }
 
-// scanFrom opens path with the recovery scan starting at start (through
-// OpenSegmentFileAt, or OpenSegmentFile for 0) and returns a copy of every
-// payload it was handed.
+// scanFrom opens path with the recovery scan starting at start and returns
+// a copy of every payload it was handed, after checking that ReadRangeFunc
+// over the same range hands over the very same records.
 func scanFrom(t *testing.T, path string, start int64) (*SegmentFile, map[int64][]byte) {
 	t.Helper()
 	got := map[int64][]byte{}
-	scan := func(off int64, rec []byte) error {
+	s, err := OpenSegmentFile(path, Options{}, start, func(off int64, rec []byte) error {
 		got[off] = append([]byte(nil), rec...)
 		return nil
-	}
-	var s *SegmentFile
-	var err error
-	if start == 0 {
-		s, err = OpenSegmentFile(path, Options{}, scan)
-	} else {
-		s, err = OpenSegmentFileAt(path, Options{}, start, scan)
-	}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkScanned(t, readRange(t, s, start, s.Size()), got, start)
 	return s, got
+}
+
+// readRange returns a copy of every payload ReadRangeFunc hands over for
+// [start, end), nil for a record whose checksum failed.
+func readRange(t *testing.T, s *SegmentFile, start, end int64) map[int64][]byte {
+	t.Helper()
+	got := map[int64][]byte{}
+	if err := s.ReadRangeFunc(start, end, func(off int64, p []byte) error {
+		if p != nil {
+			p = append([]byte{}, p...)
+		}
+		got[off] = p
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return got
 }
 
 func checkScanned(t *testing.T, got map[int64][]byte, want map[int64][]byte, start int64) {
@@ -188,10 +201,12 @@ func TestScanWindowCompressedPayloadsOutliveScan(t *testing.T) {
 		t.Fatalf("%d of %d payloads inflated; the fixture needs both kinds", inflated, len(want))
 	}
 	checkScanned(t, kept, want, 0)
+	checkScanned(t, readRange(t, s2, 0, s2.Size()), want, 0)
 }
 
-// TestScanWindowAllocs: the recovery scan reads a segment of many windows
-// through one window buffer instead of allocating a chunk per refill.
+// TestScanWindowAllocs: the recovery scan, and ReadRangeFunc, read a segment
+// of many windows through one window buffer instead of allocating a chunk per
+// refill.
 func TestScanWindowAllocs(t *testing.T) {
 	f := &segmentFixture{want: map[int64][]byte{}}
 	for i := uint64(1); len(f.data) < 8*scanChunk; i++ {
@@ -203,7 +218,7 @@ func TestScanWindowAllocs(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	s, err := OpenSegmentFile(path, Options{}, nil)
+	s, err := OpenSegmentFile(path, Options{}, 0, nil)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -213,4 +228,115 @@ func TestScanWindowAllocs(t *testing.T) {
 		t.Fatalf("scanning %d bytes allocated %d bytes, want at most one %d-byte window and change",
 			len(f.data), spent, scanChunk)
 	}
+	runtime.ReadMemStats(&before)
+	err = s.ReadRangeFunc(0, s.Size(), func(int64, []byte) error { return nil })
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spent := after.TotalAlloc - before.TotalAlloc; spent > 2*scanChunk {
+		t.Fatalf("reading %d bytes allocated %d bytes, want at most one %d-byte window and change",
+			len(f.data), spent, scanChunk)
+	}
+}
+
+// TestScanWindowBadRecords holds both entry points to their policies over a
+// bad record. Mid-range, a record whose checksum fails reaches ReadRangeFunc
+// with a nil payload and the records around it intact, and fails an open. A
+// range that ends inside a record fails ReadRangeFunc. A bad record that ends
+// the file, cut short or with a bad checksum, is a torn tail to an open.
+func TestScanWindowBadRecords(t *testing.T) {
+	f := &segmentFixture{want: map[int64][]byte{}}
+	for i := uint64(1); i <= 5; i++ {
+		f.add(appendRecord(nil, kindAppend, i, bytes.Repeat([]byte{byte(i)}, 300), false))
+	}
+	path := filepath.Join(t.TempDir(), "seg")
+	write := func(data []byte) {
+		t.Helper()
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flipped := func(i int) []byte { // record i with its payload's first byte changed
+		data := append([]byte(nil), f.data...)
+		data[f.offs[i]+5] ^= 0x40
+		return data
+	}
+
+	write(f.data)
+	s, _ := scanFrom(t, path, 0)
+	if err := s.ReadRangeFunc(0, f.offs[2]+3, func(int64, []byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("range ending inside a record: %v, want ErrCorrupt", err)
+	}
+	write(flipped(2)) // the same size under the open segment
+	want := map[int64][]byte{}
+	for off, p := range f.want {
+		want[off] = p
+	}
+	want[f.offs[2]] = nil
+	if got := readRange(t, s, 0, s.Size()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ReadRangeFunc over a bad checksum handed over %d records, want %d with record 2 nil", len(got), len(want))
+	}
+	s.Close()
+	if _, err := OpenSegmentFile(path, Options{}, 0, nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("open over an interior bad checksum: %v, want ErrCorrupt", err)
+	}
+
+	last := f.offs[4]
+	for name, data := range map[string][]byte{"cut": f.data[:len(f.data)-3], "crc": flipped(4)} {
+		write(data)
+		s, got := scanFrom(t, path, 0)
+		var tt *TornTailError
+		if err := s.TornTail(); !errors.As(err, &tt) || tt.Offset != last || s.Size() != last || len(got) != 4 {
+			t.Fatalf("%s tail: TornTail %v, size %d, %d records; want offset and size %d, 4 records", name, err, s.Size(), len(got), last)
+		}
+		s.Close()
+		if fi, err := os.Stat(path); err != nil || fi.Size() != last {
+			t.Fatalf("%s tail: file not truncated to %d: %v", name, last, err)
+		}
+	}
+}
+
+// FuzzScanRange holds the two policies over the one scan loop to each other:
+// for any image that opens, ReadRangeFunc over the whole file hands over
+// exactly the records, offsets and payloads, the open scan handed over.
+func FuzzScanRange(f *testing.F) {
+	var image []byte
+	for _, g := range goldenRecords {
+		rec, _ := hex.DecodeString(g.hex)
+		image = append(image, rec...)
+		f.Add(image)
+	}
+	f.Add(append(append([]byte(nil), image...), image[:7]...)) // a torn tail
+	f.Add(appendRecord(nil, kindAppend, 1, bytes.Repeat([]byte("deflate me "), 40), true))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "seg")
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		var scanned []scannedPayload
+		s, err := OpenSegmentFile(path, Options{}, 0, func(off int64, p []byte) error {
+			scanned = append(scanned, scannedPayload{off, append([]byte{}, p...)})
+			return nil
+		})
+		if err != nil {
+			return
+		}
+		defer s.Close()
+		var ranged []scannedPayload
+		if err := s.ReadRangeFunc(0, s.Size(), func(off int64, p []byte) error {
+			ranged = append(ranged, scannedPayload{off, append([]byte{}, p...)})
+			return nil
+		}); err != nil {
+			t.Fatalf("ReadRangeFunc over an image that opened: %v", err)
+		}
+		if !reflect.DeepEqual(ranged, scanned) {
+			t.Fatalf("ReadRangeFunc handed over %v, the open scan %v", ranged, scanned)
+		}
+	})
+}
+
+type scannedPayload struct {
+	off int64
+	p   []byte
 }

@@ -95,24 +95,17 @@ func newSegment(path string, opts Options, flag int) (*SegmentFile, error) {
 }
 
 // OpenSegmentFile opens (or creates) the segment at path and streams every
-// intact record through scan in file order, passing each record's byte
-// offset and payload; scan may be nil. The payload slice is only valid for
-// the duration of the scan call — retain a copy, not the slice. A torn
-// trailing record is truncated away (TornTail reports it); interior
-// corruption, or a record that is not an append, fails the open. A
+// intact record from byte offset start on through scan in file order,
+// passing each record's byte offset and payload; scan may be nil. The payload
+// slice is only valid for the duration of the scan call — retain a copy, not
+// the slice. start is 0 or a record boundary a previous incarnation persisted
+// (e.g. an index footer's offset), letting a recovered index skip the bulk of
+// the file: records before it are trusted unseen, and start past the file's
+// end fails the open (the offset belongs to some other incarnation of the
+// file). A torn trailing record is truncated away (TornTail reports it);
+// interior corruption, or a record that is not an append, fails the open. A
 // <path>.compact left by a crash mid-Rewrite is removed.
-func OpenSegmentFile(path string, opts Options, scan func(off int64, rec []byte) error) (*SegmentFile, error) {
-	return OpenSegmentFileAt(path, opts, 0, scan)
-}
-
-// OpenSegmentFileAt is OpenSegmentFile with the recovery scan starting at
-// byte offset start — a record boundary a previous incarnation persisted
-// (e.g. an index footer's offset), letting a recovered index skip the bulk
-// of the file. Records before start are trusted unseen; torn-tail
-// truncation still applies to the scanned region. start past the file's end
-// fails the open (the offset belongs to some other incarnation of the
-// file).
-func OpenSegmentFileAt(path string, opts Options, start int64, scan func(off int64, rec []byte) error) (*SegmentFile, error) {
+func OpenSegmentFile(path string, opts Options, start int64, scan func(off int64, rec []byte) error) (*SegmentFile, error) {
 	return openSegment(path, opts, start, func(off int64, r record) error {
 		if r.kind != kindAppend {
 			return fmt.Errorf("%w: segment offset %d: unexpected kind %#x", ErrCorrupt, off, r.kind)
@@ -146,74 +139,87 @@ func CreateSegmentFile(path string, opts Options) (*SegmentFile, error) {
 	return newSegment(path, opts, os.O_TRUNC)
 }
 
-// recover streams the file through parseRecord starting at byte offset
-// start, through one window buffer: buf[lo:hi] is the unparsed remainder and
-// pos the file offset of buf[lo]. A refill slides the remainder to the front
-// and reads behind it; the window doubles only when one record fills it.
-// Payloads handed to scan alias buf and are only valid during the scan call.
+// recover scans the file from byte offset start to its end, handing each
+// intact record to scan. A bad record that ends exactly at the end of the
+// file is a crash mid-append: it is truncated away. Any other fails the open.
 func (s *SegmentFile) recover(start int64, scan func(off int64, r record) error) error {
 	fi, err := s.f.Stat()
 	if err != nil {
 		return fmt.Errorf("stable: open: %w", err)
 	}
-	if start > fi.Size() {
-		return fmt.Errorf("%w: segment scan start %d past end %d", ErrCorrupt, start, fi.Size())
+	end := fi.Size()
+	if start > end {
+		return fmt.Errorf("%w: segment scan start %d past end %d", ErrCorrupt, start, end)
 	}
-	var (
-		// One byte more than is left lets a small file show its EOF on the
-		// first read, without a full-size buffer.
-		buf    = make([]byte, min(scanChunk, fi.Size()-start+1))
-		lo, hi int
-		pos    = start
-		eof    bool
-	)
-	for {
-		rec, n, err := parseRecord(buf[lo:hi])
-		incomplete := err == errTorn || (err == errBadCRC && n == hi-lo)
+	err = s.scanRange(start, end, func(off int64, r record, n int, err error) error {
 		switch {
-		case incomplete && !eof:
-			// The window ends inside (or exactly with) a record that does
-			// not check out; whether that is a torn tail depends on whether
-			// the file goes on. Read on behind the remainder.
+		case err != nil && off+int64(n) == end:
+			s.torn = &TornTailError{Offset: off}
+			end = off // the scan steps over it and stops
+			if err := s.f.Truncate(off); err != nil {
+				return fmt.Errorf("stable: truncate torn tail: %w", err)
+			}
+			return nil
+		case err != nil:
+			return fmt.Errorf("stable: offset %d: %w", off, err)
+		}
+		if err := scan(off, r); err != nil {
+			return err
+		}
+		s.nextID = max(s.nextID, r.id+1)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if _, err := s.f.Seek(end, io.SeekStart); err != nil {
+		return err
+	}
+	s.fileBytes = end
+	return nil
+}
+
+// scanRange reads the records in [start, end) in file order through one
+// window buffer: buf[lo:hi] is the unparsed remainder and pos the file offset
+// of buf[lo]. A refill slides the remainder to the front and reads behind it;
+// the window doubles only when one record fills it. fn gets each record's
+// offset, the record, its extent n and its parse error: nil, errBadCRC (n
+// still spans the record), or an ErrCorrupt one, whose n is end-off for a
+// record that runs past end and 0 for one that cannot be framed. The scan
+// steps over each record fn accepts and stops at fn's first error or at an
+// unframed record, which fails it. Payloads alias buf and are only valid
+// during the call.
+func (s *SegmentFile) scanRange(start, end int64, fn func(off int64, r record, n int, err error) error) error {
+	buf := make([]byte, min(scanChunk, end-start))
+	lo, hi, pos := 0, 0, start
+	for pos < end {
+		r, n, perr := parseRecord(buf[lo:hi])
+		if perr == errTorn && pos+int64(hi-lo) < end {
 			hi, lo = copy(buf, buf[lo:hi]), 0
 			if hi == len(buf) {
 				buf = slices.Grow(buf, len(buf))
 				buf = buf[:cap(buf)]
 			}
-			m, rerr := s.f.ReadAt(buf[hi:], pos+int64(hi))
+			want := buf[hi:min(int64(len(buf)), end-pos)]
+			m, err := s.f.ReadAt(want, pos+int64(hi))
+			if m < len(want) {
+				return fmt.Errorf("stable: read: %w", err)
+			}
 			hi += m
-			if eof = rerr == io.EOF; rerr != nil && !eof {
-				return fmt.Errorf("stable: read: %w", rerr)
-			}
-			continue
-		case hi == lo:
-			// Clean end of file.
-		case incomplete:
-			// Partial or checksum-failed record reaching exactly to EOF: a
-			// crash mid-append. Truncate it away.
-			s.torn = &TornTailError{Offset: pos}
-			if err := s.f.Truncate(pos); err != nil {
-				return fmt.Errorf("stable: truncate torn tail: %w", err)
-			}
-		case err != nil:
-			return fmt.Errorf("stable: offset %d: %w", pos, err)
-		default:
-			if err := scan(pos, rec); err != nil {
-				return err
-			}
-			if rec.id >= s.nextID {
-				s.nextID = rec.id + 1
-			}
-			lo += n
-			pos += int64(n)
 			continue
 		}
-		break
+		if perr == errTorn {
+			n, perr = int(end-pos), fmt.Errorf("%w: record runs past %d", ErrCorrupt, end)
+		}
+		if err := fn(pos, r, n, perr); err != nil {
+			return err
+		}
+		if n == 0 {
+			return perr
+		}
+		lo += n
+		pos += int64(n)
 	}
-	if _, err := s.f.Seek(pos, io.SeekStart); err != nil {
-		return err
-	}
-	s.fileBytes = pos
 	return nil
 }
 
@@ -288,8 +294,8 @@ func parseHeader(p []byte) (h recHeader, err error) {
 }
 
 // parseRecord parses and checksums the record at the front of p and returns
-// how many bytes it spans. On errBadCRC the span is still reported, so
-// recover can tell a torn write at the tail (record ends exactly at EOF)
+// how many bytes it spans. On errBadCRC the span is still reported, so a
+// scan can tell a torn write at the tail (record ends exactly at EOF)
 // from interior corruption.
 func parseRecord(p []byte) (record, int, error) {
 	h, err := parseHeader(p)
@@ -600,7 +606,8 @@ func (s *SegmentFile) ReadAtFunc(off int64, fn func(payload []byte) error) error
 // sequentially through one window of up to scanChunk bytes, not with a pread
 // per record; a payload is a view of the window, valid only during the call.
 // A record whose checksum fails, but whose header still spans it, is handed
-// to fn with a nil payload, for the caller to judge.
+// to fn with a nil payload, for the caller to judge; one that runs past end
+// fails the read with ErrCorrupt.
 func (s *SegmentFile) ReadRangeFunc(start, end int64, fn func(off int64, payload []byte) error) error {
 	s.mu.Lock()
 	closed, size := s.closed, s.fileBytes
@@ -611,38 +618,12 @@ func (s *SegmentFile) ReadRangeFunc(start, end int64, fn func(off int64, payload
 	case start < 0 || start > end || end > size:
 		return fmt.Errorf("%w: segment range [%d, %d) outside [0, %d)", ErrCorrupt, start, end, size)
 	}
-	buf := make([]byte, min(scanChunk, end-start))
-	lo, hi, pos := 0, 0, start // buf[lo:hi] holds the file from pos on
-	for pos < end {
-		rec, n, err := parseRecord(buf[lo:hi])
-		if err == errTorn {
-			// The window ends inside a record: slide it to the front and
-			// read on behind it, growing only if one record fills it.
-			hi, lo = copy(buf, buf[lo:hi]), 0
-			if hi == len(buf) {
-				buf = slices.Grow(buf, len(buf))
-				buf = buf[:cap(buf)]
-			}
-			m, rerr := s.f.ReadAt(buf[hi:min(int64(len(buf)), int64(hi)+end-pos)], pos+int64(hi))
-			if m == 0 {
-				return fmt.Errorf("%w: segment record at %d runs past %d: %v", ErrCorrupt, pos, end, rerr)
-			}
-			hi += m
-			continue
+	return s.scanRange(start, end, func(off int64, r record, _ int, err error) error {
+		if err != errBadCRC && (err != nil || r.kind != kindAppend) {
+			return fmt.Errorf("%w: segment record at %d: %v", ErrCorrupt, off, err)
 		}
-		switch {
-		case err == errBadCRC && pos+int64(n) <= end:
-			rec.payload = nil
-		case err != nil || rec.kind != kindAppend || pos+int64(n) > end:
-			return fmt.Errorf("%w: segment record at %d: %v", ErrCorrupt, pos, err)
-		}
-		if err := fn(pos, rec.payload); err != nil {
-			return err
-		}
-		lo += n
-		pos += int64(n)
-	}
-	return nil
+		return fn(off, r.payload)
+	})
 }
 
 // Size returns the segment's current length in bytes.

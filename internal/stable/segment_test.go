@@ -13,7 +13,7 @@ import (
 func openSeg(t *testing.T, path string, opts Options) (*SegmentFile, map[int64][]byte) {
 	t.Helper()
 	got := map[int64][]byte{}
-	s, err := OpenSegmentFile(path, opts, func(off int64, rec []byte) error {
+	s, err := OpenSegmentFile(path, opts, 0, func(off int64, rec []byte) error {
 		got[off] = append([]byte(nil), rec...)
 		return nil
 	})
@@ -167,7 +167,7 @@ func TestSegmentInteriorCorruptionFailsOpen(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenSegmentFile(path, Options{}, nil); !errors.Is(err, ErrCorrupt) {
+	if _, err := OpenSegmentFile(path, Options{}, 0, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open over interior corruption: %v", err)
 	}
 }
@@ -313,7 +313,7 @@ func TestOpenRemovesStaleRewriteFile(t *testing.T) {
 		var c interface{ Close() error }
 		var err error
 		if name == "seg" {
-			c, err = OpenSegmentFile(path, Options{}, nil)
+			c, err = OpenSegmentFile(path, Options{}, 0, nil)
 		} else {
 			c, err = OpenFileLog(path, Options{})
 		}

@@ -163,7 +163,3 @@ type Options struct {
 	// ignored by FileLog.
 	FlushCost time.Duration
 }
-
-func (o Options) String() string {
-	return fmt.Sprintf("sync=%v compress=%v", !o.NoSync, o.Compress)
-}

@@ -597,30 +597,6 @@ func mustFileLog(t *testing.T) *FileLog {
 	return l
 }
 
-func TestMemLogFailureInjection(t *testing.T) {
-	l := NewMemLog(Options{})
-	l.FailNext(2)
-	if _, err := l.Append([]byte("a")); err == nil {
-		t.Error("first injected failure did not fire")
-	}
-	if _, err := l.Append([]byte("b")); err == nil {
-		t.Error("second injected failure did not fire")
-	}
-	if _, err := l.Append([]byte("c")); err != nil {
-		t.Errorf("append after injected failures: %v", err)
-	}
-	if liveLen(t, l) != 1 {
-		t.Errorf("Len = %d", liveLen(t, l))
-	}
-}
-
-func TestOptionsString(t *testing.T) {
-	s := Options{Compress: true}.String()
-	if s != "sync=true compress=true" {
-		t.Errorf("Options.String = %q", s)
-	}
-}
-
 // Property: an arbitrary interleaving of appends, removes, batch removes and
 // compactions replays to exactly the live set in append order, both in
 // memory (MemLog is the reference model) and across a file reopen.

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -173,7 +172,7 @@ func Open(opts Options) (*Store, error) {
 	}
 	var scanned int
 	nm := newNames()
-	seg, err := stable.OpenSegmentFile(s.path, stable.Options{},
+	seg, err := stable.OpenSegmentFile(s.path, stable.Options{}, 0,
 		func(off int64, rec []byte) error {
 			scanned++
 			if len(rec) > 0 && rec[0] == recFooter {
@@ -213,7 +212,7 @@ func (s *Store) RecoveredByFooter() bool {
 // through n: p need only outlive the call. The live-bytes count is
 // sumLiveBytes's once the index is built.
 func (s *Store) applyScan(off int64, p []byte, n *names) error {
-	rec, err := decodeRecord(p, n, false)
+	rec, err := decodeRecord(p, n)
 	if err != nil {
 		return fmt.Errorf("disk: segment offset %d: %w", off, err)
 	}
@@ -250,7 +249,7 @@ func walkChain(seg *stable.SegmentFile, u urn.URN, ent idxEnt, stop uint64, head
 	for off >= 0 && want >= low && ent.kind != recState {
 		first, next := want == ent.ver, int64(-1)
 		visit := func(p []byte) error {
-			rec, err := decodeRecord(p, &nm, false)
+			rec, err := decodeRecord(p, &nm)
 			switch {
 			case err != nil:
 				return err
@@ -265,7 +264,7 @@ func walkChain(seg *stable.SegmentFile, u urn.URN, ent idxEnt, stop uint64, head
 				r := wire.OwnedReader(rec.ops) // checked whole above
 				for range r.Uvarint() {
 					ver, start := r.Uvarint(), len(rec.ops)-r.Remaining()
-					readOps(&r, false)
+					skipOps(&r)
 					if ver >= low && ver <= want {
 						if err := fn(ver, rec.ops[start:len(rec.ops)-r.Remaining()]); err != nil {
 							return err
@@ -534,7 +533,7 @@ func (s *Store) Get(u urn.URN) (*rdo.Object, error) {
 	var obj *rdo.Object
 	nm := names{held: u}
 	err := s.seg.ReadAtFunc(ent.off, func(p []byte) error {
-		rec, err := decodeRecord(p, &nm, false)
+		rec, err := decodeRecord(p, &nm)
 		if err == nil && rec.urn != u {
 			err = fmt.Errorf("disk: record at %d holds %s", ent.off, rec.urn)
 		}
@@ -930,14 +929,11 @@ func (s *Store) copyCut(old, tmp *stable.SegmentFile, c *compaction) error {
 		if s.closed.Load() {
 			return ErrClosed
 		}
-		// Commits and reads that are ready run first: the copy is background
-		// work, and a commit has a client waiting.
-		runtime.Gosched()
 		if err := copyWindow(old, &c.w, e.u, e.old, p); err != nil {
 			return fmt.Errorf("disk: history of %s: %w", e.u, err)
 		}
 		nm := names{held: e.u}
-		rec, err := decodeRecord(p, &nm, false)
+		rec, err := decodeRecord(p, &nm)
 		switch {
 		case err != nil:
 			return err
@@ -981,7 +977,7 @@ func (s *Store) catchUp(old, tmp *stable.SegmentFile, c *compaction, from, to in
 		case len(p) > 0 && p[0] == recFooter:
 			return nil
 		}
-		rec, err := decodeRecord(p, &nm, false)
+		rec, err := decodeRecord(p, &nm)
 		if err != nil {
 			return err
 		}

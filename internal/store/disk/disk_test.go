@@ -298,7 +298,7 @@ func TestUnpublishedDurableRecordReplaysAsCommitted(t *testing.T) {
 	cur := o.Clone()
 	cur.Version = 2
 	inv := rdo.Invocation{Object: o.URN, Method: "book", Args: []string{"slot1"}, BaseVer: 1}
-	seg, err := stable.OpenSegmentFile(filepath.Join(dir, SegmentName), stable.Options{}, nil)
+	seg, err := stable.OpenSegmentFile(filepath.Join(dir, SegmentName), stable.Options{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

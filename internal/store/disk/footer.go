@@ -158,7 +158,7 @@ func (s *Store) openFromFooter() bool {
 	if fi, err := os.Stat(s.path); err == nil && fi.Size() > f.off {
 		buf = make([]byte, 0, fi.Size()-f.off)
 	}
-	seg, err := stable.OpenSegmentFileAt(s.path, stable.Options{}, f.off,
+	seg, err := stable.OpenSegmentFile(s.path, stable.Options{}, f.off,
 		func(off int64, rec []byte) error {
 			buf = append(buf, rec...)
 			tail = append(tail, scannedRec{off: off, end: len(buf)})
@@ -282,13 +282,12 @@ func segExtent(chunks, rest []scannedRec, i int, c scannedRec, seg *stable.Segme
 }
 
 // readRecordAt preads one segment record on the segment's pooled read
-// buffer and decodes it without an ops record's src and invs; what it
-// returns is a copy.
+// buffer and decodes it without its history; what it returns is a copy.
 func readRecordAt(seg *stable.SegmentFile, off int64) (record, error) {
 	var rec record
 	err := seg.ReadAtFunc(off, func(p []byte) error {
 		var derr error
-		rec, derr = decodeRecord(p, nil, false)
+		rec, derr = decodeRecord(p, nil)
 		return derr
 	})
 	return rec, err

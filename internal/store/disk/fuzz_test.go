@@ -39,13 +39,15 @@ func countHeader(kind byte, n uint64) []byte {
 
 // FuzzDecodeRecord: the recovery scan decodes every record of a segment and
 // footer recovery every index chunk, so both decoders must hold up against
-// bytes they did not write. Neither panics, neither allocates out of
-// proportion to the input whatever a count claims, and whatever they accept
-// re-encodes to bytes that decode to the same record. The keep-nothing
-// check Open runs on every record, in place or copying, must accept exactly
-// what the whole decode accepts and return the same record without its
-// history, including through a key its names already holds, allocating no
-// more than a few objects whatever the record holds.
+// bytes they did not write. Neither panics, and whatever they accept
+// re-encodes to bytes that decode to the same record, history included. The
+// footer decoder allocates in proportion to the input whatever a count
+// claims. The record check Open runs on every record allocates no more than
+// a few objects whatever the record holds, and decodes the same record in
+// place, through a key its names already holds, and copying (without the
+// history). Skipping an ops record's invocations fails on exactly the inputs
+// reading them fails on, and reading them allocates in proportion to the
+// input whatever a count claims.
 func FuzzDecodeRecord(f *testing.F) {
 	u := urn.MustParse("urn:rover:h/obj")
 	o := rdo.New(u, "t")
@@ -72,26 +74,12 @@ func FuzzDecodeRecord(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, p []byte) {
-		footer := len(p) > 0 && p[0] == recFooter
-		var (
-			rec  record
-			gen  []byte
-			part uint64
-			ents []footerEnt
-			err  error
-		)
 		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if footer {
-			gen, part, ents, err = decodeFooterChunk(p, newNames())
-		} else {
-			rec, err = decodeRecord(p, nil, true)
-		}
-		runtime.ReadMemStats(&after)
-		if spent := after.TotalAlloc - before.TotalAlloc; spent > 1<<20+64*uint64(len(p)) {
-			t.Fatalf("%d input bytes made the decoder allocate %d bytes", len(p), spent)
-		}
-		if footer {
+		if len(p) > 0 && p[0] == recFooter {
+			runtime.ReadMemStats(&before)
+			gen, part, ents, err := decodeFooterChunk(p, newNames())
+			runtime.ReadMemStats(&after)
+			checkAllocated(t, p, after.TotalAlloc-before.TotalAlloc)
 			if err != nil {
 				return
 			}
@@ -101,45 +89,60 @@ func FuzzDecodeRecord(f *testing.F) {
 			}
 			return
 		}
+		checkSkipOps(t, p)
 		nm := newNames()
 		runtime.ReadMemStats(&before)
-		inPlace, ierr := decodeRecord(p, nm, false)
+		rec, err := decodeRecord(p, nm)
 		runtime.ReadMemStats(&after)
 		if n := after.Mallocs - before.Mallocs; n > 16 {
 			t.Fatalf("checking %d input bytes allocated %d objects", len(p), n)
 		}
-		copied, cerr := decodeRecord(p, nil, false)
-		if (err == nil) != (ierr == nil) || (err == nil) != (cerr == nil) {
-			t.Fatalf("decode: %v; check in place: %v; copying: %v", err, ierr, cerr)
+		copied, cerr := decodeRecord(p, nil)
+		if (err == nil) != (cerr == nil) {
+			t.Fatalf("check in place: %v; copying: %v", err, cerr)
 		}
 		if err != nil {
 			return
 		}
 		head := rec
-		head.src, head.invs = "", nil
-		if !reflect.DeepEqual(inPlace, head) || !reflect.DeepEqual(copied, head) {
-			t.Fatalf("check differs:\n got %+v\n and %+v\nwant %+v", inPlace, copied, head)
+		head.ops = nil
+		if !reflect.DeepEqual(copied, head) {
+			t.Fatalf("copying check differs:\n got %+v\nwant %+v", copied, head)
 		}
-		nm.keys[inPlace.urn] = inPlace.urn
-		if again, err := decodeRecord(p, nm, false); err != nil || !reflect.DeepEqual(again, head) {
-			t.Fatalf("check through a held key: %v\n got %+v\nwant %+v", err, again, head)
+		nm.keys[rec.urn] = rec.urn
+		if again, err := decodeRecord(p, nm); err != nil || !reflect.DeepEqual(again, rec) {
+			t.Fatalf("check through a held key: %v\n got %+v\nwant %+v", err, again, rec)
 		}
-		var enc []byte
+		var (
+			enc  []byte
+			hist []store.OpsRec
+		)
 		switch rec.kind {
 		case recState:
 			var b wire.Buffer
 			appendStateBytes(&b, rec.urn, rec.ver, rec.obj)
 			enc = b.Bytes()
 		case recOps:
-			enc = recOf(encodeOps(new(wire.Buffer), rec.urn, rec.prevVer, rec.ver, rec.src, rec.invs, wire.Raw(rec.obj), rec.prevOff))
+			hist = []store.OpsRec{opsOf(t, rec.ops)}
+			enc = recOf(encodeOps(new(wire.Buffer), rec.urn, rec.prevVer, rec.ver, hist[0].Src, hist[0].Invs, wire.Raw(rec.obj), rec.prevOff))
 		case recSnap:
-			enc = encodeSnap(rec.urn, rec.ver, rec.obj, snapWindow(t, rec))
+			hist = snapWindow(t, rec)
+			enc = encodeSnap(rec.urn, rec.ver, rec.obj, hist)
 		default:
 			t.Fatalf("accepted record kind %#x", rec.kind)
 		}
-		again, err := decodeRecord(enc, nil, true)
-		if err == nil && rec.kind == recSnap && !reflect.DeepEqual(snapWindow(t, again), snapWindow(t, rec)) {
-			err = errors.New("the window changed")
+		again, err := decodeRecord(enc, newNames())
+		if err == nil {
+			switch again.kind {
+			case recOps:
+				if h := opsOf(t, again.ops); !reflect.DeepEqual([]store.OpsRec{h}, hist) {
+					err = errors.New("the ops changed")
+				}
+			case recSnap:
+				if !reflect.DeepEqual(snapWindow(t, again), hist) {
+					err = errors.New("the window changed")
+				}
+			}
 		}
 		// ops holds the history as it was encoded: the same history, but a
 		// padded uvarint in it is written back minimal.
@@ -148,6 +151,55 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("record did not survive re-encoding: %v\n got %+v\nwant %+v", err, again, rec)
 		}
 	})
+}
+
+// checkSkipOps holds skipOps, the check every ops record and window entry
+// gets, to reading the same bytes with rdo.ReadInvocations: on an ops
+// record's source and invocations, whatever surrounds them, both fail or
+// both stop at the same byte, and the read allocates in proportion to them.
+func checkSkipOps(t *testing.T, p []byte) {
+	r := wire.NewReader(p)
+	if r.Byte() != recOps {
+		return
+	}
+	r.View()    // urn
+	r.Uvarint() // prevVer
+	r.Uvarint() // ver
+	if r.Err() != nil {
+		return
+	}
+	skip := *r
+	serr := skipOps(&skip)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r.View() // src
+	_, rerr := rdo.ReadInvocations(r, r.Uvarint())
+	runtime.ReadMemStats(&after)
+	checkAllocated(t, p, after.TotalAlloc-before.TotalAlloc)
+	if (serr == nil) != (rerr == nil) || (serr == nil && skip.Remaining() != r.Remaining()) {
+		t.Fatalf("skipping invocations: %v at %d bytes left; reading them: %v at %d", serr, skip.Remaining(), rerr, r.Remaining())
+	}
+}
+
+// checkAllocated fails t if decoding p allocated out of proportion to it.
+func checkAllocated(t *testing.T, p []byte, spent uint64) {
+	t.Helper()
+	if spent > 1<<20+64*uint64(len(p)) {
+		t.Fatalf("%d input bytes made the decoder allocate %d bytes", len(p), spent)
+	}
+}
+
+// opsOf decodes an ops record's source and invocations from its ops view.
+func opsOf(t testing.TB, ops []byte) store.OpsRec {
+	t.Helper()
+	r := wire.NewReader(ops)
+	e := store.OpsRec{Src: r.String()}
+	invs, err := rdo.ReadInvocations(r, r.Uvarint())
+	if err != nil || !r.Done() {
+		t.Fatalf("ops %x: %v", ops, err)
+	}
+	e.Invs = invs
+	return e
 }
 
 // recOf is a record encoder's record, without the view of its object.

@@ -134,7 +134,7 @@ func TestFooterListingAURNTwiceFallsBackToScan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seg, err := stable.OpenSegmentFile(filepath.Join(dir, SegmentName), stable.Options{}, nil)
+	seg, err := stable.OpenSegmentFile(filepath.Join(dir, SegmentName), stable.Options{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,15 +39,13 @@ type record struct {
 	urn     urn.URN
 	ver     uint64 // version the record committed
 	prevVer uint64 // recOps: version the ops applied against
-	src     string // recOps: exporting client
-	invs    []rdo.Invocation
 	obj     []byte // encoded object
 	prevOff int64  // recOps: offset of the object's previous record; -1 unknown
-	// ops is the history the record carries as it is encoded, always a view
-	// of the decoded bytes: for recOps its source and count-prefixed
-	// invocations, which is also the body of a 'Z' window entry; for
-	// recSnap the count-prefixed window entries, each a version and such a
-	// body.
+	// ops is the history the record carries as it is encoded, a view of the
+	// bytes decoded in place (nil when decoded copying): for recOps its
+	// source and count-prefixed invocations, which is also the body of a
+	// 'Z' window entry; for recSnap the count-prefixed window entries, each
+	// a version and such a body.
 	ops []byte
 }
 
@@ -109,7 +107,7 @@ func unlinked(p []byte) []byte {
 	r.View()    // urn
 	r.Uvarint() // prevVer
 	r.Uvarint() // ver
-	readOps(&r, false)
+	skipOps(&r)
 	r.View() // the object
 	return p[:len(p)-r.Remaining()]
 }
@@ -184,19 +182,14 @@ func (n *names) urn(r *wire.Reader) (urn.URN, error) {
 	return urn.Parse(n.block(b))
 }
 
-// decodeRecord decodes one segment record. With keep false it is the
-// keep-nothing check: it accepts exactly the records a whole decode
-// accepts and returns the same record without an ops record's src and
-// invs, so it allocates nothing in proportion to a count; Open checks every
-// record this way, and the reads that only want the object or the encoded
-// history (ops) decode this way. The whole decode (keep true) is the
-// reference FuzzDecodeRecord and the eager-replay tests compare the check
-// against. A snapshot record's window is only ever checked: walkChain reads
-// it from ops.
-// Without names (nil) everything it returns but ops is a copy, so p may be
-// a pooled read buffer; with names it decodes in place: obj aliases p and
-// the URN comes from n.
-func decodeRecord(p []byte, n *names, keep bool) (record, error) {
+// decodeRecord decodes one segment record. It checks an ops record's
+// source and invocations, and a snapshot record's window, without keeping
+// them, so it allocates nothing in proportion to a count; Open checks every
+// record this way, and the reads that want the encoded history take it from
+// ops. With names it decodes in place: obj and ops alias p and the URN comes
+// from n. Without names (nil) everything it returns is a copy and ops is
+// nil, so p may be a pooled read buffer.
+func decodeRecord(p []byte, n *names) (record, error) {
 	r := wire.OwnedReader(p)
 	if n == nil {
 		r = *wire.NewReader(p)
@@ -219,11 +212,10 @@ func decodeRecord(p []byte, n *names, keep bool) (record, error) {
 		rec.prevVer = r.Uvarint()
 		rec.ver = r.Uvarint()
 		start := len(p) - r.Remaining()
-		src, invs, err := readOps(&r, keep)
-		if err != nil {
+		if err := skipOps(&r); err != nil {
 			return rec, fmt.Errorf("disk: ops record: %w", err)
 		}
-		rec.src, rec.invs, rec.ops = src, invs, p[start:len(p)-r.Remaining()]
+		rec.ops = p[start : len(p)-r.Remaining()]
 		rec.obj = r.Bytes()
 		rec.prevOff = -1
 		if !r.Done() {
@@ -239,7 +231,7 @@ func decodeRecord(p []byte, n *names, keep bool) (record, error) {
 		rec.ops = p[len(p)-r.Remaining():]
 		for i, cnt := uint64(0), r.Uvarint(); i < cnt; i++ {
 			r.Uvarint() // the entry's version
-			if _, _, err := readOps(&r, false); err != nil {
+			if err := skipOps(&r); err != nil {
 				return rec, fmt.Errorf("disk: snap record window %d: %w", i, err)
 			}
 		}
@@ -252,19 +244,17 @@ func decodeRecord(p []byte, n *names, keep bool) (record, error) {
 	if !r.Done() {
 		return rec, fmt.Errorf("disk: record has trailing bytes")
 	}
+	if n == nil {
+		rec.ops = nil // a view of p, which a copying caller may recycle
+	}
 	return rec, nil
 }
 
-// readOps reads the source and the count-prefixed invocations of one commit,
-// or only checks them when keep is false.
-func readOps(r *wire.Reader, keep bool) (string, []rdo.Invocation, error) {
-	if !keep {
-		r.View()
-		return "", nil, rdo.SkipInvocations(r, r.Uvarint())
-	}
-	src := r.String()
-	invs, err := rdo.ReadInvocations(r, r.Uvarint())
-	return src, invs, err
+// skipOps reads past the source and the count-prefixed invocations of one
+// commit, checking them.
+func skipOps(r *wire.Reader) error {
+	r.View()
+	return rdo.SkipInvocations(r, r.Uvarint())
 }
 
 // Index footer. Compaction (and a clean Close) append the live index as a

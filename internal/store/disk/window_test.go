@@ -26,12 +26,12 @@ import (
 func eagerHistory(t *testing.T, dir string) *store.History {
 	t.Helper()
 	h := store.NewHistory()
-	seg, err := stable.OpenSegmentFile(filepath.Join(dir, SegmentName), stable.Options{},
+	seg, err := stable.OpenSegmentFile(filepath.Join(dir, SegmentName), stable.Options{}, 0,
 		func(off int64, p []byte) error {
 			if len(p) > 0 && p[0] == recFooter {
 				return nil
 			}
-			rec, err := decodeRecord(p, nil, true)
+			rec, err := decodeRecord(p, newNames())
 			if err != nil {
 				return err
 			}
@@ -39,7 +39,8 @@ func eagerHistory(t *testing.T, dir string) *store.History {
 			case recState:
 				h.Clear(rec.urn)
 			case recOps:
-				h.Record(rec.urn, rec.ver, rec.invs, rec.src)
+				e := opsOf(t, rec.ops)
+				h.Record(rec.urn, rec.ver, e.Invs, e.Src)
 			case recSnap:
 				h.Clear(rec.urn)
 				for _, e := range snapWindow(t, rec) {
@@ -525,7 +526,7 @@ func TestCompactionSnapMatchesEncode(t *testing.T) {
 			ent := s.idx[u]
 			s.mu.RUnlock()
 			p := readPayload(t, s, ent.off)
-			rec, err := decodeRecord(p, nil, false)
+			rec, err := decodeRecord(p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -132,21 +132,14 @@ func (s *Sim) scheduleReadyPump() {
 	})
 }
 
-// EnableRetransmit arms a periodic retransmission clock: every `period`,
-// requests unanswered for at least `maxAge` are requeued and pumped. Use
-// it when the link spec models frame loss; reliable links never need it.
-// It runs until the scheduler drains.
-func (s *Sim) EnableRetransmit(period, maxAge time.Duration) {
-	// A fixed period is the degenerate policy: no growth until the 8× cap,
-	// then flat. Keeping Jitter at zero preserves schedule determinism.
-	s.EnableRetransmitPolicy(faults.RetryPolicy{Initial: period, Max: period, Multiplier: 1}, maxAge)
-}
-
-// EnableRetransmitPolicy is EnableRetransmit with an exponential-backoff
-// retry policy: consecutive ticks that find stale requests space out per
-// the policy (a congested or partitioned link is not helped by hammering),
-// and any tick that finds none resets the backoff.
-func (s *Sim) EnableRetransmitPolicy(p faults.RetryPolicy, maxAge time.Duration) {
+// EnableRetransmit arms a retransmission clock: at each tick, requests
+// unanswered for at least maxAge are requeued and pumped. Use it when the
+// link spec models frame loss; reliable links never need it. Consecutive
+// ticks that find stale requests space out per the retry policy (a congested
+// or partitioned link is not helped by hammering), and any tick that finds
+// none resets the backoff; a policy with Multiplier 1 and no Jitter ticks at
+// a fixed period, deterministically. It runs until the scheduler drains.
+func (s *Sim) EnableRetransmit(p faults.RetryPolicy, maxAge time.Duration) {
 	attempt := 0
 	var tick func()
 	tick = func() {

@@ -162,10 +162,6 @@ type TCPClientOptions struct {
 	MaxBackoff time.Duration
 	// DialTimeout bounds each connection attempt (default 5s).
 	DialTimeout time.Duration
-	// BackoffJitter is the proportional jitter on the reconnect backoff;
-	// zero selects faults.DefaultJitter, negative disables jitter. Jitter
-	// keeps many clients from thundering-herding a restarted server.
-	BackoffJitter float64
 }
 
 // DialTCP starts maintaining a connection from the client engine to addr.
@@ -184,12 +180,6 @@ func DialTCPMulti(addrs []string, client *qrpc.Client, clock vtime.Clock, opts T
 	if opts.DialTimeout <= 0 {
 		opts.DialTimeout = 5 * time.Second
 	}
-	jitter := opts.BackoffJitter
-	if jitter == 0 {
-		jitter = faults.DefaultJitter
-	} else if jitter < 0 {
-		jitter = 0
-	}
 	t := &TCPClient{
 		addrs:  append([]string(nil), addrs...),
 		client: client,
@@ -197,7 +187,9 @@ func DialTCPMulti(addrs []string, client *qrpc.Client, clock vtime.Clock, opts T
 		policy: faults.RetryPolicy{
 			Initial: opts.InitialBackoff,
 			Max:     opts.MaxBackoff,
-			Jitter:  jitter,
+			// Jitter keeps many clients from thundering-herding a
+			// restarted server.
+			Jitter: faults.DefaultJitter,
 		},
 		dialTimeout: opts.DialTimeout,
 		wake:        make(chan struct{}, 1),

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"rover/internal/faults"
 	"rover/internal/netsim"
 	"rover/internal/qrpc"
 	"rover/internal/stable"
@@ -169,7 +170,7 @@ func TestSimLossyLinkRetransmission(t *testing.T) {
 	spec := netsim.WaveLAN2
 	spec.LossRate = 0.3
 	link := NewSim(sched, spec, 7, c, s)
-	link.EnableRetransmit(500*time.Millisecond, time.Second)
+	link.EnableRetransmit(faults.RetryPolicy{Initial: 500 * time.Millisecond, Max: 500 * time.Millisecond, Multiplier: 1}, time.Second)
 	var promises []*qrpc.Promise
 	sched.At(0, func() {
 		for i := 0; i < 20; i++ {

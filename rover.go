@@ -472,8 +472,6 @@ type ServerOptions struct {
 	// compaction checks of the disk store's segment (zero = default).
 	// Ignored without StoreDir.
 	StoreCompactEvery int
-	// InvokeBudget bounds server-side RDO execution steps per invocation.
-	InvokeBudget int64
 	// Workers sizes the request-execution worker pool: requests from one
 	// client session execute serially in arrival order while sessions run
 	// in parallel, and a batch of queued requests executes while the
@@ -600,7 +598,7 @@ func NewServer(opts ServerOptions) (*Server, error) {
 		closeJournals()
 		return nil, err
 	}
-	srv, err := server.New(server.Config{Engine: engine, Store: backend, InvokeBudget: opts.InvokeBudget})
+	srv, err := server.New(server.Config{Engine: engine, Store: backend})
 	if err != nil {
 		engine.Close() // waits out a compaction recovery started
 		closeJournals()
