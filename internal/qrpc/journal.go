@@ -75,8 +75,8 @@ import (
 //
 // Journal appends ride the stable log's group commit (the leader-fsync
 // waiter protocol in stable.SegmentFile), so within a shard N concurrent
-// executes share ~one fsync instead of paying N — the durability write is
-// amortized per shard and parallel across shards.
+// executes share ~one write and one fsync instead of paying N — the
+// durability write is amortized per shard and parallel across shards.
 //
 // # Releasing a gate
 //

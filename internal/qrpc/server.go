@@ -400,9 +400,9 @@ func (s *Server) onHello(from Sender, payload []byte) (wire.Frame, bool) {
 // or the journal is poisoned; an append failure poisons the journal. The
 // in-memory state change these records describe proceeds regardless —
 // losing one costs recovered-state memory, never correctness — so a lazy
-// record (ack, prune) is only staged: it becomes durable with the shard's
-// next exec commit, snapshot or Close instead of holding the connection's
-// read loop for a flush of its own.
+// record (ack, prune) is only staged: it waits in the shard log's buffer for
+// the shard's next exec commit, snapshot or Close to write and flush it,
+// instead of holding the connection's read loop for a flush of its own.
 func (s *Server) journalSessionRecord(clientID string, lazy bool, encode func() []byte) {
 	if !s.hasJournal() {
 		return

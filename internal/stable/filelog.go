@@ -8,10 +8,10 @@ import (
 )
 
 // FileLog is the Log over a SegmentFile: the segment owns the file — framing,
-// recovery, group commit, poison, rewrite — and FileLog adds what a Log
-// needs on top: ids, the resident id → payload set of live (appended, not yet
-// removed) records that Replay serves, remove records, and compaction once
-// the file is mostly dead.
+// recovery, the staging buffer, group commit, poison, rewrite — and FileLog
+// adds what a Log needs on top: ids, the resident id → payload set of live
+// (appended, not yet removed) records that Replay serves, remove records,
+// and compaction once the file is mostly dead.
 type FileLog struct {
 	mu        sync.Mutex
 	seg       *SegmentFile // swapped by compaction
@@ -104,18 +104,18 @@ func (l *FileLog) Append(rec []byte) (uint64, error) {
 	return id, nil
 }
 
-// AppendNoSync implements Log: the record is written and sequenced
-// exactly like Append, but the call returns without waiting for the flush.
-// The staged record becomes durable at the next Commit (or any later
-// Append, whose group-commit leader covers it); until then a
-// crash loses it as a torn tail. Close's final flush also covers a staged
-// suffix.
+// AppendNoSync implements Log: the record is staged and sequenced exactly
+// like Append, but the call returns without writing it or waiting for the
+// flush. The staged record is written and made durable by the next Commit
+// (or any later Append, whose group-commit leader covers it); until then it
+// waits in the segment's buffer and a crash loses it whole. Close's final
+// flush also covers a staged suffix.
 func (l *FileLog) AppendNoSync(rec []byte) (uint64, error) {
 	id, _, _, err := l.stage(rec)
 	return id, err
 }
 
-// stage writes one append record under the next id. It returns the segment
+// stage stages one append record under the next id. It returns the segment
 // it went to and its write sequence number there, so the caller can wait for
 // durability with l.mu released.
 func (l *FileLog) stage(rec []byte) (uint64, *SegmentFile, uint64, error) {
@@ -136,9 +136,9 @@ func (l *FileLog) stage(rec []byte) (uint64, *SegmentFile, uint64, error) {
 	return id, l.seg, seq, nil
 }
 
-// Commit implements Log: blocks until every record written so far —
-// including AppendNoSync and RemoveNoSync staging — is durable, riding the
-// group commit.
+// Commit implements Log: blocks until every record staged so far —
+// by Append, AppendNoSync or RemoveNoSync — is in the file and durable,
+// riding the group commit.
 func (l *FileLog) Commit() error {
 	l.mu.Lock()
 	seg, closed := l.seg, l.closed
@@ -156,11 +156,11 @@ func (l *FileLog) Commit() error {
 	return nil
 }
 
-// RemoveNoSync implements Log: the ids still live get remove records in one
-// write behind whatever the segment already holds, and leave the live set at
-// once, so a compaction that gets in before the write is durable (it flushes
+// RemoveNoSync implements Log: the ids still live get remove records staged
+// behind whatever the segment already holds, and leave the live set at once,
+// so a compaction that gets in before the records are durable (it flushes
 // the old file first) already leaves them out of the new one. The segment's
-// next flush — any later Commit or Append — makes the write durable.
+// next flush — any later Commit or Append — writes and syncs them.
 func (l *FileLog) RemoveNoSync(ids ...uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -6,12 +6,12 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
 
 	"rover/internal/compress"
+	"rover/internal/yield"
 )
 
 // SegmentFile is the stable log engine: a crash-safe append-only record file
@@ -31,6 +31,9 @@ import (
 // and the open-time scan streams through the file in bounded chunks, so
 // recovering a multi-gigabyte segment does not spike RSS.
 //
+// A staged record waits in a buffer for the commit that covers it to write
+// it, one write per group: a crash before then loses it whole.
+//
 // A torn record at the tail — the signature of a crash mid-append — is
 // truncated away at open (TornTail reports the typed *TornTailError with its
 // offset; every earlier record survives). Corruption anywhere earlier fails
@@ -44,17 +47,17 @@ type SegmentFile struct {
 	opts Options
 
 	nextID    uint64
-	fileBytes int64
+	fileBytes int64 // the logical end: written bytes plus those in scratch
+	written   int64 // the bytes in the file; fileBytes - written are in scratch
 	stats     Stats
 	closed    bool
-	scratch   []byte // records staged; while buffered, those not yet written
-	buffered  bool   // a rewrite's fresh segment: writes wait for Commit or rewriteChunk bytes
+	scratch   []byte // records staged and not yet written
 	torn      error  // *TornTailError once recovery truncated a torn tail
 
-	// Group-commit state. Writes are sequenced under mu; fsync happens with
-	// mu RELEASED so concurrent appenders can queue more writes behind the
+	// Group-commit state. Records are staged under mu; fsync happens with
+	// mu RELEASED so concurrent appenders can stage more behind the
 	// in-flight flush and then ride the next one. See commitLocked.
-	writeSeq  uint64     // writes issued to the file
+	writeSeq  uint64     // stage calls made
 	syncedSeq uint64     // writes known durable
 	syncing   bool       // an fsync is in flight (mu released by the leader)
 	syncErr   error      // sticky *PoisonedError: first failed write or fsync
@@ -68,8 +71,9 @@ const (
 	flagCompressed = byte(1)
 
 	rewriteSuffix = ".compact"
-	scanChunk     = 256 << 10 // recovery reads the file this much at a time
-	rewriteChunk  = 256 << 10 // a rewrite writes its fresh file this much at a time
+	scanChunk     = 256 << 10             // recovery reads the file this much at a time
+	rewriteChunk  = 256 << 10             // staged bytes past this are written without a commit
+	yieldSync     = "stable.segment.sync" // the yield.Point where a leader lets go of mu to fsync
 )
 
 var (
@@ -175,7 +179,7 @@ func (s *SegmentFile) recover(start int64, scan func(off int64, r record) error)
 	if _, err := s.f.Seek(end, io.SeekStart); err != nil {
 		return err
 	}
-	s.fileBytes = end
+	s.fileBytes, s.written = end, end
 	return nil
 }
 
@@ -347,21 +351,19 @@ func appendRecord(b []byte, kind byte, id uint64, payload []byte, deflate bool) 
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[start:], crcTable))
 }
 
-// AppendNoSync writes one record and returns its starting byte offset
-// without waiting for durability; the offset must not be published to
-// readers until a Commit covering it returns nil. On a poisoned segment it
-// fails immediately.
+// AppendNoSync stages one record and returns its starting byte offset
+// without writing it or waiting for durability; the offset must not be
+// published to readers until a Commit covering it returns nil, which also
+// puts the record in the file. On a poisoned segment it fails immediately.
 func (s *SegmentFile) AppendNoSync(rec []byte) (int64, error) {
 	off, _, err := s.stage(kindAppend, rec, 0)
 	return off, err
 }
 
-// stage encodes one record of kind per id and appends them to the file as a
-// single write, returning its offset and write sequence number; the caller
-// decides whether to wait for durability (commit). id 0 takes the segment's
-// own next id. A failed or short write leaves bytes of unknown extent at the
-// tail, so it poisons the segment exactly as a failed fsync does: nothing may
-// land after them, and the next open truncates them as a torn tail.
+// stage encodes one record of kind per id into the staging buffer, returning
+// its offset and write sequence number; the caller decides whether to wait
+// for durability (commit). id 0 takes the segment's own next id. The buffer
+// is written once it holds rewriteChunk bytes, else by the next commit.
 func (s *SegmentFile) stage(kind byte, payload []byte, ids ...uint64) (int64, uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -373,11 +375,7 @@ func (s *SegmentFile) stage(kind byte, payload []byte, ids ...uint64) (int64, ui
 	case len(payload) > MaxRecord:
 		return 0, 0, ErrRecordBig
 	}
-	b := s.scratch[:0]
-	if s.buffered {
-		b = s.scratch // the records not yet written lead
-	}
-	start := len(b)
+	start := len(s.scratch)
 	for _, id := range ids {
 		if id == 0 {
 			id = s.nextID
@@ -385,27 +383,29 @@ func (s *SegmentFile) stage(kind byte, payload []byte, ids ...uint64) (int64, ui
 		if id >= s.nextID {
 			s.nextID = id + 1
 		}
-		b = appendRecord(b, kind, id, payload, s.opts.Compress)
-	}
-	s.scratch = b
-	if !s.buffered || len(b) >= rewriteChunk {
-		if err := s.writeLocked(); err != nil {
-			return 0, 0, err
-		}
+		s.scratch = appendRecord(s.scratch, kind, id, payload, s.opts.Compress)
 	}
 	off := s.fileBytes
-	s.fileBytes += int64(len(b) - start)
-	s.stats.BytesWritten += int64(len(b) - start)
+	s.fileBytes += int64(len(s.scratch) - start)
+	s.stats.BytesWritten += int64(len(s.scratch) - start)
 	s.writeSeq++
 	if kind == kindAppend {
 		s.stats.Appends += int64(len(ids))
 		s.stats.BytesLogical += int64(len(payload) * len(ids))
 	}
+	if len(s.scratch) >= rewriteChunk {
+		if err := s.writeLocked(); err != nil {
+			return 0, 0, err
+		}
+	}
 	return off, s.writeSeq, nil
 }
 
-// writeLocked writes the staged records to the file. A failed or short
-// write poisons the segment.
+// writeLocked writes the staged records to the file in one write. A failed
+// or short write leaves bytes of unknown extent at the tail, so it poisons
+// the segment exactly as a failed fsync does: nothing may land after them,
+// the logical end falls back to the written one, and the next open
+// truncates them as a torn tail.
 func (s *SegmentFile) writeLocked() error {
 	if len(s.scratch) == 0 {
 		return nil
@@ -413,9 +413,11 @@ func (s *SegmentFile) writeLocked() error {
 	_, err := s.f.Write(s.scratch)
 	s.scratch = s.scratch[:0]
 	if err != nil {
+		s.fileBytes = s.written
 		s.syncErr = &PoisonedError{Cause: fmt.Errorf("write: %w", err)}
 		return s.syncErr
 	}
+	s.written = s.fileBytes
 	return nil
 }
 
@@ -448,22 +450,19 @@ func (s *SegmentFile) staged() uint64 {
 }
 
 // commitLocked blocks until write number seq is durable, via group commit:
-// the first appender to arrive becomes the leader, captures the current
-// high-water write mark, and fsyncs with s.mu RELEASED — so appenders
-// arriving during the flush write their records behind it and wait. When
-// the leader's fsync returns, every write it covered is durable at once
-// (one fsync amortized over N appends); an uncovered waiter becomes the
-// next leader. Durability is never weakened: no append or remove returns
-// success before its own bytes are flushed. An fsync failure is sticky —
-// after the kernel fails a flush the page-cache state is unknowable, so
-// the segment is poisoned and every waiter and later append gets the same
-// typed *PoisonedError (errors.Is(err, ErrPoisoned); see Poisoned).
+// the first appender to arrive becomes the leader; in one hold of s.mu it
+// writes everything staged in one write(2) and captures the high-water mark,
+// then fsyncs with s.mu RELEASED — so appenders arriving during the flush
+// stage behind it and wait. When the fsync returns, every record it covered
+// is durable at once; an uncovered waiter becomes the next leader, and
+// writes what was staged meanwhile first. No append or remove returns
+// success before its bytes are written and flushed (under NoSync, written).
+// An fsync failure is sticky — after the kernel fails a flush the page-cache
+// state is unknowable, so the segment is poisoned and every waiter and later
+// append gets the same typed *PoisonedError (errors.Is(err, ErrPoisoned)).
 func (s *SegmentFile) commitLocked(seq uint64) error {
-	if s.buffered && s.syncErr == nil && s.writeLocked() != nil {
-		return s.syncErr
-	}
 	if s.opts.NoSync {
-		return nil
+		return s.writeLocked()
 	}
 	for s.syncedSeq < seq {
 		if s.syncErr != nil {
@@ -473,17 +472,13 @@ func (s *SegmentFile) commitLocked(seq uint64) error {
 			s.synced.Wait()
 			continue
 		}
-		// Leader: flush on behalf of every write issued so far. Yield once
-		// before capturing the target so appenders already racing toward
-		// the log land inside this flush instead of forcing the next one;
-		// writes issued after the capture wait for the next leader, since
-		// an fsync only guarantees data written before it started.
+		if err := s.writeLocked(); err != nil {
+			return err
+		}
+		target := s.writeSeq
 		s.syncing = true
 		s.mu.Unlock()
-		runtime.Gosched()
-		s.mu.Lock()
-		target := s.writeSeq
-		s.mu.Unlock()
+		yield.Point(yieldSync)
 		start := time.Now()
 		err := s.f.Sync()
 		d := time.Since(start)
@@ -511,9 +506,9 @@ func (s *SegmentFile) commitLocked(seq uint64) error {
 // it runs): the owner, which must keep appends to s out from the time fill
 // returns, swaps its pointer and closes s, so a straggling reader gets
 // ErrClosed rather than old offsets in a new file. On error the temp file
-// is closed and removed and s stays the live segment. Until Rewrite
-// returns, what fill appends reaches the file rewriteChunk bytes at a time
-// or at a Commit: fill must not read the fresh segment.
+// is closed and removed and s stays the live segment. What fill appends is
+// staged like any append, so it reaches the file rewriteChunk bytes at a
+// time: fill must not read the fresh segment.
 func (s *SegmentFile) Rewrite(fill func(fresh *SegmentFile) error) (*SegmentFile, error) {
 	tmp := s.path + rewriteSuffix
 	fresh, err := CreateSegmentFile(tmp, s.opts)
@@ -521,11 +516,10 @@ func (s *SegmentFile) Rewrite(fill func(fresh *SegmentFile) error) (*SegmentFile
 		return nil, err
 	}
 	// The survivors fit in what the live file holds: the buffer is sized once.
-	fresh.buffered, fresh.scratch = true, make([]byte, 0, min(2*rewriteChunk, s.Size()+1))
+	fresh.scratch = make([]byte, 0, min(2*rewriteChunk, s.Size()+1))
 	if err = fill(fresh); err == nil {
 		err = fresh.Commit()
 	}
-	fresh.buffered, fresh.scratch = false, nil
 	if err == nil {
 		err = os.Rename(tmp, s.path)
 	}
@@ -535,8 +529,8 @@ func (s *SegmentFile) Rewrite(fill func(fresh *SegmentFile) error) (*SegmentFile
 		return nil, err
 	}
 	fresh.path = s.path
-	// Unbuffered from here on, the fresh segment takes the old one's
-	// scratch, already grown to the records its owner appends.
+	// It stages a group at a time from here on, in the old one's buffer (what
+	// is still staged there could only reach the file the rename replaced).
 	s.mu.Lock()
 	fresh.scratch, s.scratch = s.scratch[:0], nil
 	s.mu.Unlock()
@@ -560,10 +554,11 @@ const readChunk = 1 << 10
 // a pooled read buffer and is only valid for the duration of the call. This
 // is the cold-object fault-in path — a single pread of up to readChunk bytes
 // plus a CRC check, no locks held across the I/O, and (via the pool) no
-// per-read allocation when the caller decodes in place.
+// per-read allocation when the caller decodes in place. A record still staged
+// is refused with ErrCorrupt: a read never writes.
 func (s *SegmentFile) ReadAtFunc(off int64, fn func(payload []byte) error) error {
 	s.mu.Lock()
-	closed, size := s.closed, s.fileBytes
+	closed, size := s.closed, s.written
 	s.mu.Unlock()
 	if closed {
 		return ErrClosed
@@ -607,10 +602,11 @@ func (s *SegmentFile) ReadAtFunc(off int64, fn func(payload []byte) error) error
 // per record; a payload is a view of the window, valid only during the call.
 // A record whose checksum fails, but whose header still spans it, is handed
 // to fn with a nil payload, for the caller to judge; one that runs past end
-// fails the read with ErrCorrupt.
+// fails the read with ErrCorrupt, as does a range that reaches records
+// still staged.
 func (s *SegmentFile) ReadRangeFunc(start, end int64, fn func(off int64, payload []byte) error) error {
 	s.mu.Lock()
-	closed, size := s.closed, s.fileBytes
+	closed, size := s.closed, s.written
 	s.mu.Unlock()
 	switch {
 	case closed:
@@ -626,7 +622,7 @@ func (s *SegmentFile) ReadRangeFunc(start, end int64, fn func(off int64, payload
 	})
 }
 
-// Size returns the segment's current length in bytes.
+// Size returns the segment's length in bytes, staged records included.
 func (s *SegmentFile) Size() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

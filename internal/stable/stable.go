@@ -13,7 +13,7 @@
 // every append durable before return — and provides the two optimizations
 // the paper cites as future work: flate compression (an option) and group
 // commit, performed unconditionally and without weakening durability by
-// coalescing concurrent appenders onto one in-flight fsync. The benchmark
+// coalescing concurrent appenders onto one write and one fsync. The benchmark
 // harness measures both as ablations (A-COMPRESS, A-GROUP).
 //
 // There is one file engine, SegmentFile: record framing, the open-time
@@ -103,14 +103,14 @@ type Log interface {
 	// AppendNoSync is Append without the durability wait — pipelined group
 	// commit [Hagmann 87]: stage K records, pay ONE Commit for them all, and
 	// release nothing that depends on a staged record before Commit returns
-	// nil. A crash before then may lose the staged suffix as a torn tail.
+	// nil. A crash before then loses a staged record whole, never torn.
 	AppendNoSync(rec []byte) (uint64, error)
-	// RemoveNoSync stages, in one write, a remove record for each listed id
-	// that is still live and drops those ids from the live set at once; ids
-	// that are not live are skipped, and when none is nothing is written. The
-	// removes are durable once a Commit, or an Append, called after
-	// RemoveNoSync has returned nil — their flush covers every earlier
-	// write — so a caller about to append anyway pays nothing for them.
+	// RemoveNoSync stages a remove record for each listed id that is still
+	// live and drops those ids from the live set at once; ids that are not
+	// live are skipped, and when none is nothing is staged. The removes are
+	// written and durable once a Commit, or an Append, called after
+	// RemoveNoSync has returned nil — its one write and flush cover every
+	// record staged before — so a caller about to append pays nothing more.
 	// Nothing that depends on the records staying gone may be released
 	// before then: a crash first brings them back at recovery. After a
 	// failed flush, which of the removes took is decided at recovery. The

@@ -38,10 +38,11 @@ func remove(l Log, ids ...uint64) error {
 	return l.Commit()
 }
 
-// TestStagedRemoveRidesNextAppend: RemoveNoSync costs no flush, the id is
-// gone at once, and the next Append's one flush makes the remove durable — a
-// copy of the file cut before the remove record still has the record (what a
-// crash before that flush recovers), a copy taken after does not.
+// TestStagedRemoveRidesNextAppend: RemoveNoSync costs no write and no
+// flush, the id is gone at once, and the next Append's one write and one
+// flush put both records in the file — a copy of the file as it stood before
+// that Append (what a crash before it recovers) still has the record, a copy
+// taken after does not.
 func TestStagedRemoveRidesNextAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
 	l, err := OpenFileLog(path, Options{})
@@ -61,18 +62,25 @@ func TestStagedRemoveRidesNextAppend(t *testing.T) {
 	if got := l.Stats(); got.Syncs != syncs || got.Removes != 1 || liveLen(t, l) != 0 {
 		t.Fatalf("after RemoveNoSync: syncs %d (was %d), removes %d, len %d", got.Syncs, syncs, got.Removes, liveLen(t, l))
 	}
-	staged := fileSize(t, path)
-	if staged == before {
-		t.Fatal("RemoveNoSync wrote nothing: the remove record must be in the file for the next flush to cover")
+	if got := fileSize(t, path); got != before {
+		t.Fatalf("RemoveNoSync grew the file %d -> %d bytes: the remove record waits for the next flush", before, got)
 	}
-	if err := l.RemoveNoSync(id); err != nil || fileSize(t, path) != staged || l.Stats().Removes != 1 {
-		t.Fatalf("second RemoveNoSync = %v, file %d -> %d bytes: want a no-op", err, staged, fileSize(t, path))
+	staged := l.segment().Size()
+	if err := l.RemoveNoSync(id); err != nil || l.segment().Size() != staged || l.Stats().Removes != 1 {
+		t.Fatalf("second RemoveNoSync = %v, log %d -> %d bytes: want a no-op", err, staged, l.segment().Size())
+	}
+	lost, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if _, err := l.Append([]byte("next")); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.Stats().Syncs; got != syncs+1 {
 		t.Fatalf("remove + append cost %d flushes, want 1", got-syncs)
+	}
+	if got, want := fileSize(t, path), l.segment().Size(); got != want || got <= staged {
+		t.Fatalf("after the Append the file is %d bytes, want %d: both records in", got, want)
 	}
 
 	image, err := os.ReadFile(path)
@@ -91,8 +99,8 @@ func TestStagedRemoveRidesNextAppend(t *testing.T) {
 		defer r.Close()
 		return liveIDs(t, r)
 	}
-	if ids := reopen("lost", image[:before]); len(ids) != 1 || ids[0] != id {
-		t.Fatalf("cut before the remove record recovers %v, want the removed record back", ids)
+	if ids := reopen("lost", lost); len(ids) != 1 || ids[0] != id {
+		t.Fatalf("the file before the Append recovers %v, want the removed record back", ids)
 	}
 	if ids := reopen("kept", image); len(ids) != 1 || ids[0] == id {
 		t.Fatalf("the flushed file recovers %v, want only the later append", ids)

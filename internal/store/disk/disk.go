@@ -749,7 +749,7 @@ func (s *Store) LoadSnapshot(data []byte) error {
 			live += tmp.Size() - off
 		}
 		var err error
-		foot, err = appendFooter(tmp, idx)
+		foot, err = appendFooter(tmp, byOffset(cutOf(idx)), idx)
 		return err
 	})
 	if err != nil {
@@ -796,6 +796,15 @@ type cutEnt struct {
 	old idxEnt
 }
 
+// cutOf lists idx's objects, in no order.
+func cutOf(idx map[urn.URN]idxEnt) []cutEnt {
+	ents := make([]cutEnt, 0, len(idx))
+	for u, ent := range idx {
+		ents = append(ents, cutEnt{u, ent})
+	}
+	return ents
+}
+
 // compaction is one rewrite's state: the cut, the fresh segment's index and
 // live bytes as they are built, and scratch reused from one record to the
 // next.
@@ -822,10 +831,7 @@ func (s *Store) compact() {
 	// Every record below the cut is now published and durable, and the
 	// index describes exactly them.
 	old := s.seg
-	c := &compaction{cut: old.Size(), ents: make([]cutEnt, 0, len(s.idx)), at: map[urn.URN]int64{}}
-	for u, ent := range s.idx {
-		c.ents = append(c.ents, cutEnt{u, ent})
-	}
+	c := &compaction{cut: old.Size(), ents: cutOf(s.idx), at: map[urn.URN]int64{}}
 	s.mutsSinceCompact = 0
 	s.openGateLocked()
 	s.mu.Unlock()
@@ -840,7 +846,7 @@ func (s *Store) compact() {
 		// The footer describes the copy; what the catch-up appends behind it
 		// is its tail, which a reopen by footer replays.
 		var err error
-		if foot, err = appendFooter(tmp, c.idx); err != nil {
+		if foot, err = appendFooter(tmp, c.ents, c.idx); err != nil {
 			return err
 		}
 		footBytes = tmp.Size() - foot.off
@@ -914,7 +920,7 @@ func (s *Store) openGateLocked() {
 // record chain. It runs with no lock held: the old segment is immutable
 // below the cut, and only the compactor swaps it.
 func (s *Store) copyCut(old, tmp *stable.SegmentFile, c *compaction) error {
-	slices.SortFunc(c.ents, func(a, b cutEnt) int { return cmp.Compare(a.old.off, b.old.off) })
+	byOffset(c.ents)
 	c.idx = make(map[urn.URN]idxEnt, len(c.ents))
 	next := 0
 	err := old.ReadRangeFunc(0, c.cut, func(off int64, p []byte) error {
@@ -1161,7 +1167,7 @@ func (s *Store) Close() error {
 	wroteFooter := false
 	var foot footerInfo
 	if !s.cleanFooter && s.seg.Poisoned() == nil {
-		if f, ferr := appendFooter(s.seg, s.idx); ferr == nil {
+		if f, ferr := appendFooter(s.seg, byOffset(cutOf(s.idx)), s.idx); ferr == nil {
 			foot, wroteFooter = f, true
 		}
 	}

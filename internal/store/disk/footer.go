@@ -2,11 +2,13 @@ package disk
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/rand"
 	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -87,43 +89,39 @@ func (s *Store) writeSidecar(f footerInfo) bool {
 	return true
 }
 
-// appendFooter writes idx as a run of 'X' chunks at seg's current end and
-// returns where the run starts. Durability is the caller's: compaction
-// commits the whole tmp segment after, Close rides the final safety sync.
-func appendFooter(seg *stable.SegmentFile, idx map[urn.URN]idxEnt) (footerInfo, error) {
+// appendFooter writes idx's entry for each object of ents, in ents' order —
+// segment-offset order, so that two footers of one index differ only in
+// their generation — as a run of 'X' chunks at seg's current end and returns
+// where the run starts. Durability is the caller's: compaction commits the
+// whole tmp segment after, Close rides the final safety sync.
+func appendFooter(seg *stable.SegmentFile, ents []cutEnt, idx map[urn.URN]idxEnt) (footerInfo, error) {
 	gen := make([]byte, footerGenLen)
 	if _, err := rand.Read(gen); err != nil {
 		return footerInfo{}, err
 	}
 	f := footerInfo{gen: gen, off: seg.Size()}
-	ents := make([]footerEnt, 0, min(footerChunkEnts, len(idx)))
-	flush := func() error {
-		if len(ents) == 0 {
-			return nil
+	chunk := make([]footerEnt, 0, min(footerChunkEnts, len(ents)))
+	for part := range slices.Chunk(ents, footerChunkEnts) {
+		chunk = chunk[:0]
+		for _, e := range part {
+			chunk = append(chunk, footerEnt{u: e.u, ent: idx[e.u]})
 		}
-		off, err := seg.AppendNoSync(encodeFooterChunk(gen, f.parts, ents))
+		off, err := seg.AppendNoSync(encodeFooterChunk(gen, f.parts, chunk))
 		if err != nil {
-			return err
+			return footerInfo{}, err
 		}
 		if f.parts == 0 {
 			f.off = off
 		}
 		f.parts++
-		ents = ents[:0]
-		return nil
-	}
-	for u, ent := range idx {
-		ents = append(ents, footerEnt{u: u, ent: ent})
-		if len(ents) >= footerChunkEnts {
-			if err := flush(); err != nil {
-				return footerInfo{}, err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return footerInfo{}, err
 	}
 	return f, nil
+}
+
+// byOffset sorts ents by their offset in the segment they were listed from.
+func byOffset(ents []cutEnt) []cutEnt {
+	slices.SortFunc(ents, func(a, b cutEnt) int { return cmp.Compare(a.old.off, b.old.off) })
+	return ents
 }
 
 // scannedRec is one raw record captured by the footer-open's tail scan.

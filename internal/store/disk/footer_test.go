@@ -297,3 +297,84 @@ func TestFooterTornTailTruncation(t *testing.T) {
 		t.Fatalf("store not writable after torn-tail footer recovery: %v", err)
 	}
 }
+
+// TestFooterBytesFollowTheIndex: two reopens of one abandoned store, each
+// closed, write the same footer but for its generation token — the entries
+// go out in segment-offset order, not in the index map's order.
+func TestFooterBytesFollowTheIndex(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir, Options{})
+	for i := 0; i < 300; i++ {
+		if err := s.Create(obj(fmt.Sprintf("d/%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = openStore(t, dir, Options{})
+	for i := 0; i < 300; i += 7 {
+		bumpOps(t, s, urn.MustParse(fmt.Sprintf("urn:rover:h/d/%03d", i)), 2)
+	}
+	abandoned := filepath.Join(t.TempDir(), "abandoned")
+	if err := os.CopyFS(abandoned, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	type rec struct {
+		off int64
+		p   []byte
+	}
+	closeCopy := func(name string) ([]rec, footerInfo) {
+		d := filepath.Join(t.TempDir(), name)
+		if err := os.CopyFS(d, os.DirFS(abandoned)); err != nil {
+			t.Fatal(err)
+		}
+		s := openStore(t, d, Options{})
+		if !s.RecoveredByFooter() {
+			t.Fatalf("%s: the abandoned store did not reopen by footer", name)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var recs []rec
+		seg, err := stable.OpenSegmentFile(filepath.Join(d, SegmentName), stable.Options{}, 0, func(off int64, p []byte) error {
+			recs = append(recs, rec{off, bytes.Clone(p)})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg.Close()
+		raw, err := os.ReadFile(filepath.Join(d, FooterName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		side, err := decodeSidecar(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recs, side
+	}
+	a, sa := closeCopy("a")
+	b, sb := closeCopy("b")
+	if len(a) != len(b) || sa.off != sb.off || sa.parts != sb.parts || sa.parts == 0 {
+		t.Fatalf("%d and %d records, footers at %d and %d in %d and %d parts", len(a), len(b), sa.off, sb.off, sa.parts, sb.parts)
+	}
+	if bytes.Equal(sa.gen, sb.gen) {
+		t.Fatal("two footers share a generation token")
+	}
+	footers := 0
+	for i := range a {
+		pa, pb := a[i].p, b[i].p
+		if a[i].off >= sa.off {
+			pa = bytes.Replace(pa, sa.gen, sb.gen, 1)
+			footers++
+		}
+		if a[i].off != b[i].off || !bytes.Equal(pa, pb) {
+			t.Fatalf("record %d at %d and %d differs beyond the generation token", i, a[i].off, b[i].off)
+		}
+	}
+	if uint64(footers) != sa.parts {
+		t.Fatalf("%d records past the footer's start, want its %d parts", footers, sa.parts)
+	}
+}
