@@ -363,76 +363,22 @@ func BenchmarkFrameEncode(b *testing.B) {
 }
 
 // BenchmarkServerJournal compares server-side request throughput with and
-// without the durable session journal (PR 4). The journaled variant
+// without the durable session journal. The journaled variant
 // write-ahead-logs every executed reply to a file-backed log before
-// release; appends from concurrent sessions ride the log's group commit,
-// so the per-request fsync cost is amortized across the worker pool. The
-// inline variant runs each request on its caller's goroutine as a run of
-// one, so every request pays its own commit join.
+// release. Each of four sessions is driven from its own goroutine, which
+// runs its requests inline in OnFrame, one frame and one run at a time, so
+// concurrent sessions' exec appends share the log's group commit.
 func BenchmarkServerJournal(b *testing.B) {
-	pooled := max(runtime.GOMAXPROCS(0), 2)
-	run := func(b *testing.B, workers int, journals ...stable.Log) {
-		srv := qrpc.NewServer(qrpc.ServerConfig{ServerID: "bench", Journals: journals, Workers: workers})
-		defer srv.Close()
-		srv.Register("bench.echo", func(_ string, req qrpc.Request) ([]byte, error) {
-			return req.Args, nil
-		})
-		const sessions = 4
-		senders := make([]*discardSender, sessions)
-		for i := range senders {
-			senders[i] = &discardSender{id: i}
-			srv.OnConnect(senders[i], 0)
-			srv.OnFrame(senders[i], wire.Frame{
-				Type:    wire.FrameHello,
-				Payload: wire.Marshal(&qrpc.Hello{ClientID: fmt.Sprintf("bench-%d", i), LowSeq: 1}),
-			}, 0)
+	b.Run("inmemory", func(b *testing.B) { runServerJournal(b, 4) })
+	b.Run("journaled", func(b *testing.B) {
+		fl, err := stable.OpenFileLog(filepath.Join(b.TempDir(), "journal"), stable.Options{})
+		if err != nil {
+			b.Fatal(err)
 		}
-		args := make([]byte, 64)
-		per := b.N/sessions + 1
-		b.ResetTimer()
-		var wg sync.WaitGroup
-		for i := 0; i < sessions; i++ {
-			snd := senders[i]
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var acks []uint64
-				for seq := uint64(1); seq <= uint64(per); seq++ {
-					srv.OnFrame(snd, wire.Frame{
-						Type:    wire.FrameRequest,
-						Payload: wire.Marshal(&qrpc.Request{Seq: seq, Service: "bench.echo", Args: args}),
-					}, 0)
-					// Ack in blocks so the reply cache (and journal live
-					// set) stays bounded, as a real client would.
-					acks = append(acks, seq)
-					if len(acks) == 256 {
-						srv.OnFrame(snd, wire.Frame{Type: wire.FrameAck, Payload: wire.Marshal(&qrpc.Ack{Seqs: acks})}, 0)
-						acks = acks[:0]
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		srv.Quiesce()
-		b.StopTimer()
-		if got := srv.Stats().Executed; got < int64(b.N) {
-			b.Fatalf("executed %d of %d", got, b.N)
-		}
-	}
-	journaled := func(workers int) func(*testing.B) {
-		return func(b *testing.B) {
-			fl, err := stable.OpenFileLog(filepath.Join(b.TempDir(), "journal"), stable.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer fl.Close()
-			run(b, workers, fl)
-			b.ReportMetric(float64(fl.Stats().Syncs)/float64(b.N), "fsyncs/op")
-		}
-	}
-	b.Run("inmemory", func(b *testing.B) { run(b, pooled) })
-	b.Run("journaled", journaled(pooled))
-	b.Run("journaled-inline", journaled(0))
+		defer fl.Close()
+		runServerJournal(b, 4, fl)
+		b.ReportMetric(float64(fl.Stats().Syncs)/float64(b.N), "fsyncs/op")
+	})
 }
 
 // BenchmarkServerJournalSharded measures the session journal split into
@@ -455,56 +401,7 @@ func BenchmarkServerJournalSharded(b *testing.B) {
 			defer fl.Close()
 			logs[i], flogs[i] = fl, fl
 		}
-		// One worker per session regardless of shard count: workers spend
-		// most of their time blocked in fsync, so the pool must be sized to
-		// the offered concurrency (not the CPU count) or the group-commit
-		// batches collapse to the worker count and every shard config is
-		// equally starved.
-		const workers = 16
-		srv := qrpc.NewServer(qrpc.ServerConfig{ServerID: "bench", Journals: logs, Workers: workers})
-		defer srv.Close()
-		srv.Register("bench.echo", func(_ string, req qrpc.Request) ([]byte, error) {
-			return req.Args, nil
-		})
-		const sessions = 16
-		senders := make([]*discardSender, sessions)
-		for i := range senders {
-			senders[i] = &discardSender{id: i}
-			srv.OnConnect(senders[i], 0)
-			srv.OnFrame(senders[i], wire.Frame{
-				Type:    wire.FrameHello,
-				Payload: wire.Marshal(&qrpc.Hello{ClientID: fmt.Sprintf("bench-%d", i), LowSeq: 1}),
-			}, 0)
-		}
-		args := make([]byte, 64)
-		per := b.N/sessions + 1
-		b.ResetTimer()
-		var wg sync.WaitGroup
-		for i := 0; i < sessions; i++ {
-			snd := senders[i]
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var acks []uint64
-				for seq := uint64(1); seq <= uint64(per); seq++ {
-					srv.OnFrame(snd, wire.Frame{
-						Type:    wire.FrameRequest,
-						Payload: wire.Marshal(&qrpc.Request{Seq: seq, Service: "bench.echo", Args: args}),
-					}, 0)
-					acks = append(acks, seq)
-					if len(acks) == 256 {
-						srv.OnFrame(snd, wire.Frame{Type: wire.FrameAck, Payload: wire.Marshal(&qrpc.Ack{Seqs: acks})}, 0)
-						acks = acks[:0]
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		srv.Quiesce()
-		b.StopTimer()
-		if got := srv.Stats().Executed; got < int64(b.N) {
-			b.Fatalf("executed %d of %d", got, b.N)
-		}
+		runServerJournal(b, 16, logs...)
 		var syncs int64
 		for _, fl := range flogs {
 			syncs += fl.Stats().Syncs
@@ -513,6 +410,56 @@ func BenchmarkServerJournalSharded(b *testing.B) {
 	}
 	for _, n := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) { run(b, n) })
+	}
+}
+
+// runServerJournal drives b.N echo requests through a server over the
+// given journal shards from `sessions` goroutines, one per session, each
+// delivering its requests one frame at a time and acking them in blocks of
+// 256 so the reply cache (and the journal's live set) stays bounded, as a
+// real client's would.
+func runServerJournal(b *testing.B, sessions int, journals ...stable.Log) {
+	srv := qrpc.NewServer(qrpc.ServerConfig{ServerID: "bench", Journals: journals})
+	defer srv.Close()
+	srv.Register("bench.echo", func(_ string, req qrpc.Request) ([]byte, error) {
+		return req.Args, nil
+	})
+	senders := make([]*discardSender, sessions)
+	for i := range senders {
+		senders[i] = &discardSender{id: i}
+		srv.OnConnect(senders[i], 0)
+		srv.OnFrame(senders[i], wire.Frame{
+			Type:    wire.FrameHello,
+			Payload: wire.Marshal(&qrpc.Hello{ClientID: fmt.Sprintf("bench-%d", i), LowSeq: 1}),
+		}, 0)
+	}
+	args := make([]byte, 64)
+	per := b.N/sessions + 1
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		snd := senders[i]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var acks []uint64
+			for seq := uint64(1); seq <= uint64(per); seq++ {
+				srv.OnFrame(snd, wire.Frame{
+					Type:    wire.FrameRequest,
+					Payload: wire.Marshal(&qrpc.Request{Seq: seq, Service: "bench.echo", Args: args}),
+				}, 0)
+				acks = append(acks, seq)
+				if len(acks) == 256 {
+					srv.OnFrame(snd, wire.Frame{Type: wire.FrameAck, Payload: wire.Marshal(&qrpc.Ack{Seqs: acks})}, 0)
+					acks = acks[:0]
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	if got := srv.Stats().Executed; got < int64(b.N) {
+		b.Fatalf("executed %d of %d", got, b.N)
 	}
 }
 
