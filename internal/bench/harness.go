@@ -136,10 +136,7 @@ func NewSimStack(opts SimStackOptions) (*SimStack, error) {
 		fc = 0
 	}
 	sched := vtime.NewScheduler()
-	// Workers: -1 forces inline execution: the whole stack runs inside
-	// single-threaded scheduler events, so pooled (asynchronous) request
-	// execution would race virtual time.
-	srv, err := rover.NewServer(rover.ServerOptions{ServerID: "bench-server", Workers: -1})
+	srv, err := rover.NewServer(rover.ServerOptions{ServerID: "bench-server"})
 	if err != nil {
 		return nil, err
 	}

@@ -610,8 +610,7 @@ func runCrashServer(t *testing.T, seed int64, shards int) string {
 		tears        int
 		faultsOn     = true
 	)
-	// boot builds the next incarnation from the journal shards, alternating
-	// inline and pooled execution.
+	// boot builds the next incarnation from the journal shards.
 	boot := func() {
 		jfaults = jfaults[:0]
 		logs := make([]stable.Log, shards)
@@ -626,7 +625,6 @@ func runCrashServer(t *testing.T, seed int64, shards int) string {
 			ServerID:            "chaos-home",
 			Journals:            logs,
 			JournalCompactEvery: compactEvery,
-			Workers:             []int{0, 2, 3}[incarnations%3],
 		})
 		// Recovery only replays, and the row injects faults only into
 		// appends, so an injected error here is no recovery failure: the
@@ -910,7 +908,7 @@ func runCrashPrimarySim(t *testing.T, seed int64) string {
 	}
 	// boot builds replica i empty, under a fresh replication identity.
 	boot := func(i int) {
-		srv, err := rover.NewServer(rover.ServerOptions{ServerID: [2]string{"pair-a", "pair-b"}[i], Workers: -1})
+		srv, err := rover.NewServer(rover.ServerOptions{ServerID: [2]string{"pair-a", "pair-b"}[i]})
 		must(t, err)
 		reps[i], err = srv.EnableReplication(rover.ReplicationOptions{Clock: clock})
 		must(t, err)

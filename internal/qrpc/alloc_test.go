@@ -14,22 +14,15 @@ import (
 
 // TestEchoRoundTripAllocs pins what one QRPC costs the engines: a 64-byte
 // echo — Enqueue, the request out, the reply back, Wait — over a Pipe to a
-// pooled server with no journal. What is allocated is what a party keeps:
+// server with no journal. What is allocated is what a party keeps:
 // the client's log record, which the request frame is a view of, its
 // pending request (promise inline) and that promise's channel, made by the
 // Wait because it runs before the reply arrives, and the
 // batch the request rides in with the last reply's ack; the server's reply
 // encoding, which its session holds until the ack. Receiving costs nothing:
-// frames are decoded where they arrived.
+// frames are decoded where they arrived, and the server runs the request
+// inside its OnFrame with the run and the reply frame on the stack.
 func TestEchoRoundTripAllocs(t *testing.T) {
-	echoRoundTripAllocs(t, qrpc.ServerConfig{ServerID: "alloc", Workers: 2}, 5)
-}
-
-// TestInlineEchoRoundTripAllocs is the same round trip to an inline server
-// (Workers 0), the mode every simulation runs: the handler runs inside the
-// server's OnFrame, and the reply frame it answers with is collected on the
-// stack, so the count is the pooled server's.
-func TestInlineEchoRoundTripAllocs(t *testing.T) {
 	echoRoundTripAllocs(t, qrpc.ServerConfig{ServerID: "alloc"}, 5)
 }
 
@@ -42,7 +35,7 @@ func TestJournaledEchoRoundTripAllocs(t *testing.T) {
 	for range 4 {
 		shards = append(shards, stable.NewMemLog(stable.Options{}))
 	}
-	echoRoundTripAllocs(t, qrpc.ServerConfig{ServerID: "alloc", Workers: 2, Journals: shards}, 6)
+	echoRoundTripAllocs(t, qrpc.ServerConfig{ServerID: "alloc", Journals: shards}, 6)
 }
 
 func echoRoundTripAllocs(t *testing.T, cfg qrpc.ServerConfig, want float64) {

@@ -42,7 +42,7 @@ import (
 // recovery invariants depend on is preserved within one log. What sharding
 // buys is parallel group commit: each shard's log (a stable.FileLog, over
 // its own stable.SegmentFile) elects its own fsync leader, so with N shards
-// up to N fsyncs overlap instead of every worker in the server convoying
+// up to N fsyncs overlap instead of every session in the server convoying
 // behind a single leader. N=1 is one journal with one leader. N is fixed for
 // the life of a Server; it may change only between incarnations.
 //

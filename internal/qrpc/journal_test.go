@@ -30,6 +30,16 @@ func ackFrame(seqs ...uint64) wire.Frame {
 	return wire.Frame{Type: wire.FrameAck, Payload: wire.Marshal(&Ack{Seqs: seqs})}
 }
 
+// requestBatch is one batch frame carrying requests first..last, so the
+// server dispatches them as one run.
+func requestBatch(first, last uint64, service string) wire.Frame {
+	var subs []wire.Frame
+	for seq := first; seq <= last; seq++ {
+		subs = append(subs, requestFrame(seq, service, nil))
+	}
+	return wire.BatchFrames(subs)
+}
+
 // drainReplies pops every queued frame off the sender, returning the
 // decoded replies (Welcome/Pong/etc. frames are discarded; batches are
 // unpacked).
@@ -384,61 +394,54 @@ func (p *poisonLog) RemoveNoSync(ids ...uint64) error {
 // TestJournaledServerRefusesWhenPoisoned is the durability contract: once
 // the journal cannot accept records, the server refuses to execute new work
 // (instead of silently continuing without durability), keeps serving cached
-// replays, and surfaces the typed poisoned error. Inline and pooled servers
-// execute through the same run, so both must hold it.
+// replays, and surfaces the typed poisoned error.
 func TestJournaledServerRefusesWhenPoisoned(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			// Budget 2: the Hello (LowSeq 1 > initial 0) journals a prune
-			// record, then seq 1's exec record; seq 2's exec append is the
-			// one that fails.
-			jl := &poisonLog{MemLog: stable.NewMemLog(stable.Options{}), budget: 2}
-			up := true
-			snd := &harnessSender{up: &up}
-			execs := 0
+	// Budget 2: the Hello (LowSeq 1 > initial 0) journals a prune record,
+	// then seq 1's exec record; seq 2's exec append is the one that fails.
+	jl := &poisonLog{MemLog: stable.NewMemLog(stable.Options{}), budget: 2}
+	up := true
+	snd := &harnessSender{up: &up}
+	execs := 0
 
-			srv := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}, Workers: workers})
-			defer srv.Close()
-			srv.Register("echo", func(string, Request) ([]byte, error) { execs++; return []byte("ok"), nil })
-			srv.OnConnect(snd, 0)
-			srv.OnFrame(snd, helloFrame("c1", 1), 0)
-			deliver := func(seq uint64) []*Reply {
-				srv.OnFrame(snd, requestFrame(seq, "echo", nil), 0)
-				srv.Quiesce()
-				return drainReplies(t, snd)
-			}
-			if reps := deliver(1); len(reps) != 1 { // journaled fine
-				t.Fatalf("healthy request got %d replies", len(reps))
-			}
+	srv := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}})
+	defer srv.Close()
+	srv.Register("echo", func(string, Request) ([]byte, error) { execs++; return []byte("ok"), nil })
+	srv.OnConnect(snd, 0)
+	srv.OnFrame(snd, helloFrame("c1", 1), 0)
+	deliver := func(seq uint64) []*Reply {
+		srv.OnFrame(snd, requestFrame(seq, "echo", nil), 0)
+		return drainReplies(t, snd)
+	}
+	if reps := deliver(1); len(reps) != 1 { // journaled fine
+		t.Fatalf("healthy request got %d replies", len(reps))
+	}
 
-			// Budget exhausted: the exec append fails, the reply must NOT be
-			// released, and the journal is poisoned.
-			if reps := deliver(2); len(reps) != 0 {
-				t.Fatalf("reply released without durability")
-			}
-			if execs != 2 {
-				t.Fatalf("execs = %d (handler for seq 2 should have run once before the failed append)", execs)
-			}
-			if err := srv.JournalError(); !errors.Is(err, stable.ErrPoisoned) {
-				t.Fatalf("JournalError = %v, want ErrPoisoned", err)
-			}
+	// Budget exhausted: the exec append fails, the reply must NOT be
+	// released, and the journal is poisoned.
+	if reps := deliver(2); len(reps) != 0 {
+		t.Fatalf("reply released without durability")
+	}
+	if execs != 2 {
+		t.Fatalf("execs = %d (handler for seq 2 should have run once before the failed append)", execs)
+	}
+	if err := srv.JournalError(); !errors.Is(err, stable.ErrPoisoned) {
+		t.Fatalf("JournalError = %v, want ErrPoisoned", err)
+	}
 
-			// Further requests are refused before the handler runs.
-			if reps := deliver(3); len(reps) != 0 {
-				t.Fatal("poisoned server released a reply")
-			}
-			if execs != 2 {
-				t.Fatalf("poisoned server ran a handler: execs = %d", execs)
-			}
-			if got := srv.Stats().JournalRefused; got < 2 {
-				t.Errorf("JournalRefused = %d, want ≥ 2", got)
-			}
+	// Further requests are refused before the handler runs.
+	if reps := deliver(3); len(reps) != 0 {
+		t.Fatal("poisoned server released a reply")
+	}
+	if execs != 2 {
+		t.Fatalf("poisoned server ran a handler: execs = %d", execs)
+	}
+	if got := srv.Stats().JournalRefused; got < 2 {
+		t.Errorf("JournalRefused = %d, want ≥ 2", got)
+	}
 
-			// Cached replays still work: seq 1's reply was journaled and cached.
-			if reps := deliver(1); len(reps) != 1 || string(reps[0].Result) != "ok" {
-				t.Fatalf("cached replay unavailable while poisoned: %+v", reps)
-			}
-		})
+	// Cached replays still work: seq 1's reply was journaled and cached.
+	if reps := deliver(1); len(reps) != 1 || string(reps[0].Result) != "ok" {
+		t.Fatalf("cached replay unavailable while poisoned: %+v", reps)
 	}
 }
 
@@ -466,12 +469,13 @@ func TestJournalRecoveryFailureRefusesExecutes(t *testing.T) {
 	}
 }
 
-// TestJournalWithWorkerPool exercises the journal under the bounded worker
-// pool: concurrent sessions execute in parallel, exec appends ride the same
-// journal, and a rebuild recovers every released reply. Run with -race.
-func TestJournalWithWorkerPool(t *testing.T) {
+// TestJournalConcurrentSessions exercises the journal under sessions that
+// deliver from goroutines of their own: their runs execute in parallel,
+// exec appends ride the same journal past compactions, and a rebuild
+// recovers every released reply. Run with -race.
+func TestJournalConcurrentSessions(t *testing.T) {
 	journal := stable.NewMemLog(stable.Options{})
-	srv := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{journal}, Workers: 4, JournalCompactEvery: 16})
+	srv := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{journal}, JournalCompactEvery: 16})
 	var mu sync.Mutex
 	execs := map[string]int{}
 	srv.Register("echo", func(clientID string, req Request) ([]byte, error) {
@@ -499,13 +503,8 @@ func TestJournalWithWorkerPool(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	srv.Quiesce()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().Executed < clients*perClient {
-		if time.Now().After(deadline) {
-			t.Fatalf("pool stalled: executed %d/%d", srv.Stats().Executed, clients*perClient)
-		}
-		time.Sleep(time.Millisecond)
+	if got := srv.Stats().Executed; got != clients*perClient {
+		t.Fatalf("executed %d/%d", got, clients*perClient)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -533,100 +532,78 @@ func TestJournalWithWorkerPool(t *testing.T) {
 // exec record reaches the journal durably but the server sees an error. The
 // current incarnation must NOT release the reply (it poisons instead), and
 // the next incarnation recovers the record — the redelivered request is
-// answered from cache with the handler having run exactly once. The inline
-// run of one and a pool's chunk stage the record the same way, so both meet
-// the dirty append.
+// answered from cache with the handler having run exactly once.
 func TestJournalDirtyAppendRecovers(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			mem := stable.NewMemLog(stable.Options{})
-			jl := faults.WrapLog(mem, 42, faults.LogFaultRates{AppendDirty: 1})
-			up := true
-			snd := &harnessSender{up: &up}
-			execs := 0
-			handler := func(string, Request) ([]byte, error) { execs++; return []byte("v"), nil }
+	mem := stable.NewMemLog(stable.Options{})
+	jl := faults.WrapLog(mem, 42, faults.LogFaultRates{AppendDirty: 1})
+	up := true
+	snd := &harnessSender{up: &up}
+	execs := 0
+	handler := func(string, Request) ([]byte, error) { execs++; return []byte("v"), nil }
 
-			srv1 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}, Workers: workers})
-			defer srv1.Close()
-			srv1.Register("echo", handler)
-			srv1.OnConnect(snd, 0)
-			// LowSeq 0 keeps the Hello from journaling a prune record, so the
-			// first (dirty) append is exactly seq 1's exec record.
-			srv1.OnFrame(snd, helloFrame("c1", 0), 0)
-			srv1.OnFrame(snd, requestFrame(1, "echo", nil), 0)
-			srv1.Quiesce()
-			if reps := drainReplies(t, snd); len(reps) != 0 {
-				t.Fatal("reply released despite journal append error")
-			}
-			if execs != 1 {
-				t.Fatalf("execs = %d", execs)
-			}
-			if srv1.JournalError() == nil {
-				t.Fatal("dirty append did not poison the incarnation that saw the error")
-			}
+	srv1 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}})
+	defer srv1.Close()
+	srv1.Register("echo", handler)
+	srv1.OnConnect(snd, 0)
+	// LowSeq 0 keeps the Hello from journaling a prune record, so the
+	// first (dirty) append is exactly seq 1's exec record.
+	srv1.OnFrame(snd, helloFrame("c1", 0), 0)
+	srv1.OnFrame(snd, requestFrame(1, "echo", nil), 0)
+	if reps := drainReplies(t, snd); len(reps) != 0 {
+		t.Fatal("reply released despite journal append error")
+	}
+	if execs != 1 {
+		t.Fatalf("execs = %d", execs)
+	}
+	if srv1.JournalError() == nil {
+		t.Fatal("dirty append did not poison the incarnation that saw the error")
+	}
 
-			// Next incarnation: the record was durable, so recovery serves it.
-			jl.SetEnabled(false)
-			srv2 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}, Workers: workers})
-			defer srv2.Close()
-			srv2.Register("echo", handler)
-			if err := srv2.JournalError(); err != nil {
-				t.Fatalf("recovery: %v", err)
-			}
-			srv2.OnConnect(snd, 0)
-			srv2.OnFrame(snd, helloFrame("c1", 0), 0)
-			snd.queue = nil
-			srv2.OnFrame(snd, requestFrame(1, "echo", nil), 0)
-			srv2.Quiesce()
-			reps := drainReplies(t, snd)
-			if len(reps) != 1 || string(reps[0].Result) != "v" {
-				t.Fatalf("recovered reply = %+v", reps)
-			}
-			if execs != 1 {
-				t.Fatalf("handler re-ran for a durably journaled request: execs = %d", execs)
-			}
-		})
+	// Next incarnation: the record was durable, so recovery serves it.
+	jl.SetEnabled(false)
+	srv2 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}})
+	defer srv2.Close()
+	srv2.Register("echo", handler)
+	if err := srv2.JournalError(); err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	srv2.OnConnect(snd, 0)
+	srv2.OnFrame(snd, helloFrame("c1", 0), 0)
+	snd.queue = nil
+	srv2.OnFrame(snd, requestFrame(1, "echo", nil), 0)
+	reps := drainReplies(t, snd)
+	if len(reps) != 1 || string(reps[0].Result) != "v" {
+		t.Fatalf("recovered reply = %+v", reps)
+	}
+	if execs != 1 {
+		t.Fatalf("handler re-ran for a durably journaled request: execs = %d", execs)
 	}
 }
 
 // TestRunCommitsOnceUnderFaultLog: a fault-injecting journal takes the same
-// path as any other log. While seq 1's handler holds the session's worker,
-// seqs 2-32 queue behind it; they then run as one chunk with one commit, so
-// the whole burst costs the journal a couple of flushes, not one per
-// request.
+// path as any other log. The 32 requests of one batch frame run as one run
+// with one commit, so the whole burst costs the journal one flush, not one
+// per request.
 func TestRunCommitsOnceUnderFaultLog(t *testing.T) {
 	mem := stable.NewMemLog(stable.Options{})
 	jl := faults.WrapLog(mem, 7, faults.LogFaultRates{})
-	srv := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}, Workers: 2})
+	srv := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}})
 	defer srv.Close()
-	entered, release := make(chan struct{}), make(chan struct{})
-	srv.Register("echo", func(_ string, req Request) ([]byte, error) {
-		if req.Seq == 1 {
-			close(entered)
-			<-release
-		}
-		return req.Args, nil
-	})
+	srv.Register("echo", func(_ string, req Request) ([]byte, error) { return req.Args, nil })
 	up := true
 	snd := &harnessSender{up: &up}
 	srv.OnConnect(snd, 0)
 	srv.OnFrame(snd, helloFrame("c1", 1), 0)
-	srv.OnFrame(snd, requestFrame(1, "echo", nil), 0)
-	<-entered
 	const n = 32
-	for seq := uint64(2); seq <= n; seq++ {
-		srv.OnFrame(snd, requestFrame(seq, "echo", nil), 0)
-	}
-	close(release)
-	srv.Quiesce()
+	srv.OnFrame(snd, requestBatch(1, n, "echo"), 0)
 	if reps := drainReplies(t, snd); len(reps) != n {
 		t.Fatalf("got %d replies, want %d", len(reps), n)
 	}
 	if st := srv.Stats(); st.Executed != n || st.JournalRecords != n+1 {
 		t.Fatalf("executed %d, journaled %d records, want %d and %d (the Hello's prune record too)", st.Executed, st.JournalRecords, n, n+1)
 	}
-	if syncs := mem.Stats().Syncs; syncs > 3 {
-		t.Fatalf("%d requests cost the journal %d flushes, want at most 3", n, syncs)
+	if syncs := mem.Stats().Syncs; syncs != 1 {
+		t.Fatalf("%d requests cost the journal %d flushes, want 1", n, syncs)
 	}
 }
 
@@ -649,41 +626,28 @@ func (d *dirtyAtLog) AppendNoSync(rec []byte) (uint64, error) {
 
 // TestDirtyStageMidRunJournalsWholeRun: a run's handlers all return before
 // its records are staged, so a dirty failure on one record must not stop the
-// records after it. Seq 1 holds the session's worker while seqs 2-6 queue
-// into one run; seq 3's record fails dirty. Nothing of the run is released,
-// and the next incarnation answers all of it from the journal without
-// running a handler again.
+// records after it. Seq 1 runs alone; seqs 2-6 arrive in one batch frame and
+// run as one run, in which seq 3's record fails dirty. Nothing of that run
+// is released, and the next incarnation answers all of it from the journal
+// without running a handler again.
 func TestDirtyStageMidRunJournalsWholeRun(t *testing.T) {
 	// The Hello's LowSeq 0 journals no prune record, so seq n's exec
 	// record is append n.
 	jl := &dirtyAtLog{MemLog: stable.NewMemLog(stable.Options{}), nth: 3}
-	var mu sync.Mutex
 	execs := map[uint64]int{}
-	entered, release := make(chan struct{}), make(chan struct{})
 	handler := func(_ string, req Request) ([]byte, error) {
-		mu.Lock()
 		execs[req.Seq]++
-		mu.Unlock()
-		if req.Seq == 1 {
-			close(entered)
-			<-release
-		}
 		return []byte("v"), nil
 	}
 	up := true
 	snd := &harnessSender{up: &up}
-	srv1 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}, Workers: 2})
+	srv1 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}})
 	srv1.Register("echo", handler)
 	srv1.OnConnect(snd, 0)
 	srv1.OnFrame(snd, helloFrame("c1", 0), 0)
 	srv1.OnFrame(snd, requestFrame(1, "echo", nil), 0)
-	<-entered
 	const n = 6
-	for seq := uint64(2); seq <= n; seq++ {
-		srv1.OnFrame(snd, requestFrame(seq, "echo", nil), 0)
-	}
-	close(release)
-	srv1.Quiesce()
+	srv1.OnFrame(snd, requestBatch(2, n, "echo"), 0)
 	srv1.Close()
 	if reps := drainReplies(t, snd); len(reps) != 1 || reps[0].Seq != 1 {
 		t.Fatalf("released %+v, want only seq 1's reply", reps)
@@ -692,20 +656,15 @@ func TestDirtyStageMidRunJournalsWholeRun(t *testing.T) {
 		t.Fatal("dirty append did not poison the incarnation that saw it")
 	}
 
-	srv2 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl.MemLog}, Workers: 2})
+	srv2 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl.MemLog}})
 	defer srv2.Close()
 	srv2.Register("echo", handler)
 	srv2.OnConnect(snd, 0)
 	srv2.OnFrame(snd, helloFrame("c1", 0), 0)
-	for seq := uint64(1); seq <= n; seq++ {
-		srv2.OnFrame(snd, requestFrame(seq, "echo", nil), 0)
-	}
-	srv2.Quiesce()
+	srv2.OnFrame(snd, requestBatch(1, n, "echo"), 0)
 	if reps := drainReplies(t, snd); len(reps) != n {
 		t.Fatalf("recovered incarnation answered %d of %d requests", len(reps), n)
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	for seq := uint64(1); seq <= n; seq++ {
 		if execs[seq] != 1 {
 			t.Errorf("seq %d ran %d times, want once", seq, execs[seq])
@@ -726,7 +685,6 @@ func TestAckRedeliveredJournalsOnce(t *testing.T) {
 	srv.OnConnect(snd, 0)
 	srv.OnFrame(snd, helloFrame("c1", 0), 0)
 	srv.OnFrame(snd, requestFrame(1, "echo", nil), 0)
-	srv.Quiesce()
 	if reps := drainReplies(t, snd); len(reps) != 1 {
 		t.Fatalf("got %d replies, want 1", len(reps))
 	}

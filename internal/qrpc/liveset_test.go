@@ -39,7 +39,7 @@ func TestLiveSetMatchesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := qrpc.NewServer(qrpc.ServerConfig{ServerID: "live", Workers: 2, Journals: logs[1:], JournalCompactEvery: 4})
+	srv := qrpc.NewServer(qrpc.ServerConfig{ServerID: "live", Journals: logs[1:], JournalCompactEvery: 4})
 	srv.Register("echo", func(_ string, req qrpc.Request) ([]byte, error) { return req.Args, nil })
 	clock := vtime.NewRealClock()
 	pipe := transport.NewPipe(cli, srv, clock)

@@ -23,21 +23,9 @@ type ServerConfig struct {
 	// Auth, when non-nil, makes the server verify Hello proofs and reject
 	// unauthenticated sessions.
 	Auth *auth.Registry
-	// Workers selects the handler execution model:
-	//
-	//   - 0 (the default): inline. Handlers run synchronously on the
-	//     goroutine that delivered the frame, in arrival order. This is
-	//     required when the engine is driven by a single-threaded scheduler
-	//     (the discrete-event simulator's virtual time) and is what
-	//     synchronous tests expect.
-	//   - n > 0: a bounded pool of n workers executes handlers. Requests
-	//     from one session run serially in arrival order (per-session FIFO);
-	//     different sessions run in parallel, and each worker coalesces the
-	//     replies of a drained run into one FrameBatch.
-	//
-	// Pooled servers should be Close()d to stop the workers; Quiesce waits
-	// for dispatched requests to finish (connectionless transports use it
-	// before harvesting replies).
+	// Workers is ignored: handlers always run on the goroutine that
+	// delivered their frame (see OnFrame). It is set only by the benchmark
+	// module, and goes when that module next changes.
 	Workers int
 	// Journals, when non-empty, is the server's durable session journal:
 	// each executed request's reply is write-ahead-logged here before it is
@@ -45,7 +33,7 @@ type ServerConfig struct {
 	// survives server crashes and restarts — a redelivered request after a
 	// restart is answered from the recovered reply cache instead of
 	// re-running its handler. Journal appends ride the stable log's group
-	// commit, so concurrent workers amortize the durability fsync. If the
+	// commit, so concurrent sessions amortize the durability fsync. If the
 	// journal fails (stable.ErrPoisoned) or cannot be replayed, the server
 	// refuses further executes rather than continue without durability; see
 	// JournalError.
@@ -53,7 +41,7 @@ type ServerConfig struct {
 	// The journal is sharded across the N independent stable logs given,
 	// keyed by session hash, so each shard elects its own group-commit
 	// fsync leader and up to N fsyncs proceed in parallel instead of every
-	// worker convoying behind one (see the package comment in journal.go).
+	// session convoying behind one (see the package comment in journal.go).
 	// All shard logs are replayed and merged at construction; a session
 	// recovered outside its home shard (the shard count changed) is
 	// resharded once, durably, before the server is reachable. The caller
@@ -82,7 +70,9 @@ type ServerConfig struct {
 	// LowSeq release cached replies; the client's redelivery machinery
 	// retries them later, so the budget is backpressure, not loss. Cached
 	// replies are never evicted by the budget — dropping one would
-	// re-execute its redelivered request and break at-most-once. Zero means
+	// re-execute its redelivered request and break at-most-once. The check
+	// is made as a request is dispatched, before its frame's run executes,
+	// so one frame's replies can take a session past its budget. Zero means
 	// unbounded.
 	SessionBudgetBytes int
 }
@@ -117,9 +107,11 @@ type session struct {
 	// replyBytes is the budget charge of replies (see replyCharge);
 	// ServerConfig.SessionBudgetBytes bounds it.
 	replyBytes int
-	// queue holds the session's dispatched requests while the worker pool
-	// has them; guarded by the pool's mutex, unused in inline mode.
-	queue keyQueue
+	// runMu is held across each of the session's runs (executeRun), so two
+	// transports of one session — a reconnecting client's old and new
+	// connection — never run its handlers at the same time. Lock order:
+	// runMu, then a journal shard gate, then Server.mu.
+	runMu sync.Mutex
 }
 
 // foldAcked moves the contiguous run of acknowledged seqs starting at
@@ -163,7 +155,11 @@ type Server struct {
 	sessions map[string]*session
 	conns    map[Sender]*conn
 	stats    ServerStats
-	pool     *workerPool // nil in inline mode
+
+	// closed (under mu) stops dispatch; runs counts the frames whose
+	// dispatched requests have not finished, which Close waits out.
+	closed bool
+	runs   sync.WaitGroup
 
 	// onExecuted, when set (SetOnExecuted), observes every execution after
 	// its reply is recorded in the session cache (and journaled), with the
@@ -192,9 +188,6 @@ func NewServer(cfg ServerConfig) *Server {
 		handlers: make(map[string]service),
 		sessions: make(map[string]*session),
 		conns:    make(map[Sender]*conn),
-	}
-	if cfg.Workers > 0 {
-		s.pool = newWorkerPool(s, cfg.Workers)
 	}
 	for i, log := range cfg.Journals {
 		s.shards = append(s.shards, &journalShard{idx: i, log: log})
@@ -252,13 +245,17 @@ func (s *Server) OnDisconnect(from Sender, now vtime.Time) {
 	}
 }
 
-// OnFrame processes one frame from a transport. A batch frame's sub-frames
-// are processed in order, and every synchronous response they provoke
-// (Welcome, cached replays, pongs, inline replies) is coalesced back into a
-// single frame toward the sender.
+// OnFrame processes one frame from a transport, on the goroutine that
+// delivered it: every transport reaches the handlers this way. A batch
+// frame's sub-frames are processed in order. The requests it dispatches
+// collect into one run, which executes (executeRun) on this goroutine with
+// one journal commit, and every synchronous response (Welcome, cached
+// replays, the run's replies) is coalesced back into a single frame toward
+// the sender, in sub-frame order.
 func (s *Server) OnFrame(from Sender, f wire.Frame, now vtime.Time) {
-	var room [4]wire.Frame // responses collect on the stack
-	out := room[:0]
+	var runRoom [16]task
+	var outRoom [16]wire.Frame
+	in := inbound{run: runRoom[:0], out: outRoom[:0]}
 	if f.Type == wire.FrameBatchZ {
 		// Drop corrupt compressed batches; the client redelivers.
 		zf, err := wire.InflateBatchFrame(f)
@@ -274,28 +271,80 @@ func (s *Server) OnFrame(from Sender, f wire.Frame, now vtime.Time) {
 			return
 		}
 		for _, sf := range subs {
-			if resp, ok := s.handleFrame(from, sf, now); ok {
-				out = append(out, resp)
-			}
+			in = s.handleFrame(in, from, sf)
 		}
-	} else if resp, ok := s.handleFrame(from, f, now); ok {
-		out = append(out, resp)
+	} else {
+		in = s.handleFrame(in, from, f)
 	}
-	s.sendCoalesced(from, out)
+	in = s.flushRun(in)
+	s.sendCoalesced(from, in.out)
+	if in.dispatched {
+		s.runs.Done()
+	}
 }
 
-// handleFrame processes one (non-batch) frame and returns its synchronous
-// response frame, if any, rather than sending it directly.
-func (s *Server) handleFrame(from Sender, f wire.Frame, now vtime.Time) (wire.Frame, bool) {
+// inbound is one OnFrame call's state: the requests dispatched and not yet
+// run, and the response frames collected so far, both in arrays on
+// OnFrame's stack. It is passed and returned by value, which keeps those
+// arrays there.
+type inbound struct {
+	run        []task
+	out        []wire.Frame
+	dispatched bool // holds one count of Server.runs
+}
+
+// task is one dispatched request of a run. The dup-drop guard
+// (sess.executing) was set under the server lock at dispatch, so a
+// redelivered copy cannot be dispatched while this one is pending or
+// running. executeRun fills in the results: the reply's encoding and the
+// id of its journal record.
+type task struct {
+	clientID string
+	sess     *session
+	handler  Handler
+	req      Request
+
+	rec []byte // the reply's exec record on a journaled server
+	enc []byte // the reply, a view of rec
+	jid uint64
+}
+
+// handleFrame processes one (non-batch) frame into in. The pending run is
+// executed before anything that answers synchronously, so the replies keep
+// their place among the frame's other responses, and before a Hello, which
+// can change the connection's session.
+func (s *Server) handleFrame(in inbound, from Sender, f wire.Frame) inbound {
 	switch f.Type {
 	case wire.FrameHello:
-		return s.onHello(from, f.Payload)
+		in = s.flushRun(in)
+		if resp, ok := s.onHello(from, f.Payload); ok {
+			in.out = append(in.out, resp)
+		}
 	case wire.FrameRequest:
-		return s.onRequest(from, f.Payload, now)
+		in = s.onRequest(in, from, f.Payload)
 	case wire.FrameAck:
 		s.onAck(from, f.Payload)
 	}
-	return wire.Frame{}, false
+	return in
+}
+
+// flushRun executes in's pending run under its session's run mutex and
+// collects the replies, if the journal took them.
+func (s *Server) flushRun(in inbound) inbound {
+	if len(in.run) == 0 {
+		return in
+	}
+	sess := in.run[0].sess
+	sess.runMu.Lock()
+	ok := s.executeRun(in.run)
+	sess.runMu.Unlock()
+	if ok {
+		for i := range in.run {
+			in.out = append(in.out, wire.Frame{Type: wire.FrameReply, Payload: in.run[i].enc})
+		}
+	}
+	in.run = in.run[:0]
+	return in
 }
 
 // sendCoalesced delivers the collected response frames to a sender:
@@ -446,15 +495,16 @@ func (s *Server) sessionLocked(clientID string) *session {
 	return sess
 }
 
-// onRequest takes in one request. The payload is the receiver's
-// (wire.ReadFrame), so it is decoded on the stack, Args aliases it, and the
-// service name is looked up in place.
-func (s *Server) onRequest(from Sender, payload []byte, now vtime.Time) (wire.Frame, bool) {
+// onRequest takes in one request: a redelivery of an executed one is
+// answered from the reply cache, and a new one joins in's run. The payload
+// is the receiver's (wire.ReadFrame), so it is decoded on the stack, Args
+// aliases it, and the service name is looked up in place.
+func (s *Server) onRequest(in inbound, from Sender, payload []byte) inbound {
 	var req Request
 	r := wire.OwnedReader(payload)
 	name := req.unmarshalNamed(&r)
 	if r.Finish() != nil {
-		return wire.Frame{}, false
+		return in
 	}
 	s.mu.Lock()
 	cn := s.conns[from]
@@ -463,7 +513,7 @@ func (s *Server) onRequest(from Sender, payload []byte, now vtime.Time) (wire.Fr
 		// redeliver after it completes a handshake.
 		s.stats.Dropped++
 		s.mu.Unlock()
-		return wire.Frame{}, false
+		return in
 	}
 	sess := s.sessionLocked(cn.clientID)
 	sess.sender = from
@@ -472,14 +522,17 @@ func (s *Server) onRequest(from Sender, payload []byte, now vtime.Time) (wire.Fr
 		// Redelivered request already executed: replay the reply's bytes.
 		s.stats.ReplaysServed++
 		s.mu.Unlock()
-		return wire.Frame{Type: wire.FrameReply, Payload: enc}, true
+		in = s.flushRun(in)
+		in.out = append(in.out, wire.Frame{Type: wire.FrameReply, Payload: enc})
+		return in
 	}
-	if sess.acked[req.Seq] || req.Seq < sess.lowSeq || sess.executing[req.Seq] {
+	if sess.acked[req.Seq] || req.Seq < sess.lowSeq || sess.executing[req.Seq] || s.closed {
 		// Acked (the client has the reply), already complete per the
-		// client's own LowSeq, or currently executing: drop.
+		// client's own LowSeq, dispatched already, or the server is
+		// closed: drop.
 		s.stats.Dropped++
 		s.mu.Unlock()
-		return wire.Frame{}, false
+		return in
 	}
 	if s.journalErr != nil {
 		// The session journal is poisoned (or never recovered): executing
@@ -488,7 +541,7 @@ func (s *Server) onRequest(from Sender, payload []byte, now vtime.Time) (wire.Fr
 		// are still served; new work waits for a repaired incarnation.
 		s.stats.JournalRefused++
 		s.mu.Unlock()
-		return wire.Frame{}, false
+		return in
 	}
 	if s.cfg.SessionBudgetBytes > 0 && sess.replyBytes >= s.cfg.SessionBudgetBytes {
 		// The session holds its budget's worth of unacknowledged reply
@@ -497,39 +550,31 @@ func (s *Server) onRequest(from Sender, payload []byte, now vtime.Time) (wire.Fr
 		// redelivers it after acks or a Hello LowSeq free the budget.
 		s.stats.BudgetRefused++
 		s.mu.Unlock()
-		return wire.Frame{}, false
+		return in
 	}
 	svc, ok := s.handlers[string(name)]
 	req.Service = svc.name
 	if !ok {
 		req.Service = string(name)
 	}
-	handler := svc.h
-	// Marking the request executing at DISPATCH time — before the handler
-	// runs, whether inline or queued to the pool — is what keeps redelivered
-	// duplicates from executing twice while the first copy is in flight.
+	// Marking the request executing at DISPATCH time — before its run
+	// executes — is what keeps redelivered duplicates from executing twice
+	// while the first copy is pending or running.
 	sess.executing[req.Seq] = true
+	if !in.dispatched {
+		in.dispatched = true
+		s.runs.Add(1) // under mu, so never after Close has set closed
+	}
 	clientID := cn.clientID
-	pool := s.pool
 	s.mu.Unlock()
-
-	run := [1]poolTask{{from: from, clientID: clientID, sess: sess, handler: handler, req: req}}
-	if pool != nil {
-		pool.submit(run[0])
-		return wire.Frame{}, false
-	}
-	// Inline mode: execute here as a run of one (outside the lock; handlers
-	// may be slow and may re-enter the server, e.g. SendCallback) and
-	// coalesce the reply with the rest of the batch's output.
-	if s.executeRun(run[:]) {
-		return wire.Frame{Type: wire.FrameReply, Payload: run[0].enc}, true
-	}
-	return wire.Frame{}, false
+	in.run = append(in.run, task{clientID: clientID, sess: sess, handler: svc.h, req: req})
+	return in
 }
 
 // executeRun is the only place a handler runs. It takes a run of one
-// session's dispatched tasks — a pool worker's chunk, or inline mode's run
-// of one — runs the handlers back-to-back outside engine locks, stages each
+// session's dispatched tasks — the requests of one arriving frame, in
+// arrival order — runs the handlers back-to-back outside engine locks (the
+// caller holds the session's run mutex), stages each
 // exec record on the session's home journal shard, pays ONE commit for the
 // run (pipelined group commit), and only then publishes every reply in one
 // pass under s.mu. Each reply is encoded once, into its exec record (its
@@ -542,10 +587,10 @@ func (s *Server) onRequest(from Sender, payload []byte, now vtime.Time) (wire.Fr
 // (poisoned before or during it): handlers may or may not have run, nothing
 // is released, and the clients redeliver to a repaired incarnation whose
 // recovery decides from the journal alone.
-func (s *Server) executeRun(tasks []poolTask) bool {
+func (s *Server) executeRun(tasks []task) bool {
 	if s.hasJournal() && s.JournalError() != nil {
-		// Poisoned since dispatch (e.g. queued behind the append that
-		// failed): refuse before running any handler.
+		// Poisoned since dispatch (by another session's run, say):
+		// refuse before running any handler.
 		s.refuseRun(tasks, nil)
 		return false
 	}
@@ -584,7 +629,13 @@ func (s *Server) executeRun(tasks []poolTask) bool {
 	for i := range tasks {
 		t := &tasks[i]
 		delete(t.sess.executing, t.req.Seq)
-		s.recordReplyLocked(t.sess, t.req.Seq, t.enc)
+		if seq := t.req.Seq; t.sess.acked[seq] || seq < t.sess.lowSeq {
+			// Acked (or floored by a Hello) while it ran: the client has
+			// this reply, and a cached copy would never be released.
+			t.sess.maxExec = max(t.sess.maxExec, seq)
+		} else {
+			s.recordReplyLocked(t.sess, seq, t.enc)
+		}
 		s.stats.Executed++
 		if sh != nil {
 			sh.ids = append(sh.ids, t.jid)
@@ -610,7 +661,7 @@ func (s *Server) executeRun(tasks []poolTask) bool {
 
 // refuseRun un-dispatches a run the journal refused, poisoning the journal
 // with err when the refusal is this run's own failure.
-func (s *Server) refuseRun(tasks []poolTask, err error) {
+func (s *Server) refuseRun(tasks []task, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
@@ -778,25 +829,17 @@ func (s *Server) SendCallback(clientID, topic string, payload []byte) bool {
 	return false
 }
 
-// Quiesce blocks until every request dispatched to the worker pool has
-// executed and its reply has been handed to a transport. Inline servers
-// return immediately. Connectionless transports (mail) use it to harvest a
-// poll cycle's replies; tests use it to make pooled execution observable.
-func (s *Server) Quiesce() {
-	if s.pool != nil {
-		s.pool.quiesce()
-	}
-}
-
-// Close stops the worker pool, discarding requests not yet executing (their
-// clients redeliver to the next server incarnation; at-most-once state is
-// per-session and unaffected), and waits out any background journal
-// compaction so the caller may close the journal log afterwards. Inline
-// servers have nothing to stop. Close is idempotent.
+// Close stops dispatch — a request that arrives from now on runs no
+// handler and is dropped, for its client to redeliver to the next
+// incarnation — waits for the runs already dispatched to finish, and waits
+// out any background journal compaction, so the caller may close the
+// journal logs afterwards. Close is idempotent; it must not be called from
+// a handler, whose own run it would wait for.
 func (s *Server) Close() error {
-	if s.pool != nil {
-		s.pool.close()
-	}
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	s.runs.Wait()
 	s.compactWG.Wait()
 	return nil
 }

@@ -50,8 +50,8 @@ func clientsAcrossShards(t *testing.T, srv *Server, n int) []string {
 // TestShardedJournalRecoveryExactlyOnce rebuilds a server from a 4-bucket
 // journal and checks that every session's redelivered requests are answered
 // from the recovered reply caches — no re-execution anywhere, regardless of
-// which bucket a session hashed to. The first incarnation runs pooled so
-// the batched (pipelined group commit) execute path is the one journaling.
+// which bucket a session hashed to. Each session's two requests arrive in
+// one batch frame, so a run of two (one pipelined commit) is what journals.
 func TestShardedJournalRecoveryExactlyOnce(t *testing.T) {
 	logs := newShardLogs(4)
 	up := true
@@ -68,7 +68,7 @@ func TestShardedJournalRecoveryExactlyOnce(t *testing.T) {
 		return append([]byte("r:"), req.Args...), nil
 	}
 
-	srv1 := NewServer(ServerConfig{ServerID: "srv", Journals: logs, Workers: 4})
+	srv1 := NewServer(ServerConfig{ServerID: "srv", Journals: logs})
 	srv1.Register("echo", handler)
 	clients := clientsAcrossShards(t, srv1, 4)
 	senders := make([]*harnessSender, len(clients))
@@ -76,10 +76,11 @@ func TestShardedJournalRecoveryExactlyOnce(t *testing.T) {
 		senders[i] = &harnessSender{up: &up}
 		srv1.OnConnect(senders[i], 0)
 		srv1.OnFrame(senders[i], helloFrame(id, 1), 0)
-		srv1.OnFrame(senders[i], requestFrame(1, "echo", []byte(id+"-a")), 0)
-		srv1.OnFrame(senders[i], requestFrame(2, "echo", []byte(id+"-b")), 0)
+		srv1.OnFrame(senders[i], wire.BatchFrames([]wire.Frame{
+			requestFrame(1, "echo", []byte(id+"-a")),
+			requestFrame(2, "echo", []byte(id+"-b")),
+		}), 0)
 	}
-	srv1.Quiesce()
 	srv1.Close()
 
 	srv2 := NewServer(ServerConfig{ServerID: "srv", Journals: logs})

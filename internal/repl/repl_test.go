@@ -179,7 +179,7 @@ func newDiskPair(t *testing.T, compactEvery int) *pair {
 func (p *pair) boot(t *testing.T, i int) {
 	t.Helper()
 	srv, err := rover.NewServer(rover.ServerOptions{
-		ServerID: fmt.Sprintf("pair-%c", 'a'+i), Workers: -1,
+		ServerID: fmt.Sprintf("pair-%c", 'a'+i),
 		StoreDir: p.dirs[i], StoreCompactEvery: p.compactEvery,
 	})
 	if err != nil {

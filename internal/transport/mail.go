@@ -145,8 +145,8 @@ func (sp *Spool) Stats() SpoolStats {
 }
 
 // captureSender collects an engine's output frames into a slice. It is
-// mutex-protected because a pooled server engine hands replies to it from
-// worker goroutines; readers synchronize via Server.Quiesce before take().
+// mutex-protected because a server engine may hand it a callback from
+// another session's handler while its own frames are being processed.
 type captureSender struct {
 	mu     sync.Mutex
 	frames []wire.Frame
@@ -284,9 +284,6 @@ func (ms *MailServer) Poll(now vtime.Time) int {
 		for _, f := range env.Frames {
 			ms.srv.OnFrame(sink, f, now)
 		}
-		// A pooled server executes the envelope's requests asynchronously;
-		// wait for their replies to land in the sink before harvesting.
-		ms.srv.Quiesce()
 		ms.srv.OnDisconnect(sink, now)
 		// Drop the Welcome (mail clients don't need handshakes); mail back
 		// anything substantive.

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -13,6 +14,41 @@ import (
 	"rover/internal/stable"
 	"rover/internal/wire"
 )
+
+// TestTCPTwoWayBulkFinishes sends requests and replies that together far
+// outgrow the socket buffers, in both directions at once: the client's pump
+// blocks writing a large batch while large replies come back. The server's
+// connection reader must never wait on its own writes, or neither side
+// reads and both wait for good.
+func TestTCPTwoWayBulkFinishes(t *testing.T) {
+	c, s := newEngines(t, stable.Options{})
+	tcp, err := ListenTCP("127.0.0.1:0", s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	const n, size = 96, 256 << 10
+	args := make([]byte, size)
+	promises := make([]*qrpc.Promise, n)
+	for i := range promises {
+		if promises[i], err = c.Enqueue("echo", args, qrpc.PriorityNormal, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tc := DialTCP(tcp.Addr(), c, nil, TCPClientOptions{})
+	defer tc.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	for i, p := range promises {
+		res, err := p.Wait(ctx)
+		if err != nil {
+			t.Fatalf("request %d of %d: %v", i+1, n, err)
+		}
+		if len(res) != size+2 {
+			t.Fatalf("request %d: %d-byte reply", i+1, len(res))
+		}
+	}
+}
 
 // TestTCPQueuedRequestsCrossAsOneFrame pins the transport-level batching
 // guarantee: N requests queued while disconnected cross the TCP connection
@@ -79,13 +115,13 @@ func TestTCPQueuedRequestsCrossAsOneFrame(t *testing.T) {
 	}
 }
 
-// TestPooledServerManySessionsOrdering exercises the server worker pool
-// under -race: many client sessions flood one pooled server concurrently;
-// each session's requests must execute serially in enqueue order (per-key
-// FIFO through batching and the pool), exactly once, while sessions
+// TestServerManySessionsOrdering runs many client sessions against one
+// server concurrently, each over a Pipe of its own, under -race: each
+// session's requests must execute serially in enqueue order (per-connection
+// FIFO through batching and frame runs), exactly once, while sessions
 // interleave freely with each other.
-func TestPooledServerManySessionsOrdering(t *testing.T) {
-	srv := qrpc.NewServer(qrpc.ServerConfig{ServerID: "srv", Workers: 4})
+func TestServerManySessionsOrdering(t *testing.T) {
+	srv := qrpc.NewServer(qrpc.ServerConfig{ServerID: "srv"})
 	defer srv.Close()
 	var mu sync.Mutex
 	execOrder := make(map[string][]uint64)
@@ -149,13 +185,13 @@ func TestPooledServerManySessionsOrdering(t *testing.T) {
 	}
 }
 
-// TestPooledServerFaultedExactlyOnce subjects a pooled server to seeded
-// duplicate/reorder frame faults in both directions — duplicated request
-// batches, reordered replies — plus client retransmissions, and requires
-// at-most-once execution to hold: every request completes, and no
+// TestServerFaultedExactlyOnce subjects a server shared by several sessions
+// to seeded duplicate/reorder frame faults in both directions — duplicated
+// request batches, reordered replies — plus client retransmissions, and
+// requires at-most-once execution to hold: every request completes, and no
 // (session, seq) pair runs twice.
-func TestPooledServerFaultedExactlyOnce(t *testing.T) {
-	srv := qrpc.NewServer(qrpc.ServerConfig{ServerID: "srv", Workers: 3})
+func TestServerFaultedExactlyOnce(t *testing.T) {
+	srv := qrpc.NewServer(qrpc.ServerConfig{ServerID: "srv"})
 	defer srv.Close()
 	var mu sync.Mutex
 	execCount := make(map[string]int)

@@ -65,7 +65,12 @@ func (t *TCPServer) acceptLoop() {
 
 func (t *TCPServer) serveConn(conn net.Conn) {
 	defer t.wg.Done()
-	sender := &tcpSender{conn: conn}
+	sender := newConnWriter(conn)
+	t.wg.Add(1)
+	go func() {
+		defer t.wg.Done()
+		sender.run()
+	}()
 	t.srv.OnConnect(sender, t.clock.Now())
 	// A StreamReader drops corrupt frames and resyncs instead of tearing
 	// the connection down: one flipped bit costs one retransmission.
@@ -78,10 +83,77 @@ func (t *TCPServer) serveConn(conn net.Conn) {
 		t.srv.OnFrame(sender, f, t.clock.Now())
 	}
 	t.srv.OnDisconnect(sender, t.clock.Now())
-	conn.Close()
+	conn.Close() // unblocks a write in progress
+	sender.close()
 	t.mu.Lock()
 	delete(t.conns, conn)
 	t.mu.Unlock()
+}
+
+// connWriter is an accepted connection's sender. SendFrame only encodes
+// the frame onto the connection's pending bytes; the connection's writer
+// goroutine (run) writes whatever has piled up, several frames to a write.
+// So the goroutine that reads the connection, and runs the requests it
+// delivers, never waits on the socket: if it did, a client that is itself
+// blocked writing a large batch — and so not reading its replies — would
+// leave both ends waiting on full socket buffers for good.
+type connWriter struct {
+	conn    net.Conn
+	mu      sync.Mutex
+	wake    sync.Cond // pending bytes, or closed
+	pending []byte
+	closed  bool // by close, or by a failed write
+}
+
+func newConnWriter(conn net.Conn) *connWriter {
+	w := &connWriter{conn: conn}
+	w.wake.L = &w.mu
+	return w
+}
+
+// SendFrame implements qrpc.Sender. It reports false once the connection
+// is closed or a write to it has failed.
+func (w *connWriter) SendFrame(f wire.Frame) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return false
+	}
+	w.pending = wire.AppendFrame(w.pending, f)
+	w.wake.Signal()
+	return true
+}
+
+// run writes the pending bytes until close or a failed write. It swaps
+// two buffers, so a busy connection costs no allocation per write.
+func (w *connWriter) run() {
+	var buf []byte
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for {
+		for len(w.pending) == 0 && !w.closed {
+			w.wake.Wait()
+		}
+		if w.closed {
+			return
+		}
+		buf, w.pending = w.pending, buf[:0]
+		w.mu.Unlock()
+		_, err := w.conn.Write(buf)
+		w.mu.Lock()
+		if err != nil {
+			w.closed = true
+			return
+		}
+	}
+}
+
+// close stops the writer; bytes not yet written are dropped.
+func (w *connWriter) close() {
+	w.mu.Lock()
+	w.closed = true
+	w.wake.Signal()
+	w.mu.Unlock()
 }
 
 // Close stops accepting and tears down live connections.
@@ -101,7 +173,8 @@ func (t *TCPServer) Close() error {
 	return err
 }
 
-// tcpSender serializes frame writes onto one socket. The encode scratch is
+// tcpSender serializes a client's frame writes onto its socket, on the
+// sending goroutine. The encode scratch is
 // reused across sends (it is only touched under the mutex), so a frame —
 // including a FrameBatch carrying a whole pump cycle — costs exactly one
 // allocation-free encode and one Write syscall.

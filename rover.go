@@ -39,7 +39,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -472,16 +471,10 @@ type ServerOptions struct {
 	// compaction checks of the disk store's segment (zero = default).
 	// Ignored without StoreDir.
 	StoreCompactEvery int
-	// Workers sizes the request-execution worker pool: requests from one
-	// client session execute serially in arrival order while sessions run
-	// in parallel, and a batch of queued requests executes while the
-	// transport reads the next frame. Zero selects the default: GOMAXPROCS
-	// workers when GOMAXPROCS > 1, inline otherwise (a pool of one can
-	// never run anything in parallel — it only adds a handoff context
-	// switch per request). Negative forces inline execution on the
-	// transport goroutine — required when the server is driven by a
-	// single-threaded scheduler, as the virtual-time benchmark harness
-	// does.
+	// Workers is ignored: a server runs each arriving frame's requests on
+	// the goroutine that delivered it, and sessions run in parallel as
+	// their connections do. It is set only by the benchmark module, and
+	// goes when that module next changes.
 	Workers int
 	// JournalPath, when set, opens a file-backed session journal at that
 	// path. Every executed request's reply is write-ahead-logged before it
@@ -497,7 +490,7 @@ type ServerOptions struct {
 	// files — JournalPath itself plus "<JournalPath>.s1" through
 	// ".s<N-1>" — keyed by session hash, so each shard runs its own
 	// group-commit fsync leader and up to N fsyncs overlap instead of every
-	// worker convoying behind one. Zero or one selects the single-file
+	// session convoying behind one. Zero or one selects the single-file
 	// journal. The count may grow between restarts (recovery reshards
 	// sessions into their new home files, durably, before serving) but must
 	// never shrink: NewServer fails if shard files beyond the configured
@@ -546,15 +539,6 @@ func NewServer(opts ServerOptions) (*Server, error) {
 			reg.Add(id, k)
 		}
 	}
-	workers := opts.Workers
-	if workers == 0 {
-		if procs := runtime.GOMAXPROCS(0); procs > 1 {
-			workers = procs
-		}
-	}
-	if workers < 0 {
-		workers = 0 // inline execution
-	}
 	var journals []stable.Log
 	if opts.JournalPath != "" {
 		var err error
@@ -589,7 +573,6 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	engine := qrpc.NewServer(qrpc.ServerConfig{
 		ServerID:           opts.ServerID,
 		Auth:               reg,
-		Workers:            workers,
 		Journals:           journals,
 		MaxSessions:        opts.MaxSessions,
 		SessionBudgetBytes: opts.SessionBudgetBytes,
@@ -697,9 +680,10 @@ func (s *Server) ListenTCP(addr string) (*transport.TCPServer, error) {
 	return transport.ListenTCP(addr, s.engine, nil)
 }
 
-// Close stops the server's worker pool, dropping queued-but-unstarted
-// requests (clients redeliver from their stable logs, so nothing is lost),
-// then closes the session journal if one is configured. Transports attached
+// Close stops the engine — requests that arrive from then on are dropped
+// (clients redeliver from their stable logs, so nothing is lost) and the
+// runs already under way finish — then closes the session journal if one
+// is configured. Transports attached
 // via ListenTCP are closed separately by their handles.
 func (s *Server) Close() error {
 	s.replMu.Lock()
