@@ -299,10 +299,9 @@ type inbound struct {
 // running. executeRun fills in the results: the reply's encoding and the
 // id of its journal record.
 type task struct {
-	clientID string
-	sess     *session
-	handler  Handler
-	req      Request
+	sess    *session
+	handler Handler
+	req     Request
 
 	rec []byte // the reply's exec record on a journaled server
 	enc []byte // the reply, a view of rec
@@ -565,9 +564,8 @@ func (s *Server) onRequest(in inbound, from Sender, payload []byte) inbound {
 		in.dispatched = true
 		s.runs.Add(1) // under mu, so never after Close has set closed
 	}
-	clientID := cn.clientID
 	s.mu.Unlock()
-	in.run = append(in.run, task{clientID: clientID, sess: sess, handler: svc.h, req: req})
+	in.run = append(in.run, task{sess: sess, handler: svc.h, req: req})
 	return in
 }
 
@@ -597,7 +595,7 @@ func (s *Server) executeRun(tasks []task) bool {
 	journaled := s.hasJournal()
 	for i := range tasks {
 		t := &tasks[i]
-		t.rec, t.enc = runHandler(t.clientID, t.handler, t.req, journaled)
+		t.rec, t.enc = runHandler(t.sess.clientID, t.handler, t.req, journaled)
 	}
 	var sh *journalShard
 	if journaled {
@@ -606,7 +604,7 @@ func (s *Server) executeRun(tasks []task) bool {
 		// stage or a poison since the check above: its handler ran, and a
 		// dirty failure is durable, so stopping would leave the rest of the
 		// run to run again at the next incarnation.
-		sh = s.lockShardFor(tasks[0].clientID)
+		sh = s.lockShardFor(tasks[0].sess.clientID)
 		var err error
 		for i := range tasks {
 			var serr error
@@ -653,7 +651,7 @@ func (s *Server) executeRun(tasks []task) bool {
 	}
 	if hook != nil {
 		for i := range tasks {
-			hook(tasks[i].clientID, tasks[i].req, tasks[i].enc)
+			hook(tasks[i].sess.clientID, tasks[i].req, tasks[i].enc)
 		}
 	}
 	return true

@@ -174,10 +174,10 @@ func (t *TCPServer) Close() error {
 }
 
 // tcpSender serializes a client's frame writes onto its socket, on the
-// sending goroutine. The encode scratch is
-// reused across sends (it is only touched under the mutex), so a frame —
-// including a FrameBatch carrying a whole pump cycle — costs exactly one
-// allocation-free encode and one Write syscall.
+// sending goroutine. The encode scratch is reused across sends (it is only
+// touched under the mutex), so a frame — including a FrameBatch carrying a
+// whole pump cycle — costs exactly one allocation-free encode and one Write
+// syscall.
 type tcpSender struct {
 	mu      sync.Mutex
 	conn    net.Conn
