@@ -3,6 +3,7 @@ package qrpc_test
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"testing"
 
 	"rover/internal/qrpc"
@@ -24,6 +25,16 @@ import (
 // inside its OnFrame with the run and the reply frame on the stack.
 func TestEchoRoundTripAllocs(t *testing.T) {
 	echoRoundTripAllocs(t, qrpc.ServerConfig{ServerID: "alloc"}, 5)
+}
+
+// TestInlineEchoRoundTripAllocs is the same round trip to servers
+// configured with Workers as the benchmark module still sets it: -1 on its
+// inline stacks, GOMAXPROCS on the others. The field is ignored, so each
+// server runs the request inline and costs what the default server does.
+func TestInlineEchoRoundTripAllocs(t *testing.T) {
+	for _, workers := range []int{-1, runtime.GOMAXPROCS(0)} {
+		echoRoundTripAllocs(t, qrpc.ServerConfig{ServerID: "alloc", Workers: workers}, 5)
+	}
 }
 
 // TestJournaledEchoRoundTripAllocs is the same round trip to a server with

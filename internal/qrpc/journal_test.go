@@ -394,54 +394,60 @@ func (p *poisonLog) RemoveNoSync(ids ...uint64) error {
 // TestJournaledServerRefusesWhenPoisoned is the durability contract: once
 // the journal cannot accept records, the server refuses to execute new work
 // (instead of silently continuing without durability), keeps serving cached
-// replays, and surfaces the typed poisoned error.
+// replays, and surfaces the typed poisoned error. The benchmark module
+// still sets the ignored Workers field, so a server configured with it
+// must hold the contract on the same inline run.
 func TestJournaledServerRefusesWhenPoisoned(t *testing.T) {
-	// Budget 2: the Hello (LowSeq 1 > initial 0) journals a prune record,
-	// then seq 1's exec record; seq 2's exec append is the one that fails.
-	jl := &poisonLog{MemLog: stable.NewMemLog(stable.Options{}), budget: 2}
-	up := true
-	snd := &harnessSender{up: &up}
-	execs := 0
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			// Budget 2: the Hello (LowSeq 1 > initial 0) journals a prune record,
+			// then seq 1's exec record; seq 2's exec append is the one that fails.
+			jl := &poisonLog{MemLog: stable.NewMemLog(stable.Options{}), budget: 2}
+			up := true
+			snd := &harnessSender{up: &up}
+			execs := 0
 
-	srv := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}})
-	defer srv.Close()
-	srv.Register("echo", func(string, Request) ([]byte, error) { execs++; return []byte("ok"), nil })
-	srv.OnConnect(snd, 0)
-	srv.OnFrame(snd, helloFrame("c1", 1), 0)
-	deliver := func(seq uint64) []*Reply {
-		srv.OnFrame(snd, requestFrame(seq, "echo", nil), 0)
-		return drainReplies(t, snd)
-	}
-	if reps := deliver(1); len(reps) != 1 { // journaled fine
-		t.Fatalf("healthy request got %d replies", len(reps))
-	}
+			srv := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}, Workers: workers})
+			defer srv.Close()
+			srv.Register("echo", func(string, Request) ([]byte, error) { execs++; return []byte("ok"), nil })
+			srv.OnConnect(snd, 0)
+			srv.OnFrame(snd, helloFrame("c1", 1), 0)
+			deliver := func(seq uint64) []*Reply {
+				srv.OnFrame(snd, requestFrame(seq, "echo", nil), 0)
+				return drainReplies(t, snd)
+			}
+			if reps := deliver(1); len(reps) != 1 { // journaled fine
+				t.Fatalf("healthy request got %d replies", len(reps))
+			}
 
-	// Budget exhausted: the exec append fails, the reply must NOT be
-	// released, and the journal is poisoned.
-	if reps := deliver(2); len(reps) != 0 {
-		t.Fatalf("reply released without durability")
-	}
-	if execs != 2 {
-		t.Fatalf("execs = %d (handler for seq 2 should have run once before the failed append)", execs)
-	}
-	if err := srv.JournalError(); !errors.Is(err, stable.ErrPoisoned) {
-		t.Fatalf("JournalError = %v, want ErrPoisoned", err)
-	}
+			// Budget exhausted: the exec append fails, the reply must NOT be
+			// released, and the journal is poisoned.
+			if reps := deliver(2); len(reps) != 0 {
+				t.Fatalf("reply released without durability")
+			}
+			if execs != 2 {
+				t.Fatalf("execs = %d (handler for seq 2 should have run once before the failed append)", execs)
+			}
+			if err := srv.JournalError(); !errors.Is(err, stable.ErrPoisoned) {
+				t.Fatalf("JournalError = %v, want ErrPoisoned", err)
+			}
 
-	// Further requests are refused before the handler runs.
-	if reps := deliver(3); len(reps) != 0 {
-		t.Fatal("poisoned server released a reply")
-	}
-	if execs != 2 {
-		t.Fatalf("poisoned server ran a handler: execs = %d", execs)
-	}
-	if got := srv.Stats().JournalRefused; got < 2 {
-		t.Errorf("JournalRefused = %d, want ≥ 2", got)
-	}
+			// Further requests are refused before the handler runs.
+			if reps := deliver(3); len(reps) != 0 {
+				t.Fatal("poisoned server released a reply")
+			}
+			if execs != 2 {
+				t.Fatalf("poisoned server ran a handler: execs = %d", execs)
+			}
+			if got := srv.Stats().JournalRefused; got < 2 {
+				t.Errorf("JournalRefused = %d, want ≥ 2", got)
+			}
 
-	// Cached replays still work: seq 1's reply was journaled and cached.
-	if reps := deliver(1); len(reps) != 1 || string(reps[0].Result) != "ok" {
-		t.Fatalf("cached replay unavailable while poisoned: %+v", reps)
+			// Cached replays still work: seq 1's reply was journaled and cached.
+			if reps := deliver(1); len(reps) != 1 || string(reps[0].Result) != "ok" {
+				t.Fatalf("cached replay unavailable while poisoned: %+v", reps)
+			}
+		})
 	}
 }
 
@@ -532,51 +538,57 @@ func TestJournalConcurrentSessions(t *testing.T) {
 // exec record reaches the journal durably but the server sees an error. The
 // current incarnation must NOT release the reply (it poisons instead), and
 // the next incarnation recovers the record — the redelivered request is
-// answered from cache with the handler having run exactly once.
+// answered from cache with the handler having run exactly once. A server
+// configured with the ignored Workers field, as the benchmark module's
+// still are, stages the record on the same inline run.
 func TestJournalDirtyAppendRecovers(t *testing.T) {
-	mem := stable.NewMemLog(stable.Options{})
-	jl := faults.WrapLog(mem, 42, faults.LogFaultRates{AppendDirty: 1})
-	up := true
-	snd := &harnessSender{up: &up}
-	execs := 0
-	handler := func(string, Request) ([]byte, error) { execs++; return []byte("v"), nil }
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			mem := stable.NewMemLog(stable.Options{})
+			jl := faults.WrapLog(mem, 42, faults.LogFaultRates{AppendDirty: 1})
+			up := true
+			snd := &harnessSender{up: &up}
+			execs := 0
+			handler := func(string, Request) ([]byte, error) { execs++; return []byte("v"), nil }
 
-	srv1 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}})
-	defer srv1.Close()
-	srv1.Register("echo", handler)
-	srv1.OnConnect(snd, 0)
-	// LowSeq 0 keeps the Hello from journaling a prune record, so the
-	// first (dirty) append is exactly seq 1's exec record.
-	srv1.OnFrame(snd, helloFrame("c1", 0), 0)
-	srv1.OnFrame(snd, requestFrame(1, "echo", nil), 0)
-	if reps := drainReplies(t, snd); len(reps) != 0 {
-		t.Fatal("reply released despite journal append error")
-	}
-	if execs != 1 {
-		t.Fatalf("execs = %d", execs)
-	}
-	if srv1.JournalError() == nil {
-		t.Fatal("dirty append did not poison the incarnation that saw the error")
-	}
+			srv1 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}, Workers: workers})
+			defer srv1.Close()
+			srv1.Register("echo", handler)
+			srv1.OnConnect(snd, 0)
+			// LowSeq 0 keeps the Hello from journaling a prune record, so the
+			// first (dirty) append is exactly seq 1's exec record.
+			srv1.OnFrame(snd, helloFrame("c1", 0), 0)
+			srv1.OnFrame(snd, requestFrame(1, "echo", nil), 0)
+			if reps := drainReplies(t, snd); len(reps) != 0 {
+				t.Fatal("reply released despite journal append error")
+			}
+			if execs != 1 {
+				t.Fatalf("execs = %d", execs)
+			}
+			if srv1.JournalError() == nil {
+				t.Fatal("dirty append did not poison the incarnation that saw the error")
+			}
 
-	// Next incarnation: the record was durable, so recovery serves it.
-	jl.SetEnabled(false)
-	srv2 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}})
-	defer srv2.Close()
-	srv2.Register("echo", handler)
-	if err := srv2.JournalError(); err != nil {
-		t.Fatalf("recovery: %v", err)
-	}
-	srv2.OnConnect(snd, 0)
-	srv2.OnFrame(snd, helloFrame("c1", 0), 0)
-	snd.queue = nil
-	srv2.OnFrame(snd, requestFrame(1, "echo", nil), 0)
-	reps := drainReplies(t, snd)
-	if len(reps) != 1 || string(reps[0].Result) != "v" {
-		t.Fatalf("recovered reply = %+v", reps)
-	}
-	if execs != 1 {
-		t.Fatalf("handler re-ran for a durably journaled request: execs = %d", execs)
+			// Next incarnation: the record was durable, so recovery serves it.
+			jl.SetEnabled(false)
+			srv2 := NewServer(ServerConfig{ServerID: "srv", Journals: []stable.Log{jl}, Workers: workers})
+			defer srv2.Close()
+			srv2.Register("echo", handler)
+			if err := srv2.JournalError(); err != nil {
+				t.Fatalf("recovery: %v", err)
+			}
+			srv2.OnConnect(snd, 0)
+			srv2.OnFrame(snd, helloFrame("c1", 0), 0)
+			snd.queue = nil
+			srv2.OnFrame(snd, requestFrame(1, "echo", nil), 0)
+			reps := drainReplies(t, snd)
+			if len(reps) != 1 || string(reps[0].Result) != "v" {
+				t.Fatalf("recovered reply = %+v", reps)
+			}
+			if execs != 1 {
+				t.Fatalf("handler re-ran for a durably journaled request: execs = %d", execs)
+			}
+		})
 	}
 }
 
